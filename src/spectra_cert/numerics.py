@@ -6,22 +6,20 @@ provides Gauss-Legendre rules (plain, composite over panels, and graded
 toward the origin for integrands with power-type singularities) plus tensor
 box grids that exclude the coordinate origin by construction.  The linear
 algebra side wraps a dense complex eigendecomposition with a per-pair
-residual guarantee and provides extremal singular values via power/inverse
-iteration on ``M* M``.  Root finding is plain bisection for strictly
-increasing scalar functions.
+residual guarantee and reads both extremal singular values off one dense
+LAPACK SVD.  Root finding is plain bisection for strictly increasing scalar
+functions.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, svdvals
 
 __all__ = [
     "NumericsError",
@@ -37,17 +35,15 @@ __all__ = [
     "largest_singular_value",
     "smallest_singular_value",
     "solve_linear",
-    "refine_eigenpair",
     "find_root_increasing",
     "aitken_extrapolate",
     "fit_loglog_slope",
-    "parallel_map",
 ]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-class NumericsError(Exception):
+class NumericsError(ValueError):
     """Raised when a numerical routine cannot meet its contract."""
 
 
@@ -104,13 +100,10 @@ def panel_gauss(
         raise ValueError("need at least two breakpoints")
     if not np.all(np.diff(bp) > 0):
         raise ValueError("breakpoints must be strictly increasing")
-    nodes = []
-    weights = []
-    for lo, hi in zip(bp[:-1], bp[1:]):
-        x, w = gauss_legendre(n_per_panel, lo, hi)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = gauss_legendre(n_per_panel, -1.0, 1.0)
+    mid = 0.5 * (bp[:-1] + bp[1:])[:, np.newaxis]
+    half = 0.5 * (bp[1:] - bp[:-1])[:, np.newaxis]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 @dataclass(frozen=True)
@@ -152,11 +145,6 @@ class RadialGrid:
     def n(self) -> int:
         return self.nodes.size
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same construction with ``factor`` times as many nodes."""
-        gamma = float(self.__dict__.get("_gamma", 2.0))
-        return radial_grid(self.n * factor, self.r_max, self.grading, gamma)
-
 
 _PANEL_NODES = 10
 _PANEL_RATIO = 10.0**0.5
@@ -194,9 +182,7 @@ def radial_grid(
         nodes, weights = panel_gauss(edges, _PANEL_NODES)
     else:
         raise ValueError(f"unknown grading {grading!r}")
-    grid = RadialGrid(nodes, weights, float(r_max), grading)
-    object.__setattr__(grid, "_gamma", float(gamma))
-    return grid
+    return RadialGrid(nodes, weights, float(r_max), grading)
 
 
 @dataclass(frozen=True)
@@ -305,86 +291,35 @@ def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
     return pairs
 
 
-def _seeded_start(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def largest_singular_value(m: np.ndarray) -> float:
+    """Largest singular value from a dense LAPACK SVD.
 
-
-def largest_singular_value(m: np.ndarray, rtol: float = 1e-8) -> float:
-    """Largest singular value by power iteration on ``M* M``.
-
-    A deflation guard reruns the iteration from an independent start vector
-    and keeps the larger limit, protecting against a start vector that is
-    (numerically) orthogonal to the top singular subspace.
+    Accurate to machine precision; raises ``LinAlgError`` if the SVD does
+    not converge.
     """
     a = as_complex_matrix(m)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return 0.0
-
-    def run(seed: int) -> float:
-        v = _seeded_start(n, seed)
-        sigma = 0.0
-        for _ in range(10_000):
-            w = a @ v
-            u = a.conj().T @ w
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                return 0.0
-            # Rayleigh quotient of M*M at the unit vector v is |Mv|^2.
-            sigma_new = float(np.linalg.norm(w))
-            v = u / nu
-            if sigma_new > 0 and abs(sigma_new - sigma) <= 0.1 * rtol * sigma_new:
-                return sigma_new
-            sigma = sigma_new
-        return sigma
-
-    s1 = run(1234)
-    s2 = run(987654)
-    return max(s1, s2)
+    return float(svdvals(a, check_finite=False)[0])
 
 
-def smallest_singular_value(
-    m: np.ndarray, rtol: float = 1e-6, return_flag: bool = False
-):
-    """Smallest singular value by inverse iteration on ``M* M``.
+def smallest_singular_value(m: np.ndarray, return_flag: bool = False):
+    """Smallest singular value from a dense LAPACK SVD.
 
-    A matrix that is singular to working precision yields 0.0; pass
-    ``return_flag=True`` to receive ``(value, is_singular)`` instead of the
-    bare value.
+    A matrix that is singular to working precision (sigma_min <=
+    n * eps * sigma_max) yields 0.0; pass ``return_flag=True`` to receive
+    ``(value, is_singular)`` instead of the bare value.  Raises
+    ``LinAlgError`` if the SVD does not converge.
     """
     a = as_complex_matrix(m)
     n = a.shape[0]
     if n == 0:
         return (0.0, True) if return_flag else 0.0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
+    s = svdvals(a, check_finite=False)
+    if s[-1] <= n * np.finfo(float).eps * s[0]:
         return (0.0, True) if return_flag else 0.0
-    with warnings.catch_warnings():
-        # An exactly-zero pivot is an expected outcome here: it is reported
-        # through the singularity flag, not as a warning.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(a, check_finite=False)
-    udiag = np.abs(np.diag(lu))
-    if np.min(udiag) <= n * np.finfo(float).eps * np.max(udiag):
-        return (0.0, True) if return_flag else 0.0
-
-    v = _seeded_start(n, 4321)
-    mu = 0.0
-    for _ in range(500):
-        # One application of (M* M)^(-1): solve M* w = v, then M u = w.
-        w = lu_solve((lu, piv), v, trans=2, check_finite=False)
-        u = lu_solve((lu, piv), w, trans=0, check_finite=False)
-        growth = np.linalg.norm(u)
-        if not np.isfinite(growth) or growth == 0.0:
-            return (0.0, True) if return_flag else 0.0
-        sigma_new = 1.0 / np.sqrt(growth)
-        v = u / growth
-        if mu > 0 and abs(sigma_new - mu) <= 0.1 * rtol * sigma_new:
-            return (sigma_new, False) if return_flag else sigma_new
-        mu = sigma_new
-    return (mu, False) if return_flag else mu
+    sigma = float(s[-1])
+    return (sigma, False) if return_flag else sigma
 
 
 def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -404,37 +339,6 @@ def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericsError("linear solve: non-finite solution (matrix near-singular)")
     return x
-
-
-def refine_eigenpair(
-    m: np.ndarray, lam: complex, v: np.ndarray, steps: int = 2
-) -> tuple[complex, np.ndarray]:
-    """Sharpen an approximate eigenpair by Rayleigh-quotient iteration.
-
-    Each step solves (M - lam I) w = v and updates lam from the Rayleigh
-    quotient; two steps reduce an O(eps * |M|)-residual pair to near the
-    limit set by the local conditioning.  If the shifted matrix is exactly
-    singular the current pair is already exact and is returned as is.
-    """
-    a = as_complex_matrix(m)
-    vec = np.asarray(v, dtype=np.complex128)
-    val = complex(lam)
-    for _ in range(steps):
-        shifted = a - val * np.eye(a.shape[0], dtype=np.complex128)
-        try:
-            lu, piv = lu_factor(shifted, check_finite=False)
-        except Exception:  # pragma: no cover - LAPACK rarely raises here
-            break
-        udiag = np.abs(np.diag(lu))
-        if np.min(udiag) <= a.shape[0] * np.finfo(float).eps * np.max(udiag):
-            break
-        w = lu_solve((lu, piv), vec, check_finite=False)
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        vec = w / nw
-        val = complex(np.vdot(vec, a @ vec) / np.vdot(vec, vec))
-    return val, vec
 
 
 def find_root_increasing(
@@ -500,30 +404,3 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     if x.size != y.size or x.size < 2:
         raise ValueError("need two or more (x, y) pairs")
     return float(np.polyfit(x, y, 1)[0])
-
-
-def thread_cap() -> int:
-    """Worker cap from SPECTRA_CERT_THREADS (0 means 'use the CPU count')."""
-    raw = os.environ.get("SPECTRA_CERT_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SPECTRA_CERT_THREADS must be an integer, got {raw!r}") from exc
-    return max(cap, 0)
-
-
-def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Map ``fn`` over ``items``, threading when the environment allows.
-
-    Parallel units must be pure; the cap comes from SPECTRA_CERT_THREADS.
-    Results preserve input order.
-    """
-    seq = list(items)
-    cap = thread_cap()
-    workers = cap if cap > 0 else min(len(seq), os.cpu_count() or 1)
-    if workers <= 1 or len(seq) <= 1:
-        return [fn(it) for it in seq]
-    with ThreadPoolExecutor(max_workers=min(workers, len(seq))) as ex:
-        return list(ex.map(fn, seq))

@@ -71,7 +71,8 @@ class Potential:
     r > 0 to d/dr (r * Re V(r)), understood pointwise almost everywhere
     (jump discontinuities, as in the square well, contribute no pointwise
     term).  ``origin_singularity_order`` is the s in |V(r)| ~ r^-s as
-    r -> 0 (0 for bounded potentials).
+    r -> 0 (0 for bounded potentials).  ``jumps`` lists the radii where V
+    jumps; radial quadratures put panel edges there.
     """
 
     name: str
@@ -81,6 +82,7 @@ class Potential:
     d_r_rReV: Callable[[np.ndarray], np.ndarray]
     origin_singularity_order: float
     is_radial: bool = True
+    jumps: tuple[float, ...] = ()
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate V at points of shape (N, d) (or a single point (d,))."""
@@ -224,6 +226,7 @@ def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
             # positive measure, invisible to a pointwise evaluation.
             d_r_rReV=lambda r: np.where(np.asarray(r, float) < r0, -v0, 0.0),
             origin_singularity_order=0.0,
+            jumps=(r0,),
         )
 
     raise PotentialError(f"unknown potential {name!r}; known: {catalog_names()}")

@@ -19,7 +19,6 @@ the finite-size gap of the free operator at the same resolution.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -254,13 +253,6 @@ class SpectrumReport:
             for i, (lam, res) in enumerate(zip(self.eigenvalues, self.residuals))
         ]
 
-    def write_csv(self, path) -> None:
-        rows = self.to_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["re", "im", "residual", "is_outlier"])
-            writer.writeheader()
-            writer.writerows(rows)
-
 
 def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> SpectrumReport:
     """Full dense spectrum with outlier classification.
@@ -319,12 +311,6 @@ class PseudospectrumField:
                     }
                 )
         return out
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["z_re", "z_im", "sigma_min"])
-            writer.writeheader()
-            writer.writerows(self.to_rows())
 
 
 def pseudospectrum(

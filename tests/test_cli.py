@@ -30,6 +30,7 @@ from spectra_cert.cli import (
     serialize_config,
 )
 from spectra_cert.multipliers import MultiplierError
+from spectra_cert.numerics import EigenvalueError
 
 
 def make(experiment: str, **extra) -> str:
@@ -447,6 +448,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "multipliers.identity_term_rows" in err
         assert "did not settle" in err
+
+    def test_solver_failure_is_1(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise EigenvalueError("QR iteration failed to converge")
+
+        monkeypatch.setattr("spectra_cert.cli.spectrum", boom)
+        path = self.write(
+            tmp_path,
+            make("spectrum", grid_n=8, ell_max=0, output={"path": str(tmp_path / "x")}),
+        )
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "numerical check failed" in err
+        assert "failed to converge" in err
 
     def test_set_overrides(self, tmp_path, capsys):
         path = self.write(tmp_path, make("check-conditions"))

@@ -196,6 +196,12 @@ class TestRollnik:
         value = rollnik_norm(catalog("gaussian", v0=1.0), grid=box_grid(20, 6.0))
         assert value == pytest.approx(GAUSSIAN_ROLLNIK, rel=0.04)
 
+    @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
+    def test_square_well_closed_form(self, v0, r0):
+        # the ball of radius R has int int |x-y|^-2 = 4 pi^2 R^4
+        value = rollnik_norm(catalog("square_well", v0=v0, r0=r0))
+        assert value == pytest.approx(2.0 * math.pi * v0 * r0**2, rel=1e-10)
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ConditionError):
             rollnik_norm(catalog("hardy", a=0.5, dimension=4))
@@ -206,6 +212,11 @@ class TestFrank:
         value, passes = frank_l32(catalog("gaussian", v0=1.0))
         assert value == pytest.approx((2.0 * math.pi / 3.0) ** 1.5, rel=1e-10)
         assert not passes
+
+    @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
+    def test_square_well_closed_form(self, v0, r0):
+        value, _ = frank_l32(catalog("square_well", v0=v0, r0=r0))
+        assert value == pytest.approx(4.0 * math.pi / 3.0 * v0**1.5 * r0**3, rel=1e-10)
 
     def test_small_gaussian_passes(self):
         value, passes = frank_l32(catalog("gaussian", v0=0.05))
