@@ -17,12 +17,16 @@ Legendre coefficient
     g_l^z(r, r') = 2 pi * int_{-1}^{1} G_z(s(t)) P_l(t) dt,
     s(t) = sqrt(r^2 + r'^2 - 2 r r' t),
 
-evaluated in closed form at z = 0 ( g_l^0 = r_<^l / ((2l+1) r_>^(l+1)) ) and
-by quadrature otherwise.  The substitution t = 1 - 2 v^2 turns the angular
-integral into int_0^1 (...) 4 v dv with s = sqrt((r-r')^2 + 4 r r' v^2),
-which removes the 1/s singularity on the diagonal.  The closed form and the
-quadrature route are pinned against each other and against direct 3D box
-quadrature in the test suite.
+which the Yukawa addition theorem (DLMF 10.60) gives in closed form,
+
+    g_l^z(r, r') = (2 kappa / pi) i_l(kappa r_<) k_l(kappa r_>),
+
+with the modified spherical Bessel functions i_l, k_l.  Its kappa -> 0 limit
+is g_l^0 = r_<^l / ((2l+1) r_>^(l+1)).  The kernels are formed as g_l^0 times
+factors scaled to tend to 1 at the origin and a decay exp(-kappa (r_> - r_<))
+of modulus <= 1, so nothing over- or underflows on deep geometric grids or
+at large kappa r.  The test suite pins them against an angular quadrature of
+the Legendre coefficient and against direct 3D box quadrature.
 
 Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 
@@ -65,17 +69,18 @@ __all__ = [
     "pointwise_bound_check",
     "sector_matrices",
     "assemble_bs",
-    "bs_norm_scan",
     "hs_norm",
     "log_uniform_grid",
     "bs_principle_matrix_check",
     "kappa_scaling",
     "m_eps_hs_check",
-    "legendre_rows",
 ]
 
 _DEFAULT_ELL_MAX = 32
-_DEFAULT_N_ANG = 64
+_A_SERIES_TERMS = 12
+# Past l ~ 147 the factor (2l+1)!! x^(-l) overflows at |x| = 1 while ive
+# underflows, so the |x| >= 1 branch of A_l would silently read 0.
+_BESSEL_ELL_MAX = 128
 _GRID_PANEL_NODES = 10
 
 
@@ -131,64 +136,77 @@ def pointwise_bound_check(z: complex, samples: Sequence[float]) -> bool:
     return bool(np.all(gz <= g0))
 
 
-def legendre_rows(ell_max: int, t: np.ndarray) -> np.ndarray:
-    """P_l(t) for l = 0..ell_max, stacked as rows (Bonnet recurrence)."""
-    t = np.asarray(t, dtype=float)
-    rows = np.empty((ell_max + 1, t.size))
-    rows[0] = 1.0
-    if ell_max >= 1:
-        rows[1] = t
-    for ell in range(1, ell_max):
-        rows[ell + 1] = ((2 * ell + 1) * t * rows[ell] - ell * rows[ell - 1]) / (ell + 1)
-    return rows
+def _scaled_bessel_factors(
+    x: np.ndarray, ell_max: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (A_l(x), B_l(x)) for l = 0..ell_max, for Re x >= 0, x != 0.
+
+        A_l(x) = (2l+1)!! x^(-l) i_l(x) e^(-x),
+        B_l(x) = (2/pi) x^(l+1) k_l(x) e^x / (2l-1)!!,
+
+    with the modified spherical Bessel functions i_l, k_l; both -> 1 as
+    x -> 0.  A_l is its power series for |x| < 1 and scipy's exponentially
+    scaled ive beyond.  B_l is a polynomial of degree l, built from B_0 = 1,
+    B_1 = 1 + x by the forward recurrence of k_l,
+    B_(l+1) = B_l + x^2 B_(l-1) / (4l^2 - 1).
+    """
+    from scipy.special import ive
+
+    small = np.abs(x) < 1.0
+    half_x2 = 0.5 * x[small] ** 2
+    e_small = np.exp(-x[small])
+    x_big = x[~small]
+    big_tail = np.sqrt(np.pi / (2.0 * x_big)) * np.exp(-1j * x_big.imag)
+    big_scale = np.ones_like(x_big)  # (2l+1)!! x^(-l), one factor per l
+    b_cur, b_next = np.ones_like(x), 1.0 + x
+    for ell in range(ell_max + 1):
+        term = np.ones_like(half_x2)
+        total = np.ones_like(half_x2)
+        for k in range(1, _A_SERIES_TERMS):
+            term = term * half_x2 / (k * (2 * ell + 2 * k + 1))
+            total = total + term
+        if ell > 0:
+            big_scale = big_scale * ((2 * ell + 1) / x_big)
+        a = np.empty_like(x)
+        a[small] = e_small * total
+        a[~small] = big_scale * big_tail * ive(ell + 0.5, x_big)
+        yield a, b_cur
+        b_cur, b_next = b_next, b_next + x**2 * b_cur / ((2 * ell + 1) * (2 * ell + 3))
 
 
-def _sectors_z0(r: np.ndarray, ell_max: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (l, g_l^0) with g_l^0 = r_<^l / ((2l+1) r_>^(l+1))."""
+def _sector_kernels(
+    z: complex, r: np.ndarray, ell_max: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (l, g_l^z) for l = 0..ell_max in the scaled closed form
+
+        g_l^z = g_l^0 * A_l(kappa r_<) * B_l(kappa r_>) * exp(-kappa (r_> - r_<)),
+
+    with g_l^0 = r_<^l / ((2l+1) r_>^(l+1)).  At z = 0 the Bessel factors are
+    skipped, not multiplied in as ones, so g_l^0 comes out bit for bit.
+    Off z = 0, l is capped at _BESSEL_ELL_MAX, and a kernel that still
+    overflows (A_l underflowing against a B_l ~ (kappa r)^l near the
+    diagonal, at |kappa| r in the thousands and l near the cap) raises.
+    """
     r_lo = np.minimum.outer(r, r)
     r_hi = np.maximum.outer(r, r)
     ratio = r_lo / r_hi
     power = 1.0 / r_hi
-    for ell in range(ell_max + 1):
-        yield ell, power / (2 * ell + 1)
-        power = power * ratio
-
-
-def _sectors_general(
-    z: complex, r: np.ndarray, ell_max: int, n_ang: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (l, g_l^z) = g_l^0 + angular quadrature of G_z - G_0.
-
-    Splitting off the closed-form z = 0 part leaves the remainder
-    (exp(-kappa s) - 1) / (4 pi s), which is bounded on the diagonal, so the
-    v-substituted Gauss rule is not fighting the 1/s singularity for
-    near-diagonal entries.
-    """
     kappa = green_params(z).kappa
-    n = r.size
-    v, wv = gauss_legendre(n_ang, 0.0, 1.0)
-    ang_w = 4.0 * v * wv
-    weighted_p = legendre_rows(ell_max, 1.0 - 2.0 * v**2) * ang_w[np.newaxis, :]
-
-    out = np.empty((ell_max + 1, n, n), dtype=np.complex128)
-    chunk = max(1, (2**21) // max(1, n * n_ang))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff2 = (r[lo:hi, np.newaxis] - r[np.newaxis, :]) ** 2
-        prod4 = 4.0 * np.outer(r[lo:hi], r)
-        s = np.sqrt(diff2[:, :, np.newaxis] + prod4[:, :, np.newaxis] * (v**2))
-        g = (np.exp(-kappa * s) - 1.0) / (4.0 * np.pi * s)
-        out[:, lo:hi, :] = 2.0 * np.pi * np.einsum("ijk,lk->lij", g, weighted_p)
-    for ell, g0 in _sectors_z0(r, ell_max):
-        yield ell, out[ell] + g0
-
-
-def _sector_kernels(
-    z: complex, r: np.ndarray, ell_max: int, n_ang: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    if complex(z) == 0.0:
-        return _sectors_z0(r, ell_max)
-    return _sectors_general(z, r, ell_max, n_ang)
+    if kappa != 0.0:
+        if ell_max > _BESSEL_ELL_MAX:
+            raise BSError(f"ell_max {ell_max} exceeds {_BESSEL_ELL_MAX} at z != 0")
+        factors = _scaled_bessel_factors(kappa * r, ell_max)
+        r_i_lower = r[:, np.newaxis] <= r[np.newaxis, :]
+        decay = np.exp(-kappa * (r_hi - r_lo))
+    for ell in range(ell_max + 1):
+        g = power / (2 * ell + 1)
+        if kappa != 0.0:
+            a, b = next(factors)
+            g = g * np.where(r_i_lower, np.outer(a, b), np.outer(b, a)) * decay
+            if not np.all(np.isfinite(g)):
+                raise BSError(f"sector kernel l={ell} overflows at z={z}")
+        yield ell, g
+        power = power * ratio
 
 
 def sector_matrices(
@@ -196,7 +214,6 @@ def sector_matrices(
     z: complex,
     grid: RadialGrid,
     ell_max: int = _DEFAULT_ELL_MAX,
-    n_ang: int = _DEFAULT_N_ANG,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
     _check_radial_3d(potential)
@@ -208,7 +225,7 @@ def sector_matrices(
     sqw = np.sqrt(grid.weights)
     left = np.sqrt(potential.abs_radial(r)) * r * sqw
     right = potential.sign_radial(r) * np.sqrt(potential.abs_radial(r)) * r * sqw
-    for ell, g in _sector_kernels(z, r, ell_max, n_ang):
+    for ell, g in _sector_kernels(z, r, ell_max):
         yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
 
 
@@ -236,8 +253,8 @@ class BSMatrix:
     ``matrix`` is the sector matrix attaining the reported norm (sector
     index ``ell_of_max``); ``per_ell_norms[l]`` is sigma_max of sector l and
     ``per_ell_frobenius[l]`` its Frobenius norm.  ``tail_warning`` is set
-    when the last two sector norms fail to decrease, i.e. the truncation at
-    ``ell_max`` is suspect.
+    when the last sector norm is positive and not below the one before it,
+    i.e. the truncation at ``ell_max`` is suspect.
     """
 
     z: complex
@@ -283,7 +300,6 @@ def assemble_bs(
     z: complex,
     grid: RadialGrid,
     ell_max: int = _DEFAULT_ELL_MAX,
-    n_ang: int = _DEFAULT_N_ANG,
 ) -> BSMatrix:
     """Assemble the partial-wave Nystroem matrices of K_z.
 
@@ -298,14 +314,14 @@ def assemble_bs(
     frobs: list[float] = []
     best: Optional[np.ndarray] = None
     best_ell = 0
-    for ell, m in sector_matrices(potential, z, grid, ell_max=ell_max, n_ang=n_ang):
+    for ell, m in sector_matrices(potential, z, grid, ell_max=ell_max):
         sigma = largest_singular_value(m)
         norms.append(sigma)
         frobs.append(float(np.linalg.norm(m)))
         if best is None or sigma > norms[best_ell]:
             best = m
             best_ell = ell
-    tail_warning = len(norms) >= 2 and not norms[-1] < norms[-2]
+    tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
         z=complex(z),
         matrix=best,
@@ -325,34 +341,6 @@ def default_bs_grid(n: int = 256, r_max: float = 40.0) -> RadialGrid:
     grids with small w_j / r_j ratios; geometric panels give both.
     """
     return radial_grid(n, r_max, grading="geometric-panels")
-
-
-def bs_norm_scan(
-    potential: Potential,
-    z_list: Sequence[complex],
-    grid: Optional[RadialGrid] = None,
-    ell_max: int = 8,
-    n_ang: int = _DEFAULT_N_ANG,
-    slack: float = 0.02,
-) -> list[tuple[complex, float]]:
-    """Norms of K_z over z_list, checked against the z = 0 norm.
-
-    Enforces norm(z) <= norm(0) * (1 + slack) for every z, the discrete
-    counterpart of the resolvent-domination bound; violations raise.
-    """
-    if grid is None:
-        grid = default_bs_grid()
-    base = assemble_bs(potential, 0.0, grid, ell_max=ell_max, n_ang=n_ang).norm
-    out: list[tuple[complex, float]] = []
-    for z in z_list:
-        norm_z = assemble_bs(potential, z, grid, ell_max=ell_max, n_ang=n_ang).norm
-        if norm_z > base * (1.0 + slack) + 1e-15:
-            raise BSError(
-                f"norm at z={z} is {norm_z:.6g}, exceeding the z=0 norm "
-                f"{base:.6g} beyond the {slack:.0%} discretization slack"
-            )
-        out.append((complex(z), norm_z))
-    return out
 
 
 @dataclass(frozen=True)
@@ -512,7 +500,6 @@ def m_eps_hs_check(
     eps_list: Sequence[float],
     grid_n: int = 60,
     ell_max: int = 24,
-    n_ang: int = 48,
     slope_tol: float = 0.05,
 ) -> list[MepsRecord]:
     """HS norm of M_eps = chi_Omega |V|^(1/2) G_(lam + i eps), two ways.
@@ -551,7 +538,7 @@ def m_eps_hs_check(
         left = np.sqrt(potential.abs_radial(r)) * r * np.sqrt(w) * rows
         colw = r * np.sqrt(w)
         terms: list[float] = []
-        for ell, g in _sectors_general(z, r, ell_max, n_ang):
+        for ell, g in _sector_kernels(z, r, ell_max):
             m = left[:, np.newaxis] * g * colw[np.newaxis, :]
             terms.append((2 * ell + 1) * float(np.linalg.norm(m)) ** 2)
         hs_direct = math.sqrt(sum(terms) + _hs_tail(terms))

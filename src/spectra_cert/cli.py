@@ -73,7 +73,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .birman_schwinger import assemble_bs, default_bs_grid, hs_norm, log_uniform_grid
-from .conditions import build_report, thresholds
+from .conditions import build_report, json_float, thresholds
 from .multipliers import (
     TestFunction,
     identity_term_rows,
@@ -442,15 +442,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     return json.dumps(_config_to_dict(config), sort_keys=True, indent=2) + "\n"
 
 
-def _enc(value: float):
-    """inf/nan are not JSON; encode them the way ConditionReport does."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return value
-
-
 def _stage(stages: list, name: str, fn: Callable):
     start = time.perf_counter()
     try:
@@ -502,9 +493,9 @@ def _run_hs_identity(config, stages):
         lambda: hs_norm(pot, grid, ell_max=config.ell_max),
     )
     payload = {
-        "matrix_route": _enc(result.matrix_route),
-        "rollnik_route": _enc(result.rollnik_route),
-        "rel_gap": _enc(result.rel_gap),
+        "matrix_route": json_float(result.matrix_route),
+        "rollnik_route": json_float(result.rollnik_route),
+        "rel_gap": json_float(result.rel_gap),
         "diverged": result.diverged,
     }
     return payload, None
@@ -641,7 +632,7 @@ _RUNNERS = {
 
 
 def _json_bytes(payload: dict) -> bytes:
-    # allow_nan=False: a stray inf/nan means a report skipped _enc; better
+    # allow_nan=False: a stray inf/nan means a report skipped json_float; better
     # a loud failure than a file strict parsers reject
     return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 

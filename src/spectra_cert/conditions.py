@@ -67,6 +67,15 @@ class ConditionError(ValueError):
     """Raised for unsupported inputs (wrong dimension, non-radial V, ...)."""
 
 
+def json_float(value):
+    """inf and nan are not JSON numbers; write them as "inf" and "nan"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
 # ---------------------------------------------------------------------------
 # radial suprema with divergence detection
 # ---------------------------------------------------------------------------
@@ -489,19 +498,16 @@ class ConditionReport:
                 raise ConditionError(f"constant {name} must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        def enc(x: float):
-            return "inf" if math.isinf(x) else x
-
         return {
-            "a": enc(self.a),
+            "a": json_float(self.a),
             "a_method": self.a_method,
-            "rollnik": enc(self.rollnik),
-            "frank_l32": enc(self.frank_l32),
-            "sobolev_chain_a": enc(self.sobolev_chain_a),
-            "Λ": enc(self.lambda_),
-            "b1": enc(self.b1),
-            "b2": enc(self.b2),
-            "b3": enc(self.b3),
+            "rollnik": json_float(self.rollnik),
+            "frank_l32": json_float(self.frank_l32),
+            "sobolev_chain_a": json_float(self.sobolev_chain_a),
+            "Λ": json_float(self.lambda_),
+            "b1": json_float(self.b1),
+            "b2": json_float(self.b2),
+            "b3": json_float(self.b3),
             "verdicts": dict(self.verdicts),
         }
 

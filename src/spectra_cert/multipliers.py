@@ -28,7 +28,7 @@ import numpy as np
 
 from .conditions import b_constants, lambda_constant
 from .numerics import fit_loglog_slope, gauss_legendre, panel_gauss
-from .potentials import MagneticPotential, Potential
+from .potentials import MagneticPotential, Potential, b_tau
 
 __all__ = [
     "MultiplierError",
@@ -50,7 +50,6 @@ __all__ = [
     "CaseSplitReport",
     "radi_identity_terms",
     "RadiTerms",
-    "b_tau",
     "magnetic_identity_smoke",
     "MagneticSmokeReport",
 ]
@@ -977,16 +976,6 @@ def radi_identity_terms(
         i_total, i1, i2, i3, residual, grad_minus_sq,
         b1, b2, b3, eps_defect, i1_ok, i2_ok, lower,
     )
-
-
-def b_tau(a_field: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
-    """Tangential trace (x/|x|) . B(x) of the field tensor; B_tau . x = 0."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise MultiplierError("B_tau is undefined at the origin")
-    b = a_field.field(x, force_fd=force_fd)
-    return (x / r) @ b
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ keeps F smooth at the origin and isolates the sector kernel:
 
 The same number is reconstructed from the assembled sector matrices by
 dividing out the |V|^(1/2) / V_(1/2) dressing, so the comparison exercises the
-closed-form l-kernels, the split-kernel quadrature at z != 0, and the
-symmetrization in one shot, against code that never mentions partial waves.
+closed-form l-kernels (Bessel form at z != 0, its power-law limit at z = 0)
+and the symmetrization in one shot, against code that never mentions partial
+waves.  A second oracle integrates G_z against P_l by angular quadrature and
+pins the Bessel kernels entrywise.
 """
 
 import dataclasses
@@ -28,12 +30,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import legval
+from numpy.polynomial.legendre import legval, legvander
 
 from spectra_cert.birman_schwinger import (
     BSError,
+    _scaled_bessel_factors,
+    _sector_kernels,
     assemble_bs,
-    bs_norm_scan,
     bs_principle_matrix_check,
     default_bs_grid,
     green_function,
@@ -136,6 +139,79 @@ class TestSectorMatrices:
         g = radial_grid(60, 20.0, grading="geometric-panels")
         for ell, m in sector_matrices(catalog("coulomb_repulsive", c=1.0), 0.0, g, 1):
             assert np.max(np.abs(m - m.T)) <= 1e-14 * np.max(np.abs(m))
+
+
+def angular_sector_kernels(z, r, ell_max, n_ang=512):
+    """g_l^z by Gauss quadrature of the Legendre coefficient of G_z.
+
+    Only G_z - G_0 is integrated (it is bounded on the diagonal); the z = 0
+    part is the classical r_<^l / ((2l+1) r_>^(l+1)).  The substitution
+    t = 1 - 2 v^2 gives s = sqrt((r - r')^2 + 4 r r' v^2) and weight 4 v dv.
+    """
+    kappa = green_params(z).kappa
+    v, wv = gauss_legendre(n_ang, 0.0, 1.0)
+    weighted_p = legvander(1.0 - 2.0 * v**2, ell_max).T * (4.0 * v * wv)
+    out = np.empty((ell_max + 1, r.size, r.size), dtype=np.complex128)
+    for lo in range(0, r.size, 16):
+        rows = r[lo : lo + 16, np.newaxis, np.newaxis]
+        s = np.sqrt((rows - r[:, np.newaxis]) ** 2 + 4.0 * rows * r[:, np.newaxis] * v**2)
+        g = (np.exp(-kappa * s) - 1.0) / (4.0 * np.pi * s)
+        out[:, lo : lo + 16, :] = 2.0 * np.pi * np.einsum("ijk,lk->lij", g, weighted_p)
+    r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    for ell in range(ell_max + 1):
+        out[ell] += r_lo**ell / ((2 * ell + 1) * r_hi ** (ell + 1))
+    return out
+
+
+class TestClosedFormKernels:
+    R128 = default_bs_grid(n=128).nodes
+
+    @pytest.mark.parametrize("z", [-1.0, 1j, -1 + 1j, 10 + 0.02j, 16 - 0.001j])
+    def test_matches_angular_quadrature(self, z):
+        # measured: <= 4.4e-16 of each sector's largest entry
+        ref = angular_sector_kernels(z, self.R128, 8)
+        for ell, g in _sector_kernels(z, self.R128, 8):
+            assert np.max(np.abs(g - ref[ell])) <= 1e-12 * np.max(np.abs(ref[ell]))
+
+    def test_z0_is_the_power_recursion(self):
+        # the z = 0 kernels run no Bessel arithmetic at all
+        r = self.R128
+        r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+        power = 1.0 / r_hi
+        for ell, g in _sector_kernels(0.0, r, 6):
+            assert np.array_equal(g, power / (2 * ell + 1))
+            power = power * (r_lo / r_hi)
+
+    @pytest.mark.parametrize(
+        "n,z", [(1600, 1j), (1600, -5.0), (1600, 10 + 0.02j), (256, -1000.0)]
+    )
+    def test_finite_at_grid_extremes(self, n, z):
+        # n = 1600 reaches r_min ~ 4e-79; z = -1000 has Re kappa r_max ~ 1265
+        r = default_bs_grid(n).nodes
+        for _, g in _sector_kernels(z, r, 8):
+            assert np.all(np.isfinite(g))
+
+    def test_scaled_i_factor_branches_agree_up_to_the_cap(self):
+        # at |x| >= 1 A_l comes from ive; pin it against the power series
+        # A_l(x) = e^-x sum_k (x^2/2)^k / (k! prod_{j<=k} (2l+2j+1)) where the
+        # loss of the (2l+1)!! x^-l scaling is worst, just above |x| = 1;
+        # measured <= 1.4e-13, the rounding of l factors in that scaling
+        x = np.array([1.0, 1.3j, 1.2 * np.exp(0.25j * np.pi)])
+        for ell, (a, _) in enumerate(_scaled_bessel_factors(x, 128)):
+            term, total = np.ones_like(x), np.ones_like(x)
+            for k in range(1, 40):
+                term = term * (x**2 / 2) / (k * (2 * ell + 2 * k + 1))
+                total = total + term
+            np.testing.assert_allclose(a, np.exp(-x) * total, rtol=1e-12, atol=0)
+
+    def test_out_of_range_kernels_raise(self):
+        r = default_bs_grid(n=64).nodes
+        with pytest.raises(BSError, match="exceeds"):
+            list(_sector_kernels(1j, r, 129))
+        # kappa r ~ 4e5: B_l overflows near the diagonal long before l = 128
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BSError, match="overflows"):
+                list(_sector_kernels(-1e8, r, 100))
 
 
 class TestBoxOracle:
@@ -252,40 +328,38 @@ class TestAssemble:
         assert bm.hs_estimate() >= bm.norm
 
     def test_unresolved_tail_warns(self):
-        # starve the angular quadrature so the high sectors of the z != 0
-        # remainder kernel are pure aliasing noise; the non-decreasing tail
-        # diagnostic must flag that
-        g = radial_grid(60, 20.0, grading="geometric-panels")
-        bm = assemble_bs(gaussian(), -1.0, g, ell_max=10, n_ang=4)
+        # kappa r0 ~ 25 needs l ~ 25 before the sectors decay; at ell_max = 6
+        # the norms still hover around 0.6 and the last one does not drop
+        well = catalog("square_well", v0=1.0, r0=5.0)
+        bm = assemble_bs(well, 25 + 0.01j, default_bs_grid(n=120), ell_max=6)
         assert bm.tail_warning
+
+    def test_zero_family_does_not_warn(self):
+        bm = assemble_bs(gaussian(0.0), -1.0, default_bs_grid(n=80), ell_max=2)
+        assert bm.per_ell_norms == (0.0, 0.0, 0.0)
+        assert not bm.tail_warning
 
 
 class TestNormScan:
+    """K_z stays below K_0 along z, checked sector family by family."""
+
     def test_hardy_scan_below_base(self):
         g = default_bs_grid(n=200)
         base = assemble_bs(hardy(), 0.0, g, ell_max=2).norm
-        out = bs_norm_scan(hardy(), [-1.0, 1j], grid=g, ell_max=2)
-        assert len(out) == 2
-        for z, n in out:
+        for z in (-1.0, 1j):
+            n = assemble_bs(hardy(), z, g, ell_max=2).norm
             assert n <= base
             assert n <= 0.5
 
     def test_gaussian_monotone_along_negative_axis(self):
         g = default_bs_grid(n=120)
-        out = bs_norm_scan(gaussian(), [-0.5, -2.0, -8.0], grid=g, ell_max=1)
-        norms = [n for _, n in out]
+        norms = [assemble_bs(gaussian(), z, g, ell_max=1).norm for z in (-0.5, -2.0, -8.0)]
         assert norms[0] > norms[1] > norms[2]
 
     def test_zero_potential_scan(self):
-        out = bs_norm_scan(gaussian(0.0), [-1.0, 2j], grid=default_bs_grid(n=80))
-        assert all(n == 0.0 for _, n in out)
-
-    def test_exceeding_base_raises(self):
-        # shrink the allowed slack below zero so any nonzero norm exceeds it
-        with pytest.raises(BSError, match="exceeding"):
-            bs_norm_scan(
-                gaussian(), [-0.5], grid=default_bs_grid(n=120), ell_max=1, slack=-0.9
-            )
+        g = default_bs_grid(n=80)
+        for z in (-1.0, 2j):
+            assert assemble_bs(gaussian(0.0), z, g, ell_max=8).norm == 0.0
 
 
 class TestHSNorm:

