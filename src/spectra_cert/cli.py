@@ -34,6 +34,7 @@ Experiment notes:
 from __future__ import annotations
 
 import os
+import sys
 
 
 def _apply_thread_cap(environ) -> bool:
@@ -55,7 +56,13 @@ def _apply_thread_cap(environ) -> bool:
     return True
 
 
-_apply_thread_cap(os.environ)
+# the cap that reached the BLAS pool, echoed in every manifest: None when
+# SPECTRA_CERT_THREADS is unset or invalid, or numpy was loaded first
+_THREAD_CAP = (
+    int(os.environ["SPECTRA_CERT_THREADS"])
+    if _apply_thread_cap(os.environ) and "numpy" not in sys.modules
+    else None
+)
 
 import argparse
 import csv
@@ -63,7 +70,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import tempfile
 import time
 import warnings
@@ -176,7 +182,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What a run produced: config echo, version, timings, file hashes."""
+    """What a run produced: config echo, version, timings, file hashes.
+
+    The JSON form also records the SPECTRA_CERT_THREADS cap this process
+    applied at import (``thread_cap``, null when none did).
+    """
 
     config: ExperimentConfig
     version: str
@@ -187,6 +197,7 @@ class RunManifest:
         return {
             "config": _config_to_dict(self.config),
             "version": self.version,
+            "thread_cap": _THREAD_CAP,
             "stages": [{"name": n, "seconds": s} for n, s in self.stages],
             "outputs": [{"path": p, "sha256": h} for p, h in self.outputs],
         }

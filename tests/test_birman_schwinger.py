@@ -32,8 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval, legvander
 
+import spectra_cert.birman_schwinger as bs
 from spectra_cert.birman_schwinger import (
     BSError,
+    _frobenius_sq_z0,
     _scaled_bessel_factors,
     _sector_kernels,
     assemble_bs,
@@ -388,6 +390,53 @@ class TestHSNorm:
         assert res.matrix_route == 0.0
         assert res.rollnik_route == 0.0
         assert res.rel_gap == 0.0
+
+    def test_zero_potential_sectors_exactly_zero(self):
+        grid = default_bs_grid(200)
+        with np.errstate(all="raise"):
+            fro_sq = _frobenius_sq_z0(np.zeros(grid.n), grid.nodes, 8)
+        assert fro_sq.tolist() == [0.0] * 9
+
+    @pytest.mark.parametrize(
+        "potential, grid, ell_max",
+        [
+            (gaussian(), log_uniform_grid(0.02, 16.0, 1600), 48),
+            (catalog("yukawa", g=1.0, mu=1.0), log_uniform_grid(0.02, 40.0, 800), 16),
+            (catalog("square_well", v0=1.0, r0=1.0), default_bs_grid(1600), 48),
+        ],
+        ids=["gaussian-1600", "yukawa-800", "square_well-deep"],
+    )
+    def test_running_sums_match_dense_sectors(self, potential, grid, ell_max):
+        # default_bs_grid(1600) reaches r ~ 4e-79, where r^(2l) alone
+        # underflows for l >= 2, so the running sums must never form it
+        alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
+        fast = _frobenius_sq_z0(alpha, grid.nodes, ell_max)
+        assert fast.shape == (ell_max + 1,)
+        for ell, m in sector_matrices(potential, 0.0, grid, ell_max=ell_max):
+            dense = float(np.sum(np.abs(m) ** 2))
+            assert dense > 0.0
+            assert abs(fast[ell] - dense) <= 1e-13 * dense
+
+    def test_forms_no_sector_matrix(self, monkeypatch):
+        grid = log_uniform_grid(0.02, 8.0, 400)
+        want = hs_norm(gaussian(), grid=grid, ell_max=8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hs_norm must not assemble sector matrices")
+
+        monkeypatch.setattr(bs, "sector_matrices", refuse)
+        monkeypatch.setattr(bs, "_sector_kernels", refuse)
+        assert hs_norm(gaussian(), grid=grid, ell_max=8) == want
+
+    def test_rejects_bad_ell_max_and_potential(self):
+        with pytest.raises(BSError):
+            hs_norm(gaussian(), ell_max=-1)
+        with pytest.raises(BSError):
+            hs_norm(hardy(), ell_max=-1)
+        with pytest.raises(BSError):
+            hs_norm(dataclasses.replace(gaussian(), is_radial=False))
+        with pytest.raises(BSError):
+            hs_norm(catalog("gaussian", v0=1.0, dimension=4))
 
     def test_log_uniform_grid_validation(self):
         with pytest.raises(BSError):

@@ -485,6 +485,19 @@ class TestReportAndVerdicts:
         )
         assert evaluate_theorems(report, 3)["thm11"] == "fail"
 
+    def test_variational_a_below_one_is_inconclusive(self):
+        # the Nystroem value converges from below, so it never certifies a < 1
+        report = build_report(catalog("hardy", a=0.5), a_method="variational")
+        assert report.a < 1.0
+        assert report.verdicts["thm11"] == "inconclusive"
+
+    @pytest.mark.parametrize("a", [1.005, 1.01])
+    def test_supercritical_hardy_variational_does_not_pass(self, a):
+        # on the default grid these read a = 0.9898 and 0.9948
+        report = build_report(catalog("hardy", a=a), a_method="variational")
+        assert report.a < 1.0
+        assert report.verdicts["thm11"] != "pass"
+
     def test_pointwise_a_above_one_is_inconclusive(self):
         report = ConditionReport(
             a=1.2,
