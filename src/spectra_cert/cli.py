@@ -136,7 +136,6 @@ _D3_ONLY = frozenset({"bs-norm", "hs-identity"})
 _PROBE_SUPPORT = 2.5
 _PROBE_CHIRP = 0.4
 _SEQUENCE_SUPPORT = 1.0
-_MAGNETIC_N_AXIS = 48
 _BS_NORM_SLACK = 0.02
 
 
@@ -615,9 +614,7 @@ def _run_magnetic_smoke(config, stages):
     report = _stage(
         stages,
         "multipliers.magnetic_identity_smoke",
-        lambda: magnetic_identity_smoke(
-            probe, config.lam, None, a_field, n_axis=_MAGNETIC_N_AXIS
-        ),
+        lambda: magnetic_identity_smoke(probe, config.lam, None, a_field),
     )
     payload = {
         "field": config.potential.name,

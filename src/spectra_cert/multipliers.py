@@ -18,7 +18,6 @@ the probes genuinely complex so the imaginary-part identities have content.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conditions import b_constants, lambda_constant
-from .numerics import fit_loglog_slope, gauss_legendre, panel_gauss
+from .numerics import box_grid, fit_loglog_slope, panel_gauss
 from .potentials import MagneticPotential, Potential, b_tau
 
 __all__ = [
@@ -61,6 +60,12 @@ class MultiplierError(ValueError):
 
 _DEFAULT_N = 320
 _SETTLE_TOL = 1e-6
+
+# the magnetic smoke check's fixed resolution: Gauss nodes per box axis,
+# tangential sample points and their seed
+_MAGNETIC_N_AXIS = 48
+_MAGNETIC_SAMPLES = 100
+_MAGNETIC_SEED = 0
 
 
 def _sgn2(lam: complex) -> float:
@@ -147,11 +152,6 @@ class TestFunction:
         q, dq, ddq = self.profile(r)
         ell = self.ell
         return ddq + (self.dimension - 1) * dq / r - ell * (ell + 1) * q / r**2
-
-    def norm_sq(self, n: int = _DEFAULT_N) -> float:
-        r, w = _radial_nodes(self.support_radius, n, "gauss")
-        q, _, _ = self.profile(r)
-        return self.angular_weight * float(np.dot(w, np.abs(q) ** 2 * r**2))
 
     # point evaluation for the 3D box cross-check path
     def value_points(self, pts: np.ndarray) -> np.ndarray:
@@ -498,23 +498,38 @@ def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[f
     return lhs, rhs
 
 
-def _id4_sides(p: _Probe, lam: complex, _g: None, d: int) -> tuple[float, float]:
+def _key_sides(
+    p: _Probe, lam: complex, f: np.ndarray, d: int
+) -> tuple[float, float, float]:
+    """(int |grad u^-|^2, lhs, rhs) of the key identity with right-hand side f.
+
+    The sides are those documented on :func:`key_identity_residual`; ``f``
+    is the radial profile entering I1 + I2 + I3, Delta u + lambda u for the
+    manufactured identity and f - V u for the radial defect bucket.
+    """
     lam = complex(lam)
-    sig = _sgn2(lam)
     root = math.sqrt(lam.real)
     ratio = abs(lam.imag) / root
-    dq_minus = p.dq - 1j * sig * root * p.q
+    dq_minus = p.dq - 1j * _sgn2(lam) * root * p.q
     extra = p.ell * (p.ell + 1)
     grad_minus = np.abs(dq_minus) ** 2 + extra * np.abs(p.q) ** 2 / p.r**2
+    grad_minus_sq = p.integral(grad_minus).real
     lhs = (
-        p.integral(grad_minus).real
+        grad_minus_sq
         + ratio * p.integral(p.r * grad_minus).real
         - 0.5 * (d - 1) * ratio * p.integral(np.abs(p.q) ** 2 / p.r).real
     )
-    i1 = (1 - d) * p.integral(p.f * np.conj(p.q)).real
-    i2 = -2.0 * p.integral(p.r * p.f * np.conj(dq_minus)).real
-    i3 = -ratio * p.integral(p.r * p.f * np.conj(p.q)).real
-    return lhs, i1 + i2 + i3
+    rhs = (
+        (1 - d) * p.integral(f * np.conj(p.q)).real
+        - 2.0 * p.integral(p.r * f * np.conj(dq_minus)).real
+        - ratio * p.integral(p.r * f * np.conj(p.q)).real
+    )
+    return grad_minus_sq, lhs, rhs
+
+
+def _id4_sides(p: _Probe, lam: complex, _g: None, d: int) -> tuple[float, float]:
+    _, lhs, rhs = _key_sides(p, lam, p.f, d)
+    return lhs, rhs
 
 
 _IDENTITY_SIDES = {
@@ -571,15 +586,13 @@ def identity_residual_1(
     lam: complex,
     g1: MultiplierProfile,
     n: int = _DEFAULT_N,
-    rule: str = "gauss",
-    check: bool = True,
 ) -> float:
     """Relative residual of the real-part identity with multiplier G1.
 
     LHS = l1 int G1 |u|^2 - int G1 |grad u|^2 + (1/2) int Delta(G1) |u|^2,
     RHS = Re int f G1 conj(u), with f := Delta u + lambda u manufactured.
     """
-    return _identity_residual("id1", u, lam, g1, n, rule, check)
+    return _identity_residual("id1", u, lam, g1, n, "gauss", True)
 
 
 def identity_residual_2(
@@ -587,11 +600,9 @@ def identity_residual_2(
     lam: complex,
     g2: MultiplierProfile,
     n: int = _DEFAULT_N,
-    rule: str = "gauss",
-    check: bool = True,
 ) -> float:
     """Imaginary-part identity: l2 int G2 |u|^2 - Im int grad(G2).conj(u) grad(u)."""
-    return _identity_residual("id2", u, lam, g2, n, rule, check)
+    return _identity_residual("id2", u, lam, g2, n, "gauss", True)
 
 
 def identity_residual_3(
@@ -599,19 +610,15 @@ def identity_residual_3(
     lam: complex,
     g3: MultiplierProfile,
     n: int = _DEFAULT_N,
-    rule: str = "gauss",
-    check: bool = True,
 ) -> float:
     """Hessian identity; needs the multiplier's third and fourth derivatives."""
-    return _identity_residual("id3", u, lam, g3, n, rule, check)
+    return _identity_residual("id3", u, lam, g3, n, "gauss", True)
 
 
 def key_identity_residual(
     u: TestFunction,
     lam: complex,
     n: int = _DEFAULT_N,
-    rule: str = "gauss",
-    check: bool = True,
 ) -> float:
     """The summed key identity controlling grad(u^-); needs Re lambda > 0.
 
@@ -622,7 +629,7 @@ def key_identity_residual(
     I3 = -(|l2|/sqrt(l1)) Re int |x| f conj(u); conjugating (u, lambda)
     swaps the gauge sign and fixes the |l2| in I3.
     """
-    return _identity_residual("id4", u, lam, None, n, rule, check)
+    return _identity_residual("id4", u, lam, None, n, "gauss", True)
 
 
 _IDENTITY_LABELS = {
@@ -932,32 +939,15 @@ def radi_identity_terms(
 
     p = _probe_on(u, lam, n, "gauss")
     v_vals = potential.radial_profile(p.r)
-    v1 = np.real(v_vals)
-    v2 = np.imag(v_vals)
     qq = np.abs(p.q) ** 2
-
-    dq_minus = p.dq - 1j * sig * root * p.q
-    extra = p.ell * (p.ell + 1)
-    grad_minus = np.abs(dq_minus) ** 2 + extra * qq / p.r**2
-    grad_minus_sq = p.integral(grad_minus).real
-
-    i_total = (
-        grad_minus_sq
-        + ratio * p.integral(p.r * grad_minus).real
-        - 0.5 * (d - 1) * ratio * p.integral(qq / p.r).real
-        + ratio * p.integral(p.r * v1 * qq).real
-    )
-    i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
-    comb = np.conj(p.dq) + 1j * sig * root * np.conj(p.q)
-    i2 = 2.0 * p.integral(p.r * v2 * p.q * comb).imag
 
     # defect bucket: the key-identity RHS at g := f - V u
     g_vals = p.f - v_vals * p.q
-    i3 = (
-        (1 - d) * p.integral(g_vals * np.conj(p.q)).real
-        - 2.0 * p.integral(p.r * g_vals * comb).real
-        - ratio * p.integral(p.r * g_vals * np.conj(p.q)).real
-    )
+    grad_minus_sq, key_lhs, i3 = _key_sides(p, lam, g_vals, d)
+    i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
+    i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
+    comb = np.conj(p.dq) + 1j * sig * root * np.conj(p.q)
+    i2 = 2.0 * p.integral(p.r * np.imag(v_vals) * p.q * comb).imag
     scale = abs(i_total) + abs(i1) + abs(i2) + abs(i3) + p.norm_sq
     residual = abs(i_total - (i1 + i2 + i3)) / scale
 
@@ -991,9 +981,6 @@ def magnetic_identity_smoke(
     lam: complex,
     potential: Optional[Potential],
     a_field: MagneticPotential,
-    n_axis: int = 48,
-    samples: int = 100,
-    seed: int = 0,
 ) -> MagneticSmokeReport:
     """Structural checks for the magnetic operator -Delta_A + V.
 
@@ -1001,76 +988,65 @@ def magnetic_identity_smoke(
     factor adds nothing to B_tau . grad_A u; the report carries the sup of
     |B_tau|, of |B_tau . x/|x||, and of the phase-matched difference
     B_tau . grad_A u^- - e^(-i sgn(l2) sqrt(l1) |x|) B_tau . grad_A u over
-    random sample points.  The G1 = 1 identity
+    100 seeded sample points (seed 0) in the shell 0.2 R <= |x| <= 0.95 R
+    of the probe support.  The G1 = 1 identity
     l1 ||u||^2 - int |grad_A u|^2 - Re int V |u|^2 = Re int f conj(u) with
-    f := Delta_A u + lam u - V u is integrated on a tensor Gauss box; the
-    |A|^2 and A . grad u terms cancel between the two sides node by node, so
-    the residual is pure Laplacian-vs-gradient quadrature error.
+    f := Delta_A u + lam u - V u is integrated on the fixed 48^3 tensor
+    Gauss box over [-R, R]^3; the |A|^2 and A . grad u terms cancel between
+    the two sides node by node, so the residual is pure
+    Laplacian-vs-gradient quadrature error.  The field is evaluated on the
+    whole point arrays at once, through the (..., d) contract of
+    :class:`MagneticPotential`.
     """
     lam = complex(lam)
     if not lam.real > 0:
         raise MultiplierError("magnetic smoke check needs Re lambda > 0")
     if a_field.dimension != 3:
         raise MultiplierError("magnetic smoke check is three-dimensional")
-    rng = np.random.default_rng(seed)
     radius = u.support_radius
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)
 
-    b_sup = 0.0
-    b_dot_x = 0.0
-    records = []
-    for _ in range(samples):
-        x = rng.uniform(-radius, radius, size=3)
-        r = float(np.linalg.norm(x))
-        if not 0.2 * radius <= r <= 0.95 * radius:
-            x *= (0.6 * radius) / max(r, 1e-12)
-            r = float(np.linalg.norm(x))
-        bt = b_tau(a_field, x)
-        bt_norm = float(np.linalg.norm(bt))
-        b_sup = max(b_sup, bt_norm)
-        b_dot_x = max(b_dot_x, abs(float(bt @ x)) / r)
+    # sample points, pulled into the shell along their rays where needed
+    rng = np.random.default_rng(_MAGNETIC_SEED)
+    x = rng.uniform(-radius, radius, size=(_MAGNETIC_SAMPLES, 3))
+    r = np.linalg.norm(x, axis=1)
+    outside = ~((0.2 * radius <= r) & (r <= 0.95 * radius))
+    x[outside] *= ((0.6 * radius) / np.maximum(r[outside], 1e-12))[:, None]
+    r = np.linalg.norm(x, axis=1)
+    bt = b_tau(a_field, x)
+    bt_norm = np.linalg.norm(bt, axis=1)
+    b_sup = float(np.max(bt_norm))
+    b_dot_x = float(np.max(np.abs(np.sum(bt * x, axis=1)) / r))
 
-        pt = x[np.newaxis, :]
-        val = u.value_points(pt)[0]
-        grad = u.grad_points(pt)[0]
-        a_val = a_field.vector_potential(x)
-        grad_a = grad + 1j * a_val * val
-        phase = cmath.exp(-1j * sig * root * r)
-        grad_minus = phase * (grad - 1j * sig * root * (x / r) * val)
-        grad_a_minus = grad_minus + 1j * a_val * (phase * val)
-        diff = abs(complex(bt @ grad_a_minus) - phase * complex(bt @ grad_a))
-        den = bt_norm * (
-            float(np.linalg.norm(grad_a)) + float(np.linalg.norm(grad_a_minus))
-        )
-        records.append((bt_norm, diff, den))
+    val = u.value_points(x)[:, None]
+    grad = u.grad_points(x)
+    a_val = a_field.vector_potential(x)
+    grad_a = grad + 1j * a_val * val
+    phase = np.exp(-1j * sig * root * r)
+    grad_minus = phase[:, None] * (grad - 1j * sig * root * (x / r[:, None]) * val)
+    grad_a_minus = grad_minus + 1j * a_val * (phase[:, None] * val)
+    diff = np.abs(np.sum(bt * grad_a_minus, axis=1) - phase * np.sum(bt * grad_a, axis=1))
+    den = bt_norm * (np.linalg.norm(grad_a, axis=1) + np.linalg.norm(grad_a_minus, axis=1))
 
     # the tangential identity is 0 = 0 wherever B_tau vanishes; only points
     # with a nontrivial trace produce a meaningful relative residual
-    floor = 1e-12 * (1.0 + b_sup)
-    tang = max(
-        (diff / den for bt_norm, diff, den in records if bt_norm > floor),
-        default=0.0,
-    )
+    live = bt_norm > 1e-12 * (1.0 + b_sup)
+    tang = float(np.max(diff[live] / den[live], initial=0.0))
 
     # G1 = 1 identity on a tensor Gauss box covering the support
-    nodes, weights = gauss_legendre(n_axis, -radius, radius)
-    xx, yy, zz = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    ww = (
-        weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
-    ).reshape(-1)
-    pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
+    pts, ww = box_grid(_MAGNETIC_N_AXIS, radius).points_and_weights()
     r_all = np.linalg.norm(pts, axis=1)
     keep = (r_all < radius) & (r_all > 0)
-    pts, ww = pts[keep], ww[keep]
+    pts, ww, r_all = pts[keep], ww[keep], r_all[keep]
 
     vals = u.value_points(pts)
     grads = u.grad_points(pts)
     laps = u.laplacian_points(pts)
-    a_vals = np.array([a_field.vector_potential(x) for x in pts])
-    div_a = np.array([a_field.divergence(x) for x in pts])
+    a_vals = a_field.vector_potential(pts)
+    div_a = a_field.divergence(pts)
     v_vals = (
-        potential.radial_profile(np.linalg.norm(pts, axis=1))
+        potential.radial_profile(r_all)
         if potential is not None
         else np.zeros(len(pts), dtype=complex)
     )

@@ -19,12 +19,14 @@ Magnetic potentials are vector fields A with field tensor
 B = grad A - (grad A)^T.  The sign convention is fixed by the d = 3
 identification B v = curl A x v, i.e. B_ij = dA_i/dx_j - dA_j/dx_i.
 The tangential trace B_tau(x) = (x/|x|) . B(x) is always orthogonal to x
-because B is antisymmetric.
+because B is antisymmetric.  The magnetic side works on point arrays: A,
+B, div A and B_tau take points of shape (..., d), a single point (d,)
+included, and return shapes (..., d), (..., d, d), (...) and (..., d).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -244,59 +246,70 @@ def _no_extra(name: str, params: dict) -> None:
 _FD_STEP = 1e-5
 
 
+def _zero_divergence(x: np.ndarray) -> np.ndarray:
+    return np.zeros(np.shape(x)[:-1])
+
+
 @dataclass(frozen=True)
 class MagneticPotential:
     """Vector potential A with its antisymmetric field tensor B.
 
-    ``vector_potential`` maps a point (d,) to A(x) of shape (d,).  When
-    ``field_tensor`` is None, B is computed by centred finite differences of
-    A (step 1e-5, O(h^2) accurate); ``analytic_field`` records which route
-    applies.  ``divergence`` is div A (identically zero for every catalog
-    entry; kept explicit because the magnetic Laplacian needs it).
+    Every callable takes points of shape (..., d), a single point (d,)
+    included: ``vector_potential`` returns A of shape (..., d),
+    ``field_tensor`` B of shape (..., d, d) and ``divergence`` div A of
+    shape (...).  When ``field_tensor`` is None, B is computed by centred
+    finite differences of A (step 1e-5, O(h^2) accurate); ``analytic_field``
+    records which route applies.  ``divergence`` is identically zero for
+    every catalog entry; it is kept explicit because the magnetic Laplacian
+    needs it.
     """
 
     name: str
     dimension: int
     vector_potential: Callable[[np.ndarray], np.ndarray]
     field_tensor: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    divergence: Callable[[np.ndarray], float] = field(default=lambda x: 0.0)
+    divergence: Callable[[np.ndarray], np.ndarray] = _zero_divergence
 
     @property
     def analytic_field(self) -> bool:
         return self.field_tensor is not None
 
     def field(self, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
-        """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i."""
+        """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i.
+
+        ``x`` has shape (..., d); the result has shape (..., d, d).
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise PotentialError(f"expected a point of shape ({self.dimension},)")
+        if x.shape[-1:] != (self.dimension,):
+            raise PotentialError(f"expected points of shape (..., {self.dimension})")
         if self.field_tensor is not None and not force_fd:
             return self.field_tensor(x)
         return self._fd_field(x)
 
     def _fd_field(self, x: np.ndarray) -> np.ndarray:
-        d = self.dimension
-        jac = np.empty((d, d))  # jac[i, j] = dA_i/dx_j
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = _FD_STEP
-            jac[:, j] = (self.vector_potential(x + e) - self.vector_potential(x - e)) / (
-                2.0 * _FD_STEP
-            )
-        return jac - jac.T
+        # jac[..., i, j] = dA_i/dx_j
+        jac = np.stack(
+            [
+                (self.vector_potential(x + e) - self.vector_potential(x - e)) / (2.0 * _FD_STEP)
+                for e in _FD_STEP * np.eye(self.dimension)
+            ],
+            axis=-1,
+        )
+        return jac - np.swapaxes(jac, -1, -2)
 
 
 def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
-    """Tangential field trace B_tau(x) = (x/|x|) . B(x).
+    """Tangential field trace B_tau(x) = (x/|x|) . B(x) at points (..., d).
 
     Row-vector/matrix contraction: component j is sum_i (x_i/|x|) B_ij(x).
-    Antisymmetry of B makes B_tau(x) . x = 0 identically.  Raises at x = 0.
+    Antisymmetry of B makes B_tau(x) . x = 0 identically.  Raises if any
+    point is the origin.
     """
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    if r == 0.0:
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(r == 0.0):
         raise PotentialError("B_tau is undefined at the origin")
-    return (x / r) @ mag.field(x, force_fd=force_fd)
+    return np.einsum("...i,...ij->...j", x / r, mag.field(x, force_fd=force_fd))
 
 
 def magnetic_catalog_names() -> tuple[str, ...]:
@@ -318,38 +331,44 @@ def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> Magnetic
         return MagneticPotential(
             name,
             d,
-            vector_potential=lambda x: np.zeros(d),
-            field_tensor=lambda x: np.zeros((d, d)),
+            vector_potential=lambda x: np.zeros(np.shape(x)),
+            field_tensor=lambda x: np.zeros(np.shape(x) + (d,)),
         )
 
     if dimension != 3:
         raise PotentialError(f"magnetic catalog entry {name!r} is three-dimensional")
 
+    def rotate(x: np.ndarray) -> np.ndarray:
+        """(-x2, x1, 0) at points (..., 3)."""
+        x = np.asarray(x, dtype=float)
+        return np.stack([-x[..., 1], x[..., 0], np.zeros(x.shape[:-1])], axis=-1)
+
+    def tensor(b12, b13, b23) -> np.ndarray:
+        """The antisymmetric (..., 3, 3) tensor with upper entries b12, b13, b23."""
+        b12, b13, b23 = np.broadcast_arrays(b12, b13, b23)
+        out = np.zeros(b12.shape + (3, 3))
+        out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = b12, b13, b23
+        out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = -b12, -b13, -b23
+        return out
+
     if name == "azimuthal_inverse_square":
         _no_extra(name, params)
 
+        def rho2_of(x: np.ndarray, what: str) -> np.ndarray:
+            rho2 = np.sum(np.square(x), axis=-1)
+            if np.any(rho2 == 0.0):
+                raise PotentialError(f"{what} singular at the origin")
+            return rho2
+
         def a_fn(x: np.ndarray) -> np.ndarray:
-            rho2 = float(np.dot(x, x))
-            if rho2 == 0.0:
-                raise PotentialError("vector potential singular at the origin")
-            return np.array([-x[1], x[0], 0.0]) / rho2
+            x = np.asarray(x, dtype=float)
+            return rotate(x) / rho2_of(x, "vector potential")[..., None]
 
         def b_fn(x: np.ndarray) -> np.ndarray:
-            rho2 = float(np.dot(x, x))
-            if rho2 == 0.0:
-                raise PotentialError("field tensor singular at the origin")
-            x1, x2, x3 = x
-            f = 2.0 / rho2**2
-            b12 = -f * x3 * x3
-            b13 = f * x2 * x3
-            b23 = -f * x1 * x3
-            return np.array(
-                [
-                    [0.0, b12, b13],
-                    [-b12, 0.0, b23],
-                    [-b13, -b23, 0.0],
-                ]
-            )
+            x = np.asarray(x, dtype=float)
+            f = 2.0 / rho2_of(x, "field tensor") ** 2
+            x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+            return tensor(-f * x3 * x3, f * x2 * x3, -f * x1 * x3)
 
         return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
 
@@ -358,11 +377,11 @@ def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> Magnetic
         _no_extra(name, params)
 
         def a_fn(x: np.ndarray) -> np.ndarray:
-            return 0.5 * b * np.array([-x[1], x[0], 0.0])
+            return 0.5 * b * rotate(x)
 
         def b_fn(x: np.ndarray) -> np.ndarray:
             # B v = (b e3) x v: B_12 = dA_1/dx_2 - dA_2/dx_1 = -b.
-            return np.array([[0.0, -b, 0.0], [b, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            return tensor(np.full(np.shape(x)[:-1], -b), 0.0, 0.0)
 
         return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
 

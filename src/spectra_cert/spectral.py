@@ -385,18 +385,13 @@ def singular_sequence_decay(
         raise SpectralError("the subordination weight a must be positive")
     k_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(k, dtype=float))))
 
-    from .multipliers import _radial_nodes  # shared probe quadrature
+    from .multipliers import _probe_on  # shared probe quadrature
 
-    r, w = _radial_nodes(phi1.support_radius, 480, "gauss")
-    q, dq, _ = phi1.profile(r)
-    lap = phi1.laplacian_profile(r)
-    c = phi1.angular_weight
-    ell = phi1.ell
-    norm_sq = c * float(np.dot(w, np.abs(q) ** 2 * r**2))
-    grad_sq = c * float(
-        np.dot(w, (np.abs(dq) ** 2 + ell * (ell + 1) * np.abs(q) ** 2 / r**2) * r**2)
-    )
-    lap_sq = c * float(np.dot(w, np.abs(lap) ** 2 * r**2))
+    # at lambda = 0 the probe's f is the Laplacian profile itself
+    p = _probe_on(phi1, 0.0, 480, "gauss")
+    norm_sq = p.norm_sq
+    grad_sq = p.integral(p.grad_density).real
+    lap_sq = p.integral(np.abs(p.f) ** 2).real
     if abs(norm_sq - 1.0) > 1e-12:
         warnings.warn(
             "probe is not L^2-normalized; rescaling before building the sequence",

@@ -35,8 +35,15 @@ from spectra_cert.multipliers import (
     radi_identity_terms,
     residual_refinement_order,
 )
+from spectra_cert import multipliers
 from spectra_cert.multipliers import TestFunction as Probe
-from spectra_cert.potentials import PotentialError, b_tau, catalog, magnetic_catalog
+from spectra_cert.potentials import (
+    MagneticPotential,
+    PotentialError,
+    b_tau,
+    catalog,
+    magnetic_catalog,
+)
 
 BUMP = Probe("radial-gaussian-bump", 2.5)
 CHIRPED = Probe("radial-gaussian-bump", 2.5, chirp=0.7)
@@ -474,3 +481,28 @@ class TestMagneticChecks:
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
             magnetic_identity_smoke(BUMP, -1.0, None, self.UNIFORM)
+
+    @pytest.mark.parametrize("samples,n_axis", [(7, 16), (100, 48)])
+    def test_field_calls_do_not_scale_with_points(self, monkeypatch, samples, n_axis):
+        # the field is evaluated on whole point arrays: one A call for the
+        # samples, one for the box, one B call for the samples' B_tau
+        monkeypatch.setattr(multipliers, "_MAGNETIC_SAMPLES", samples)
+        monkeypatch.setattr(multipliers, "_MAGNETIC_N_AXIS", n_axis)
+        calls = {"vector_potential": 0, "field_tensor": 0}
+
+        def counted(fn, key):
+            def wrapped(x):
+                calls[key] += 1
+                return fn(x)
+
+            return wrapped
+
+        field = MagneticPotential(
+            "counted-uniform",
+            3,
+            vector_potential=counted(self.UNIFORM.vector_potential, "vector_potential"),
+            field_tensor=counted(self.UNIFORM.field_tensor, "field_tensor"),
+        )
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, field)
+        assert calls == {"vector_potential": 2, "field_tensor": 1}
+        assert rep == magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, self.UNIFORM)

@@ -256,6 +256,41 @@ class TestMagnetic:
             assert abs(div) < 1e-9
             assert mag.divergence(x) == 0.0
 
+    @pytest.mark.parametrize("name", magnetic_catalog_names())
+    def test_point_arrays_match_row_by_row(self, name):
+        # the (..., d) contract: an array of points gives the stacked
+        # single-point values, with the batch shape kept in front
+        mag = magnetic_catalog(name)
+        pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 5, 3))
+        rows = pts.reshape(-1, 3)
+        for fn, tail in (
+            (mag.vector_potential, (3,)),
+            (mag.field, (3, 3)),
+            (lambda x: mag.field(x, force_fd=True), (3, 3)),
+            (mag.divergence, ()),
+            (lambda x: b_tau(mag, x), (3,)),
+            (lambda x: b_tau(mag, x, force_fd=True), (3,)),
+        ):
+            batch = np.asarray(fn(pts))
+            assert batch.shape == (4, 5) + tail
+            single = np.stack([np.asarray(fn(x)) for x in rows])
+            np.testing.assert_allclose(
+                batch.reshape((-1,) + tail), single, rtol=1e-14, atol=1e-15
+            )
+
+    def test_b_tau_rejects_one_origin_row(self):
+        mag = magnetic_catalog("uniform_z")
+        pts = np.array([[1.0, 0.5, -0.2], [0.0, 0.0, 0.0], [0.3, 0.3, 0.3]])
+        with pytest.raises(PotentialError, match="origin"):
+            b_tau(mag, pts)
+        # the other rows alone are fine
+        assert b_tau(mag, pts[[0, 2]]).shape == (2, 3)
+
+    def test_field_rejects_wrong_trailing_dimension(self):
+        mag = magnetic_catalog("uniform_z")
+        with pytest.raises(PotentialError, match="shape"):
+            mag.field(np.ones((4, 2)))
+
     def test_fd_fallback_when_no_analytic_tensor(self):
         mag = MagneticPotential(
             "custom",
