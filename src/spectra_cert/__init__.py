@@ -18,8 +18,8 @@ The package is organised around small, independently testable pieces:
     finite-difference model operators, eigenvalue/outlier reports,
     pseudospectra and Weyl-sequence decay rates.
 ``multipliers``
-    the method-of-multipliers laboratory: analytic probe functions, gauge
-    transforms and term-by-term integral identity checks.
+    the method-of-multipliers laboratory: analytic probe functions and
+    term-by-term integral identity checks.
 ``cli``
     the ``spectra-cert`` experiment runner (config in, reports out).
 """

@@ -56,14 +56,10 @@ __all__ = [
     "build_report",
     "FRANK_THRESHOLD",
     "SOBOLEV_CHAIN_CONSTANT",
-    "ROLLNIK_THRESHOLD",
 ]
 
 FRANK_THRESHOLD = 3.0**1.5 / (4.0 * np.pi**2)
 SOBOLEV_CHAIN_CONSTANT = 2.0 ** (4.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0))
-# |K~_0|_HS <= |V|_R / (4 pi), so the Birman-Schwinger operator is a strict
-# contraction whenever the Rollnik norm stays below 4 pi.
-ROLLNIK_THRESHOLD = 4.0 * np.pi
 
 
 class ConditionError(ValueError):

@@ -36,7 +36,6 @@ __all__ = [
     "MultiplierProfile",
     "MultiplierTriple",
     "multiplier_catalog",
-    "gauge_transform",
     "identity_residual_1",
     "identity_residual_2",
     "identity_residual_3",
@@ -178,7 +177,6 @@ class TestFunction:
         if self.chirp != 0.0:
             phase = np.exp(1j * self.chirp * r**2)
             grad = phase[:, None] * (grad + 2j * self.chirp * pts * vals[:, None])
-            vals = vals * phase
         return grad
 
     def laplacian_points(self, pts: np.ndarray) -> np.ndarray:
@@ -404,25 +402,6 @@ class MultiplierTriple:
         for tag, arr in (("g3''-2g1", lhs1), ("g3'/r-g3''", lhs2), ("|g2|-|g3'|", lhs3)):
             if np.max(np.abs(arr)) > 1e-12:
                 raise MultiplierError(f"canonical cancellation {tag} violated")
-
-
-def gauge_transform(
-    u: TestFunction, lam: complex, pts: np.ndarray, sign: int = -1
-) -> np.ndarray:
-    """Values of u^(+-)(x) = exp(+- i sgn(l2) sqrt(l1) |x|) u(x).
-
-    Only defined for Re lambda > 0 (the sqrt(l1) factor); the modulus is
-    pointwise unchanged.
-    """
-    lam = complex(lam)
-    if not lam.real > 0:
-        raise MultiplierError("gauge transform needs Re lambda > 0")
-    if sign not in (-1, 1):
-        raise MultiplierError("sign must be +1 or -1")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    phase = np.exp(sign * 1j * _sgn2(lam) * math.sqrt(lam.real) * r)
-    return phase * u.value_points(pts)
 
 
 @dataclass

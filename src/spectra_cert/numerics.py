@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, svdvals
 
 __all__ = [
     "NumericsError",
@@ -30,7 +29,6 @@ __all__ = [
     "panel_gauss",
     "radial_grid",
     "box_grid",
-    "as_complex_matrix",
     "eig_complex",
     "largest_singular_value",
     "smallest_singular_value",
@@ -240,7 +238,7 @@ def box_grid(n: int, half_width: float, dimension: int = 3) -> BoxGrid:
     return BoxGrid(dimension, nodes, weights, float(half_width))
 
 
-def as_complex_matrix(m: np.ndarray) -> np.ndarray:
+def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     """Validate and return a square complex128 matrix (row-major copy if needed)."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -264,7 +262,9 @@ def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
     Returns a list of (eigenvalue, unit eigenvector) pairs sorted by real
     part, then imaginary part (a fixed, reproducible order).
     """
-    a = as_complex_matrix(m)
+    from scipy.linalg import get_lapack_funcs
+
+    a = _as_complex_matrix(m)
     (geev,) = get_lapack_funcs(("geev",), (a,))
     res = geev(a, compute_vl=0, compute_vr=1, overwrite_a=0)
     # zgeev returns (w, vl, vr, info)
@@ -297,7 +297,9 @@ def largest_singular_value(m: np.ndarray) -> float:
     Accurate to machine precision; raises ``LinAlgError`` if the SVD does
     not converge.
     """
-    a = as_complex_matrix(m)
+    from scipy.linalg import svdvals
+
+    a = _as_complex_matrix(m)
     if a.shape[0] == 0:
         return 0.0
     return float(svdvals(a, check_finite=False)[0])
@@ -311,7 +313,9 @@ def smallest_singular_value(m: np.ndarray, return_flag: bool = False):
     ``(value, is_singular)`` instead of the bare value.  Raises
     ``LinAlgError`` if the SVD does not converge.
     """
-    a = as_complex_matrix(m)
+    from scipy.linalg import svdvals
+
+    a = _as_complex_matrix(m)
     n = a.shape[0]
     if n == 0:
         return (0.0, True) if return_flag else 0.0
@@ -327,7 +331,9 @@ def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Raises :class:`NumericsError` when M is singular to working precision.
     """
-    a = as_complex_matrix(m)
+    from scipy.linalg import lu_factor, lu_solve
+
+    a = _as_complex_matrix(m)
     b = np.asarray(rhs, dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

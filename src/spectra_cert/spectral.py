@@ -1,15 +1,16 @@
 """Finite-difference spectra for -Delta + V: outliers, residuals, decay laws.
 
-Two discretizations are provided.  The radial one acts on the reduced wave
-u(r) = r psi(r) in one angular-momentum sector, so the operator is the
-tridiagonal -u'' plus the diagonal l(l+1)/r^2 + V(r).  The box one is the
-7-point Laplacian on a cube.  Both use cell-centered grids: no node sits at
-a coordinate origin or domain wall, singular potentials are only evaluated
-where they are finite, and Dirichlet walls enter through antisymmetric
-ghost values, which bumps the wall-adjacent diagonal from 2/h^2 to 3/h^2.
-On the cell-centered grid the free operator diagonalizes exactly: the modes
-are sin(m r_j) with m = p pi / R and eigenvalues (2 - 2 cos(m h)) / h^2,
-which the tests use as a closed-form oracle.
+The discretization acts on the reduced wave u(r) = r psi(r) in one
+angular-momentum sector, so the operator is -u'' plus the diagonal
+l(l+1)/r^2 + V(r): a tridiagonal matrix with a complex diagonal and the
+constant off-diagonal -1/h^2, stored as its diagonal.  The grid is
+cell-centered: no node sits at the origin or the domain wall, singular
+potentials are only evaluated where they are finite, and the Dirichlet wall
+enters through an antisymmetric ghost value, which bumps the wall-adjacent
+diagonal from 2/h^2 to 3/h^2.  On this grid the free s-wave operator
+diagonalizes exactly: the modes are sin(m r_j) with m = p pi / R and
+eigenvalues (2 - 2 cos(m h)) / h^2, which the tests use as a closed-form
+oracle.
 
 Eigenvalues of a complex-potential discretization split into the clustered
 approximation of the essential spectrum [0, inf) and isolated outliers;
@@ -34,7 +35,6 @@ __all__ = [
     "SpectralError",
     "DiscretizedOperator",
     "discretize_radial",
-    "discretize_box",
     "free_floor",
     "SpectrumReport",
     "spectrum",
@@ -44,8 +44,6 @@ __all__ = [
     "singular_sequence_decay",
 ]
 
-_BOX_LIMIT = 20  # n^3 <= 20^3 keeps the dense eigensolve at desk scale
-
 
 class SpectralError(ValueError):
     """Bad grid, domain, or spectral parameter for a discretization."""
@@ -53,45 +51,54 @@ class SpectralError(ValueError):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """A dense matrix standing in for -Delta + V on a truncated domain.
+    """-u'' + [l(l+1)/r^2 + V(r)] u on (0, R), stored as its bands.
 
-    ``kind`` is ``radial-sector`` (one angular momentum channel on (0, R))
-    or ``box-3d`` (cube of half-width R).  ``n`` is the node count per
-    dimension and ``h`` the grid spacing; ``ell`` is meaningful only for
-    the radial kind.
+    ``diag`` is the complex diagonal on the cell centers r_j = (j + 1/2) h,
+    j = 0 .. n-1, with ``h = domain_radius / n``; the off-diagonal is the
+    constant -1/h^2.  ``matrix`` builds the dense n x n matrix on each
+    access for the dense LAPACK routines.
     """
 
-    kind: str
-    matrix: np.ndarray
+    diag: np.ndarray
     h: float
     domain_radius: float
-    n: int
     ell: int = 0
-    dimension: int = 3
-    boundary: str = "dirichlet"
-    potential_name: str = "free"
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def n(self) -> int:
+        return self.diag.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense complex tridiagonal matrix (a fresh array on every call)."""
+        i = np.arange(self.n)
+        m = np.zeros((self.n, self.n), dtype=np.complex128)
+        m[i, i] = self.diag
+        m[i[:-1], i[1:]] = m[i[1:], i[:-1]] = -1.0 / self.h**2
+        return m
 
     def nodes(self) -> np.ndarray:
-        """Radial nodes (radial kind) or one axis of cell centers (box)."""
-        if self.kind == "radial-sector":
-            return self.h * (np.arange(self.n) + 0.5)
-        return -self.domain_radius + self.h * (np.arange(self.n) + 0.5)
+        """Radial cell centers r_j."""
+        return self.h * (np.arange(self.n) + 0.5)
 
 
-def _second_difference(n: int, h: float) -> np.ndarray:
-    """-d^2/dx^2 with Dirichlet walls half a cell outside the end nodes."""
-    m = np.zeros((n, n))
-    np.fill_diagonal(m, 2.0)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1.0
-    m[idx + 1, idx] = -1.0
-    m[0, 0] = 3.0
-    m[n - 1, n - 1] = 3.0
-    return m / h**2
+def _sector_diagonal(
+    ell: int, radius: float, n: int, potential: Optional[Potential] = None
+) -> np.ndarray:
+    """Diagonal of the sector operator on the cell-centered grid.
+
+    2/h^2 from -u'' (3/h^2 next to the Dirichlet walls, which sit half a
+    cell outside the end nodes) plus l(l+1)/r^2 + V(r); without a potential
+    the result is real.
+    """
+    h = radius / n
+    r = h * (np.arange(n) + 0.5)
+    second = np.full(n, 2.0 / h**2)
+    second[0] = second[-1] = 3.0 / h**2
+    local = ell * (ell + 1) / r**2
+    if potential is not None:
+        local = local + potential.radial_profile(r)
+    return second + local
 
 
 def discretize_radial(
@@ -114,91 +121,23 @@ def discretize_radial(
         raise SpectralError("radius must be positive")
     if potential is not None and (not potential.is_radial or potential.dimension != 3):
         raise SpectralError("radial sectors need a radial d=3 potential")
-    h = radius / n
-    r = h * (np.arange(n) + 0.5)
-    m = _second_difference(n, h).astype(np.complex128)
-    diag = ell * (ell + 1) / r**2
-    if potential is not None:
-        diag = diag + potential.radial_profile(r)
-    m[np.arange(n), np.arange(n)] += diag
-    return DiscretizedOperator(
-        kind="radial-sector",
-        matrix=m,
-        h=h,
-        domain_radius=radius,
-        n=n,
-        ell=ell,
-        potential_name=potential.name if potential is not None else "free",
-    )
-
-
-def discretize_box(
-    potential: Optional[Potential],
-    half_width: float,
-    n: int,
-) -> DiscretizedOperator:
-    """7-point -Delta + V(|x|) on a cube, cell-centered so 0 is not a node.
-
-    The dense matrix has n^3 rows; above n = 20 the eigensolve stops being
-    interactive, so larger requests are rejected with a pointer to the
-    radial discretization.
-    """
-    if n < 4:
-        raise SpectralError("box grids need n >= 4 per axis")
-    if n > _BOX_LIMIT:
-        raise SpectralError(
-            f"n = {n} gives a {n**3} x {n**3} dense matrix; use the radial"
-            " discretization for fine grids"
-        )
-    if not half_width > 0:
-        raise SpectralError("half_width must be positive")
-    h = 2.0 * half_width / n
-    axis = -half_width + h * (np.arange(n) + 0.5)
-    t = _second_difference(n, h)
-    eye = np.eye(n)
-    m = (
-        np.kron(np.kron(t, eye), eye)
-        + np.kron(np.kron(eye, t), eye)
-        + np.kron(np.kron(eye, eye), t)
-    ).astype(np.complex128)
-    if potential is not None:
-        xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-        rr = np.sqrt(xx**2 + yy**2 + zz**2).reshape(-1)
-        # an odd n puts a cell center at the origin itself
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = potential.radial_profile(rr)
-        if not np.all(np.isfinite(vals)):
-            raise SpectralError(
-                "potential is singular at a grid node; an even n keeps the"
-                " origin off the grid"
-            )
-        m[np.arange(n**3), np.arange(n**3)] += vals
-    return DiscretizedOperator(
-        kind="box-3d",
-        matrix=m,
-        h=h,
-        domain_radius=half_width,
-        n=n,
-        potential_name=potential.name if potential is not None else "free",
-    )
+    diag = _sector_diagonal(ell, radius, n, potential).astype(np.complex128)
+    return DiscretizedOperator(diag=diag, h=radius / n, domain_radius=radius, ell=ell)
 
 
 @lru_cache(maxsize=64)
 def _radial_free_floor(ell: int, radius: float, n: int) -> float:
     """Smallest eigenvalue of the free sector operator (real symmetric)."""
+    h = radius / n
     if ell == 0:
         # exact discrete law: modes sin(p pi r / R)
-        h = radius / n
         return (2.0 - 2.0 * math.cos(math.pi * h / radius)) / h**2
     from scipy.linalg import eigvalsh_tridiagonal
 
-    h = radius / n
-    r = h * (np.arange(n) + 0.5)
-    diag = np.full(n, 2.0 / h**2) + ell * (ell + 1) / r**2
-    diag[0] += 1.0 / h**2
-    diag[-1] += 1.0 / h**2
     off = np.full(n - 1, -1.0 / h**2)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vals = eigvalsh_tridiagonal(
+        _sector_diagonal(ell, radius, n), off, select="i", select_range=(0, 0)
+    )
     return float(vals[0])
 
 
@@ -206,10 +145,7 @@ def free_floor(op: DiscretizedOperator) -> float:
     """Finite-size gap: smallest eigenvalue of the free operator on
     the same grid.  Everything below ~this scale is size effect, not
     spectrum."""
-    if op.kind == "radial-sector":
-        return _radial_free_floor(op.ell, op.domain_radius, op.n)
-    gap_1d = (2.0 - 2.0 * math.cos(math.pi * op.h / (2.0 * op.domain_radius))) / op.h**2
-    return 3.0 * gap_1d
+    return _radial_free_floor(op.ell, op.domain_radius, op.n)
 
 
 def _half_axis_distance(lam: complex) -> float:
@@ -266,19 +202,25 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
         outlier_tol = 10.0 * floor
     if outlier_tol <= 0:
         raise SpectralError("outlier_tol must be positive")
-    pairs = eig_complex(op.matrix)
+    m = op.matrix
+    pairs = eig_complex(m)
     vals = np.array([lam for lam, _ in pairs])
-    norm = float(np.linalg.norm(op.matrix))
-    residuals = np.array(
-        [float(np.linalg.norm(op.matrix @ vec - lam * vec)) for lam, vec in pairs]
-    )
+    norm = float(np.linalg.norm(m))
+    off = -1.0 / op.h**2
+    residuals = np.empty(len(pairs))
+    for k, (lam, vec) in enumerate(pairs):
+        # banded M v - lam v, one vector at a time: O(n) and no n x n temporary
+        res = (op.diag - lam) * vec
+        res[:-1] += off * vec[1:]
+        res[1:] += off * vec[:-1]
+        residuals[k] = np.linalg.norm(res)
     outlier_idx = tuple(
         i for i, lam in enumerate(vals) if _half_axis_distance(lam) > outlier_tol
     )
     vecs = (
         np.stack([pairs[i][1] for i in outlier_idx], axis=1)
         if outlier_idx
-        else np.zeros((op.size, 0), dtype=np.complex128)
+        else np.zeros((op.n, 0), dtype=np.complex128)
     )
     return SpectrumReport(
         eigenvalues=vals,
@@ -331,11 +273,12 @@ def pseudospectrum(
         raise SpectralError("pseudospectrum ranges must be increasing intervals")
     res = np.linspace(re_range[0], re_range[1], n_re)
     ims = np.linspace(im_range[0], im_range[1], n_im)
-    eye = np.eye(op.size)
+    m = op.matrix
+    eye = np.eye(op.n)
     sig = np.empty((n_im, n_re))
     for i, zi in enumerate(ims):
         for j, zr in enumerate(res):
-            sig[i, j] = smallest_singular_value(op.matrix - (zr + 1j * zi) * eye)
+            sig[i, j] = smallest_singular_value(m - (zr + 1j * zi) * eye)
     return PseudospectrumField(res, ims, sig)
 
 

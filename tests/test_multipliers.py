@@ -24,7 +24,6 @@ from spectra_cert.multipliers import (
     MultiplierTriple,
     NearExtremalHardyProfile,
     case_split_bound,
-    gauge_transform,
     hardy_check,
     identity_residual_1,
     identity_residual_2,
@@ -194,37 +193,6 @@ class TestCanonicalTriple:
         )
         with pytest.raises(MultiplierError, match="violated"):
             trip.check_cancellations(np.array([1.0, 2.0]))
-
-
-class TestGaugeTransform:
-    PTS = np.random.default_rng(5).uniform(-2, 2, size=(40, 3))
-
-    @pytest.mark.parametrize("sign", [-1, 1])
-    def test_modulus_invariant(self, sign):
-        vals = gauge_transform(CHIRPED, 1.7 + 0.9j, self.PTS, sign=sign)
-        base = CHIRPED.value_points(self.PTS)
-        np.testing.assert_allclose(np.abs(vals), np.abs(base), atol=1e-14)
-
-    def test_phase_factor(self):
-        x = np.array([[0.6, -0.2, 0.9]])
-        r = float(np.linalg.norm(x))
-        lam = 2.0 + 1.0j
-        got = gauge_transform(BUMP, lam, x, sign=-1)[0]
-        expect = np.exp(-1j * math.sqrt(2.0) * r) * BUMP.value_points(x)[0]
-        assert abs(got - expect) < 1e-14
-
-    def test_negative_im_flips_phase(self):
-        x = np.array([[0.5, 0.5, 0.5]])
-        r = float(np.linalg.norm(x))
-        got = gauge_transform(BUMP, 1.0 - 1.0j, x, sign=-1)[0]
-        expect = np.exp(+1j * r) * BUMP.value_points(x)[0]
-        assert abs(got - expect) < 1e-14
-
-    def test_validation(self):
-        with pytest.raises(MultiplierError, match="Re lambda"):
-            gauge_transform(BUMP, -1.0 + 1.0j, self.PTS)
-        with pytest.raises(MultiplierError, match="sign"):
-            gauge_transform(BUMP, 1.0, self.PTS, sign=2)
 
 
 LAMBDAS = (1.0 + 0j, 1.0 + 1.0j, 0.5 + 2.0j)

@@ -1,0 +1,54 @@
+"""The runnable studies under ``scripts/`` and the package import, each run
+in a fresh interpreter.
+
+The scripts call the public API the way a user would, so a renamed field or
+function breaks them without breaking any unit test.  Each study runs on a
+small grid and must exit 0.  The import check pins that loading the CLI
+does not pull in ``scipy.linalg``: experiments that never call LAPACK
+(identity-check, magnetic-smoke, singular-sequence) should not pay for it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("bound_state_emergence.py", ["--grid-n", "64", "--steps", "2"]),
+        ("norm_refinement_study.py", ["--grids", "40", "80", "160", "--ell-max", "1"]),
+        ("identity_refinement_orders.py", []),
+    ],
+)
+def test_script_exits_zero(script, args):
+    proc = run_python([str(ROOT / "scripts" / script), *args])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    proc = run_python(
+        ["-c", "import sys, spectra_cert.cli; print('scipy.linalg' in sys.modules)"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

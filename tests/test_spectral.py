@@ -1,13 +1,14 @@
 """Finite-difference spectra against closed-form discrete oracles.
 
-The cell-centered Dirichlet grids diagonalize the free operator exactly:
-sector modes sin(p pi r / R) give eigenvalues (2 - 2 cos(p pi h / R)) / h^2
-and the box spectrum is the threefold sum of the 1D values.  Those laws,
-the square-well threshold, and the exact-scaling Weyl sequence are the
-oracles; everything else is checked through invariants (symmetry, residual
-bounds, sigma_min vs eigenvalue distance).
+The cell-centered Dirichlet grid diagonalizes the free s-wave operator
+exactly: the modes sin(p pi r / R) give eigenvalues
+(2 - 2 cos(p pi h / R)) / h^2.  That law, the square-well threshold, and
+the exact-scaling Weyl sequence are the oracles; everything else is checked
+through invariants (symmetry, residual bounds, sigma_min vs eigenvalue
+distance) and against dense recomputations from ``op.matrix``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from spectra_cert.multipliers import TestFunction as Probe
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import (
     SpectralError,
-    discretize_box,
     discretize_radial,
     free_floor,
     pseudospectrum,
@@ -77,6 +77,16 @@ class TestDiscretizeRadial:
             np.diag(op2.matrix - op0.matrix).real, 6.0 / r**2, rtol=1e-12
         )
 
+    def test_operator_is_stored_as_bands(self):
+        op = discretize_radial(None, 0, 10.0, 4096)
+        arrays = [
+            getattr(op, f.name)
+            for f in dataclasses.fields(op)
+            if isinstance(getattr(op, f.name), np.ndarray)
+        ]
+        assert arrays and all(a.ndim == 1 for a in arrays)
+        assert op.n == 4096
+
     def test_validation(self):
         with pytest.raises(SpectralError, match="n >= 8"):
             discretize_radial(None, 0, 10.0, 4)
@@ -84,47 +94,6 @@ class TestDiscretizeRadial:
             discretize_radial(None, -1, 10.0, 16)
         with pytest.raises(SpectralError, match="radius"):
             discretize_radial(None, 0, -1.0, 16)
-
-
-class TestDiscretizeBox:
-    def test_free_eigenvalues_are_sums_of_1d_values(self):
-        n, half = 6, 2.0
-        op = discretize_box(None, half, n)
-        h = op.h
-        one = [(2 - 2 * math.cos(p * math.pi * h / (2 * half))) / h**2 for p in range(1, n + 1)]
-        sums = np.sort([a + b + c for a in one for b in one for c in one])
-        got = np.sort(spectrum(op).eigenvalues.real)
-        np.testing.assert_allclose(got, sums, rtol=1e-9)
-
-    def test_even_grid_excludes_origin(self):
-        op = discretize_box(HARDY, 3.0, 6)
-        assert np.all(op.nodes() != 0.0)
-        assert np.all(np.isfinite(op.matrix))
-
-    def test_odd_grid_with_singular_potential_is_rejected(self):
-        # odd n puts a cell center exactly at the origin
-        with pytest.raises(SpectralError, match="singular at a grid node"):
-            discretize_box(HARDY, 3.0, 5)
-        # a bounded potential is fine on the same grid
-        op = discretize_box(catalog("gaussian", v0=1.0), 3.0, 5)
-        assert np.all(np.isfinite(op.matrix))
-
-    def test_potential_sits_on_matching_diagonal(self):
-        n = 4
-        free = discretize_box(None, 2.0, n)
-        op = discretize_box(HARDY, 2.0, n)
-        axis = op.nodes()
-        i, j, k = 1, 2, 3
-        flat = i * n * n + j * n + k
-        r = math.sqrt(axis[i] ** 2 + axis[j] ** 2 + axis[k] ** 2)
-        diff = (op.matrix - free.matrix)[flat, flat]
-        assert diff == pytest.approx(complex(HARDY.radial_profile(np.array([r]))[0]))
-
-    def test_size_guard_points_to_radial(self):
-        with pytest.raises(SpectralError, match="radial"):
-            discretize_box(None, 2.0, 21)
-        with pytest.raises(SpectralError, match="n >= 4"):
-            discretize_box(None, 2.0, 3)
 
 
 class TestFreeFloor:
@@ -137,10 +106,11 @@ class TestFreeFloor:
         f2 = free_floor(discretize_radial(HARDY, 2, 12.0, 64))
         assert f2 > f0
 
-    def test_box_floor_is_triple_gap(self):
-        op = discretize_box(None, 2.0, 6)
-        rep = spectrum(op)
-        assert free_floor(op) == pytest.approx(np.min(rep.eigenvalues.real))
+    def test_centrifugal_floor_matches_dense_free_matrix(self):
+        op = discretize_radial(HARDY, 2, 12.0, 64)
+        free = discretize_radial(None, 2, 12.0, 64)
+        expect = float(np.linalg.eigvalsh(free.matrix.real)[0])
+        assert free_floor(op) == pytest.approx(expect, rel=1e-12)
 
 
 class TestSpectrum:
@@ -148,9 +118,20 @@ class TestSpectrum:
         rep = spectrum(discretize_radial(IMAGH, 0, 15.0, 96))
         assert np.max(rep.residuals) <= 1e-10 * rep.matrix_norm
 
+    def test_banded_residuals_match_dense_products(self):
+        op = discretize_radial(IMAGH, 0, 15.0, 96)
+        rep = spectrum(op, outlier_tol=1e-12)  # every eigenpair rides along
+        m = op.matrix
+        vecs = rep.outlier_vectors
+        assert vecs.shape == (96, 96)
+        dense = np.linalg.norm(m @ vecs - vecs * rep.eigenvalues, axis=0)
+        assert rep.matrix_norm == float(np.linalg.norm(m))
+        np.testing.assert_allclose(
+            rep.residuals, dense, rtol=0, atol=1e-14 * rep.matrix_norm
+        )
+
     def test_free_operators_have_no_outliers(self):
         assert spectrum(discretize_radial(None, 0, 10.0, 64)).outlier_indices == ()
-        assert spectrum(discretize_box(None, 2.0, 5)).outlier_indices == ()
 
     def test_deep_well_bound_state_is_flagged(self):
         well = catalog("square_well", v0=5 * math.pi**2 / 4, r0=1.0)
