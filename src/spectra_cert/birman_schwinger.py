@@ -276,20 +276,16 @@ def _hs_tail(terms: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class BSMatrix:
-    """Assembled partial-wave Nystroem family for K_z at one z.
+    """Per-sector norms of the partial-wave Nystroem family for K_z at one z.
 
-    ``matrix`` is the sector matrix attaining the reported norm (sector
-    index ``ell_of_max``); ``per_ell_norms[l]`` is sigma_max of sector l and
-    ``per_ell_frobenius[l]`` its Frobenius norm.  ``tail_warning`` is set
-    when the last sector norm is positive and not below the one before it,
-    i.e. the truncation at ``ell_max`` is suspect.
+    ``per_ell_norms[l]`` is sigma_max of sector l and ``per_ell_frobenius[l]``
+    its Frobenius norm, l = 0..ell_max; the sector matrices themselves are
+    not kept.  ``tail_warning`` is set when the last sector norm is positive
+    and not below the one before it, i.e. the truncation at ell_max is
+    suspect.
     """
 
     z: complex
-    matrix: np.ndarray
-    ell_of_max: int
-    grid: RadialGrid
-    ell_max: int
     per_ell_norms: tuple[float, ...]
     per_ell_frobenius: tuple[float, ...]
     tail_warning: bool
@@ -336,26 +332,18 @@ def assemble_bs(
         M_ij = |V(r_i)|^(1/2) g_l^z(r_i, r_j) V_(1/2)(r_j) r_i r_j sqrt(w_i w_j),
 
     the symmetrized discretization of the sector kernel on L^2(r^2 dr).
-    The reported norm is the max over sectors of sigma_max.
+    The reported norm is the max over sectors of sigma_max.  Each sector
+    matrix is reduced to its sigma_max and Frobenius norm as it is
+    assembled and then dropped; none is kept.
     """
     norms: list[float] = []
     frobs: list[float] = []
-    best: Optional[np.ndarray] = None
-    best_ell = 0
-    for ell, m in sector_matrices(potential, z, grid, ell_max=ell_max):
-        sigma = largest_singular_value(m)
-        norms.append(sigma)
+    for _, m in sector_matrices(potential, z, grid, ell_max=ell_max):
+        norms.append(largest_singular_value(m))
         frobs.append(float(np.linalg.norm(m)))
-        if best is None or sigma > norms[best_ell]:
-            best = m
-            best_ell = ell
     tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
         z=complex(z),
-        matrix=best,
-        ell_of_max=best_ell,
-        grid=grid,
-        ell_max=ell_max,
         per_ell_norms=tuple(norms),
         per_ell_frobenius=tuple(frobs),
         tail_warning=tail_warning,

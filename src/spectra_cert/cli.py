@@ -771,12 +771,12 @@ def _cmd_catalog(args) -> int:
         "  hardy(a)                  attractive inverse-square, strength a relative to the sharp constant",
         "  coulomb_repulsive(c)      repulsive real tail +c/|x|",
         "  imaginary_hardy(beta)     purely imaginary inverse-square i*beta/|x|^2",
-        "  gaussian(v0[, c_im])      -(v0 + i*c_im) exp(-|x|^2)",
-        "  yukawa()                  -exp(-|x|)/|x|",
+        "  gaussian(v0[, c_im])      (-v0 + i*c_im) exp(-|x|^2)",
+        "  yukawa(g, mu)             -g exp(-mu|x|)/|x|",
         "  square_well(v0, r0)       -v0 on |x| < r0, zero outside",
         "",
         "magnetic catalog (magnetic-smoke)",
-        "  azimuthal_inverse_square  A = (-x2, x1, 0)/|x|^2, field B identically zero",
+        "  azimuthal_inverse_square  A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero",
         "  uniform_z(b)              uniform field of strength b along the third axis",
         "  zero                      A = 0",
         "",

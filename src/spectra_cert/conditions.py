@@ -27,15 +27,13 @@ a variational value below it can never certify a pass.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import BoxGrid, RadialGrid, find_root_increasing, panel_gauss
+from .numerics import RadialGrid, find_root_increasing, panel_gauss
 from .potentials import Potential
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "lambda_constant",
     "thresholds",
     "b_constants",
-    "b_constants_variational",
     "evaluate_theorems",
     "build_report",
     "FRANK_THRESHOLD",
@@ -182,13 +179,21 @@ def _dyadic_edges(x: float, levels: int) -> set[float]:
     return {x} | {x * (1.0 + s * 2.0 ** (-j)) for j in range(1, levels) for s in (-1.0, 1.0)}
 
 
-def _rollnik_radial(potential: Potential, r_max: float, n_outer: int) -> float:
+# truncation radii of the Rollnik and L^{3/2} quadratures, and the number of
+# outer Rollnik nodes
+_ROLLNIK_R_MAX = 24.0
+_ROLLNIK_N_OUTER = 200
+_FRANK_R_MAX = 30.0
+
+
+def _rollnik_radial(potential: Potential) -> float:
     """|V|_R^2 = 8 pi^2 int int |V(r)||V(p)| r p log((r+p)/|r-p|) dr dp.
 
     The angular average of |x-y|^-2 over both spheres produces the log
     kernel; the inner integral is split into panels that shrink dyadically
     toward the diagonal p = r, where the integrand has the log singularity.
     """
+    r_max = _ROLLNIK_R_MAX
     outer = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 17)}
     for jump in potential.jumps:
         # the inner log singularity crossing a jump of V leaves an
@@ -196,7 +201,7 @@ def _rollnik_radial(potential: Potential, r_max: float, n_outer: int) -> float:
         outer |= _dyadic_edges(jump, 12)
     outer_edges = sorted(e for e in outer if 0.0 <= e <= r_max)
     outer_nodes, outer_weights = panel_gauss(
-        outer_edges, max(8, n_outer // (len(outer_edges) - 1))
+        outer_edges, max(8, _ROLLNIK_N_OUTER // (len(outer_edges) - 1))
     )
     total = 0.0
     for r, wr in zip(outer_nodes, outer_weights):
@@ -217,120 +222,32 @@ def _rollnik_radial(potential: Potential, r_max: float, n_outer: int) -> float:
     return 8.0 * np.pi**2 * total
 
 
-@functools.cache
-def _cell_pair_mean(key: tuple[int, int, int]) -> float:
-    """Mean of 1/|x-y|^2 over a unit-cell pair at lattice offset key.
-
-    Uses 1/s^2 = int_0^inf exp(-t s^2) dt, which factorizes the 6D cell-pair
-    integral into a product of 1D pieces F_m(t) = int (1-|xi|) e^{-t(m+xi)^2},
-    each closed-form in erfc (erfc keeps the large-t tail cancellation-free).
-    """
-    from scipy.integrate import quad
-    from scipy.special import erfc
-
-    def f_m(m: int, t: float) -> float:
-        if t < 1e-12:
-            return 1.0
-        st = math.sqrt(t)
-        rp = math.sqrt(math.pi) / (2.0 * st)
-        de_lo = rp * (erfc(st * (m - 1)) - erfc(st * m))
-        de_hi = rp * (erfc(st * m) - erfc(st * (m + 1)))
-        gauss = (
-            math.exp(-t * (m - 1) ** 2)
-            - 2.0 * math.exp(-t * m * m)
-            + math.exp(-t * (m + 1) ** 2)
-        ) / (2.0 * t)
-        return (1.0 - m) * de_lo + (1.0 + m) * de_hi + gauss
-
-    value, _ = quad(
-        lambda t: f_m(key[0], t) * f_m(key[1], t) * f_m(key[2], t),
-        0.0,
-        np.inf,
-        limit=300,
-    )
-    return float(value)
-
-
-_BOX_NEAR_OFFSET = 2
-
-
-def _rollnik_box(potential: Potential, grid: BoxGrid) -> float:
-    """6D double integral of |V(x)||V(y)| / |x-y|^2 on a midpoint lattice.
-
-    The borderline 1/s^2 singularity makes plain pair sums lose the
-    near-diagonal mass, so cell pairs within lattice offset 2 use the exact
-    cell-pair mean of the kernel instead of the midpoint value.  The far
-    field keeps an O(h) midpoint residual; this route is a coarse,
-    geometry-independent cross-check of the radial log-kernel reduction,
-    not a precision result.
-    """
-    n, half = grid.n_axis, grid.half_width
-    h = 2.0 * half / n
-    axis = -half + h * (np.arange(n) + 0.5)
-    xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    f = np.abs(potential(pts)).reshape(n, n, n)
-    fv = f.ravel()
-
-    total = 0.0
-    chunk = 256
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(pts.shape[0], lo + chunk)
-        d2 = np.sum((pts[lo:hi, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2, axis=-1)
-        d2[d2 == 0.0] = np.inf
-        total += float(np.sum(fv[lo:hi, np.newaxis] * fv[np.newaxis, :] / d2))
-    total *= h**6
-
-    b = _BOX_NEAR_OFFSET
-    for k in itertools.product(range(-b, b + 1), repeat=3):
-        key = tuple(sorted(abs(v) for v in k))
-        if k == (0, 0, 0):
-            total += float(np.sum(f * f)) * h**4 * _cell_pair_mean(key)
-            continue
-        src = tuple(slice(max(0, -kv), n - max(0, kv)) for kv in k)
-        dst = tuple(slice(max(0, kv), n - max(0, -kv)) for kv in k)
-        pairsum = float(np.sum(f[src] * f[dst]))
-        midpoint = 1.0 / sum(v * v for v in k)
-        total += pairsum * h**4 * (_cell_pair_mean(key) - midpoint)
-    return total
-
-
 def rollnik_norm(
-    potential: Potential,
-    grid: Optional[Union[RadialGrid, BoxGrid]] = None,
-    r_max: float = 24.0,
-    return_flag: bool = False,
+    potential: Potential, return_flag: bool = False
 ) -> Union[float, tuple[float, bool]]:
     """Rollnik norm |V|_R (d = 3), +inf with flag when the class is missed.
 
     Divergence criteria: |V| ~ r^-2 or worse at the origin, or a tail no
     better than r^-2 (both make the double integral blow up).  Otherwise
-    the radial log-kernel reduction is integrated with dyadic panels; a
-    BoxGrid argument switches to direct 3D x 3D quadrature (a coarse
-    cross-validation route).
+    the radial log-kernel reduction is integrated with dyadic panels on
+    [0, 24] (200 outer nodes); the square-well values match the closed form
+    2 pi v0 r0^2 to 1e-10.
     """
     if potential.dimension != 3:
         raise ConditionError("the Rollnik norm is defined here for d = 3 only")
     if potential.origin_singularity_order >= 2.0 or not _tail_decays(potential, 2.0):
         return (math.inf, True) if return_flag else math.inf
-    if isinstance(grid, BoxGrid):
-        value = math.sqrt(_rollnik_box(potential, grid))
-    else:
-        n_outer = grid.n if isinstance(grid, RadialGrid) else 200
-        if isinstance(grid, RadialGrid):
-            r_max = grid.r_max
-        value = math.sqrt(_rollnik_radial(potential, r_max, n_outer))
+    value = math.sqrt(_rollnik_radial(potential))
     return (value, False) if return_flag else value
 
 
-def frank_l32(
-    potential: Potential, r_max: float = 30.0
-) -> tuple[float, bool]:
+def frank_l32(potential: Potential) -> tuple[float, bool]:
     """(int |V|^{3/2}, passes) against the threshold 3^{3/2} / (4 pi^2)."""
     if potential.dimension != 3:
         raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")
     if potential.origin_singularity_order >= 2.0 or not _tail_decays(potential, 2.0):
         return math.inf, False
+    r_max = _FRANK_R_MAX
     edges = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 25)}
     edges |= {j for j in potential.jumps if 0.0 < j < r_max}
     nodes, weights = panel_gauss(sorted(edges), 14)
@@ -419,53 +336,6 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     s3, div3 = _radial_sup(lambda r: np.abs(potential.im_radial(r)) * r**2)
     b3 = math.inf if div3 else s3 * 2.0 / (d - 2)
     return b1, b2, b3
-
-
-def _weight_potential(potential: Potential, tag: str, weight) -> Potential:
-    """Wrap a nonnegative radial weight as an attractive real potential.
-
-    The variational machinery only consumes |V| (and its sign, which is
-    unimodular), so representing the weight as -W(r) reuses the sector
-    assembly unchanged.
-    """
-    return Potential(
-        name=f"{potential.name}:{tag}",
-        params=dict(potential.params),
-        dimension=potential.dimension,
-        radial_profile=lambda r: -np.asarray(weight(r), dtype=float),
-        d_r_rReV=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        origin_singularity_order=potential.origin_singularity_order,
-        jumps=potential.jumps,
-    )
-
-
-def b_constants_variational(
-    potential: Potential,
-    grid: Optional[RadialGrid] = None,
-    ell_max: int = 4,
-) -> tuple[float, float, float]:
-    """Sharp (b1, b2, b3) via the K~_0 norm applied to the three weights.
-
-    Each split condition is a form inequality int W |psi|^2 <= const *
-    int |grad psi|^2, so its sharp constant is the K~_0 norm with |V|
-    replaced by the weight: (Re V)_- for b1^2, [d/dr (r Re V)]_+ for b2^2,
-    |Im V| for b3 (rescaled by (d-2)/2 to match the pointwise convention).
-    d = 3 radial weights only; values converge from below under refinement.
-    """
-    if potential.dimension != 3 or not potential.is_radial:
-        raise ConditionError("variational route supports radial V in d = 3 only")
-    w1 = _weight_potential(potential, "b1-weight", potential.re_minus_radial)
-    w2 = _weight_potential(
-        potential, "b2-weight", lambda r: np.maximum(potential.d_r_rReV(r), 0.0)
-    )
-    w3 = _weight_potential(
-        potential, "b3-weight", lambda r: np.abs(potential.im_radial(r))
-    )
-    d = potential.dimension
-    a1 = subordination_a_variational(w1, grid=grid, ell_max=ell_max)
-    a2 = subordination_a_variational(w2, grid=grid, ell_max=ell_max)
-    a3 = subordination_a_variational(w3, grid=grid, ell_max=ell_max)
-    return math.sqrt(a1), math.sqrt(a2), a3 * (d - 2) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .conditions import b_constants, lambda_constant
+from .conditions import b_constants
 from .numerics import box_grid, fit_loglog_slope, panel_gauss
 from .potentials import MagneticPotential, Potential, b_tau
 
@@ -44,8 +44,6 @@ __all__ = [
     "residual_refinement_order",
     "hardy_check",
     "HardyRatios",
-    "case_split_bound",
-    "CaseSplitReport",
     "radi_identity_terms",
     "RadiTerms",
     "magnetic_identity_smoke",
@@ -526,16 +524,21 @@ def _identity_terms(
     g: Optional[MultiplierProfile],
     n: int,
     rule: str,
-    check: bool,
 ) -> tuple[float, float, float]:
-    """Settled (lhs, rhs, norm_sq) of one identity on one probe."""
+    """(lhs, rhs, norm_sq) of one identity on one probe.
+
+    The Gauss rule is settled: the sides at n and 2n must agree within
+    _SETTLE_TOL and the 2n values are returned.  The midpoint rule keeps
+    its O(h^2) error visible for the refinement-order studies, so it is
+    returned as is.
+    """
     lam = complex(lam)
     if kind == "id4" and not lam.real > 0:
         raise MultiplierError("the key identity needs Re lambda > 0")
     sides = _IDENTITY_SIDES[kind]
     p = _probe_on(u, lam, n, rule)
     lhs, rhs = sides(p, lam, g, u.dimension)
-    if check and rule == "gauss":
+    if rule == "gauss":
         p2 = _probe_on(u, lam, 2 * n, rule)
         lhs2, rhs2 = sides(p2, lam, g, u.dimension)
         scale = abs(lhs2) + abs(rhs2) + p2.norm_sq
@@ -547,6 +550,11 @@ def _identity_terms(
     return lhs, rhs, p.norm_sq
 
 
+def _relative_residual(lhs: float, rhs: float, norm_sq: float) -> float:
+    """Relative residual |lhs - rhs| / (|lhs| + |rhs| + |u|^2) of one identity."""
+    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
+
+
 def _identity_residual(
     kind: str,
     u: TestFunction,
@@ -554,10 +562,8 @@ def _identity_residual(
     g: Optional[MultiplierProfile],
     n: int,
     rule: str,
-    check: bool,
 ) -> float:
-    lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, n, rule, check)
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
+    return _relative_residual(*_identity_terms(kind, u, lam, g, n, rule))
 
 
 def identity_residual_1(
@@ -571,7 +577,7 @@ def identity_residual_1(
     LHS = l1 int G1 |u|^2 - int G1 |grad u|^2 + (1/2) int Delta(G1) |u|^2,
     RHS = Re int f G1 conj(u), with f := Delta u + lambda u manufactured.
     """
-    return _identity_residual("id1", u, lam, g1, n, "gauss", True)
+    return _identity_residual("id1", u, lam, g1, n, "gauss")
 
 
 def identity_residual_2(
@@ -581,7 +587,7 @@ def identity_residual_2(
     n: int = _DEFAULT_N,
 ) -> float:
     """Imaginary-part identity: l2 int G2 |u|^2 - Im int grad(G2).conj(u) grad(u)."""
-    return _identity_residual("id2", u, lam, g2, n, "gauss", True)
+    return _identity_residual("id2", u, lam, g2, n, "gauss")
 
 
 def identity_residual_3(
@@ -591,7 +597,7 @@ def identity_residual_3(
     n: int = _DEFAULT_N,
 ) -> float:
     """Hessian identity; needs the multiplier's third and fourth derivatives."""
-    return _identity_residual("id3", u, lam, g3, n, "gauss", True)
+    return _identity_residual("id3", u, lam, g3, n, "gauss")
 
 
 def key_identity_residual(
@@ -608,7 +614,7 @@ def key_identity_residual(
     I3 = -(|l2|/sqrt(l1)) Re int |x| f conj(u); conjugating (u, lambda)
     swaps the gauge sign and fixes the |l2| in I3.
     """
-    return _identity_residual("id4", u, lam, None, n, "gauss", True)
+    return _identity_residual("id4", u, lam, None, n, "gauss")
 
 
 _IDENTITY_LABELS = {
@@ -647,8 +653,8 @@ def identity_term_rows(
         todo.append(("id4", None))
     rows: list[dict] = []
     for kind, g in todo:
-        lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, n, "gauss", True)
-        res = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
+        lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, n, "gauss")
+        res = _relative_residual(lhs, rhs, norm_sq)
         for term, value in (("lhs", lhs), ("rhs", rhs)):
             rows.append(
                 {
@@ -678,10 +684,7 @@ def residual_refinement_order(
         raise MultiplierError(f"unknown identity {kind!r}")
     if kind in ("id1", "id2", "id3") and g is None:
         raise MultiplierError(f"{kind} needs a multiplier profile")
-    res = [
-        _identity_residual(kind, u, lam, g, n, "midpoint", check=False)
-        for n in n_list
-    ]
+    res = [_identity_residual(kind, u, lam, g, n, "midpoint") for n in n_list]
     if min(res) <= 0.0:
         raise MultiplierError("residual hit zero; refinement order undefined")
     return -fit_loglog_slope(np.asarray(n_list, dtype=float), np.asarray(res))
@@ -747,94 +750,6 @@ def hardy_check(psi, d: int = 3, n: int = 600) -> HardyRatios:
         hardy_bound=4.0 / (d - 2) ** 2,
         weighted_ratio=b2,
         weighted_bound=4.0 / (d - 1) ** 2,
-    )
-
-
-@dataclass(frozen=True)
-class CaseSplitReport:
-    """Numerical record of the |l2| > l1 exclusion argument on one probe.
-
-    ``identity_lhs_plus/minus`` are (l1 +- l2) ||u||^2, matched exactly by
-    the manufactured f; the chain inequalities use f := V u instead and hold
-    for every H^1 probe whenever Lambda is finite, which is what
-    ``verdict`` records.
-    """
-
-    lam: complex
-    lambda_constant: float
-    coefficient: float
-    identity_residual: float
-    f_bound_lhs: float
-    f_bound_rhs: float
-    chain_lhs_plus: float
-    chain_lhs_minus: float
-    chain_rhs: float
-    verdict: str
-
-
-def case_split_bound(
-    u: TestFunction,
-    lam: complex,
-    potential: Potential,
-    n: int = _DEFAULT_N,
-) -> CaseSplitReport:
-    """Check the case |Im lambda| > Re lambda exclusion chain on a probe.
-
-    The identity (l1 +- l2) ||u||^2 = ||grad u||^2 + Re int f conj(u)
-    +- Im int f conj(u) is exact for the manufactured f and is verified
-    first.  With f := V u, Schwarz plus Hardy give
-    2 int |f||u| <= (4 Lambda / (d-2)) ||grad u||^2, hence both signed
-    combinations dominate (1 - 4 Lambda/(d-2)) ||grad u||^2.  Verdicts:
-    ``inconclusive`` when Lambda is infinite or the coefficient is <= 0,
-    ``vacuous-pass`` for V = 0 (nothing to bound), ``pass``/``fail`` from
-    the numerical chain.
-    """
-    lam = complex(lam)
-    if not abs(lam.imag) > lam.real:
-        raise MultiplierError("case split applies to |Im lambda| > Re lambda")
-    d = u.dimension
-    lam_const = lambda_constant(potential)
-    p = _probe_on(u, lam, n, "gauss")
-    grad = p.integral(p.grad_density).real
-
-    # manufactured-f identity, exact up to quadrature
-    t = p.integral(p.f * np.conj(p.q))
-    res_plus = abs((lam.real + lam.imag) * p.norm_sq - (grad + t.real + t.imag))
-    res_minus = abs((lam.real - lam.imag) * p.norm_sq - (grad + t.real - t.imag))
-    scale = abs(lam) * p.norm_sq + grad
-    identity_residual = (res_plus + res_minus) / max(scale, 1e-30)
-
-    coeff = 1.0 - 4.0 * lam_const / (d - 2)
-    if math.isinf(lam_const) or coeff <= 0.0:
-        return CaseSplitReport(
-            lam, lam_const, coeff, identity_residual,
-            math.nan, math.nan, math.nan, math.nan, math.nan, "inconclusive",
-        )
-
-    v_vals = potential.radial_profile(p.r)
-    fv = v_vals * p.q
-    f_bound_lhs = 2.0 * p.integral(np.abs(fv) * np.abs(p.q)).real
-    f_bound_rhs = 4.0 * lam_const / (d - 2) * grad
-    if lam_const == 0.0 and f_bound_lhs == 0.0:
-        return CaseSplitReport(
-            lam, lam_const, coeff, identity_residual,
-            0.0, 0.0, grad, grad, coeff * grad, "vacuous-pass",
-        )
-
-    tv = p.integral(fv * np.conj(p.q))
-    chain_plus = grad + tv.real + tv.imag
-    chain_minus = grad + tv.real - tv.imag
-    chain_rhs = coeff * grad
-    slack = 1e-9 * max(grad, 1.0)
-    ok = (
-        f_bound_lhs <= f_bound_rhs + slack
-        and chain_plus >= chain_rhs - slack
-        and chain_minus >= chain_rhs - slack
-    )
-    return CaseSplitReport(
-        lam, lam_const, coeff, identity_residual,
-        f_bound_lhs, f_bound_rhs, chain_plus, chain_minus, chain_rhs,
-        "pass" if ok else "fail",
     )
 
 
@@ -1048,5 +963,4 @@ def magnetic_identity_smoke(
         - float(np.dot(ww, np.real(v_vals) * np.abs(vals) ** 2))
     )
     rhs = float(np.dot(ww, np.real(f_vals * np.conj(vals))))
-    identity_residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
-    return MagneticSmokeReport(b_sup, b_dot_x, tang, identity_residual)
+    return MagneticSmokeReport(b_sup, b_dot_x, tang, _relative_residual(lhs, rhs, norm_sq))

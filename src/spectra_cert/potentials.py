@@ -86,16 +86,6 @@ class Potential:
     is_radial: bool = True
     jumps: tuple[float, ...] = ()
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate V at points of shape (N, d) (or a single point (d,))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise PotentialError(
-                f"points have dimension {pts.shape[1]}, potential has {self.dimension}"
-            )
-        r = np.linalg.norm(pts, axis=1)
-        return self.radial_profile(r)
-
     # -- radial accessors used by the checkers ---------------------------
 
     def abs_radial(self, r: np.ndarray) -> np.ndarray:
@@ -110,9 +100,6 @@ class Potential:
     def re_minus_radial(self, r: np.ndarray) -> np.ndarray:
         """Negative part (Re V)_- >= 0."""
         return np.maximum(-self.re_radial(r), 0.0)
-
-    def re_plus_radial(self, r: np.ndarray) -> np.ndarray:
-        return np.maximum(self.re_radial(r), 0.0)
 
     def sign_radial(self, r: np.ndarray) -> np.ndarray:
         return complex_sign(self.radial_profile(r))

@@ -294,7 +294,7 @@ class TestAssemble:
         # value creeps up to 0.5 under refinement (checked elsewhere), the
         # higher sectors converge fast enough to pin at this resolution
         bm = assemble_bs(hardy(), 0.0, default_bs_grid(n=200), ell_max=2)
-        assert bm.ell_of_max == 0
+        assert bm.norm == bm.per_ell_norms[0]
         assert not bm.tail_warning
         assert bm.per_ell_norms[0] == pytest.approx(0.4745, rel=2e-3)
         assert bm.per_ell_norms[1] == pytest.approx(0.5 / 9, rel=2e-2)
@@ -303,7 +303,13 @@ class TestAssemble:
     def test_norm_is_max_over_sectors(self):
         bm = assemble_bs(gaussian(), -1.0, default_bs_grid(n=120), ell_max=3)
         assert bm.norm == max(bm.per_ell_norms)
-        assert bm.matrix.shape == (120, 120)
+
+    def test_keeps_no_sector_matrix(self):
+        # the family is reduced to per-sector norms; no n x n array survives
+        bm = assemble_bs(gaussian(), -1.0, default_bs_grid(n=120), ell_max=3)
+        for f in dataclasses.fields(bm):
+            assert not isinstance(getattr(bm, f.name), np.ndarray), f.name
+        assert len(bm.per_ell_norms) == len(bm.per_ell_frobenius) == 4
 
     def test_zero_potential(self):
         bm = assemble_bs(gaussian(0.0), 0.0, default_bs_grid(n=80), ell_max=2)

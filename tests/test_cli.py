@@ -507,6 +507,9 @@ class TestMainExitCodes:
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
         assert "hardy(a)" in out
+        assert "(-v0 + i*c_im) exp(-|x|^2)" in out
+        assert "yukawa(g, mu)             -g exp(-mu|x|)/|x|" in out
+        assert "tangential trace B_tau identically zero" in out
         assert "uniform_z" in out
         assert "lambda star" in out
 

@@ -23,7 +23,6 @@ from spectra_cert.conditions import (
     FRANK_THRESHOLD,
     SOBOLEV_CHAIN_CONSTANT,
     b_constants,
-    b_constants_variational,
     build_report,
     evaluate_theorems,
     frank_l32,
@@ -35,7 +34,7 @@ from spectra_cert.conditions import (
     subordination_a_variational,
     thresholds,
 )
-from spectra_cert.numerics import box_grid, panel_gauss
+from spectra_cert.numerics import panel_gauss
 from spectra_cert.potentials import catalog
 
 # Anchor for the gaussian(v0=1) Rollnik norm: adaptive dblquad of the radial
@@ -140,7 +139,7 @@ class TestSubordinationVariational:
         bsm = assemble_bs(
             catalog("hardy", a=0.5), 0.0, default_bs_grid(n=200), ell_max=2
         )
-        assert bsm.ell_of_max == 0
+        assert bsm.norm == bsm.per_ell_norms[0]
         assert all(
             later < earlier
             for earlier, later in zip(bsm.per_ell_norms, bsm.per_ell_norms[1:])
@@ -189,12 +188,6 @@ class TestRollnik:
     def test_zero_potential(self):
         value, diverged = rollnik_norm(catalog("gaussian", v0=0.0), return_flag=True)
         assert value == 0.0 and not diverged
-
-    def test_box_route_cross_checks_the_radial_reduction(self):
-        # midpoint lattice with near-diagonal cell-pair corrections; coarse
-        # by design (O(h) far-field residual), so a few percent is the bar
-        value = rollnik_norm(catalog("gaussian", v0=1.0), grid=box_grid(20, 6.0))
-        assert value == pytest.approx(GAUSSIAN_ROLLNIK, rel=0.04)
 
     @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
     def test_square_well_closed_form(self, v0, r0):
@@ -353,33 +346,6 @@ class TestBConstants:
         # hardy potentials have finite b-constants despite infinite rollnik
         b1, b2, b3 = b_constants(catalog("hardy", a=0.3))
         assert all(math.isfinite(x) for x in (b1, b2, b3))
-
-
-class TestBConstantsVariational:
-    def test_hardy_saturates_from_below(self):
-        h = catalog("hardy", a=0.5)
-        var = b_constants_variational(h, ell_max=0)
-        pw = b_constants(h)
-        for v, p in zip(var, pw):
-            assert v <= p + 1e-12
-        assert var[0] >= 0.97 * pw[0]
-        assert var[1] >= 0.97 * pw[1]
-        assert var[2] == 0.0
-
-    def test_imaginary_hardy_b3(self):
-        var = b_constants_variational(catalog("imaginary_hardy", beta=0.1), ell_max=0)
-        assert var[:2] == (0.0, 0.0)
-        assert 0.95 * 0.2 <= var[2] <= 0.2 + 1e-12
-
-    def test_gaussian_below_pointwise(self):
-        g = catalog("gaussian", v0=1.0)
-        var = b_constants_variational(g, ell_max=2)
-        pw = b_constants(g)
-        assert all(v <= p + 1e-12 for v, p in zip(var, pw))
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(ConditionError):
-            b_constants_variational(catalog("hardy", a=0.5, dimension=4))
 
 
 class TestScaling:

@@ -17,13 +17,11 @@ import numpy as np
 import pytest
 
 from spectra_cert.multipliers import (
-    CaseSplitReport,
     HardyRatios,
     MultiplierError,
     MultiplierProfile,
     MultiplierTriple,
     NearExtremalHardyProfile,
-    case_split_bound,
     hardy_check,
     identity_residual_1,
     identity_residual_2,
@@ -306,43 +304,6 @@ class TestHardyQuotients:
             NearExtremalHardyProfile(0.1, dimension=2)
         with pytest.raises(MultiplierError, match="TestFunction"):
             hardy_check(np.ones(5))
-
-
-class TestCaseSplit:
-    LAM = 0.3 + 1.0j  # |Im| > Re
-
-    def test_requires_imaginary_dominant_lambda(self):
-        with pytest.raises(MultiplierError, match="case split"):
-            case_split_bound(BUMP, 1.0 + 0.5j, catalog("gaussian", v0=1.0))
-
-    def test_small_imaginary_hardy_passes(self):
-        rep = case_split_bound(CHIRPED, self.LAM, catalog("imaginary_hardy", beta=0.05))
-        assert rep.verdict == "pass"
-        assert rep.coefficient == pytest.approx(0.6)
-        assert rep.identity_residual < 1e-10
-        assert rep.chain_lhs_plus >= rep.chain_rhs
-        assert rep.chain_lhs_minus >= rep.chain_rhs
-
-    def test_borderline_hardy_is_inconclusive(self):
-        # hardy(0.5) has Lambda = 1/4 exactly: the coefficient vanishes
-        rep = case_split_bound(BUMP, self.LAM, catalog("hardy", a=0.5))
-        assert rep.verdict == "inconclusive"
-        assert rep.coefficient == pytest.approx(0.0, abs=1e-14)
-
-    def test_large_potential_is_inconclusive(self):
-        rep = case_split_bound(BUMP, self.LAM, catalog("gaussian", v0=1.0))
-        assert rep.verdict == "inconclusive"
-        assert rep.coefficient < 0
-
-    def test_zero_potential_is_vacuous(self):
-        rep = case_split_bound(BUMP, self.LAM, catalog("gaussian", v0=0.0))
-        assert rep.verdict == "vacuous-pass"
-        assert rep.lambda_constant == 0.0
-
-    def test_identity_exact_for_every_probe(self):
-        for u in PROBES:
-            rep = case_split_bound(u, self.LAM, catalog("imaginary_hardy", beta=0.05))
-            assert rep.identity_residual < 1e-10
 
 
 class TestRadialIdentity:

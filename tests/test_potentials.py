@@ -110,16 +110,6 @@ class TestCatalog:
         rs = np.linspace(0.2, 5.0, 40)
         np.testing.assert_allclose(pot.d_r_rReV(rs), expected(rs) + 0.0 * rs, atol=1e-12)
 
-    def test_point_evaluation_matches_profile(self):
-        pot = catalog("gaussian", v0=2.0, c_im=1.0)
-        pts = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-        np.testing.assert_allclose(pot(pts), pot.radial_profile(np.array([1.0, 3.0])))
-
-    def test_point_evaluation_rejects_wrong_dimension(self):
-        pot = catalog("gaussian", v0=1.0)
-        with pytest.raises(PotentialError, match="dimension"):
-            pot(np.zeros((4, 2)))
-
     def test_sign_decomposition_identity(self):
         # |V|^(1/2) * sign(V) * |V|^(1/2) recovers V on the profile.
         pot = catalog("gaussian", v0=2.0, c_im=3.0)
@@ -132,7 +122,6 @@ class TestCatalog:
         pot = catalog("gaussian", v0=1.0)
         r = np.array([0.5, 1.0])
         np.testing.assert_allclose(pot.re_minus_radial(r), np.exp(-(r**2)))
-        np.testing.assert_allclose(pot.re_plus_radial(r), 0.0)
 
 
 class TestComplexSign:
