@@ -55,7 +55,6 @@ from .numerics import (
     gauss_legendre,
     largest_singular_value,
     panel_gauss,
-    radial_grid,
     smallest_singular_value,
     solve_linear,
 )
@@ -85,6 +84,14 @@ _A_SERIES_TERMS = 12
 # underflows, so the |x| >= 1 branch of A_l would silently read 0.
 _BESSEL_ELL_MAX = 128
 _GRID_PANEL_NODES = 10
+# default_bs_grid: panels shrink toward the origin by sqrt(10), two per decade
+_GRID_PANEL_RATIO = 10.0**0.5
+# resolution of m_eps_hs_check: inner Gauss nodes on [0, omega_radius] and
+# sectors; _SLOPE_TOL bounds the fitted log-log slopes there and in
+# kappa_scaling
+_MEPS_GRID_N = 60
+_MEPS_ELL_MAX = 24
+_SLOPE_TOL = 0.05
 
 
 class BSError(ValueError):
@@ -102,7 +109,6 @@ class GreenParams:
 
     z: complex
     kappa: complex
-    d: int = 3
 
     def __post_init__(self) -> None:
         if self.kappa.real < 0.0:
@@ -313,8 +319,6 @@ class BSMatrix:
 
 
 def _check_radial_3d(potential: Potential) -> None:
-    if not potential.is_radial:
-        raise BSError("partial-wave assembly supports radial potentials only")
     if potential.dimension != 3:
         raise BSError("partial-wave assembly is three-dimensional")
 
@@ -353,10 +357,17 @@ def assemble_bs(
 def default_bs_grid(n: int = 256, r_max: float = 40.0) -> RadialGrid:
     """Grid used when callers do not supply one: geometric panels.
 
-    Scale-invariant kernels (the Hardy borderline case) need log-resolved
-    grids with small w_j / r_j ratios; geometric panels give both.
+    Tiles [r_max * ratio^-K, r_max] with K = max(2, n // 10) panels of fixed
+    ratio sqrt(10) carrying 10 Gauss nodes each (two panels per decade), so
+    refining deepens the covered range; the untiled remainder near the
+    origin is left to the integrand's decay there.  Scale-invariant kernels
+    (the Hardy borderline case) need log-resolved grids with small
+    w_j / r_j ratios; geometric panels give both.
     """
-    return radial_grid(n, r_max, grading="geometric-panels")
+    panels = max(2, n // _GRID_PANEL_NODES)
+    edges = [r_max * _GRID_PANEL_RATIO ** (k - panels) for k in range(panels + 1)]
+    nodes, weights = panel_gauss(edges, _GRID_PANEL_NODES)
+    return RadialGrid(nodes, weights, float(r_max))
 
 
 @dataclass(frozen=True)
@@ -376,7 +387,7 @@ def log_uniform_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     sector kernel at multipole l peaks within ~1/(2l+1) of the diagonal in
     log r, so the effective log spacing log(r_max/r_min)/n must be a few
     times smaller than 1/(2 ell_max + 1).  This grid makes that spacing an
-    explicit choice instead of a side effect of the default grading.
+    explicit choice instead of a side effect of the default panel ratio.
     """
     if not (0.0 < r_min < r_max):
         raise BSError("need 0 < r_min < r_max")
@@ -384,7 +395,7 @@ def log_uniform_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
         raise BSError(f"need at least {2 * _GRID_PANEL_NODES} nodes, got {n}")
     edges = np.geomspace(r_min, r_max, max(2, n // _GRID_PANEL_NODES) + 1)
     nodes, weights = panel_gauss(list(edges), _GRID_PANEL_NODES)
-    return RadialGrid(nodes, weights, float(r_max), "log-uniform")
+    return RadialGrid(nodes, weights, float(r_max))
 
 
 def hs_norm(
@@ -400,15 +411,15 @@ def hs_norm(
     _frobenius_sq_z0): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
     Rollnik norm computed by the condition checkers.  A divergent Rollnik
-    scan (Hardy-type potentials) flags both routes +inf.
+    norm (+inf, Hardy-type potentials) makes both routes +inf.
     """
     from .conditions import rollnik_norm
 
     _check_radial_3d(potential)
     if ell_max < 0:
         raise BSError("ell_max must be >= 0")
-    rollnik, diverged = rollnik_norm(potential, return_flag=True)
-    if diverged:
+    rollnik = rollnik_norm(potential)
+    if math.isinf(rollnik):
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
         grid = log_uniform_grid(0.02, 16.0, 1600)
@@ -442,8 +453,7 @@ def bs_principle_matrix_check(
         raise BSError("shape mismatch between H0, v, and psi")
     shifted = h0 - complex(lam) * np.eye(n)
     scale = np.linalg.norm(h0) / math.sqrt(n) if n else 1.0
-    sigma_min, singular = smallest_singular_value(shifted, return_flag=True)
-    if singular or sigma_min <= 1e-8 * max(scale, 1.0):
+    if smallest_singular_value(shifted) <= 1e-8 * max(scale, 1.0):
         raise BSError(
             f"lam={lam} is within 1e-8 of the spectrum of H0; resolvent ill-defined"
         )
@@ -468,15 +478,13 @@ def _regime_of(lam: complex) -> str:
     return "constant"
 
 
-def kappa_scaling(
-    lam: complex, eps_list: Sequence[float], slope_tol: float = 0.05
-) -> list[tuple[float, float, str]]:
+def kappa_scaling(lam: complex, eps_list: Sequence[float]) -> list[tuple[float, float, str]]:
     """kappa(eps) = Re sqrt(-(lam + i eps)) with its small-eps regime.
 
     Regimes: lam = 0 gives kappa ~ |eps|^(1/2); real lam > 0 gives
     kappa ~ |eps|; anything else approaches a positive constant.  The fitted
-    log-log slope over eps_list must match the regime exponent within
-    slope_tol, otherwise this raises.
+    log-log slope over eps_list must match the regime exponent within 0.05,
+    otherwise this raises.
     """
     eps = [float(e) for e in eps_list]
     if any(e == 0.0 for e in eps):
@@ -486,10 +494,10 @@ def kappa_scaling(
     if len(eps) >= 2:
         slope = fit_loglog_slope(np.abs(eps), np.asarray(kappas))
         expected = _REGIME_EXPONENT[regime]
-        if abs(slope - expected) > slope_tol:
+        if abs(slope - expected) > _SLOPE_TOL:
             raise BSError(
                 f"kappa(eps) slope {slope:.4f} does not match regime "
-                f"{regime!r} exponent {expected} within {slope_tol}"
+                f"{regime!r} exponent {expected} within {_SLOPE_TOL}"
             )
     return [(e, k, regime) for e, k in zip(eps, kappas)]
 
@@ -518,9 +526,6 @@ def m_eps_hs_check(
     omega_radius: float,
     lam: complex,
     eps_list: Sequence[float],
-    grid_n: int = 60,
-    ell_max: int = 24,
-    slope_tol: float = 0.05,
 ) -> list[MepsRecord]:
     """HS norm of M_eps = chi_Omega |V|^(1/2) G_(lam + i eps), two ways.
 
@@ -530,10 +535,11 @@ def m_eps_hs_check(
 
     with kappa = Re sqrt(-(lam + i eps)).  The direct route assembles the
     partial-wave Nystroem matrices of the kernel (rows cut off at
-    omega_radius, columns extended to cover the exp(-kappa s) range) and sums
-    multiplicity-weighted Frobenius norms with the sector tail estimate.
-    Also enforces that eps * hs_formula -> 0 at the regime rate
-    1 - exponent/2 (slope checked within slope_tol).
+    omega_radius, columns extended to cover the exp(-kappa s) range; 60
+    Gauss nodes inside, sectors l <= 24) and sums multiplicity-weighted
+    Frobenius norms with the sector tail estimate.  Also enforces that
+    eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
+    within 0.05).
     """
     if omega_radius <= 0:
         raise BSError("omega_radius must be positive")
@@ -547,8 +553,8 @@ def m_eps_hs_check(
         hs_formula = math.sqrt(integral / (8.0 * np.pi * kappa))
 
         reach = min(omega_radius + 14.0 / max(kappa, 1e-12), omega_radius * 400.0)
-        inner, w_inner = gauss_legendre(grid_n, 0.0, omega_radius)
-        n_outer = max(grid_n, int(24 * math.log10(max(reach / omega_radius, 10.0))))
+        inner, w_inner = gauss_legendre(_MEPS_GRID_N, 0.0, omega_radius)
+        n_outer = max(_MEPS_GRID_N, int(24 * math.log10(max(reach / omega_radius, 10.0))))
         outer_edges = np.geomspace(omega_radius, reach, max(4, n_outer // 12 + 1))
         outer, w_outer = panel_gauss(list(outer_edges), 12)
         r = np.concatenate([inner, outer])
@@ -558,7 +564,7 @@ def m_eps_hs_check(
         left = np.sqrt(potential.abs_radial(r)) * r * np.sqrt(w) * rows
         colw = r * np.sqrt(w)
         terms: list[float] = []
-        for ell, g in _sector_kernels(z, r, ell_max):
+        for ell, g in _sector_kernels(z, r, _MEPS_ELL_MAX):
             m = left[:, np.newaxis] * g * colw[np.newaxis, :]
             terms.append((2 * ell + 1) * float(np.linalg.norm(m)) ** 2)
         hs_direct = math.sqrt(sum(terms) + _hs_tail(terms))
@@ -570,9 +576,9 @@ def m_eps_hs_check(
         decay = np.array([abs(rec.eps) * rec.hs_formula for rec in records])
         slope = fit_loglog_slope(eps_arr, decay)
         expected = 1.0 - _REGIME_EXPONENT[_regime_of(lam)] / 2.0
-        if abs(slope - expected) > slope_tol:
+        if abs(slope - expected) > _SLOPE_TOL:
             raise BSError(
                 f"eps * hs_formula slope {slope:.4f} deviates from the regime "
-                f"value {expected} by more than {slope_tol}"
+                f"value {expected} by more than {_SLOPE_TOL}"
             )
     return records

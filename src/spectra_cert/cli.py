@@ -24,7 +24,9 @@ Experiment notes:
   * ``identity-check`` runs the pairing identities on a fixed chirped bump
     probe with the canonical multiplier triple; the key identity joins
     only when Re lambda > 0 (elsewhere it is not defined), and a potential
-    block additionally requests the radial-key term table.
+    block additionally requests the radial-key term table, which needs
+    Re lambda > 0 as well.
+  * only ``check-conditions`` runs at a dimension other than 3.
   * ``singular-sequence`` reads ``lambda`` as the real spectral point
     |k|^2 >= 0 being witnessed.
   * ``magnetic-smoke`` reads the potential block as a *magnetic* catalog
@@ -130,7 +132,6 @@ _CSV_CAPABLE = frozenset(
 _NEEDS_POTENTIAL = frozenset(
     {"check-conditions", "bs-norm", "hs-identity", "magnetic-smoke"}
 )
-_D3_ONLY = frozenset({"bs-norm", "hs-identity"})
 
 # probes used by the probe-based experiments; fixed so runs are reproducible
 _PROBE_SUPPORT = 2.5
@@ -297,7 +298,7 @@ def parse_config(text: str) -> ExperimentConfig:
     dimension = _want_int(raw.get("dimension", 3), "dimension")
     if dimension < 3:
         raise ConfigError("dimension must be an integer >= 3")
-    if dimension != 3 and experiment in _D3_ONLY:
+    if dimension != 3 and experiment != "check-conditions":
         raise ConfigError(f"{experiment} requires dimension 3")
 
     grid_n = _want_int(raw.get("grid_n", 256), "grid_n")
@@ -366,6 +367,11 @@ def parse_config(text: str) -> ExperimentConfig:
             )
     if experiment == "magnetic-smoke" and lam is not None and not lam.real > 0:
         raise ConfigError("magnetic-smoke needs Re lambda > 0")
+    if experiment == "identity-check" and potential is not None and not lam.real > 0:
+        raise ConfigError(
+            "identity-check with a potential needs Re lambda > 0 (the radial-key"
+            " table is not defined elsewhere)"
+        )
 
     n_list = None
     if "n_list" in raw:
@@ -569,7 +575,7 @@ def _run_identity_check(config, stages):
         "multipliers.identity_term_rows",
         lambda: identity_term_rows(probe, config.lam),
     )
-    if config.potential is not None and config.lam.real > 0:
+    if config.potential is not None:
         pot = _build_potential(config.potential, config.dimension, config.experiment)
         terms = _stage(
             stages,

@@ -14,8 +14,8 @@ for each constant:
   estimate of the constant.
 
 Divergent suprema and integrals are first-class results: they come back as
-+inf together with a flag, because the separating examples (Hardy-type
-potentials versus Rollnik or L^{3/2} classes) hinge on divergence.
++inf, because the separating examples (Hardy-type potentials versus Rollnik
+or L^{3/2} classes) hinge on divergence.
 
 Verdict semantics: a theorem's verdict is "pass" when its certified
 constants satisfy the threshold inequality strictly, "fail" when a needed
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
-from .numerics import RadialGrid, find_root_increasing, panel_gauss
+from .numerics import find_root_increasing, panel_gauss
 from .potentials import Potential
 
 __all__ = [
@@ -51,10 +51,11 @@ __all__ = [
     "b_constants",
     "evaluate_theorems",
     "build_report",
-    "FRANK_THRESHOLD",
     "SOBOLEV_CHAIN_CONSTANT",
 ]
 
+# the L^{3/2} threshold of the Frank condition; no verdict reads it, the
+# report carries frank_l32 itself
 FRANK_THRESHOLD = 3.0**1.5 / (4.0 * np.pi**2)
 SOBOLEV_CHAIN_CONSTANT = 2.0 ** (4.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0))
 
@@ -79,33 +80,32 @@ def json_float(value):
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e6
 _SCAN_N = 3000
+# default_bs_grid size and sectors of the variational subordination constant
+_VARIATIONAL_GRID_N = 400
+_VARIATIONAL_ELL_MAX = 4
 
 
-def _radial_sup(
-    f: Callable[[np.ndarray], np.ndarray],
-    r_lo: float = _SCAN_LO,
-    r_hi: float = _SCAN_HI,
-) -> tuple[float, bool]:
+def _radial_sup(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup of a nonnegative radial function by log scan with zoom refinement.
 
-    Returns (sup, diverged).  Divergence means the scan maximum sits at a
-    boundary of the window and the values still grow toward it when compared
+    Returns +inf when the scan diverges: the maximum sits at a boundary of
+    the window [1e-6, 1e6] and the values still grow toward it when compared
     a decade in; this is a heuristic adequate for potentials with power-law
     behaviour at 0 and infinity.  The refined value is the largest sampled
     value, so it approaches the supremum from below (no extrapolation past
     sampled points, no Lipschitz margin) and is not a rigorous upper bound:
     pointwise certificates built on it assume the zoom resolves the peak.
     """
-    rs = np.geomspace(r_lo, r_hi, _SCAN_N)
+    rs = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_N)
     vals = np.asarray(f(rs), dtype=float)
     if np.any(vals < -1e-12):
         raise ConditionError("supremum scan expects a nonnegative function")
     top = int(np.argmax(vals))
-    decade = max(1, int(_SCAN_N * math.log(10.0) / math.log(r_hi / r_lo)))
+    decade = max(1, int(_SCAN_N * math.log(10.0) / math.log(_SCAN_HI / _SCAN_LO)))
     if top == 0 and vals[0] > vals[decade] * (1.0 + 1e-9):
-        return math.inf, True
+        return math.inf
     if top == _SCAN_N - 1 and vals[-1] > vals[-1 - decade] * (1.0 + 1e-9):
-        return math.inf, True
+        return math.inf
 
     lo = rs[max(top - 1, 0)]
     hi = rs[min(top + 1, _SCAN_N - 1)]
@@ -117,7 +117,7 @@ def _radial_sup(
         best = max(best, float(vals_z[i]))
         lo = rs_z[max(i - 1, 0)]
         hi = rs_z[min(i + 1, 299)]
-    return best, False
+    return best
 
 
 def hardy_constant(d: int) -> float:
@@ -127,37 +127,29 @@ def hardy_constant(d: int) -> float:
     return ((d - 2) / 2.0) ** 2
 
 
-def subordination_a_pointwise(
-    potential: Potential, return_flag: bool = False
-) -> Union[float, tuple[float, bool]]:
+def subordination_a_pointwise(potential: Potential) -> float:
     """Certified subordination constant sup |V(x)| |x|^2 / ((d-2)/2)^2.
 
     The Hardy inequality turns this supremum into an upper bound for the
-    form-subordination constant; +inf (with flag) when the scan diverges.
+    form-subordination constant; +inf when the scan diverges.
     """
     cd2 = hardy_constant(potential.dimension)
-    sup, diverged = _radial_sup(lambda r: potential.abs_radial(r) * r**2)
-    value = sup / cd2 if not diverged else math.inf
-    return (value, diverged) if return_flag else value
+    return _radial_sup(lambda r: potential.abs_radial(r) * r**2) / cd2
 
 
-def subordination_a_variational(
-    potential: Potential,
-    grid: Optional[RadialGrid] = None,
-    ell_max: int = 4,
-) -> float:
+def subordination_a_variational(potential: Potential) -> float:
     """Sharp subordination constant via the z = 0 Birman-Schwinger norm.
 
     Equals |K~_0| = | |V|^(1/2) H_0^(-1/2) |^2 in the limit; the Nystroem
-    value converges from below under grid refinement.  d = 3 radial only.
+    value on ``default_bs_grid(400)`` with sectors l <= 4 converges from
+    below under grid refinement.  d = 3 only.
     """
     from .birman_schwinger import assemble_bs, default_bs_grid
 
-    if potential.dimension != 3 or not potential.is_radial:
-        raise ConditionError("variational route supports radial V in d = 3 only")
-    if grid is None:
-        grid = default_bs_grid(n=400)
-    return assemble_bs(potential, 0.0, grid, ell_max=ell_max).norm
+    if potential.dimension != 3:
+        raise ConditionError("variational route supports V in d = 3 only")
+    grid = default_bs_grid(n=_VARIATIONAL_GRID_N)
+    return assemble_bs(potential, 0.0, grid, ell_max=_VARIATIONAL_ELL_MAX).norm
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +214,8 @@ def _rollnik_radial(potential: Potential) -> float:
     return 8.0 * np.pi**2 * total
 
 
-def rollnik_norm(
-    potential: Potential, return_flag: bool = False
-) -> Union[float, tuple[float, bool]]:
-    """Rollnik norm |V|_R (d = 3), +inf with flag when the class is missed.
+def rollnik_norm(potential: Potential) -> float:
+    """Rollnik norm |V|_R (d = 3), +inf when the class is missed.
 
     Divergence criteria: |V| ~ r^-2 or worse at the origin, or a tail no
     better than r^-2 (both make the double integral blow up).  Otherwise
@@ -236,45 +226,42 @@ def rollnik_norm(
     if potential.dimension != 3:
         raise ConditionError("the Rollnik norm is defined here for d = 3 only")
     if potential.origin_singularity_order >= 2.0 or not _tail_decays(potential, 2.0):
-        return (math.inf, True) if return_flag else math.inf
-    value = math.sqrt(_rollnik_radial(potential))
-    return (value, False) if return_flag else value
+        return math.inf
+    return math.sqrt(_rollnik_radial(potential))
 
 
-def frank_l32(potential: Potential) -> tuple[float, bool]:
-    """(int |V|^{3/2}, passes) against the threshold 3^{3/2} / (4 pi^2)."""
+def frank_l32(potential: Potential) -> float:
+    """int |V|^{3/2} (d = 3), +inf when |V|^{3/2} is not integrable.
+
+    The L^{3/2} condition compares it with FRANK_THRESHOLD = 3^{3/2} / (4 pi^2).
+    """
     if potential.dimension != 3:
         raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")
     if potential.origin_singularity_order >= 2.0 or not _tail_decays(potential, 2.0):
-        return math.inf, False
+        return math.inf
     r_max = _FRANK_R_MAX
     edges = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 25)}
     edges |= {j for j in potential.jumps if 0.0 < j < r_max}
     nodes, weights = panel_gauss(sorted(edges), 14)
-    value = 4.0 * np.pi * float(
+    return 4.0 * np.pi * float(
         np.dot(weights, potential.abs_radial(nodes) ** 1.5 * nodes**2)
     )
-    return value, bool(value < FRANK_THRESHOLD)
 
 
 def sobolev_chain_a(potential: Potential) -> float:
     """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound."""
-    value, _ = frank_l32(potential)
+    value = frank_l32(potential)
     if math.isinf(value):
         return math.inf
     return value ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
 
 
-def lambda_constant(
-    potential: Potential, return_flag: bool = False
-) -> Union[float, tuple[float, bool]]:
+def lambda_constant(potential: Potential) -> float:
     """Lambda = sup |x|^2 |V(x)| * 2 / (d-2), +inf when the sup diverges."""
     d = potential.dimension
     if d < 3:
         raise ConditionError(f"dimension must be >= 3, got {d}")
-    sup, diverged = _radial_sup(lambda r: potential.abs_radial(r) * r**2)
-    value = sup * 2.0 / (d - 2) if not diverged else math.inf
-    return (value, diverged) if return_flag else value
+    return _radial_sup(lambda r: potential.abs_radial(r) * r**2) * 2.0 / (d - 2)
 
 
 @dataclass(frozen=True)
@@ -327,15 +314,10 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     d = potential.dimension
     cd2 = hardy_constant(d)
 
-    s1, div1 = _radial_sup(lambda r: potential.re_minus_radial(r) * r**2)
-    b1 = math.inf if div1 else math.sqrt(s1 / cd2)
-    s2, div2 = _radial_sup(
-        lambda r: np.maximum(potential.d_r_rReV(r), 0.0) * r**2
-    )
-    b2 = math.inf if div2 else math.sqrt(s2 / cd2)
-    s3, div3 = _radial_sup(lambda r: np.abs(potential.im_radial(r)) * r**2)
-    b3 = math.inf if div3 else s3 * 2.0 / (d - 2)
-    return b1, b2, b3
+    s1 = _radial_sup(lambda r: potential.re_minus_radial(r) * r**2)
+    s2 = _radial_sup(lambda r: np.maximum(potential.d_r_rReV(r), 0.0) * r**2)
+    s3 = _radial_sup(lambda r: np.abs(potential.im_radial(r)) * r**2)
+    return math.sqrt(s1 / cd2), math.sqrt(s2 / cd2), s3 * 2.0 / (d - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +411,11 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
     return verdicts
 
 
-def build_report(
-    potential: Potential,
-    a_method: str = "pointwise-hardy",
-    grid: Optional[RadialGrid] = None,
-) -> ConditionReport:
+def build_report(potential: Potential, a_method: str = "pointwise-hardy") -> ConditionReport:
     """Compute every constant for one potential and attach verdicts."""
     d = potential.dimension
     if a_method == "variational":
-        a = subordination_a_variational(potential, grid=grid)
+        a = subordination_a_variational(potential)
     elif a_method == "pointwise-hardy":
         a = subordination_a_pointwise(potential)
     else:
@@ -445,7 +423,7 @@ def build_report(
 
     if d == 3:
         rollnik = rollnik_norm(potential)
-        frank, _ = frank_l32(potential)
+        frank = frank_l32(potential)
         chain = sobolev_chain_a(potential)
     else:
         rollnik = frank = chain = math.inf

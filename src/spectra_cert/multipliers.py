@@ -55,7 +55,10 @@ class MultiplierError(ValueError):
     """Bad probe, multiplier, or spectral parameter for an identity check."""
 
 
+# Gauss nodes of the identity quadratures (settled against twice as many)
+# and of the Hardy quotients; read at call time, so a test can coarsen them
 _DEFAULT_N = 320
+_HARDY_N = 600
 _SETTLE_TOL = 1e-6
 
 # the magnetic smoke check's fixed resolution: Gauss nodes per box axis,
@@ -95,7 +98,8 @@ def _bump(r: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable analytic probe u = q(r) P_l(cos theta), compactly supported.
+    """Separable analytic probe u = q(r) P_l(cos theta) in three dimensions,
+    compactly supported.
 
     ``radial-gaussian-bump`` is the radial bump itself (l = 0);
     ``ell1-harmonic`` multiplies the bump by the solid harmonic x_3, i.e.
@@ -106,15 +110,12 @@ class TestFunction:
     family: str
     support_radius: float
     chirp: float = 0.0
-    dimension: int = 3
 
     def __post_init__(self) -> None:
         if self.family not in ("radial-gaussian-bump", "ell1-harmonic"):
             raise MultiplierError(f"unknown test-function family {self.family!r}")
         if not self.support_radius > 0:
             raise MultiplierError("support_radius must be positive")
-        if self.dimension != 3:
-            raise MultiplierError("probes are three-dimensional")
 
     @property
     def ell(self) -> int:
@@ -145,10 +146,10 @@ class TestFunction:
         return q, dq, ddq
 
     def laplacian_profile(self, r: np.ndarray) -> np.ndarray:
-        """Radial part of Delta u: q'' + (d-1) q'/r - l(l+1) q/r^2."""
+        """Radial part of Delta u: q'' + 2 q'/r - l(l+1) q/r^2."""
         q, dq, ddq = self.profile(r)
         ell = self.ell
-        return ddq + (self.dimension - 1) * dq / r - ell * (ell + 1) * q / r**2
+        return ddq + 2 * dq / r - ell * (ell + 1) * q / r**2
 
     # point evaluation for the 3D box cross-check path
     def value_points(self, pts: np.ndarray) -> np.ndarray:
@@ -188,29 +189,26 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class NearExtremalHardyProfile:
-    """Near-extremal Hardy probe psi_eps(r) = r^(-(d-2)/2 + eps) e^(-eps r).
+    """Near-extremal Hardy probe psi_eps(r) = r^(-1/2 + eps) e^(-eps r) in d = 3.
 
     The soft exponential cutoff keeps every weighted integral finite while
-    preserving sharpness: in d = 3 the Hardy quotient is exactly
-    4 / (1 + 2 eps) and the |x|-weighted quotient is 0.8 / (1 + 0.4 eps),
-    both by termwise Gamma-function integration.
+    preserving sharpness: the Hardy quotient is exactly 4 / (1 + 2 eps) and
+    the |x|-weighted quotient is 0.8 / (1 + 0.4 eps), both by termwise
+    Gamma-function integration.
     """
 
     eps: float
-    dimension: int = 3
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < 0.5:
             raise MultiplierError("eps must lie in (0, 1/2)")
-        if self.dimension < 3:
-            raise MultiplierError("Hardy probes need d >= 3")
 
     @property
     def ell(self) -> int:
         return 0
 
     def profile(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = -(self.dimension - 2) / 2.0 + self.eps
+        a = -0.5 + self.eps
         q = r**a * np.exp(-self.eps * r)
         dq = q * (a / r - self.eps)
         return q, dq
@@ -264,7 +262,7 @@ def _hardy_log_nodes(eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """Radial multiplier g(|x|) with enough derivatives to form Delta^2 G.
+    """Radial multiplier g(|x|) in d = 3 with enough derivatives to form Delta^2 G.
 
     ``d3`` and ``d4`` may be omitted for multipliers that only enter the
     first two identities; the bi-Laplacian then raises.
@@ -277,20 +275,20 @@ class MultiplierProfile:
     d3g: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d4g: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def laplacian(self, r: np.ndarray, d: int = 3) -> np.ndarray:
-        return self.d2g(r) + (d - 1) * self.dg(r) / r
+    def laplacian(self, r: np.ndarray) -> np.ndarray:
+        return self.d2g(r) + 2 * self.dg(r) / r
 
-    def bilaplacian(self, r: np.ndarray, d: int = 3) -> np.ndarray:
+    def bilaplacian(self, r: np.ndarray) -> np.ndarray:
         if self.d3g is None or self.d4g is None:
             raise MultiplierError(
                 f"multiplier {self.name!r} lacks third/fourth derivatives"
             )
-        # Delta^2 G = h'' + (d-1) h'/r for h := Delta G
-        dh = self.d3g(r) + (d - 1) * (self.d2g(r) / r - self.dg(r) / r**2)
-        d2h = self.d4g(r) + (d - 1) * (
+        # Delta^2 G = h'' + 2 h'/r for h := Delta G
+        dh = self.d3g(r) + 2 * (self.d2g(r) / r - self.dg(r) / r**2)
+        d2h = self.d4g(r) + 2 * (
             self.d3g(r) / r - 2.0 * self.d2g(r) / r**2 + 2.0 * self.dg(r) / r**3
         )
-        return d2h + (d - 1) * dh / r
+        return d2h + 2 * dh / r
 
 
 def _const(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -360,7 +358,7 @@ def _no_extra(name: str, params: dict) -> None:
 class MultiplierTriple:
     """The (G1, G2, G3) combination entering the summed identity.
 
-    ``canonical`` marks the choice g1 = g3''/2 and g2 = sgn(l2) g3' with
+    ``canonical_triple`` is the choice g1 = g3''/2 and g2 = sgn(l2) g3' with
     G3 = |x|^2, for which g3'' - 2 g1 and g3'/r - g3''/2 vanish identically
     (the cancellations that collapse the tangential and radial gradient
     terms into |grad u|^2).  g2 is stored without the sgn(l2) factor, which
@@ -370,7 +368,6 @@ class MultiplierTriple:
     g1: MultiplierProfile
     g2: MultiplierProfile
     g3: MultiplierProfile
-    canonical: bool = False
 
     @classmethod
     def canonical_triple(cls) -> "MultiplierTriple":
@@ -385,21 +382,7 @@ class MultiplierTriple:
                 _const(0.0),
             ),
             g3=multiplier_catalog("square"),
-            canonical=True,
         )
-
-    def check_cancellations(self, r: np.ndarray) -> None:
-        """Assert the canonical coefficient cancellations on sample radii."""
-        if not self.canonical:
-            raise MultiplierError("cancellation check applies to the canonical triple")
-        r = np.asarray(r, dtype=float)
-        # radial and tangential Hessian coefficients must agree and match 2 g1
-        lhs1 = self.g3.d2g(r) - 2.0 * self.g1.g(r)
-        lhs2 = self.g3.dg(r) / r - self.g3.d2g(r)
-        lhs3 = np.abs(self.g2.g(r)) - np.abs(self.g3.dg(r))
-        for tag, arr in (("g3''-2g1", lhs1), ("g3'/r-g3''", lhs2), ("|g2|-|g3'|", lhs3)):
-            if np.max(np.abs(arr)) > 1e-12:
-                raise MultiplierError(f"canonical cancellation {tag} violated")
 
 
 @dataclass
@@ -435,18 +418,18 @@ def _probe_on(u: TestFunction, lam: complex, n: int, rule: str) -> _Probe:
     return _Probe(r, w, q, dq, f, c, u.ell, norm_sq)
 
 
-def _id1_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[float, float]:
+def _id1_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, float]:
     g_r = g.g(p.r)
     lhs = (
         lam.real * p.integral(g_r * np.abs(p.q) ** 2).real
         - p.integral(g_r * p.grad_density).real
-        + 0.5 * p.integral(g.laplacian(p.r, d) * np.abs(p.q) ** 2).real
+        + 0.5 * p.integral(g.laplacian(p.r) * np.abs(p.q) ** 2).real
     )
     rhs = p.integral(p.f * g_r * np.conj(p.q)).real
     return lhs, rhs
 
 
-def _id2_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[float, float]:
+def _id2_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, float]:
     g_r = g.g(p.r)
     lhs = (
         lam.imag * p.integral(g_r * np.abs(p.q) ** 2).real
@@ -456,7 +439,7 @@ def _id2_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[f
     return lhs, rhs
 
 
-def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[float, float]:
+def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, float]:
     # Hessian of a radial G contracts gradients as
     # g'' |d_r u|^2 + (g'/r) |grad_tau u|^2
     extra = p.ell * (p.ell + 1)
@@ -465,19 +448,17 @@ def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile, d: int) -> tuple[f
     ) ** 2 / p.r**2
     lhs = (
         p.integral(hess).real
-        - 0.25 * p.integral(g.bilaplacian(p.r, d) * np.abs(p.q) ** 2).real
+        - 0.25 * p.integral(g.bilaplacian(p.r) * np.abs(p.q) ** 2).real
         + lam.imag * p.integral(g.dg(p.r) * p.q * np.conj(p.dq)).imag
     )
     rhs = (
-        -0.5 * p.integral(p.f * g.laplacian(p.r, d) * np.conj(p.q)).real
+        -0.5 * p.integral(p.f * g.laplacian(p.r) * np.conj(p.q)).real
         - p.integral(p.f * g.dg(p.r) * np.conj(p.dq)).real
     )
     return lhs, rhs
 
 
-def _key_sides(
-    p: _Probe, lam: complex, f: np.ndarray, d: int
-) -> tuple[float, float, float]:
+def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, float]:
     """(int |grad u^-|^2, lhs, rhs) of the key identity with right-hand side f.
 
     The sides are those documented on :func:`key_identity_residual`; ``f``
@@ -494,18 +475,18 @@ def _key_sides(
     lhs = (
         grad_minus_sq
         + ratio * p.integral(p.r * grad_minus).real
-        - 0.5 * (d - 1) * ratio * p.integral(np.abs(p.q) ** 2 / p.r).real
+        - ratio * p.integral(np.abs(p.q) ** 2 / p.r).real
     )
     rhs = (
-        (1 - d) * p.integral(f * np.conj(p.q)).real
+        -2 * p.integral(f * np.conj(p.q)).real
         - 2.0 * p.integral(p.r * f * np.conj(dq_minus)).real
         - ratio * p.integral(p.r * f * np.conj(p.q)).real
     )
     return grad_minus_sq, lhs, rhs
 
 
-def _id4_sides(p: _Probe, lam: complex, _g: None, d: int) -> tuple[float, float]:
-    _, lhs, rhs = _key_sides(p, lam, p.f, d)
+def _id4_sides(p: _Probe, lam: complex, _g: None) -> tuple[float, float]:
+    _, lhs, rhs = _key_sides(p, lam, p.f)
     return lhs, rhs
 
 
@@ -537,10 +518,10 @@ def _identity_terms(
         raise MultiplierError("the key identity needs Re lambda > 0")
     sides = _IDENTITY_SIDES[kind]
     p = _probe_on(u, lam, n, rule)
-    lhs, rhs = sides(p, lam, g, u.dimension)
+    lhs, rhs = sides(p, lam, g)
     if rule == "gauss":
         p2 = _probe_on(u, lam, 2 * n, rule)
-        lhs2, rhs2 = sides(p2, lam, g, u.dimension)
+        lhs2, rhs2 = sides(p2, lam, g)
         scale = abs(lhs2) + abs(rhs2) + p2.norm_sq
         if abs(lhs2 - lhs) + abs(rhs2 - rhs) > _SETTLE_TOL * max(scale, 1e-30):
             raise MultiplierError(
@@ -566,45 +547,26 @@ def _identity_residual(
     return _relative_residual(*_identity_terms(kind, u, lam, g, n, rule))
 
 
-def identity_residual_1(
-    u: TestFunction,
-    lam: complex,
-    g1: MultiplierProfile,
-    n: int = _DEFAULT_N,
-) -> float:
+def identity_residual_1(u: TestFunction, lam: complex, g1: MultiplierProfile) -> float:
     """Relative residual of the real-part identity with multiplier G1.
 
     LHS = l1 int G1 |u|^2 - int G1 |grad u|^2 + (1/2) int Delta(G1) |u|^2,
     RHS = Re int f G1 conj(u), with f := Delta u + lambda u manufactured.
     """
-    return _identity_residual("id1", u, lam, g1, n, "gauss")
+    return _identity_residual("id1", u, lam, g1, _DEFAULT_N, "gauss")
 
 
-def identity_residual_2(
-    u: TestFunction,
-    lam: complex,
-    g2: MultiplierProfile,
-    n: int = _DEFAULT_N,
-) -> float:
+def identity_residual_2(u: TestFunction, lam: complex, g2: MultiplierProfile) -> float:
     """Imaginary-part identity: l2 int G2 |u|^2 - Im int grad(G2).conj(u) grad(u)."""
-    return _identity_residual("id2", u, lam, g2, n, "gauss")
+    return _identity_residual("id2", u, lam, g2, _DEFAULT_N, "gauss")
 
 
-def identity_residual_3(
-    u: TestFunction,
-    lam: complex,
-    g3: MultiplierProfile,
-    n: int = _DEFAULT_N,
-) -> float:
+def identity_residual_3(u: TestFunction, lam: complex, g3: MultiplierProfile) -> float:
     """Hessian identity; needs the multiplier's third and fourth derivatives."""
-    return _identity_residual("id3", u, lam, g3, n, "gauss")
+    return _identity_residual("id3", u, lam, g3, _DEFAULT_N, "gauss")
 
 
-def key_identity_residual(
-    u: TestFunction,
-    lam: complex,
-    n: int = _DEFAULT_N,
-) -> float:
+def key_identity_residual(u: TestFunction, lam: complex) -> float:
     """The summed key identity controlling grad(u^-); needs Re lambda > 0.
 
     LHS = int |grad u^-|^2 + (|l2|/sqrt(l1)) int |x| |grad u^-|^2
@@ -614,7 +576,7 @@ def key_identity_residual(
     I3 = -(|l2|/sqrt(l1)) Re int |x| f conj(u); conjugating (u, lambda)
     swaps the gauge sign and fixes the |l2| in I3.
     """
-    return _identity_residual("id4", u, lam, None, n, "gauss")
+    return _identity_residual("id4", u, lam, None, _DEFAULT_N, "gauss")
 
 
 _IDENTITY_LABELS = {
@@ -625,25 +587,19 @@ _IDENTITY_LABELS = {
 }
 
 
-def identity_term_rows(
-    u: TestFunction,
-    lam: complex,
-    triple: Optional[MultiplierTriple] = None,
-    n: int = _DEFAULT_N,
-) -> list[dict]:
+def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
     """Term table of the pairing identities in the shared CSV row schema.
 
     Evaluates the real-part, imaginary-part and Hessian identities with
-    the multipliers of ``triple`` (canonical if omitted) and, when
-    Re lambda > 0, the summed key identity as well.  Each identity
+    the multipliers of the canonical triple and, when Re lambda > 0, the
+    summed key identity as well.  Each identity
     contributes a lhs and a rhs row carrying (identity_id, term_name,
     value_re, value_im, residual); the relative residual is shared within
     an identity.  Both sides of every identity are real by construction,
     so value_im is always 0.
     """
     lam = complex(lam)
-    if triple is None:
-        triple = MultiplierTriple.canonical_triple()
+    triple = MultiplierTriple.canonical_triple()
     todo: list[tuple[str, Optional[MultiplierProfile]]] = [
         ("id1", triple.g1),
         ("id2", triple.g2),
@@ -653,7 +609,7 @@ def identity_term_rows(
         todo.append(("id4", None))
     rows: list[dict] = []
     for kind, g in todo:
-        lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, n, "gauss")
+        lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, _DEFAULT_N, "gauss")
         res = _relative_residual(lhs, rhs, norm_sq)
         for term, value in (("lhs", lhs), ("rhs", rhs)):
             rows.append(
@@ -707,13 +663,14 @@ class HardyRatios:
         )
 
 
-def hardy_check(psi, d: int = 3, n: int = 600) -> HardyRatios:
+def hardy_check(psi, d: int = 3) -> HardyRatios:
     """Hardy quotients int |u|^2/|x|^2 / int |grad u|^2 (bound 4/(d-2)^2)
     and int |u|^2/|x| / int |x| |grad u|^2 (bound 4/(d-1)^2).
 
     ``psi`` is a TestFunction or a NearExtremalHardyProfile; both expose a
     radial profile with first derivative.  The near-extremal family decays
-    like e^(-2 eps r), so the quadrature window scales with 1/eps.
+    like e^(-2 eps r), so the quadrature window scales with 1/eps.  The
+    quotients at 600 nodes must agree with those at 1200.
     """
     if d < 3:
         raise MultiplierError("Hardy quotients need d >= 3")
@@ -741,8 +698,8 @@ def hardy_check(psi, d: int = 3, n: int = 600) -> HardyRatios:
         den2 = float(np.dot(meas, r * grad))
         return num1 / den1, num2 / den2
 
-    a1, a2 = ratios(n)
-    b1, b2 = ratios(2 * n)
+    a1, a2 = ratios(_HARDY_N)
+    b1, b2 = ratios(2 * _HARDY_N)
     if abs(a1 - b1) + abs(a2 - b2) > _SETTLE_TOL:
         raise MultiplierError("Hardy quotient quadrature did not settle")
     return HardyRatios(
@@ -799,12 +756,7 @@ class RadiTerms:
         return out
 
 
-def radi_identity_terms(
-    u: TestFunction,
-    lam: complex,
-    potential: Potential,
-    n: int = _DEFAULT_N,
-) -> RadiTerms:
+def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> RadiTerms:
     """Evaluate the radial key identity term by term for f := Delta u + lam u.
 
     The identity reads I = I1 + I2 + I3 with
@@ -822,22 +774,21 @@ def radi_identity_terms(
     lam = complex(lam)
     if not lam.real > 0:
         raise MultiplierError("radial identity needs Re lambda > 0")
-    if not potential.is_radial or potential.dimension != 3:
-        raise MultiplierError("radial identity needs a radial d=3 potential")
+    if potential.dimension != 3:
+        raise MultiplierError("radial identity needs a d=3 potential")
     if potential.d_r_rReV is None:
         raise MultiplierError("potential lacks the radial derivative d_r(r Re V)")
-    d = u.dimension
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)
     ratio = abs(lam.imag) / root
 
-    p = _probe_on(u, lam, n, "gauss")
+    p = _probe_on(u, lam, _DEFAULT_N, "gauss")
     v_vals = potential.radial_profile(p.r)
     qq = np.abs(p.q) ** 2
 
     # defect bucket: the key-identity RHS at g := f - V u
     g_vals = p.f - v_vals * p.q
-    grad_minus_sq, key_lhs, i3 = _key_sides(p, lam, g_vals, d)
+    grad_minus_sq, key_lhs, i3 = _key_sides(p, lam, g_vals)
     i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
     i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
     comb = np.conj(p.dq) + 1j * sig * root * np.conj(p.q)
@@ -853,8 +804,8 @@ def radi_identity_terms(
 
     lower: Optional[bool] = None
     if b1 <= 1.0 and abs(lam.imag) <= lam.real:
-        coeff = 1.0 - 0.25 * math.sqrt(b3) * (2.0 / (d - 2)) ** 1.5
-        correction = 0.25 * (2.0 / (d - 2)) * math.sqrt(grad_minus_sq * eps_defect)
+        coeff = 1.0 - 0.25 * math.sqrt(b3) * 2.0**1.5
+        correction = 0.25 * 2.0 * math.sqrt(grad_minus_sq * eps_defect)
         lower = i_total >= coeff * grad_minus_sq - correction - slack
     return RadiTerms(
         i_total, i1, i2, i3, residual, grad_minus_sq,
@@ -929,7 +880,7 @@ def magnetic_identity_smoke(
     tang = float(np.max(diff[live] / den[live], initial=0.0))
 
     # G1 = 1 identity on a tensor Gauss box covering the support
-    pts, ww = box_grid(_MAGNETIC_N_AXIS, radius).points_and_weights()
+    pts, ww = box_grid(_MAGNETIC_N_AXIS, radius)
     r_all = np.linalg.norm(pts, axis=1)
     keep = (r_all < radius) & (r_all > 0)
     pts, ww, r_all = pts[keep], ww[keep], r_all[keep]
@@ -938,7 +889,6 @@ def magnetic_identity_smoke(
     grads = u.grad_points(pts)
     laps = u.laplacian_points(pts)
     a_vals = a_field.vector_potential(pts)
-    div_a = a_field.divergence(pts)
     v_vals = (
         potential.radial_profile(r_all)
         if potential is not None
@@ -948,12 +898,8 @@ def magnetic_identity_smoke(
     grad_a_sq = np.sum(
         np.abs(grads + 1j * a_vals * vals[:, None]) ** 2, axis=1
     )
-    lap_a = (
-        laps
-        + 2j * np.sum(a_vals * grads, axis=1)
-        + 1j * div_a * vals
-        - np.sum(a_vals**2, axis=1) * vals
-    )
+    # Delta_A u = Delta u + 2i A . grad u - |A|^2 u for divergence-free A
+    lap_a = laps + 2j * np.sum(a_vals * grads, axis=1) - np.sum(a_vals**2, axis=1) * vals
     f_vals = lap_a + lam * vals - v_vals * vals
 
     norm_sq = float(np.dot(ww, np.abs(vals) ** 2))

@@ -2,13 +2,13 @@
 algebra, and scalar root finding.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
-provides Gauss-Legendre rules (plain, composite over panels, and graded
-toward the origin for integrands with power-type singularities) plus tensor
-box grids that exclude the coordinate origin by construction.  The linear
-algebra side wraps a dense complex eigendecomposition with a per-pair
-residual guarantee and reads both extremal singular values off one dense
-LAPACK SVD.  Root finding is plain bisection for strictly increasing scalar
-functions.
+provides Gauss-Legendre rules, plain and composite over panels, the
+:class:`RadialGrid` container for radial rules on (0, r_max], and a tensor
+Gauss box in three dimensions whose points exclude the coordinate origin by
+construction.  The linear algebra side wraps the dense complex
+eigendecomposition (its callers check the residuals) and reads both extremal
+singular values off one dense LAPACK SVD.  Root finding is plain bisection
+for strictly increasing scalar functions.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ __all__ = [
     "NumericsError",
     "EigenvalueError",
     "RadialGrid",
-    "BoxGrid",
     "gauss_legendre",
     "panel_gauss",
-    "radial_grid",
     "box_grid",
     "eig_complex",
     "largest_singular_value",
@@ -46,7 +44,7 @@ class NumericsError(ValueError):
 
 
 class EigenvalueError(NumericsError):
-    """Raised when the dense eigensolver fails to converge."""
+    """Raised when the dense eigensolver fails or an eigenpair misses its residual bound."""
 
 
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,24 +108,17 @@ class RadialGrid:
 
     ``nodes`` are strictly increasing and never touch 0; ``weights`` are the
     matching quadrature weights for ``dr`` (no Jacobian factors baked in).
-    ``grading`` records how the nodes were placed: ``"uniform"`` is a plain
-    Gauss rule on [0, r_max], ``"graded-to-origin"`` maps Gauss points
-    through r = r_max * t**gamma so nodes cluster at the origin, resolving
-    |x|^-2-type singular weights, and ``"geometric-panels"`` is a composite
-    Gauss rule over panels shrinking geometrically toward the origin.
-
-    The geometric-panel rule exists for Nystroem eigenvalue work on
-    scale-invariant kernels: it keeps w_j / r_j uniformly small (each panel
-    is a rescaled copy of the same Gauss rule), whereas the power-map
-    grading has w_1 / r_1 = gamma * O(1) at its deepest node, which plants a
-    spurious large diagonal entry in matrices of kernels behaving like
-    1 / max(r, r').
+    The grids in use are composite Gauss rules over geometric panels:
+    ``default_bs_grid`` shrinks them toward the origin at a fixed ratio and
+    ``log_uniform_grid`` spreads them log-uniformly over [r_min, r_max].
+    Each panel is a rescaled copy of the same Gauss rule, which keeps
+    w_j / r_j uniformly small, as Nystroem matrices of scale-invariant
+    kernels like 1 / max(r, r') need.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
-    grading: str
 
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
@@ -144,98 +135,24 @@ class RadialGrid:
         return self.nodes.size
 
 
-_PANEL_NODES = 10
-_PANEL_RATIO = 10.0**0.5
-
-
-def radial_grid(
-    n: int, r_max: float, grading: str = "uniform", gamma: float = 2.0
-) -> RadialGrid:
-    """Build a :class:`RadialGrid`.
-
-    ``grading="uniform"`` places an n-point Gauss-Legendre rule on
-    [0, r_max].  ``grading="graded-to-origin"`` places Gauss points t on
-    [0, 1] and maps them through r = r_max * t**gamma (gamma = 2 by
-    default), with weights carrying the Jacobian gamma * r_max * t**(gamma-1),
-    so the grid doubles as a quadrature rule for ∫ f dr while clustering
-    nodes near the origin.  ``grading="geometric-panels"`` tiles
-    [r_max * ratio^-K, r_max] with K = n // 10 panels of fixed ratio
-    sqrt(10) carrying 10 Gauss nodes each (two panels per decade), so
-    refining by a factor deepens the covered range; the untiled remainder
-    near the origin is left to the integrand's decay there.
-    """
-    if r_max <= 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    if grading == "uniform":
-        nodes, weights = gauss_legendre(n, 0.0, r_max)
-    elif grading == "graded-to-origin":
-        if gamma < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got {gamma}")
-        t, wt = gauss_legendre(n, 0.0, 1.0)
-        nodes = r_max * t**gamma
-        weights = gamma * r_max * t ** (gamma - 1.0) * wt
-    elif grading == "geometric-panels":
-        panels = max(2, n // _PANEL_NODES)
-        edges = [r_max * _PANEL_RATIO ** (k - panels) for k in range(panels + 1)]
-        nodes, weights = panel_gauss(edges, _PANEL_NODES)
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-    return RadialGrid(nodes, weights, float(r_max), grading)
-
-
-@dataclass(frozen=True)
-class BoxGrid:
-    """Tensor Gauss grid on the symmetric box [-L, L]^d.
+def box_grid(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss grid on the box [-L, L]^3: points (n^3, 3) and weights.
 
     Only even per-axis orders are accepted: Gauss nodes of even order on a
     symmetric interval never include the midpoint, so no tensor node ever
-    sits at the coordinate origin.
+    sits at the coordinate origin.  Guarded at 80 points per axis; dense
+    work beyond that is out of scope (80^3 is already half a million nodes).
     """
-
-    dimension: int
-    axis_nodes: np.ndarray
-    axis_weights: np.ndarray
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if self.dimension < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.dimension}")
-        if self.axis_nodes.size % 2 != 0:
-            raise ValueError("per-axis order must be even (origin exclusion)")
-
-    @property
-    def n_axis(self) -> int:
-        return self.axis_nodes.size
-
-    def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """All tensor points (N, d) with their product weights (N,).
-
-        Guarded at 80 points per axis; dense work beyond that is out of
-        scope (80^3 is already half a million tensor nodes).
-        """
-        n = self.n_axis
-        if n > 80:
-            raise NumericsError(
-                f"box grid {n}^{self.dimension} exceeds the dense guard (80 per axis)"
-            )
-        axes = [self.axis_nodes] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        w = self.axis_weights
-        wt = w
-        for _ in range(self.dimension - 1):
-            wt = np.multiply.outer(wt, w)
-        return pts, wt.ravel()
-
-
-def box_grid(n: int, half_width: float, dimension: int = 3) -> BoxGrid:
-    """Build a :class:`BoxGrid` with an even n-point Gauss rule per axis."""
     if n % 2 != 0:
         raise ValueError(f"per-axis order must be even, got {n}")
     if half_width <= 0:
         raise ValueError("half_width must be positive")
+    if n > 80:
+        raise NumericsError(f"box grid {n}^3 exceeds the dense guard (80 per axis)")
     nodes, weights = gauss_legendre(n, -half_width, half_width)
-    return BoxGrid(dimension, nodes, weights, float(half_width))
+    mesh = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return pts, np.multiply.outer(np.multiply.outer(weights, weights), weights).ravel()
 
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
@@ -248,16 +165,14 @@ def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-_EIG_RESIDUAL_TOL = 1e-10
-
-
 def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
-    """Dense complex eigendecomposition with a residual guarantee.
+    """Dense complex eigendecomposition by LAPACK zgeev.
 
-    Uses the LAPACK Hessenberg + shifted-QR driver (zgeev).  Every returned
-    pair (lam, v) satisfies ``|M v - lam v| <= 1e-10 * |M|_F * |v|``; if the
-    driver fails to converge, :class:`EigenvalueError` names the failing
-    index as reported by LAPACK.
+    Uses the Hessenberg + shifted-QR driver.  If the driver fails to
+    converge, :class:`EigenvalueError` names the failing index as reported
+    by LAPACK.  The pairs are not checked here: callers that know the
+    structure of M (a banded operator, say) check |M v - lam v| themselves
+    at O(n) per pair instead of one dense O(n^3) product.
 
     Returns a list of (eigenvalue, unit eigenvector) pairs sorted by real
     part, then imaginary part (a fixed, reproducible order).
@@ -275,20 +190,11 @@ def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
         raise EigenvalueError(
             f"QR iteration failed to converge; eigenvalues 0..{info - 1} unresolved"
         )
-    norm_m = np.linalg.norm(a)
-    order = np.lexsort((w.imag, w.real))
-    pairs: list[tuple[complex, np.ndarray]] = []
-    resid = a @ vr - vr * w[np.newaxis, :]
-    resid_norms = np.linalg.norm(resid, axis=0)
     vec_norms = np.linalg.norm(vr, axis=0)
-    for idx in order:
-        if resid_norms[idx] > _EIG_RESIDUAL_TOL * norm_m * vec_norms[idx]:
-            raise EigenvalueError(
-                f"eigenpair {idx} residual {resid_norms[idx]:.3e} exceeds "
-                f"{_EIG_RESIDUAL_TOL:.0e} * |M| * |v|"
-            )
-        pairs.append((complex(w[idx]), vr[:, idx] / vec_norms[idx]))
-    return pairs
+    return [
+        (complex(w[idx]), vr[:, idx] / vec_norms[idx])
+        for idx in np.lexsort((w.imag, w.real))
+    ]
 
 
 def largest_singular_value(m: np.ndarray) -> float:
@@ -305,25 +211,23 @@ def largest_singular_value(m: np.ndarray) -> float:
     return float(svdvals(a, check_finite=False)[0])
 
 
-def smallest_singular_value(m: np.ndarray, return_flag: bool = False):
+def smallest_singular_value(m: np.ndarray) -> float:
     """Smallest singular value from a dense LAPACK SVD.
 
     A matrix that is singular to working precision (sigma_min <=
-    n * eps * sigma_max) yields 0.0; pass ``return_flag=True`` to receive
-    ``(value, is_singular)`` instead of the bare value.  Raises
-    ``LinAlgError`` if the SVD does not converge.
+    n * eps * sigma_max), the empty matrix included, yields exactly 0.0.
+    Raises ``LinAlgError`` if the SVD does not converge.
     """
     from scipy.linalg import svdvals
 
     a = _as_complex_matrix(m)
     n = a.shape[0]
     if n == 0:
-        return (0.0, True) if return_flag else 0.0
+        return 0.0
     s = svdvals(a, check_finite=False)
     if s[-1] <= n * np.finfo(float).eps * s[0]:
-        return (0.0, True) if return_flag else 0.0
-    sigma = float(s[-1])
-    return (sigma, False) if return_flag else sigma
+        return 0.0
+    return float(s[-1])
 
 
 def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -347,15 +251,17 @@ def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def find_root_increasing(
-    f: Callable[[float], float], lo: float, hi: float, f_tol: float = 1e-12
-) -> float:
+_ROOT_F_TOL = 1e-12
+
+
+def find_root_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Bisection root of a strictly increasing scalar function.
 
-    Requires f(lo) < 0 < f(hi); returns x with |f(x)| <= f_tol (or the best
+    Requires f(lo) < 0 < f(hi); returns x with |f(x)| <= 1e-12 (or the best
     midpoint once the bracket has collapsed to machine width, if roundoff in
-    f prevents reaching f_tol).
+    f prevents reaching that tolerance).
     """
+    f_tol = _ROOT_F_TOL
     flo, fhi = f(lo), f(hi)
     if abs(flo) <= f_tol:
         return lo

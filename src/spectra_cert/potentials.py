@@ -20,8 +20,9 @@ B = grad A - (grad A)^T.  The sign convention is fixed by the d = 3
 identification B v = curl A x v, i.e. B_ij = dA_i/dx_j - dA_j/dx_i.
 The tangential trace B_tau(x) = (x/|x|) . B(x) is always orthogonal to x
 because B is antisymmetric.  The magnetic side works on point arrays: A,
-B, div A and B_tau take points of shape (..., d), a single point (d,)
-included, and return shapes (..., d), (..., d, d), (...) and (..., d).
+B and B_tau take points of shape (..., d), a single point (d,) included,
+and return shapes (..., d), (..., d, d) and (..., d).  Every catalog field
+is divergence-free, which the magnetic Laplacian relies on.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class Potential:
     radial_profile: Callable[[np.ndarray], np.ndarray]
     d_r_rReV: Callable[[np.ndarray], np.ndarray]
     origin_singularity_order: float
-    is_radial: bool = True
     jumps: tuple[float, ...] = ()
 
     # -- radial accessors used by the checkers ---------------------------
@@ -233,29 +233,23 @@ def _no_extra(name: str, params: dict) -> None:
 _FD_STEP = 1e-5
 
 
-def _zero_divergence(x: np.ndarray) -> np.ndarray:
-    return np.zeros(np.shape(x)[:-1])
-
-
 @dataclass(frozen=True)
 class MagneticPotential:
     """Vector potential A with its antisymmetric field tensor B.
 
     Every callable takes points of shape (..., d), a single point (d,)
-    included: ``vector_potential`` returns A of shape (..., d),
-    ``field_tensor`` B of shape (..., d, d) and ``divergence`` div A of
-    shape (...).  When ``field_tensor`` is None, B is computed by centred
-    finite differences of A (step 1e-5, O(h^2) accurate); ``analytic_field``
-    records which route applies.  ``divergence`` is identically zero for
-    every catalog entry; it is kept explicit because the magnetic Laplacian
-    needs it.
+    included: ``vector_potential`` returns A of shape (..., d) and
+    ``field_tensor`` B of shape (..., d, d).  When ``field_tensor`` is None,
+    B is computed by centred finite differences of A (step 1e-5, O(h^2)
+    accurate); ``analytic_field`` records which route applies.  A is taken
+    to be divergence-free (Coulomb gauge), as every catalog entry is, so
+    the magnetic Laplacian carries no div A term.
     """
 
     name: str
     dimension: int
     vector_potential: Callable[[np.ndarray], np.ndarray]
     field_tensor: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    divergence: Callable[[np.ndarray], np.ndarray] = _zero_divergence
 
     @property
     def analytic_field(self) -> bool:

@@ -50,7 +50,7 @@ from spectra_cert.birman_schwinger import (
     pointwise_bound_check,
     sector_matrices,
 )
-from spectra_cert.numerics import box_grid, gauss_legendre, radial_grid
+from spectra_cert.numerics import box_grid, gauss_legendre
 from spectra_cert.potentials import catalog
 
 
@@ -119,7 +119,7 @@ class TestPointwiseBound:
 
 class TestSectorMatrices:
     def test_positive_axis_rejected(self):
-        g = radial_grid(40, 10.0, grading="geometric-panels")
+        g = default_bs_grid(40, 10.0)
         with pytest.raises(BSError):
             list(sector_matrices(gaussian(), 3.0, g, ell_max=1))
 
@@ -128,7 +128,7 @@ class TestSectorMatrices:
         # constant term -kappa/(4 pi) of G_z - G_0 projects onto l = 0 only.
         # At z = -1e-10, kappa = 1e-5, so the gap is kappa-sized there and
         # roundoff-sized for l >= 1.
-        g = radial_grid(80, 20.0, grading="geometric-panels")
+        g = default_bs_grid(80, 20.0)
         exact = dict(sector_matrices(gaussian(), 0.0, g, ell_max=2))
         near = dict(sector_matrices(gaussian(), -1e-10, g, ell_max=2))
         for ell in range(3):
@@ -138,7 +138,7 @@ class TestSectorMatrices:
     def test_real_signed_potential_symmetric(self):
         # For real V the symmetrized kernel sqrt|V| g_l V_(1/2) picks up a
         # global sign but stays symmetric.
-        g = radial_grid(60, 20.0, grading="geometric-panels")
+        g = default_bs_grid(60, 20.0)
         for ell, m in sector_matrices(catalog("coulomb_repulsive", c=1.0), 0.0, g, 1):
             assert np.max(np.abs(m - m.T)) <= 1e-14 * np.max(np.abs(m))
 
@@ -236,12 +236,7 @@ class TestBoxOracle:
         )
 
     def box_direct(self, ell, z, r0, n=64, half=7.0):
-        bg = box_grid(n, half)
-        ax, aw = bg.axis_nodes, bg.axis_weights
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        W = aw[:, None, None] * aw[None, :, None] * aw[None, None, :]
-        pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-        wts = W.reshape(-1)
+        pts, wts = box_grid(n, half)
         x0 = np.array([0.0, 0.0, r0])
 
         cl = np.zeros(ell + 1)
@@ -440,8 +435,6 @@ class TestHSNorm:
         with pytest.raises(BSError):
             hs_norm(hardy(), ell_max=-1)
         with pytest.raises(BSError):
-            hs_norm(dataclasses.replace(gaussian(), is_radial=False))
-        with pytest.raises(BSError):
             hs_norm(catalog("gaussian", v0=1.0, dimension=4))
 
     def test_log_uniform_grid_validation(self):
@@ -457,7 +450,6 @@ class TestHSNorm:
         total = float(np.dot(g.weights, np.exp(-g.nodes)))
         want = math.exp(-1e-4) - math.exp(-30.0)
         assert total == pytest.approx(want, rel=1e-12)
-        assert g.grading == "log-uniform"
 
 
 class TestPrincipleMatrixCheck:

@@ -106,11 +106,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="potential"):
             parse_config(json.dumps({"experiment": "check-conditions"}))
 
-    def test_bs_norm_dimension_pinned(self):
-        with pytest.raises(ConfigError, match="bs-norm requires dimension 3"):
-            parse_config(make("bs-norm", dimension=4))
-        with pytest.raises(ConfigError, match="hs-identity requires dimension 3"):
-            parse_config(make("hs-identity", dimension=5))
+    def test_bs_norm_dimension_pinned(self, tmp_path, capsys):
+        # only check-conditions runs at d != 3; every other experiment is a
+        # config error, also where a potential would otherwise be built at d = 4
+        gaussian = {"name": "gaussian", "params": {"v0": 1.0}}
+        for exp in EXPERIMENTS:
+            extra = {}
+            if exp in ("spectrum", "pseudospectrum", "identity-check"):
+                extra["potential"] = gaussian
+            path = tmp_path / f"{exp}.json"
+            path.write_text(
+                make(exp, dimension=4, output={"path": str(tmp_path / exp)}, **extra)
+            )
+            if exp == "check-conditions":
+                assert main(["validate", str(path)]) == 0
+                capsys.readouterr()
+                continue
+            assert main(["run", str(path)]) == 2, exp
+            assert f"{exp} requires dimension 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.manifest.json"))
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ConfigError, match=">= 3"):
@@ -159,6 +173,15 @@ class TestParseConfig:
             parse_config(make("singular-sequence", **{"lambda": -1.0}))
         with pytest.raises(ConfigError, match="Re lambda > 0"):
             parse_config(make("magnetic-smoke", **{"lambda": [-1.0, 2.0]}))
+        # the radial-key table of a potential needs Re lambda > 0 too
+        with pytest.raises(ConfigError, match="Re lambda > 0"):
+            parse_config(
+                make(
+                    "identity-check",
+                    potential={"name": "gaussian", "params": {"v0": 1.0}},
+                    **{"lambda": [-1.0, 0.5]},
+                )
+            )
 
     def test_n_list_rules(self):
         with pytest.raises(ConfigError, match="two scales"):

@@ -91,10 +91,7 @@ class TestSubordinationPointwise:
         assert subordination_a_pointwise(catalog("hardy", a=0.5)) == 0.5
 
     def test_coulomb_diverges(self):
-        value, diverged = subordination_a_pointwise(
-            catalog("coulomb_repulsive", c=7.0), return_flag=True
-        )
-        assert math.isinf(value) and diverged
+        assert math.isinf(subordination_a_pointwise(catalog("coulomb_repulsive", c=7.0)))
 
     def test_gaussian_maximum(self):
         value = subordination_a_pointwise(catalog("gaussian", v0=1.0))
@@ -119,16 +116,15 @@ class TestSubordinationPointwise:
 
 
 class TestSubordinationVariational:
-    def test_hardy_refinement_from_below(self):
-        from spectra_cert.birman_schwinger import default_bs_grid
+    def test_hardy_refinement_from_below(self, monkeypatch):
+        from spectra_cert import conditions
         from spectra_cert.numerics import aitken_extrapolate
 
-        values = [
-            subordination_a_variational(
-                catalog("hardy", a=0.5), grid=default_bs_grid(n=n), ell_max=0
-            )
-            for n in (100, 200, 400)
-        ]
+        monkeypatch.setattr(conditions, "_VARIATIONAL_ELL_MAX", 0)
+        values = []
+        for n in (100, 200, 400):
+            monkeypatch.setattr(conditions, "_VARIATIONAL_GRID_N", n)
+            values.append(subordination_a_variational(catalog("hardy", a=0.5)))
         assert values[0] < values[1] < values[2] <= 0.5
         extrapolated = aitken_extrapolate(values)
         assert abs(extrapolated - 0.5) / 0.5 <= 0.05
@@ -173,21 +169,16 @@ class TestRollnik:
         assert rollnik_norm(y) == pytest.approx(oracle, rel=5e-4)
 
     def test_hardy_diverges(self):
-        value, diverged = rollnik_norm(catalog("hardy", a=0.5), return_flag=True)
-        assert math.isinf(value) and diverged
+        assert math.isinf(rollnik_norm(catalog("hardy", a=0.5)))
 
     def test_imaginary_hardy_diverges(self):
         assert math.isinf(rollnik_norm(catalog("imaginary_hardy", beta=0.2)))
 
     def test_coulomb_tail_diverges(self):
-        value, diverged = rollnik_norm(
-            catalog("coulomb_repulsive", c=1.0), return_flag=True
-        )
-        assert math.isinf(value) and diverged
+        assert math.isinf(rollnik_norm(catalog("coulomb_repulsive", c=1.0)))
 
     def test_zero_potential(self):
-        value, diverged = rollnik_norm(catalog("gaussian", v0=0.0), return_flag=True)
-        assert value == 0.0 and not diverged
+        assert rollnik_norm(catalog("gaussian", v0=0.0)) == 0.0
 
     @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
     def test_square_well_closed_form(self, v0, r0):
@@ -202,30 +193,26 @@ class TestRollnik:
 
 class TestFrank:
     def test_gaussian_closed_form(self):
-        value, passes = frank_l32(catalog("gaussian", v0=1.0))
+        value = frank_l32(catalog("gaussian", v0=1.0))
         assert value == pytest.approx((2.0 * math.pi / 3.0) ** 1.5, rel=1e-10)
-        assert not passes
+        assert value > FRANK_THRESHOLD
 
     @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
     def test_square_well_closed_form(self, v0, r0):
-        value, _ = frank_l32(catalog("square_well", v0=v0, r0=r0))
+        value = frank_l32(catalog("square_well", v0=v0, r0=r0))
         assert value == pytest.approx(4.0 * math.pi / 3.0 * v0**1.5 * r0**3, rel=1e-10)
 
     def test_small_gaussian_passes(self):
-        value, passes = frank_l32(catalog("gaussian", v0=0.05))
-        assert passes and value < FRANK_THRESHOLD
+        assert frank_l32(catalog("gaussian", v0=0.05)) < FRANK_THRESHOLD
 
     def test_hardy_diverges(self):
-        value, passes = frank_l32(catalog("hardy", a=0.25))
-        assert math.isinf(value) and not passes
+        assert math.isinf(frank_l32(catalog("hardy", a=0.25)))
 
     def test_coulomb_diverges(self):
-        value, passes = frank_l32(catalog("coulomb_repulsive", c=1.0))
-        assert math.isinf(value) and not passes
+        assert math.isinf(frank_l32(catalog("coulomb_repulsive", c=1.0)))
 
     def test_zero_potential(self):
-        value, passes = frank_l32(catalog("gaussian", v0=0.0))
-        assert value == 0.0 and passes
+        assert frank_l32(catalog("gaussian", v0=0.0)) == 0.0
 
     def test_threshold_constant(self):
         assert FRANK_THRESHOLD == pytest.approx(0.13162007846, rel=1e-9)
@@ -269,10 +256,7 @@ class TestLambdaConstant:
         assert lambda_constant(catalog("gaussian", v0=0.0)) == 0.0
 
     def test_coulomb_diverges(self):
-        value, diverged = lambda_constant(
-            catalog("coulomb_repulsive", c=2.0), return_flag=True
-        )
-        assert math.isinf(value) and diverged
+        assert math.isinf(lambda_constant(catalog("coulomb_repulsive", c=2.0)))
 
     def test_exact_identity_with_pointwise_a(self):
         # both constants are the same scan output scaled by powers of two in
@@ -372,8 +356,8 @@ class TestScaling:
         )
 
     def test_frank_scales_three_halves(self):
-        base, _ = frank_l32(catalog("gaussian", v0=1.0))
-        scaled, _ = frank_l32(catalog("gaussian", v0=2.0))
+        base = frank_l32(catalog("gaussian", v0=1.0))
+        scaled = frank_l32(catalog("gaussian", v0=2.0))
         assert scaled == pytest.approx(2.0**1.5 * base, rel=1e-9)
 
 

@@ -113,8 +113,6 @@ class TestProbeProfiles:
             Probe("cubic-spline", 1.0)
         with pytest.raises(MultiplierError, match="support_radius"):
             Probe("radial-gaussian-bump", -1.0)
-        with pytest.raises(MultiplierError, match="three-dimensional"):
-            Probe("radial-gaussian-bump", 1.0, dimension=4)
 
 
 class TestMultiplierCatalog:
@@ -132,27 +130,27 @@ class TestMultiplierCatalog:
     def test_square_laplacian_and_bilaplacian(self):
         g = multiplier_catalog("square")
         r = self.RADII
-        np.testing.assert_allclose(g.laplacian(r, 3), 6.0)
+        np.testing.assert_allclose(g.laplacian(r), 6.0)
         # assembled via the radial chain rule, so 2/r - 2r/r^2 leaves dust
-        np.testing.assert_allclose(g.bilaplacian(r, 3), 0.0, atol=1e-12)
+        np.testing.assert_allclose(g.bilaplacian(r), 0.0, atol=1e-12)
 
     def test_abs_laplacian(self):
         g = multiplier_catalog("abs")
-        np.testing.assert_allclose(g.laplacian(self.RADII, 3), 2.0 / self.RADII)
+        np.testing.assert_allclose(g.laplacian(self.RADII), 2.0 / self.RADII)
 
     def test_windowed_bilaplacian_matches_fd(self):
         g = multiplier_catalog("windowed-square")
         h = 1e-4
-        lap = lambda r: g.laplacian(r, 3)
+        lap = g.laplacian
         fd = (lap(self.RADII + h) - 2 * lap(self.RADII) + lap(self.RADII - h)) / h**2
         fd += 2.0 / self.RADII * central_diff(lap, self.RADII, h)
-        got = g.bilaplacian(self.RADII, 3)
+        got = g.bilaplacian(self.RADII)
         assert np.max(np.abs(got - fd)) < 1e-5
 
     def test_constant_value(self):
         g = multiplier_catalog("constant", value=3.5)
         np.testing.assert_allclose(g.g(self.RADII), 3.5)
-        np.testing.assert_allclose(g.laplacian(self.RADII, 3), 0.0)
+        np.testing.assert_allclose(g.laplacian(self.RADII), 0.0)
 
     def test_missing_stack_raises(self):
         g = MultiplierProfile("half", lambda r: r, lambda r: 0 * r + 1, lambda r: 0 * r)
@@ -168,29 +166,33 @@ class TestMultiplierCatalog:
             multiplier_catalog("windowed-square", width=-1.0)
 
 
+def cancellation_defects(trip: MultiplierTriple, r: np.ndarray) -> dict:
+    """Largest violation of each canonical cancellation on the radii.
+
+    Radial and tangential Hessian coefficients of G3 must agree and match
+    2 g1, and |g2| must equal |g3'|.
+    """
+    return {
+        "g3''-2g1": np.max(np.abs(trip.g3.d2g(r) - 2.0 * trip.g1.g(r))),
+        "g3'/r-g3''": np.max(np.abs(trip.g3.dg(r) / r - trip.g3.d2g(r))),
+        "|g2|-|g3'|": np.max(np.abs(np.abs(trip.g2.g(r)) - np.abs(trip.g3.dg(r)))),
+    }
+
+
 class TestCanonicalTriple:
     def test_cancellations_hold(self):
         trip = MultiplierTriple.canonical_triple()
-        trip.check_cancellations(np.linspace(0.05, 12.0, 80))
-
-    def test_non_canonical_rejected(self):
-        trip = MultiplierTriple(
-            g1=multiplier_catalog("abs"),
-            g2=multiplier_catalog("abs"),
-            g3=multiplier_catalog("square"),
-        )
-        with pytest.raises(MultiplierError, match="canonical"):
-            trip.check_cancellations(np.array([1.0]))
+        defects = cancellation_defects(trip, np.linspace(0.05, 12.0, 80))
+        assert all(v <= 1e-12 for v in defects.values()), defects
 
     def test_broken_triple_detected(self):
         trip = MultiplierTriple(
             g1=multiplier_catalog("constant", value=2.0),
             g2=multiplier_catalog("abs"),
             g3=multiplier_catalog("square"),
-            canonical=True,
         )
-        with pytest.raises(MultiplierError, match="violated"):
-            trip.check_cancellations(np.array([1.0, 2.0]))
+        defects = cancellation_defects(trip, np.array([1.0, 2.0]))
+        assert defects["g3''-2g1"] > 1e-12 and defects["|g2|-|g3'|"] > 1e-12
 
 
 LAMBDAS = (1.0 + 0j, 1.0 + 1.0j, 0.5 + 2.0j)
@@ -236,11 +238,12 @@ class TestIdentityResiduals:
         with pytest.raises(MultiplierError, match="Re lambda"):
             key_identity_residual(BUMP, 2.0j)
 
-    def test_coarse_quadrature_refuses_to_answer(self):
+    def test_coarse_quadrature_refuses_to_answer(self, monkeypatch):
         # 4 panels cannot resolve the bump edge; the n-vs-2n guard must trip
+        monkeypatch.setattr(multipliers, "_DEFAULT_N", 16)
         g = multiplier_catalog("abs")
         with pytest.raises(MultiplierError, match="settle"):
-            identity_residual_1(BUMP, 1.0 + 1.0j, g, n=16)
+            identity_residual_1(BUMP, 1.0 + 1.0j, g)
 
     def test_refinement_order_id1_is_second_order(self):
         g = multiplier_catalog("abs")
@@ -300,8 +303,6 @@ class TestHardyQuotients:
             NearExtremalHardyProfile(0.0)
         with pytest.raises(MultiplierError, match="eps"):
             NearExtremalHardyProfile(0.7)
-        with pytest.raises(MultiplierError, match="d >= 3"):
-            NearExtremalHardyProfile(0.1, dimension=2)
         with pytest.raises(MultiplierError, match="TestFunction"):
             hardy_check(np.ones(5))
 

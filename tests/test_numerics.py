@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_cert import numerics as nx
-from spectra_cert.birman_schwinger import default_bs_grid, sector_matrices
+from spectra_cert.birman_schwinger import default_bs_grid, log_uniform_grid, sector_matrices
 from spectra_cert.potentials import catalog
 
 
@@ -84,37 +84,42 @@ class TestPanelGauss:
 
 
 class TestRadialGrid:
-    def test_uniform_weight_sum_is_r_max(self):
-        g = nx.radial_grid(64, 40.0)
-        assert abs(g.weights.sum() - 40.0) < 1e-10
+    """The geometric-panel grids of birman_schwinger, through RadialGrid."""
 
     def test_graded_weight_sum_is_r_max(self):
-        g = nx.radial_grid(64, 40.0, "graded-to-origin")
-        assert abs(g.weights.sum() - 40.0) < 1e-10
+        # 20 panels of ratio sqrt(10) leave (0, 40e-10] untiled
+        g = default_bs_grid(200, 40.0)
+        assert abs(g.weights.sum() - 40.0) < 1e-8
 
     def test_nodes_strictly_increasing_and_off_origin(self):
-        for grading in ("uniform", "graded-to-origin"):
-            g = nx.radial_grid(128, 10.0, grading)
+        for g in (default_bs_grid(128, 10.0), log_uniform_grid(1e-3, 10.0, 128)):
             assert g.nodes[0] > 0
             assert np.all(np.diff(g.nodes) > 0)
             assert g.nodes[-1] <= 10.0
 
     def test_graded_grid_clusters_at_origin(self):
-        u = nx.radial_grid(100, 1.0)
-        g = nx.radial_grid(100, 1.0, "graded-to-origin")
-        assert g.nodes[0] < u.nodes[0] / 50
+        # K = 10 panels shrinking by sqrt(10): the deepest one starts at 1e-5
+        g = default_bs_grid(100, 1.0)
+        assert 1e-5 < g.nodes[0] < 1e-5 * 10.0**0.5
+        assert g.n == 100
 
     def test_graded_integrates_inverse_sqrt(self):
-        # integral of r^-1/2 over (0,1] = 2; the gamma=2 map makes the
-        # integrand polynomial so the rule is essentially exact.
-        g = nx.radial_grid(40, 1.0, "graded-to-origin")
-        assert abs(np.sum(g.weights / np.sqrt(g.nodes)) - 2.0) < 1e-12
+        # each panel is the same rescaled Gauss rule, so a power law carries
+        # the same small relative error on every panel of the tiled range
+        # [1e-5, 1]: 10 nodes over a ratio sqrt(10) leave about 1e-11
+        g = default_bs_grid(100, 1.0)
+        assert abs(np.sum(g.weights / np.sqrt(g.nodes)) - 2.0 * (1.0 - 10.0**-2.5)) < 1e-10
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            nx.radial_grid(16, -1.0)
-        with pytest.raises(ValueError):
-            nx.radial_grid(16, 1.0, "log")
+            default_bs_grid(16, -1.0)
+        nodes, weights = nx.gauss_legendre(4, 0.0, 1.0)
+        with pytest.raises(ValueError, match="increasing"):
+            nx.RadialGrid(nodes[::-1], weights, 1.0)
+        with pytest.raises(ValueError, match="r_max"):
+            nx.RadialGrid(nodes, weights, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            nx.RadialGrid(nodes, -weights, 1.0)
 
 
 class TestBoxGrid:
@@ -123,19 +128,17 @@ class TestBoxGrid:
             nx.box_grid(9, 5.0)
 
     def test_no_node_at_origin(self):
-        g = nx.box_grid(8, 5.0)
-        pts, _ = g.points_and_weights()
+        pts, _ = nx.box_grid(8, 5.0)
+        assert pts.shape == (8**3, 3)
         assert np.min(np.linalg.norm(pts, axis=1)) > 1e-3
 
     def test_weights_integrate_volume(self):
-        g = nx.box_grid(6, 2.0)
-        _, w = g.points_and_weights()
+        _, w = nx.box_grid(6, 2.0)
         assert abs(w.sum() - 4.0**3) < 1e-10
 
     def test_dense_guard(self):
-        g = nx.box_grid(82, 1.0)
         with pytest.raises(nx.NumericsError):
-            g.points_and_weights()
+            nx.box_grid(82, 1.0)
 
 
 class TestEigComplex:
@@ -197,16 +200,16 @@ class TestSingularValues:
         m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         before = m.copy()
         nx.largest_singular_value(m)
-        nx.smallest_singular_value(m, return_flag=True)
+        nx.smallest_singular_value(m)
         npt.assert_array_equal(m, before)
 
     def test_empty_and_zero_matrices(self):
         empty = np.zeros((0, 0), dtype=complex)
         assert nx.largest_singular_value(empty) == 0.0
-        assert nx.smallest_singular_value(empty, return_flag=True) == (0.0, True)
+        assert nx.smallest_singular_value(empty) == 0.0
         zero = np.zeros((3, 3), dtype=complex)
         assert nx.largest_singular_value(zero) == 0.0
-        assert nx.smallest_singular_value(zero, return_flag=True) == (0.0, True)
+        assert nx.smallest_singular_value(zero) == 0.0
 
     def test_adjoint_invariance(self):
         rng = np.random.default_rng(11)
@@ -216,10 +219,10 @@ class TestSingularValues:
         assert abs(a - b) <= 1e-12 * a
 
     def test_singular_matrix_flags(self):
+        # singular to working precision reads exactly 0.0
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
-        val, flag = nx.smallest_singular_value(m, return_flag=True)
-        assert val == 0.0 and flag
+        assert nx.smallest_singular_value(m) == 0.0
 
     def test_diagonal_matrix_exact(self):
         m = np.diag([3.0, 2.0, 0.5]).astype(complex)

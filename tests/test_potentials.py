@@ -45,7 +45,7 @@ class TestCatalog:
         for name in catalog_names():
             pot = catalog(name, dimension=3, **defaults[name])
             assert pot.name == name
-            assert pot.is_radial
+            assert pot.dimension == 3
 
     def test_unknown_name_rejected(self):
         with pytest.raises(PotentialError, match="unknown potential"):
@@ -230,20 +230,18 @@ class TestMagnetic:
             b_tau(mag, np.zeros(3))
 
     def test_divergence_free(self):
-        # div A by centred differences, for the entries that advertise 0.
-        for name in ("azimuthal_inverse_square", "uniform_z"):
-            mag = magnetic_catalog(name)
-            x = np.array([0.8, -0.5, 1.2])
-            h = 1e-5
-            div = 0.0
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                div += (mag.vector_potential(x + e)[j] - mag.vector_potential(x - e)[j]) / (
-                    2 * h
-                )
-            assert abs(div) < 1e-9
-            assert mag.divergence(x) == 0.0
+        # the magnetic Laplacian in the smoke check drops div A: centred
+        # differences of A at 100 seeded points with 0.5 <= |x| <= 2
+        x = np.random.default_rng(17).uniform(-2.0, 2.0, size=(100, 3))
+        r = np.linalg.norm(x, axis=1, keepdims=True)
+        x = np.where(r < 0.5, x * (0.5 / r), x)
+        h = 1e-5
+        for name in magnetic_catalog_names():
+            a = magnetic_catalog(name).vector_potential
+            div = sum(
+                (a(x + e)[:, j] - a(x - e)[:, j]) / (2 * h) for j, e in enumerate(h * np.eye(3))
+            )
+            assert np.max(np.abs(div)) <= 1e-6, name
 
     @pytest.mark.parametrize("name", magnetic_catalog_names())
     def test_point_arrays_match_row_by_row(self, name):
@@ -256,7 +254,6 @@ class TestMagnetic:
             (mag.vector_potential, (3,)),
             (mag.field, (3, 3)),
             (lambda x: mag.field(x, force_fd=True), (3, 3)),
-            (mag.divergence, ()),
             (lambda x: b_tau(mag, x), (3,)),
             (lambda x: b_tau(mag, x, force_fd=True), (3,)),
         ):

@@ -14,7 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from spectra_cert import spectral
 from spectra_cert.multipliers import TestFunction as Probe
+from spectra_cert.numerics import EigenvalueError, eig_complex
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import (
     SpectralError,
@@ -94,6 +96,8 @@ class TestDiscretizeRadial:
             discretize_radial(None, -1, 10.0, 16)
         with pytest.raises(SpectralError, match="radius"):
             discretize_radial(None, 0, -1.0, 16)
+        with pytest.raises(SpectralError, match="d=3"):
+            discretize_radial(catalog("hardy", a=0.5, dimension=4), 0, 10.0, 16)
 
 
 class TestFreeFloor:
@@ -129,6 +133,20 @@ class TestSpectrum:
         np.testing.assert_allclose(
             rep.residuals, dense, rtol=0, atol=1e-14 * rep.matrix_norm
         )
+
+    def test_perturbed_eigenvector_is_refused(self, monkeypatch):
+        # spectrum itself checks every pair against 1e-10 |M|_F; a vector
+        # knocked off its eigendirection must not pass through
+        def perturbed(m):
+            pairs = eig_complex(m)
+            lam, v = pairs[3]
+            w = v + 1e-6 * np.roll(v, 1)
+            pairs[3] = (lam, w / np.linalg.norm(w))
+            return pairs
+
+        monkeypatch.setattr(spectral, "eig_complex", perturbed)
+        with pytest.raises(EigenvalueError, match="eigenpair 3"):
+            spectrum(discretize_radial(IMAGH, 0, 15.0, 48))
 
     def test_free_operators_have_no_outliers(self):
         assert spectrum(discretize_radial(None, 0, 10.0, 64)).outlier_indices == ()
@@ -170,20 +188,22 @@ class TestSpectrum:
 
 
 class TestPseudospectrum:
-    def test_normal_case_equals_eigenvalue_distance(self):
+    def test_normal_case_equals_eigenvalue_distance(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 5)
         op = discretize_radial(None, 0, 10.0, 32)
         vals = spectrum(op).eigenvalues
-        field = pseudospectrum(op, (-2.0, 2.0), (-1.0, 1.0), n_re=5, n_im=4)
+        field = pseudospectrum(op, (-2.0, 2.0), (-1.0, 1.0))
         for row in field.to_rows():
             z = row["z_re"] + 1j * row["z_im"]
             dist = np.min(np.abs(vals - z))
             # normal matrix: sigma_min(M - z) is the distance to the spectrum
             assert row["sigma_min"] == pytest.approx(dist, rel=1e-5, abs=1e-10)
 
-    def test_sigma_min_never_exceeds_distance(self):
+    def test_sigma_min_never_exceeds_distance(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 4)
         op = discretize_radial(IMAGH, 0, 10.0, 32)
         vals = spectrum(op).eigenvalues
-        field = pseudospectrum(op, (0.0, 3.0), (-1.0, 0.5), n_re=4, n_im=4)
+        field = pseudospectrum(op, (0.0, 3.0), (-1.0, 0.5))
         for row in field.to_rows():
             z = row["z_re"] + 1j * row["z_im"]
             dist = np.min(np.abs(vals - z))
@@ -191,14 +211,13 @@ class TestPseudospectrum:
 
     def test_grid_shape_and_csv(self):
         op = discretize_radial(None, 0, 8.0, 16)
-        field = pseudospectrum(op, (-1.0, 1.0), (-1.0, 1.0), n_re=3, n_im=5)
-        assert field.sigma_min.shape == (5, 3)
-        assert len(field.to_rows()) == 15
+        field = pseudospectrum(op, (-1.0, 1.0), (-1.0, 2.0))
+        assert field.sigma_min.shape == (40, 40)
+        assert len(field.to_rows()) == 1600
+        assert field.im_values[-1] == 2.0
 
     def test_validation(self):
         op = discretize_radial(None, 0, 8.0, 16)
-        with pytest.raises(SpectralError, match="at least 2"):
-            pseudospectrum(op, (0, 1), (0, 1), n_re=1)
         with pytest.raises(SpectralError, match="increasing"):
             pseudospectrum(op, (1, 0), (0, 1))
 
@@ -231,5 +250,3 @@ class TestSingularSequence:
             singular_sequence_decay(self.PHI, (0, 0, 0), (4,))
         with pytest.raises(SpectralError, match="positive"):
             singular_sequence_decay(self.PHI, (0, 0, 0), (0, 4))
-        with pytest.raises(SpectralError, match="subordination"):
-            singular_sequence_decay(self.PHI, (0, 0, 0), self.NS, a=0.0)
