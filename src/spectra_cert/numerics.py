@@ -1,5 +1,5 @@
-"""Shared numerical substrate: quadrature grids, dense complex linear
-algebra, and scalar root finding.
+"""Shared numerical substrate: quadrature grids, dense and tridiagonal
+complex linear algebra, and scalar root finding.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
 provides Gauss-Legendre rules, plain and composite over panels, the
@@ -7,8 +7,10 @@ provides Gauss-Legendre rules, plain and composite over panels, the
 Gauss box in three dimensions whose points exclude the coordinate origin by
 construction.  The linear algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads both extremal
-singular values off one dense LAPACK SVD.  Root finding is plain bisection
-for strictly increasing scalar functions.
+singular values off one dense LAPACK SVD.  For tridiagonal matrices it also
+takes sigma_min from one LAPACK zgttrf factorization and ARPACK on
+(T^H T)^-1, in O(n) work per product.  Root finding is plain bisection for
+strictly increasing scalar functions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "eig_complex",
     "largest_singular_value",
     "smallest_singular_value",
+    "tridiagonal_smallest_singular_value",
     "solve_linear",
     "find_root_increasing",
     "aitken_extrapolate",
@@ -37,6 +40,9 @@ __all__ = [
 ]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Arnoldi basis size and start-vector seed of the ARPACK sigma_min
+_ARPACK_NCV = 8
+_ARPACK_START_SEED = 0
 
 
 class NumericsError(ValueError):
@@ -228,6 +234,54 @@ def smallest_singular_value(m: np.ndarray) -> float:
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         return 0.0
     return float(s[-1])
+
+
+def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
+    """Smallest singular value of a complex tridiagonal matrix by ARPACK.
+
+    T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
+    T is factored once by LAPACK zgttrf; ARPACK then finds the largest
+    eigenvalue mu of (T^H T)^-1, two zgttrs solves per product, and the
+    result is 1 / sqrt(mu).  The start vector is a fixed seeded draw, so the
+    value depends on T alone.  tol=0 asks ARPACK for machine precision; its
+    Ritz value approaches mu from below, so the result approaches sigma_min
+    from above: a field estimate, not a certified lower bound.
+
+    A shift that is exactly singular (a zero pivot) or singular to working
+    precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises
+    :class:`NumericsError` when ARPACK does not converge.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    d = np.asarray(diag, dtype=np.complex128)
+    e = np.asarray(off, dtype=np.complex128)
+    n = d.shape[0]
+    if e.shape != (n - 1,):
+        raise ValueError(f"off-diagonal needs shape ({n - 1},), got {e.shape}")
+    dl, dd, du, du2, ipiv, info = zgttrf(e, d, e)
+    if info > 0:
+        return 0.0
+
+    def inverse_gram(b: np.ndarray) -> np.ndarray:
+        y, _ = zgttrs(dl, dd, du, du2, ipiv, b, trans="C")
+        x, _ = zgttrs(dl, dd, du, du2, ipiv, y)
+        return x
+
+    start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
+    gram_inv = LinearOperator((n, n), matvec=inverse_gram, dtype=np.complex128)
+    try:
+        mu = eigsh(
+            gram_inv, k=1, which="LM", tol=0, v0=start, ncv=min(n, _ARPACK_NCV),
+            return_eigenvectors=False,
+        )[0]
+    except ArpackError as exc:
+        raise NumericsError(f"ARPACK sigma_min: {exc}") from exc
+    sigma = 1.0 / np.sqrt(mu)
+    fro = np.sqrt(np.sum(np.abs(d) ** 2) + 2.0 * np.sum(np.abs(e) ** 2))
+    if sigma <= n * np.finfo(float).eps * fro:
+        return 0.0
+    return float(sigma)
 
 
 def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ in a fresh interpreter.
 The scripts call the public API the way a user would, so a renamed field or
 function breaks them without breaking any unit test.  Each study runs on a
 small grid and must exit 0.  The import check pins that loading the CLI
-does not pull in ``scipy.linalg``: experiments that never call LAPACK
-(identity-check, magnetic-smoke, singular-sequence) should not pay for it.
+does not pull in ``scipy.linalg`` or ``scipy.sparse.linalg``: experiments
+that never call LAPACK (identity-check, magnetic-smoke, singular-sequence)
+should not pay for it, and only pseudospectra from n = 80 up call ARPACK.
 """
 
 import os
@@ -48,7 +49,11 @@ def test_script_exits_zero(script, args):
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     proc = run_python(
-        ["-c", "import sys, spectra_cert.cli; print('scipy.linalg' in sys.modules)"]
+        [
+            "-c",
+            "import sys, spectra_cert.cli; "
+            "print('scipy.linalg' in sys.modules, 'scipy.sparse.linalg' in sys.modules)",
+        ]
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

@@ -5,18 +5,30 @@ exactly: the modes sin(p pi r / R) give eigenvalues
 (2 - 2 cos(p pi h / R)) / h^2.  That law, the square-well threshold, and
 the exact-scaling Weyl sequence are the oracles; everything else is checked
 through invariants (symmetry, residual bounds, sigma_min vs eigenvalue
-distance) and against dense recomputations from ``op.matrix``.
+distance) and against dense recomputations from ``op.matrix``: zgeev for
+the real-V ``eigh_tridiagonal`` spectra and LAPACK ``svdvals`` for the ARPACK
+sigma_min of the pseudospectra.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from scipy.linalg import svdvals
 
 from spectra_cert import spectral
+from spectra_cert.cli import main
 from spectra_cert.multipliers import TestFunction as Probe
-from spectra_cert.numerics import EigenvalueError, eig_complex
+from spectra_cert.numerics import (
+    EigenvalueError,
+    NumericsError,
+    eig_complex,
+    tridiagonal_smallest_singular_value,
+)
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import (
     SpectralError,
@@ -29,6 +41,8 @@ from spectra_cert.spectral import (
 
 HARDY = catalog("hardy", a=0.5)
 IMAGH = catalog("imaginary_hardy", beta=0.3)
+GAUSS = catalog("gaussian", v0=1.5, c_im=1.25)
+WELL = catalog("square_well", v0=5 * math.pi**2 / 4, r0=1.0)
 
 
 def radial_free_law(radius: float, n: int) -> np.ndarray:
@@ -148,6 +162,40 @@ class TestSpectrum:
         with pytest.raises(EigenvalueError, match="eigenpair 3"):
             spectrum(discretize_radial(IMAGH, 0, 15.0, 48))
 
+    @pytest.mark.parametrize("pot", [None, WELL, HARDY], ids=["free", "square_well", "hardy"])
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_real_v_matches_zgeev(self, pot, ell):
+        op = discretize_radial(pot, ell, 12.0, 128)
+        rep = spectrum(op)
+        dense = np.array([lam for lam, _ in eig_complex(op.matrix)])
+        assert not rep.eigenvalues.imag.any()
+        np.testing.assert_allclose(
+            rep.eigenvalues, dense, rtol=0, atol=1e-12 * rep.matrix_norm
+        )
+
+    def test_real_v_never_calls_zgeev(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("zgeev called for a real diagonal")
+
+        monkeypatch.setattr(spectral, "eig_complex", refuse)
+        for pot in (None, WELL, HARDY):
+            rep = spectrum(discretize_radial(pot, 1, 12.0, 64))
+            assert rep.eigenvalues.size == 64
+
+    def test_perturbed_tridiagonal_eigenvector_is_refused(self, monkeypatch):
+        exact = scipy.linalg.eigh_tridiagonal
+
+        def perturbed(d, e):
+            w, v = exact(d, e)
+            v = v.copy()
+            v[:, 3] += 1e-6 * np.roll(v[:, 3], 1)
+            v[:, 3] /= np.linalg.norm(v[:, 3])
+            return w, v
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        with pytest.raises(EigenvalueError, match="eigenpair 3"):
+            spectrum(discretize_radial(WELL, 0, 15.0, 48))
+
     def test_free_operators_have_no_outliers(self):
         assert spectrum(discretize_radial(None, 0, 10.0, 64)).outlier_indices == ()
 
@@ -220,6 +268,82 @@ class TestPseudospectrum:
         op = discretize_radial(None, 0, 8.0, 16)
         with pytest.raises(SpectralError, match="increasing"):
             pseudospectrum(op, (1, 0), (0, 1))
+
+
+class TestArpackSigmaMin:
+    """The tridiagonal LU + ARPACK sigma_min against the dense SVD."""
+
+    @staticmethod
+    def shifts(op, seed):
+        # 20 seeded points over the pseudospectrum window, 5 of them within
+        # 1e-3 of an eigenvalue
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-2.0, 6.0, 15) + 1j * rng.uniform(-2.0, 2.0, 15)
+        vals = np.linalg.eigvals(op.matrix)
+        near = rng.choice(vals[np.abs(vals) < 10.0], 5, replace=False)
+        near = near + 1e-3 * rng.uniform(0.2, 1.0, 5) * np.exp(2j * math.pi * rng.random(5))
+        return np.concatenate([z, near])
+
+    @pytest.mark.parametrize("pot", [IMAGH, GAUSS, None], ids=["imaginary_hardy", "gaussian", "free"])
+    @pytest.mark.parametrize("n", [96, 128, 256])
+    def test_matches_dense_svd(self, pot, n):
+        op = discretize_radial(pot, 0, 14.0, n)
+        off = np.full(n - 1, -1.0 / op.h**2)
+        m = op.matrix
+        for z in self.shifts(op, n):
+            svals = svdvals(m - z * np.eye(n))
+            got = tridiagonal_smallest_singular_value(op.diag - z, off)
+            # 1e-10 relative, plus the eps * sigma_max the dense oracle itself
+            # is accurate to, which dominates only near an eigenvalue
+            floor = np.finfo(float).eps * svals[0]
+            assert abs(got - svals[-1]) <= 1e-10 * svals[-1] + floor, z
+
+    def test_exact_free_eigenvalue_reads_zero(self):
+        op = discretize_radial(None, 0, 14.0, 96)
+        off = np.full(95, -1.0 / op.h**2)
+        for lam in radial_free_law(14.0, 96)[[0, 4, 39]]:
+            assert tridiagonal_smallest_singular_value(op.diag - lam, off) == 0.0
+
+    def test_no_convergence_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        op = discretize_radial(IMAGH, 0, 14.0, 96)
+        with pytest.raises(NumericsError, match="ARPACK"):
+            tridiagonal_smallest_singular_value(op.diag - 1.0, np.full(95, -1.0 / op.h**2))
+        config = {
+            "experiment": "pseudospectrum",
+            "potential": {"name": "imaginary_hardy", "params": {"beta": 0.3}},
+            "grid_n": 96,
+            "r_max": 14.0,
+            "z_window": [-2.0, 6.0, -2.0, 2.0],
+            "output": {"path": str(tmp_path / "pseudo")},
+        }
+        path = tmp_path / "pseudo.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path)]) == 1
+        assert "ARPACK" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, dense_calls", [(64, 1600), (96, 0)])
+    def test_solver_crossover(self, monkeypatch, n, dense_calls):
+        calls = {"dense": 0, "arpack": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            spectral, "smallest_singular_value", counted("dense", spectral.smallest_singular_value)
+        )
+        monkeypatch.setattr(
+            spectral, "tridiagonal_smallest_singular_value", counted("arpack", lambda d, e: 1.0)
+        )
+        pseudospectrum(discretize_radial(IMAGH, 0, 14.0, n), (-2.0, 6.0), (-2.0, 2.0))
+        assert calls == {"dense": dense_calls, "arpack": 1600 - dense_calls}
 
 
 class TestSingularSequence:
