@@ -7,10 +7,13 @@ provides Gauss-Legendre rules, plain and composite over panels, the
 Gauss box in three dimensions whose points exclude the coordinate origin by
 construction.  The linear algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads both extremal
-singular values off one dense LAPACK SVD.  For tridiagonal matrices it also
-takes sigma_min from one LAPACK zgttrf factorization and ARPACK on
-(T^H T)^-1, in O(n) work per product.  Root finding is plain bisection for
-strictly increasing scalar functions.
+singular values off one dense LAPACK SVD.  A complex-symmetric tridiagonal
+T = X + iY has two sigma_min routines: one LAPACK band eigenvalue of the real
+symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose eigenvalues are
++-sigma_k(T) (O(n^2) band reduction, no iteration), and, for large n, one
+LAPACK zgttrf factorization with ARPACK on (T^H T)^-1 in O(n) work per
+product.  Root finding is plain bisection for strictly increasing scalar
+functions.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "eig_complex",
     "largest_singular_value",
     "smallest_singular_value",
+    "band_smallest_singular_value",
     "tridiagonal_smallest_singular_value",
     "solve_linear",
     "find_root_increasing",
@@ -236,6 +240,52 @@ def smallest_singular_value(m: np.ndarray) -> float:
     return float(s[-1])
 
 
+def band_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
+    """Smallest singular value of a complex tridiagonal matrix with a real
+    off-diagonal, as one LAPACK band eigenvalue.
+
+    T has diagonal ``diag`` (n,) and the real ``off`` (n - 1,) on both
+    off-diagonals, so T = X + iY with X real symmetric tridiagonal and Y
+    diagonal.  The real symmetric embedding [[X, Y], [Y, -X]] has the
+    eigenvalues +-sigma_k(T) (Bunse-Gerstner and Gragg, 1988); perfectly
+    shuffled, it is pentadiagonal of order 2n.  LAPACK dsbevx reduces it to
+    tridiagonal form (dsbtrd) and bisects for eigenvalue n + 1 alone, which is
+    sigma_min.  The value is accurate to about eps * |T| from either side.
+
+    A shift singular to working precision (sigma_min <= n * eps * |T|_F)
+    yields exactly 0.0.  Raises :class:`NumericsError` when LAPACK reports a
+    failure or does not return exactly one eigenvalue.
+    """
+    from scipy.linalg.lapack import dsbevx
+
+    d = np.asarray(diag, dtype=np.complex128)
+    e = np.asarray(off)
+    n = d.shape[0]
+    if e.shape != (n - 1,) or np.iscomplexobj(e):
+        raise ValueError(f"off-diagonal must be real with shape ({n - 1},)")
+    # upper band storage, kd = 2: row 2 the diagonal, row 1 the first
+    # superdiagonal (Y couples 2k and 2k + 1), row 0 the second (X couples
+    # 2k and 2k + 2, -X couples 2k + 1 and 2k + 3)
+    ab = np.zeros((3, 2 * n), order="F")
+    ab[2, 0::2] = d.real
+    ab[2, 1::2] = -d.real
+    ab[1, 1::2] = d.imag
+    ab[0, 2::2] = e
+    ab[0, 3::2] = -e
+    w, _, m, _, info = dsbevx(ab, 0.0, 0.0, n + 1, n + 1, compute_v=0, range=2)
+    if info != 0 or m != 1:
+        raise NumericsError(f"band sigma_min: LAPACK dsbevx info={info}, {m} eigenvalues")
+    sigma = float(w[0])
+    if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
+        return 0.0
+    return sigma
+
+
+def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
+    """|T|_F of the tridiagonal with diagonal d and e on both off-diagonals."""
+    return float(np.sqrt(np.sum(np.abs(d) ** 2) + 2.0 * np.sum(np.abs(e) ** 2)))
+
+
 def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
     """Smallest singular value of a complex tridiagonal matrix by ARPACK.
 
@@ -278,8 +328,7 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     except ArpackError as exc:
         raise NumericsError(f"ARPACK sigma_min: {exc}") from exc
     sigma = 1.0 / np.sqrt(mu)
-    fro = np.sqrt(np.sum(np.abs(d) ** 2) + 2.0 * np.sum(np.abs(e) ** 2))
-    if sigma <= n * np.finfo(float).eps * fro:
+    if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
         return 0.0
     return float(sigma)
 

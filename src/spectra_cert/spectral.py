@@ -21,8 +21,11 @@ The solvers follow the band structure.  A real diagonal (real V) is a real
 symmetric tridiagonal matrix and goes to LAPACK's tridiagonal eigensolver
 (``eigh_tridiagonal``); a complex diagonal goes to the dense zgeev, since
 LAPACK has no complex-symmetric tridiagonal eigensolver.  Pseudospectra take
-sigma_min(M - z) from a dense SVD on small grids and, from n = 80 up, from a
-tridiagonal LU with ARPACK on (T^H T)^-1.
+sigma_min(M - z) below n = 240 from one LAPACK band eigenvalue of the real
+pentadiagonal embedding of M - z, accurate to about eps |M| from either side,
+and from n = 240 up, where the O(n^2) band reduction loses, from a
+tridiagonal LU with ARPACK on (T^H T)^-1, whose value approaches sigma_min
+from above.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import numpy as np
 
 from .numerics import (
     EigenvalueError,
+    NumericsError,
+    band_smallest_singular_value,
     eig_complex,
     fit_loglog_slope,
     smallest_singular_value,
@@ -67,8 +72,10 @@ _EIG_RESIDUAL_TOL = 1e-10
 # points per axis of the pseudospectrum grid
 _PSEUDO_GRID_N = 40
 # from this size up, pseudospectra take sigma_min from the tridiagonal LU and
-# ARPACK; below it the dense SVD is faster (measured crossover near n = 80)
-_ARPACK_MIN_N = 80
+# ARPACK (O(n) per product); below it the band eigenvalue (O(n^2) reduction)
+# is faster.  Measured on a 2-vCPU Xeon with one BLAS thread, band vs ARPACK:
+# 1.21 vs 1.26 ms per point at n = 224, 1.49 vs 1.33 ms at n = 256.
+_ARPACK_MIN_N = 240
 
 
 @dataclass(frozen=True)
@@ -228,11 +235,11 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
         outlier_tol = 10.0 * floor
     if outlier_tol <= 0:
         raise SpectralError("outlier_tol must be positive")
-    m = op.matrix
-    norm = float(np.linalg.norm(m))
     off = -1.0 / op.h**2
+    # |M|_F from the bands: the diagonal and 2 (n - 1) off-diagonal entries
+    norm = float(np.sqrt(np.sum(np.abs(op.diag) ** 2) + 2 * (op.n - 1) * off**2))
     if op.diag.imag.any():
-        pairs = eig_complex(m)
+        pairs = eig_complex(op.matrix)
     else:
         from scipy.linalg import eigh_tridiagonal
 
@@ -303,7 +310,11 @@ def pseudospectrum(
 
     For a self-adjoint discretization sigma_min equals the distance to the
     spectrum; non-normal complex-potential operators can dip far below it.
-    Below n = 80 each point is a dense SVD; from n = 80 up it is
+    Below n = 240 each point is ``band_smallest_singular_value``, accurate to
+    about eps |M - z| from either side, and the map's lowest point is checked
+    against a dense SVD of M - z (under 1 % of the map's time); a
+    disagreement beyond 1e-10 relative plus n eps |M - z|_F raises
+    :class:`NumericsError`.  From n = 240 up each point is
     ``tridiagonal_smallest_singular_value``, whose ARPACK value approaches
     sigma_min from above.  The map is a field estimate, not a pass verdict.
     """
@@ -311,19 +322,20 @@ def pseudospectrum(
         raise SpectralError("pseudospectrum ranges must be increasing intervals")
     res = np.linspace(re_range[0], re_range[1], _PSEUDO_GRID_N)
     ims = np.linspace(im_range[0], im_range[1], _PSEUDO_GRID_N)
-    if op.n < _ARPACK_MIN_N:
-        m, eye = op.matrix, np.eye(op.n)
-
-        def sigma_min(z: complex) -> float:
-            return smallest_singular_value(m - z * eye)
-
-    else:
-        off = np.full(op.n - 1, -1.0 / op.h**2)
-
-        def sigma_min(z: complex) -> float:
-            return tridiagonal_smallest_singular_value(op.diag - z, off)
-
-    sig = np.array([[sigma_min(zr + 1j * zi) for zr in res] for zi in ims])
+    off = np.full(op.n - 1, -1.0 / op.h**2)
+    banded = op.n < _ARPACK_MIN_N
+    sigma_min = band_smallest_singular_value if banded else tridiagonal_smallest_singular_value
+    sig = np.array([[sigma_min(op.diag - (zr + 1j * zi), off) for zr in res] for zi in ims])
+    if banded:
+        i, j = np.unravel_index(np.argmin(sig), sig.shape)
+        shifted = op.matrix - (res[j] + 1j * ims[i]) * np.eye(op.n)
+        dense = smallest_singular_value(shifted)
+        tol = 1e-10 * dense + op.n * np.finfo(float).eps * np.linalg.norm(shifted)
+        if abs(sig[i, j] - dense) > tol:
+            raise NumericsError(
+                f"band sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j "
+                f"misses the dense SVD {dense:.6e}"
+            )
     return PseudospectrumField(res, ims, sig)
 
 

@@ -6,7 +6,7 @@ function breaks them without breaking any unit test.  Each study runs on a
 small grid and must exit 0.  The import check pins that loading the CLI
 does not pull in ``scipy.linalg`` or ``scipy.sparse.linalg``: experiments
 that never call LAPACK (identity-check, magnetic-smoke, singular-sequence)
-should not pay for it, and only pseudospectra from n = 80 up call ARPACK.
+should not pay for it, and only pseudospectra from n = 240 up call ARPACK.
 """
 
 import os

@@ -6,8 +6,8 @@ exactly: the modes sin(p pi r / R) give eigenvalues
 the exact-scaling Weyl sequence are the oracles; everything else is checked
 through invariants (symmetry, residual bounds, sigma_min vs eigenvalue
 distance) and against dense recomputations from ``op.matrix``: zgeev for
-the real-V ``eigh_tridiagonal`` spectra and LAPACK ``svdvals`` for the ARPACK
-sigma_min of the pseudospectra.
+the real-V ``eigh_tridiagonal`` spectra and LAPACK ``svdvals`` for the band
+and ARPACK sigma_min of the pseudospectra.
 """
 
 import dataclasses
@@ -26,6 +26,7 @@ from spectra_cert.multipliers import TestFunction as Probe
 from spectra_cert.numerics import (
     EigenvalueError,
     NumericsError,
+    band_smallest_singular_value,
     eig_complex,
     tridiagonal_smallest_singular_value,
 )
@@ -137,16 +138,24 @@ class TestSpectrum:
         assert np.max(rep.residuals) <= 1e-10 * rep.matrix_norm
 
     def test_banded_residuals_match_dense_products(self):
-        op = discretize_radial(IMAGH, 0, 15.0, 96)
-        rep = spectrum(op, outlier_tol=1e-12)  # every eigenpair rides along
-        m = op.matrix
-        vecs = rep.outlier_vectors
-        assert vecs.shape == (96, 96)
-        dense = np.linalg.norm(m @ vecs - vecs * rep.eigenvalues, axis=0)
-        assert rep.matrix_norm == float(np.linalg.norm(m))
-        np.testing.assert_allclose(
-            rep.residuals, dense, rtol=0, atol=1e-14 * rep.matrix_norm
-        )
+        # complex V (zgeev) and real V (eigh_tridiagonal); |M|_F comes from
+        # the bands, summed in another order than the dense norm.  The real
+        # well covers the whole domain and sinks every eigenvalue below 0,
+        # so every eigenpair is an outlier.
+        sunk = catalog("square_well", v0=200.0, r0=20.0)
+        for pot in (IMAGH, sunk):
+            op = discretize_radial(pot, 0, 15.0, 96)
+            rep = spectrum(op, outlier_tol=1e-12)  # every eigenpair rides along
+            m = op.matrix
+            vecs = rep.outlier_vectors
+            assert vecs.shape == (96, 96)
+            dense = np.linalg.norm(m @ vecs - vecs * rep.eigenvalues, axis=0)
+            assert rep.matrix_norm == pytest.approx(
+                float(np.linalg.norm(m)), rel=4 * np.finfo(float).eps
+            )
+            np.testing.assert_allclose(
+                rep.residuals, dense, rtol=0, atol=1e-14 * rep.matrix_norm
+            )
 
     def test_perturbed_eigenvector_is_refused(self, monkeypatch):
         # spectrum itself checks every pair against 1e-10 |M|_F; a vector
@@ -271,7 +280,10 @@ class TestPseudospectrum:
 
 
 class TestArpackSigmaMin:
-    """The tridiagonal LU + ARPACK sigma_min against the dense SVD."""
+    """The tridiagonal sigma_min routines, band eigenvalue and ARPACK, against
+    the dense SVD."""
+
+    SOLVERS = (band_smallest_singular_value, tridiagonal_smallest_singular_value)
 
     @staticmethod
     def shifts(op, seed):
@@ -285,24 +297,40 @@ class TestArpackSigmaMin:
         return np.concatenate([z, near])
 
     @pytest.mark.parametrize("pot", [IMAGH, GAUSS, None], ids=["imaginary_hardy", "gaussian", "free"])
-    @pytest.mark.parametrize("n", [96, 128, 256])
+    @pytest.mark.parametrize("n", [16, 64, 96, 128, spectral._ARPACK_MIN_N - 1, 256])
     def test_matches_dense_svd(self, pot, n):
         op = discretize_radial(pot, 0, 14.0, n)
         off = np.full(n - 1, -1.0 / op.h**2)
         m = op.matrix
         for z in self.shifts(op, n):
             svals = svdvals(m - z * np.eye(n))
-            got = tridiagonal_smallest_singular_value(op.diag - z, off)
             # 1e-10 relative, plus the eps * sigma_max the dense oracle itself
             # is accurate to, which dominates only near an eigenvalue
             floor = np.finfo(float).eps * svals[0]
-            assert abs(got - svals[-1]) <= 1e-10 * svals[-1] + floor, z
+            for solver in self.SOLVERS:
+                got = solver(op.diag - z, off)
+                assert abs(got - svals[-1]) <= 1e-10 * svals[-1] + floor, (solver, z)
 
     def test_exact_free_eigenvalue_reads_zero(self):
         op = discretize_radial(None, 0, 14.0, 96)
         off = np.full(95, -1.0 / op.h**2)
         for lam in radial_free_law(14.0, 96)[[0, 4, 39]]:
-            assert tridiagonal_smallest_singular_value(op.diag - lam, off) == 0.0
+            for solver in self.SOLVERS:
+                assert solver(op.diag - lam, off) == 0.0, solver
+
+    @staticmethod
+    def pseudo_config(tmp_path, n):
+        config = {
+            "experiment": "pseudospectrum",
+            "potential": {"name": "imaginary_hardy", "params": {"beta": 0.3}},
+            "grid_n": n,
+            "r_max": 14.0,
+            "z_window": [-2.0, 6.0, -2.0, 2.0],
+            "output": {"path": str(tmp_path / "pseudo")},
+        }
+        path = tmp_path / "pseudo.json"
+        path.write_text(json.dumps(config))
+        return str(path)
 
     def test_no_convergence_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
         def stalled(*args, **kwargs):
@@ -312,38 +340,57 @@ class TestArpackSigmaMin:
         op = discretize_radial(IMAGH, 0, 14.0, 96)
         with pytest.raises(NumericsError, match="ARPACK"):
             tridiagonal_smallest_singular_value(op.diag - 1.0, np.full(95, -1.0 / op.h**2))
-        config = {
-            "experiment": "pseudospectrum",
-            "potential": {"name": "imaginary_hardy", "params": {"beta": 0.3}},
-            "grid_n": 96,
-            "r_max": 14.0,
-            "z_window": [-2.0, 6.0, -2.0, 2.0],
-            "output": {"path": str(tmp_path / "pseudo")},
-        }
-        path = tmp_path / "pseudo.json"
-        path.write_text(json.dumps(config))
-        assert main(["run", str(path)]) == 1
+        # the CLI map reaches ARPACK only from the crossover up
+        assert main(["run", self.pseudo_config(tmp_path, spectral._ARPACK_MIN_N)]) == 1
         assert "ARPACK" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n, dense_calls", [(64, 1600), (96, 0)])
-    def test_solver_crossover(self, monkeypatch, n, dense_calls):
-        calls = {"dense": 0, "arpack": 0}
+    def test_band_lapack_failure_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failed(ab, *args, **kwargs):
+            # dsbevx returns (w, z, m, ifail, info); info > 0: bisection failed
+            return np.zeros(ab.shape[1]), np.zeros((1, 1)), 0, np.zeros(1, np.int32), 1
 
-        def counted(name, fn):
+        monkeypatch.setattr(scipy.linalg.lapack, "dsbevx", failed)
+        op = discretize_radial(IMAGH, 0, 14.0, 64)
+        with pytest.raises(NumericsError, match="dsbevx info=1"):
+            band_smallest_singular_value(op.diag - 1.0, np.full(63, -1.0 / op.h**2))
+        assert main(["run", self.pseudo_config(tmp_path, 64)]) == 1
+        assert "dsbevx" in capsys.readouterr().err
+
+    def test_band_value_off_the_dense_svd_is_refused(self, monkeypatch):
+        # the map's lowest point is checked against the dense SVD
+        monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 3)
+        monkeypatch.setattr(
+            spectral, "band_smallest_singular_value",
+            lambda d, e: (1 + 1e-8) * band_smallest_singular_value(d, e),
+        )
+        with pytest.raises(NumericsError, match="misses the dense SVD"):
+            pseudospectrum(discretize_radial(IMAGH, 0, 14.0, 64), (-2.0, 6.0), (-2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "n, route",
+        [(64, "band"), (spectral._ARPACK_MIN_N - 1, "band"), (spectral._ARPACK_MIN_N, "arpack")],
+    )
+    def test_solver_crossover(self, monkeypatch, n, route):
+        calls = {"dense": 0, "band": 0, "arpack": 0}
+
+        def counted(name):
             def wrapper(*args):
                 calls[name] += 1
-                return fn(*args)
+                return 1.0
 
             return wrapper
 
-        monkeypatch.setattr(
-            spectral, "smallest_singular_value", counted("dense", spectral.smallest_singular_value)
-        )
-        monkeypatch.setattr(
-            spectral, "tridiagonal_smallest_singular_value", counted("arpack", lambda d, e: 1.0)
-        )
+        for name, attr in (
+            ("dense", "smallest_singular_value"),
+            ("band", "band_smallest_singular_value"),
+            ("arpack", "tridiagonal_smallest_singular_value"),
+        ):
+            monkeypatch.setattr(spectral, attr, counted(name))
         pseudospectrum(discretize_radial(IMAGH, 0, 14.0, n), (-2.0, 6.0), (-2.0, 2.0))
-        assert calls == {"dense": dense_calls, "arpack": 1600 - dense_calls}
+        # below the crossover one dense SVD checks the map's lowest point
+        expect = {"dense": int(route == "band"), "band": 0, "arpack": 0}
+        expect[route] = 1600
+        assert calls == expect
 
 
 class TestSingularSequence:
