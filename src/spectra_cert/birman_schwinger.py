@@ -515,8 +515,9 @@ def _ball_integral_abs(potential: Potential, radius: float) -> float:
     """int_{|x| < radius} |V| = 4 pi int_0^radius |V(r)| r^2 dr."""
     if potential.origin_singularity_order >= 3.0:
         raise BSError("|V| is not integrable on the ball")
-    edges = [0.0] + [radius * 2.0 ** (-k) for k in range(24, 0, -1)] + [radius]
-    nodes, weights = panel_gauss(edges, 16)
+    edges = {0.0, radius} | {radius * 2.0 ** (-k) for k in range(1, 25)}
+    edges |= {j for j in potential.jumps if 0.0 < j < radius}
+    nodes, weights = panel_gauss(sorted(edges), 16)
     vals = potential.abs_radial(nodes) * nodes**2
     return 4.0 * np.pi * float(np.dot(weights, vals))
 

@@ -27,6 +27,10 @@ Experiment notes:
     block additionally requests the radial-key term table, which needs
     Re lambda > 0 as well.
   * only ``check-conditions`` runs at a dimension other than 3.
+  * ``grid_n``, ``r_max`` and ``ell_max`` are read by bs-norm, hs-identity
+    and spectrum, ``outlier_tol`` by spectrum alone, and pseudospectrum
+    reads ``grid_n`` and ``r_max``; any of them given to an experiment that
+    does not read it is a config error.
   * ``singular-sequence`` reads ``lambda`` as the real spectral point
     |k|^2 >= 0 being witnessed.
   * ``magnetic-smoke`` reads the potential block as a *magnetic* catalog
@@ -132,6 +136,13 @@ _CSV_CAPABLE = frozenset(
 _NEEDS_POTENTIAL = frozenset(
     {"check-conditions", "bs-norm", "hs-identity", "magnetic-smoke"}
 )
+# the grid keys each experiment reads; the other experiments read none
+_GRID_KEYS = {
+    "bs-norm": ("grid_n", "r_max", "ell_max"),
+    "hs-identity": ("grid_n", "r_max", "ell_max"),
+    "spectrum": ("grid_n", "r_max", "ell_max", "outlier_tol"),
+    "pseudospectrum": ("grid_n", "r_max"),
+}
 
 # probes used by the probe-based experiments; fixed so runs are reproducible
 _PROBE_SUPPORT = 2.5
@@ -295,6 +306,11 @@ def parse_config(text: str) -> ExperimentConfig:
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
 
+    unread = {"grid_n", "r_max", "ell_max", "outlier_tol"} & set(raw)
+    unread -= set(_GRID_KEYS.get(experiment, ()))
+    if unread:
+        raise ConfigError(f"{experiment} does not read {sorted(unread)[0]!r}")
+
     dimension = _want_int(raw.get("dimension", 3), "dimension")
     if dimension < 3:
         raise ConfigError("dimension must be an integer >= 3")
@@ -427,21 +443,19 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
     doc: dict = {
         "experiment": config.experiment,
         "dimension": config.dimension,
-        "grid_n": config.grid_n,
-        "r_max": config.r_max,
-        "ell_max": config.ell_max,
         "output": {
             "path": config.output.path,
             "formats": list(config.output.formats),
         },
     }
+    for key in _GRID_KEYS.get(config.experiment, ()):
+        if getattr(config, key) is not None:
+            doc[key] = getattr(config, key)
     if config.potential is not None:
         doc["potential"] = {
             "name": config.potential.name,
             "params": {k: config.potential.params[k] for k in sorted(config.potential.params)},
         }
-    if config.outlier_tol is not None:
-        doc["outlier_tol"] = config.outlier_tol
     if config.z_list is not None:
         doc["z_list"] = [[z.real, z.imag] for z in config.z_list]
     if config.z_window is not None:

@@ -564,6 +564,16 @@ class TestMepsHSCheck:
             assert math.isfinite(r.hs_direct)
             assert r.rel_gap <= 1e-2
 
+    @pytest.mark.parametrize(
+        "v0, r0, radius", [(2.0, 1.3, 2.0), (1.0, 0.7, 1.0), (3.0, 1.55, 2.0), (2.0, 2.5, 1.0)]
+    )
+    def test_square_well_ball_integral_closed_form(self, v0, r0, radius):
+        # panels that straddled the jump at r0 missed this by 1-9 %
+        value = bs._ball_integral_abs(catalog("square_well", v0=v0, r0=r0), radius)
+        assert value == pytest.approx(
+            4.0 * math.pi * v0 * min(r0, radius) ** 3 / 3.0, rel=1e-12
+        )
+
     def test_zero_eps_rejected(self):
         with pytest.raises(BSError):
             m_eps_hs_check(gaussian(), 2.0, 0.0, [0.0])

@@ -35,6 +35,15 @@ from spectra_cert.numerics import EigenvalueError
 
 SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
+# the grid keys each experiment reads; every other experiment reads none
+GRID_KEYS_READ = {
+    "bs-norm": {"grid_n", "r_max", "ell_max"},
+    "hs-identity": {"grid_n", "r_max", "ell_max"},
+    "spectrum": {"grid_n", "r_max", "ell_max", "outlier_tol"},
+    "pseudospectrum": {"grid_n", "r_max"},
+}
+GRID_KEY_VALUES = {"grid_n": 9999, "r_max": 10.0, "ell_max": 2, "outlier_tol": 0.5}
+
 
 def make(experiment: str, **extra) -> str:
     """A minimal valid raw config for the experiment, as JSON text."""
@@ -74,7 +83,7 @@ class TestParseConfig:
     def test_round_trip_through_serialization(self):
         texts = [
             make("bs-norm", z_list=[[-10.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
-            make("pseudospectrum", grid_n=64, outlier_tol=0.5),
+            make("pseudospectrum", grid_n=64),
             make("identity-check", output={"path": "x/y", "formats": ["csv", "json"]}),
             make("singular-sequence", n_list=[2, 4, 8, 16]),
             make("spectrum", potential={"name": "hardy", "params": {"a": 0.5}}),
@@ -231,12 +240,12 @@ class TestParseConfig:
         formats = ["json", "csv"] if fmt_csv else ["json"]
         if exp not in ("spectrum", "pseudospectrum", "identity-check", "singular-sequence"):
             formats = ["json"]
+        grid = {"grid_n": grid_n, "r_max": r_max, "ell_max": ell_max}
+        read = GRID_KEYS_READ.get(exp, set())
         text = make(
             exp,
-            grid_n=grid_n,
-            r_max=r_max,
-            ell_max=ell_max,
             output={"path": "p", "formats": formats},
+            **{k: v for k, v in grid.items() if k in read},
         )
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -459,10 +468,15 @@ class TestMainExitCodes:
         assert manifest["outputs"][0]["path"].endswith("r.json")
 
     def test_validate_prints_canonical_form(self, tmp_path, capsys):
-        path = self.write(tmp_path, make("check-conditions"))
+        path = self.write(tmp_path, make("spectrum"))
         assert main(["validate", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["grid_n"] == 256
+        # only the keys the experiment reads are echoed
+        path = self.write(tmp_path, make("check-conditions"))
+        assert main(["validate", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not set(GRID_KEY_VALUES) & set(doc)
 
     def test_config_error_is_2(self, tmp_path, capsys):
         path = self.write(tmp_path, make("bs-norm", dimension=4))
@@ -512,7 +526,7 @@ class TestMainExitCodes:
         assert "exceeds" in capsys.readouterr().err
 
     def test_set_overrides(self, tmp_path, capsys):
-        path = self.write(tmp_path, make("check-conditions"))
+        path = self.write(tmp_path, make("bs-norm"))
         assert (
             main(["validate", path, "--set", "potential.params.v0=2.5", "--set", "grid_n=512"])
             == 0
@@ -520,6 +534,26 @@ class TestMainExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["potential"]["params"]["v0"] == 2.5
         assert doc["grid_n"] == 512
+
+    @pytest.mark.parametrize("config_path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+    def test_unread_grid_key_is_2(self, tmp_path, capsys, config_path):
+        # e.g. --set grid_n=9999 on check-conditions, which reads no grid
+        experiment = json.loads(config_path.read_text())["experiment"]
+        unread = sorted(set(GRID_KEY_VALUES) - GRID_KEYS_READ.get(experiment, set()))
+        for key in unread:
+            code = main(
+                [
+                    "run",
+                    str(config_path),
+                    "--set",
+                    f"output.path={tmp_path / config_path.stem}",
+                    "--set",
+                    f"{key}={GRID_KEY_VALUES[key]}",
+                ]
+            )
+            assert code == 2, key
+            assert f"does not read {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_set_is_2(self, tmp_path, capsys):
         path = self.write(tmp_path, make("check-conditions"))
