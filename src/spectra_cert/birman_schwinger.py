@@ -52,7 +52,6 @@ from .numerics import (
     NumericsError,
     RadialGrid,
     fit_loglog_slope,
-    gauss_legendre,
     largest_singular_value,
     panel_gauss,
     smallest_singular_value,
@@ -86,9 +85,9 @@ _BESSEL_ELL_MAX = 128
 _GRID_PANEL_NODES = 10
 # default_bs_grid: panels shrink toward the origin by sqrt(10), two per decade
 _GRID_PANEL_RATIO = 10.0**0.5
-# resolution of m_eps_hs_check: inner Gauss nodes on [0, omega_radius] and
-# sectors; _SLOPE_TOL bounds the fitted log-log slopes there and in
-# kappa_scaling
+# resolution of m_eps_hs_check: inner Gauss nodes per panel of
+# [0, omega_radius] and sectors; _SLOPE_TOL bounds the fitted log-log
+# slopes there and in kappa_scaling
 _MEPS_GRID_N = 60
 _MEPS_ELL_MAX = 24
 _SLOPE_TOL = 0.05
@@ -537,7 +536,8 @@ def m_eps_hs_check(
     with kappa = Re sqrt(-(lam + i eps)).  The direct route assembles the
     partial-wave Nystroem matrices of the kernel (rows cut off at
     omega_radius, columns extended to cover the exp(-kappa s) range; 60
-    Gauss nodes inside, sectors l <= 24) and sums multiplicity-weighted
+    Gauss nodes per panel inside, panels split at the jumps of V, sectors
+    l <= 24) and sums multiplicity-weighted
     Frobenius norms with the sector tail estimate.  Also enforces that
     eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
     within 0.05).
@@ -545,6 +545,9 @@ def m_eps_hs_check(
     if omega_radius <= 0:
         raise BSError("omega_radius must be positive")
     integral = _ball_integral_abs(potential, omega_radius)
+    # Omega's panels end at the jumps of V, as _ball_integral_abs's do
+    edges = {0.0, omega_radius} | {j for j in potential.jumps if 0.0 < j < omega_radius}
+    inner, w_inner = panel_gauss(sorted(edges), _MEPS_GRID_N)
     records: list[MepsRecord] = []
     for eps in eps_list:
         if eps == 0.0:
@@ -554,7 +557,6 @@ def m_eps_hs_check(
         hs_formula = math.sqrt(integral / (8.0 * np.pi * kappa))
 
         reach = min(omega_radius + 14.0 / max(kappa, 1e-12), omega_radius * 400.0)
-        inner, w_inner = gauss_legendre(_MEPS_GRID_N, 0.0, omega_radius)
         n_outer = max(_MEPS_GRID_N, int(24 * math.log10(max(reach / omega_radius, 10.0))))
         outer_edges = np.geomspace(omega_radius, reach, max(4, n_outer // 12 + 1))
         outer, w_outer = panel_gauss(list(outer_edges), 12)

@@ -18,6 +18,10 @@ library import; in an interpreter that already imported numpy the cap has
 no effect.
 
 Experiment notes:
+  * ``_EXPERIMENTS`` is the whole config schema: per experiment, the keys
+    it reads besides ``experiment``, ``dimension`` and ``output``, the keys
+    among those it needs, and its CSV columns.  Any other key is a config
+    error, and only the keys an experiment reads are echoed.
   * ``spectrum`` scans the radial sectors ell = 0 .. ell_max on one grid
     and concatenates their rows in the CSV output.
   * ``pseudospectrum`` resolves the ell = 0 sector operator.
@@ -27,12 +31,9 @@ Experiment notes:
     block additionally requests the radial-key term table, which needs
     Re lambda > 0 as well.
   * only ``check-conditions`` runs at a dimension other than 3.
-  * ``grid_n``, ``r_max`` and ``ell_max`` are read by bs-norm, hs-identity
-    and spectrum, ``outlier_tol`` by spectrum alone, and pseudospectrum
-    reads ``grid_n`` and ``r_max``; any of them given to an experiment that
-    does not read it is a config error.
   * ``singular-sequence`` reads ``lambda`` as the real spectral point
-    |k|^2 >= 0 being witnessed.
+    |k|^2 >= 0 being witnessed, and no potential: its form term is the
+    subordination bound itself.
   * ``magnetic-smoke`` reads the potential block as a *magnetic* catalog
     name (the vector potential under study); the box resolution is fixed.
 """
@@ -92,13 +93,7 @@ from .multipliers import (
     magnetic_identity_smoke,
     radi_identity_terms,
 )
-from .potentials import (
-    PotentialError,
-    catalog,
-    catalog_names,
-    magnetic_catalog,
-    magnetic_catalog_names,
-)
+from .potentials import PotentialError, catalog, magnetic_catalog
 from .spectral import (
     discretize_radial,
     pseudospectrum,
@@ -119,30 +114,8 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = (
-    "check-conditions",
-    "bs-norm",
-    "hs-identity",
-    "spectrum",
-    "pseudospectrum",
-    "identity-check",
-    "singular-sequence",
-    "magnetic-smoke",
-)
-
-_CSV_CAPABLE = frozenset(
-    {"spectrum", "pseudospectrum", "identity-check", "singular-sequence"}
-)
-_NEEDS_POTENTIAL = frozenset(
-    {"check-conditions", "bs-norm", "hs-identity", "magnetic-smoke"}
-)
-# the grid keys each experiment reads; the other experiments read none
-_GRID_KEYS = {
-    "bs-norm": ("grid_n", "r_max", "ell_max"),
-    "hs-identity": ("grid_n", "r_max", "ell_max"),
-    "spectrum": ("grid_n", "r_max", "ell_max", "outlier_tol"),
-    "pseudospectrum": ("grid_n", "r_max"),
-}
+# the keys every experiment reads; _EXPERIMENTS lists the rest per experiment
+_COMMON_KEYS = frozenset({"experiment", "dimension", "output"})
 
 # probes used by the probe-based experiments; fixed so runs are reproducible
 _PROBE_SUPPORT = 2.5
@@ -217,6 +190,9 @@ class RunManifest:
 def _want_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number")
+    # json reads NaN and Infinity, and integers past the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{field} must be finite")
     return float(value)
 
 
@@ -227,15 +203,10 @@ def _want_int(value, field: str) -> int:
 
 
 def _parse_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{field} entries must be numbers or [re, im] pairs")
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+        raise ConfigError(f"{field} entries must be numbers or [re, im] pairs")
+    return complex(_want_number(pair[0], field), _want_number(pair[1], field))
 
 
 def _parse_potential(raw, dimension: int, experiment: str) -> PotentialSpec:
@@ -270,46 +241,35 @@ def _build_potential(spec: PotentialSpec, dimension: int, experiment: str):
     return catalog(spec.name, dimension=dimension, **spec.params)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document and fill defaults.
-
-    Every error message names the offending field.
-    """
+def _decode(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
 
-    known = {
-        "experiment",
-        "potential",
-        "dimension",
-        "grid_n",
-        "r_max",
-        "ell_max",
-        "outlier_tol",
-        "z_list",
-        "z_window",
-        "lambda",
-        "n_list",
-        "output",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
 
+def parse_config(doc: str | dict) -> ExperimentConfig:
+    """Validate a config document and fill defaults.
+
+    ``doc`` is the JSON text or the object it decodes to.  Every error
+    message names the offending field.
+    """
+    raw = _decode(doc) if isinstance(doc, str) else doc
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
-
-    unread = {"grid_n", "r_max", "ell_max", "outlier_tol"} & set(raw)
-    unread -= set(_GRID_KEYS.get(experiment, ()))
+    schema = _EXPERIMENTS[experiment]
+    unread = set(raw) - _COMMON_KEYS - set(schema.reads)
     if unread:
         raise ConfigError(f"{experiment} does not read {sorted(unread)[0]!r}")
+    for key in schema.needs:
+        if key not in raw:
+            raise ConfigError(f"{experiment} needs {key}")
 
     dimension = _want_int(raw.get("dimension", 3), "dimension")
     if dimension < 3:
@@ -335,14 +295,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     potential = None
     if "potential" in raw:
-        if experiment == "singular-sequence":
-            raise ConfigError(
-                "singular-sequence does not take a potential; its form term"
-                " is the subordination bound itself"
-            )
         potential = _parse_potential(raw["potential"], dimension, experiment)
-    elif experiment in _NEEDS_POTENTIAL:
-        raise ConfigError(f"{experiment} needs a potential")
 
     z_list = None
     if "z_list" in raw:
@@ -355,39 +308,32 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     "z_list contains a point on the open positive real axis"
                 )
-    elif experiment == "bs-norm":
-        raise ConfigError("bs-norm needs z_list")
 
     z_window = None
     if "z_window" in raw:
         win = raw["z_window"]
         if not isinstance(win, list) or len(win) != 4:
             raise ConfigError("z_window must be [re_min, re_max, im_min, im_max]")
-        vals = tuple(_want_number(v, "z_window") for v in win)
-        if vals[0] >= vals[1] or vals[2] >= vals[3]:
+        z_window = tuple(_want_number(v, "z_window") for v in win)
+        if z_window[0] >= z_window[1] or z_window[2] >= z_window[3]:
             raise ConfigError("z_window intervals must be increasing")
-        z_window = vals
-    elif experiment == "pseudospectrum":
-        raise ConfigError("pseudospectrum needs z_window")
 
+    # every experiment that reads lambda needs it
     lam = None
     if "lambda" in raw:
         lam = _parse_complex(raw["lambda"], "lambda")
-    elif experiment in ("identity-check", "singular-sequence", "magnetic-smoke"):
-        raise ConfigError(f"{experiment} needs lambda")
-    if experiment == "singular-sequence" and lam is not None:
-        if lam.imag != 0.0 or lam.real < 0.0:
+        if experiment == "singular-sequence" and (lam.imag != 0.0 or lam.real < 0.0):
             raise ConfigError(
                 "singular-sequence needs a real lambda >= 0 (the witnessed"
                 " spectral point |k|^2)"
             )
-    if experiment == "magnetic-smoke" and lam is not None and not lam.real > 0:
-        raise ConfigError("magnetic-smoke needs Re lambda > 0")
-    if experiment == "identity-check" and potential is not None and not lam.real > 0:
-        raise ConfigError(
-            "identity-check with a potential needs Re lambda > 0 (the radial-key"
-            " table is not defined elsewhere)"
-        )
+        if experiment == "magnetic-smoke" and not lam.real > 0:
+            raise ConfigError("magnetic-smoke needs Re lambda > 0")
+        if experiment == "identity-check" and potential is not None and not lam.real > 0:
+            raise ConfigError(
+                "identity-check with a potential needs Re lambda > 0 (the radial-key"
+                " table is not defined elsewhere)"
+            )
 
     n_list = None
     if "n_list" in raw:
@@ -399,8 +345,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("n_list scales must be positive integers")
         if any(a >= b for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("n_list scales must be strictly increasing")
-    elif experiment == "singular-sequence":
-        raise ConfigError("singular-sequence needs n_list")
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -420,7 +364,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown output format {fmt!r}")
         if fmt not in formats:
             formats.append(fmt)
-    if "csv" in formats and experiment not in _CSV_CAPABLE:
+    if "csv" in formats and schema.csv_columns is None:
         raise ConfigError(f"{experiment} writes json only (csv requested)")
 
     return ExperimentConfig(
@@ -448,22 +392,20 @@ def _config_to_dict(config: ExperimentConfig) -> dict:
             "formats": list(config.output.formats),
         },
     }
-    for key in _GRID_KEYS.get(config.experiment, ()):
-        if getattr(config, key) is not None:
-            doc[key] = getattr(config, key)
-    if config.potential is not None:
-        doc["potential"] = {
-            "name": config.potential.name,
-            "params": {k: config.potential.params[k] for k in sorted(config.potential.params)},
-        }
-    if config.z_list is not None:
-        doc["z_list"] = [[z.real, z.imag] for z in config.z_list]
-    if config.z_window is not None:
-        doc["z_window"] = list(config.z_window)
-    if config.lam is not None:
-        doc["lambda"] = [config.lam.real, config.lam.imag]
-    if config.n_list is not None:
-        doc["n_list"] = list(config.n_list)
+    for key in _EXPERIMENTS[config.experiment].reads:
+        value = getattr(config, "lam" if key == "lambda" else key)
+        if value is None:
+            continue
+        if key == "potential":
+            params = {k: value.params[k] for k in sorted(value.params)}
+            value = {"name": value.name, "params": params}
+        elif key == "z_list":
+            value = [[z.real, z.imag] for z in value]
+        elif key == "lambda":
+            value = [value.real, value.imag]
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[key] = value
     return doc
 
 
@@ -558,7 +500,7 @@ def _run_spectrum(config, stages):
         )
         all_rows.extend(rows)
     payload = {"sectors": sectors}
-    return payload, (("re", "im", "residual", "is_outlier"), all_rows)
+    return payload, all_rows
 
 
 def _run_pseudospectrum(config, stages):
@@ -579,7 +521,7 @@ def _run_pseudospectrum(config, stages):
         "im_values": [float(v) for v in field.im_values],
         "sigma_min": [[float(v) for v in row] for row in field.sigma_min],
     }
-    return payload, (("z_re", "z_im", "sigma_min"), field.to_rows())
+    return payload, field.to_rows()
 
 
 def _run_identity_check(config, stages):
@@ -601,8 +543,7 @@ def _run_identity_check(config, stages):
         "lambda": [config.lam.real, config.lam.imag],
         "rows": rows,
     }
-    fieldnames = ("identity_id", "term_name", "value_re", "value_im", "residual")
-    return payload, (fieldnames, rows)
+    return payload, rows
 
 
 def _run_singular_sequence(config, stages):
@@ -624,8 +565,7 @@ def _run_singular_sequence(config, stages):
         "residual_slope": report.residual_slope,
         "form_slope": report.form_slope,
     }
-    fieldnames = ("n", "equation_residual", "form_term")
-    return payload, (fieldnames, report.to_rows())
+    return payload, report.to_rows()
 
 
 def _run_magnetic_smoke(config, stages):
@@ -634,7 +574,7 @@ def _run_magnetic_smoke(config, stages):
     report = _stage(
         stages,
         "multipliers.magnetic_identity_smoke",
-        lambda: magnetic_identity_smoke(probe, config.lam, None, a_field),
+        lambda: magnetic_identity_smoke(probe, config.lam, a_field),
     )
     payload = {
         "field": config.potential.name,
@@ -647,16 +587,57 @@ def _run_magnetic_smoke(config, stages):
     return payload, None
 
 
-_RUNNERS = {
-    "check-conditions": _run_check_conditions,
-    "bs-norm": _run_bs_norm,
-    "hs-identity": _run_hs_identity,
-    "spectrum": _run_spectrum,
-    "pseudospectrum": _run_pseudospectrum,
-    "identity-check": _run_identity_check,
-    "singular-sequence": _run_singular_sequence,
-    "magnetic-smoke": _run_magnetic_smoke,
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its runner and its whole config schema."""
+
+    # (config, stages) -> (report payload, CSV rows or None)
+    runner: Callable
+    # config keys read besides _COMMON_KEYS, and those among them it needs
+    reads: tuple[str, ...]
+    needs: tuple[str, ...] = ()
+    csv_columns: Optional[tuple[str, ...]] = None
+
+
+_GRID = ("grid_n", "r_max", "ell_max")
+_EXPERIMENTS = {
+    "check-conditions": _Experiment(
+        _run_check_conditions, ("potential",), ("potential",)
+    ),
+    "bs-norm": _Experiment(
+        _run_bs_norm, ("potential", *_GRID, "z_list"), ("potential", "z_list")
+    ),
+    "hs-identity": _Experiment(
+        _run_hs_identity, ("potential", *_GRID), ("potential",)
+    ),
+    "spectrum": _Experiment(
+        _run_spectrum,
+        ("potential", *_GRID, "outlier_tol"),
+        csv_columns=("re", "im", "residual", "is_outlier"),
+    ),
+    "pseudospectrum": _Experiment(
+        _run_pseudospectrum,
+        ("potential", "grid_n", "r_max", "z_window"),
+        ("z_window",),
+        ("z_re", "z_im", "sigma_min"),
+    ),
+    "identity-check": _Experiment(
+        _run_identity_check,
+        ("potential", "lambda"),
+        ("lambda",),
+        ("identity_id", "term_name", "value_re", "value_im", "residual"),
+    ),
+    "singular-sequence": _Experiment(
+        _run_singular_sequence,
+        ("lambda", "n_list"),
+        ("lambda", "n_list"),
+        ("n", "equation_residual", "form_term"),
+    ),
+    "magnetic-smoke": _Experiment(
+        _run_magnetic_smoke, ("potential", "lambda"), ("potential", "lambda")
+    ),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -692,8 +673,11 @@ def _atomic_write(path: Path, data: bytes) -> str:
 
 def run(config: ExperimentConfig) -> RunManifest:
     """Dispatch one experiment, write its outputs and the manifest."""
+    schema = _EXPERIMENTS[config.experiment]
+    if "csv" in config.output.formats and schema.csv_columns is None:
+        raise RunFailure(f"{config.experiment} has no csv table")
     stages: list[tuple[str, float]] = []
-    payload, csv_spec = _RUNNERS[config.experiment](config, stages)
+    payload, rows = schema.runner(config, stages)
 
     outputs: list[tuple[str, str]] = []
     base = config.output.path
@@ -703,10 +687,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             if fmt == "json":
                 data = _json_bytes(payload)
             else:
-                if csv_spec is None:
-                    raise RunFailure(f"{config.experiment} produced no csv table")
-                fieldnames, rows = csv_spec
-                data = _csv_bytes(fieldnames, rows)
+                data = _csv_bytes(schema.csv_columns, rows)
             digest = _atomic_write(target, data)
             outputs.append((str(target), digest))
     except (ValueError, OSError) as exc:
@@ -755,17 +736,10 @@ def _read_config(path: str, overrides: Sequence[str]) -> ExperimentConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if overrides:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        for item in overrides:
-            _apply_override(raw, item)
-        text = json.dumps(raw)
-    return parse_config(text)
+    raw = _decode(text)
+    for item in overrides:
+        _apply_override(raw, item)
+    return parse_config(raw)
 
 
 def _cmd_run(args) -> int:

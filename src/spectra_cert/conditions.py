@@ -54,9 +54,6 @@ __all__ = [
     "SOBOLEV_CHAIN_CONSTANT",
 ]
 
-# the L^{3/2} threshold of the Frank condition; no verdict reads it, the
-# report carries frank_l32 itself
-FRANK_THRESHOLD = 3.0**1.5 / (4.0 * np.pi**2)
 SOBOLEV_CHAIN_CONSTANT = 2.0 ** (4.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0))
 
 
@@ -252,7 +249,8 @@ def rollnik_norm(potential: Potential) -> float:
 def frank_l32(potential: Potential) -> float:
     """int |V|^{3/2} (d = 3), +inf when |V|^{3/2} is not integrable.
 
-    The L^{3/2} condition compares it with FRANK_THRESHOLD = 3^{3/2} / (4 pi^2).
+    The L^{3/2} condition compares it with 3^{3/2} / (4 pi^2); no verdict
+    does, the report carries the value itself.
     """
     if potential.dimension != 3:
         raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")

@@ -824,10 +824,9 @@ class MagneticSmokeReport:
 def magnetic_identity_smoke(
     u: TestFunction,
     lam: complex,
-    potential: Optional[Potential],
     a_field: MagneticPotential,
 ) -> MagneticSmokeReport:
-    """Structural checks for the magnetic operator -Delta_A + V.
+    """Structural checks for the magnetic operator -Delta_A.
 
     Tangentiality: since B is antisymmetric, B_tau . x = 0, so the gauge
     factor adds nothing to B_tau . grad_A u; the report carries the sup of
@@ -835,8 +834,8 @@ def magnetic_identity_smoke(
     B_tau . grad_A u^- - e^(-i sgn(l2) sqrt(l1) |x|) B_tau . grad_A u over
     100 seeded sample points (seed 0) in the shell 0.2 R <= |x| <= 0.95 R
     of the probe support.  The G1 = 1 identity
-    l1 ||u||^2 - int |grad_A u|^2 - Re int V |u|^2 = Re int f conj(u) with
-    f := Delta_A u + lam u - V u is integrated on the fixed 48^3 tensor
+    l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u) with
+    f := Delta_A u + lam u is integrated on the fixed 48^3 tensor
     Gauss box over [-R, R]^3; the |A|^2 and A . grad u terms cancel between
     the two sides node by node, so the residual is pure
     Laplacian-vs-gradient quadrature error.  The field is evaluated on the
@@ -883,30 +882,21 @@ def magnetic_identity_smoke(
     pts, ww = box_grid(_MAGNETIC_N_AXIS, radius)
     r_all = np.linalg.norm(pts, axis=1)
     keep = (r_all < radius) & (r_all > 0)
-    pts, ww, r_all = pts[keep], ww[keep], r_all[keep]
+    pts, ww = pts[keep], ww[keep]
 
     vals = u.value_points(pts)
     grads = u.grad_points(pts)
     laps = u.laplacian_points(pts)
     a_vals = a_field.vector_potential(pts)
-    v_vals = (
-        potential.radial_profile(r_all)
-        if potential is not None
-        else np.zeros(len(pts), dtype=complex)
-    )
 
     grad_a_sq = np.sum(
         np.abs(grads + 1j * a_vals * vals[:, None]) ** 2, axis=1
     )
     # Delta_A u = Delta u + 2i A . grad u - |A|^2 u for divergence-free A
     lap_a = laps + 2j * np.sum(a_vals * grads, axis=1) - np.sum(a_vals**2, axis=1) * vals
-    f_vals = lap_a + lam * vals - v_vals * vals
+    f_vals = lap_a + lam * vals
 
     norm_sq = float(np.dot(ww, np.abs(vals) ** 2))
-    lhs = (
-        lam.real * norm_sq
-        - float(np.dot(ww, grad_a_sq))
-        - float(np.dot(ww, np.real(v_vals) * np.abs(vals) ** 2))
-    )
+    lhs = lam.real * norm_sq - float(np.dot(ww, grad_a_sq))
     rhs = float(np.dot(ww, np.real(f_vals * np.conj(vals))))
     return MagneticSmokeReport(b_sup, b_dot_x, tang, _relative_residual(lhs, rhs, norm_sq))

@@ -23,6 +23,7 @@ from spectra_cert.cli import (
     ExperimentConfig,
     OutputSpec,
     PotentialSpec,
+    RunFailure,
     _apply_thread_cap,
     _atomic_write,
     main,
@@ -35,14 +36,27 @@ from spectra_cert.numerics import EigenvalueError
 
 SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
-# the grid keys each experiment reads; every other experiment reads none
-GRID_KEYS_READ = {
-    "bs-norm": {"grid_n", "r_max", "ell_max"},
-    "hs-identity": {"grid_n", "r_max", "ell_max"},
-    "spectrum": {"grid_n", "r_max", "ell_max", "outlier_tol"},
-    "pseudospectrum": {"grid_n", "r_max"},
+# the keys each experiment reads besides experiment, dimension and output
+GRID = {"grid_n", "r_max", "ell_max"}
+KEYS_READ = {
+    "check-conditions": {"potential"},
+    "bs-norm": {"potential", "z_list"} | GRID,
+    "hs-identity": {"potential"} | GRID,
+    "spectrum": {"potential", "outlier_tol"} | GRID,
+    "pseudospectrum": {"potential", "grid_n", "r_max", "z_window"},
+    "identity-check": {"potential", "lambda"},
+    "singular-sequence": {"lambda", "n_list"},
+    "magnetic-smoke": {"potential", "lambda"},
 }
+# a valid value for every key, given where an experiment does not read it
 GRID_KEY_VALUES = {"grid_n": 9999, "r_max": 10.0, "ell_max": 2, "outlier_tol": 0.5}
+INPUT_KEY_VALUES = {
+    "potential": {"name": "gaussian", "params": {"v0": 1.0}},
+    "z_list": [[-1.0, 0.0]],
+    "z_window": [-1.0, 1.0, -0.5, 0.5],
+    "lambda": [1.0, 0.5],
+    "n_list": [2, 4],
+}
 
 
 def make(experiment: str, **extra) -> str:
@@ -93,6 +107,10 @@ class TestParseConfig:
             again = parse_config(serialize_config(cfg))
             assert again == cfg
 
+    def test_decoded_document_validates_the_same(self):
+        text = make("bs-norm", grid_n=64)
+        assert parse_config(json.loads(text)) == parse_config(text)
+
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope")
@@ -110,6 +128,8 @@ class TestParseConfig:
             parse_config(json.dumps({"potential": {"name": "yukawa"}}))
         with pytest.raises(ConfigError, match="experiment"):
             parse_config(json.dumps({"experiment": "eigensolve"}))
+        with pytest.raises(ConfigError, match="experiment"):
+            parse_config(json.dumps({"experiment": ["spectrum"]}))
 
     def test_missing_potential_named(self):
         with pytest.raises(ConfigError, match="potential"):
@@ -223,7 +243,7 @@ class TestParseConfig:
             parse_config(make("spectrum", output={"path": ""}))
 
     def test_sequence_rejects_potential(self):
-        with pytest.raises(ConfigError, match="does not take a potential"):
+        with pytest.raises(ConfigError, match="does not read 'potential'"):
             parse_config(
                 make("singular-sequence", potential={"name": "yukawa"})
             )
@@ -241,7 +261,7 @@ class TestParseConfig:
         if exp not in ("spectrum", "pseudospectrum", "identity-check", "singular-sequence"):
             formats = ["json"]
         grid = {"grid_n": grid_n, "r_max": r_max, "ell_max": ell_max}
-        read = GRID_KEYS_READ.get(exp, set())
+        read = KEYS_READ[exp]
         text = make(
             exp,
             output={"path": "p", "formats": formats},
@@ -476,7 +496,7 @@ class TestMainExitCodes:
         path = self.write(tmp_path, make("check-conditions"))
         assert main(["validate", path]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert not set(GRID_KEY_VALUES) & set(doc)
+        assert set(doc) == {"experiment", "dimension", "output", "potential"}
 
     def test_config_error_is_2(self, tmp_path, capsys):
         path = self.write(tmp_path, make("bs-norm", dimension=4))
@@ -535,12 +555,9 @@ class TestMainExitCodes:
         assert doc["potential"]["params"]["v0"] == 2.5
         assert doc["grid_n"] == 512
 
-    @pytest.mark.parametrize("config_path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
-    def test_unread_grid_key_is_2(self, tmp_path, capsys, config_path):
-        # e.g. --set grid_n=9999 on check-conditions, which reads no grid
+    def assert_unread_keys_are_2(self, tmp_path, capsys, config_path, values):
         experiment = json.loads(config_path.read_text())["experiment"]
-        unread = sorted(set(GRID_KEY_VALUES) - GRID_KEYS_READ.get(experiment, set()))
-        for key in unread:
+        for key in sorted(set(values) - KEYS_READ[experiment]):
             code = main(
                 [
                     "run",
@@ -548,11 +565,51 @@ class TestMainExitCodes:
                     "--set",
                     f"output.path={tmp_path / config_path.stem}",
                     "--set",
-                    f"{key}={GRID_KEY_VALUES[key]}",
+                    f"{key}={json.dumps(values[key])}",
                 ]
             )
             assert code == 2, key
-            assert f"does not read {key!r}" in capsys.readouterr().err
+            assert f"{experiment} does not read {key!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("config_path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+    def test_unread_grid_key_is_2(self, tmp_path, capsys, config_path):
+        # e.g. --set grid_n=9999 on check-conditions, which reads no grid
+        self.assert_unread_keys_are_2(tmp_path, capsys, config_path, GRID_KEY_VALUES)
+
+    @pytest.mark.parametrize("config_path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+    def test_unread_key_is_2(self, tmp_path, capsys, config_path):
+        # e.g. --set z_list=[[-1.0, 0.0]] on check-conditions
+        self.assert_unread_keys_are_2(tmp_path, capsys, config_path, INPUT_KEY_VALUES)
+
+    def test_sample_configs_cover_every_experiment(self):
+        used = {json.loads(p.read_text())["experiment"] for p in SAMPLE_CONFIGS}
+        assert used == set(EXPERIMENTS) == set(KEYS_READ)
+
+    @pytest.mark.parametrize(
+        "stem, key, value",
+        [
+            ("spectrum_square_well", "r_max", "Infinity"),
+            ("bs_norm_hardy", "z_list", "[NaN]"),
+            ("pseudospectrum_imaginary_hardy", "z_window", "[-Infinity, 6.0, -2.0, 2.0]"),
+            ("hs_identity_gaussian", "potential.params.v0", "NaN"),
+            ("singular_sequence", "lambda", "Infinity"),
+        ],
+    )
+    def test_non_finite_number_is_2(self, tmp_path, capsys, stem, key, value):
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == stem)
+        code = main(
+            [
+                "run",
+                str(config_path),
+                "--set",
+                f"output.path={tmp_path / stem}",
+                "--set",
+                f"{key}={value}",
+            ]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_bad_set_is_2(self, tmp_path, capsys):
@@ -593,6 +650,17 @@ class TestPlumbing:
         assert target.read_bytes() == b"{}\n"
         assert digest == hashlib.sha256(b"{}\n").hexdigest()
         assert [p.name for p in target.parent.iterdir()] == ["file.json"]
+
+    def test_csv_from_an_experiment_without_columns_fails(self, tmp_path):
+        # parse_config refuses this; a hand-built config reaches run
+        cfg = ExperimentConfig(
+            experiment="check-conditions",
+            output=OutputSpec(path=str(tmp_path / "cc"), formats=("json", "csv")),
+            potential=PotentialSpec(name="hardy", params={"a": 0.5}),
+        )
+        with pytest.raises(RunFailure, match="no csv table"):
+            run(cfg)
+        assert not list(tmp_path.iterdir())
 
     def test_config_requires_output_dataclass_types(self):
         cfg = ExperimentConfig(

@@ -21,7 +21,6 @@ import spectra_cert.conditions as cond
 from spectra_cert.conditions import (
     ConditionError,
     ConditionReport,
-    FRANK_THRESHOLD,
     SOBOLEV_CHAIN_CONSTANT,
     b_constants,
     build_report,
@@ -41,6 +40,10 @@ from spectra_cert.potentials import catalog
 # Anchor for the gaussian(v0=1) Rollnik norm: adaptive dblquad of the radial
 # log-kernel reduction, est. error 5e-11, truncated at r = 12 (e^{-144} tail).
 GAUSSIAN_ROLLNIK = 5.568327996829
+
+# the L^{3/2} threshold of the Frank condition, 3^{3/2} / (4 pi^2); no
+# verdict reads it, so the library keeps no constant for it
+FRANK_THRESHOLD = 3.0**1.5 / (4.0 * math.pi**2)
 
 
 def rollnik_partial_wave_oracle(abs_profile, r_max, ell_terms=120):

@@ -387,30 +387,30 @@ class TestMagneticChecks:
             assert np.max(np.abs(exact - approx)) < 1e-6
 
     def test_zero_field_reduces_to_plain_identity(self):
-        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, magnetic_catalog("zero"))
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, magnetic_catalog("zero"))
         assert rep.b_tau_sup == 0.0
         assert rep.identity_residual < 1e-6
 
     def test_uniform_field_identity(self):
-        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, self.UNIFORM)
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
         assert rep.identity_residual < 1e-6
         assert rep.tangential_residual < 1e-12
         assert rep.b_tau_dot_x_sup < 1e-12
 
     def test_singular_gauge_field_is_integrable(self):
         # the azimuthal A blows up like 1/|x| but never sits on a box node
-        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, self.AZIMUTHAL)
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.AZIMUTHAL)
         assert rep.identity_residual < 1e-6
         assert rep.b_tau_sup < 1e-12
 
     def test_with_complex_potential(self):
-        pot = catalog("gaussian", v0=1.0, c_im=0.3)
-        rep = magnetic_identity_smoke(ELL1, 2.0 + 0.5j, pot, self.UNIFORM)
+        # an l = 1 probe at a complex lambda; the check itself takes no V
+        rep = magnetic_identity_smoke(ELL1, 2.0 + 0.5j, self.UNIFORM)
         assert rep.identity_residual < 1e-6
 
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
-            magnetic_identity_smoke(BUMP, -1.0, None, self.UNIFORM)
+            magnetic_identity_smoke(BUMP, -1.0, self.UNIFORM)
 
     @pytest.mark.parametrize("samples,n_axis", [(7, 16), (100, 48)])
     def test_field_calls_do_not_scale_with_points(self, monkeypatch, samples, n_axis):
@@ -433,6 +433,6 @@ class TestMagneticChecks:
             vector_potential=counted(self.UNIFORM.vector_potential, "vector_potential"),
             field_tensor=counted(self.UNIFORM.field_tensor, "field_tensor"),
         )
-        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, field)
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, field)
         assert calls == {"vector_potential": 2, "field_tensor": 1}
-        assert rep == magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, None, self.UNIFORM)
+        assert rep == magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
