@@ -28,15 +28,23 @@ of modulus <= 1, so nothing over- or underflows on deep geometric grids or
 at large kappa r.  The test suite pins them against an angular quadrature of
 the Legendre coefficient and against direct 3D box quadrature.
 
+At real z <= 0 no sector matrix is formed.  The kernel is a Green's
+function, g_l^z(r, r') = u(r_<) v(r_>), so its Nystroem matrix on the nodes
+where V does not vanish has a tridiagonal inverse (Gantmacher-Krein), which
+is symmetric positive definite for real kappa.  Each sector's sigma_max is
+1 / lambda_min of that inverse, built in O(n) and bisected on its
+bidiagonal factor (``numerics.spd_tridiagonal_inverse_norm``).  Complex z
+keeps the dense n x n sector matrix and its dense SVD.
+
 Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 
     |K|_HS^2 = sum_l (2l+1) |M_l|_F^2,
 
 and the truncated sum is completed by a tail estimate from the asymptotic
 law term_l ~ c / ((2l+1)(2l+3)), whose exact tail sum is c / (2(2L+3)).
-At z = 0 no sector matrix is formed: g_l^0 is rank one on each triangle
-r < r', so |M_l|_F^2 is a diagonal sum plus one running sum over the
-grid nodes, O(n) per sector instead of O(n^2).
+At real z <= 0 the Frobenius norms need no matrix either: |g_l^z|^2 is rank
+one on each triangle r < r', so |M_l|_F^2 is a diagonal sum plus one running
+sum over the grid nodes, O(n) per sector instead of O(n^2).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .numerics import (
     panel_gauss,
     smallest_singular_value,
     solve_linear,
+    spd_tridiagonal_inverse_norm,
 )
 from .potentials import Potential, complex_sign
 
@@ -156,10 +165,12 @@ def _scaled_bessel_factors(
     x -> 0.  A_l is its power series for |x| < 1 and scipy's exponentially
     scaled ive beyond.  B_l is a polynomial of degree l, built from B_0 = 1,
     B_1 = 1 + x by the forward recurrence of k_l,
-    B_(l+1) = B_l + x^2 B_(l-1) / (4l^2 - 1).
+    B_(l+1) = B_l + x^2 B_(l-1) / (4l^2 - 1).  l is capped at _BESSEL_ELL_MAX.
     """
     from scipy.special import ive
 
+    if ell_max > _BESSEL_ELL_MAX:
+        raise BSError(f"ell_max {ell_max} exceeds {_BESSEL_ELL_MAX} at z != 0")
     small = np.abs(x) < 1.0
     half_x2 = 0.5 * x[small] ** 2
     e_small = np.exp(-x[small])
@@ -201,8 +212,6 @@ def _sector_kernels(
     power = 1.0 / r_hi
     kappa = green_params(z).kappa
     if kappa != 0.0:
-        if ell_max > _BESSEL_ELL_MAX:
-            raise BSError(f"ell_max {ell_max} exceeds {_BESSEL_ELL_MAX} at z != 0")
         factors = _scaled_bessel_factors(kappa * r, ell_max)
         r_i_lower = r[:, np.newaxis] <= r[np.newaxis, :]
         decay = np.exp(-kappa * (r_hi - r_lo))
@@ -224,11 +233,7 @@ def sector_matrices(
     ell_max: int = _DEFAULT_ELL_MAX,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
-    _check_radial_3d(potential)
-    if _on_positive_axis(z):
-        raise BSError("z on the open positive axis is outside the resolvent set")
-    if ell_max < 0:
-        raise BSError("ell_max must be >= 0")
+    _check_sector_args(potential, z, ell_max)
     r = grid.nodes
     sqw = np.sqrt(grid.weights)
     left = np.sqrt(potential.abs_radial(r)) * r * sqw
@@ -237,29 +242,42 @@ def sector_matrices(
         yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
 
 
-def _frobenius_sq_z0(alpha: np.ndarray, r: np.ndarray, ell_max: int) -> np.ndarray:
-    """|M_l|_F^2 of the z = 0 sectors, l = 0..ell_max, without forming M_l.
+def _frobenius_sq(
+    alpha: np.ndarray,
+    r: np.ndarray,
+    ell_max: int,
+    kappa: float = 0.0,
+    log_a: np.ndarray | float = 0.0,
+    log_b: np.ndarray | float = 0.0,
+) -> np.ndarray:
+    """|M_l|_F^2 of the real-z sectors, l = 0..ell_max, without forming M_l.
 
     Row and column dressing of M_l have the same modulus, so with
     alpha = |V| r^2 w on the increasing nodes r, |M_ij|^2 = alpha_i alpha_j
-    g_l^0(r_i, r_j)^2.  The kernel is rank one on each triangle, and the sum
-    splits into the diagonal and a running sum over the lower triangle,
+    g_l^z(r_i, r_j)^2.  For real kappa = sqrt(-z) >= 0 the kernel is rank one
+    on each triangle, and the sum splits into the diagonal and a running sum
+    over the lower triangle,
 
-        (2l+1)^2 |M_l|_F^2 = sum_j alpha_j (alpha_j + 2 S_j) / r_j^2,
-        S_j = sum_(i < j) alpha_i (r_i / r_j)^(2l),
+        (2l+1)^2 |M_l|_F^2 = sum_j alpha_j B_j^2 (alpha_j A_j^2 + 2 S_j) / r_j^2,
+        S_j = sum_(i < j) alpha_i A_i^2 (r_i / r_j)^(2l) e^(-2 kappa (r_j - r_i)),
 
-    at O(n (ell_max+1)) cost.  S is one logaddexp.accumulate over
-    log alpha_i + 2l log r_i (log 0 = -inf where V vanishes), so nothing
-    over- or underflows on geometric grids down to r ~ 1e-79.
+    at O(n (ell_max+1)) cost, with A_j = A_l(kappa r_j) and B_j = B_l(kappa r_j)
+    given as the (ell_max+1, n) arrays ``log_a``, ``log_b`` (both 0 at z = 0,
+    the defaults, where every extra term is an exact no-op).  S is one
+    logaddexp.accumulate over log alpha_i + 2l log r_i + 2 log A_i + 2 kappa r_i
+    (log 0 = -inf where V vanishes), so nothing over- or underflows on
+    geometric grids down to r ~ 1e-79 or at large kappa r.
     """
     log_r = np.log(r)
     ells = np.arange(ell_max + 1)
     two_l = 2.0 * ells[:, np.newaxis]
     with np.errstate(divide="ignore"):
-        acc = np.logaddexp.accumulate(np.log(alpha) + two_l * log_r, axis=1)
+        log_terms = np.log(alpha) + two_l * log_r + 2.0 * (log_a + kappa * r)
+    acc = np.logaddexp.accumulate(log_terms, axis=1)
     running = np.zeros_like(acc)
-    running[:, 1:] = np.exp(acc[:, :-1] - two_l * log_r[1:])
-    return ((alpha + 2.0 * running) @ (alpha / r**2)) / (2.0 * ells + 1.0) ** 2
+    running[:, 1:] = np.exp(acc[:, :-1] - two_l * log_r[1:] - 2.0 * kappa * r[1:])
+    per_node = (alpha * np.exp(2.0 * log_a) + 2.0 * running) * np.exp(2.0 * log_b)
+    return (per_node @ (alpha / r**2)) / (2.0 * ells + 1.0) ** 2
 
 
 def _hs_tail(terms: Sequence[float]) -> float:
@@ -322,31 +340,109 @@ def _check_radial_3d(potential: Potential) -> None:
         raise BSError("partial-wave assembly is three-dimensional")
 
 
+def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
+    _check_radial_3d(potential)
+    if _on_positive_axis(z):
+        raise BSError("z on the open positive axis is outside the resolvent set")
+    if ell_max < 0:
+        raise BSError("ell_max must be >= 0")
+
+
+def _real_z_sector_norms(
+    potential: Potential, z: complex, grid: RadialGrid, ell_max: int
+) -> tuple[list[float], list[float]]:
+    """sigma_max and Frobenius norm of the sectors at real z <= 0, l = 0..ell_max,
+    with no n x n matrix.
+
+    With kappa = sqrt(-z) >= 0 the sector kernel is g_l(r, s) = u(r_<) v(r_>),
+
+        u = r^l A_l(kappa r) e^(kappa r),   v = r^(-l-1) B_l(kappa r) e^(-kappa r) / (2l+1).
+
+    Nodes where V vanishes carry zero rows and columns and are dropped.  On
+    the rest, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S with the
+    single-pair G_ij = g_l(r_i, r_j) and the unitary S = diag(sign V), so
+    sigma_max(M_l) = 1 / lambda_min(T) with T = L^-1 G^-1 L^-1.  G is
+    symmetric positive definite and G^-1 is tridiagonal (Gantmacher-Krein):
+    with q_i = u_i v_(i+1) / (u_(i+1) v_i) < 1 and omega_i = 1 - q_i,
+
+        off_i = -1 / (u_(i+1) v_i omega_i L_i L_(i+1)),
+        d_i = (1 / omega_i + q_(i-1) / omega_(i-1)) / (u_i v_i L_i^2),
+
+    where q_(-1) = 0 and omega_(n-1) = 1 close the ends; d_i is a sum of
+    two positive terms and does not cancel.  Everything is in log form,
+    -log q_i = log(u_(i+1) / u_i) + log(v_i / v_(i+1)) feeds expm1, so no
+    r^l or e^(kappa r) is formed.  At z = 0 the Bessel factors are skipped
+    (log A = log B = 0).  A sector whose T or Frobenius sum is not finite
+    (A_l underflowing or B_l overflowing at large kappa r and l) raises.
+    """
+    abs_v = potential.abs_radial(grid.nodes)
+    support = abs_v > 0.0
+    r, w, abs_v = grid.nodes[support], grid.weights[support], abs_v[support]
+    if r.size == 0:
+        return [0.0] * (ell_max + 1), [0.0] * (ell_max + 1)
+    kappa = green_params(z).kappa
+    ells = np.arange(ell_max + 1)[:, np.newaxis]
+    c = 2.0 * ells + 1.0
+    step = np.diff(np.log(r))
+    kappa_h = kappa.real * np.diff(r)
+    root = np.sqrt(abs_v * w)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kappa != 0.0:
+            factors = [(a.real, b.real) for a, b in _scaled_bessel_factors(kappa * r, ell_max)]
+            log_a, log_b = (np.log(np.array(f)) for f in zip(*factors))
+        else:
+            log_a = log_b = np.zeros((ell_max + 1, r.size))
+        log_u_step = ells * step + np.diff(log_a, axis=1) + kappa_h
+        log_v_step = (ells + 1) * step - np.diff(log_b, axis=1) + kappa_h
+        gap = log_u_step + log_v_step  # -log q_i
+        inv_omega = np.pad(-1.0 / np.expm1(-gap), ((0, 0), (0, 1)), constant_values=1.0)
+        q_over_omega = np.pad(1.0 / np.expm1(gap), ((0, 0), (1, 0)))
+        diag = c * (inv_omega + q_over_omega) / (np.exp(log_a + log_b) * abs_v * r * w)
+        off = (
+            -c
+            * np.exp(-ells * step - kappa_h - log_a[:, 1:] - log_b[:, :-1])
+            * inv_omega[:, :-1]
+            / (r[1:] * root[:-1] * root[1:])
+        )
+        fro_sq = _frobenius_sq(abs_v * r**2 * w, r, ell_max, kappa.real, log_a, log_b)
+    finite = np.isfinite(diag).all(axis=1) & np.isfinite(off).all(axis=1) & np.isfinite(fro_sq)
+    if not finite.all():
+        raise BSError(f"sector kernel l={int(np.argmin(finite))} overflows at z={z}")
+    norms = [spd_tridiagonal_inverse_norm(d, e) for d, e in zip(diag, off)]
+    return norms, np.sqrt(fro_sq).tolist()
+
+
 def assemble_bs(
     potential: Potential,
     z: complex,
     grid: RadialGrid,
     ell_max: int = _DEFAULT_ELL_MAX,
 ) -> BSMatrix:
-    """Assemble the partial-wave Nystroem matrices of K_z.
+    """Per-sector norms of the partial-wave Nystroem matrices of K_z.
 
-    Sector l gets the matrix
+    Sector l has the matrix
 
         M_ij = |V(r_i)|^(1/2) g_l^z(r_i, r_j) V_(1/2)(r_j) r_i r_j sqrt(w_i w_j),
 
     the symmetrized discretization of the sector kernel on L^2(r^2 dr).
-    The reported norm is the max over sectors of sigma_max.  Each sector
-    matrix is reduced to its sigma_max and Frobenius norm as it is
-    assembled and then dropped; none is kept.
+    The reported norm is the max over sectors of sigma_max.  At real z <= 0
+    no M_l is formed: sigma_max comes from the tridiagonal inverse of the
+    sector (see _real_z_sector_norms) and the Frobenius norm from running
+    sums, O(n) per sector.  At complex z each M_l is assembled, reduced to
+    its sigma_max (dense SVD) and Frobenius norm, and dropped; none is kept.
     """
-    norms: list[float] = []
-    frobs: list[float] = []
-    for _, m in sector_matrices(potential, z, grid, ell_max=ell_max):
-        norms.append(largest_singular_value(m))
-        frobs.append(float(np.linalg.norm(m)))
+    z = complex(z)
+    if z.imag == 0.0:
+        _check_sector_args(potential, z, ell_max)
+        norms, frobs = _real_z_sector_norms(potential, z, grid, ell_max)
+    else:
+        norms, frobs = [], []
+        for _, m in sector_matrices(potential, z, grid, ell_max=ell_max):
+            norms.append(largest_singular_value(m))
+            frobs.append(float(np.linalg.norm(m)))
     tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
-        z=complex(z),
+        z=z,
         per_ell_norms=tuple(norms),
         per_ell_frobenius=tuple(frobs),
         tail_warning=tail_warning,
@@ -407,7 +503,7 @@ def hs_norm(
     Route (i) sums (2l+1) |M_l|_F^2 over the z = 0 sectors l <= ell_max and
     completes the truncation with the asymptotic tail.  The Frobenius norms
     come from running sums over the rank-one triangles of g_l^0 (see
-    _frobenius_sq_z0): O(n ell_max) work and memory, no n x n matrix, so
+    _frobenius_sq): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
     Rollnik norm computed by the condition checkers.  A divergent Rollnik
     norm (+inf, Hardy-type potentials) makes both routes +inf.
@@ -423,7 +519,7 @@ def hs_norm(
     if grid is None:
         grid = log_uniform_grid(0.02, 16.0, 1600)
     alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-    fro_sq = _frobenius_sq_z0(alpha, grid.nodes, ell_max)
+    fro_sq = _frobenius_sq(alpha, grid.nodes, ell_max)
     terms = [(2 * ell + 1) * float(f) for ell, f in enumerate(fro_sq)]
     direct = math.sqrt(sum(terms) + _hs_tail(terms))
     via_rollnik = rollnik / (4.0 * np.pi)

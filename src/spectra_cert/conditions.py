@@ -139,7 +139,9 @@ def subordination_a_variational(potential: Potential) -> float:
 
     Equals |K~_0| = | |V|^(1/2) H_0^(-1/2) |^2 in the limit; the Nystroem
     value on ``default_bs_grid(400)`` with sectors l <= 4 converges from
-    below under grid refinement.  d = 3 only.
+    below under grid refinement.  Each sector's sigma_max is 1 / lambda_min
+    of its tridiagonal inverse (``assemble_bs`` at z = 0), so no dense matrix
+    or SVD is formed.  d = 3 only.
     """
     from .birman_schwinger import assemble_bs, default_bs_grid
 

@@ -1,5 +1,5 @@
 """Shared numerical substrate: quadrature grids, dense and tridiagonal
-complex linear algebra, and scalar root finding.
+linear algebra, and scalar root finding.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
 provides Gauss-Legendre rules, plain and composite over panels, the
@@ -7,13 +7,16 @@ provides Gauss-Legendre rules, plain and composite over panels, the
 Gauss box in three dimensions whose points exclude the coordinate origin by
 construction.  The linear algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads both extremal
-singular values off one dense LAPACK SVD.  A complex-symmetric tridiagonal
-T = X + iY has two sigma_min routines: one LAPACK band eigenvalue of the real
-symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose eigenvalues are
-+-sigma_k(T) (O(n^2) band reduction, no iteration), and, for large n, one
-LAPACK zgttrf factorization with ARPACK on (T^H T)^-1 in O(n) work per
-product.  Root finding is plain bisection for strictly increasing scalar
-functions.
+singular values off one dense LAPACK SVD.  A real symmetric positive definite
+tridiagonal T gets |T^-1| = 1 / lambda_min(T) from one LAPACK dpttrf
+factorization and one bisection for sigma_min of the bidiagonal factor, with
+no n x n matrix and to high relative accuracy.  A complex-symmetric
+tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
+of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
+eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
+large n, one LAPACK zgttrf factorization with ARPACK on (T^H T)^-1 in O(n)
+work per product.  Root finding is plain bisection for strictly increasing
+scalar functions.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "eig_complex",
     "largest_singular_value",
     "smallest_singular_value",
+    "spd_tridiagonal_inverse_norm",
     "band_smallest_singular_value",
     "tridiagonal_smallest_singular_value",
     "solve_linear",
@@ -238,6 +242,60 @@ def smallest_singular_value(m: np.ndarray) -> float:
     if s[-1] <= n * np.finfo(float).eps * s[0]:
         return 0.0
     return float(s[-1])
+
+
+def spd_tridiagonal_inverse_norm(diag: np.ndarray, off: np.ndarray) -> float:
+    """|T^-1| = 1 / lambda_min(T) of a real symmetric positive definite
+    tridiagonal matrix, by one factorization and one bisection.
+
+    T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
+    LAPACK dpttrf factors T = U^T D U with U unit upper bidiagonal, so
+    B = D^(1/2) U is upper bidiagonal with T = B^T B and
+    lambda_min(T) = sigma_min(B)^2.  The 2n x 2n Golub-Kahan tridiagonal with
+    zero diagonal and off-diagonal (b_0, f_0, b_1, ..., f_(n-2), b_(n-1)),
+    the diagonal b and superdiagonal f of B interleaved, has the eigenvalues
+    +-sigma_k(B).  LAPACK dstebz bisects for eigenvalue n + 1 alone, which is
+    sigma_min(B), with absolute tolerance 2 * tiny: the bidiagonal fixes its
+    singular values to high relative accuracy and bisection on that form
+    attains it (Demmel and Kahan, 1990), also on strongly graded T where
+    bisecting T itself fails.
+
+    The empty matrix yields 0.0.  Raises :class:`NumericsError` on a
+    non-finite entry, when dpttrf finds T not positive definite, when the
+    bisection fails or when 1 / sigma_min^2 is not a finite positive number.
+    """
+    from scipy.linalg.lapack import dpttrf, dstebz
+
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    n = d.shape[0]
+    if e.shape != (max(n - 1, 0),):
+        raise ValueError(f"off-diagonal needs shape ({n - 1},), got {e.shape}")
+    if n == 0:
+        return 0.0
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise NumericsError("SPD tridiagonal: non-finite entry")
+    if n == 1:  # scipy's dpttrf wrapper rejects the empty off-diagonal
+        pivots, upper, info = d, e, int(d[0] <= 0.0)
+    else:
+        pivots, upper, info = dpttrf(d, e)
+    if info != 0:
+        raise NumericsError(f"SPD tridiagonal: LAPACK dpttrf info={info}, not positive definite")
+    b = np.sqrt(pivots)
+    golub_kahan = np.empty(2 * n - 1)
+    golub_kahan[0::2] = b
+    golub_kahan[1::2] = b[:-1] * upper
+    tol = 2.0 * np.finfo(float).tiny
+    # range 2 selects eigenvalues il..iu by their 1-based index
+    m, w, _, _, info = dstebz(np.zeros(2 * n), golub_kahan, 2, 0.0, 0.0, n + 1, n + 1, tol, "E")
+    if info != 0 or m != 1:
+        raise NumericsError(f"SPD tridiagonal: LAPACK dstebz info={info}, {m} eigenvalues")
+    sigma = w[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        norm = np.reciprocal(sigma) ** 2
+    if not (sigma > 0.0 and np.isfinite(norm)):
+        raise NumericsError(f"SPD tridiagonal: factor sigma_min {sigma!r} has no finite inverse")
+    return float(norm)
 
 
 def band_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:

@@ -31,11 +31,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval, legvander
+from scipy.linalg import svdvals
 
 import spectra_cert.birman_schwinger as bs
 from spectra_cert.birman_schwinger import (
     BSError,
-    _frobenius_sq_z0,
+    _frobenius_sq,
     _scaled_bessel_factors,
     _sector_kernels,
     assemble_bs,
@@ -50,7 +51,7 @@ from spectra_cert.birman_schwinger import (
     pointwise_bound_check,
     sector_matrices,
 )
-from spectra_cert.numerics import box_grid, gauss_legendre
+from spectra_cert.numerics import box_grid, gauss_legendre, largest_singular_value
 from spectra_cert.potentials import catalog
 
 
@@ -309,6 +310,7 @@ class TestAssemble:
     def test_zero_potential(self):
         bm = assemble_bs(gaussian(0.0), 0.0, default_bs_grid(n=80), ell_max=2)
         assert bm.norm == 0.0
+        assert bm.per_ell_norms == bm.per_ell_frobenius == (0.0, 0.0, 0.0)
 
     def test_summary_is_json_ready(self):
         bm = assemble_bs(gaussian(), 1j, default_bs_grid(n=80), ell_max=2)
@@ -339,8 +341,97 @@ class TestAssemble:
 
     def test_zero_family_does_not_warn(self):
         bm = assemble_bs(gaussian(0.0), -1.0, default_bs_grid(n=80), ell_max=2)
-        assert bm.per_ell_norms == (0.0, 0.0, 0.0)
+        assert bm.per_ell_norms == bm.per_ell_frobenius == (0.0, 0.0, 0.0)
         assert not bm.tail_warning
+
+
+def dense_sector_norms(potential, z, grid, ell_max):
+    """(sigma_max, |M_l|_F^2) of each dense sector matrix, by LAPACK svdvals."""
+    out = []
+    for _, m in sector_matrices(potential, z, grid, ell_max=ell_max):
+        if not np.any(m.imag):  # a real kernel and sign: same values, half the cost
+            m = m.real
+        out.append((float(svdvals(m)[0]), float(np.sum(np.abs(m) ** 2))))
+    return out
+
+
+# (potential, grid, ell_max, real z list): Test03's nine sectors; the deepest
+# default grid (r down to 4e-79) at the extremes of kappa; a Bessel route at
+# l up to 16; a square well, whose 34 V = 0 nodes of 800 are dropped; the Hardy pair
+# on Test02's grid at Test02's real z, and Test02's refinement ladder
+TRIDIAGONAL_CASES = {
+    "test03": (gaussian(), log_uniform_grid(0.02, 16.0, 1600), 8, (0.0,)),
+    "gaussian-deep": (gaussian(), default_bs_grid(1600), 1, (0.0, -1000.0)),
+    "yukawa-800": (catalog("yukawa", g=1.0, mu=1.0), default_bs_grid(800), 16, (-1.0,)),
+    "square-well": (catalog("square_well", v0=1.0, r0=1.0), default_bs_grid(800), 4, (0.0, -1.0)),
+    "hardy-256": (hardy(), default_bs_grid(256), 4, (0.0, -0.1, -1.0, -10.0)),
+    "imaginary-hardy-256": (
+        catalog("imaginary_hardy", beta=0.3), default_bs_grid(256), 4, (0.0, -0.1, -1.0, -10.0)
+    ),
+    "hardy-200": (hardy(), default_bs_grid(200), 0, (0.0,)),
+    "hardy-400": (hardy(), default_bs_grid(400), 0, (0.0,)),
+    "hardy-800": (hardy(), default_bs_grid(800), 0, (0.0,)),
+}
+
+
+class TestInverseTridiagonalSectors:
+    """Real z <= 0: sector norms from the tridiagonal inverse, no n x n matrix."""
+
+    @pytest.mark.parametrize("case", list(TRIDIAGONAL_CASES))
+    def test_matches_dense_svd(self, case):
+        # measured: sigma_max within 1.1e-12 (Test03 sectors; <= 5e-14 elsewhere),
+        # |M|_F^2 within 2e-15 of the dense sums
+        potential, grid, ell_max, zs = TRIDIAGONAL_CASES[case]
+        for z in zs:
+            bm = assemble_bs(potential, z, grid, ell_max=ell_max)
+            dense = dense_sector_norms(potential, z, grid, ell_max)
+            assert len(bm.per_ell_norms) == len(dense) == ell_max + 1
+            for sigma, fro, (sigma_dense, fro_sq_dense) in zip(
+                bm.per_ell_norms, bm.per_ell_frobenius, dense
+            ):
+                assert abs(sigma - sigma_dense) <= 1e-10 * sigma_dense, (z, sigma, sigma_dense)
+                assert abs(fro**2 - fro_sq_dense) <= 1e-13 * fro_sq_dense, (z, fro, fro_sq_dense)
+
+    def test_overflow_raises(self):
+        # kappa r ~ 4e5: A_l underflows and B_l overflows long before l = 100,
+        # as in the dense kernels; no sector value may come back silently
+        grid = default_bs_grid(n=64)
+        with pytest.raises(BSError, match="overflows"):
+            assemble_bs(gaussian(), -1e8, grid, ell_max=100)
+        with pytest.raises(BSError, match="exceeds"):
+            assemble_bs(gaussian(), -1.0, grid, ell_max=129)
+
+    def test_rejects_what_the_dense_route_rejects(self):
+        grid = default_bs_grid(n=64)
+        with pytest.raises(BSError, match="positive axis"):
+            assemble_bs(gaussian(), 2.0, grid, ell_max=1)
+        with pytest.raises(BSError, match="ell_max"):
+            assemble_bs(gaussian(), -1.0, grid, ell_max=-1)
+        with pytest.raises(BSError, match="three-dimensional"):
+            assemble_bs(catalog("gaussian", v0=1.0, dimension=4), 0.0, grid, ell_max=1)
+
+    def test_forms_no_sector_matrix(self, monkeypatch):
+        grid = default_bs_grid(120)
+        zs = (0.0, -1.0, -10.0)
+        want = [assemble_bs(gaussian(), z, grid, ell_max=4) for z in zs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("real z must not assemble sector matrices")
+
+        for name in ("sector_matrices", "_sector_kernels", "largest_singular_value"):
+            monkeypatch.setattr(bs, name, refuse)
+        assert [assemble_bs(gaussian(), z, grid, ell_max=4) for z in zs] == want
+
+    def test_complex_z_keeps_the_dense_svd(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return largest_singular_value(m)
+
+        monkeypatch.setattr(bs, "largest_singular_value", counted)
+        assemble_bs(gaussian(), -1.0 + 1j, default_bs_grid(80), ell_max=2)
+        assert calls == [(80, 80)] * 3
 
 
 class TestNormScan:
@@ -395,7 +486,7 @@ class TestHSNorm:
     def test_zero_potential_sectors_exactly_zero(self):
         grid = default_bs_grid(200)
         with np.errstate(all="raise"):
-            fro_sq = _frobenius_sq_z0(np.zeros(grid.n), grid.nodes, 8)
+            fro_sq = _frobenius_sq(np.zeros(grid.n), grid.nodes, 8)
         assert fro_sq.tolist() == [0.0] * 9
 
     @pytest.mark.parametrize(
@@ -411,7 +502,7 @@ class TestHSNorm:
         # default_bs_grid(1600) reaches r ~ 4e-79, where r^(2l) alone
         # underflows for l >= 2, so the running sums must never form it
         alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-        fast = _frobenius_sq_z0(alpha, grid.nodes, ell_max)
+        fast = _frobenius_sq(alpha, grid.nodes, ell_max)
         assert fast.shape == (ell_max + 1,)
         for ell, m in sector_matrices(potential, 0.0, grid, ell_max=ell_max):
             dense = float(np.sum(np.abs(m) ** 2))

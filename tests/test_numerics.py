@@ -4,6 +4,8 @@ Oracles used here:
   * the 2-point Gauss-Legendre rule derived by hand (nodes +-1/sqrt(3),
     unit weights on [-1, 1]);
   * full SVD (LAPACK divide-and-conquer) for extremal singular values;
+  * the dense symmetric eigensolver for the smallest eigenvalue of an SPD
+    tridiagonal, and a graded T whose inverse is known in closed form;
   * a companion matrix whose spectrum is read off a factored polynomial.
 """
 
@@ -228,6 +230,72 @@ class TestSingularValues:
         m = np.diag([3.0, 2.0, 0.5]).astype(complex)
         assert abs(nx.largest_singular_value(m) - 3.0) < 1e-14
         assert abs(nx.smallest_singular_value(m) - 0.5) < 1e-14
+
+
+class TestSPDTridiagonalInverseNorm:
+    """|T^-1| = 1 / lambda_min(T) against dense eigenvalues of T."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_matches_dense_eigenvalues(self, seed):
+        # T = B^T B for a random upper bidiagonal B is SPD; its smallest
+        # eigenvalue from the dense symmetric solver is the oracle
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        b = np.diag(rng.uniform(0.5, 2.0, n)) + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
+        t = b.T @ b
+        want = 1.0 / np.linalg.eigvalsh(t)[0]
+        got = nx.spd_tridiagonal_inverse_norm(np.diag(t), np.diag(t, 1))
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_graded_matrix_keeps_relative_accuracy(self):
+        # T = S A S with the diagonal scaling S = diag(10^(-3k)) grades T over
+        # 10^48 to 10^-48; its inverse is S^-1 A^-1 S^-1 and A = 1D Laplacian
+        # + 2 I, so lambda_min(T) sits at the small end of the grading where
+        # an absolute eigenvalue error eps |T| would swamp it
+        n = 33
+        scale = 10.0 ** (-3.0 * (np.arange(n) - n // 2))
+        a = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        t = scale[:, None] * a * scale[None, :]
+        got = nx.spd_tridiagonal_inverse_norm(np.diag(t), np.diag(t, 1))
+        inv = np.linalg.inv(a) / np.outer(scale, scale)
+        want = np.linalg.eigvalsh(inv / np.max(inv))[-1] * np.max(inv)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_small_cases(self):
+        assert nx.spd_tridiagonal_inverse_norm(np.zeros(0), np.zeros(0)) == 0.0
+        # bisection converges to sigma_min = 2 within an ulp
+        got = nx.spd_tridiagonal_inverse_norm(np.array([4.0]), np.zeros(0))
+        assert abs(got - 0.25) <= 1e-15
+        # eigenvalues 2 -+ 1, so |T^-1| = 1
+        got = nx.spd_tridiagonal_inverse_norm(np.array([2.0, 2.0]), np.array([1.0]))
+        assert abs(got - 1.0) <= 1e-15
+
+    def test_not_positive_definite_raises(self):
+        # eigenvalues 1 -+ 2: dpttrf stops at a nonpositive pivot
+        with pytest.raises(nx.NumericsError, match="dpttrf"):
+            nx.spd_tridiagonal_inverse_norm(np.array([1.0, 1.0]), np.array([2.0]))
+        with pytest.raises(nx.NumericsError, match="dpttrf"):
+            nx.spd_tridiagonal_inverse_norm(np.array([1.0, -1.0, 3.0]), np.array([0.1, 0.1]))
+
+    def test_non_finite_entry_raises(self):
+        for d, e in (([1.0, np.inf], [0.1]), ([1.0, 1.0], [np.nan])):
+            with pytest.raises(nx.NumericsError, match="non-finite"):
+                nx.spd_tridiagonal_inverse_norm(np.array(d), np.array(e))
+
+    def test_failed_bisection_raises(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        def failing(d, e, *args):
+            return 0, np.zeros(d.size), np.zeros(d.size, int), np.zeros(d.size, int), 4
+
+        monkeypatch.setattr(lapack, "dstebz", failing)
+        with pytest.raises(nx.NumericsError, match="dstebz info=4"):
+            nx.spd_tridiagonal_inverse_norm(np.array([2.0, 2.0]), np.array([1.0]))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            nx.spd_tridiagonal_inverse_norm(np.ones(3), np.ones(3))
 
 
 class TestFindRootIncreasing:
