@@ -56,6 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .conditions import _ball_panels, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
@@ -280,21 +281,22 @@ def _frobenius_sq(
     return (per_node @ (alpha / r**2)) / (2.0 * ells + 1.0) ** 2
 
 
-def _hs_tail(terms: Sequence[float]) -> float:
-    """Tail sum estimate for term_l ~ c / ((2l+1)(2l+3)) beyond the last l.
+def _completed_hs_norm(terms: Sequence[float]) -> float:
+    """sqrt of the sector sum plus its tail past the last l.
 
-    c is fitted from the last few computed terms; the exact remainder of the
-    model sum past l = L is c / (2 (2L+3)).
+    The tail models term_l ~ c / ((2l+1)(2l+3)), with c fitted from the last
+    few computed terms; the exact remainder of the model sum past l = L is
+    c / (2 (2L+3)).  Fewer than three terms get no tail.
     """
-    if len(terms) < 3:
-        return 0.0
-    ell_top = len(terms) - 1
-    fitted = [
-        terms[ell] * (2 * ell + 1) * (2 * ell + 3)
-        for ell in range(max(1, ell_top - 3), ell_top + 1)
-    ]
-    c = float(np.mean(fitted))
-    return c / (2.0 * (2 * ell_top + 3))
+    tail = 0.0
+    if len(terms) >= 3:
+        ell_top = len(terms) - 1
+        fitted = [
+            terms[ell] * (2 * ell + 1) * (2 * ell + 3)
+            for ell in range(max(1, ell_top - 3), ell_top + 1)
+        ]
+        tail = float(np.mean(fitted)) / (2.0 * (2 * ell_top + 3))
+    return math.sqrt(sum(terms) + tail)
 
 
 @dataclass(frozen=True)
@@ -322,7 +324,7 @@ class BSMatrix:
         terms = [
             (2 * ell + 1) * fro**2 for ell, fro in enumerate(self.per_ell_frobenius)
         ]
-        return math.sqrt(sum(terms) + _hs_tail(terms))
+        return _completed_hs_norm(terms)
 
     def summary(self) -> dict:
         return {
@@ -508,8 +510,6 @@ def hs_norm(
     Rollnik norm computed by the condition checkers.  A divergent Rollnik
     norm (+inf, Hardy-type potentials) makes both routes +inf.
     """
-    from .conditions import rollnik_norm
-
     _check_radial_3d(potential)
     if ell_max < 0:
         raise BSError("ell_max must be >= 0")
@@ -521,7 +521,7 @@ def hs_norm(
     alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
     fro_sq = _frobenius_sq(alpha, grid.nodes, ell_max)
     terms = [(2 * ell + 1) * float(f) for ell, f in enumerate(fro_sq)]
-    direct = math.sqrt(sum(terms) + _hs_tail(terms))
+    direct = _completed_hs_norm(terms)
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0
@@ -610,9 +610,7 @@ def _ball_integral_abs(potential: Potential, radius: float) -> float:
     """int_{|x| < radius} |V| = 4 pi int_0^radius |V(r)| r^2 dr."""
     if potential.origin_singularity_order >= 3.0:
         raise BSError("|V| is not integrable on the ball")
-    edges = {0.0, radius} | {radius * 2.0 ** (-k) for k in range(1, 25)}
-    edges |= {j for j in potential.jumps if 0.0 < j < radius}
-    nodes, weights = panel_gauss(sorted(edges), 16)
+    nodes, weights = _ball_panels(potential, radius, 16)
     vals = potential.abs_radial(nodes) * nodes**2
     return 4.0 * np.pi * float(np.dot(weights, vals))
 
@@ -666,7 +664,7 @@ def m_eps_hs_check(
         for ell, g in _sector_kernels(z, r, _MEPS_ELL_MAX):
             m = left[:, np.newaxis] * g * colw[np.newaxis, :]
             terms.append((2 * ell + 1) * float(np.linalg.norm(m)) ** 2)
-        hs_direct = math.sqrt(sum(terms) + _hs_tail(terms))
+        hs_direct = _completed_hs_norm(terms)
         gap = abs(hs_direct - hs_formula) / hs_formula
         records.append(MepsRecord(float(eps), kappa, hs_direct, hs_formula, gap))
 

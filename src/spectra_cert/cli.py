@@ -85,7 +85,13 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .birman_schwinger import assemble_bs, default_bs_grid, hs_norm, log_uniform_grid
+from .birman_schwinger import (
+    BSError,
+    assemble_bs,
+    default_bs_grid,
+    hs_norm,
+    log_uniform_grid,
+)
 from .conditions import build_report, json_float, thresholds
 from .multipliers import (
     TestFunction,
@@ -122,6 +128,8 @@ _PROBE_SUPPORT = 2.5
 _PROBE_CHIRP = 0.4
 _SEQUENCE_SUPPORT = 1.0
 _BS_NORM_SLACK = 0.02
+# inner end of the hs-identity grid, which runs out to r_max
+_HS_GRID_R_MIN = 0.02
 
 
 class ConfigError(ValueError):
@@ -286,6 +294,15 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     ell_max = _want_int(raw.get("ell_max", 32), "ell_max")
     if ell_max < 0:
         raise ConfigError("ell_max must be a nonnegative integer")
+    if experiment == "hs-identity":
+        # build the grid once now so its bounds fail validation, not the run
+        try:
+            log_uniform_grid(_HS_GRID_R_MIN, r_max, grid_n)
+        except BSError as exc:
+            key = "r_max" if not r_max > _HS_GRID_R_MIN else "grid_n"
+            raise ConfigError(
+                f"{key} does not fit the hs-identity grid from r = {_HS_GRID_R_MIN:g}: {exc}"
+            ) from exc
 
     outlier_tol = None
     if "outlier_tol" in raw:
@@ -458,7 +475,7 @@ def _run_bs_norm(config, stages):
 
 def _run_hs_identity(config, stages):
     pot = _build_potential(config.potential, config.dimension, config.experiment)
-    grid = log_uniform_grid(0.02, config.r_max, config.grid_n)
+    grid = log_uniform_grid(_HS_GRID_R_MIN, config.r_max, config.grid_n)
     result = _stage(
         stages,
         "birman_schwinger.hs_norm",

@@ -1,17 +1,14 @@
 """Hypothesis constants and threshold verdicts for -Delta + V.
 
 Every smallness condition used by the absence-of-eigenvalue theorems is a
-quadratic-form inequality.  This module computes two kinds of certificates
-for each constant:
+quadratic-form inequality.  Each constant comes from one certificate:
 
 * pointwise Hardy certificates: suprema of weighted pointwise quantities
   (e.g. sup |V| r^2 / ((d-2)/2)^2 for the subordination constant), which
   bound the constants from above but need not be sharp; the suprema
   themselves are found by a sampled scan;
-* a variational value for the subordination constant via the z = 0
-  Birman-Schwinger norm (d = 3, radial V only), which is numerically sharp
-  and converges from below under grid refinement, so it is a lower
-  estimate of the constant.
+* integral-class norms (d = 3): the Rollnik norm, int |V|^{3/2} and the
+  subordination bound it chains to through the Sobolev inequality.
 
 Divergent suprema and integrals are first-class results: they come back as
 +inf, because the separating examples (Hardy-type potentials versus Rollnik
@@ -19,10 +16,8 @@ or L^{3/2} classes) hinge on divergence.
 
 Verdict semantics: a theorem's verdict is "pass" when its certified
 constants satisfy the threshold inequality strictly, "fail" when a needed
-constant is +inf (or a variational value, which approaches the constant
-from below, already breaks the inequality), and "inconclusive" otherwise:
-a finite pointwise certificate above the threshold is sufficient-only, and
-a variational value below it can never certify a pass.
+constant is +inf, and "inconclusive" otherwise: a finite pointwise
+certificate above the threshold is sufficient-only.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ __all__ = [
     "ThresholdTable",
     "hardy_constant",
     "subordination_a_pointwise",
-    "subordination_a_variational",
     "rollnik_norm",
     "frank_l32",
     "sobolev_chain_a",
@@ -77,9 +71,6 @@ def json_float(value):
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e6
 _SCAN_N = 3000
-# default_bs_grid size and sectors of the variational subordination constant
-_VARIATIONAL_GRID_N = 400
-_VARIATIONAL_ELL_MAX = 4
 
 
 def _radial_sup(f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -134,23 +125,6 @@ def subordination_a_pointwise(potential: Potential) -> float:
     return _radial_sup(lambda r: potential.abs_radial(r) * r**2) / cd2
 
 
-def subordination_a_variational(potential: Potential) -> float:
-    """Sharp subordination constant via the z = 0 Birman-Schwinger norm.
-
-    Equals |K~_0| = | |V|^(1/2) H_0^(-1/2) |^2 in the limit; the Nystroem
-    value on ``default_bs_grid(400)`` with sectors l <= 4 converges from
-    below under grid refinement.  Each sector's sigma_max is 1 / lambda_min
-    of its tridiagonal inverse (``assemble_bs`` at z = 0), so no dense matrix
-    or SVD is formed.  d = 3 only.
-    """
-    from .birman_schwinger import assemble_bs, default_bs_grid
-
-    if potential.dimension != 3:
-        raise ConditionError("variational route supports V in d = 3 only")
-    grid = default_bs_grid(n=_VARIATIONAL_GRID_N)
-    return assemble_bs(potential, 0.0, grid, ell_max=_VARIATIONAL_ELL_MAX).norm
-
-
 # ---------------------------------------------------------------------------
 # integral-class norms
 # ---------------------------------------------------------------------------
@@ -175,6 +149,19 @@ def _dyadic_edges(x: float, levels: int) -> set[float]:
 _ROLLNIK_R_MAX = 24.0
 _ROLLNIK_N_OUTER = 200
 _FRANK_R_MAX = 30.0
+
+
+def _ball_panels(
+    potential: Potential, radius: float, per_panel: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, radius] for radial integrals of V.
+
+    Panels shrink dyadically toward the origin (edges radius 2^-k, k <= 24)
+    and end at the jumps of V inside the ball; ``per_panel`` nodes each.
+    """
+    edges = {0.0, radius} | {radius * 2.0 ** (-k) for k in range(1, 25)}
+    edges |= {j for j in potential.jumps if 0.0 < j < radius}
+    return panel_gauss(sorted(edges), per_panel)
 
 
 def _rollnik_radial(potential: Potential) -> float:
@@ -258,21 +245,20 @@ def frank_l32(potential: Potential) -> float:
         raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")
     if potential.origin_singularity_order >= 2.0 or not _tail_decays(potential, 2.0):
         return math.inf
-    r_max = _FRANK_R_MAX
-    edges = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 25)}
-    edges |= {j for j in potential.jumps if 0.0 < j < r_max}
-    nodes, weights = panel_gauss(sorted(edges), 14)
+    nodes, weights = _ball_panels(potential, _FRANK_R_MAX, 14)
     return 4.0 * np.pi * float(
         np.dot(weights, potential.abs_radial(nodes) ** 1.5 * nodes**2)
     )
 
 
-def sobolev_chain_a(potential: Potential) -> float:
-    """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound."""
-    value = frank_l32(potential)
-    if math.isinf(value):
+def sobolev_chain_a(l32: float) -> float:
+    """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound.
+
+    ``l32`` is the integral itself, as ``frank_l32`` returns it.
+    """
+    if math.isinf(l32):
         return math.inf
-    return value ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
+    return l32 ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
 
 
 def lambda_constant(potential: Potential) -> float:
@@ -343,15 +329,11 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
 # report and verdicts
 # ---------------------------------------------------------------------------
 
-_VERDICT_KEYS = ("thm11", "thm12", "thm13", "thm51")
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """All hypothesis constants for one potential, plus theorem verdicts."""
 
     a: float
-    a_method: str
     rollnik: float
     frank_l32: float
     sobolev_chain_a: float
@@ -362,8 +344,6 @@ class ConditionReport:
     verdicts: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.a_method not in ("pointwise-hardy", "variational"):
-            raise ConditionError(f"unknown a_method {self.a_method!r}")
         for name in ("a", "rollnik", "frank_l32", "sobolev_chain_a", "lambda_", "b1", "b2", "b3"):
             if getattr(self, name) < 0:
                 raise ConditionError(f"constant {name} must be nonnegative")
@@ -371,7 +351,7 @@ class ConditionReport:
     def to_json_dict(self) -> dict:
         return {
             "a": json_float(self.a),
-            "a_method": self.a_method,
+            "a_method": "pointwise-hardy",
             "rollnik": json_float(self.rollnik),
             "frank_l32": json_float(self.frank_l32),
             "sobolev_chain_a": json_float(self.sobolev_chain_a),
@@ -388,23 +368,14 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
 
     Pointwise certificates are sufficient-only: a finite certificate above
     its threshold leaves the statement open (inconclusive).  An infinite
-    constant fails the checked condition outright.  For the subordination
-    statement the variational value converges from below: at or above 1 it
-    is a genuine failure, below 1 it is only inconclusive (a = 1.01 Hardy
-    reads 0.9948 on the default grid).  A pointwise value below 1 passes
-    and one above 1 is again only inconclusive.
+    constant fails the checked condition outright.  The subordination
+    statement passes when d = 3 and the pointwise a is below 1, and is
+    inconclusive otherwise.
     """
     table = thresholds(d)
     verdicts: dict[str, str] = {}
 
-    if d != 3:
-        verdicts["thm11"] = "inconclusive"
-    elif report.a_method == "variational":
-        verdicts["thm11"] = "fail" if report.a >= 1.0 else "inconclusive"
-    elif report.a < 1.0:
-        verdicts["thm11"] = "pass"
-    else:
-        verdicts["thm11"] = "inconclusive"
+    verdicts["thm11"] = "pass" if d == 3 and report.a < 1.0 else "inconclusive"
 
     for key, value, bound in (
         ("thm12", report.lambda_, table.thm12_b_max),
@@ -430,27 +401,20 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
     return verdicts
 
 
-def build_report(potential: Potential, a_method: str = "pointwise-hardy") -> ConditionReport:
+def build_report(potential: Potential) -> ConditionReport:
     """Compute every constant for one potential and attach verdicts."""
     d = potential.dimension
-    if a_method == "variational":
-        a = subordination_a_variational(potential)
-    elif a_method == "pointwise-hardy":
-        a = subordination_a_pointwise(potential)
-    else:
-        raise ConditionError(f"unknown a_method {a_method!r}")
-
+    a = subordination_a_pointwise(potential)
     if d == 3:
         rollnik = rollnik_norm(potential)
         frank = frank_l32(potential)
-        chain = sobolev_chain_a(potential)
+        chain = sobolev_chain_a(frank)
     else:
         rollnik = frank = chain = math.inf
     lam = lambda_constant(potential)
     b1, b2, b3 = b_constants(potential)
     report = ConditionReport(
         a=a,
-        a_method=a_method,
         rollnik=rollnik,
         frank_l32=frank,
         sobolev_chain_a=chain,

@@ -262,27 +262,22 @@ def _hardy_log_nodes(eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """Radial multiplier g(|x|) in d = 3 with enough derivatives to form Delta^2 G.
+    """Radial multiplier g(|x|) in d = 3 with its first four derivatives.
 
-    ``d3`` and ``d4`` may be omitted for multipliers that only enter the
-    first two identities; the bi-Laplacian then raises.
+    Four derivatives are enough to form Delta^2 G.
     """
 
     name: str
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
     d2g: Callable[[np.ndarray], np.ndarray]
-    d3g: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d4g: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    d3g: Callable[[np.ndarray], np.ndarray]
+    d4g: Callable[[np.ndarray], np.ndarray]
 
     def laplacian(self, r: np.ndarray) -> np.ndarray:
         return self.d2g(r) + 2 * self.dg(r) / r
 
     def bilaplacian(self, r: np.ndarray) -> np.ndarray:
-        if self.d3g is None or self.d4g is None:
-            raise MultiplierError(
-                f"multiplier {self.name!r} lacks third/fourth derivatives"
-            )
         # Delta^2 G = h'' + 2 h'/r for h := Delta G
         dh = self.d3g(r) + 2 * (self.d2g(r) / r - self.dg(r) / r**2)
         d2h = self.d4g(r) + 2 * (
@@ -654,13 +649,6 @@ class HardyRatios:
     hardy_bound: float
     weighted_ratio: float
     weighted_bound: float
-
-    @property
-    def respects_bounds(self) -> bool:
-        return (
-            self.hardy_ratio <= self.hardy_bound * (1 + 1e-9)
-            and self.weighted_ratio <= self.weighted_bound * (1 + 1e-9)
-        )
 
 
 def hardy_check(psi, d: int = 3) -> HardyRatios:

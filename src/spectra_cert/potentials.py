@@ -241,7 +241,7 @@ class MagneticPotential:
     included: ``vector_potential`` returns A of shape (..., d) and
     ``field_tensor`` B of shape (..., d, d).  When ``field_tensor`` is None,
     B is computed by centred finite differences of A (step 1e-5, O(h^2)
-    accurate); ``analytic_field`` records which route applies.  A is taken
+    accurate).  A is taken
     to be divergence-free (Coulomb gauge), as every catalog entry is, so
     the magnetic Laplacian carries no div A term.
     """
@@ -250,10 +250,6 @@ class MagneticPotential:
     dimension: int
     vector_potential: Callable[[np.ndarray], np.ndarray]
     field_tensor: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def analytic_field(self) -> bool:
-        return self.field_tensor is not None
 
     def field(self, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
         """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i.

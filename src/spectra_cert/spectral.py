@@ -106,10 +106,6 @@ class DiscretizedOperator:
         m[i[:-1], i[1:]] = m[i[1:], i[:-1]] = -1.0 / self.h**2
         return m
 
-    def nodes(self) -> np.ndarray:
-        """Radial cell centers r_j."""
-        return self.h * (np.arange(self.n) + 0.5)
-
 
 def _sector_diagonal(
     ell: int, radius: float, n: int, potential: Optional[Potential] = None

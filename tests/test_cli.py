@@ -260,6 +260,9 @@ class TestParseConfig:
         formats = ["json", "csv"] if fmt_csv else ["json"]
         if exp not in ("spectrum", "pseudospectrum", "identity-check", "singular-sequence"):
             formats = ["json"]
+        if exp == "hs-identity":
+            # its log-uniform grid needs 20 nodes; fewer is a config error
+            grid_n = max(grid_n, 20)
         grid = {"grid_n": grid_n, "r_max": r_max, "ell_max": ell_max}
         read = KEYS_READ[exp]
         text = make(
@@ -610,6 +613,27 @@ class TestMainExitCodes:
         )
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("key, value", [("grid_n", "12"), ("r_max", "0.01")])
+    def test_hs_identity_grid_bounds_are_2(self, tmp_path, capsys, command, key, value):
+        # the hs-identity grid runs from r = 0.02 with at least 20 nodes
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == "hs_identity_gaussian")
+        code = main(
+            [
+                command,
+                str(config_path),
+                "--set",
+                f"output.path={tmp_path / config_path.stem}",
+                "--set",
+                f"{key}={value}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{key} does not fit the hs-identity grid" in captured.err
+        assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
     def test_bad_set_is_2(self, tmp_path, capsys):

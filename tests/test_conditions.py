@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectra_cert.conditions as cond
+from spectra_cert.birman_schwinger import BSError, assemble_bs, default_bs_grid
 from spectra_cert.conditions import (
     ConditionError,
     ConditionReport,
@@ -31,7 +32,6 @@ from spectra_cert.conditions import (
     rollnik_norm,
     sobolev_chain_a,
     subordination_a_pointwise,
-    subordination_a_variational,
     thresholds,
 )
 from spectra_cert.numerics import panel_gauss
@@ -44,6 +44,15 @@ GAUSSIAN_ROLLNIK = 5.568327996829
 # the L^{3/2} threshold of the Frank condition, 3^{3/2} / (4 pi^2); no
 # verdict reads it, so the library keeps no constant for it
 FRANK_THRESHOLD = 3.0**1.5 / (4.0 * math.pi**2)
+
+
+def variational_a(potential, n=400, ell_max=4):
+    """The z = 0 Birman-Schwinger norm on default_bs_grid(n), sectors l <= ell_max.
+
+    It approaches the subordination constant from below under grid
+    refinement, so it is an oracle for the certificates above it.
+    """
+    return assemble_bs(potential, 0.0, default_bs_grid(n), ell_max=ell_max).norm
 
 
 def rollnik_partial_wave_oracle(abs_profile, r_max, ell_terms=120):
@@ -151,22 +160,17 @@ class TestSubordinationPointwise:
 
 
 class TestSubordinationVariational:
-    def test_hardy_refinement_from_below(self, monkeypatch):
-        from spectra_cert import conditions
+    def test_hardy_refinement_from_below(self):
         from spectra_cert.numerics import aitken_extrapolate
 
-        monkeypatch.setattr(conditions, "_VARIATIONAL_ELL_MAX", 0)
-        values = []
-        for n in (100, 200, 400):
-            monkeypatch.setattr(conditions, "_VARIATIONAL_GRID_N", n)
-            values.append(subordination_a_variational(catalog("hardy", a=0.5)))
+        values = [
+            variational_a(catalog("hardy", a=0.5), n=n, ell_max=0) for n in (100, 200, 400)
+        ]
         assert values[0] < values[1] < values[2] <= 0.5
         extrapolated = aitken_extrapolate(values)
         assert abs(extrapolated - 0.5) / 0.5 <= 0.05
 
     def test_s_wave_attains_the_max(self):
-        from spectra_cert.birman_schwinger import assemble_bs, default_bs_grid
-
         bsm = assemble_bs(
             catalog("hardy", a=0.5), 0.0, default_bs_grid(n=200), ell_max=2
         )
@@ -177,15 +181,15 @@ class TestSubordinationVariational:
         )
 
     def test_zero_potential(self):
-        assert subordination_a_variational(catalog("gaussian", v0=0.0)) == 0.0
+        assert variational_a(catalog("gaussian", v0=0.0)) == 0.0
 
     def test_gaussian_below_pointwise(self):
         g = catalog("gaussian", v0=1.0)
-        assert subordination_a_variational(g) <= subordination_a_pointwise(g)
+        assert variational_a(g) <= subordination_a_pointwise(g)
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ConditionError):
-            subordination_a_variational(catalog("hardy", a=0.5, dimension=4))
+        with pytest.raises(BSError):
+            variational_a(catalog("hardy", a=0.5, dimension=4))
 
 
 class TestRollnik:
@@ -289,14 +293,14 @@ class TestFrank:
 
 class TestSobolevChain:
     def test_zero(self):
-        assert sobolev_chain_a(catalog("gaussian", v0=0.0)) == 0.0
+        assert sobolev_chain_a(frank_l32(catalog("gaussian", v0=0.0))) == 0.0
 
     def test_threshold_composition(self):
         # a potential sitting exactly at the L^{3/2} threshold would chain to
         # this constant; compose the two module constants directly
         composed = FRANK_THRESHOLD ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
         v0 = (FRANK_THRESHOLD / (2.0 * math.pi / 3.0) ** 1.5) ** (2.0 / 3.0)
-        value = sobolev_chain_a(catalog("gaussian", v0=v0))
+        value = sobolev_chain_a(frank_l32(catalog("gaussian", v0=v0)))
         assert value == pytest.approx(composed, rel=1e-6)
 
     def test_chain_constant(self):
@@ -304,10 +308,10 @@ class TestSobolevChain:
 
     def test_gaussian_above_variational(self):
         g = catalog("gaussian", v0=1.0)
-        assert sobolev_chain_a(g) >= subordination_a_variational(g)
+        assert sobolev_chain_a(frank_l32(g)) >= variational_a(g)
 
     def test_hardy_inf(self):
-        assert math.isinf(sobolev_chain_a(catalog("hardy", a=0.3)))
+        assert math.isinf(sobolev_chain_a(frank_l32(catalog("hardy", a=0.3))))
 
 
 class TestLambdaConstant:
@@ -433,7 +437,7 @@ class TestScaling:
 class TestOrderingChain:
     def test_gaussian(self):
         g = catalog("gaussian", v0=1.0)
-        a_var = subordination_a_variational(g)
+        a_var = variational_a(g)
         assert a_var <= rollnik_norm(g) / (4.0 * math.pi) + 1e-9
         assert a_var <= subordination_a_pointwise(g) + 1e-12
 
@@ -479,7 +483,6 @@ class TestReportAndVerdicts:
         table = thresholds(3)
         report = ConditionReport(
             a=0.1,
-            a_method="pointwise-hardy",
             rollnik=1.0,
             frank_l32=1.0,
             sobolev_chain_a=1.0,
@@ -490,37 +493,18 @@ class TestReportAndVerdicts:
         )
         assert evaluate_theorems(report, 3)["thm13"] == "inconclusive"
 
-    def test_variational_a_above_one_fails(self):
-        report = ConditionReport(
-            a=1.2,
-            a_method="variational",
-            rollnik=1.0,
-            frank_l32=1.0,
-            sobolev_chain_a=1.0,
-            lambda_=0.1,
-            b1=0.0,
-            b2=0.0,
-            b3=0.0,
-        )
-        assert evaluate_theorems(report, 3)["thm11"] == "fail"
-
-    def test_variational_a_below_one_is_inconclusive(self):
-        # the Nystroem value converges from below, so it never certifies a < 1
-        report = build_report(catalog("hardy", a=0.5), a_method="variational")
-        assert report.a < 1.0
-        assert report.verdicts["thm11"] == "inconclusive"
-
     @pytest.mark.parametrize("a", [1.005, 1.01])
     def test_supercritical_hardy_variational_does_not_pass(self, a):
-        # on the default grid these read a = 0.9898 and 0.9948
-        report = build_report(catalog("hardy", a=a), a_method="variational")
-        assert report.a < 1.0
+        # the variational value reads 0.9898 and 0.9948 here, below 1 from
+        # below, so only the pointwise certificate may decide a pass
+        assert variational_a(catalog("hardy", a=a)) < 1.0
+        report = build_report(catalog("hardy", a=a))
+        assert report.a >= 1.0
         assert report.verdicts["thm11"] != "pass"
 
     def test_pointwise_a_above_one_is_inconclusive(self):
         report = ConditionReport(
             a=1.2,
-            a_method="pointwise-hardy",
             rollnik=1.0,
             frank_l32=1.0,
             sobolev_chain_a=1.0,
@@ -534,7 +518,6 @@ class TestReportAndVerdicts:
     def test_wrong_dimension_thm11_inconclusive(self):
         report = ConditionReport(
             a=0.3,
-            a_method="pointwise-hardy",
             rollnik=1.0,
             frank_l32=1.0,
             sobolev_chain_a=1.0,
@@ -549,7 +532,6 @@ class TestReportAndVerdicts:
         with pytest.raises(ConditionError):
             ConditionReport(
                 a=-1.0,
-                a_method="variational",
                 rollnik=0.0,
                 frank_l32=0.0,
                 sobolev_chain_a=0.0,
@@ -559,20 +541,18 @@ class TestReportAndVerdicts:
                 b3=0.0,
             )
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConditionError):
-            ConditionReport(
-                a=0.0,
-                a_method="guess",
-                rollnik=0.0,
-                frank_l32=0.0,
-                sobolev_chain_a=0.0,
-                lambda_=0.0,
-                b1=0.0,
-                b2=0.0,
-                b3=0.0,
-            )
+    def test_d3_report_integrates_l32_once(self, monkeypatch):
+        calls = []
+
+        def counted(potential):
+            calls.append(potential)
+            return frank_l32(potential)
+
+        monkeypatch.setattr(cond, "frank_l32", counted)
+        report = build_report(catalog("gaussian", v0=1.0))
+        assert len(calls) == 1
+        assert report.sobolev_chain_a == sobolev_chain_a(report.frank_l32)
 
     def test_pointwise_dominates_variational_when_both_computed(self):
         g = catalog("gaussian", v0=1.0)
-        assert subordination_a_pointwise(g) >= subordination_a_variational(g) - 1e-9
+        assert subordination_a_pointwise(g) >= variational_a(g) - 1e-9

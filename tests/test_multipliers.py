@@ -19,7 +19,6 @@ import pytest
 from spectra_cert.multipliers import (
     HardyRatios,
     MultiplierError,
-    MultiplierProfile,
     MultiplierTriple,
     NearExtremalHardyProfile,
     hardy_check,
@@ -151,11 +150,6 @@ class TestMultiplierCatalog:
         g = multiplier_catalog("constant", value=3.5)
         np.testing.assert_allclose(g.g(self.RADII), 3.5)
         np.testing.assert_allclose(g.laplacian(self.RADII), 0.0)
-
-    def test_missing_stack_raises(self):
-        g = MultiplierProfile("half", lambda r: r, lambda r: 0 * r + 1, lambda r: 0 * r)
-        with pytest.raises(MultiplierError, match="derivatives"):
-            g.bilaplacian(np.array([1.0]))
 
     def test_validation(self):
         with pytest.raises(MultiplierError, match="unknown multiplier"):
@@ -289,12 +283,13 @@ class TestHardyQuotients:
     def test_weighted_quotient_never_exceeds_bound(self, eps):
         ratios = hardy_check(NearExtremalHardyProfile(eps))
         assert ratios.weighted_ratio < ratios.weighted_bound
-        assert ratios.respects_bounds
+        assert ratios.hardy_ratio <= ratios.hardy_bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("u", [BUMP, ELL1], ids=lambda u: u.family)
     def test_probe_quotients_respect_bounds(self, u):
         ratios = hardy_check(u)
-        assert ratios.respects_bounds
+        assert ratios.hardy_ratio <= ratios.hardy_bound * (1 + 1e-9)
+        assert ratios.weighted_ratio <= ratios.weighted_bound * (1 + 1e-9)
         assert ratios.hardy_bound == pytest.approx(4.0)
         assert ratios.weighted_bound == pytest.approx(1.0)
 

@@ -7,10 +7,13 @@ count, and neither do the unit tests: a witness reached only by its own unit
 tests has no path from ``spectra-cert run`` and should be wired in or
 deleted.
 
-The same rule holds for defaulted parameters of exported functions and
-public methods, and for defaulted fields of exported dataclasses: some call
-in those sources must pass each one, or it is a constant in disguise and
-belongs in the module as one.
+The name rule also holds for the public methods and properties of exported
+classes.  The same rule holds for defaulted parameters of exported
+functions and public methods, and for defaulted fields of exported
+dataclasses: some call in those sources must pass each one, or it is a
+constant in disguise and belongs in the module as one.
+
+The package's relative imports, lazy ones included, must form no cycle.
 """
 
 import ast
@@ -24,9 +27,8 @@ SOURCES = (
     + [ROOT / "tests" / "test_acceptance.py"]
 )
 
-# cli.main(argv) is the seam the exit-code tests drive; build_report(a_method)
-# keeps the variational subordination route callable until it is wired in
-KNOB_EXEMPTIONS = {"cli.main(argv)", "conditions.build_report(a_method)"}
+# cli.main(argv) is the seam the exit-code tests drive
+KNOB_EXEMPTIONS = {"cli.main(argv)"}
 
 
 def _trees(paths: list[Path]) -> list[ast.Module]:
@@ -63,6 +65,47 @@ def exported_names() -> list[tuple[str, str]]:
         for path in sorted(PACKAGE.glob("*.py"))
         for name in _all_of(ast.parse(path.read_text()))
     ]
+
+
+def public_members() -> list[tuple[str, str, str]]:
+    """(module, class, member) for the public methods and properties of
+    every class in a package ``__all__``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = set(_all_of(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                out += [
+                    (path.stem, node.name, stmt.name)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                ]
+    return out
+
+
+def relative_imports() -> dict[str, set[str]]:
+    """Package module -> the package modules it imports, lazy imports included.
+
+    ``from . import name`` imports the module ``name`` when there is one and
+    otherwise reads ``name`` from ``__init__``.
+    """
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        deps: set[str] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node.module:
+                deps.add(node.module.split(".")[0])
+            else:
+                deps.update(
+                    alias.name if alias.name in modules else "__init__"
+                    for alias in node.names
+                )
+        graph[path.stem] = deps
+    return graph
 
 
 def _defaulted_params(fn, is_method: bool) -> list[tuple[str, int | None]]:
@@ -171,3 +214,33 @@ def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     assert sorted(set(unpassed) - KNOB_EXEMPTIONS) == []
     # an exemption that a caller now passes, or whose knob is gone, is stale
     assert KNOB_EXEMPTIONS <= set(unpassed)
+
+
+def test_every_public_method_is_used_outside_the_unit_tests():
+    used = used_names(SOURCES)
+    members = public_members()
+    assert len(members) > 10
+    unused = [f"{mod}.{cls}.{name}" for mod, cls, name in members if name not in used]
+    assert unused == []
+
+
+def test_package_imports_form_no_cycle():
+    graph = relative_imports()
+    # the lazy probe-quadrature import inside spectral is part of the graph
+    assert "multipliers" in graph["spectral"]
+    cycles: list[list[str]] = []
+    state: dict[str, str] = {}
+
+    def visit(module: str, path: list[str]) -> None:
+        state[module] = "open"
+        for dep in sorted(graph.get(module, ())):
+            if state.get(dep) == "open":
+                cycles.append(path[path.index(dep):] + [dep])
+            elif dep not in state:
+                visit(dep, path + [dep])
+        state[module] = "done"
+
+    for module in sorted(graph):
+        if module not in state:
+            visit(module, [module])
+    assert cycles == []
