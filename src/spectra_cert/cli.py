@@ -44,15 +44,16 @@ import os
 import sys
 
 
-def _apply_thread_cap(environ) -> bool:
+def _apply_thread_cap(environ) -> int | None:
     """Propagate SPECTRA_CERT_THREADS to the BLAS/OpenMP pool variables.
 
-    Returns True when a positive integer cap was applied.  Runs at import
+    Returns the positive integer cap it applied, or None.  Runs at import
     time so the console script constrains numpy's thread pools.
     """
     raw = environ.get("SPECTRA_CERT_THREADS", "")
-    if not raw.isdigit() or int(raw) < 1:
-        return False
+    cap = int(raw) if raw.isdigit() else 0
+    if cap < 1:
+        return None
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
@@ -60,16 +61,14 @@ def _apply_thread_cap(environ) -> bool:
         "NUMEXPR_NUM_THREADS",
     ):
         environ[var] = raw
-    return True
+    return cap
 
 
 # the cap that reached the BLAS pool, echoed in every manifest: None when
 # SPECTRA_CERT_THREADS is unset or invalid, or numpy was loaded first
-_THREAD_CAP = (
-    int(os.environ["SPECTRA_CERT_THREADS"])
-    if _apply_thread_cap(os.environ) and "numpy" not in sys.modules
-    else None
-)
+_THREAD_CAP = _apply_thread_cap(os.environ)
+if "numpy" in sys.modules:
+    _THREAD_CAP = None
 
 import argparse
 import csv
@@ -86,6 +85,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .birman_schwinger import (
+    _BESSEL_ELL_MAX,
     BSError,
     assemble_bs,
     default_bs_grid,
@@ -99,8 +99,17 @@ from .multipliers import (
     magnetic_identity_smoke,
     radi_identity_terms,
 )
-from .potentials import PotentialError, catalog, magnetic_catalog
+from .potentials import (
+    _ELECTRIC,
+    _MAGNETIC,
+    PotentialError,
+    catalog,
+    catalog_names,
+    magnetic_catalog,
+    magnetic_catalog_names,
+)
 from .spectral import (
+    SpectralError,
     discretize_radial,
     pseudospectrum,
     singular_sequence_decay,
@@ -229,21 +238,21 @@ def _parse_potential(raw, dimension: int, experiment: str) -> PotentialSpec:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("potential params must be an object")
-    for key, val in params.items():
-        _want_number(val, f"potential param {key!r}")
     spec = PotentialSpec(name=str(name), params=dict(params))
-    # construct once now so bad names/params fail validation, not the run
+    # construct once now so bad names/params fail validation, not the run;
+    # the catalog rows check every parameter, and a TypeError is a param
+    # named like a keyword of the catalog call (dimension)
     try:
         _build_potential(spec, dimension, experiment)
-    except (PotentialError, KeyError, TypeError) as exc:
-        detail = exc.args[0] if exc.args else exc
-        if isinstance(exc, KeyError):
-            detail = f"missing required parameter {detail!r}"
-        raise ConfigError(f"potential {spec.name!r}: {detail}") from exc
+    except (PotentialError, TypeError) as exc:
+        raise ConfigError(f"potential {spec.name!r}: {exc}") from exc
     return spec
 
 
-def _build_potential(spec: PotentialSpec, dimension: int, experiment: str):
+def _build_potential(spec: Optional[PotentialSpec], dimension: int, experiment: str):
+    """The catalog entry a config names; None when it names none."""
+    if spec is None:
+        return None
     if experiment == "magnetic-smoke":
         return magnetic_catalog(spec.name, dimension=dimension, **spec.params)
     return catalog(spec.name, dimension=dimension, **spec.params)
@@ -313,6 +322,15 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     potential = None
     if "potential" in raw:
         potential = _parse_potential(raw["potential"], dimension, experiment)
+    if experiment in ("spectrum", "pseudospectrum"):
+        # build the sectors with the smallest and the largest diagonal now,
+        # so a grid too fine for double precision fails validation, not the run
+        pot = _build_potential(potential, dimension, experiment)
+        try:
+            for ell in {0, ell_max if experiment == "spectrum" else 0}:
+                discretize_radial(pot, ell, r_max, grid_n)
+        except SpectralError as exc:
+            raise ConfigError(f"r_max does not fit a grid of {grid_n} cells: {exc}") from exc
 
     z_list = None
     if "z_list" in raw:
@@ -325,6 +343,10 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
                 raise ConfigError(
                     "z_list contains a point on the open positive real axis"
                 )
+        if ell_max > _BESSEL_ELL_MAX and any(z != 0 for z in z_list):
+            raise ConfigError(
+                f"ell_max must be <= {_BESSEL_ELL_MAX} when z_list holds a z != 0"
+            )
 
     z_window = None
     if "z_window" in raw:
@@ -491,11 +513,7 @@ def _run_hs_identity(config, stages):
 
 
 def _run_spectrum(config, stages):
-    pot = (
-        _build_potential(config.potential, config.dimension, config.experiment)
-        if config.potential is not None
-        else None
-    )
+    pot = _build_potential(config.potential, config.dimension, config.experiment)
     sectors = []
     all_rows = []
     for ell in range(config.ell_max + 1):
@@ -521,11 +539,7 @@ def _run_spectrum(config, stages):
 
 
 def _run_pseudospectrum(config, stages):
-    pot = (
-        _build_potential(config.potential, config.dimension, config.experiment)
-        if config.potential is not None
-        else None
-    )
+    pot = _build_potential(config.potential, config.dimension, config.experiment)
     op = discretize_radial(pot, 0, config.r_max, config.grid_n)
     win = config.z_window
     field = _stage(
@@ -777,20 +791,13 @@ def _cmd_catalog(args) -> int:
     if d < 3:
         raise ConfigError("dimension must be an integer >= 3")
     table = thresholds(d)
-    lines = [
-        f"potential catalog (dimension {d})",
-        "  hardy(a)                  attractive inverse-square, strength a relative to the sharp constant",
-        "  coulomb_repulsive(c)      repulsive real tail +c/|x|",
-        "  imaginary_hardy(beta)     purely imaginary inverse-square i*beta/|x|^2",
-        "  gaussian(v0[, c_im])      (-v0 + i*c_im) exp(-|x|^2)",
-        "  yukawa(g, mu)             -g exp(-mu|x|)/|x|",
-        "  square_well(v0, r0)       -v0 on |x| < r0, zero outside",
-        "",
-        "magnetic catalog (magnetic-smoke)",
-        "  azimuthal_inverse_square  A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero",
-        "  uniform_z(b)              uniform field of strength b along the third axis",
-        "  zero                      A = 0",
-        "",
+    lines = []
+    for title, names, rows in (
+        (f"potential catalog (dimension {d})", catalog_names(), _ELECTRIC),
+        ("magnetic catalog (magnetic-smoke)", magnetic_catalog_names(), _MAGNETIC),
+    ):
+        lines += [title] + [f"  {rows[n].usage:<26}{rows[n].summary}" for n in names] + [""]
+    lines += [
         f"thresholds (dimension {d})",
         f"  subordination b max   {table.thm12_b_max:.12g}",
         f"  lambda star           {table.lambda_star:.12g}",

@@ -14,20 +14,32 @@ orthogonality gives the factor 4 pi / (2l + 1) and the angular gradient
 contributes l (l + 1) |q|^2 / r^2.  The radial profiles carry analytic first
 and second derivatives; an optional quadratic chirp exp(i alpha r^2) makes
 the probes genuinely complex so the imaginary-part identities have content.
+
+The radial multipliers are rows of one family, g(r) = p(r) exp(-w r^2) with
+a polynomial p.  Their derivatives are q_k(r) exp(-w r^2), with q_0 = p and
+q_(k+1) = q_k' - 2 w r q_k:
+
+    row                      p        w
+    constant(value)          value    0
+    abs                      r        0
+    square                   r^2      0
+    windowed-square(width)   r^2      1 / width
+    canonical-g2             2 r      0    (G2 of the canonical triple)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import partialmethod
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .conditions import b_constants
 from .numerics import box_grid, fit_loglog_slope, panel_gauss
-from .potentials import MagneticPotential, Potential, b_tau
+from .potentials import MagneticPotential, Potential, _row_params, _Row, b_tau
 
 __all__ = [
     "MultiplierError",
@@ -262,17 +274,36 @@ def _hardy_log_nodes(eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """Radial multiplier g(|x|) in d = 3 with its first four derivatives.
+    """Radial multiplier g(|x|) = p(r) exp(-window r^2) in d = 3.
 
-    Four derivatives are enough to form Delta^2 G.
+    ``coefficients`` are those of p, lowest power first.  ``g`` .. ``d4g``
+    are g and its first four derivatives, by the recurrence of the module
+    docstring; four are enough to form Delta^2 G.
     """
 
     name: str
-    g: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray]
-    d2g: Callable[[np.ndarray], np.ndarray]
-    d3g: Callable[[np.ndarray], np.ndarray]
-    d4g: Callable[[np.ndarray], np.ndarray]
+    coefficients: tuple[float, ...]
+    window: float = 0.0
+
+    def __post_init__(self) -> None:
+        stack = [np.asarray(self.coefficients, dtype=float)]
+        for _ in range(4):
+            q = stack[-1]
+            stack.append(P.polysub(P.polyder(q), 2.0 * self.window * P.polymulx(q)))
+        object.__setattr__(self, "_stack", tuple(stack))
+
+    def _derivative(self, k: int, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        value = P.polyval(r, self._stack[k])
+        if self.window:
+            value = value * np.exp(-self.window * r**2)
+        return value
+
+    g = partialmethod(_derivative, 0)
+    dg = partialmethod(_derivative, 1)
+    d2g = partialmethod(_derivative, 2)
+    d3g = partialmethod(_derivative, 3)
+    d4g = partialmethod(_derivative, 4)
 
     def laplacian(self, r: np.ndarray) -> np.ndarray:
         return self.d2g(r) + 2 * self.dg(r) / r
@@ -286,8 +317,18 @@ class MultiplierProfile:
         return d2h + 2 * dh / r
 
 
-def _const(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda r: np.full_like(np.asarray(r, dtype=float), c)
+# params -> (profile name, coefficients of p, window)
+_MULTIPLIERS = {
+    "constant": _Row(
+        (("value", None, 1.0),), lambda p: (f"constant({p['value']:g})", (p["value"],), 0.0)
+    ),
+    "abs": _Row((), lambda p: ("abs", (0.0, 1.0), 0.0)),
+    "square": _Row((), lambda p: ("square", (0.0, 0.0, 1.0), 0.0)),
+    "windowed-square": _Row(
+        (("width", "> 0", 10.0),),
+        lambda p: (f"windowed-square({p['width']:g})", (0.0, 0.0, 1.0), 1.0 / p["width"]),
+    ),
+}
 
 
 def multiplier_catalog(name: str, **params: float) -> MultiplierProfile:
@@ -296,57 +337,9 @@ def multiplier_catalog(name: str, **params: float) -> MultiplierProfile:
     ``windowed-square`` is r^2 exp(-r^2 / width), a smooth non-polynomial
     multiplier with the full derivative stack; default width 10.
     """
-    if name == "constant":
-        c = float(params.pop("value", 1.0))
-        _no_extra(name, params)
-        return MultiplierProfile(
-            f"constant({c:g})", _const(c), _const(0.0), _const(0.0), _const(0.0), _const(0.0)
-        )
-    if name == "abs":
-        _no_extra(name, params)
-        return MultiplierProfile(
-            "abs",
-            lambda r: np.asarray(r, dtype=float),
-            _const(1.0),
-            _const(0.0),
-            _const(0.0),
-            _const(0.0),
-        )
-    if name == "square":
-        _no_extra(name, params)
-        return MultiplierProfile(
-            "square",
-            lambda r: np.asarray(r, dtype=float) ** 2,
-            lambda r: 2.0 * np.asarray(r, dtype=float),
-            _const(2.0),
-            _const(0.0),
-            _const(0.0),
-        )
-    if name == "windowed-square":
-        width = float(params.pop("width", 10.0))
-        _no_extra(name, params)
-        if width <= 0:
-            raise MultiplierError("windowed-square needs width > 0")
-        c = 1.0 / width
-
-        def w(r):
-            return np.exp(-c * np.asarray(r, dtype=float) ** 2)
-
-        return MultiplierProfile(
-            f"windowed-square({width:g})",
-            lambda r: r**2 * w(r),
-            lambda r: (2 * r - 2 * c * r**3) * w(r),
-            lambda r: (2 - 10 * c * r**2 + 4 * c**2 * r**4) * w(r),
-            lambda r: (-24 * c * r + 36 * c**2 * r**3 - 8 * c**3 * r**5) * w(r),
-            lambda r: (-24 * c + 156 * c**2 * r**2 - 112 * c**3 * r**4 + 16 * c**4 * r**6)
-            * w(r),
-        )
-    raise MultiplierError(f"unknown multiplier {name!r}")
-
-
-def _no_extra(name: str, params: dict) -> None:
-    if params:
-        raise MultiplierError(f"unexpected parameters for {name!r}: {sorted(params)}")
+    row, values = _row_params(MultiplierError, "multiplier", _MULTIPLIERS, name, params)
+    label, coefficients, window = row.family(values)
+    return MultiplierProfile(label, coefficients, window=window)
 
 
 @dataclass(frozen=True)
@@ -368,14 +361,7 @@ class MultiplierTriple:
     def canonical_triple(cls) -> "MultiplierTriple":
         return cls(
             g1=multiplier_catalog("constant", value=1.0),
-            g2=MultiplierProfile(
-                "canonical-g2",
-                lambda r: 2.0 * np.asarray(r, dtype=float),
-                _const(2.0),
-                _const(0.0),
-                _const(0.0),
-                _const(0.0),
-            ),
+            g2=MultiplierProfile("canonical-g2", (0.0, 2.0)),
             g3=multiplier_catalog("square"),
         )
 

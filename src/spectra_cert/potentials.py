@@ -1,19 +1,28 @@
 """Potential catalog and magnetic vector potentials.
 
-Every electric potential in the catalog is radial and carries, besides the
-profile V(r) itself, the metadata the condition checkers need: the
-singularity order s with |V(r)| ~ r^-s near the origin (s <= 2 throughout)
-and the closed-form radial derivative d/dr (r * Re V) used by the
-sign-decomposition constants.
+Every electric potential in the catalog is radial.  Each entry is a row
+that maps its parameters (d >= 3, scale parameters positive unless noted)
+onto one family,
 
-Catalog entries (d >= 3, scale parameters positive unless noted):
+    V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0},
 
-    hardy(a)                V(x) = -a ((d-2)/2)^2 / |x|^2
-    coulomb_repulsive(c)    V(x) = c / |x|
-    imaginary_hardy(beta)   V(x) = i beta / |x|^2
-    gaussian(v0, c_im)      V(x) = (-v0 + i c_im) exp(-|x|^2)   (v0 >= 0)
-    yukawa(g, mu)           V(x) = -g exp(-mu |x|) / |x|
-    square_well(v0, r0)     V(x) = -v0 for |x| < r0, else 0
+and one builder derives from the row the profile and the metadata the
+condition checkers need: the singularity order s with |V(r)| ~ r^-s near
+the origin (s <= 2 throughout), the jumps (r0 when finite) and, for the
+sign-decomposition constants, d/dr (r Re V) = Re amp ((1 - s) - mu r
+- 2 gamma r^2) r^-s exp(-mu r - gamma r^2), pointwise almost everywhere:
+
+    row                     amp                     s   mu   gamma   r0
+    hardy(a)                -a ((d-2)/2)^2          2
+    coulomb_repulsive(c)    c                       1
+    imaginary_hardy(beta)   i beta                  2
+    gaussian(v0, c_im)      -v0 + i c_im (v0 >= 0)           1
+    yukawa(g, mu)           -g                      1   mu
+    square_well(v0, r0)     -v0                                      r0
+
+Blank cells are 0 (r0: infinite).  A row also checks its parameters and
+carries its line of the ``spectra-cert catalog`` listing; so do the rows
+of the magnetic catalog, whose fields are written out by hand.
 
 Magnetic potentials are vector fields A with field tensor
 B = grad A - (grad A)^T.  The sign convention is fixed by the d = 3
@@ -27,8 +36,11 @@ is divergence-free, which the magnetic Laplacian relies on.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,125 +117,139 @@ class Potential:
         return complex_sign(self.radial_profile(r))
 
 
-def _require_positive(name: str, **params: float) -> None:
-    for key, val in params.items():
-        if not val > 0:
-            raise PotentialError(f"{name}: parameter {key} must be positive, got {val}")
+# a rule is (key, range, default): range "> 0", ">= 0" or None for any
+# finite value; a default of None makes the parameter required
+_IN_RANGE = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, None: lambda v: True}
+
+
+class _Row(NamedTuple):
+    """A catalog entry: parameter rules, map onto its family, listing line."""
+
+    rules: tuple
+    family: Optional[Callable] = None
+    usage: str = ""
+    summary: str = ""
+
+
+def _row_params(error: type, kind: str, rows: dict, name: str, given: dict) -> tuple:
+    """(row of ``name``, its parameters as floats with defaults filled in).
+
+    Raises ``error`` for an unknown name and for missing, unknown,
+    non-numeric, non-finite or out-of-range parameters: the one place
+    where each catalog checks what it is given.
+    """
+    if name not in rows:
+        raise error(f"unknown {kind} {name!r}; known: {tuple(rows)}")
+    row = rows[name]
+    unknown = set(given) - {key for key, _, _ in row.rules}
+    if unknown:
+        raise error(f"{name}: unexpected parameters {sorted(unknown)}")
+    values = {}
+    for key, bound, default in row.rules:
+        if key not in given and default is None:
+            raise error(f"{name}: missing required parameter {key!r}")
+        value = given.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name}: parameter {key} must be a number, got {value!r}")
+        # abs() first: an integer past the float range must not reach float()
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{name}: parameter {key} must be finite, got {value}")
+        if not _IN_RANGE[bound](value):
+            raise error(f"{name}: parameter {key} must be {bound}, got {value}")
+        values[key] = float(value)
+    return row, values
+
+
+def _poly(coefficients: tuple, r: np.ndarray):
+    """sum_k c_k r^k over the nonzero c_k, lowest power first; None if all vanish."""
+    total = None
+    for k, c in enumerate(coefficients):
+        if c:
+            term = c if k == 0 else c * (r if k == 1 else r**k)
+            total = term if total is None else total + term
+    return total
+
+
+def _radial_family(
+    name: str, params: dict, dimension: int, amp: complex, s=0, mu=0.0, gamma=0.0, r0=math.inf
+) -> Potential:
+    """The catalog entry V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0}.
+
+    Factors that are identically one are skipped and a real amp stays in
+    real arithmetic, so each entry does the array work of its closed form.
+    """
+
+    def shape(value, r: np.ndarray):
+        # value exp(-mu r - gamma r^2) r^-s 1{r < r0}
+        decay = _poly((0.0, -mu, -gamma), r)
+        if decay is not None:
+            # in place: the exponent is a fresh array, and not holding it
+            # next to its exponential keeps the peak memory of large grids
+            value = value * np.exp(decay, out=decay)
+        if s:
+            value = value / (r if s == 1 else r**s)
+        return np.where(r < r0, value, 0.0) if r0 < math.inf else value
+
+    def d_r_rReV(r: np.ndarray) -> np.ndarray:
+        # Re amp ((1 - s) - mu r - 2 gamma r^2) exp(-mu r - gamma r^2) r^-s,
+        # pointwise a.e.: the jump at r0 is a measure no pointwise value sees
+        r = np.asarray(r, float)
+        bracket = _poly((1 - s, -mu, -2.0 * gamma), r)
+        if bracket is None or not amp.real:
+            return np.zeros_like(r)
+        return shape(amp.real * bracket, r)
+
+    def profile(r: np.ndarray) -> np.ndarray:
+        return shape(amp, np.asarray(r, float)).astype(complex, copy=False)
+
+    jumps = (r0,) if r0 < math.inf else ()
+    return Potential(name, params, dimension, profile, d_r_rReV, float(s), jumps=jumps)
+
+
+# params, dimension -> the arguments of _radial_family
+_ELECTRIC = {
+    "hardy": _Row(
+        (("a", "> 0", None),), lambda p, d: dict(amp=-p["a"] * ((d - 2) / 2.0) ** 2, s=2),
+        "hardy(a)", "attractive inverse-square, strength a relative to the sharp constant",
+    ),
+    "coulomb_repulsive": _Row(
+        (("c", "> 0", None),), lambda p, d: dict(amp=p["c"], s=1),
+        "coulomb_repulsive(c)", "repulsive real tail +c/|x|",
+    ),
+    "imaginary_hardy": _Row(
+        (("beta", "> 0", None),), lambda p, d: dict(amp=1j * p["beta"], s=2),
+        "imaginary_hardy(beta)", "purely imaginary inverse-square i*beta/|x|^2",
+    ),
+    "gaussian": _Row(
+        (("v0", ">= 0", None), ("c_im", None, 0.0)),
+        lambda p, d: dict(amp=complex(-p["v0"], p["c_im"]), gamma=1.0),
+        "gaussian(v0[, c_im])", "(-v0 + i*c_im) exp(-|x|^2)",
+    ),
+    "yukawa": _Row(
+        (("g", "> 0", None), ("mu", "> 0", None)), lambda p, d: dict(amp=-p["g"], s=1, mu=p["mu"]),
+        "yukawa(g, mu)", "-g exp(-mu|x|)/|x|",
+    ),
+    "square_well": _Row(
+        (("v0", "> 0", None), ("r0", "> 0", None)), lambda p, d: dict(amp=-p["v0"], r0=p["r0"]),
+        "square_well(v0, r0)", "-v0 on |x| < r0, zero outside",
+    ),
+}
 
 
 def catalog_names() -> tuple[str, ...]:
-    return ("hardy", "coulomb_repulsive", "imaginary_hardy", "gaussian", "yukawa", "square_well")
+    return tuple(_ELECTRIC)
 
 
 def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
     """Construct a catalog potential by name.
 
-    Raises :class:`PotentialError` for unknown names, unsupported
-    dimensions (d < 3) and nonpositive scale parameters where positivity
-    is required.
+    Raises :class:`PotentialError` for unsupported dimensions (d < 3), for
+    unknown names and for parameters the entry's row refuses.
     """
     if dimension < 3:
         raise PotentialError(f"dimension must be >= 3, got {dimension}")
-    cd2 = ((dimension - 2) / 2.0) ** 2
-
-    if name == "hardy":
-        a = float(params.pop("a"))
-        _require_positive(name, a=a)
-        _no_extra(name, params)
-        return Potential(
-            name,
-            {"a": a},
-            dimension,
-            radial_profile=lambda r: (-a * cd2 / np.asarray(r, float) ** 2).astype(complex),
-            d_r_rReV=lambda r: a * cd2 / np.asarray(r, float) ** 2,
-            origin_singularity_order=2.0,
-        )
-
-    if name == "coulomb_repulsive":
-        c = float(params.pop("c"))
-        _require_positive(name, c=c)
-        _no_extra(name, params)
-        return Potential(
-            name,
-            {"c": c},
-            dimension,
-            radial_profile=lambda r: (c / np.asarray(r, float)).astype(complex),
-            d_r_rReV=lambda r: np.zeros_like(np.asarray(r, float)),
-            origin_singularity_order=1.0,
-        )
-
-    if name == "imaginary_hardy":
-        beta = float(params.pop("beta"))
-        _require_positive(name, beta=beta)
-        _no_extra(name, params)
-        return Potential(
-            name,
-            {"beta": beta},
-            dimension,
-            radial_profile=lambda r: 1j * beta / np.asarray(r, float) ** 2,
-            d_r_rReV=lambda r: np.zeros_like(np.asarray(r, float)),
-            origin_singularity_order=2.0,
-        )
-
-    if name == "gaussian":
-        v0 = float(params.pop("v0"))
-        c_im = float(params.pop("c_im", 0.0))
-        if v0 < 0:
-            raise PotentialError(f"gaussian: well depth v0 must be >= 0, got {v0}")
-        _no_extra(name, params)
-        amp = complex(-v0, c_im)
-        return Potential(
-            name,
-            {"v0": v0, "c_im": c_im},
-            dimension,
-            radial_profile=lambda r: amp * np.exp(-np.asarray(r, float) ** 2),
-            d_r_rReV=lambda r: -v0
-            * (1.0 - 2.0 * np.asarray(r, float) ** 2)
-            * np.exp(-np.asarray(r, float) ** 2),
-            origin_singularity_order=0.0,
-        )
-
-    if name == "yukawa":
-        g = float(params.pop("g"))
-        mu = float(params.pop("mu"))
-        _require_positive(name, g=g, mu=mu)
-        _no_extra(name, params)
-        return Potential(
-            name,
-            {"g": g, "mu": mu},
-            dimension,
-            radial_profile=lambda r: (
-                -g * np.exp(-mu * np.asarray(r, float)) / np.asarray(r, float)
-            ).astype(complex),
-            d_r_rReV=lambda r: g * mu * np.exp(-mu * np.asarray(r, float)),
-            origin_singularity_order=1.0,
-        )
-
-    if name == "square_well":
-        v0 = float(params.pop("v0"))
-        r0 = float(params.pop("r0"))
-        _require_positive(name, v0=v0, r0=r0)
-        _no_extra(name, params)
-        return Potential(
-            name,
-            {"v0": v0, "r0": r0},
-            dimension,
-            radial_profile=lambda r: np.where(np.asarray(r, float) < r0, -v0, 0.0).astype(
-                complex
-            ),
-            # Pointwise a.e. derivative of r * Re V: the jump at r0 is a
-            # positive measure, invisible to a pointwise evaluation.
-            d_r_rReV=lambda r: np.where(np.asarray(r, float) < r0, -v0, 0.0),
-            origin_singularity_order=0.0,
-            jumps=(r0,),
-        )
-
-    raise PotentialError(f"unknown potential {name!r}; known: {catalog_names()}")
-
-
-def _no_extra(name: str, params: dict) -> None:
-    if params:
-        raise PotentialError(f"{name}: unexpected parameters {sorted(params)}")
+    row, values = _row_params(PotentialError, "potential", _ELECTRIC, name, params)
+    return _radial_family(name, values, dimension, **row.family(values, dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +315,22 @@ def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.n
     return np.einsum("...i,...ij->...j", x / r, mag.field(x, force_fd=force_fd))
 
 
+# the fields themselves are written out in magnetic_catalog
+_MAGNETIC = {
+    "azimuthal_inverse_square": _Row(
+        (), None, "azimuthal_inverse_square",
+        "A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero",
+    ),
+    "uniform_z": _Row(
+        (("b", None, 1.0),), None,
+        "uniform_z(b)", "uniform field of strength b along the third axis",
+    ),
+    "zero": _Row((), None, "zero", "A = 0"),
+}
+
+
 def magnetic_catalog_names() -> tuple[str, ...]:
-    return ("azimuthal_inverse_square", "uniform_z", "zero")
+    return tuple(_MAGNETIC)
 
 
 def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> MagneticPotential:
@@ -302,14 +342,13 @@ def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> Magnetic
     along the third axis.
     ``zero``: A = 0.
     """
+    _, values = _row_params(PotentialError, "magnetic potential", _MAGNETIC, name, params)
     if name == "zero":
-        _no_extra(name, params)
-        d = dimension
         return MagneticPotential(
             name,
-            d,
+            dimension,
             vector_potential=lambda x: np.zeros(np.shape(x)),
-            field_tensor=lambda x: np.zeros(np.shape(x) + (d,)),
+            field_tensor=lambda x: np.zeros(np.shape(x) + (dimension,)),
         )
 
     if dimension != 3:
@@ -329,7 +368,6 @@ def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> Magnetic
         return out
 
     if name == "azimuthal_inverse_square":
-        _no_extra(name, params)
 
         def rho2_of(x: np.ndarray, what: str) -> np.ndarray:
             rho2 = np.sum(np.square(x), axis=-1)
@@ -349,17 +387,14 @@ def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> Magnetic
 
         return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
 
-    if name == "uniform_z":
-        b = float(params.pop("b", 1.0))
-        _no_extra(name, params)
+    # uniform_z, the one row left
+    b = values["b"]
 
-        def a_fn(x: np.ndarray) -> np.ndarray:
-            return 0.5 * b * rotate(x)
+    def a_fn(x: np.ndarray) -> np.ndarray:
+        return 0.5 * b * rotate(x)
 
-        def b_fn(x: np.ndarray) -> np.ndarray:
-            # B v = (b e3) x v: B_12 = dA_1/dx_2 - dA_2/dx_1 = -b.
-            return tensor(np.full(np.shape(x)[:-1], -b), 0.0, 0.0)
+    def b_fn(x: np.ndarray) -> np.ndarray:
+        # B v = (b e3) x v: B_12 = dA_1/dx_2 - dA_2/dx_1 = -b.
+        return tensor(np.full(np.shape(x)[:-1], -b), 0.0, 0.0)
 
-        return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
-
-    raise PotentialError(f"unknown magnetic potential {name!r}; known: {magnetic_catalog_names()}")
+    return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)

@@ -118,8 +118,9 @@ def _sector_diagonal(
     """
     h = radius / n
     r = h * (np.arange(n) + 0.5)
-    second = np.full(n, 2.0 / h**2)
-    second[0] = second[-1] = 3.0 / h**2
+    second = np.full(n, 2.0)
+    second[0] = second[-1] = 3.0
+    second /= h**2
     local = ell * (ell + 1) / r**2
     if potential is not None:
         local = local + potential.radial_profile(r)
@@ -136,7 +137,10 @@ def discretize_radial(
 
     ``potential=None`` builds the free operator.  Grid nodes are the cell
     centers r_j = (j + 1/2) h, j = 0 .. n-1, with h = radius / n, so the
-    centrifugal and potential diagonals never see r = 0.
+    centrifugal and potential diagonals never see r = 0.  A radius too
+    small for n cells raises: one where the diagonal is not finite, or
+    where |M|_F, which scales the checks of ``spectrum`` and
+    ``pseudospectrum``, overflows.
     """
     if n < 8:
         raise SpectralError("radial grids need n >= 8 to resolve anything")
@@ -146,7 +150,12 @@ def discretize_radial(
         raise SpectralError("radius must be positive")
     if potential is not None and potential.dimension != 3:
         raise SpectralError("radial sectors need a d=3 potential")
-    diag = _sector_diagonal(ell, radius, n, potential).astype(np.complex128)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diag = _sector_diagonal(ell, radius, n, potential).astype(np.complex128)
+        # a numpy scalar overflows to inf where a Python float would raise
+        frobenius_sq = np.sum(np.abs(diag) ** 2) + 2 * (n - 1) * np.float64(radius / n) ** -4
+    if not np.isfinite(frobenius_sq):
+        raise SpectralError(f"the sector operator overflows at radius {radius:g} on {n} cells")
     return DiscretizedOperator(diag=diag, h=radius / n, domain_radius=radius, ell=ell)
 
 

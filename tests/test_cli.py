@@ -33,6 +33,7 @@ from spectra_cert.cli import (
 )
 from spectra_cert.multipliers import MultiplierError
 from spectra_cert.numerics import EigenvalueError
+from spectra_cert.potentials import catalog_names, magnetic_catalog_names
 
 SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
@@ -636,6 +637,50 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "stem, key, value",
+        [
+            ("spectrum_square_well", "r_max", "1e-300"),
+            ("spectrum_square_well", "r_max", "1e-80"),
+            ("pseudospectrum_imaginary_hardy", "r_max", "1e-300"),
+            ("bs_norm_hardy", "ell_max", "200"),
+        ],
+    )
+    def test_grid_that_cannot_be_built_is_2(
+        self, tmp_path, capsys, command, stem, key, value
+    ):
+        # a sector operator past double range, or Bessel factors past the
+        # l <= 128 cap at z != 0: refused before any sector is computed
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == stem)
+        code = main(
+            [
+                command,
+                str(config_path),
+                "--set",
+                f"output.path={tmp_path / stem}",
+                "--set",
+                f"{key}={value}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"config error: {key} " in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_ell_max_past_the_bessel_cap_is_valid_at_z_zero(self, tmp_path, capsys):
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == "bs_norm_hardy")
+        args = ["validate", str(config_path), "--set", "ell_max=200"]
+        assert main(args + ["--set", "z_list=[0]"]) == 0
+        assert main(args + ["--set", "z_list=[[0.0, 0.0], [-1.0, 0.0]]"]) == 2
+
+    def test_dimension_as_potential_param_is_2(self, tmp_path, capsys):
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == "check_conditions_hardy")
+        code = main(["validate", str(config_path), "--set", "potential.params.dimension=4"])
+        assert code == 2
+        assert "dimension" in capsys.readouterr().err
+
     def test_bad_set_is_2(self, tmp_path, capsys):
         path = self.write(tmp_path, make("check-conditions"))
         assert main(["validate", path, "--set", "grid_n"]) == 2
@@ -644,6 +689,10 @@ class TestMainExitCodes:
     def test_catalog_lists_names_and_thresholds(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
+        # every row, in row order, electric before magnetic
+        names = catalog_names() + magnetic_catalog_names()
+        at = [out.find(f"\n  {name}") for name in names]
+        assert min(at) > 0 and at == sorted(at), dict(zip(names, at))
         assert "hardy(a)" in out
         assert "(-v0 + i*c_im) exp(-|x|^2)" in out
         assert "yukawa(g, mu)             -g exp(-mu|x|)/|x|" in out
@@ -658,14 +707,14 @@ class TestMainExitCodes:
 class TestPlumbing:
     def test_thread_cap_applied(self):
         env = {"SPECTRA_CERT_THREADS": "4"}
-        assert _apply_thread_cap(env) is True
+        assert _apply_thread_cap(env) == 4
         assert env["OMP_NUM_THREADS"] == "4"
         assert env["OPENBLAS_NUM_THREADS"] == "4"
 
     def test_thread_cap_ignores_garbage(self):
         for bad in ("", "0", "-2", "many"):
             env = {"SPECTRA_CERT_THREADS": bad}
-            assert _apply_thread_cap(env) is False
+            assert _apply_thread_cap(env) is None
             assert "OMP_NUM_THREADS" not in env
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):

@@ -151,6 +151,28 @@ class TestMultiplierCatalog:
         np.testing.assert_allclose(g.g(self.RADII), 3.5)
         np.testing.assert_allclose(g.laplacian(self.RADII), 0.0)
 
+    def test_windowed_stack_matches_hand_derivatives(self):
+        # q_(k+1) = q_k' - 2 c r q_k from q_0 = r^2, against the derivatives
+        # of r^2 exp(-c r^2) worked out by hand
+        c, r = 1.0 / 6.0, self.RADII
+        g = multiplier_catalog("windowed-square", width=6.0)
+        hand = [
+            r**2,
+            2 * r - 2 * c * r**3,
+            2 - 10 * c * r**2 + 4 * c**2 * r**4,
+            -24 * c * r + 36 * c**2 * r**3 - 8 * c**3 * r**5,
+            -24 * c + 156 * c**2 * r**2 - 112 * c**3 * r**4 + 16 * c**4 * r**6,
+        ]
+        for fn, poly in zip((g.g, g.dg, g.d2g, g.d3g, g.d4g), hand):
+            np.testing.assert_allclose(fn(r), poly * np.exp(-c * r**2), rtol=1e-13, atol=1e-15)
+
+    def test_polynomial_rows_are_exact(self):
+        r = self.RADII
+        g = multiplier_catalog("square")
+        assert np.array_equal(g.g(r), r**2) and np.array_equal(g.dg(r), 2.0 * r)
+        assert np.array_equal(g.d2g(r), np.full_like(r, 2.0))
+        assert not g.d3g(r).any() and not g.d4g(r).any()
+
     def test_validation(self):
         with pytest.raises(MultiplierError, match="unknown multiplier"):
             multiplier_catalog("cubic")

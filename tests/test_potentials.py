@@ -11,6 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectra_cert.multipliers import MultiplierError, multiplier_catalog
 from spectra_cert.potentials import (
     MagneticPotential,
     PotentialError,
@@ -110,6 +111,20 @@ class TestCatalog:
         rs = np.linspace(0.2, 5.0, 40)
         np.testing.assert_allclose(pot.d_r_rReV(rs), expected(rs) + 0.0 * rs, atol=1e-12)
 
+    def test_vanishing_real_part_has_a_positive_zero_derivative(self):
+        # Re V = 0 identically: d/dr (r Re V) is +0.0, never 0 * (-1) = -0.0
+        for pot in (catalog("imaginary_hardy", beta=0.3), catalog("coulomb_repulsive", c=1.0)):
+            got = pot.d_r_rReV(np.geomspace(1e-3, 1e3, 7))
+            assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    def test_family_metadata(self):
+        # V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0}: jumps only at a finite r0
+        assert catalog("square_well", v0=1.0, r0=1.5).jumps == (1.5,)
+        assert all(
+            catalog(name, **params).jumps == ()
+            for name, params, _ in SYMBOLIC_PROFILES
+        )
+
     def test_sign_decomposition_identity(self):
         # |V|^(1/2) * sign(V) * |V|^(1/2) recovers V on the profile.
         pot = catalog("gaussian", v0=2.0, c_im=3.0)
@@ -122,6 +137,48 @@ class TestCatalog:
         pot = catalog("gaussian", v0=1.0)
         r = np.array([0.5, 1.0])
         np.testing.assert_allclose(pot.re_minus_radial(r), np.exp(-(r**2)))
+
+
+INF, NAN = float("inf"), float("nan")
+
+# one call per kind of bad input and catalog: (call, error, message)
+P, M = PotentialError, MultiplierError
+BAD_PARAMS = {
+    "missing-a": (lambda: catalog("hardy"), P, "missing required parameter 'a'"),
+    "missing-r0": (lambda: catalog("square_well", v0=1.0), P, "missing required parameter 'r0'"),
+    "unknown-electric": (lambda: catalog("yukawa", g=1.0, mu=1.0, r0=2.0), P, "unexpected"),
+    "unknown-magnetic": (lambda: magnetic_catalog("uniform_z", c=1.0), P, "unexpected"),
+    "unknown-multiplier": (lambda: multiplier_catalog("abs", value=1.0), M, "unexpected"),
+    "text-electric": (lambda: catalog("hardy", a="0.5"), P, "must be a number"),
+    "bool-electric": (lambda: catalog("hardy", a=True), P, "must be a number"),
+    "text-magnetic": (lambda: magnetic_catalog("uniform_z", b="x"), P, "must be a number"),
+    "text-multiplier": (lambda: multiplier_catalog("constant", value="x"), M, "must be a number"),
+    "nan-electric": (lambda: catalog("gaussian", v0=NAN), P, "must be finite"),
+    "inf-electric": (lambda: catalog("hardy", a=INF), P, "must be finite"),
+    "huge-int-electric": (lambda: catalog("hardy", a=10**400), P, "must be finite"),
+    "nan-imag-part": (lambda: catalog("gaussian", v0=1.0, c_im=NAN), P, "must be finite"),
+    "inf-magnetic": (lambda: magnetic_catalog("uniform_z", b=-INF), P, "must be finite"),
+    "nan-multiplier": (lambda: multiplier_catalog("windowed-square", width=NAN), M, "finite"),
+    "zero-radius": (lambda: catalog("square_well", v0=1.0, r0=0.0), P, "r0 must be > 0"),
+    "negative-depth": (lambda: catalog("gaussian", v0=-1.0), P, "v0 must be >= 0"),
+    "negative-width": (lambda: multiplier_catalog("windowed-square", width=-1.0), M, "> 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PARAMS)
+def test_each_catalog_raises_its_own_error_for_bad_parameters(case):
+    call, error, message = BAD_PARAMS[case]
+    with pytest.raises(error, match=message) as info:
+        call()
+    # the catalogs' own errors, never a bare KeyError/TypeError/ValueError
+    assert type(info.value) is error
+
+
+def test_optional_parameters_keep_their_defaults():
+    assert catalog("gaussian", v0=1.0).params == {"v0": 1.0, "c_im": 0.0}
+    assert catalog("gaussian", v0=0.0, c_im=-2).params == {"v0": 0.0, "c_im": -2.0}
+    assert magnetic_catalog("uniform_z").field(np.ones(3))[0, 1] == -1.0
+    assert multiplier_catalog("windowed-square").name == "windowed-square(10)"
 
 
 class TestComplexSign:

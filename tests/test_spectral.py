@@ -114,6 +114,14 @@ class TestDiscretizeRadial:
         with pytest.raises(SpectralError, match="d=3"):
             discretize_radial(catalog("hardy", a=0.5, dimension=4), 0, 10.0, 16)
 
+    @pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e-80])
+    def test_grid_past_double_range_raises(self, radius):
+        # 1e-300: h^2 underflows to 0; 1e-160: 2/h^2 is inf; 1e-80: the
+        # diagonal is finite but |M|_F^2 ~ n / h^4 overflows
+        with pytest.raises(SpectralError, match="overflows"):
+            discretize_radial(HARDY, 1, radius, 96)
+        assert np.isfinite(discretize_radial(HARDY, 1, 1e-70, 96).diag).all()
+
 
 class TestFreeFloor:
     def test_radial_matches_law(self):
