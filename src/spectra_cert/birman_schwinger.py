@@ -608,7 +608,7 @@ class MepsRecord:
 
 def _ball_integral_abs(potential: Potential, radius: float) -> float:
     """int_{|x| < radius} |V| = 4 pi int_0^radius |V(r)| r^2 dr."""
-    if potential.origin_singularity_order >= 3.0:
+    if potential.s >= 3.0:
         raise BSError("|V| is not integrable on the ball")
     nodes, weights = _ball_panels(potential, radius, 16)
     vals = potential.abs_radial(nodes) * nodes**2

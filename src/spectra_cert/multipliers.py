@@ -750,8 +750,6 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
         raise MultiplierError("radial identity needs Re lambda > 0")
     if potential.dimension != 3:
         raise MultiplierError("radial identity needs a d=3 potential")
-    if potential.d_r_rReV is None:
-        raise MultiplierError("potential lacks the radial derivative d_r(r Re V)")
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)
     ratio = abs(lam.imag) / root

@@ -6,11 +6,12 @@ onto one family,
 
     V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0},
 
-and one builder derives from the row the profile and the metadata the
-condition checkers need: the singularity order s with |V(r)| ~ r^-s near
-the origin (s <= 2 throughout), the jumps (r0 when finite) and, for the
+and a :class:`Potential` is that family: it keeps the five numbers and
+derives from them the profile, the jumps (r0 when finite) and, for the
 sign-decomposition constants, d/dr (r Re V) = Re amp ((1 - s) - mu r
-- 2 gamma r^2) r^-s exp(-mu r - gamma r^2), pointwise almost everywhere:
+- 2 gamma r^2) r^-s exp(-mu r - gamma r^2), pointwise almost everywhere.
+|V(r)| ~ r^-s near the origin, with s <= 2 throughout, and the condition
+checkers read their constants off the five numbers in closed form:
 
     row                     amp                     s   mu   gamma   r0
     hardy(a)                -a ((d-2)/2)^2          2
@@ -80,38 +81,54 @@ def complex_sign(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """A radial complex potential with analytic metadata.
+    """A radial complex potential V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0}.
 
-    ``radial_profile`` maps r > 0 (vectorised) to V(r); ``d_r_rReV`` maps
-    r > 0 to d/dr (r * Re V(r)), understood pointwise almost everywhere
-    (jump discontinuities, as in the square well, contribute no pointwise
-    term).  ``origin_singularity_order`` is the s in |V(r)| ~ r^-s as
-    r -> 0 (0 for bounded potentials).  ``jumps`` lists the radii where V
-    jumps; radial quadratures put panel edges there.
+    The fields are the catalog row's family; ``r0`` is inf when V has no
+    edge.  |V(r)| ~ r^-s as r -> 0, and V jumps at a finite r0, where
+    radial quadratures put a panel edge.  ``amp`` stays a float for a real
+    row, so real rows do real arithmetic.
     """
 
     name: str
     params: dict
     dimension: int
-    radial_profile: Callable[[np.ndarray], np.ndarray]
-    d_r_rReV: Callable[[np.ndarray], np.ndarray]
-    origin_singularity_order: float
-    jumps: tuple[float, ...] = ()
+    amp: complex
+    s: float
+    mu: float
+    gamma: float
+    r0: float
 
-    # -- radial accessors used by the checkers ---------------------------
+    @property
+    def jumps(self) -> tuple[float, ...]:
+        return (self.r0,) if self.r0 < math.inf else ()
+
+    def _shape(self, value, r: np.ndarray):
+        """value exp(-mu r - gamma r^2) r^-s 1{r < r0}, skipping factors of one."""
+        decay = _poly((0.0, -self.mu, -self.gamma), r)
+        if decay is not None:
+            # in place: the exponent is a fresh array, and not holding it
+            # next to its exponential keeps the peak memory of large grids
+            value = value * np.exp(decay, out=decay)
+        if self.s:
+            value = value / (r if self.s == 1 else r**self.s)
+        return np.where(r < self.r0, value, 0.0) if self.r0 < math.inf else value
+
+    def radial_profile(self, r: np.ndarray) -> np.ndarray:
+        return self._shape(self.amp, np.asarray(r, float)).astype(complex, copy=False)
+
+    def d_r_rReV(self, r: np.ndarray) -> np.ndarray:
+        """d/dr (r Re V), pointwise almost everywhere (module docstring).
+
+        The jump at r0 is a measure that no pointwise value sees.
+        """
+        r = np.asarray(r, float)
+        bracket = _poly((1 - self.s, -self.mu, -2.0 * self.gamma), r)
+        if bracket is None or not self.amp.real:
+            return np.zeros_like(r)
+        return self._shape(self.amp.real * bracket, r)
 
     def abs_radial(self, r: np.ndarray) -> np.ndarray:
         return np.abs(self.radial_profile(r))
-
-    def re_radial(self, r: np.ndarray) -> np.ndarray:
-        return np.real(self.radial_profile(r))
-
-    def im_radial(self, r: np.ndarray) -> np.ndarray:
-        return np.imag(self.radial_profile(r))
-
-    def re_minus_radial(self, r: np.ndarray) -> np.ndarray:
-        """Negative part (Re V)_- >= 0."""
-        return np.maximum(-self.re_radial(r), 0.0)
 
     def sign_radial(self, r: np.ndarray) -> np.ndarray:
         return complex_sign(self.radial_profile(r))
@@ -170,43 +187,7 @@ def _poly(coefficients: tuple, r: np.ndarray):
     return total
 
 
-def _radial_family(
-    name: str, params: dict, dimension: int, amp: complex, s=0, mu=0.0, gamma=0.0, r0=math.inf
-) -> Potential:
-    """The catalog entry V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0}.
-
-    Factors that are identically one are skipped and a real amp stays in
-    real arithmetic, so each entry does the array work of its closed form.
-    """
-
-    def shape(value, r: np.ndarray):
-        # value exp(-mu r - gamma r^2) r^-s 1{r < r0}
-        decay = _poly((0.0, -mu, -gamma), r)
-        if decay is not None:
-            # in place: the exponent is a fresh array, and not holding it
-            # next to its exponential keeps the peak memory of large grids
-            value = value * np.exp(decay, out=decay)
-        if s:
-            value = value / (r if s == 1 else r**s)
-        return np.where(r < r0, value, 0.0) if r0 < math.inf else value
-
-    def d_r_rReV(r: np.ndarray) -> np.ndarray:
-        # Re amp ((1 - s) - mu r - 2 gamma r^2) exp(-mu r - gamma r^2) r^-s,
-        # pointwise a.e.: the jump at r0 is a measure no pointwise value sees
-        r = np.asarray(r, float)
-        bracket = _poly((1 - s, -mu, -2.0 * gamma), r)
-        if bracket is None or not amp.real:
-            return np.zeros_like(r)
-        return shape(amp.real * bracket, r)
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        return shape(amp, np.asarray(r, float)).astype(complex, copy=False)
-
-    jumps = (r0,) if r0 < math.inf else ()
-    return Potential(name, params, dimension, profile, d_r_rReV, float(s), jumps=jumps)
-
-
-# params, dimension -> the arguments of _radial_family
+# params, dimension -> the family fields of Potential other than 0 (r0: inf)
 _ELECTRIC = {
     "hardy": _Row(
         (("a", "> 0", None),), lambda p, d: dict(amp=-p["a"] * ((d - 2) / 2.0) ** 2, s=2),
@@ -249,7 +230,8 @@ def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
     if dimension < 3:
         raise PotentialError(f"dimension must be >= 3, got {dimension}")
     row, values = _row_params(PotentialError, "potential", _ELECTRIC, name, params)
-    return _radial_family(name, values, dimension, **row.family(values, dimension))
+    family = dict(s=0.0, mu=0.0, gamma=0.0, r0=math.inf) | row.family(values, dimension)
+    return Potential(name, values, dimension, **family)
 
 
 # ---------------------------------------------------------------------------

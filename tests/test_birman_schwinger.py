@@ -681,6 +681,6 @@ class TestMepsHSCheck:
             m_eps_hs_check(gaussian(), -1.0, 0.0, [0.1])
 
     def test_non_integrable_potential_rejected(self):
-        too_singular = dataclasses.replace(hardy(), origin_singularity_order=3.0)
+        too_singular = dataclasses.replace(hardy(), s=3.0)
         with pytest.raises(BSError, match="integrable"):
             m_eps_hs_check(too_singular, 1.0, 0.0, [0.1])

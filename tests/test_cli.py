@@ -299,6 +299,21 @@ class TestRunExperiments:
         assert doc["Λ"] == 0.25
         assert (tmp_path / "cc.manifest.json").exists()
 
+    def test_check_conditions_tiny_deep_square_well_passes_nothing(self, tmp_path):
+        # all of V sits below r = 1e-7; its exact a = 4 v0 r0^2 = 400
+        cfg = parse_config(
+            make(
+                "check-conditions",
+                potential={"name": "square_well", "params": {"v0": 1e16, "r0": 1e-7}},
+                output=self.out(tmp_path, "cc"),
+            )
+        )
+        run(cfg)
+        doc = json.loads((tmp_path / "cc.json").read_bytes())
+        assert doc["a"] == pytest.approx(400.0, rel=1e-14)
+        assert doc["Λ"] == pytest.approx(200.0, rel=1e-14)
+        assert "pass" not in doc["verdicts"].values()
+
     def test_identity_check_csv_schema_and_residuals(self, tmp_path):
         cfg = parse_config(
             make(

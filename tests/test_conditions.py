@@ -45,6 +45,10 @@ GAUSSIAN_ROLLNIK = 5.568327996829
 # verdict reads it, so the library keeps no constant for it
 FRANK_THRESHOLD = 3.0**1.5 / (4.0 * math.pi**2)
 
+# (v0, r0) of the square wells checked against closed forms; r0 = 30 and 50
+# reach past a truncation radius of 24 that ignored the row
+SQUARE_WELLS = [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3), (2.0, 30.0), (0.5, 50.0)]
+
 
 def variational_a(potential, n=400, ell_max=4):
     """The z = 0 Birman-Schwinger norm on default_bs_grid(n), sectors l <= ell_max.
@@ -95,7 +99,7 @@ def rollnik_per_node_oracle(potential):
     nodes and weights, built one outer node at a time, so the vectorised
     module version may differ from it only in the order of summation.
     """
-    r_max = cond._ROLLNIK_R_MAX
+    r_max = cond._truncation_radius(potential, cond._ROLLNIK_LENGTHS)
     outer = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 17)}
     for jump in potential.jumps:
         outer |= cond._dyadic_edges(jump, 12)
@@ -141,10 +145,20 @@ class TestSubordinationPointwise:
         value = subordination_a_pointwise(catalog("gaussian", v0=1.0))
         assert value == pytest.approx(4.0 / math.e, rel=1e-9)
 
-    def test_square_well_jump_from_below(self):
-        value = subordination_a_pointwise(catalog("square_well", v0=2.0, r0=1.5))
-        assert value <= 18.0 + 1e-12
-        assert value == pytest.approx(18.0, rel=1e-6)
+    def test_square_well_edge_value_is_exact(self):
+        # v0 r^2 rises to v0 r0^2 at the edge, a sup that is not attained
+        assert subordination_a_pointwise(catalog("square_well", v0=2.0, r0=1.5)) == 18.0
+
+    def test_yukawa_peak_far_out(self):
+        # g r e^{-mu r} peaks at r = 1/mu = 1e7
+        value = subordination_a_pointwise(catalog("yukawa", g=1.0, mu=1e-7))
+        assert value == pytest.approx(4.0 / (math.e * 1e-7), rel=1e-14)
+
+    def test_wide_shallow_square_well(self):
+        # the edge r0 = 1e7 lies past any fixed sampling window
+        well = catalog("square_well", v0=1e-14, r0=1e7)
+        assert subordination_a_pointwise(well) == pytest.approx(4.0, rel=1e-14)
+        assert rollnik_norm(well) == pytest.approx(2.0 * math.pi * 1e-14 * 1e14, rel=1e-10)
 
     def test_zero_potential(self):
         assert subordination_a_pointwise(catalog("gaussian", v0=0.0)) == 0.0
@@ -152,7 +166,7 @@ class TestSubordinationPointwise:
     @given(st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
     @settings(max_examples=20, deadline=None)
     def test_hardy_roundtrip(self, a):
-        # |V| r^2 is constant for the borderline profile, so the scan and the
+        # |V| r^2 is constant for the borderline profile, so its sup and the
         # division by the Hardy constant invert the catalog scaling exactly
         assert subordination_a_pointwise(catalog("hardy", a=a)) == pytest.approx(
             a, rel=1e-12
@@ -207,6 +221,13 @@ class TestRollnik:
         oracle = rollnik_partial_wave_oracle(y.abs_radial, r_max=24.0)
         assert rollnik_norm(y) == pytest.approx(oracle, rel=5e-4)
 
+    @pytest.mark.parametrize("mu", [2.0, 0.05, 1e-4])
+    def test_yukawa_closed_form(self, mu):
+        # with u = r + p the log kernel integrates to u, so |V|_R^2 = 8 pi^2 g^2 / mu^2;
+        # the truncation radius follows 1/mu, so a long tail is not cut short
+        value = rollnik_norm(catalog("yukawa", g=1.3, mu=mu))
+        assert value == pytest.approx(2.0 * math.sqrt(2.0) * math.pi * 1.3 / mu, rel=1e-10)
+
     def test_hardy_diverges(self):
         assert math.isinf(rollnik_norm(catalog("hardy", a=0.5)))
 
@@ -219,7 +240,7 @@ class TestRollnik:
     def test_zero_potential(self):
         assert rollnik_norm(catalog("gaussian", v0=0.0)) == 0.0
 
-    @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
+    @pytest.mark.parametrize("v0, r0", SQUARE_WELLS)
     def test_square_well_closed_form(self, v0, r0):
         # the ball of radius R has int int |x-y|^-2 = 4 pi^2 R^4
         value = rollnik_norm(catalog("square_well", v0=v0, r0=r0))
@@ -237,11 +258,13 @@ class TestRollnik:
             ("yukawa", {"g": 1.3, "mu": 0.7}),
             ("square_well", {"v0": 2.0, "r0": 0.5}),
             ("square_well", {"v0": 2.0, "r0": 1.3}),
-            # the jump's dyadic outer edges pass r_max = 24 and are dropped
+            # r_max = r0: the jump's dyadic outer edges past it are dropped,
+            # and V is nonzero up to r_max, where the inner edges of the
+            # outermost nodes are clipped
             ("square_well", {"v0": 2.0, "r0": 23.5}),
-            # V is nonzero at r_max, where the inner edges of the outermost
-            # nodes are clipped
             ("square_well", {"v0": 2.0, "r0": 30.0}),
+            # r_max = 24 / mu = 480
+            ("yukawa", {"g": 1.0, "mu": 0.05}),
         ],
     )
     def test_panel_blocks_match_per_node_loop(self, name, params):
@@ -270,10 +293,17 @@ class TestFrank:
         assert value == pytest.approx((2.0 * math.pi / 3.0) ** 1.5, rel=1e-10)
         assert value > FRANK_THRESHOLD
 
-    @pytest.mark.parametrize("v0, r0", [(1.0, 1.0), (0.3, 0.7), (2.0, 1.3)])
+    @pytest.mark.parametrize("v0, r0", SQUARE_WELLS)
     def test_square_well_closed_form(self, v0, r0):
         value = frank_l32(catalog("square_well", v0=v0, r0=r0))
         assert value == pytest.approx(4.0 * math.pi / 3.0 * v0**1.5 * r0**3, rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [2.0, 0.05, 1e-4])
+    def test_yukawa_closed_form(self, mu):
+        # 4 pi g^{3/2} int r^{1/2} e^{-3 mu r / 2} dr = 4 pi g^{3/2} Gamma(3/2) (3 mu / 2)^{-3/2}
+        value = frank_l32(catalog("yukawa", g=1.3, mu=mu))
+        expected = 4.0 * math.pi * 1.3**1.5 * math.gamma(1.5) / (1.5 * mu) ** 1.5
+        assert value == pytest.approx(expected, rel=1e-10)
 
     def test_small_gaussian_passes(self):
         assert frank_l32(catalog("gaussian", v0=0.05)) < FRANK_THRESHOLD
@@ -332,7 +362,7 @@ class TestLambdaConstant:
         assert math.isinf(lambda_constant(catalog("coulomb_repulsive", c=2.0)))
 
     def test_exact_identity_with_pointwise_a(self):
-        # both constants are the same scan output scaled by powers of two in
+        # both constants are the same supremum scaled by powers of two in
         # d = 3, so the identity a_pointwise = Lambda * 2/(d-2) is bitwise
         for potential in (
             catalog("gaussian", v0=1.3, c_im=0.4),
@@ -398,6 +428,15 @@ class TestBConstants:
         expected = math.sqrt((2.0 * r2**2 - r2) * math.exp(-r2) * 4.0)
         _, b2, _ = b_constants(catalog("gaussian", v0=1.0))
         assert b2 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_yukawa_closed_form(self, d):
+        # g r e^{-mu r} peaks at 1/mu, and [d/dr (r Re V)]_+ r^2 = g mu r^2 e^{-mu r} at 2/mu
+        g, mu, cd2 = 1.1, 0.3, ((d - 2) / 2.0) ** 2
+        b1, b2, b3 = b_constants(catalog("yukawa", dimension=d, g=g, mu=mu))
+        assert b1 == pytest.approx(math.sqrt(g / (math.e * mu) / cd2), rel=1e-14)
+        assert b2 == pytest.approx(math.sqrt(4.0 * g / (math.e**2 * mu) / cd2), rel=1e-14)
+        assert b3 == 0.0
 
     def test_hardy_b1_diverges_nowhere_but_rollnik_does(self):
         # hardy potentials have finite b-constants despite infinite rollnik

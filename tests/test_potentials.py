@@ -101,7 +101,7 @@ class TestCatalog:
             "square_well": {"v0": 1.0, "r0": 1.0},
         }
         for name, order in orders.items():
-            assert catalog(name, **defaults[name]).origin_singularity_order == order
+            assert catalog(name, **defaults[name]).s == order
 
     @pytest.mark.parametrize("name,params,profile", SYMBOLIC_PROFILES)
     def test_d_r_rReV_against_symbolic(self, name, params, profile):
@@ -132,11 +132,6 @@ class TestCatalog:
         v = pot.radial_profile(r)
         half = np.sqrt(pot.abs_radial(r))
         np.testing.assert_allclose(half * pot.sign_radial(r) * half, v, atol=1e-14)
-
-    def test_re_parts(self):
-        pot = catalog("gaussian", v0=1.0)
-        r = np.array([0.5, 1.0])
-        np.testing.assert_allclose(pot.re_minus_radial(r), np.exp(-(r**2)))
 
 
 INF, NAN = float("inf"), float("nan")
