@@ -4,10 +4,13 @@ operators -Delta + V with complex-valued potentials.
 The package is organised around small, independently testable pieces:
 
 ``numerics``
-    quadrature grids, dense complex linear algebra, root finding.
+    quadrature grids, dense complex eigen and SVD, LAPACK tridiagonal
+    and band sigma routines, ARPACK sigma_min for large tridiagonals,
+    root finding.
 ``potentials``
-    the potential catalog (radial profiles with singularity metadata) and
-    magnetic vector potentials with their field tensors.
+    the catalogs as rows of closed-form families: radial potentials
+    V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0} and magnetic
+    potentials A(x) = k |x|^-p (-x2, x1, 0) with their field tensors.
 ``conditions``
     smallness/subordination constants, integral norms and threshold
     evaluation ("is this potential certified by criterion X?").

@@ -95,6 +95,9 @@ _BESSEL_ELL_MAX = 128
 _GRID_PANEL_NODES = 10
 # default_bs_grid: panels shrink toward the origin by sqrt(10), two per decade
 _GRID_PANEL_RATIO = 10.0**0.5
+# inner end of the log-uniform HS grids: hs_norm's default and the CLI's
+# hs-identity grid, which runs out to r_max
+_HS_GRID_R_MIN = 0.02
 # resolution of m_eps_hs_check: inner Gauss nodes per panel of
 # [0, omega_radius] and sectors; _SLOPE_TOL bounds the fitted log-log
 # slopes there and in kappa_scaling
@@ -462,6 +465,9 @@ def default_bs_grid(n: int = 256, r_max: float = 40.0) -> RadialGrid:
     w_j / r_j ratios; geometric panels give both.
     """
     panels = max(2, n // _GRID_PANEL_NODES)
+    # edge k is r_max ratio^(k - panels); the innermost must not underflow to 0
+    if not r_max * _GRID_PANEL_RATIO ** -panels > 0.0:
+        raise BSError(f"{panels} panels of ratio sqrt(10) below r_max = {r_max:g} reach r = 0")
     edges = [r_max * _GRID_PANEL_RATIO ** (k - panels) for k in range(panels + 1)]
     nodes, weights = panel_gauss(edges, _GRID_PANEL_NODES)
     return RadialGrid(nodes, weights, float(r_max))
@@ -487,7 +493,7 @@ def log_uniform_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     explicit choice instead of a side effect of the default panel ratio.
     """
     if not (0.0 < r_min < r_max):
-        raise BSError("need 0 < r_min < r_max")
+        raise BSError(f"need 0 < r_min < r_max, got r_min = {r_min:g}, r_max = {r_max:g}")
     if n < 2 * _GRID_PANEL_NODES:
         raise BSError(f"need at least {2 * _GRID_PANEL_NODES} nodes, got {n}")
     edges = np.geomspace(r_min, r_max, max(2, n // _GRID_PANEL_NODES) + 1)
@@ -517,7 +523,7 @@ def hs_norm(
     if math.isinf(rollnik):
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
-        grid = log_uniform_grid(0.02, 16.0, 1600)
+        grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
     alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
     fro_sq = _frobenius_sq(alpha, grid.nodes, ell_max)
     terms = [(2 * ell + 1) * float(f) for ell, f in enumerate(fro_sq)]

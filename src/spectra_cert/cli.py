@@ -86,13 +86,14 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from .birman_schwinger import (
     _BESSEL_ELL_MAX,
+    _HS_GRID_R_MIN,
     BSError,
     assemble_bs,
     default_bs_grid,
     hs_norm,
     log_uniform_grid,
 )
-from .conditions import build_report, json_float, thresholds
+from .conditions import build_report, hardy_constant, json_float, thresholds
 from .multipliers import (
     TestFunction,
     identity_term_rows,
@@ -137,8 +138,13 @@ _PROBE_SUPPORT = 2.5
 _PROBE_CHIRP = 0.4
 _SEQUENCE_SUPPORT = 1.0
 _BS_NORM_SLACK = 0.02
-# inner end of the hs-identity grid, which runs out to r_max
-_HS_GRID_R_MIN = 0.02
+# numpy refuses arrays past sys.maxsize bytes: grid_n complex nodes must fit
+_MAX_GRID_N = sys.maxsize // 16
+# the radial grid of each Birman-Schwinger experiment, from (grid_n, r_max)
+_BS_GRIDS = {
+    "bs-norm": default_bs_grid,
+    "hs-identity": lambda n, r_max: log_uniform_grid(_HS_GRID_R_MIN, r_max, n),
+}
 
 
 class ConfigError(ValueError):
@@ -219,6 +225,22 @@ def _want_int(value, field: str) -> int:
     return value
 
 
+def _want_dimension(value) -> int:
+    """An integer d >= 3 whose Hardy constant and thresholds are finite floats.
+
+    The thresholds stay finite as long as ((d-2)/2)^2 does: their floats of
+    d overflow only past d ~ 1.8e308.
+    """
+    d = _want_int(value, "dimension")
+    if d < 3:
+        raise ConfigError("dimension must be an integer >= 3")
+    try:
+        hardy_constant(d)
+    except OverflowError as exc:
+        raise ConfigError("dimension is too large: ((d-2)/2)^2 overflows a float") from exc
+    return d
+
+
 def _parse_complex(value, field: str) -> complex:
     pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
@@ -288,30 +310,27 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"{experiment} needs {key}")
 
-    dimension = _want_int(raw.get("dimension", 3), "dimension")
-    if dimension < 3:
-        raise ConfigError("dimension must be an integer >= 3")
+    dimension = _want_dimension(raw.get("dimension", 3))
     if dimension != 3 and experiment != "check-conditions":
         raise ConfigError(f"{experiment} requires dimension 3")
 
     grid_n = _want_int(raw.get("grid_n", 256), "grid_n")
-    if grid_n < 8:
-        raise ConfigError("grid_n must be an integer >= 8")
+    if not 8 <= grid_n <= _MAX_GRID_N:
+        raise ConfigError(f"grid_n must be an integer in [8, {_MAX_GRID_N}]")
     r_max = _want_number(raw.get("r_max", 40.0), "r_max")
     if not r_max > 0:
         raise ConfigError("r_max must be positive")
     ell_max = _want_int(raw.get("ell_max", 32), "ell_max")
     if ell_max < 0:
         raise ConfigError("ell_max must be a nonnegative integer")
-    if experiment == "hs-identity":
+    if experiment in _BS_GRIDS:
         # build the grid once now so its bounds fail validation, not the run
         try:
-            log_uniform_grid(_HS_GRID_R_MIN, r_max, grid_n)
+            _BS_GRIDS[experiment](grid_n, r_max)
         except BSError as exc:
-            key = "r_max" if not r_max > _HS_GRID_R_MIN else "grid_n"
-            raise ConfigError(
-                f"{key} does not fit the hs-identity grid from r = {_HS_GRID_R_MIN:g}: {exc}"
-            ) from exc
+            hs_low = experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN
+            key = "r_max" if hs_low else "grid_n"
+            raise ConfigError(f"{key} does not fit the {experiment} grid: {exc}") from exc
 
     outlier_tol = None
     if "outlier_tol" in raw:
@@ -380,8 +399,9 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if not isinstance(entries, list) or len(entries) < 2:
             raise ConfigError("n_list must be a list of at least two scales")
         n_list = tuple(_want_int(v, "n_list") for v in entries)
-        if any(n < 1 for n in n_list):
-            raise ConfigError("n_list scales must be positive integers")
+        # singular_sequence_decay divides floats by n^2
+        if any(not (n >= 1 and n * n <= sys.float_info.max) for n in n_list):
+            raise ConfigError("n_list scales must be positive integers with n^2 a finite float")
         if any(a >= b for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("n_list scales must be strictly increasing")
 
@@ -471,7 +491,7 @@ def _run_check_conditions(config, stages):
 
 def _run_bs_norm(config, stages):
     pot = _build_potential(config.potential, config.dimension, config.experiment)
-    grid = default_bs_grid(config.grid_n, config.r_max)
+    grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
     ell_max = config.ell_max
     base = _stage(
         stages,
@@ -497,7 +517,7 @@ def _run_bs_norm(config, stages):
 
 def _run_hs_identity(config, stages):
     pot = _build_potential(config.potential, config.dimension, config.experiment)
-    grid = log_uniform_grid(_HS_GRID_R_MIN, config.r_max, config.grid_n)
+    grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
     result = _stage(
         stages,
         "birman_schwinger.hs_norm",
@@ -787,9 +807,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    d = args.dim
-    if d < 3:
-        raise ConfigError("dimension must be an integer >= 3")
+    d = _want_dimension(args.dim)
     table = thresholds(d)
     lines = []
     for title, names, rows in (

@@ -157,46 +157,24 @@ class TestFunction:
             )
         return q, dq, ddq
 
-    def laplacian_profile(self, r: np.ndarray) -> np.ndarray:
-        """Radial part of Delta u: q'' + 2 q'/r - l(l+1) q/r^2."""
+    def radial_terms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, q', q'' + 2 q'/r - l(l+1) q/r^2): the last is the radial part of Delta u."""
         q, dq, ddq = self.profile(r)
-        ell = self.ell
-        return ddq + 2 * dq / r - ell * (ell + 1) * q / r**2
+        return q, dq, ddq + 2 * dq / r - self.ell * (self.ell + 1) * q / r**2
 
-    # point evaluation for the 3D box cross-check path
-    def value_points(self, pts: np.ndarray) -> np.ndarray:
+    def at_points(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, grad u, Delta u) at Cartesian points of shape (m, 3).
+
+        u = q(r) c^l with c = x3/|x|, so grad u = (q' - l q/r) c^l x/|x|
+        + l (q/r) e3 (l in {0, 1}) and Delta u = (radial part) c^l.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        b, _, _ = _bump(r, self.support_radius)
-        vals = b if self.ell == 0 else b * pts[:, 2]
-        if self.chirp != 0.0:
-            vals = vals * np.exp(1j * self.chirp * r**2)
-        return vals
-
-    def grad_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        b, db, _ = _bump(r, self.support_radius)
-        unit = pts / r[:, None]
-        if self.ell == 0:
-            grad = db[:, None] * unit + 0j
-            vals = b + 0j
-        else:
-            grad = (db * pts[:, 2])[:, None] * unit + 0j
-            grad[:, 2] += b
-            vals = b * pts[:, 2] + 0j
-        if self.chirp != 0.0:
-            phase = np.exp(1j * self.chirp * r**2)
-            grad = phase[:, None] * (grad + 2j * self.chirp * pts * vals[:, None])
-        return grad
-
-    def laplacian_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        lap = self.laplacian_profile(r)
-        if self.ell == 0:
-            return lap + 0j
-        return lap * (pts[:, 2] / r) + 0j
+        q, dq, lap = self.radial_terms(r)
+        ang = (pts[:, 2] / r) ** self.ell
+        grad = ((dq - self.ell * q / r) * ang)[:, None] * (pts / r[:, None])
+        grad[:, 2] += self.ell * q / r
+        return q * ang, grad, lap * ang
 
 
 @dataclass(frozen=True)
@@ -392,8 +370,8 @@ class _Probe:
 
 def _probe_on(u: TestFunction, lam: complex, n: int, rule: str) -> _Probe:
     r, w = _radial_nodes(u.support_radius, n, rule)
-    q, dq, _ = u.profile(r)
-    f = u.laplacian_profile(r) + complex(lam) * q
+    q, dq, lap = u.radial_terms(r)
+    f = lap + complex(lam) * q
     c = u.angular_weight
     norm_sq = c * float(np.dot(w, np.abs(q) ** 2 * r**2))
     return _Probe(r, w, q, dq, f, c, u.ell, norm_sq)
@@ -650,22 +628,18 @@ def hardy_check(psi, d: int = 3) -> HardyRatios:
         raise MultiplierError("Hardy quotients need d >= 3")
     if isinstance(psi, NearExtremalHardyProfile):
         nodes_of = lambda m: _hardy_log_nodes(psi.eps, m)
-        q_of = lambda r: psi.profile(r)
-        ell = 0
     elif isinstance(psi, TestFunction):
         # probe densities are smooth on [0, R]; plain panels suffice
         nodes_of = lambda m: _radial_nodes(psi.support_radius, m, "gauss")
-        q_of = lambda r: psi.profile(r)[:2]
-        ell = psi.ell
     else:
         raise MultiplierError("psi must be a TestFunction or NearExtremalHardyProfile")
 
     def ratios(n_nodes: int) -> tuple[float, float]:
         r, w = nodes_of(n_nodes)
-        q, dq = q_of(r)
+        q, dq = psi.profile(r)[:2]
         meas = w * r ** (d - 1)
         qq = np.abs(q) ** 2
-        grad = np.abs(dq) ** 2 + ell * (ell + 1) * qq / r**2
+        grad = np.abs(dq) ** 2 + psi.ell * (psi.ell + 1) * qq / r**2
         num1 = float(np.dot(meas, qq / r**2))
         den1 = float(np.dot(meas, grad))
         num2 = float(np.dot(meas, qq / r))
@@ -835,8 +809,8 @@ def magnetic_identity_smoke(
     b_sup = float(np.max(bt_norm))
     b_dot_x = float(np.max(np.abs(np.sum(bt * x, axis=1)) / r))
 
-    val = u.value_points(x)[:, None]
-    grad = u.grad_points(x)
+    val, grad, _ = u.at_points(x)
+    val = val[:, None]
     a_val = a_field.vector_potential(x)
     grad_a = grad + 1j * a_val * val
     phase = np.exp(-1j * sig * root * r)
@@ -856,9 +830,7 @@ def magnetic_identity_smoke(
     keep = (r_all < radius) & (r_all > 0)
     pts, ww = pts[keep], ww[keep]
 
-    vals = u.value_points(pts)
-    grads = u.grad_points(pts)
-    laps = u.laplacian_points(pts)
+    vals, grads, laps = u.at_points(pts)
     a_vals = a_field.vector_potential(pts)
 
     grad_a_sq = np.sum(

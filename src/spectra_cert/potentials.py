@@ -22,17 +22,25 @@ checkers read their constants off the five numbers in closed form:
     square_well(v0, r0)     -v0                                      r0
 
 Blank cells are 0 (r0: infinite).  A row also checks its parameters and
-carries its line of the ``spectra-cert catalog`` listing; so do the rows
-of the magnetic catalog, whose fields are written out by hand.
+carries its line of the ``spectra-cert catalog`` listing.
 
 Magnetic potentials are vector fields A with field tensor
 B = grad A - (grad A)^T.  The sign convention is fixed by the d = 3
 identification B v = curl A x v, i.e. B_ij = dA_i/dx_j - dA_j/dx_i.
 The tangential trace B_tau(x) = (x/|x|) . B(x) is always orthogonal to x
-because B is antisymmetric.  The magnetic side works on point arrays: A,
-B and B_tau take points of shape (..., d), a single point (d,) included,
-and return shapes (..., d), (..., d, d) and (..., d).  Every catalog field
-is divergence-free, which the magnetic Laplacian relies on.
+because B is antisymmetric.  Each magnetic row (d = 3) maps its
+parameters onto one family, A(x) = k |x|^-p (-x2, x1, 0), which is
+divergence-free, as the magnetic Laplacian needs, and has
+B_tau(x) = -k (2 - p) |x|^(-p-1) (-x2, x1, 0):
+
+    row                         k       p
+    azimuthal_inverse_square    1       2
+    uniform_z(b)                b/2     0
+    zero                        0       0
+
+The magnetic side works on point arrays: A, B and B_tau take points of
+shape (..., d), a single point (d,) included, and return shapes (..., d),
+(..., d, d) and (..., d).
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,7 +151,7 @@ class _Row(NamedTuple):
     """A catalog entry: parameter rules, map onto its family, listing line."""
 
     rules: tuple
-    family: Optional[Callable] = None
+    family: Callable
     usage: str = ""
     summary: str = ""
 
@@ -240,38 +248,61 @@ def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
 
 _FD_STEP = 1e-5
 
+# R x = (-x2, x1, 0), the rotation every magnetic row is built on
+_ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
 
 @dataclass(frozen=True)
 class MagneticPotential:
-    """Vector potential A with its antisymmetric field tensor B.
+    """A(x) = k |x|^-p R x with R x = (-x2, x1, 0), and its field tensor B.
 
-    Every callable takes points of shape (..., d), a single point (d,)
-    included: ``vector_potential`` returns A of shape (..., d) and
-    ``field_tensor`` B of shape (..., d, d).  When ``field_tensor`` is None,
-    B is computed by centred finite differences of A (step 1e-5, O(h^2)
-    accurate).  A is taken
-    to be divergence-free (Coulomb gauge), as every catalog entry is, so
-    the magnetic Laplacian carries no div A term.
+    ``vector_potential`` and ``field_tensor`` take points of shape (..., 3),
+    a single point (3,) included, and return A of shape (..., 3) and
+
+        B = k |x|^-p (2 R - p ((R x) x^T - x (R x)^T) / |x|^2)
+
+    of shape (..., 3, 3).  Both refuse the origin when p > 0.  A is
+    divergence-free (Coulomb gauge), so the magnetic Laplacian carries no
+    div A term.
     """
 
     name: str
     dimension: int
-    vector_potential: Callable[[np.ndarray], np.ndarray]
-    field_tensor: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    k: float
+    p: float
+
+    def _rotated(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, R x, |x|^2) at points (..., 3)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dimension,):
+            raise PotentialError(f"expected points of shape (..., {self.dimension})")
+        rho2 = np.sum(np.square(x), axis=-1)
+        if self.p and np.any(rho2 == 0.0):
+            raise PotentialError(f"{self.name} is singular at the origin")
+        return x, x @ _ROTATION.T, rho2
+
+    def vector_potential(self, x: np.ndarray) -> np.ndarray:
+        _, rx, rho2 = self._rotated(x)
+        return self.k * rx / (rho2 ** (self.p / 2))[..., None]
+
+    def field_tensor(self, x: np.ndarray) -> np.ndarray:
+        x, rx, rho2 = self._rotated(x)
+        b = 2.0 * _ROTATION
+        if self.p:
+            m = rx[..., :, None] * x[..., None, :]
+            b = b - self.p * (m - np.swapaxes(m, -1, -2)) / rho2[..., None, None]
+        return (self.k / rho2 ** (self.p / 2))[..., None, None] * b
 
     def field(self, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
         """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i.
 
-        ``x`` has shape (..., d); the result has shape (..., d, d).
+        ``x`` has shape (..., d); the result has shape (..., d, d).  With
+        ``force_fd``, B comes from centred differences of A (step 1e-5,
+        O(h^2) accurate): the cross-check of ``field_tensor``.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise PotentialError(f"expected points of shape (..., {self.dimension})")
-        if self.field_tensor is not None and not force_fd:
+        if not force_fd:
             return self.field_tensor(x)
-        return self._fd_field(x)
-
-    def _fd_field(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         # jac[..., i, j] = dA_i/dx_j
         jac = np.stack(
             [
@@ -297,17 +328,17 @@ def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.n
     return np.einsum("...i,...ij->...j", x / r, mag.field(x, force_fd=force_fd))
 
 
-# the fields themselves are written out in magnetic_catalog
+# params -> (k, p) of A(x) = k |x|^-p (-x2, x1, 0)
 _MAGNETIC = {
     "azimuthal_inverse_square": _Row(
-        (), None, "azimuthal_inverse_square",
+        (), lambda v: (1.0, 2.0), "azimuthal_inverse_square",
         "A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero",
     ),
     "uniform_z": _Row(
-        (("b", None, 1.0),), None,
+        (("b", None, 1.0),), lambda v: (v["b"] / 2, 0.0),
         "uniform_z(b)", "uniform field of strength b along the third axis",
     ),
-    "zero": _Row((), None, "zero", "A = 0"),
+    "zero": _Row((), lambda v: (0.0, 0.0), "zero", "A = 0"),
 }
 
 
@@ -316,67 +347,8 @@ def magnetic_catalog_names() -> tuple[str, ...]:
 
 
 def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> MagneticPotential:
-    """Construct a magnetic catalog entry (d = 3 only for the named fields).
-
-    ``azimuthal_inverse_square``: A(x) = (-x2, x1, 0)/|x|^2, a divergence-free
-    field whose tangential trace vanishes identically.
-    ``uniform_z``: A(x) = b/2 (-x2, x1, 0), the uniform field of strength b
-    along the third axis.
-    ``zero``: A = 0.
-    """
-    _, values = _row_params(PotentialError, "magnetic potential", _MAGNETIC, name, params)
-    if name == "zero":
-        return MagneticPotential(
-            name,
-            dimension,
-            vector_potential=lambda x: np.zeros(np.shape(x)),
-            field_tensor=lambda x: np.zeros(np.shape(x) + (dimension,)),
-        )
-
+    """Construct a magnetic catalog entry; every row is three-dimensional."""
+    row, values = _row_params(PotentialError, "magnetic potential", _MAGNETIC, name, params)
     if dimension != 3:
         raise PotentialError(f"magnetic catalog entry {name!r} is three-dimensional")
-
-    def rotate(x: np.ndarray) -> np.ndarray:
-        """(-x2, x1, 0) at points (..., 3)."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([-x[..., 1], x[..., 0], np.zeros(x.shape[:-1])], axis=-1)
-
-    def tensor(b12, b13, b23) -> np.ndarray:
-        """The antisymmetric (..., 3, 3) tensor with upper entries b12, b13, b23."""
-        b12, b13, b23 = np.broadcast_arrays(b12, b13, b23)
-        out = np.zeros(b12.shape + (3, 3))
-        out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = b12, b13, b23
-        out[..., 1, 0], out[..., 2, 0], out[..., 2, 1] = -b12, -b13, -b23
-        return out
-
-    if name == "azimuthal_inverse_square":
-
-        def rho2_of(x: np.ndarray, what: str) -> np.ndarray:
-            rho2 = np.sum(np.square(x), axis=-1)
-            if np.any(rho2 == 0.0):
-                raise PotentialError(f"{what} singular at the origin")
-            return rho2
-
-        def a_fn(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return rotate(x) / rho2_of(x, "vector potential")[..., None]
-
-        def b_fn(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            f = 2.0 / rho2_of(x, "field tensor") ** 2
-            x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-            return tensor(-f * x3 * x3, f * x2 * x3, -f * x1 * x3)
-
-        return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
-
-    # uniform_z, the one row left
-    b = values["b"]
-
-    def a_fn(x: np.ndarray) -> np.ndarray:
-        return 0.5 * b * rotate(x)
-
-    def b_fn(x: np.ndarray) -> np.ndarray:
-        # B v = (b e3) x v: B_12 = dA_1/dx_2 - dA_2/dx_1 = -b.
-        return tensor(np.full(np.shape(x)[:-1], -b), 0.0, 0.0)
-
-    return MagneticPotential(name, 3, vector_potential=a_fn, field_tensor=b_fn)
+    return MagneticPotential(name, 3, *row.family(values))

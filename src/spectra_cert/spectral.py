@@ -375,7 +375,7 @@ def singular_sequence_decay(
 ) -> DecayReport:
     """Decay of the Weyl sequence built from a probe profile.
 
-    ``phi1`` is a probe exposing ``profile``/``laplacian_profile`` and
+    ``phi1`` is a probe exposing ``radial_terms`` and
     ``angular_weight`` (a multiplier-lab test function); its norms scale
     exactly under dilation, so the table is analytic in n given three
     quadratures of phi1.  If phi1 is not L^2-normalized it is rescaled

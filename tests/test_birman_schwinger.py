@@ -194,6 +194,15 @@ class TestClosedFormKernels:
         for _, g in _sector_kernels(z, r, 8):
             assert np.all(np.isfinite(g))
 
+    def test_grid_whose_inner_panels_underflow_is_refused(self):
+        # 700 panels of ratio sqrt(10) below r_max = 40 would reach 4e-349,
+        # below the smallest double; 640 panels still end at 4e-319
+        default_bs_grid(6400)
+        with pytest.raises(BSError, match="reach r = 0"):
+            default_bs_grid(7000)
+        with pytest.raises(BSError, match="reach r = 0"):
+            default_bs_grid(10**30)
+
     def test_scaled_i_factor_branches_agree_up_to_the_cap(self):
         # at |x| >= 1 A_l comes from ive; pin it against the power series
         # A_l(x) = e^-x sum_k (x^2/2)^k / (k! prod_{j<=k} (2l+2j+1)) where the

@@ -60,6 +60,22 @@ INPUT_KEY_VALUES = {
 }
 
 
+# sample configs with overrides, for cases that no sample config covers as is
+SAMPLE_VARIANTS = {
+    "check_conditions_gaussian": (
+        "check_conditions_hardy",
+        'potential={"name": "gaussian", "params": {"v0": 1.0}}',
+    ),
+}
+
+
+def sample_args(stem: str) -> list[str]:
+    """The CLI arguments naming a sample config or one of its variants."""
+    base, *overrides = SAMPLE_VARIANTS.get(stem, (stem,))
+    path = next(p for p in SAMPLE_CONFIGS if p.stem == base)
+    return [str(path)] + [arg for item in overrides for arg in ("--set", item)]
+
+
 def make(experiment: str, **extra) -> str:
     """A minimal valid raw config for the experiment, as JSON text."""
     doc: dict = {"experiment": experiment}
@@ -660,18 +676,36 @@ class TestMainExitCodes:
             ("spectrum_square_well", "r_max", "1e-80"),
             ("pseudospectrum_imaginary_hardy", "r_max", "1e-300"),
             ("bs_norm_hardy", "ell_max", "200"),
+            *(
+                pytest.param(stem, "grid_n", str(10**30), id=f"{stem}-grid_n-1e30")
+                for stem in (
+                    "spectrum_square_well",
+                    "pseudospectrum_imaginary_hardy",
+                    "hs_identity_gaussian",
+                    "bs_norm_hardy",
+                )
+            ),
+            ("bs_norm_hardy", "grid_n", "7000"),
+            *(
+                pytest.param(stem, "dimension", str(10**200), id=f"{stem}-dimension-1e200")
+                for stem in ("check_conditions_hardy", "check_conditions_gaussian")
+            ),
+            pytest.param(
+                "singular_sequence", "n_list", f"[2, {10**200}]", id="singular_sequence-n_list-1e200"
+            ),
         ],
     )
     def test_grid_that_cannot_be_built_is_2(
         self, tmp_path, capsys, command, stem, key, value
     ):
-        # a sector operator past double range, or Bessel factors past the
-        # l <= 128 cap at z != 0: refused before any sector is computed
-        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == stem)
+        # a sector operator past double range, Bessel factors past the
+        # l <= 128 cap at z != 0, a grid numpy cannot allocate, geometric
+        # panels that underflow to r = 0, a Hardy constant ((d-2)/2)^2 or
+        # an n^2 past the float range: refused before anything is computed
         code = main(
             [
                 command,
-                str(config_path),
+                *sample_args(stem),
                 "--set",
                 f"output.path={tmp_path / stem}",
                 "--set",
@@ -717,6 +751,12 @@ class TestMainExitCodes:
 
     def test_catalog_rejects_low_dimension(self, capsys):
         assert main(["catalog", "--dim", "2"]) == 2
+
+    def test_catalog_rejects_dimension_past_float_range(self, capsys):
+        assert main(["catalog", "--dim", str(10**400)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: dimension " in captured.err
+        assert captured.out == ""
 
 
 class TestPlumbing:

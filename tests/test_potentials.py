@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from spectra_cert.multipliers import MultiplierError, multiplier_catalog
 from spectra_cert.potentials import (
-    MagneticPotential,
     PotentialError,
     b_tau,
     catalog,
@@ -225,7 +224,6 @@ class TestMagnetic:
     )
     def test_analytic_field_matches_finite_differences(self, name, params):
         mag = magnetic_catalog(name, **params)
-        assert mag.field_tensor is not None
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, size=3)
@@ -234,6 +232,22 @@ class TestMagnetic:
             np.testing.assert_allclose(
                 mag.field(x), mag.field(x, force_fd=True), atol=1e-8, rtol=1e-7
             )
+
+    @pytest.mark.parametrize("name", magnetic_catalog_names())
+    def test_b_tau_closed_form(self, name):
+        # B_tau = -k (2 - p) |x|^(-p-1) (-x2, x1, 0) for A = k |x|^-p (-x2, x1, 0):
+        # zero for the azimuthal field, -b (-x2, x1, 0)/|x| for uniform_z(b)
+        b = 1.7
+        mag = magnetic_catalog(name, **({"b": b} if name == "uniform_z" else {}))
+        rows = {"azimuthal_inverse_square": (1.0, 2.0), "uniform_z": (b / 2, 0.0), "zero": (0, 0)}
+        if name in rows:
+            assert (mag.k, mag.p) == rows[name]
+        x = np.random.default_rng(23).uniform(-2.0, 2.0, size=(50, 3))
+        x = np.where(np.linalg.norm(x, axis=1, keepdims=True) < 0.3, x + 0.5, x)
+        rx = np.stack([-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1)
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        expected = -mag.k * (2.0 - mag.p) * norm ** (-mag.p - 1) * rx
+        np.testing.assert_allclose(b_tau(mag, x), expected, rtol=1e-13, atol=1e-13)
 
     def test_field_antisymmetric(self):
         mag = magnetic_catalog("azimuthal_inverse_square")
@@ -328,15 +342,3 @@ class TestMagnetic:
         mag = magnetic_catalog("uniform_z")
         with pytest.raises(PotentialError, match="shape"):
             mag.field(np.ones((4, 2)))
-
-    def test_fd_fallback_when_no_analytic_tensor(self):
-        mag = MagneticPotential(
-            "custom",
-            3,
-            vector_potential=lambda x: np.array([x[1] ** 2, 0.0, 0.0]),
-        )
-        assert mag.field_tensor is None
-        b = mag.field(np.array([0.0, 1.5, 0.0]))
-        # dA_1/dx_2 = 2 x_2 = 3.
-        assert b[0, 1] == pytest.approx(3.0, abs=1e-8)
-        np.testing.assert_allclose(b + b.T, 0.0, atol=1e-12)
