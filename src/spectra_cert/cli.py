@@ -326,7 +326,7 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     if experiment in _BS_GRIDS:
         # build the grid once now so its bounds fail validation, not the run
         try:
-            _BS_GRIDS[experiment](grid_n, r_max)
+            bs_grid = _BS_GRIDS[experiment](grid_n, r_max)
         except BSError as exc:
             hs_low = experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN
             key = "r_max" if hs_low else "grid_n"
@@ -341,6 +341,17 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     potential = None
     if "potential" in raw:
         potential = _parse_potential(raw["potential"], dimension, experiment)
+    if experiment in _BS_GRIDS:
+        # deep geometric panels reach r where |V| ~ r^-s leaves the float range
+        pot = _build_potential(potential, dimension, experiment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            abs_v = pot.abs_radial(bs_grid.nodes)
+        if not abs_v.max() < math.inf:  # also catches NaN
+            raise ConfigError(
+                f"grid_n {grid_n} puts nodes down to r = {bs_grid.nodes[0]:.3g},"
+                " where |V| is not finite"
+            )
     if experiment in ("spectrum", "pseudospectrum"):
         # build the sectors with the smallest and the largest diagonal now,
         # so a grid too fine for double precision fails validation, not the run

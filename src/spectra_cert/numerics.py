@@ -6,8 +6,10 @@ provides Gauss-Legendre rules, plain and composite over panels, the
 :class:`RadialGrid` container for radial rules on (0, r_max], and a tensor
 Gauss box in three dimensions whose points exclude the coordinate origin by
 construction.  The linear algebra side wraps the dense complex
-eigendecomposition (its callers check the residuals) and reads both extremal
-singular values off one dense LAPACK SVD.  A real symmetric positive definite
+eigendecomposition (its callers check the residuals) and reads either
+extremal singular value off one dense LAPACK SVD.  An operator known only
+by its products with M and M^H gets sigma_max from ARPACK on M^H M, checked
+by the residual of its Ritz pair.  A real symmetric positive definite
 tridiagonal T gets |T^-1| = 1 / lambda_min(T) from one LAPACK dpttrf
 factorization and one bisection for sigma_min of the bidiagonal factor, with
 no n x n matrix and to high relative accuracy.  A complex-symmetric
@@ -37,6 +39,7 @@ __all__ = [
     "box_grid",
     "eig_complex",
     "largest_singular_value",
+    "operator_largest_singular_value",
     "smallest_singular_value",
     "spd_tridiagonal_inverse_norm",
     "band_smallest_singular_value",
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Arnoldi basis size and start-vector seed of the ARPACK sigma_min
+# Arnoldi basis size and start-vector seed of the ARPACK sigma_min and sigma_max
 _ARPACK_NCV = 8
 _ARPACK_START_SEED = 0
 
@@ -223,6 +226,53 @@ def largest_singular_value(m: np.ndarray) -> float:
     if a.shape[0] == 0:
         return 0.0
     return float(svdvals(a, check_finite=False)[0])
+
+
+def operator_largest_singular_value(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    rmatvec: Callable[[np.ndarray], np.ndarray],
+    n: int,
+) -> float:
+    """Largest singular value of an n x n complex operator M given by its
+    products x -> M x (``matvec``) and y -> M^H y (``rmatvec``).
+
+    ARPACK finds the largest eigenvalue theta of the Hermitian M^H M, one
+    matvec and one rmatvec per product, from a fixed seeded start vector, so
+    the value depends on M alone; the result is sqrt(theta).  tol=0 asks
+    ARPACK for machine precision.  Its Ritz value approaches theta from
+    below, so the result approaches sigma_max from below: an estimate, not a
+    certified upper bound.  For n <= 2, where ARPACK's complex driver needs
+    k < n - 1, theta is read off the Gram matrix built from n products.
+
+    The empty operator yields 0.0.  Raises :class:`NumericsError` when ARPACK
+    fails or when the Ritz pair misses |M^H M v - theta v| <= 1e-10 theta |v|.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        return rmatvec(matvec(x))
+
+    if n == 0:
+        return 0.0
+    if n <= 2:
+        columns = np.column_stack([gram(e) for e in np.eye(n, dtype=np.complex128)])
+        return float(np.sqrt(max(np.linalg.eigvalsh(columns)[-1], 0.0)))
+    start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
+    op = LinearOperator((n, n), matvec=gram, dtype=np.complex128)
+    try:
+        thetas, vectors = eigsh(
+            op, k=1, which="LM", tol=0, v0=start, ncv=min(n, _ARPACK_NCV)
+        )
+    except ArpackError as exc:
+        raise NumericsError(f"ARPACK sigma_max: {exc}") from exc
+    theta, v = float(thetas[0]), vectors[:, 0]
+    residual = float(np.linalg.norm(gram(v) - theta * v))
+    if not residual <= 1e-10 * theta * np.linalg.norm(v):
+        raise NumericsError(
+            f"ARPACK sigma_max: Ritz residual {residual:.3e} exceeds 1e-10 theta |v|"
+            f" at theta = {theta:.6e}"
+        )
+    return float(np.sqrt(theta))
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

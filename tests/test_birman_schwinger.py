@@ -25,9 +25,11 @@ pins the Bessel kernels entrywise.
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval, legvander
@@ -51,7 +53,13 @@ from spectra_cert.birman_schwinger import (
     pointwise_bound_check,
     sector_matrices,
 )
-from spectra_cert.numerics import box_grid, gauss_legendre, largest_singular_value
+from spectra_cert.cli import main
+from spectra_cert.numerics import (
+    NumericsError,
+    box_grid,
+    gauss_legendre,
+    largest_singular_value,
+)
 from spectra_cert.potentials import catalog
 
 
@@ -432,15 +440,110 @@ class TestInverseTridiagonalSectors:
         assert [assemble_bs(gaussian(), z, grid, ell_max=4) for z in zs] == want
 
     def test_complex_z_keeps_the_dense_svd(self, monkeypatch):
+        # one dense check per complex z, on the sector that attains the norm
         calls = []
 
         def counted(m):
-            calls.append(m.shape)
+            calls.append(m)
             return largest_singular_value(m)
 
         monkeypatch.setattr(bs, "largest_singular_value", counted)
-        assemble_bs(gaussian(), -1.0 + 1j, default_bs_grid(80), ell_max=2)
-        assert calls == [(80, 80)] * 3
+        bm = assemble_bs(gaussian(), -1.0 + 1j, default_bs_grid(80), ell_max=2)
+        assert [m.shape for m in calls] == [(80, 80)]
+        assert abs(svdvals(calls[0])[0] - bm.norm) <= 1e-10 * bm.norm
+
+
+# (potential, grid, ell_max, complex z list): Test02's grid and complex z plus
+# z = 1e-9 i next to the cut for the Hardy pair; gaussian with and without an
+# imaginary part on both grid kinds; yukawa a hair off the positive axis;
+# a square well, whose V = 0 nodes are dropped
+SEMISEPARABLE_CASES = {
+    "hardy-256": (hardy(), default_bs_grid(256), 4, (1j, -1j, -1 + 1j, -1 - 1j, 1e-9j)),
+    "imaginary-hardy-256": (
+        catalog("imaginary_hardy", beta=0.3), default_bs_grid(256), 4, (1e-9j, -1 - 1j)
+    ),
+    "gaussian-400": (gaussian(), default_bs_grid(400), 4, (1j,)),
+    "gaussian-c_im-400": (
+        catalog("gaussian", v0=1.0, c_im=1.5), default_bs_grid(400), 4, (-1 + 1j,)
+    ),
+    "gaussian-log-400": (gaussian(), log_uniform_grid(0.02, 16.0, 400), 4, (3 + 0.5j,)),
+    "gaussian-c_im-log-400": (
+        catalog("gaussian", v0=1.0, c_im=1.5), log_uniform_grid(0.02, 16.0, 400), 4, (1j,)
+    ),
+    "yukawa-400": (catalog("yukawa", g=1.0, mu=1.0), default_bs_grid(400), 4, (30 + 1e-13j,)),
+    "square-well-400": (
+        catalog("square_well", v0=1.0, r0=1.0), default_bs_grid(400), 4, (5 + 1j,)
+    ),
+}
+BS_NORM_HARDY = Path(__file__).parents[1] / "scripts" / "configs" / "bs_norm_hardy.json"
+
+
+def run_bs_norm_hardy(tmp_path):
+    return main(["run", str(BS_NORM_HARDY), "--set", f"output.path={tmp_path / 'bs'}"])
+
+
+class TestSemiseparableSectors:
+    """Complex z: sigma_max by ARPACK on O(n) products, one dense check per z."""
+
+    @pytest.mark.parametrize("case", list(SEMISEPARABLE_CASES))
+    def test_matches_dense_svd(self, case):
+        # measured: sigma_max within 2e-15, |M|_F^2 within 1.1e-15 of the dense values
+        potential, grid, ell_max, zs = SEMISEPARABLE_CASES[case]
+        for z in zs:
+            bm = assemble_bs(potential, z, grid, ell_max=ell_max)
+            dense = dense_sector_norms(potential, z, grid, ell_max)
+            assert len(bm.per_ell_norms) == len(dense) == ell_max + 1
+            for sigma, fro, (sigma_dense, fro_sq_dense) in zip(
+                bm.per_ell_norms, bm.per_ell_frobenius, dense
+            ):
+                assert abs(sigma - sigma_dense) <= 1e-10 * sigma_dense, (z, sigma, sigma_dense)
+                assert abs(fro**2 - fro_sq_dense) <= 1e-13 * fro_sq_dense, (z, fro, fro_sq_dense)
+
+    def test_one_sector_is_rebuilt(self):
+        grid = default_bs_grid(80)
+        every = dict(sector_matrices(gaussian(), 1j, grid, ell_max=3))
+        ((ell, m),) = sector_matrices(gaussian(), 1j, grid, ell_max=2, ell_min=2)
+        assert ell == 2
+        np.testing.assert_array_equal(m, every[2])
+
+    def test_overflow_raises(self):
+        with pytest.raises(BSError, match="overflows"):
+            assemble_bs(gaussian(), -1e8 + 1j, default_bs_grid(n=64), ell_max=100)
+
+    def test_arpack_failure_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failed(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failed)
+        with pytest.raises(NumericsError, match="ARPACK sigma_max"):
+            assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
+        assert run_bs_norm_hardy(tmp_path) == 1
+        assert "ARPACK sigma_max" in capsys.readouterr().err
+
+    def test_wrong_ritz_value_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        exact = scipy.sparse.linalg.eigsh
+
+        def planted(*args, **kwargs):
+            thetas, vectors = exact(*args, **kwargs)
+            return thetas * (1 + 1e-8), vectors
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", planted)
+        with pytest.raises(NumericsError, match="Ritz residual"):
+            assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
+        assert run_bs_norm_hardy(tmp_path) == 1
+        assert "Ritz residual" in capsys.readouterr().err
+
+    def test_value_off_the_dense_svd_raises_and_run_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        exact = bs.operator_largest_singular_value
+        monkeypatch.setattr(
+            bs, "operator_largest_singular_value", lambda *args: (1 + 1e-8) * exact(*args)
+        )
+        with pytest.raises(NumericsError, match="misses the dense SVD"):
+            assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
+        assert run_bs_norm_hardy(tmp_path) == 1
+        assert "misses the dense SVD" in capsys.readouterr().err
 
 
 class TestNormScan:

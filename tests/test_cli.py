@@ -718,6 +718,24 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("overrides", [["grid_n=3130"], ["grid_n=6000", "ell_max=1"]])
+    def test_grid_where_v_leaves_the_float_range_is_2(
+        self, tmp_path, capsys, command, overrides
+    ):
+        # 0.5 r^-2 overflows below r ~ 4e-155, which grid_n = 3130 reaches
+        config_path = next(p for p in SAMPLE_CONFIGS if p.stem == "bs_norm_hardy")
+        args = [command, str(config_path), "--set", f"output.path={tmp_path / 'bs'}"]
+        code = main(args + [arg for item in overrides for arg in ("--set", item)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error: grid_n " in captured.err
+        assert "|V| is not finite" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+        assert main(["validate", str(config_path), "--set", "grid_n=3120"]) == 0
+        assert main(["validate", str(config_path)]) == 0
+
     def test_ell_max_past_the_bessel_cap_is_valid_at_z_zero(self, tmp_path, capsys):
         config_path = next(p for p in SAMPLE_CONFIGS if p.stem == "bs_norm_hardy")
         args = ["validate", str(config_path), "--set", "ell_max=200"]

@@ -298,6 +298,52 @@ class TestSPDTridiagonalInverseNorm:
             nx.spd_tridiagonal_inverse_norm(np.ones(3), np.ones(3))
 
 
+def products(m):
+    """(x -> M x, y -> M^H y) of a dense matrix."""
+    return (lambda x: m @ x), (lambda y: m.conj().T @ y)
+
+
+class TestOperatorLargestSingularValue:
+    """sigma_max from ARPACK on M^H M against a dense SVD."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 60])
+    def test_matches_dense_svd(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        got = nx.operator_largest_singular_value(*products(m), n)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_empty_and_zero_operators(self):
+        assert nx.operator_largest_singular_value(*products(np.zeros((0, 0))), 0) == 0.0
+        for n in (1, 2):
+            assert nx.operator_largest_singular_value(*products(np.zeros((n, n))), n) == 0.0
+
+    def test_arpack_failure_raises(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def failed(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failed)
+        with pytest.raises(nx.NumericsError, match="ARPACK sigma_max"):
+            nx.operator_largest_singular_value(*products(np.eye(5)), 5)
+
+    def test_wrong_ritz_value_fails_the_residual_check(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        exact = scipy.sparse.linalg.eigsh
+
+        def planted(*args, **kwargs):
+            thetas, vectors = exact(*args, **kwargs)
+            return thetas * (1 + 1e-8), vectors
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", planted)
+        m = np.diag(np.arange(1.0, 6.0))
+        with pytest.raises(nx.NumericsError, match="Ritz residual"):
+            nx.operator_largest_singular_value(*products(m), 5)
+
+
 class TestFindRootIncreasing:
     def test_threshold_equation_root(self):
         f = lambda lam: 6.0 * lam + math.sqrt(2.0) * lam**1.5 - 1.0
