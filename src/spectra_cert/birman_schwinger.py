@@ -203,9 +203,9 @@ def _scaled_bessel_factors(
 
 
 def _sector_kernels(
-    z: complex, r: np.ndarray, ell_max: int, ell_min: int = 0
+    z: complex, r: np.ndarray, ell_max: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (l, g_l^z) for l = ell_min..ell_max in the scaled closed form
+    """Yield (l, g_l^z) for l = 0..ell_max in the scaled closed form
 
         g_l^z = g_l^0 * A_l(kappa r_<) * B_l(kappa r_>) * exp(-kappa (r_> - r_<)),
 
@@ -225,15 +225,13 @@ def _sector_kernels(
         r_i_lower = r[:, np.newaxis] <= r[np.newaxis, :]
         decay = np.exp(-kappa * (r_hi - r_lo))
     for ell in range(ell_max + 1):
+        g = power / (2 * ell + 1)
         if kappa != 0.0:
             a, b = next(factors)
-        if ell >= ell_min:
-            g = power / (2 * ell + 1)
-            if kappa != 0.0:
-                g = g * np.where(r_i_lower, np.outer(a, b), np.outer(b, a)) * decay
-                if not np.all(np.isfinite(g)):
-                    raise BSError(f"sector kernel l={ell} overflows at z={z}")
-            yield ell, g
+            g = g * np.where(r_i_lower, np.outer(a, b), np.outer(b, a)) * decay
+            if not np.all(np.isfinite(g)):
+                raise BSError(f"sector kernel l={ell} overflows at z={z}")
+        yield ell, g
         power = power * ratio
 
 
@@ -242,16 +240,14 @@ def sector_matrices(
     z: complex,
     grid: RadialGrid,
     ell_max: int = _DEFAULT_ELL_MAX,
-    ell_min: int = 0,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (l, M_l), l = ell_min..ell_max, with
-    M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
+    """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
     _check_sector_args(potential, z, ell_max)
     r = grid.nodes
     sqw = np.sqrt(grid.weights)
     left = np.sqrt(potential.abs_radial(r)) * r * sqw
     right = potential.sign_radial(r) * np.sqrt(potential.abs_radial(r)) * r * sqw
-    for ell, g in _sector_kernels(z, r, ell_max, ell_min):
+    for ell, g in _sector_kernels(z, r, ell_max):
         yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
 
 
@@ -512,8 +508,11 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     b = B_l(kappa r) / ((2l+1) r).  So a product with M_l = L G L S is O(n)
     (_single_pair_products) and forms no r^l or e^(kappa r).  ARPACK on
     M_l^H M_l (numerics.operator_largest_singular_value) gives sigma_max; its
-    value approaches sigma_max from below, so it is an estimate.  A sector
-    whose Bessel factors or Frobenius sum are not finite raises.
+    value approaches sigma_max from below, so it is an estimate.  The Ritz
+    residual check there only shows that it is some singular value, so a
+    value below the floor sigma_max >= |M_l|_F / sqrt(n), which holds for
+    every n x n matrix, raises :class:`NumericsError`.  A sector whose Bessel
+    factors or Frobenius sum are not finite raises :class:`BSError`.
     """
     r = family.r
     _raise_on_overflow(
@@ -529,7 +528,14 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     for ell, (a, b) in enumerate(zip(family.a, family.b)):
         rho = np.exp(-ell * step - family.kappa * dr)
         matvec, rmatvec = _single_pair_products(rho, a, b / ((2 * ell + 1) * r), left, right)
-        norms.append(operator_largest_singular_value(matvec, rmatvec, r.size))
+        norm = operator_largest_singular_value(matvec, rmatvec, r.size)
+        floor = math.sqrt(family.fro_sq[ell] / r.size)
+        if norm < (1.0 - 1e-10) * floor:
+            raise NumericsError(
+                f"ARPACK sigma_max {norm:.6e} of sector l={ell} at z={z} is below"
+                f" |M|_F / sqrt(n) = {floor:.6e}"
+            )
+        norms.append(norm)
     return norms
 
 
@@ -539,7 +545,8 @@ def _check_against_dense(
     """Rebuild the sector that attains the norm and compare its sigma_max
     with a dense SVD; a gap beyond 1e-10 relative plus n eps |M|_F raises."""
     ell = int(np.argmax(norms))
-    ((_, m),) = sector_matrices(potential, z, grid, ell_max=ell, ell_min=ell)
+    for _, m in sector_matrices(potential, z, grid, ell_max=ell):
+        pass  # keep the last sector, one matrix at a time
     dense = largest_singular_value(m)
     tol = 1e-10 * dense + m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
     if abs(norms[ell] - dense) > tol:
@@ -568,9 +575,10 @@ def assemble_bs(
     sector.  At real z <= 0 it is the bisection on the tridiagonal inverse
     (see _real_z_sector_norms), accurate from both sides.  At complex z it
     is ARPACK on O(n) products (see _complex_z_sector_norms), an estimate
-    from below; there the sector that attains the norm is rebuilt densely
-    once and its ARPACK value checked against a dense SVD (1e-10 relative
-    plus n eps |M_l|_F), and a miss raises :class:`NumericsError`.
+    from below.  Only the sector that attains the norm is checked against a
+    dense SVD: it is rebuilt once per z, and a gap beyond 1e-10 relative plus
+    n eps |M_l|_F raises :class:`NumericsError`.  Every other sector is
+    checked only against its Ritz residual and the floor |M_l|_F / sqrt(n).
     """
     z = complex(z)
     _check_sector_args(potential, z, ell_max)

@@ -248,7 +248,8 @@ def _parse_complex(value, field: str) -> complex:
     return complex(_want_number(pair[0], field), _want_number(pair[1], field))
 
 
-def _parse_potential(raw, dimension: int, experiment: str) -> PotentialSpec:
+def _parse_potential(raw, dimension: int, experiment: str):
+    """The spec a config's potential object names and the catalog entry it builds."""
     if not isinstance(raw, dict):
         raise ConfigError("potential must be an object with name and params")
     unknown = set(raw) - {"name", "params"}
@@ -265,10 +266,9 @@ def _parse_potential(raw, dimension: int, experiment: str) -> PotentialSpec:
     # the catalog rows check every parameter, and a TypeError is a param
     # named like a keyword of the catalog call (dimension)
     try:
-        _build_potential(spec, dimension, experiment)
+        return spec, _build_potential(spec, dimension, experiment)
     except (PotentialError, TypeError) as exc:
         raise ConfigError(f"potential {spec.name!r}: {exc}") from exc
-    return spec
 
 
 def _build_potential(spec: Optional[PotentialSpec], dimension: int, experiment: str):
@@ -338,12 +338,11 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if not outlier_tol > 0:
             raise ConfigError("outlier_tol must be positive")
 
-    potential = None
+    potential = pot = None
     if "potential" in raw:
-        potential = _parse_potential(raw["potential"], dimension, experiment)
+        potential, pot = _parse_potential(raw["potential"], dimension, experiment)
     if experiment in _BS_GRIDS:
         # deep geometric panels reach r where |V| ~ r^-s leaves the float range
-        pot = _build_potential(potential, dimension, experiment)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             abs_v = pot.abs_radial(bs_grid.nodes)
@@ -355,7 +354,6 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     if experiment in ("spectrum", "pseudospectrum"):
         # build the sectors with the smallest and the largest diagonal now,
         # so a grid too fine for double precision fails validation, not the run
-        pot = _build_potential(potential, dimension, experiment)
         try:
             for ell in {0, ell_max if experiment == "spectrum" else 0}:
                 discretize_radial(pot, ell, r_max, grid_n)
