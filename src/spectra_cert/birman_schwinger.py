@@ -30,15 +30,21 @@ the Legendre coefficient and against direct 3D box quadrature.
 
 The sector norms need no sector matrix.  The kernel is a Green's function,
 g_l^z(r, r') = u(r_<) v(r_>), a single pair of functions on each triangle.
-At real z <= 0 its Nystroem matrix on the nodes where V does not vanish has
-a tridiagonal inverse (Gantmacher-Krein), which is symmetric positive
-definite for real kappa.  Each sector's sigma_max is 1 / lambda_min of that
-inverse, built in O(n) and bisected on its bidiagonal factor
+Its sigma_max is taken on the nodes that carry the sector: where V does not
+vanish, less the leading and trailing nodes whose rows and columns carry
+under eps^2 / n of every |M_l|_F^2, which moves each sigma_max by at most
+eps sigma_max (Weyl), downward.  A contiguous block of a single-pair kernel
+is single-pair again.  At real z <= 0 its Nystroem matrix has a tridiagonal
+inverse (Gantmacher-Krein), which is symmetric positive definite for real
+kappa.  Each sector's sigma_max is 1 / lambda_min of that inverse, built in
+O(n) and bisected on its bidiagonal factor
 (``numerics.spd_tridiagonal_inverse_norm``).  At complex z a product with
 the sector matrix is two bidiagonal solves, O(n), and ARPACK on M^H M gives
 sigma_max (``numerics.operator_largest_singular_value``), an estimate that
-approaches it from below.  The sector that attains the norm is then rebuilt
-once per z and checked against a dense SVD.
+approaches it from below; each sector starts from the Ritz vector of the
+one before.  The sector that attains the norm is then rebuilt on the kept
+nodes once per z and checked against a dense SVD and the running-sum
+Frobenius norm.
 
 Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 
@@ -360,11 +366,13 @@ def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
 
 
 class _SectorFamily(NamedTuple):
-    """The partial-wave sectors of K_z on the nodes where V does not vanish.
+    """The partial-wave sectors of K_z on the nodes that carry them.
 
-    ``a`` and ``b`` are the (ell_max+1, n) arrays A_l(kappa r), B_l(kappa r)
-    (real at real z, ones at z = 0), ``log_a`` and ``log_b`` the logs of
-    their moduli (0 at z = 0) and ``fro_sq`` the |M_l|_F^2.
+    ``r``, ``w``, ``abs_v`` and ``sign`` are the kept nodes (see _kept_span),
+    ``a`` and ``b`` the (ell_max+1, n) arrays A_l(kappa r), B_l(kappa r) on
+    them (real at real z, ones at z = 0), ``log_a`` and ``log_b`` the logs of
+    their moduli (0 at z = 0) and ``fro_sq`` the |M_l|_F^2 over the whole
+    support.
     """
 
     r: np.ndarray
@@ -379,20 +387,75 @@ class _SectorFamily(NamedTuple):
     fro_sq: np.ndarray
 
 
+def _kept_span(
+    alpha: np.ndarray,
+    r: np.ndarray,
+    fro_sq: np.ndarray,
+    kappa: float,
+    log_a: np.ndarray,
+    log_b: np.ndarray,
+) -> slice:
+    """The support nodes left once the negligible leading and trailing ones go.
+
+    With alpha = |V| r^2 w, |M_ij|^2 = exp(low_i + up_j) for i <= j, where
+
+        low_i = log alpha_i + 2l log r_i + 2 log|A_i| + 2 kappa r_i,
+        up_j = log alpha_j + 2 log|B_j| - (2l+2) log r_j - 2 kappa r_j - 2 log(2l+1),
+
+    as in _frobenius_sq.  The entries with max(i, j) = k carry
+    lower_k = e^(low_k + up_k) + 2 sum_(i < k) e^(low_i + up_k), those with
+    min(i, j) = k carry upper_k = e^(low_k + up_k) + 2 sum_(j > k) e^(low_k + up_j),
+    one forward and one reversed logaddexp.accumulate.  The first h nodes
+    go while the sum of their upper_k stays within eps^2 |M_l|_F^2 / (2n),
+    the last t while the sum of their lower_k does, for every l.  The
+    entries of M_l so dropped, E = M_l - P M_l P, then have
+    |E| <= |E|_F <= eps |M_l|_F / sqrt(n) <= eps sigma_max(M_l), and P M_l P
+    is a compression of M_l, so by Weyl's inequality each sigma_max moves by
+    at most eps sigma_max, and only downward.
+    """
+    n = r.size
+    log_r, log_alpha = np.log(r), np.log(alpha)
+    ells = np.arange(fro_sq.size)[:, np.newaxis]
+    low = log_alpha + 2.0 * ells * log_r + 2.0 * (log_a + kappa * r)
+    up = (
+        log_alpha
+        + 2.0 * log_b
+        - 2.0 * (ells + 1.0) * log_r
+        - 2.0 * kappa * r
+        - 2.0 * np.log(2.0 * ells + 1.0)
+    )
+    diag = np.exp(low + up)
+    lower, upper = diag.copy(), diag
+    lower[:, 1:] += 2.0 * np.exp(np.logaddexp.accumulate(low, axis=1)[:, :-1] + up[:, 1:])
+    upper[:, :-1] += 2.0 * np.exp(
+        low[:, :-1] + np.logaddexp.accumulate(up[:, ::-1], axis=1)[:, -2::-1]
+    )
+    budget = 0.5 * np.finfo(float).eps ** 2 / n * fro_sq[:, np.newaxis]
+    # cumulative masses are nondecreasing, so each mask is a prefix
+    head = int(np.all(np.cumsum(upper, axis=1) <= budget, axis=0).sum())
+    tail = int(np.all(np.cumsum(lower[:, ::-1], axis=1) <= budget, axis=0).sum())
+    return slice(head, n - tail) if head + tail < n else slice(0, n)
+
+
 def _sector_family(
     potential: Potential, z: complex, grid: RadialGrid, ell_max: int
 ) -> _SectorFamily:
-    """Support filter, Bessel factors and Frobenius norms of the sectors at z.
+    """Support filter, Bessel factors, Frobenius norms and kept nodes of the
+    sectors at z.
 
     Nodes where V vanishes carry zero rows and columns of M_l and are
     dropped.  |g_l^z|^2 = |u(r_<) v(r_>)|^2 is rank one on each triangle at
     every z, so _frobenius_sq gives |M_l|_F^2 from Re kappa and the logs of
-    |A_l| and |B_l|.
+    |A_l| and |B_l|, summed over the whole support.  The same rank-one sums
+    give each node's share, and the leading and trailing nodes whose rows
+    and columns carry less than eps^2 / n of it are dropped too
+    (_kept_span): every sigma_max then moves by at most eps sigma_max.
     """
     abs_v = potential.abs_radial(grid.nodes)
     support = abs_v > 0.0
     r, w, abs_v = grid.nodes[support], grid.weights[support], abs_v[support]
     kappa = green_params(z).kappa
+    alpha = abs_v * r**2 * w
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kappa != 0.0 and r.size:
             a, b = (np.array(f) for f in zip(*_scaled_bessel_factors(kappa * r, ell_max)))
@@ -402,7 +465,11 @@ def _sector_family(
         else:
             a = b = np.ones((ell_max + 1, r.size))
             log_a = log_b = np.zeros((ell_max + 1, r.size))
-        fro_sq = _frobenius_sq(abs_v * r**2 * w, r, ell_max, kappa.real, log_a, log_b)
+        fro_sq = _frobenius_sq(alpha, r, ell_max, kappa.real, log_a, log_b)
+        if r.size:
+            keep = _kept_span(alpha, r, fro_sq, kappa.real, log_a, log_b)
+            r, w, abs_v = r[keep], w[keep], abs_v[keep]
+            a, b, log_a, log_b = a[:, keep], b[:, keep], log_a[:, keep], log_b[:, keep]
     sign = potential.sign_radial(r)
     return _SectorFamily(r, w, abs_v, sign, kappa, a, b, log_a, log_b, fro_sq)
 
@@ -420,7 +487,7 @@ def _real_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
 
         u = r^l A_l(kappa r) e^(kappa r),   v = r^(-l-1) B_l(kappa r) e^(-kappa r) / (2l+1).
 
-    On the support, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S with
+    On the kept nodes, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S with
     the single-pair G_ij = g_l(r_i, r_j) and the unitary S = diag(sign V), so
     sigma_max(M_l) = 1 / lambda_min(T) with T = L^-1 G^-1 L^-1.  G is
     symmetric positive definite and G^-1 is tridiagonal (Gantmacher-Krein):
@@ -508,7 +575,9 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     b = B_l(kappa r) / ((2l+1) r).  So a product with M_l = L G L S is O(n)
     (_single_pair_products) and forms no r^l or e^(kappa r).  ARPACK on
     M_l^H M_l (numerics.operator_largest_singular_value) gives sigma_max; its
-    value approaches sigma_max from below, so it is an estimate.  The Ritz
+    value approaches sigma_max from below, so it is an estimate.  Sector l
+    starts from the Ritz vector of sector l - 1, whose right singular vector
+    on the same nodes and dressing is close to its own.  The Ritz
     residual check there only shows that it is some singular value, so a
     value below the floor sigma_max >= |M_l|_F / sqrt(n), which holds for
     every n x n matrix, raises :class:`NumericsError`.  A sector whose Bessel
@@ -524,11 +593,11 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     left = np.sqrt(family.abs_v * family.w) * r
     right = family.sign * left
     step, dr = np.diff(np.log(r)), np.diff(r)
-    norms = []
+    norms, start = [], None
     for ell, (a, b) in enumerate(zip(family.a, family.b)):
         rho = np.exp(-ell * step - family.kappa * dr)
         matvec, rmatvec = _single_pair_products(rho, a, b / ((2 * ell + 1) * r), left, right)
-        norm = operator_largest_singular_value(matvec, rmatvec, r.size)
+        norm, start = operator_largest_singular_value(matvec, rmatvec, r.size, start)
         floor = math.sqrt(family.fro_sq[ell] / r.size)
         if norm < (1.0 - 1e-10) * floor:
             raise NumericsError(
@@ -540,15 +609,24 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
 
 
 def _check_against_dense(
-    potential: Potential, z: complex, grid: RadialGrid, norms: list[float]
+    potential: Potential, z: complex, family: _SectorFamily, norms: list[float]
 ) -> None:
-    """Rebuild the sector that attains the norm and compare its sigma_max
-    with a dense SVD; a gap beyond 1e-10 relative plus n eps |M|_F raises."""
+    """Rebuild the sector that attains the norm on the kept nodes and check it
+    densely: its |M_l|_F^2 against the running sum over the whole support
+    (1e-10 relative), and its sigma_max against a dense SVD (1e-10 relative
+    plus n eps |M_l|_F).  A miss raises :class:`NumericsError`."""
     ell = int(np.argmax(norms))
-    for _, m in sector_matrices(potential, z, grid, ell_max=ell):
+    kept = RadialGrid(family.r, family.w, float(family.r[-1]))
+    for _, m in sector_matrices(potential, z, kept, ell_max=ell):
         pass  # keep the last sector, one matrix at a time
+    fro = float(np.linalg.norm(m))
+    if abs(fro**2 - family.fro_sq[ell]) > 1e-10 * family.fro_sq[ell]:
+        raise NumericsError(
+            f"dense |M|_F^2 {fro**2:.6e} of sector l={ell} at z={z} misses the"
+            f" running sum {family.fro_sq[ell]:.6e}"
+        )
     dense = largest_singular_value(m)
-    tol = 1e-10 * dense + m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
+    tol = 1e-10 * dense + m.shape[0] * np.finfo(float).eps * fro
     if abs(norms[ell] - dense) > tol:
         raise NumericsError(
             f"ARPACK sigma_max {norms[ell]:.6e} of sector l={ell} at z={z} "
@@ -570,15 +648,20 @@ def assemble_bs(
 
     the symmetrized discretization of the sector kernel on L^2(r^2 dr).
     The reported norm is the max over sectors of sigma_max.  No M_l is
-    formed for the norms: the Frobenius norms come from running sums, and
-    sigma_max from the single-pair structure of the kernel, O(n) per
-    sector.  At real z <= 0 it is the bisection on the tridiagonal inverse
-    (see _real_z_sector_norms), accurate from both sides.  At complex z it
-    is ARPACK on O(n) products (see _complex_z_sector_norms), an estimate
-    from below.  Only the sector that attains the norm is checked against a
-    dense SVD: it is rebuilt once per z, and a gap beyond 1e-10 relative plus
-    n eps |M_l|_F raises :class:`NumericsError`.  Every other sector is
-    checked only against its Ritz residual and the floor |M_l|_F / sqrt(n).
+    formed for the norms: the Frobenius norms come from running sums over
+    the whole support, and sigma_max from the single-pair structure of the
+    kernel, O(n) per sector, on the nodes left once the leading and
+    trailing ones that carry less than eps^2 / n of every |M_l|_F^2 are
+    dropped (see _kept_span; each sigma_max moves by at most eps sigma_max,
+    downward).  At real z <= 0 it is the bisection on the tridiagonal
+    inverse (see _real_z_sector_norms), accurate from both sides.  At
+    complex z it is ARPACK on O(n) products (see _complex_z_sector_norms),
+    an estimate from below.  Only the sector that attains the norm is
+    checked densely: it is rebuilt on the kept nodes once per z, and its
+    |M_l|_F^2 off the running sum by more than 1e-10 relative, or its dense
+    SVD off the value by more than 1e-10 relative plus n eps |M_l|_F, raises
+    :class:`NumericsError`.  Every other sector is checked only against its
+    Ritz residual and the floor |M_l|_F / sqrt(n).
     """
     z = complex(z)
     _check_sector_args(potential, z, ell_max)
@@ -589,7 +672,7 @@ def assemble_bs(
         norms = _real_z_sector_norms(z, family)
     else:
         norms = _complex_z_sector_norms(z, family)
-        _check_against_dense(potential, z, grid, norms)
+        _check_against_dense(potential, z, family, norms)
     tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
         z=z,

@@ -8,8 +8,10 @@ Gauss box in three dimensions whose points exclude the coordinate origin by
 construction.  The linear algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads either
 extremal singular value off one dense LAPACK SVD.  An operator known only
-by its products with M and M^H gets sigma_max from ARPACK on M^H M, checked
-by the residual of its Ritz pair.  A real symmetric positive definite
+by its products with M and M^H gets sigma_max from ARPACK on M^H M, stopped
+at a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair
+and returned with its Ritz vector, which can start the next operator of a
+family.  A real symmetric positive definite
 tridiagonal T gets |T^-1| = 1 / lambda_min(T) from one LAPACK dpttrf
 factorization and one bisection for sigma_min of the bidiagonal factor, with
 no n x n matrix and to high relative accuracy.  A complex-symmetric
@@ -232,20 +234,28 @@ def operator_largest_singular_value(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
     n: int,
-) -> float:
+    start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """Largest singular value of an n x n complex operator M given by its
-    products x -> M x (``matvec``) and y -> M^H y (``rmatvec``).
+    products x -> M x (``matvec``) and y -> M^H y (``rmatvec``), with its
+    right singular vector.
 
     ARPACK finds the largest eigenvalue theta of the Hermitian M^H M, one
-    matvec and one rmatvec per product, from a fixed seeded start vector, so
-    the value depends on M alone; the result is sqrt(theta).  tol=0 asks
-    ARPACK for machine precision.  Its Ritz value approaches theta from
-    below, so the result approaches sigma_max from below: an estimate, not a
-    certified upper bound.  For n <= 2, where ARPACK's complex driver needs
-    k < n - 1, theta is read off the Gram matrix built from n products.
+    matvec and one rmatvec per product, from ``start`` or, without one, from
+    a fixed seeded vector, so the value depends on M and the start alone.
+    The result is (sqrt(theta), v) with v the unit Ritz vector; a caller with
+    a family of similar operators passes each one's v as the next start.
+    tol=1e-12 stops ARPACK once the Ritz estimate is below 1e-12 theta, a
+    hundred times inside the residual check below; by Kato-Temple the error
+    of theta is then at most residual^2 / gap.  The Ritz value approaches
+    theta from below, so the result approaches sigma_max from below: an
+    estimate, not a certified upper bound.  For n <= 2, where ARPACK's
+    complex solver needs k < n - 1, theta is read off the Gram matrix built
+    from n products.
 
-    The empty operator yields 0.0.  Raises :class:`NumericsError` when ARPACK
-    fails or when the Ritz pair misses |M^H M v - theta v| <= 1e-10 theta |v|.
+    The empty operator yields (0.0, empty v).  Raises
+    :class:`NumericsError` when ARPACK fails or when the Ritz pair misses
+    |M^H M v - theta v| <= 1e-10 theta |v|.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -253,15 +263,17 @@ def operator_largest_singular_value(
         return rmatvec(matvec(x))
 
     if n == 0:
-        return 0.0
+        return 0.0, np.zeros(0, dtype=np.complex128)
     if n <= 2:
         columns = np.column_stack([gram(e) for e in np.eye(n, dtype=np.complex128)])
-        return float(np.sqrt(max(np.linalg.eigvalsh(columns)[-1], 0.0)))
-    start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
+        thetas, vectors = np.linalg.eigh(columns)
+        return float(np.sqrt(max(thetas[-1], 0.0))), vectors[:, -1]
+    if start is None:
+        start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
     op = LinearOperator((n, n), matvec=gram, dtype=np.complex128)
     try:
         thetas, vectors = eigsh(
-            op, k=1, which="LM", tol=0, v0=start, ncv=min(n, _ARPACK_NCV)
+            op, k=1, which="LM", tol=1e-12, v0=start, ncv=min(n, _ARPACK_NCV)
         )
     except ArpackError as exc:
         raise NumericsError(f"ARPACK sigma_max: {exc}") from exc
@@ -272,7 +284,7 @@ def operator_largest_singular_value(
             f"ARPACK sigma_max: Ritz residual {residual:.3e} exceeds 1e-10 theta |v|"
             f" at theta = {theta:.6e}"
         )
-    return float(np.sqrt(theta))
+    return float(np.sqrt(theta)), v
 
 
 def smallest_singular_value(m: np.ndarray) -> float:
@@ -401,9 +413,11 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     T is factored once by LAPACK zgttrf; ARPACK then finds the largest
     eigenvalue mu of (T^H T)^-1, two zgttrs solves per product, and the
     result is 1 / sqrt(mu).  The start vector is a fixed seeded draw, so the
-    value depends on T alone.  tol=0 asks ARPACK for machine precision; its
-    Ritz value approaches mu from below, so the result approaches sigma_min
-    from above: a field estimate, not a certified lower bound.
+    value depends on T alone.  tol=0 asks ARPACK for machine precision: no
+    residual check follows here, unlike operator_largest_singular_value, so
+    nothing would catch a looser stop.  The Ritz value approaches mu from
+    below, so the result approaches sigma_min from above: a field estimate,
+    not a certified lower bound.
 
     A shift that is exactly singular (a zero pivot) or singular to working
     precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises

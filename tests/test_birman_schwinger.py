@@ -449,7 +449,8 @@ class TestInverseTridiagonalSectors:
 
         monkeypatch.setattr(bs, "largest_singular_value", counted)
         bm = assemble_bs(gaussian(), -1.0 + 1j, default_bs_grid(80), ell_max=2)
-        assert [m.shape for m in calls] == [(80, 80)]
+        # the sector is rebuilt on the kept nodes: 65 of the 75 where V != 0
+        assert [m.shape for m in calls] == [(65, 65)]
         assert abs(svdvals(calls[0])[0] - bm.norm) <= 1e-10 * bm.norm
 
 
@@ -544,13 +545,74 @@ class TestSemiseparableSectors:
         self, tmp_path, monkeypatch, capsys
     ):
         exact = bs.operator_largest_singular_value
-        monkeypatch.setattr(
-            bs, "operator_largest_singular_value", lambda *args: (1 + 1e-8) * exact(*args)
-        )
+
+        def planted(*args):
+            sigma, v = exact(*args)
+            return (1 + 1e-8) * sigma, v
+
+        monkeypatch.setattr(bs, "operator_largest_singular_value", planted)
         with pytest.raises(NumericsError, match="misses the dense SVD"):
             assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
         assert run_bs_norm_hardy(tmp_path) == 1
         assert "misses the dense SVD" in capsys.readouterr().err
+
+    def test_wrong_frobenius_mass_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the dense check compares the rebuilt sector's |M|_F^2 with the
+        # running sum, which also covers the nodes the deflation dropped
+        exact = bs._frobenius_sq
+        monkeypatch.setattr(bs, "_frobenius_sq", lambda *args: (1 + 1e-8) * exact(*args))
+        with pytest.raises(NumericsError, match="misses the running sum"):
+            assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
+        assert run_bs_norm_hardy(tmp_path) == 1
+        assert "misses the running sum" in capsys.readouterr().err
+
+
+class TestDeflation:
+    """Leading and trailing nodes that carry less than eps^2 / n of every
+    |M_l|_F^2 are dropped before any sigma_max is taken."""
+
+    @staticmethod
+    def kept(potential, z, grid, ell_max):
+        support = int(np.count_nonzero(potential.abs_radial(grid.nodes)))
+        return support, bs._sector_family(potential, complex(z), grid, ell_max).r.size
+
+    def test_gaussian_deep_keeps_few_nodes(self):
+        # measured: 255 of 1595 at z = 0, 270 at z = -1000
+        potential, grid, ell_max, zs = TRIDIAGONAL_CASES["gaussian-deep"]
+        for z in zs:
+            support, kept = self.kept(potential, z, grid, ell_max)
+            assert support == 1595
+            assert kept < 400, (z, kept)
+
+    @pytest.mark.parametrize(
+        "potential, grid, ell_max, zs",
+        [case for name, case in TRIDIAGONAL_CASES.items() if "hardy" in name]
+        + [case for name, case in SEMISEPARABLE_CASES.items() if "hardy" in name],
+        ids=[f"real-z-{name}" for name in TRIDIAGONAL_CASES if "hardy" in name]
+        + [f"complex-z-{name}" for name in SEMISEPARABLE_CASES if "hardy" in name],
+    )
+    def test_hardy_keeps_its_whole_support(self, potential, grid, ell_max, zs):
+        for z in zs:
+            support, kept = self.kept(potential, z, grid, ell_max)
+            assert kept == support, (z, kept, support)
+
+    def test_dropped_mass_is_below_the_budget(self):
+        # dense: the dropped rows and columns carry at most eps^2 / n of each
+        # |M_l|_F^2, and the kept block has the full sector's sigma_max
+        potential, grid = catalog("yukawa", g=1.0, mu=1.0), default_bs_grid(400)
+        for z in (0.0, -1.0 + 1j):
+            family = bs._sector_family(potential, complex(z), grid, 2)
+            support = potential.abs_radial(grid.nodes) > 0.0
+            keep = np.isin(grid.nodes[support], family.r)
+            assert family.r.size < support.sum()
+            for ell, m in sector_matrices(potential, z, grid, ell_max=2):
+                m = m[np.ix_(support, support)]
+                block = m[np.ix_(keep, keep)]
+                full, fro_sq = svdvals(m)[0], np.sum(np.abs(m) ** 2)
+                dropped = np.sum(np.abs(m[~np.outer(keep, keep)]) ** 2)
+                assert 0.0 < dropped <= np.finfo(float).eps ** 2 / support.sum() * fro_sq
+                # both dense values carry their own n eps rounding
+                assert abs(full - svdvals(block)[0]) <= 1e-14 * full
 
 
 class TestNormScan:

@@ -311,13 +311,29 @@ class TestOperatorLargestSingularValue:
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         want = np.linalg.svd(m, compute_uv=False)[0]
-        got = nx.operator_largest_singular_value(*products(m), n)
+        got, v = nx.operator_largest_singular_value(*products(m), n)
         assert abs(got - want) <= 1e-12 * want
+        # v is a unit right singular vector: M^H M v = sigma^2 v
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(m.conj().T @ (m @ v) - got**2 * v) <= 1e-10 * got**2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 60])
+    def test_warm_start_agrees_with_the_cold_start(self, n):
+        # start from the Ritz vector of a nearby operator, as neighbouring
+        # sectors do
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        near = m + 0.1 * rng.standard_normal((n, n))
+        cold, _ = nx.operator_largest_singular_value(*products(m), n)
+        _, start = nx.operator_largest_singular_value(*products(near), n)
+        warm, _ = nx.operator_largest_singular_value(*products(m), n, start)
+        assert abs(warm - cold) <= 1e-13 * cold
 
     def test_empty_and_zero_operators(self):
-        assert nx.operator_largest_singular_value(*products(np.zeros((0, 0))), 0) == 0.0
+        sigma, v = nx.operator_largest_singular_value(*products(np.zeros((0, 0))), 0)
+        assert sigma == 0.0 and v.shape == (0,)
         for n in (1, 2):
-            assert nx.operator_largest_singular_value(*products(np.zeros((n, n))), n) == 0.0
+            assert nx.operator_largest_singular_value(*products(np.zeros((n, n))), n)[0] == 0.0
 
     def test_arpack_failure_raises(self, monkeypatch):
         import scipy.sparse.linalg
