@@ -53,8 +53,12 @@ Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 and the truncated sum is completed by a tail estimate from the asymptotic
 law term_l ~ c / ((2l+1)(2l+3)), whose exact tail sum is c / (2(2L+3)).
 The Frobenius norms need no matrix either: |g_l^z|^2 is rank one on each
-triangle r < r' at every z, so |M_l|_F^2 is a diagonal sum plus one running
-sum over the grid nodes, O(n) per sector instead of O(n^2).
+triangle r < r' at every z, so every Frobenius sum here is a diagonal sum
+plus running sums over the grid nodes, O(n) per sector instead of O(n^2):
+one when rows and columns carry the same weight, as in K_z, and two for
+the cutoff chi_Omega |V|^(1/2) G_z, whose rows stop at Omega.  The same
+pass gives each node's share, from which the sector norms drop their
+negligible end nodes.
 """
 
 from __future__ import annotations
@@ -168,10 +172,9 @@ def pointwise_bound_check(z: complex, samples: Sequence[float]) -> bool:
     return bool(np.all(gz <= g0))
 
 
-def _scaled_bessel_factors(
-    x: np.ndarray, ell_max: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (A_l(x), B_l(x)) for l = 0..ell_max, for Re x >= 0, x != 0.
+def _scaled_bessel_factors(x: np.ndarray, ell_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (ell_max+1, n) arrays of A_l(x) and B_l(x), l = 0..ell_max, for
+    Re x >= 0, x != 0,
 
         A_l(x) = (2l+1)!! x^(-l) i_l(x) e^(-x),
         B_l(x) = (2/pi) x^(l+1) k_l(x) e^x / (2l-1)!!,
@@ -192,6 +195,8 @@ def _scaled_bessel_factors(
     x_big = x[~small]
     big_tail = np.sqrt(np.pi / (2.0 * x_big)) * np.exp(-1j * x_big.imag)
     big_scale = np.ones_like(x_big)  # (2l+1)!! x^(-l), one factor per l
+    a = np.empty((ell_max + 1, x.size), dtype=x.dtype)
+    b = np.empty_like(a)
     b_cur, b_next = np.ones_like(x), 1.0 + x
     for ell in range(ell_max + 1):
         term = np.ones_like(half_x2)
@@ -201,11 +206,11 @@ def _scaled_bessel_factors(
             total = total + term
         if ell > 0:
             big_scale = big_scale * ((2 * ell + 1) / x_big)
-        a = np.empty_like(x)
-        a[small] = e_small * total
-        a[~small] = big_scale * big_tail * ive(ell + 0.5, x_big)
-        yield a, b_cur
+        a[ell, small] = e_small * total
+        a[ell, ~small] = big_scale * big_tail * ive(ell + 0.5, x_big)
+        b[ell] = b_cur
         b_cur, b_next = b_next, b_next + x**2 * b_cur / ((2 * ell + 1) * (2 * ell + 3))
+    return a, b
 
 
 def _sector_kernels(
@@ -227,14 +232,14 @@ def _sector_kernels(
     power = 1.0 / r_hi
     kappa = green_params(z).kappa
     if kappa != 0.0:
-        factors = _scaled_bessel_factors(kappa * r, ell_max)
+        a, b = _scaled_bessel_factors(kappa * r, ell_max)
         r_i_lower = r[:, np.newaxis] <= r[np.newaxis, :]
         decay = np.exp(-kappa * (r_hi - r_lo))
     for ell in range(ell_max + 1):
         g = power / (2 * ell + 1)
         if kappa != 0.0:
-            a, b = next(factors)
-            g = g * np.where(r_i_lower, np.outer(a, b), np.outer(b, a)) * decay
+            pair = np.where(r_i_lower, np.outer(a[ell], b[ell]), np.outer(b[ell], a[ell]))
+            g = g * pair * decay
             if not np.all(np.isfinite(g)):
                 raise BSError(f"sector kernel l={ell} overflows at z={z}")
         yield ell, g
@@ -257,52 +262,60 @@ def sector_matrices(
         yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
 
 
-def _frobenius_sq(
-    alpha: np.ndarray,
+def _node_masses(
     r: np.ndarray,
     ell_max: int,
+    row: np.ndarray,
+    col: Optional[np.ndarray] = None,
     kappa: float = 0.0,
     log_a: np.ndarray | float = 0.0,
     log_b: np.ndarray | float = 0.0,
-) -> np.ndarray:
-    """|M_l|_F^2 of the sectors, l = 0..ell_max, without forming M_l.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node masses of |M_ij|^2 = row_i col_j |g_l^z(r_i, r_j)|^2, l =
+    0..ell_max, without forming M_l.
 
-    Row and column dressing of M_l have the same modulus, so with
-    alpha = |V| r^2 w on the increasing nodes r, |M_ij|^2 = alpha_i alpha_j
-    |g_l^z(r_i, r_j)|^2.  The squared modulus of the kernel is rank one on
-    each triangle at every z, and the sum splits into the diagonal and a
-    running sum over the lower triangle,
+    |g_l^z|^2 is rank one on each triangle at every z: on the increasing
+    nodes r, with kappa = Re sqrt(-z) >= 0 and the log moduli ``log_a``,
+    ``log_b`` of A_l(sqrt(-z) r), B_l(sqrt(-z) r) ((ell_max+1, n) arrays; 0
+    at z = 0, the defaults, where every extra term is an exact no-op), it is
+    exp(low_i + up_j) for i <= j, with
 
-        (2l+1)^2 |M_l|_F^2 = sum_j alpha_j B_j^2 (alpha_j A_j^2 + 2 S_j) / r_j^2,
-        S_j = sum_(i < j) alpha_i A_i^2 (r_i / r_j)^(2l) e^(-2 kappa (r_j - r_i)),
+        low_i = 2l log r_i + 2 log|A_i| + 2 kappa r_i,
+        up_j = 2 log|B_j| - (2l+2) log r_j - 2 kappa r_j - 2 log(2l+1).
 
-    at O(n (ell_max+1)) cost, with kappa = Re sqrt(-z) >= 0,
-    A_j = |A_l(sqrt(-z) r_j)| and B_j = |B_l(sqrt(-z) r_j)| given by the
-    (ell_max+1, n) arrays of their logs ``log_a``, ``log_b`` (both 0 at
-    z = 0, the defaults, where every extra term is an exact no-op).  S is one
-    logaddexp.accumulate over log alpha_i + 2l log r_i + 2 log A_i + 2 kappa r_i
-    (log 0 = -inf where V vanishes), so nothing over- or underflows on
-    geometric grids down to r ~ 1e-79 or at large kappa r.
+    Returns (log row + low, log col + up, mass, fro_sq): mass_k is the mass
+    of the entries with max(i, j) = k, one forward logaddexp.accumulate per
+    side of the diagonal, and one in all when ``col`` is None (the columns
+    carry ``row`` too); fro_sq = sum_k mass_k = |M_l|_F^2.  log 0 = -inf
+    where a weight vanishes, and nothing over- or underflows on geometric
+    grids down to r ~ 1e-79 or at large kappa r.
     """
+    ells = np.arange(ell_max + 1)[:, np.newaxis]
     log_r = np.log(r)
-    ells = np.arange(ell_max + 1)
-    two_l = 2.0 * ells[:, np.newaxis]
     with np.errstate(divide="ignore"):
-        log_terms = np.log(alpha) + two_l * log_r + 2.0 * (log_a + kappa * r)
-    acc = np.logaddexp.accumulate(log_terms, axis=1)
-    running = np.zeros_like(acc)
-    running[:, 1:] = np.exp(acc[:, :-1] - two_l * log_r[1:] - 2.0 * kappa * r[1:])
-    per_node = (alpha * np.exp(2.0 * log_a) + 2.0 * running) * np.exp(2.0 * log_b)
-    return (per_node @ (alpha / r**2)) / (2.0 * ells + 1.0) ** 2
+        log_row = np.log(row)
+        log_col = log_row if col is None else np.log(col)
+    low = 2.0 * ells * log_r + 2.0 * (log_a + kappa * r)
+    up = 2.0 * (log_b - (ells + 1.0) * log_r - kappa * r - np.log(2.0 * ells + 1.0))
+    sides = [(log_row + low, log_col + up)]
+    if col is not None:
+        sides.append((log_col + low, log_row + up))
+    mass = np.exp(sides[0][0] + sides[0][1])
+    for lo, hi in sides:
+        acc = np.logaddexp.accumulate(lo, axis=1)
+        mass[:, 1:] += 2.0 / len(sides) * np.exp(acc[:, :-1] + hi[:, 1:])
+    # the row sums as one BLAS product, the rounding the reports carry
+    return *sides[0], mass, mass @ np.ones(r.size)
 
 
-def _completed_hs_norm(terms: Sequence[float]) -> float:
-    """sqrt of the sector sum plus its tail past the last l.
+def _completed_hs_norm(fro_sq: Sequence[float]) -> float:
+    """sqrt of sum_l term_l = (2l+1) |M_l|_F^2 plus its tail past the last l.
 
     The tail models term_l ~ c / ((2l+1)(2l+3)), with c fitted from the last
     few computed terms; the exact remainder of the model sum past l = L is
     c / (2 (2L+3)).  Fewer than three terms get no tail.
     """
+    terms = [(2 * ell + 1) * float(f) for ell, f in enumerate(fro_sq)]
     tail = 0.0
     if len(terms) >= 3:
         ell_top = len(terms) - 1
@@ -336,10 +349,7 @@ class BSMatrix:
 
     def hs_estimate(self) -> float:
         """Multiplicity-weighted HS norm of the truncated family plus tail."""
-        terms = [
-            (2 * ell + 1) * fro**2 for ell, fro in enumerate(self.per_ell_frobenius)
-        ]
-        return _completed_hs_norm(terms)
+        return _completed_hs_norm([fro**2 for fro in self.per_ell_frobenius])
 
     def summary(self) -> dict:
         return {
@@ -388,24 +398,15 @@ class _SectorFamily(NamedTuple):
 
 
 def _kept_span(
-    alpha: np.ndarray,
-    r: np.ndarray,
-    fro_sq: np.ndarray,
-    kappa: float,
-    log_a: np.ndarray,
-    log_b: np.ndarray,
+    low: np.ndarray, up: np.ndarray, lower: np.ndarray, fro_sq: np.ndarray
 ) -> slice:
     """The support nodes left once the negligible leading and trailing ones go.
 
-    With alpha = |V| r^2 w, |M_ij|^2 = exp(low_i + up_j) for i <= j, where
-
-        low_i = log alpha_i + 2l log r_i + 2 log|A_i| + 2 kappa r_i,
-        up_j = log alpha_j + 2 log|B_j| - (2l+2) log r_j - 2 kappa r_j - 2 log(2l+1),
-
-    as in _frobenius_sq.  The entries with max(i, j) = k carry
-    lower_k = e^(low_k + up_k) + 2 sum_(i < k) e^(low_i + up_k), those with
-    min(i, j) = k carry upper_k = e^(low_k + up_k) + 2 sum_(j > k) e^(low_k + up_j),
-    one forward and one reversed logaddexp.accumulate.  The first h nodes
+    ``low``, ``up``, ``lower`` and ``fro_sq`` are _node_masses's at the row
+    and column weight alpha = |V| r^2 w, so |M_ij|^2 = exp(low_i + up_j) for
+    i <= j and lower_k is the mass of the entries with max(i, j) = k.  Those
+    with min(i, j) = k carry upper_k = e^(low_k + up_k) + 2 sum_(j > k)
+    e^(low_k + up_j), one reversed logaddexp.accumulate.  The first h nodes
     go while the sum of their upper_k stays within eps^2 |M_l|_F^2 / (2n),
     the last t while the sum of their lower_k does, for every l.  The
     entries of M_l so dropped, E = M_l - P M_l P, then have
@@ -413,20 +414,8 @@ def _kept_span(
     is a compression of M_l, so by Weyl's inequality each sigma_max moves by
     at most eps sigma_max, and only downward.
     """
-    n = r.size
-    log_r, log_alpha = np.log(r), np.log(alpha)
-    ells = np.arange(fro_sq.size)[:, np.newaxis]
-    low = log_alpha + 2.0 * ells * log_r + 2.0 * (log_a + kappa * r)
-    up = (
-        log_alpha
-        + 2.0 * log_b
-        - 2.0 * (ells + 1.0) * log_r
-        - 2.0 * kappa * r
-        - 2.0 * np.log(2.0 * ells + 1.0)
-    )
-    diag = np.exp(low + up)
-    lower, upper = diag.copy(), diag
-    lower[:, 1:] += 2.0 * np.exp(np.logaddexp.accumulate(low, axis=1)[:, :-1] + up[:, 1:])
+    n = low.shape[1]
+    upper = np.exp(low + up)
     upper[:, :-1] += 2.0 * np.exp(
         low[:, :-1] + np.logaddexp.accumulate(up[:, ::-1], axis=1)[:, -2::-1]
     )
@@ -445,31 +434,31 @@ def _sector_family(
 
     Nodes where V vanishes carry zero rows and columns of M_l and are
     dropped.  |g_l^z|^2 = |u(r_<) v(r_>)|^2 is rank one on each triangle at
-    every z, so _frobenius_sq gives |M_l|_F^2 from Re kappa and the logs of
-    |A_l| and |B_l|, summed over the whole support.  The same rank-one sums
-    give each node's share, and the leading and trailing nodes whose rows
-    and columns carry less than eps^2 / n of it are dropped too
-    (_kept_span): every sigma_max then moves by at most eps sigma_max.
+    every z, so _node_masses gives each node's share of |M_l|_F^2 from
+    Re kappa and the logs of |A_l| and |B_l|, and |M_l|_F^2 is their sum
+    over the whole support.  The leading and trailing nodes whose rows and
+    columns carry less than eps^2 / n of it are dropped too (_kept_span):
+    every sigma_max then moves by at most eps sigma_max.
     """
     abs_v = potential.abs_radial(grid.nodes)
     support = abs_v > 0.0
     r, w, abs_v = grid.nodes[support], grid.weights[support], abs_v[support]
     kappa = green_params(z).kappa
-    alpha = abs_v * r**2 * w
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kappa != 0.0 and r.size:
-            a, b = (np.array(f) for f in zip(*_scaled_bessel_factors(kappa * r, ell_max)))
+            a, b = _scaled_bessel_factors(kappa * r, ell_max)
             if z.imag == 0.0:
                 a, b = a.real, b.real
             log_a, log_b = np.log(np.abs(a)), np.log(np.abs(b))
         else:
             a = b = np.ones((ell_max + 1, r.size))
             log_a = log_b = np.zeros((ell_max + 1, r.size))
-        fro_sq = _frobenius_sq(alpha, r, ell_max, kappa.real, log_a, log_b)
-        if r.size:
-            keep = _kept_span(alpha, r, fro_sq, kappa.real, log_a, log_b)
-            r, w, abs_v = r[keep], w[keep], abs_v[keep]
-            a, b, log_a, log_b = a[:, keep], b[:, keep], log_a[:, keep], log_b[:, keep]
+        low, up, mass, fro_sq = _node_masses(
+            r, ell_max, abs_v * r**2 * w, kappa=kappa.real, log_a=log_a, log_b=log_b
+        )
+        keep = _kept_span(low, up, mass, fro_sq)
+    r, w, abs_v = r[keep], w[keep], abs_v[keep]
+    a, b, log_a, log_b = a[:, keep], b[:, keep], log_a[:, keep], log_b[:, keep]
     sign = potential.sign_radial(r)
     return _SectorFamily(r, w, abs_v, sign, kappa, a, b, log_a, log_b, fro_sq)
 
@@ -739,7 +728,7 @@ def hs_norm(
     Route (i) sums (2l+1) |M_l|_F^2 over the z = 0 sectors l <= ell_max and
     completes the truncation with the asymptotic tail.  The Frobenius norms
     come from running sums over the rank-one triangles of g_l^0 (see
-    _frobenius_sq): O(n ell_max) work and memory, no n x n matrix, so
+    _node_masses): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
     Rollnik norm computed by the condition checkers.  A divergent Rollnik
     norm (+inf, Hardy-type potentials) makes both routes +inf.
@@ -753,9 +742,7 @@ def hs_norm(
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
     alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-    fro_sq = _frobenius_sq(alpha, grid.nodes, ell_max)
-    terms = [(2 * ell + 1) * float(f) for ell, f in enumerate(fro_sq)]
-    direct = _completed_hs_norm(terms)
+    direct = _completed_hs_norm(_node_masses(grid.nodes, ell_max, alpha)[3])
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0
@@ -861,14 +848,16 @@ def m_eps_hs_check(
 
         |M_eps|_HS^2 = (1 / (8 pi kappa)) int_Omega |V|,
 
-    with kappa = Re sqrt(-(lam + i eps)).  The direct route assembles the
-    partial-wave Nystroem matrices of the kernel (rows cut off at
+    with kappa = Re sqrt(-(lam + i eps)).  The direct route sums the
+    multiplicity-weighted Frobenius norms of the partial-wave Nystroem
+    sectors of the kernel, with the sector tail estimate (rows cut off at
     omega_radius, columns extended to cover the exp(-kappa s) range; 60
     Gauss nodes per panel inside, panels split at the jumps of V, sectors
-    l <= 24) and sums multiplicity-weighted
-    Frobenius norms with the sector tail estimate.  Also enforces that
-    eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
-    within 0.05).
+    l <= 24).  No sector matrix is formed: the rows carry |V| r^2 w 1{r <=
+    omega_radius} and the columns r^2 w, so each |M_l|_F^2 is two running
+    sums over the rank-one triangles of |g_l^z|^2 (_node_masses), and a sum
+    that is not finite raises.  Also enforces that eps * hs_formula -> 0 at
+    the regime rate 1 - exponent/2 (slope checked within 0.05).
     """
     if omega_radius <= 0:
         raise BSError("omega_radius must be positive")
@@ -890,15 +879,14 @@ def m_eps_hs_check(
         outer, w_outer = panel_gauss(list(outer_edges), 12)
         r = np.concatenate([inner, outer])
         w = np.concatenate([w_inner, w_outer])
-        rows = r <= omega_radius
-
-        left = np.sqrt(potential.abs_radial(r)) * r * np.sqrt(w) * rows
-        colw = r * np.sqrt(w)
-        terms: list[float] = []
-        for ell, g in _sector_kernels(z, r, _MEPS_ELL_MAX):
-            m = left[:, np.newaxis] * g * colw[np.newaxis, :]
-            terms.append((2 * ell + 1) * float(np.linalg.norm(m)) ** 2)
-        hs_direct = _completed_hs_norm(terms)
+        col = r**2 * w
+        row = potential.abs_radial(r) * col * (r <= omega_radius)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a, b = _scaled_bessel_factors(green_params(z).kappa * r, _MEPS_ELL_MAX)
+            log_a, log_b = np.log(np.abs(a)), np.log(np.abs(b))
+            fro_sq = _node_masses(r, _MEPS_ELL_MAX, row, col, kappa, log_a, log_b)[3]
+        _raise_on_overflow(z, np.isfinite(fro_sq))
+        hs_direct = _completed_hs_norm(fro_sq)
         gap = abs(hs_direct - hs_formula) / hs_formula
         records.append(MepsRecord(float(eps), kappa, hs_direct, hs_formula, gap))
 

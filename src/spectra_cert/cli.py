@@ -492,14 +492,12 @@ def _stage(stages: list, name: str, fn: Callable):
     return result
 
 
-def _run_check_conditions(config, stages):
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_check_conditions(config, pot, stages):
     report = _stage(stages, "conditions.build_report", lambda: build_report(pot))
     return report.to_json_dict(), None
 
 
-def _run_bs_norm(config, stages):
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_bs_norm(config, pot, stages):
     grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
     ell_max = config.ell_max
     base = _stage(
@@ -524,8 +522,7 @@ def _run_bs_norm(config, stages):
     return {"base_norm": base.norm, "points": points}, None
 
 
-def _run_hs_identity(config, stages):
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_hs_identity(config, pot, stages):
     grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
     result = _stage(
         stages,
@@ -541,8 +538,7 @@ def _run_hs_identity(config, stages):
     return payload, None
 
 
-def _run_spectrum(config, stages):
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_spectrum(config, pot, stages):
     sectors = []
     all_rows = []
     for ell in range(config.ell_max + 1):
@@ -567,8 +563,7 @@ def _run_spectrum(config, stages):
     return payload, all_rows
 
 
-def _run_pseudospectrum(config, stages):
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_pseudospectrum(config, pot, stages):
     op = discretize_radial(pot, 0, config.r_max, config.grid_n)
     win = config.z_window
     field = _stage(
@@ -584,15 +579,14 @@ def _run_pseudospectrum(config, stages):
     return payload, field.to_rows()
 
 
-def _run_identity_check(config, stages):
+def _run_identity_check(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
     rows = _stage(
         stages,
         "multipliers.identity_term_rows",
         lambda: identity_term_rows(probe, config.lam),
     )
-    if config.potential is not None:
-        pot = _build_potential(config.potential, config.dimension, config.experiment)
+    if pot is not None:
         terms = _stage(
             stages,
             "multipliers.radi_identity_terms",
@@ -606,7 +600,7 @@ def _run_identity_check(config, stages):
     return payload, rows
 
 
-def _run_singular_sequence(config, stages):
+def _run_singular_sequence(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _SEQUENCE_SUPPORT)
     k = (math.sqrt(config.lam.real), 0.0, 0.0)
     with warnings.catch_warnings():
@@ -628,13 +622,12 @@ def _run_singular_sequence(config, stages):
     return payload, report.to_rows()
 
 
-def _run_magnetic_smoke(config, stages):
-    a_field = _build_potential(config.potential, config.dimension, config.experiment)
+def _run_magnetic_smoke(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
     report = _stage(
         stages,
         "multipliers.magnetic_identity_smoke",
-        lambda: magnetic_identity_smoke(probe, config.lam, a_field),
+        lambda: magnetic_identity_smoke(probe, config.lam, pot),
     )
     payload = {
         "field": config.potential.name,
@@ -651,7 +644,7 @@ def _run_magnetic_smoke(config, stages):
 class _Experiment:
     """One experiment: its runner and its whole config schema."""
 
-    # (config, stages) -> (report payload, CSV rows or None)
+    # (config, its catalog entry or None, stages) -> (payload, CSV rows or None)
     runner: Callable
     # config keys read besides _COMMON_KEYS, and those among them it needs
     reads: tuple[str, ...]
@@ -737,7 +730,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     if "csv" in config.output.formats and schema.csv_columns is None:
         raise RunFailure(f"{config.experiment} has no csv table")
     stages: list[tuple[str, float]] = []
-    payload, rows = schema.runner(config, stages)
+    pot = _build_potential(config.potential, config.dimension, config.experiment)
+    payload, rows = schema.runner(config, pot, stages)
 
     outputs: list[tuple[str, str]] = []
     base = config.output.path

@@ -79,7 +79,8 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     f' = r^(1-s) exp(-mu r - gamma r^2) (r p' + p (2 - s - mu r - 2 gamma r^2)),
     so the sup is the largest of the limit at 0+, the value at r0-, the
     limit at infinity (no decay only) and f at the real roots of that
-    polynomial.  A limit that grows without bound makes the sup +inf.
+    polynomial.  A limit that grows without bound makes the sup +inf, and so
+    does a value past the float range.
     """
     p = np.trim_zeros(np.asarray(coefficients, float), "b")
     if not p.any():
@@ -87,7 +88,12 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     mu, gamma, r0, k = potential.mu, potential.gamma, potential.r0, 2.0 - potential.s
 
     def f(r: float) -> float:
-        return max(0.0, float(npoly.polyval(r, p))) * r**k * math.exp(-mu * r - gamma * r * r)
+        value = max(0.0, float(npoly.polyval(r, p)))
+        try:
+            return value * r**k * math.exp(-mu * r - gamma * r * r)
+        except OverflowError:  # r^k leaves the float range: f in logs
+            with np.errstate(divide="ignore", over="ignore"):
+                return float(np.exp(np.log(value) + k * math.log(r) - mu * r - gamma * r * r))
 
     def at_infinity(c: float, power: float) -> float:
         # lim [c]_+ t^power as t -> infinity; t = 1/r turns r -> 0+ into it
@@ -255,9 +261,11 @@ def frank_l32(potential: Potential) -> float:
     if not _in_classes(potential):
         return math.inf
     nodes, weights = _ball_panels(potential, _truncation_radius(potential, _FRANK_LENGTHS), 14)
-    return 4.0 * np.pi * float(
-        np.dot(weights, potential.abs_radial(nodes) ** 1.5 * nodes**2)
-    )
+    # (|V|^(3/4) r)^2 meets no 0 * inf where |V| or r^2 alone leaves the
+    # float range: the integral reads +inf when it overflows, 0 when it underflows
+    integrand = (potential.abs_radial(nodes) ** 0.75 * nodes) ** 2
+    with np.errstate(over="ignore"):
+        return 4.0 * np.pi * float(np.dot(weights, integrand))
 
 
 def sobolev_chain_a(l32: float) -> float:

@@ -230,6 +230,29 @@ def largest_singular_value(m: np.ndarray) -> float:
     return float(svdvals(a, check_finite=False)[0])
 
 
+def _arpack_largest(
+    apply: Callable, n: int, what: str, tol: float, start=None, return_eigenvectors=True
+):
+    """scipy's eigs for the largest-modulus eigenpair (k = 1) of the n x n
+    complex operator ``apply``: ARPACK's Arnoldi driver znaupd, which eigsh
+    would forward a complex operator to, with ncv = min(n, _ARPACK_NCV), from
+    ``start`` or a fixed seeded vector.  An ArpackError, non-convergence
+    included, raises :class:`NumericsError` naming ``what``.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
+    if start is None:
+        start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
+    op = LinearOperator((n, n), matvec=apply, dtype=np.complex128)
+    try:
+        return eigs(
+            op, k=1, which="LM", tol=tol, v0=start, ncv=min(n, _ARPACK_NCV),
+            return_eigenvectors=return_eigenvectors,
+        )
+    except ArpackError as exc:
+        raise NumericsError(f"ARPACK {what}: {exc}") from exc
+
+
 def operator_largest_singular_value(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
@@ -257,7 +280,6 @@ def operator_largest_singular_value(
     :class:`NumericsError` when ARPACK fails or when the Ritz pair misses
     |M^H M v - theta v| <= 1e-10 theta |v|.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     def gram(x: np.ndarray) -> np.ndarray:
         return rmatvec(matvec(x))
@@ -268,16 +290,8 @@ def operator_largest_singular_value(
         columns = np.column_stack([gram(e) for e in np.eye(n, dtype=np.complex128)])
         thetas, vectors = np.linalg.eigh(columns)
         return float(np.sqrt(max(thetas[-1], 0.0))), vectors[:, -1]
-    if start is None:
-        start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
-    op = LinearOperator((n, n), matvec=gram, dtype=np.complex128)
-    try:
-        thetas, vectors = eigsh(
-            op, k=1, which="LM", tol=1e-12, v0=start, ncv=min(n, _ARPACK_NCV)
-        )
-    except ArpackError as exc:
-        raise NumericsError(f"ARPACK sigma_max: {exc}") from exc
-    theta, v = float(thetas[0]), vectors[:, 0]
+    thetas, vectors = _arpack_largest(gram, n, "sigma_max", 1e-12, start)
+    theta, v = float(thetas[0].real), vectors[:, 0]
     residual = float(np.linalg.norm(gram(v) - theta * v))
     if not residual <= 1e-10 * theta * np.linalg.norm(v):
         raise NumericsError(
@@ -424,7 +438,6 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     :class:`NumericsError` when ARPACK does not converge.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     d = np.asarray(diag, dtype=np.complex128)
     e = np.asarray(off, dtype=np.complex128)
@@ -440,15 +453,7 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
         x, _ = zgttrs(dl, dd, du, du2, ipiv, y)
         return x
 
-    start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
-    gram_inv = LinearOperator((n, n), matvec=inverse_gram, dtype=np.complex128)
-    try:
-        mu = eigsh(
-            gram_inv, k=1, which="LM", tol=0, v0=start, ncv=min(n, _ARPACK_NCV),
-            return_eigenvectors=False,
-        )[0]
-    except ArpackError as exc:
-        raise NumericsError(f"ARPACK sigma_min: {exc}") from exc
+    mu = _arpack_largest(inverse_gram, n, "sigma_min", 0, return_eigenvectors=False)[0].real
     sigma = 1.0 / np.sqrt(mu)
     if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
         return 0.0

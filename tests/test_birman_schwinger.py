@@ -38,7 +38,7 @@ from scipy.linalg import svdvals
 import spectra_cert.birman_schwinger as bs
 from spectra_cert.birman_schwinger import (
     BSError,
-    _frobenius_sq,
+    _node_masses,
     _scaled_bessel_factors,
     _sector_kernels,
     assemble_bs,
@@ -59,6 +59,7 @@ from spectra_cert.numerics import (
     box_grid,
     gauss_legendre,
     largest_singular_value,
+    panel_gauss,
 )
 from spectra_cert.potentials import catalog
 
@@ -217,7 +218,7 @@ class TestClosedFormKernels:
         # loss of the (2l+1)!! x^-l scaling is worst, just above |x| = 1;
         # measured <= 1.4e-13, the rounding of l factors in that scaling
         x = np.array([1.0, 1.3j, 1.2 * np.exp(0.25j * np.pi)])
-        for ell, (a, _) in enumerate(_scaled_bessel_factors(x, 128)):
+        for ell, a in enumerate(_scaled_bessel_factors(x, 128)[0]):
             term, total = np.ones_like(x), np.ones_like(x)
             for k in range(1, 40):
                 term = term * (x**2 / 2) / (k * (2 * ell + 2 * k + 1))
@@ -508,20 +509,20 @@ class TestSemiseparableSectors:
         def failed(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failed)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failed)
         with pytest.raises(NumericsError, match="ARPACK sigma_max"):
             assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
         assert run_bs_norm_hardy(tmp_path) == 1
         assert "ARPACK sigma_max" in capsys.readouterr().err
 
     def test_wrong_ritz_value_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
-        exact = scipy.sparse.linalg.eigsh
+        exact = scipy.sparse.linalg.eigs
 
         def planted(*args, **kwargs):
             thetas, vectors = exact(*args, **kwargs)
             return thetas * (1 + 1e-8), vectors
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", planted)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", planted)
         with pytest.raises(NumericsError, match="Ritz residual"):
             assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
         assert run_bs_norm_hardy(tmp_path) == 1
@@ -535,7 +536,7 @@ class TestSemiseparableSectors:
             thetas, vectors = np.linalg.eigh(gram)
             return thetas[-10:-9], vectors[:, -10:-9]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", tenth_largest)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", tenth_largest)
         with pytest.raises(NumericsError, match="below"):
             assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
         assert run_bs_norm_hardy(tmp_path) == 1
@@ -559,8 +560,13 @@ class TestSemiseparableSectors:
     def test_wrong_frobenius_mass_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
         # the dense check compares the rebuilt sector's |M|_F^2 with the
         # running sum, which also covers the nodes the deflation dropped
-        exact = bs._frobenius_sq
-        monkeypatch.setattr(bs, "_frobenius_sq", lambda *args: (1 + 1e-8) * exact(*args))
+        exact = bs._node_masses
+
+        def heavier(*args, **kwargs):
+            low, up, mass, fro_sq = exact(*args, **kwargs)
+            return low, up, mass, (1 + 1e-8) * fro_sq
+
+        monkeypatch.setattr(bs, "_node_masses", heavier)
         with pytest.raises(NumericsError, match="misses the running sum"):
             assemble_bs(hardy(), 1j, default_bs_grid(64), ell_max=1)
         assert run_bs_norm_hardy(tmp_path) == 1
@@ -667,7 +673,7 @@ class TestHSNorm:
     def test_zero_potential_sectors_exactly_zero(self):
         grid = default_bs_grid(200)
         with np.errstate(all="raise"):
-            fro_sq = _frobenius_sq(np.zeros(grid.n), grid.nodes, 8)
+            fro_sq = _node_masses(grid.nodes, 8, np.zeros(grid.n))[3]
         assert fro_sq.tolist() == [0.0] * 9
 
     @pytest.mark.parametrize(
@@ -683,7 +689,7 @@ class TestHSNorm:
         # default_bs_grid(1600) reaches r ~ 4e-79, where r^(2l) alone
         # underflows for l >= 2, so the running sums must never form it
         alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-        fast = _frobenius_sq(alpha, grid.nodes, ell_max)
+        fast = _node_masses(grid.nodes, ell_max, alpha)[3]
         assert fast.shape == (ell_max + 1,)
         for ell, m in sector_matrices(potential, 0.0, grid, ell_max=ell_max):
             dense = float(np.sum(np.abs(m) ** 2))
@@ -852,6 +858,59 @@ class TestMepsHSCheck:
         well = catalog("square_well", v0=2.0, r0=1.3)
         [rec] = m_eps_hs_check(well, 2.0, 0.0, [0.2])
         assert rec.rel_gap <= 6e-3
+
+    @staticmethod
+    def dense_hs(potential, omega, z):
+        """|chi_Omega |V|^(1/2) G_z|_HS from the dense sector kernels, dressed
+        row by row and column by column, on m_eps_hs_check's grid."""
+        kappa = green_params(z).kappa.real
+        edges = {0.0, omega} | {j for j in potential.jumps if 0.0 < j < omega}
+        inner, w_inner = panel_gauss(sorted(edges), bs._MEPS_GRID_N)
+        reach = min(omega + 14.0 / max(kappa, 1e-12), omega * 400.0)
+        n_outer = max(bs._MEPS_GRID_N, int(24 * math.log10(max(reach / omega, 10.0))))
+        outer_edges = np.geomspace(omega, reach, max(4, n_outer // 12 + 1))
+        outer, w_outer = panel_gauss(list(outer_edges), 12)
+        r, w = np.concatenate([inner, outer]), np.concatenate([w_inner, w_outer])
+        left = np.sqrt(potential.abs_radial(r)) * r * np.sqrt(w) * (r <= omega)
+        colw = r * np.sqrt(w)
+        fro_sq = [
+            np.linalg.norm(left[:, np.newaxis] * g * colw[np.newaxis, :]) ** 2
+            for _, g in _sector_kernels(z, r, bs._MEPS_ELL_MAX)
+        ]
+        return bs._completed_hs_norm(fro_sq)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, 2.0])
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            gaussian(),
+            hardy(),
+            catalog("square_well", v0=2.0, r0=1.3),
+            catalog("yukawa", g=1.0, mu=1.0),
+        ],
+        ids=["gaussian", "hardy", "square_well", "yukawa"],
+    )
+    def test_running_sums_match_dense_sector_kernels(self, potential, lam):
+        # measured: within 6e-16 of the dense sums
+        for rec in m_eps_hs_check(potential, 2.0, lam, [0.2, 0.1]):
+            dense = self.dense_hs(potential, 2.0, complex(lam) + 1j * rec.eps)
+            assert abs(rec.hs_direct - dense) <= 1e-13 * dense, (rec.eps, rec.hs_direct, dense)
+
+    def test_forms_no_sector_matrix(self, monkeypatch):
+        want = m_eps_hs_check(gaussian(), 2.0, 0.0, [0.2, 0.1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("m_eps_hs_check must not assemble sector matrices")
+
+        monkeypatch.setattr(bs, "sector_matrices", refuse)
+        monkeypatch.setattr(bs, "_sector_kernels", refuse)
+        assert m_eps_hs_check(gaussian(), 2.0, 0.0, [0.2, 0.1]) == want
+
+    def test_overflowing_sector_sum_raises(self):
+        # kappa ~ 1e10: A_l underflows where B_l overflows, as the dense
+        # kernel of the same sector did
+        with pytest.raises(BSError, match="sector kernel l=0 overflows"):
+            m_eps_hs_check(gaussian(), 2.0, -1e20, [0.1])
 
     def test_zero_eps_rejected(self):
         with pytest.raises(BSError):

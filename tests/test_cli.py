@@ -522,6 +522,29 @@ class TestMainExitCodes:
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["outputs"][0]["path"].endswith("r.json")
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("square_well", {"v0": 1.0, "r0": 1e200}),
+            ("yukawa", {"g": 1.0, "mu": 1e-300}),
+            ("yukawa", {"g": 1.0, "mu": 1e300}),
+        ],
+    )
+    def test_check_conditions_at_the_float_range_ends_is_0(self, tmp_path, name, params):
+        # f(r0) = v0 r0^2 overflowed to an OverflowError traceback, and
+        # int |V|^(3/2) to "nan" as 0 * inf
+        potential = {"name": name, "params": params}
+        path = self.write(
+            tmp_path,
+            make("check-conditions", potential=potential, output={"path": str(tmp_path / "cc")}),
+        )
+        assert main(["run", path]) == 0
+        text = (tmp_path / "cc.json").read_text()
+        assert "nan" not in text
+        if name == "square_well":
+            doc = json.loads(text)
+            assert doc["a"] == doc["Λ"] == "inf"
+
     def test_validate_prints_canonical_form(self, tmp_path, capsys):
         path = self.write(tmp_path, make("spectrum"))
         assert main(["validate", path]) == 0

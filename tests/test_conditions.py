@@ -580,6 +580,31 @@ class TestReportAndVerdicts:
                 b3=0.0,
             )
 
+    # rows at the ends of the float range: sup |V| r^2 = v0 r0^2 overflows
+    # for the first, int |V|^(3/2) overflows for the second and underflows
+    # for the third
+    EXTREME_ROWS = {
+        "square_well-r0=1e200": (
+            ("square_well", {"v0": 1.0, "r0": 1e200}),
+            {"a": "inf", "Λ": "inf", "b1": "inf", "frank_l32": "inf", "sobolev_chain_a": "inf"},
+        ),
+        "yukawa-mu=1e-300": (
+            ("yukawa", {"g": 1.0, "mu": 1e-300}),
+            {"frank_l32": "inf", "sobolev_chain_a": "inf"},
+        ),
+        "yukawa-mu=1e300": (
+            ("yukawa", {"g": 1.0, "mu": 1e300}),
+            {"frank_l32": 0.0, "sobolev_chain_a": 0.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(EXTREME_ROWS))
+    def test_extreme_rows_report_no_nan(self, case):
+        (name, params), want = self.EXTREME_ROWS[case]
+        payload = build_report(catalog(name, **params)).to_json_dict()
+        assert "nan" not in json.dumps(payload)
+        assert {key: payload[key] for key in want} == want
+
     def test_d3_report_integrates_l32_once(self, monkeypatch):
         calls = []
 

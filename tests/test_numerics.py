@@ -341,20 +341,20 @@ class TestOperatorLargestSingularValue:
         def failed(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failed)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failed)
         with pytest.raises(nx.NumericsError, match="ARPACK sigma_max"):
             nx.operator_largest_singular_value(*products(np.eye(5)), 5)
 
     def test_wrong_ritz_value_fails_the_residual_check(self, monkeypatch):
         import scipy.sparse.linalg
 
-        exact = scipy.sparse.linalg.eigsh
+        exact = scipy.sparse.linalg.eigs
 
         def planted(*args, **kwargs):
             thetas, vectors = exact(*args, **kwargs)
             return thetas * (1 + 1e-8), vectors
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", planted)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", planted)
         m = np.diag(np.arange(1.0, 6.0))
         with pytest.raises(nx.NumericsError, match="Ritz residual"):
             nx.operator_largest_singular_value(*products(m), 5)

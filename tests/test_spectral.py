@@ -344,7 +344,7 @@ class TestArpackSigmaMin:
         def stalled(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
         op = discretize_radial(IMAGH, 0, 14.0, 96)
         with pytest.raises(NumericsError, match="ARPACK"):
             tridiagonal_smallest_singular_value(op.diag - 1.0, np.full(95, -1.0 / op.h**2))
