@@ -241,13 +241,25 @@ def rollnik_norm(potential: Potential) -> float:
     when finite and else 24 decay lengths (about 200 outer nodes, at least
     8 per outer panel, so more when jumps of V add panels); the square-well
     and yukawa values match their closed forms 2 pi v0 r0^2 and
-    2 sqrt(2) pi g / mu to 1e-10.
+    2 sqrt(2) pi g / mu to 1e-10.  It runs on the row V~(t) = 2^-j V(2^k t)
+    with 2^(k-1) <= R < 2^k and |amp| of order one: |V|_R = 2^(2k + j) |V~|_R
+    by exact scalings, so the norm is finite wherever it fits in a float.
     """
     if potential.dimension != 3:
         raise ConditionError("the Rollnik norm is defined here for d = 3 only")
     if not _in_classes(potential):
         return math.inf
-    return math.sqrt(_rollnik_radial(potential))
+    k = math.frexp(_truncation_radius(potential, _ROLLNIK_LENGTHS))[1]
+    j = math.frexp(abs(potential.amp))[1] - 1 - math.floor(potential.s * k)
+    unit = replace(
+        potential, amp=potential.amp / 2.0 ** (j + potential.s * k),
+        mu=math.ldexp(potential.mu, k), gamma=math.ldexp(potential.gamma, 2 * k),
+        r0=math.ldexp(potential.r0, -k),
+    )
+    try:
+        return math.ldexp(math.sqrt(_rollnik_radial(unit)), 2 * k + j)
+    except OverflowError:
+        return math.inf
 
 
 def frank_l32(potential: Potential) -> float:
@@ -263,8 +275,8 @@ def frank_l32(potential: Potential) -> float:
     nodes, weights = _ball_panels(potential, _truncation_radius(potential, _FRANK_LENGTHS), 14)
     # (|V|^(3/4) r)^2 meets no 0 * inf where |V| or r^2 alone leaves the
     # float range: the integral reads +inf when it overflows, 0 when it underflows
-    integrand = (potential.abs_radial(nodes) ** 0.75 * nodes) ** 2
     with np.errstate(over="ignore"):
+        integrand = (potential.abs_radial(nodes) ** 0.75 * nodes) ** 2
         return 4.0 * np.pi * float(np.dot(weights, integrand))
 
 

@@ -14,6 +14,10 @@ orthogonality gives the factor 4 pi / (2l + 1) and the angular gradient
 contributes l (l + 1) |q|^2 / r^2.  The radial profiles carry analytic first
 and second derivatives; an optional quadratic chirp exp(i alpha r^2) makes
 the probes genuinely complex so the imaginary-part identities have content.
+The G1 = 1 identity for -Delta_A, A = k |x|^-p (-x2, x1, 0), is radial too:
+A is orthogonal to x and e3, so A . grad u = 0, |grad_A u|^2 = |grad u|^2
++ |A|^2 |u|^2 and Delta_A u = Delta u - |A|^2 u: each side is its A = 0
+form minus int |A|^2 |u|^2.
 
 The radial multipliers are rows of one family, g(r) = p(r) exp(-w r^2) with
 a polynomial p.  Their derivatives are q_k(r) exp(-w r^2), with q_0 = p and
@@ -38,7 +42,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .conditions import b_constants
-from .numerics import box_grid, fit_loglog_slope, panel_gauss
+from .numerics import fit_loglog_slope, panel_gauss
 from .potentials import MagneticPotential, Potential, _row_params, _Row, b_tau
 
 __all__ = [
@@ -73,9 +77,7 @@ _DEFAULT_N = 320
 _HARDY_N = 600
 _SETTLE_TOL = 1e-6
 
-# the magnetic smoke check's fixed resolution: Gauss nodes per box axis,
-# tangential sample points and their seed
-_MAGNETIC_N_AXIS = 48
+# the magnetic smoke check's tangential sample points and their seed
 _MAGNETIC_SAMPLES = 100
 _MAGNETIC_SEED = 0
 
@@ -162,19 +164,19 @@ class TestFunction:
         q, dq, ddq = self.profile(r)
         return q, dq, ddq + 2 * dq / r - self.ell * (self.ell + 1) * q / r**2
 
-    def at_points(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, grad u, Delta u) at Cartesian points of shape (m, 3).
+    def at_points(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, grad u) at Cartesian points of shape (m, 3).
 
         u = q(r) c^l with c = x3/|x|, so grad u = (q' - l q/r) c^l x/|x|
-        + l (q/r) e3 (l in {0, 1}) and Delta u = (radial part) c^l.
+        + l (q/r) e3 (l in {0, 1}).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.linalg.norm(pts, axis=1)
-        q, dq, lap = self.radial_terms(r)
+        q, dq = self.profile(r)[:2]
         ang = (pts[:, 2] / r) ** self.ell
         grad = ((dq - self.ell * q / r) * ang)[:, None] * (pts / r[:, None])
         grad[:, 2] += self.ell * q / r
-        return q * ang, grad, lap * ang
+        return q * ang, grad
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,10 @@ class NearExtremalHardyProfile:
 
 
 def _radial_nodes(
-    r_max: float, n: int, rule: str
+    r_max: float, n: int, rule: str, breaks: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature on (0, r_max]: uniform Gauss panels or uniform midpoints.
+    """Quadrature on (0, r_max]: uniform Gauss panels, which also end at the
+    ``breaks`` (jumps of V) inside (0, r_max), or uniform midpoints.
 
     Probe densities are smooth up to the support edge, where the bump is
     C-infinity but not analytic; uniform panels resolve that edge, and the
@@ -220,7 +223,8 @@ def _radial_nodes(
         # no floor above 1: the settle guard doubles n and must actually
         # see a finer grid
         panels = max(1, n // 8)
-        return panel_gauss(np.linspace(0.0, r_max, panels + 1), 8)
+        inside = [b for b in breaks if 0.0 < b < r_max]
+        return panel_gauss(np.union1d(np.linspace(0.0, r_max, panels + 1), inside), 8)
     if rule == "midpoint":
         h = r_max / n
         nodes = h * (np.arange(n) + 0.5)
@@ -368,8 +372,8 @@ class _Probe:
         return np.abs(self.dq) ** 2 + extra * np.abs(self.q) ** 2 / self.r**2
 
 
-def _probe_on(u: TestFunction, lam: complex, n: int, rule: str) -> _Probe:
-    r, w = _radial_nodes(u.support_radius, n, rule)
+def _probe_on(u: TestFunction, lam: complex, n: int, rule: str, breaks=()) -> _Probe:
+    r, w = _radial_nodes(u.support_radius, n, rule, breaks)
     q, dq, lap = u.radial_terms(r)
     f = lap + complex(lam) * q
     c = u.angular_weight
@@ -449,11 +453,23 @@ def _id4_sides(p: _Probe, lam: complex, _g: None) -> tuple[float, float]:
     return lhs, rhs
 
 
+def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tuple[float, float]:
+    # each side loses int |A|^2 |u|^2 (module docstring); |A|^2 = k^2 r^(2-2p)
+    # sin^2(theta), and sin^2(theta) averages to m_l = 2 (l^2 + l - 1) /
+    # ((2l - 1)(2l + 3)) against P_l^2: 2/3 at l = 0, 2/5 at l = 1
+    m_l = 2.0 * (p.ell**2 + p.ell - 1) / ((2 * p.ell - 1) * (2 * p.ell + 3))
+    mass = a_field.k**2 * m_l * p.integral(p.r ** (2 - 2 * a_field.p) * np.abs(p.q) ** 2).real
+    lhs = lam.real * p.norm_sq - p.integral(p.grad_density).real - mass
+    rhs = p.integral(p.f * np.conj(p.q)).real - mass
+    return lhs, rhs
+
+
 _IDENTITY_SIDES = {
     "id1": _id1_sides,
     "id2": _id2_sides,
     "id3": _id3_sides,
     "id4": _id4_sides,
+    "magnetic": _magnetic_sides,
 }
 
 
@@ -461,12 +477,13 @@ def _identity_terms(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile],
+    g: Optional[MultiplierProfile | MagneticPotential],
     n: int,
     rule: str,
 ) -> tuple[float, float, float]:
     """(lhs, rhs, norm_sq) of one identity on one probe.
 
+    ``g`` is the multiplier, or the field row of the magnetic identity.
     The Gauss rule is settled: the sides at n and 2n must agree within
     _SETTLE_TOL and the 2n values are returned.  The midpoint rule keeps
     its O(h^2) error visible for the refinement-order studies, so it is
@@ -499,7 +516,7 @@ def _identity_residual(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile],
+    g: Optional[MultiplierProfile | MagneticPotential],
     n: int,
     rule: str,
 ) -> float:
@@ -587,7 +604,7 @@ def residual_refinement_order(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile] = None,
+    g: Optional[MultiplierProfile | MagneticPotential] = None,
     n_list: Sequence[int] = (20, 40, 80, 160),
 ) -> float:
     """Observed convergence order of a residual under midpoint refinement.
@@ -597,8 +614,8 @@ def residual_refinement_order(
     """
     if kind not in _IDENTITY_SIDES:
         raise MultiplierError(f"unknown identity {kind!r}")
-    if kind in ("id1", "id2", "id3") and g is None:
-        raise MultiplierError(f"{kind} needs a multiplier profile")
+    if kind != "id4" and g is None:
+        raise MultiplierError(f"{kind} needs a multiplier profile or field row")
     res = [_identity_residual(kind, u, lam, g, n, "midpoint") for n in n_list]
     if min(res) <= 0.0:
         raise MultiplierError("residual hit zero; refinement order undefined")
@@ -662,9 +679,11 @@ def hardy_check(psi, d: int = 3) -> HardyRatios:
 class RadiTerms:
     """Named terms of the radial key identity with the estimate chain.
 
-    ``i3_defect`` plays the role of the paper's cutoff remainder: it is the
-    key-identity right-hand side evaluated at f - V u, which vanishes when
-    the probe is an exact eigenfunction.  ``eps_defect`` is the matching
+    ``i1`` includes the jump terms of d_r(r V1) described on
+    :func:`radi_identity_terms`.  ``i3_defect`` plays the role of the
+    paper's cutoff remainder: it is the key-identity right-hand side
+    evaluated at f - V u, which vanishes when the probe is an exact
+    eigenfunction.  ``eps_defect`` is the matching
     remainder in the L^2 bound, |Im sgn(l2) int (f - Vu) conj(u)|.
     ``lower_bound_checked`` is None when the bound is not claimed (it needs
     b1 <= 1 and |l2| <= l1).
@@ -715,7 +734,11 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
         I1 = int |u|^2 d_r(r V1),
         I2 = 2 Im int |x| V2 u (d_r conj(u) + i sgn(l2) sqrt(l1) conj(u)),
 
-    and I3 the defect bucket described on RadiTerms.  The estimate chain
+    and I3 the defect bucket described on RadiTerms.  d_r(r V1) is taken in
+    the sense of distributions: where r V1 jumps by J = -r0 V1(r0-) at a
+    jump r0 of V, it carries J delta(|x| - r0), which adds
+    J r0^2 c_l |q(r0)|^2 to I1 (c_l the angular weight); the probe panels
+    end at r0.  The estimate chain
     (I1 <= b2^2 ||grad u^-||^2, |I2| <= 2 b3 ||grad u^-||^2, and the lower
     bound on I) is asserted with the pointwise b-constants.
     """
@@ -728,7 +751,7 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     root = math.sqrt(lam.real)
     ratio = abs(lam.imag) / root
 
-    p = _probe_on(u, lam, _DEFAULT_N, "gauss")
+    p = _probe_on(u, lam, _DEFAULT_N, "gauss", potential.jumps)
     v_vals = potential.radial_profile(p.r)
     qq = np.abs(p.q) ** 2
 
@@ -737,6 +760,9 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     grad_minus_sq, key_lhs, i3 = _key_sides(p, lam, g_vals)
     i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
     i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
+    for r0 in potential.jumps:
+        jump = -r0 * potential.radial_profile(np.nextafter(r0, 0.0)).real
+        i1 += p.c_ang * jump * r0**2 * abs(u.profile(np.array([r0]))[0][0]) ** 2
     comb = np.conj(p.dq) + 1j * sig * root * np.conj(p.q)
     i2 = 2.0 * p.integral(p.r * np.imag(v_vals) * p.q * comb).imag
     scale = abs(i_total) + abs(i1) + abs(i2) + abs(i3) + p.norm_sq
@@ -779,14 +805,13 @@ def magnetic_identity_smoke(
     |B_tau|, of |B_tau . x/|x||, and of the phase-matched difference
     B_tau . grad_A u^- - e^(-i sgn(l2) sqrt(l1) |x|) B_tau . grad_A u over
     100 seeded sample points (seed 0) in the shell 0.2 R <= |x| <= 0.95 R
-    of the probe support.  The G1 = 1 identity
-    l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u) with
-    f := Delta_A u + lam u is integrated on the fixed 48^3 tensor
-    Gauss box over [-R, R]^3; the |A|^2 and A . grad u terms cancel between
-    the two sides node by node, so the residual is pure
-    Laplacian-vs-gradient quadrature error.  The field is evaluated on the
-    whole point arrays at once, through the (..., d) contract of
-    :class:`MagneticPotential`.
+    of the probe support.  The field is evaluated on the whole sample array
+    at once, through the (..., d) contract of :class:`MagneticPotential`.
+
+    The G1 = 1 identity l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u),
+    f := Delta_A u + lam u, reduces to a radial one since A . grad u = 0
+    (module docstring).  It runs on the radial Gauss rule of the other
+    identities and must settle between _DEFAULT_N and twice as many nodes.
     """
     lam = complex(lam)
     if not lam.real > 0:
@@ -809,7 +834,7 @@ def magnetic_identity_smoke(
     b_sup = float(np.max(bt_norm))
     b_dot_x = float(np.max(np.abs(np.sum(bt * x, axis=1)) / r))
 
-    val, grad, _ = u.at_points(x)
+    val, grad = u.at_points(x)
     val = val[:, None]
     a_val = a_field.vector_potential(x)
     grad_a = grad + 1j * a_val * val
@@ -824,23 +849,5 @@ def magnetic_identity_smoke(
     live = bt_norm > 1e-12 * (1.0 + b_sup)
     tang = float(np.max(diff[live] / den[live], initial=0.0))
 
-    # G1 = 1 identity on a tensor Gauss box covering the support
-    pts, ww = box_grid(_MAGNETIC_N_AXIS, radius)
-    r_all = np.linalg.norm(pts, axis=1)
-    keep = (r_all < radius) & (r_all > 0)
-    pts, ww = pts[keep], ww[keep]
-
-    vals, grads, laps = u.at_points(pts)
-    a_vals = a_field.vector_potential(pts)
-
-    grad_a_sq = np.sum(
-        np.abs(grads + 1j * a_vals * vals[:, None]) ** 2, axis=1
-    )
-    # Delta_A u = Delta u + 2i A . grad u - |A|^2 u for divergence-free A
-    lap_a = laps + 2j * np.sum(a_vals * grads, axis=1) - np.sum(a_vals**2, axis=1) * vals
-    f_vals = lap_a + lam * vals
-
-    norm_sq = float(np.dot(ww, np.abs(vals) ** 2))
-    lhs = lam.real * norm_sq - float(np.dot(ww, grad_a_sq))
-    rhs = float(np.dot(ww, np.real(f_vals * np.conj(vals))))
-    return MagneticSmokeReport(b_sup, b_dot_x, tang, _relative_residual(lhs, rhs, norm_sq))
+    residual = _identity_residual("magnetic", u, lam, a_field, _DEFAULT_N, "gauss")
+    return MagneticSmokeReport(b_sup, b_dot_x, tang, residual)

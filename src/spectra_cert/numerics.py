@@ -2,10 +2,9 @@
 linear algebra, and scalar root finding.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
-provides Gauss-Legendre rules, plain and composite over panels, the
-:class:`RadialGrid` container for radial rules on (0, r_max], and a tensor
-Gauss box in three dimensions whose points exclude the coordinate origin by
-construction.  The linear algebra side wraps the dense complex
+provides Gauss-Legendre rules, plain and composite over panels, and the
+:class:`RadialGrid` container for radial rules on (0, r_max].  The linear
+algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads either
 extremal singular value off one dense LAPACK SVD.  An operator known only
 by its products with M and M^H gets sigma_max from ARPACK on M^H M, stopped
@@ -38,7 +37,6 @@ __all__ = [
     "RadialGrid",
     "gauss_legendre",
     "panel_gauss",
-    "box_grid",
     "eig_complex",
     "largest_singular_value",
     "operator_largest_singular_value",
@@ -152,26 +150,6 @@ class RadialGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-
-def box_grid(n: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss grid on the box [-L, L]^3: points (n^3, 3) and weights.
-
-    Only even per-axis orders are accepted: Gauss nodes of even order on a
-    symmetric interval never include the midpoint, so no tensor node ever
-    sits at the coordinate origin.  Guarded at 80 points per axis; dense
-    work beyond that is out of scope (80^3 is already half a million nodes).
-    """
-    if n % 2 != 0:
-        raise ValueError(f"per-axis order must be even, got {n}")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
-    if n > 80:
-        raise NumericsError(f"box grid {n}^3 exceeds the dense guard (80 per axis)")
-    nodes, weights = gauss_legendre(n, -half_width, half_width)
-    mesh = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return pts, np.multiply.outer(np.multiply.outer(weights, weights), weights).ravel()
 
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:

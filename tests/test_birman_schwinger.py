@@ -56,7 +56,6 @@ from spectra_cert.birman_schwinger import (
 from spectra_cert.cli import main
 from spectra_cert.numerics import (
     NumericsError,
-    box_grid,
     gauss_legendre,
     largest_singular_value,
     panel_gauss,
@@ -255,7 +254,10 @@ class TestBoxOracle:
         )
 
     def box_direct(self, ell, z, r0, n=64, half=7.0):
-        pts, wts = box_grid(n, half)
+        # tensor Gauss grid on [-half, half]^3; even n keeps nodes off the origin
+        nodes, weights = gauss_legendre(n, -half, half)
+        pts = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+        wts = np.multiply.outer(np.multiply.outer(weights, weights), weights).ravel()
         x0 = np.array([0.0, 0.0, r0])
 
         cl = np.zeros(ell + 1)

@@ -11,6 +11,7 @@ double-quadrature run of the log-kernel reduction agreed with both to
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,12 +222,20 @@ class TestRollnik:
         oracle = rollnik_partial_wave_oracle(y.abs_radial, r_max=24.0)
         assert rollnik_norm(y) == pytest.approx(oracle, rel=5e-4)
 
-    @pytest.mark.parametrize("mu", [2.0, 0.05, 1e-4])
+    @pytest.mark.parametrize("mu", [2.0, 0.05, 1e-4, 1e300, 1e-300])
     def test_yukawa_closed_form(self, mu):
         # with u = r + p the log kernel integrates to u, so |V|_R^2 = 8 pi^2 g^2 / mu^2;
-        # the truncation radius follows 1/mu, so a long tail is not cut short
+        # the truncation radius follows 1/mu, so a long tail is not cut short.
+        # At mu = 1e300 and 1e-300 |V|_R^2 leaves the float range where |V|_R
+        # does not: squared first, these read 0.0 and +inf
         value = rollnik_norm(catalog("yukawa", g=1.3, mu=mu))
-        assert value == pytest.approx(2.0 * math.sqrt(2.0) * math.pi * 1.3 / mu, rel=1e-10)
+        want = 2.0 * math.sqrt(2.0) * math.pi * 1.3 / mu
+        assert value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_overflow_reads_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(rollnik_norm(catalog("square_well", v0=1.0, r0=1e200)))
 
     def test_hardy_diverges(self):
         assert math.isinf(rollnik_norm(catalog("hardy", a=0.5)))

@@ -95,14 +95,6 @@ class TestProbeProfiles:
                 fd = (u.at_points(pts + shift)[0] - u.at_points(pts - shift)[0]) / (2 * h)
                 assert np.max(np.abs(grad[:, axis] - fd)) < 1e-7
 
-    def test_laplacian_points_matches_profile(self):
-        pts = np.array([[0.5, 0.3, 0.8], [-1.0, 0.2, 0.4]])
-        r = np.linalg.norm(pts, axis=1)
-        lap_pts = ELL1.at_points(pts)[2]
-        q, dq, ddq = ELL1.profile(r)
-        lap_prof = (ddq + 2 * dq / r - 2 * q / r**2) * pts[:, 2] / r
-        np.testing.assert_allclose(lap_pts, lap_prof, rtol=1e-12)
-
     def test_angular_weight(self):
         assert BUMP.angular_weight == pytest.approx(4 * math.pi)
         assert ELL1.angular_weight == pytest.approx(4 * math.pi / 3)
@@ -260,6 +252,8 @@ class TestIdentityResiduals:
         g = multiplier_catalog("abs")
         with pytest.raises(MultiplierError, match="settle"):
             identity_residual_1(BUMP, 1.0 + 1.0j, g)
+        with pytest.raises(MultiplierError, match="did not settle"):
+            magnetic_identity_smoke(BUMP, 1.0 + 1.0j, magnetic_catalog("uniform_z", b=0.8))
 
     def test_refinement_order_id1_is_second_order(self):
         g = multiplier_catalog("abs")
@@ -367,6 +361,16 @@ class TestRadialIdentity:
             for row in rows
         )
 
+    @pytest.mark.parametrize(
+        "lam, v0, r0", [(1.0 + 0.5j, 2.0, 1.3), (1.0 + 0.1j, 5.0, 0.7), (2.0 - 1.0j, 2.0, 1.0)]
+    )
+    def test_square_well_jump_closes_identity(self, lam, v0, r0):
+        # r Re V jumps by v0 r0 at r0, which adds a delta term to I1; without
+        # it the residual reads 0.36, 0.31 and 0.05
+        u = Probe("radial-gaussian-bump", 2.5, chirp=0.4)
+        terms = radi_identity_terms(u, lam, catalog("square_well", v0=v0, r0=r0))
+        assert terms.residual < 1e-10
+
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
             radi_identity_terms(BUMP, -1.0 + 0.5j, self.IMAGH)
@@ -403,35 +407,71 @@ class TestMagneticChecks:
     def test_zero_field_reduces_to_plain_identity(self):
         rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, magnetic_catalog("zero"))
         assert rep.b_tau_sup == 0.0
-        assert rep.identity_residual < 1e-6
+        assert rep.identity_residual < 1e-12
 
     def test_uniform_field_identity(self):
         rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
-        assert rep.identity_residual < 1e-6
+        assert rep.identity_residual < 1e-12
         assert rep.tangential_residual < 1e-12
         assert rep.b_tau_dot_x_sup < 1e-12
 
     def test_singular_gauge_field_is_integrable(self):
-        # the azimuthal A blows up like 1/|x| but never sits on a box node
+        # |A|^2 |u|^2 ~ |u|^2 / r^2 at the origin, integrable against r^2 dr
         rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.AZIMUTHAL)
-        assert rep.identity_residual < 1e-6
+        assert rep.identity_residual < 1e-12
         assert rep.b_tau_sup < 1e-12
 
     def test_with_complex_potential(self):
         # an l = 1 probe at a complex lambda; the check itself takes no V
         rep = magnetic_identity_smoke(ELL1, 2.0 + 0.5j, self.UNIFORM)
-        assert rep.identity_residual < 1e-6
+        assert rep.identity_residual < 1e-12
+
+    def test_identity_is_not_a_tautology(self):
+        # the sides differ on a coarse midpoint rule; only quadrature closes them
+        residual = multipliers._identity_residual(
+            "magnetic", CHIRPED, 1.0 + 1.0j, self.UNIFORM, 16, "midpoint"
+        )
+        assert residual > 1e-4
+
+    @pytest.mark.parametrize("u", [CHIRPED, ELL1], ids=lambda u: u.family)
+    @pytest.mark.parametrize("name", ["zero", "uniform_z", "azimuthal_inverse_square"])
+    def test_field_mass_matches_spherical_product_rule(self, u, name):
+        # int |A|^2 |u|^2 on radial Gauss panels x Gauss-Legendre in cos(theta)
+        # x trapezoid in phi, with A and u at the Cartesian points; the
+        # closed form is what the field takes off the A = 0 sides
+        field = magnetic_catalog(name, b=0.8) if name == "uniform_z" else magnetic_catalog(name)
+        lam = 1.0 + 1.0j
+        p = multipliers._probe_on(u, lam, 2 * multipliers._DEFAULT_N, "gauss")
+        closed = (
+            multipliers._magnetic_sides(p, lam, magnetic_catalog("zero"))[0]
+            - multipliers._magnetic_sides(p, lam, field)[0]
+        )
+        x, wx = np.polynomial.legendre.leggauss(12)
+        edges = np.linspace(0.0, u.support_radius, 65)
+        half = 0.5 * np.diff(edges)[:, None]
+        r = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x).ravel()
+        wr = (half * wx).ravel()
+        c, wc = np.polynomial.legendre.leggauss(8)
+        phi = 2 * np.pi * np.arange(8) / 8
+        rr, cc, pp = np.meshgrid(r, c, phi, indexing="ij")
+        ss = np.sqrt(1 - cc**2)
+        pts = np.stack([rr * ss * np.cos(pp), rr * ss * np.sin(pp), rr * cc], axis=-1)
+        density = np.sum(field.vector_potential(pts) ** 2, axis=-1) * np.abs(
+            u.at_points(pts.reshape(-1, 3))[0].reshape(rr.shape)
+        ) ** 2
+        weights = (wr * r**2)[:, None, None] * wc[None, :, None] * (2 * np.pi / 8)
+        reference = float(np.sum(weights * density))
+        assert closed == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
             magnetic_identity_smoke(BUMP, -1.0, self.UNIFORM)
 
-    @pytest.mark.parametrize("samples,n_axis", [(7, 16), (100, 48)])
-    def test_field_calls_do_not_scale_with_points(self, monkeypatch, samples, n_axis):
-        # the field is evaluated on whole point arrays: one A call for the
-        # samples, one for the box, one B call for the samples' B_tau
+    @pytest.mark.parametrize("samples", [7, 100])
+    def test_field_calls_do_not_scale_with_points(self, monkeypatch, samples):
+        # the field is evaluated on the whole sample array: one A call and
+        # one B call for the samples' B_tau; the identity needs only (k, p)
         monkeypatch.setattr(multipliers, "_MAGNETIC_SAMPLES", samples)
-        monkeypatch.setattr(multipliers, "_MAGNETIC_N_AXIS", n_axis)
         expected = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
         calls = {"vector_potential": 0, "field_tensor": 0}
         for key in calls:
@@ -443,5 +483,5 @@ class TestMagneticChecks:
 
             monkeypatch.setattr(MagneticPotential, key, counted)
         rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
-        assert calls == {"vector_potential": 2, "field_tensor": 1}
+        assert calls == {"vector_potential": 1, "field_tensor": 1}
         assert rep == expected

@@ -124,25 +124,6 @@ class TestRadialGrid:
             nx.RadialGrid(nodes, -weights, 1.0)
 
 
-class TestBoxGrid:
-    def test_even_order_required(self):
-        with pytest.raises(ValueError):
-            nx.box_grid(9, 5.0)
-
-    def test_no_node_at_origin(self):
-        pts, _ = nx.box_grid(8, 5.0)
-        assert pts.shape == (8**3, 3)
-        assert np.min(np.linalg.norm(pts, axis=1)) > 1e-3
-
-    def test_weights_integrate_volume(self):
-        _, w = nx.box_grid(6, 2.0)
-        assert abs(w.sum() - 4.0**3) < 1e-10
-
-    def test_dense_guard(self):
-        with pytest.raises(nx.NumericsError):
-            nx.box_grid(82, 1.0)
-
-
 class TestEigComplex:
     def test_companion_matrix_spectrum(self):
         # companion matrix of z^2 - 3z + 2 = (z - 1)(z - 2)
