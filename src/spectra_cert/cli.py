@@ -35,7 +35,7 @@ Experiment notes:
     |k|^2 >= 0 being witnessed, and no potential: its form term is the
     subordination bound itself.
   * ``magnetic-smoke`` reads the potential block as a *magnetic* catalog
-    name (the vector potential under study); the box resolution is fixed.
+    name (the vector potential under study).
 """
 
 from __future__ import annotations
@@ -331,6 +331,8 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
             hs_low = experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN
             key = "r_max" if hs_low else "grid_n"
             raise ConfigError(f"{key} does not fit the {experiment} grid: {exc}") from exc
+        except MemoryError as exc:
+            raise ConfigError(f"grid_n {grid_n} does not fit in memory: {exc}") from exc
 
     outlier_tol = None
     if "outlier_tol" in raw:
@@ -359,6 +361,8 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
                 discretize_radial(pot, ell, r_max, grid_n)
         except SpectralError as exc:
             raise ConfigError(f"r_max does not fit a grid of {grid_n} cells: {exc}") from exc
+        except MemoryError as exc:
+            raise ConfigError(f"grid_n {grid_n} does not fit in memory: {exc}") from exc
 
     z_list = None
     if "z_list" in raw:
@@ -486,7 +490,7 @@ def _stage(stages: list, name: str, fn: Callable):
     start = time.perf_counter()
     try:
         result = fn()
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise RunFailure(f"{name}: {exc}") from exc
     stages.append((name, time.perf_counter() - start))
     return result

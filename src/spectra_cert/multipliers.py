@@ -52,10 +52,7 @@ __all__ = [
     "MultiplierProfile",
     "MultiplierTriple",
     "multiplier_catalog",
-    "identity_residual_1",
-    "identity_residual_2",
-    "identity_residual_3",
-    "key_identity_residual",
+    "identity_residual",
     "identity_term_rows",
     "residual_refinement_order",
     "hardy_check",
@@ -194,10 +191,6 @@ class NearExtremalHardyProfile:
     def __post_init__(self) -> None:
         if not 0 < self.eps < 0.5:
             raise MultiplierError("eps must lie in (0, 1/2)")
-
-    @property
-    def ell(self) -> int:
-        return 0
 
     def profile(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = -0.5 + self.eps
@@ -424,8 +417,8 @@ def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, fl
 def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, float]:
     """(int |grad u^-|^2, lhs, rhs) of the key identity with right-hand side f.
 
-    The sides are those documented on :func:`key_identity_residual`; ``f``
-    is the radial profile entering I1 + I2 + I3, Delta u + lambda u for the
+    The sides are those of ``id4`` on :func:`identity_residual`; ``f`` is
+    the radial profile entering I1 + I2 + I3, Delta u + lambda u for the
     manufactured identity and f - V u for the radial defect bucket.
     """
     lam = complex(lam)
@@ -448,11 +441,6 @@ def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, fl
     return grad_minus_sq, lhs, rhs
 
 
-def _id4_sides(p: _Probe, lam: complex, _g: None) -> tuple[float, float]:
-    _, lhs, rhs = _key_sides(p, lam, p.f)
-    return lhs, rhs
-
-
 def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tuple[float, float]:
     # each side loses int |A|^2 |u|^2 (module docstring); |A|^2 = k^2 r^(2-2p)
     # sin^2(theta), and sin^2(theta) averages to m_l = 2 (l^2 + l - 1) /
@@ -464,47 +452,56 @@ def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tupl
     return lhs, rhs
 
 
-_IDENTITY_SIDES = {
-    "id1": _id1_sides,
-    "id2": _id2_sides,
-    "id3": _id3_sides,
-    "id4": _id4_sides,
-    "magnetic": _magnetic_sides,
+# kind -> (CSV identity_id, sides on one probe)
+_IDENTITIES = {
+    "id1": ("real-part", _id1_sides),
+    "id2": ("imag-part", _id2_sides),
+    "id3": ("hessian", _id3_sides),
+    "id4": ("key-gauge", lambda p, lam, _: _key_sides(p, lam, p.f)[1:]),
+    "magnetic": ("magnetic", _magnetic_sides),
 }
 
 
 def _identity_terms(
-    kind: str,
+    pairs: Sequence[tuple[str, Optional[MultiplierProfile | MagneticPotential]]],
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile | MagneticPotential],
     n: int,
     rule: str,
-) -> tuple[float, float, float]:
-    """(lhs, rhs, norm_sq) of one identity on one probe.
+) -> list[tuple[float, float, float]]:
+    """(lhs, rhs, norm_sq) of each (kind, g) identity on one probe.
 
-    ``g`` is the multiplier, or the field row of the magnetic identity.
-    The Gauss rule is settled: the sides at n and 2n must agree within
+    ``g`` is the multiplier, or the field row of the magnetic identity;
+    ``id4`` takes none.  Every identity runs on the same probe.  The Gauss
+    rule is settled: each identity's sides at n and 2n must agree within
     _SETTLE_TOL and the 2n values are returned.  The midpoint rule keeps
     its O(h^2) error visible for the refinement-order studies, so it is
     returned as is.
     """
     lam = complex(lam)
-    if kind == "id4" and not lam.real > 0:
-        raise MultiplierError("the key identity needs Re lambda > 0")
-    sides = _IDENTITY_SIDES[kind]
-    p = _probe_on(u, lam, n, rule)
-    lhs, rhs = sides(p, lam, g)
+    for kind, g in pairs:
+        if kind not in _IDENTITIES:
+            raise MultiplierError(f"unknown identity {kind!r}")
+        if kind != "id4" and g is None:
+            raise MultiplierError(f"{kind} needs a multiplier profile or field row")
+        if kind == "id4" and not lam.real > 0:
+            raise MultiplierError("the key identity needs Re lambda > 0")
+
+    def sides_on(m: int) -> tuple[_Probe, list[tuple[float, float]]]:
+        p = _probe_on(u, lam, m, rule)
+        return p, [_IDENTITIES[kind][1](p, lam, g) for kind, g in pairs]
+
+    p, sides = sides_on(n)
     if rule == "gauss":
-        p2 = _probe_on(u, lam, 2 * n, rule)
-        lhs2, rhs2 = sides(p2, lam, g)
-        scale = abs(lhs2) + abs(rhs2) + p2.norm_sq
-        if abs(lhs2 - lhs) + abs(rhs2 - rhs) > _SETTLE_TOL * max(scale, 1e-30):
-            raise MultiplierError(
-                f"{kind} quadrature did not settle between n={n} and n={2 * n}"
-            )
-        lhs, rhs, p = lhs2, rhs2, p2
-    return lhs, rhs, p.norm_sq
+        p, fine = sides_on(2 * n)
+        for (kind, _), (lhs, rhs), (lhs2, rhs2) in zip(pairs, sides, fine):
+            scale = abs(lhs2) + abs(rhs2) + p.norm_sq
+            if abs(lhs2 - lhs) + abs(rhs2 - rhs) > _SETTLE_TOL * max(scale, 1e-30):
+                raise MultiplierError(
+                    f"{kind} quadrature did not settle between n={n} and n={2 * n}"
+                )
+        sides = fine
+    return [(lhs, rhs, p.norm_sq) for lhs, rhs in sides]
 
 
 def _relative_residual(lhs: float, rhs: float, norm_sq: float) -> float:
@@ -512,55 +509,57 @@ def _relative_residual(lhs: float, rhs: float, norm_sq: float) -> float:
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
 
 
-def _identity_residual(
+def identity_residual(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile | MagneticPotential],
-    n: int,
-    rule: str,
+    g: Optional[MultiplierProfile | MagneticPotential] = None,
 ) -> float:
-    return _relative_residual(*_identity_terms(kind, u, lam, g, n, rule))
+    """Relative residual |lhs - rhs| / (|lhs| + |rhs| + ||u||^2) of one identity.
 
+    The sides are settled on the radial Gauss rule (_DEFAULT_N nodes against
+    twice as many).  f := Delta u + lambda u is manufactured, lambda = l1 + i l2, and ``g``
+    is the multiplier G of the identity (the field row for ``magnetic``):
 
-def identity_residual_1(u: TestFunction, lam: complex, g1: MultiplierProfile) -> float:
-    """Relative residual of the real-part identity with multiplier G1.
-
-    LHS = l1 int G1 |u|^2 - int G1 |grad u|^2 + (1/2) int Delta(G1) |u|^2,
-    RHS = Re int f G1 conj(u), with f := Delta u + lambda u manufactured.
+    - ``id1``, real part: LHS = l1 int G |u|^2 - int G |grad u|^2
+      + (1/2) int Delta(G) |u|^2, RHS = Re int f G conj(u).
+    - ``id2``, imaginary part: LHS = l2 int G |u|^2
+      - Im int grad(G).conj(u) grad(u), RHS = Im int f G conj(u).
+    - ``id3``, Hessian: LHS = int grad(conj u).Hess(G) grad(u)
+      - (1/4) int Delta^2(G) |u|^2 + l2 Im int u grad(G).grad(conj u),
+      RHS = -(1/2) Re int f Delta(G) conj(u) - Re int f grad(G).grad(conj u);
+      needs the multiplier's third and fourth derivatives.
+    - ``id4``, the summed key identity controlling grad(u^-); takes no
+      multiplier and needs Re lambda > 0:
+      LHS = int |grad u^-|^2 + (|l2|/sqrt(l1)) int |x| |grad u^-|^2
+            - ((d-1)/2) (|l2|/sqrt(l1)) int |u|^2 / |x|,
+      RHS = I1 + I2 + I3 with I1 = (1-d) Re int f conj(u),
+      I2 = -2 Re int |x| f (d_r conj(u) + i sgn(l2) sqrt(l1) conj(u)) and
+      I3 = -(|l2|/sqrt(l1)) Re int |x| f conj(u); conjugating (u, lambda)
+      swaps the gauge sign and fixes the |l2| in I3.
+    - ``magnetic``, the G1 = 1 identity for -Delta_A with the row's A:
+      l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u), f := Delta_A u
+      + lambda u, radial by the module docstring.
     """
-    return _identity_residual("id1", u, lam, g1, _DEFAULT_N, "gauss")
+    terms = _identity_terms([(kind, g)], u, lam, _DEFAULT_N, "gauss")
+    return _relative_residual(*terms[0])
 
 
-def identity_residual_2(u: TestFunction, lam: complex, g2: MultiplierProfile) -> float:
-    """Imaginary-part identity: l2 int G2 |u|^2 - Im int grad(G2).conj(u) grad(u)."""
-    return _identity_residual("id2", u, lam, g2, _DEFAULT_N, "gauss")
+def _term_rows(identity_id: str, terms: Sequence, residual: float) -> list[dict]:
+    """Rows of the shared CSV schema, one per (term_name, value) in ``terms``.
 
-
-def identity_residual_3(u: TestFunction, lam: complex, g3: MultiplierProfile) -> float:
-    """Hessian identity; needs the multiplier's third and fourth derivatives."""
-    return _identity_residual("id3", u, lam, g3, _DEFAULT_N, "gauss")
-
-
-def key_identity_residual(u: TestFunction, lam: complex) -> float:
-    """The summed key identity controlling grad(u^-); needs Re lambda > 0.
-
-    LHS = int |grad u^-|^2 + (|l2|/sqrt(l1)) int |x| |grad u^-|^2
-          - ((d-1)/2) (|l2|/sqrt(l1)) int |u|^2 / |x|,
-    RHS = I1 + I2 + I3 with I1 = (1-d) Re int f conj(u),
-    I2 = -2 Re int |x| f (d_r conj(u) + i sgn(l2) sqrt(l1) conj(u)) and
-    I3 = -(|l2|/sqrt(l1)) Re int |x| f conj(u); conjugating (u, lambda)
-    swaps the gauge sign and fixes the |l2| in I3.
+    Every term is real by construction, so value_im is always 0.
     """
-    return _identity_residual("id4", u, lam, None, _DEFAULT_N, "gauss")
-
-
-_IDENTITY_LABELS = {
-    "id1": "real-part",
-    "id2": "imag-part",
-    "id3": "hessian",
-    "id4": "key-gauge",
-}
+    return [
+        {
+            "identity_id": identity_id,
+            "term_name": name,
+            "value_re": float(value),
+            "value_im": 0.0,
+            "residual": float(residual),
+        }
+        for name, value in terms
+    ]
 
 
 def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
@@ -568,35 +567,22 @@ def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
 
     Evaluates the real-part, imaginary-part and Hessian identities with
     the multipliers of the canonical triple and, when Re lambda > 0, the
-    summed key identity as well.  Each identity
+    summed key identity as well, all on one settled probe.  Each identity
     contributes a lhs and a rhs row carrying (identity_id, term_name,
     value_re, value_im, residual); the relative residual is shared within
-    an identity.  Both sides of every identity are real by construction,
-    so value_im is always 0.
+    an identity.
     """
     lam = complex(lam)
     triple = MultiplierTriple.canonical_triple()
-    todo: list[tuple[str, Optional[MultiplierProfile]]] = [
-        ("id1", triple.g1),
-        ("id2", triple.g2),
-        ("id3", triple.g3),
-    ]
+    pairs = [("id1", triple.g1), ("id2", triple.g2), ("id3", triple.g3)]
     if lam.real > 0:
-        todo.append(("id4", None))
+        pairs.append(("id4", None))
     rows: list[dict] = []
-    for kind, g in todo:
-        lhs, rhs, norm_sq = _identity_terms(kind, u, lam, g, _DEFAULT_N, "gauss")
-        res = _relative_residual(lhs, rhs, norm_sq)
-        for term, value in (("lhs", lhs), ("rhs", rhs)):
-            rows.append(
-                {
-                    "identity_id": _IDENTITY_LABELS[kind],
-                    "term_name": term,
-                    "value_re": float(value),
-                    "value_im": 0.0,
-                    "residual": res,
-                }
-            )
+    for (kind, _), (lhs, rhs, norm_sq) in zip(
+        pairs, _identity_terms(pairs, u, lam, _DEFAULT_N, "gauss")
+    ):
+        residual = _relative_residual(lhs, rhs, norm_sq)
+        rows += _term_rows(_IDENTITIES[kind][0], (("lhs", lhs), ("rhs", rhs)), residual)
     return rows
 
 
@@ -612,11 +598,10 @@ def residual_refinement_order(
     Returns -slope of log residual vs log n; the midpoint rule makes the
     expected order 2 visible (Gauss panels would be at roundoff throughout).
     """
-    if kind not in _IDENTITY_SIDES:
-        raise MultiplierError(f"unknown identity {kind!r}")
-    if kind != "id4" and g is None:
-        raise MultiplierError(f"{kind} needs a multiplier profile or field row")
-    res = [_identity_residual(kind, u, lam, g, n, "midpoint") for n in n_list]
+    res = [
+        _relative_residual(*_identity_terms([(kind, g)], u, lam, n, "midpoint")[0])
+        for n in n_list
+    ]
     if min(res) <= 0.0:
         raise MultiplierError("residual hit zero; refinement order undefined")
     return -fit_loglog_slope(np.asarray(n_list, dtype=float), np.asarray(res))
@@ -632,31 +617,26 @@ class HardyRatios:
     weighted_bound: float
 
 
-def hardy_check(psi, d: int = 3) -> HardyRatios:
+def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     """Hardy quotients int |u|^2/|x|^2 / int |grad u|^2 (bound 4/(d-2)^2)
     and int |u|^2/|x| / int |x| |grad u|^2 (bound 4/(d-1)^2).
 
-    ``psi`` is a TestFunction or a NearExtremalHardyProfile; both expose a
-    radial profile with first derivative.  The near-extremal family decays
-    like e^(-2 eps r), so the quadrature window scales with 1/eps.  The
-    quotients at 600 nodes must agree with those at 1200.
+    ``psi`` must be a NearExtremalHardyProfile, a radial profile with its
+    first derivative.  It decays like e^(-2 eps r), so the quadrature
+    window scales with 1/eps.  The quotients at 600 nodes must agree with
+    those at 1200.
     """
     if d < 3:
         raise MultiplierError("Hardy quotients need d >= 3")
-    if isinstance(psi, NearExtremalHardyProfile):
-        nodes_of = lambda m: _hardy_log_nodes(psi.eps, m)
-    elif isinstance(psi, TestFunction):
-        # probe densities are smooth on [0, R]; plain panels suffice
-        nodes_of = lambda m: _radial_nodes(psi.support_radius, m, "gauss")
-    else:
-        raise MultiplierError("psi must be a TestFunction or NearExtremalHardyProfile")
+    if not isinstance(psi, NearExtremalHardyProfile):
+        raise MultiplierError("psi must be a NearExtremalHardyProfile")
 
     def ratios(n_nodes: int) -> tuple[float, float]:
-        r, w = nodes_of(n_nodes)
-        q, dq = psi.profile(r)[:2]
+        r, w = _hardy_log_nodes(psi.eps, n_nodes)
+        q, dq = psi.profile(r)
         meas = w * r ** (d - 1)
         qq = np.abs(q) ** 2
-        grad = np.abs(dq) ** 2 + psi.ell * (psi.ell + 1) * qq / r**2
+        grad = np.abs(dq) ** 2
         num1 = float(np.dot(meas, qq / r**2))
         den1 = float(np.dot(meas, grad))
         num2 = float(np.dot(meas, qq / r))
@@ -704,23 +684,13 @@ class RadiTerms:
     lower_bound_checked: Optional[bool]
 
     def rows(self) -> list[dict]:
-        out = []
-        for name, val in (
+        terms = (
             ("I", self.i_total),
             ("I1", self.i1),
             ("I2", self.i2),
             ("I3_defect", self.i3_defect),
-        ):
-            out.append(
-                {
-                    "identity_id": "radial-key",
-                    "term_name": name,
-                    "value_re": float(val),
-                    "value_im": 0.0,
-                    "residual": float(self.residual),
-                }
-            )
-        return out
+        )
+        return _term_rows("radial-key", terms, self.residual)
 
 
 def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> RadiTerms:
@@ -849,5 +819,5 @@ def magnetic_identity_smoke(
     live = bt_norm > 1e-12 * (1.0 + b_sup)
     tang = float(np.max(diff[live] / den[live], initial=0.0))
 
-    residual = _identity_residual("magnetic", u, lam, a_field, _DEFAULT_N, "gauss")
+    residual = identity_residual("magnetic", u, lam, a_field)
     return MagneticSmokeReport(b_sup, b_dot_x, tang, residual)

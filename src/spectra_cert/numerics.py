@@ -24,6 +24,7 @@ scalar functions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -394,8 +395,15 @@ def band_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
-    """|T|_F of the tridiagonal with diagonal d and e on both off-diagonals."""
-    return float(np.sqrt(np.sum(np.abs(d) ** 2) + 2.0 * np.sum(np.abs(e) ** 2)))
+    """|T|_F of the tridiagonal with diagonal d and e on both off-diagonals.
+
+    BLAS nrm2 rescales as it sums, so the norm is finite whenever it fits a
+    float, where a plain sum of squares overflows once n |d|^2 does.
+    """
+    from scipy.linalg.blas import dznrm2
+
+    off = dznrm2(e)
+    return math.hypot(dznrm2(d), off, off)
 
 
 def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:

@@ -142,9 +142,14 @@ class Potential:
         return complex_sign(self.radial_profile(r))
 
 
-# a rule is (key, range, default): range "> 0", ">= 0" or None for any
-# finite value; a default of None makes the parameter required
-_IN_RANGE = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, None: lambda v: True}
+# a rule is (key, range, default): range "> 0", ">= 0", "finite when squared"
+# or None for any finite value; a default of None makes the parameter required
+_IN_RANGE = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "finite when squared": lambda v: float(v) * float(v) < math.inf,
+    None: lambda v: True,
+}
 
 
 class _Row(NamedTuple):
@@ -335,7 +340,7 @@ _MAGNETIC = {
         "A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero",
     ),
     "uniform_z": _Row(
-        (("b", None, 1.0),), lambda v: (v["b"] / 2, 0.0),
+        (("b", "finite when squared", 1.0),), lambda v: (v["b"] / 2, 0.0),
         "uniform_z(b)", "uniform field of strength b along the third axis",
     ),
     "zero": _Row((), lambda v: (0.0, 0.0), "zero", "A = 0"),

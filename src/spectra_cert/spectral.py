@@ -41,6 +41,7 @@ import numpy as np
 from .numerics import (
     EigenvalueError,
     NumericsError,
+    _tridiagonal_frobenius,
     band_smallest_singular_value,
     eig_complex,
     fit_loglog_slope,
@@ -331,9 +332,10 @@ def pseudospectrum(
     sig = np.array([[sigma_min(op.diag - (zr + 1j * zi), off) for zr in res] for zi in ims])
     if banded:
         i, j = np.unravel_index(np.argmin(sig), sig.shape)
-        shifted = op.matrix - (res[j] + 1j * ims[i]) * np.eye(op.n)
-        dense = smallest_singular_value(shifted)
-        tol = 1e-10 * dense + op.n * np.finfo(float).eps * np.linalg.norm(shifted)
+        z = res[j] + 1j * ims[i]
+        dense = smallest_singular_value(op.matrix - z * np.eye(op.n))
+        fro = _tridiagonal_frobenius(op.diag - z, off)
+        tol = 1e-10 * dense + op.n * np.finfo(float).eps * fro
         if abs(sig[i, j] - dense) > tol:
             raise NumericsError(
                 f"band sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j "

@@ -32,10 +32,7 @@ from spectra_cert.multipliers import (
     MultiplierTriple,
     NearExtremalHardyProfile,
     hardy_check,
-    identity_residual_1,
-    identity_residual_2,
-    identity_residual_3,
-    key_identity_residual,
+    identity_residual,
     multiplier_catalog,
     residual_refinement_order,
 )
@@ -158,20 +155,20 @@ class Test05MultiplierIdentities:
                 # all three spectral points have positive real part, so the
                 # gauge-shifted identity is admissible alongside the rest
                 residuals += [
-                    identity_residual_1(chirped, lam, g_abs),
-                    identity_residual_2(chirped, lam, g_abs),
-                    identity_residual_3(chirped, lam, g_sq),
-                    key_identity_residual(chirped, lam),
+                    identity_residual("id1", chirped, lam, g_abs),
+                    identity_residual("id2", chirped, lam, g_abs),
+                    identity_residual("id3", chirped, lam, g_sq),
+                    identity_residual("id4", chirped, lam),
                 ]
             residuals += [
-                identity_residual_1(bump, 1.0 + 1.0j, triple.g1),
-                identity_residual_2(bump, 1.0 + 1.0j, triple.g2),
-                identity_residual_3(bump, 1.0 + 1.0j, triple.g3),
-                identity_residual_1(ell1, 1.0, g_const),
-                identity_residual_2(ell1, 1.0, g_sq),
-                identity_residual_3(ell1, 1.0, g_win),
-                key_identity_residual(ell1, 0.5 + 2.0j),
-                identity_residual_1(bump, 1.0, g_win),
+                identity_residual("id1", bump, 1.0 + 1.0j, triple.g1),
+                identity_residual("id2", bump, 1.0 + 1.0j, triple.g2),
+                identity_residual("id3", bump, 1.0 + 1.0j, triple.g3),
+                identity_residual("id1", ell1, 1.0, g_const),
+                identity_residual("id2", ell1, 1.0, g_sq),
+                identity_residual("id3", ell1, 1.0, g_win),
+                identity_residual("id4", ell1, 0.5 + 2.0j),
+                identity_residual("id1", bump, 1.0, g_win),
             ]
             assert len(residuals) == 20
             assert max(residuals) <= 1e-6

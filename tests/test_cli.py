@@ -710,6 +710,14 @@ class TestMainExitCodes:
             ),
             ("bs_norm_hardy", "grid_n", "7000"),
             *(
+                pytest.param(stem, "grid_n", str(10**15), id=f"{stem}-grid_n-1e15")
+                for stem in (
+                    "spectrum_square_well",
+                    "pseudospectrum_imaginary_hardy",
+                    "hs_identity_gaussian",
+                )
+            ),
+            *(
                 pytest.param(stem, "dimension", str(10**200), id=f"{stem}-dimension-1e200")
                 for stem in ("check_conditions_hardy", "check_conditions_gaussian")
             ),
@@ -722,7 +730,8 @@ class TestMainExitCodes:
         self, tmp_path, capsys, command, stem, key, value
     ):
         # a sector operator past double range, Bessel factors past the
-        # l <= 128 cap at z != 0, a grid numpy cannot allocate, geometric
+        # l <= 128 cap at z != 0, a grid numpy cannot allocate or no address
+        # space can hold (10^15 nodes: 7 PiB per int64 array), geometric
         # panels that underflow to r = 0, a Hardy constant ((d-2)/2)^2 or
         # an n^2 past the float range: refused before anything is computed
         code = main(
@@ -740,6 +749,53 @@ class TestMainExitCodes:
         assert f"config error: {key} " in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "stem, stage, overrides",
+        [
+            ("bs_norm_hardy", "birman_schwinger.assemble_bs z=0", ["z_list=[0]"]),
+            ("hs_identity_gaussian", "birman_schwinger.hs_norm", []),
+        ],
+    )
+    def test_sectors_that_no_memory_holds_are_1(self, tmp_path, capsys, stem, stage, overrides):
+        # ell_max = 10^15 validates, then the sector arrays (7 PiB or more)
+        # fail to allocate at once: one stderr line naming the stage
+        args = [f"output.path={tmp_path / stem}", f"ell_max={10**15}", *overrides]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"numerical check failed: {stage}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("b", ["1e155", "1e300"])
+    def test_uniform_field_whose_square_overflows_is_2(self, tmp_path, capsys, command, b):
+        # the identity takes (b/2)^2 off both sides; b^2 must be a float
+        stem = "magnetic_smoke_uniform"
+        args = [f"output.path={tmp_path / stem}", f"potential.params.b={b}"]
+        code = main([command, *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "parameter b must be finite when squared" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_strongest_uniform_field_runs_clean(self, tmp_path, capsys):
+        stem = "magnetic_smoke_uniform"
+        args = [f"output.path={tmp_path / stem}", "potential.params.b=1e154"]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / f"{stem}.json").read_text()) == {
+            "b_tau_dot_x_sup": 9.923771382382684e137,
+            "b_tau_sup": 9.999999741807682e153,
+            "field": "uniform_z",
+            "identity_residual": 0.0,
+            "lambda": [1.0, 0.5],
+            "tangential_residual": 1.7378526265024817e-16,
+        }
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("overrides", [["grid_n=3130"], ["grid_n=6000", "ell_max=1"]])

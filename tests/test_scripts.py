@@ -20,7 +20,8 @@ ROOT = Path(__file__).parents[1]
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+    # a stray RuntimeWarning fails the run, as it does in-process
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -274,6 +274,15 @@ class TestPseudospectrum:
             dist = np.min(np.abs(vals - z))
             assert row["sigma_min"] <= dist * (1 + 1e-5) + 1e-12
 
+    def test_far_window_keeps_its_distance(self):
+        # at |z| ~ 1e154, n |z|^2 overflows: the working-precision threshold
+        # n eps |M - z|_F must stay finite, or every point reads 0.0; the
+        # spectrum of the free operator is O(1), so the distance is |z|
+        op = discretize_radial(None, 0, 40.0, 16)
+        field = pseudospectrum(op, (1e154, 2e154), (1.0, 2.0))
+        z = field.re_values[None, :] + 1j * field.im_values[:, None]
+        np.testing.assert_allclose(field.sigma_min, np.abs(z), rtol=1e-12, atol=0.0)
+
     def test_grid_shape_and_csv(self):
         op = discretize_radial(None, 0, 8.0, 16)
         field = pseudospectrum(op, (-1.0, 1.0), (-1.0, 2.0))
