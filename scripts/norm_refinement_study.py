@@ -46,15 +46,15 @@ def main() -> int:
               f"off by {abs(limit - args.a) / args.a:.2e})")
 
     grid = default_bs_grid(256)
-    base = assemble_bs(pot, 0.0, grid, ell_max=args.ell_max).norm
-    print(f"\nz scan at n = 256, ell <= {args.ell_max}; base ||K_0|| = {base:.6f}")
+    base = assemble_bs(pot, 0.0, grid, ell_max=args.ell_max)
+    print(f"\nz scan at n = 256, ell <= {args.ell_max}; base ||K_0|| = {base.norm:.6f}")
     print(f"{'z':>12} {'||K_z||':>12} {'dominated':>10}")
     ok = True
     for z in Z_POINTS:
-        norm_z = assemble_bs(pot, z, grid, ell_max=args.ell_max).norm
-        dominated = norm_z <= base * 1.02
+        bs = assemble_bs(pot, z, grid, ell_max=args.ell_max)
+        dominated = bs.dominated_by(base)
         ok = ok and dominated
-        print(f"{str(z):>12} {norm_z:12.8f} {str(dominated):>10}")
+        print(f"{str(z):>12} {bs.norm:12.8f} {str(dominated):>10}")
     return 0 if ok else 1
 
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,6 +74,7 @@ from .conditions import _ball_panels, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
+    _scale_exponent,
     fit_loglog_slope,
     largest_singular_value,
     operator_largest_singular_value,
@@ -119,6 +120,8 @@ _HS_GRID_R_MIN = 0.02
 _MEPS_GRID_N = 60
 _MEPS_ELL_MAX = 24
 _SLOPE_TOL = 0.05
+# |K_z| <= (1 + slack) |K_0|: the discretization slack of resolvent domination
+_BS_NORM_SLACK = 0.02
 
 
 class BSError(ValueError):
@@ -348,8 +351,17 @@ class BSMatrix:
         return max(self.per_ell_norms)
 
     def hs_estimate(self) -> float:
-        """Multiplicity-weighted HS norm of the truncated family plus tail."""
-        return _completed_hs_norm([fro**2 for fro in self.per_ell_frobenius])
+        """Multiplicity-weighted HS norm of the truncated family plus tail,
+        summed on the Frobenius norms divided by a power of two 2^j near the
+        largest one, so that no square leaves the float range."""
+        j = _scale_exponent(max(self.per_ell_frobenius))
+        fro_sq = [math.ldexp(fro, -j) ** 2 for fro in self.per_ell_frobenius]
+        return math.ldexp(_completed_hs_norm(fro_sq), j)
+
+    def dominated_by(self, base: BSMatrix) -> bool:
+        """Resolvent domination |K_z| <= |K_0| up to the 2 % discretization
+        slack, with ``base`` the family at z = 0."""
+        return self.norm <= base.norm * (1.0 + _BS_NORM_SLACK)
 
     def summary(self) -> dict:
         return {
@@ -365,6 +377,18 @@ class BSMatrix:
 def _check_radial_3d(potential: Potential) -> None:
     if potential.dimension != 3:
         raise BSError("partial-wave assembly is three-dimensional")
+
+
+def _unit_row(potential: Potential) -> tuple[Potential, int]:
+    """The row with amp divided by 2^j, and j (numerics._scale_exponent).
+
+    K_z is linear in V, so every sector norm and Frobenius norm of the row
+    is 2^j times that of the unit row, whose running sums and kernels stay
+    in the float range.  A row with 2^-256 <= |amp| <= 2^256 comes back as
+    it is, j = 0.
+    """
+    j = _scale_exponent(abs(potential.amp))
+    return (replace(potential, amp=potential.amp * 2.0**-j) if j else potential), j
 
 
 def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
@@ -650,10 +674,13 @@ def assemble_bs(
     |M_l|_F^2 off the running sum by more than 1e-10 relative, or its dense
     SVD off the value by more than 1e-10 relative plus n eps |M_l|_F, raises
     :class:`NumericsError`.  Every other sector is checked only against its
-    Ritz residual and the floor |M_l|_F / sqrt(n).
+    Ritz residual and the floor |M_l|_F / sqrt(n).  All of it, the dense
+    check included, runs on the row with amp divided by a power of two 2^j
+    (_unit_row), and the norms are scaled back by 2^j.
     """
     z = complex(z)
     _check_sector_args(potential, z, ell_max)
+    potential, j = _unit_row(potential)
     family = _sector_family(potential, z, grid, ell_max)
     if family.r.size == 0:
         norms = [0.0] * (ell_max + 1)
@@ -665,8 +692,8 @@ def assemble_bs(
     tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
         z=z,
-        per_ell_norms=tuple(norms),
-        per_ell_frobenius=tuple(np.sqrt(family.fro_sq).tolist()),
+        per_ell_norms=tuple(math.ldexp(norm, j) for norm in norms),
+        per_ell_frobenius=tuple(math.ldexp(fro, j) for fro in np.sqrt(family.fro_sq).tolist()),
         tail_warning=tail_warning,
     )
 
@@ -730,7 +757,10 @@ def hs_norm(
     come from running sums over the rank-one triangles of g_l^0 (see
     _node_masses): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
-    Rollnik norm computed by the condition checkers.  A divergent Rollnik
+    Rollnik norm computed by the condition checkers.  Route (i) runs on the
+    row with amp divided by a power of two 2^j (_unit_row) and scales back
+    by 2^j, as the Rollnik norm rescales its own row, so neither route
+    leaves the float range while the norm fits in it.  A divergent Rollnik
     norm (+inf, Hardy-type potentials) makes both routes +inf.
     """
     _check_radial_3d(potential)
@@ -741,8 +771,9 @@ def hs_norm(
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
-    alpha = potential.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-    direct = _completed_hs_norm(_node_masses(grid.nodes, ell_max, alpha)[3])
+    unit, j = _unit_row(potential)
+    alpha = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
+    direct = math.ldexp(_completed_hs_norm(_node_masses(grid.nodes, ell_max, alpha)[3]), j)
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0

@@ -86,6 +86,7 @@ from typing import Callable, Optional, Sequence
 from . import __version__
 from .birman_schwinger import (
     _BESSEL_ELL_MAX,
+    _BS_NORM_SLACK,
     _HS_GRID_R_MIN,
     BSError,
     assemble_bs,
@@ -137,7 +138,6 @@ _COMMON_KEYS = frozenset({"experiment", "dimension", "output"})
 _PROBE_SUPPORT = 2.5
 _PROBE_CHIRP = 0.4
 _SEQUENCE_SUPPORT = 1.0
-_BS_NORM_SLACK = 0.02
 # numpy refuses arrays past sys.maxsize bytes: grid_n complex nodes must fit
 _MAX_GRID_N = sys.maxsize // 16
 # the radial grid of each Birman-Schwinger experiment, from (grid_n, r_max)
@@ -516,7 +516,7 @@ def _run_bs_norm(config, pot, stages):
             f"birman_schwinger.assemble_bs z={z.real:g}{z.imag:+g}j",
             lambda z=z: assemble_bs(pot, z, grid, ell_max=ell_max),
         )
-        if bs.norm > base.norm * (1.0 + _BS_NORM_SLACK) + 1e-15:
+        if not bs.dominated_by(base):
             raise RunFailure(
                 f"birman_schwinger.assemble_bs z={z}: norm {bs.norm:.6g} exceeds"
                 f" the z=0 norm {base.norm:.6g} beyond the"

@@ -6,10 +6,11 @@ provides Gauss-Legendre rules, plain and composite over panels, and the
 :class:`RadialGrid` container for radial rules on (0, r_max].  The linear
 algebra side wraps the dense complex
 eigendecomposition (its callers check the residuals) and reads either
-extremal singular value off one dense LAPACK SVD.  An operator known only
-by its products with M and M^H gets sigma_max from ARPACK on M^H M, stopped
-at a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair
-and returned with its Ritz vector, which can start the next operator of a
+extremal singular value off one dense LAPACK SVD.  Every iterative one
+goes through one ARPACK driver: an operator known only by its products with
+M and M^H gets sigma_max from ARPACK on M^H M at any scale of M, stopped at
+a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair and
+returned with its Ritz vector, which can start the next operator of a
 family.  A real symmetric positive definite
 tridiagonal T gets |T^-1| = 1 / lambda_min(T) from one LAPACK dpttrf
 factorization and one bisection for sigma_min of the bidiagonal factor, with
@@ -17,9 +18,9 @@ no n x n matrix and to high relative accuracy.  A complex-symmetric
 tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
 of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
 eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
-large n, one LAPACK zgttrf factorization with ARPACK on (T^H T)^-1 in O(n)
-work per product.  Root finding is plain bisection for strictly increasing
-scalar functions.
+large n, 1 / sigma_max(T^-1) from the ARPACK driver on the O(n) solves of
+one LAPACK zgttrf factorization.  Root finding is plain bisection for
+strictly increasing scalar functions.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Arnoldi basis size and start-vector seed of the ARPACK sigma_min and sigma_max
+# Arnoldi basis size and start-vector seed of the ARPACK driver
 _ARPACK_NCV = 8
 _ARPACK_START_SEED = 0
 
@@ -209,29 +210,6 @@ def largest_singular_value(m: np.ndarray) -> float:
     return float(svdvals(a, check_finite=False)[0])
 
 
-def _arpack_largest(
-    apply: Callable, n: int, what: str, tol: float, start=None, return_eigenvectors=True
-):
-    """scipy's eigs for the largest-modulus eigenpair (k = 1) of the n x n
-    complex operator ``apply``: ARPACK's Arnoldi driver znaupd, which eigsh
-    would forward a complex operator to, with ncv = min(n, _ARPACK_NCV), from
-    ``start`` or a fixed seeded vector.  An ArpackError, non-convergence
-    included, raises :class:`NumericsError` naming ``what``.
-    """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
-
-    if start is None:
-        start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
-    op = LinearOperator((n, n), matvec=apply, dtype=np.complex128)
-    try:
-        return eigs(
-            op, k=1, which="LM", tol=tol, v0=start, ncv=min(n, _ARPACK_NCV),
-            return_eigenvectors=return_eigenvectors,
-        )
-    except ArpackError as exc:
-        raise NumericsError(f"ARPACK {what}: {exc}") from exc
-
-
 def operator_largest_singular_value(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
@@ -240,36 +218,54 @@ def operator_largest_singular_value(
 ) -> tuple[float, np.ndarray]:
     """Largest singular value of an n x n complex operator M given by its
     products x -> M x (``matvec``) and y -> M^H y (``rmatvec``), with its
-    right singular vector.
+    right singular vector.  This is the package's one ARPACK driver.
 
-    ARPACK finds the largest eigenvalue theta of the Hermitian M^H M, one
-    matvec and one rmatvec per product, from ``start`` or, without one, from
-    a fixed seeded vector, so the value depends on M and the start alone.
-    The result is (sqrt(theta), v) with v the unit Ritz vector; a caller with
-    a family of similar operators passes each one's v as the next start.
-    tol=1e-12 stops ARPACK once the Ritz estimate is below 1e-12 theta, a
-    hundred times inside the residual check below; by Kato-Temple the error
-    of theta is then at most residual^2 / gap.  The Ritz value approaches
-    theta from below, so the result approaches sigma_max from below: an
-    estimate, not a certified upper bound.  For n <= 2, where ARPACK's
-    complex solver needs k < n - 1, theta is read off the Gram matrix built
-    from n products.
+    ARPACK (scipy's eigs, k = 1, ncv = min(n, _ARPACK_NCV)) finds the
+    largest eigenvalue theta of the Hermitian M^H M, one matvec and one
+    rmatvec per product, from ``start`` or, without one, from a fixed seeded
+    vector, so the value depends on M and the start alone.  theta squares
+    the scale of M, so the first product reads 2^j ~ max|M x| / max|x| and
+    every product runs on 2^-j M, an exact rescaling (j = 0 while
+    |j| <= 256, where every bit is kept); the result is (2^j sqrt(theta), v)
+    with v the unit Ritz vector, which a caller with a family of similar
+    operators passes as the next start.  tol=1e-12 stops ARPACK once the
+    Ritz estimate is below 1e-12 theta, a hundred times inside the residual
+    check below; by Kato-Temple the error of theta is then at most
+    residual^2 / gap.  The Ritz value approaches theta from below, so the
+    result approaches sigma_max from below: an estimate, not a certified
+    upper bound.  For n <= 2, where ARPACK's complex solver needs
+    k < n - 1, theta is read off the Gram matrix built from n products.
 
     The empty operator yields (0.0, empty v).  Raises
     :class:`NumericsError` when ARPACK fails or when the Ritz pair misses
     |M^H M v - theta v| <= 1e-10 theta |v|.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+
+    j = None  # the scale exponent, read off the first product
 
     def gram(x: np.ndarray) -> np.ndarray:
-        return rmatvec(matvec(x))
+        nonlocal j
+        y = matvec(x)
+        if j is None:
+            # max moduli, not 2-norms: a sum of squares over- and underflows too
+            j = _scale_exponent(np.abs(y).max() / np.abs(x).max())
+        scale = 2.0**-j
+        return rmatvec(y * scale) * scale if j else rmatvec(y)
 
     if n == 0:
         return 0.0, np.zeros(0, dtype=np.complex128)
     if n <= 2:
         columns = np.column_stack([gram(e) for e in np.eye(n, dtype=np.complex128)])
         thetas, vectors = np.linalg.eigh(columns)
-        return float(np.sqrt(max(thetas[-1], 0.0))), vectors[:, -1]
-    thetas, vectors = _arpack_largest(gram, n, "sigma_max", 1e-12, start)
+        return math.ldexp(math.sqrt(max(thetas[-1], 0.0)), j), vectors[:, -1]
+    if start is None:
+        start = np.random.default_rng(_ARPACK_START_SEED).standard_normal(n)
+    op = LinearOperator((n, n), matvec=gram, dtype=np.complex128)
+    try:
+        thetas, vectors = eigs(op, k=1, which="LM", tol=1e-12, v0=start, ncv=min(n, _ARPACK_NCV))
+    except ArpackError as exc:
+        raise NumericsError(f"ARPACK sigma_max: {exc}") from exc
     theta, v = float(thetas[0].real), vectors[:, 0]
     residual = float(np.linalg.norm(gram(v) - theta * v))
     if not residual <= 1e-10 * theta * np.linalg.norm(v):
@@ -277,7 +273,15 @@ def operator_largest_singular_value(
             f"ARPACK sigma_max: Ritz residual {residual:.3e} exceeds 1e-10 theta |v|"
             f" at theta = {theta:.6e}"
         )
-    return float(np.sqrt(theta)), v
+    return math.ldexp(math.sqrt(theta), j), v
+
+
+def _scale_exponent(x: float) -> int:
+    """j with 2^(j-1) <= x < 2^j (within +-1000), or 0 for x in [2^-256, 2^256],
+    zero or not finite: division by 2^j is exact and spares ordinary values."""
+    if not 0.0 < x < math.inf or 2.0**-256 <= x <= 2.0**256:
+        return 0
+    return min(max(math.frexp(x)[1], -1000), 1000)
 
 
 def smallest_singular_value(m: np.ndarray) -> float:
@@ -407,21 +411,19 @@ def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
-    """Smallest singular value of a complex tridiagonal matrix by ARPACK.
+    """Smallest singular value of a complex tridiagonal matrix, 1 / sigma_max(T^-1).
 
     T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
-    T is factored once by LAPACK zgttrf; ARPACK then finds the largest
-    eigenvalue mu of (T^H T)^-1, two zgttrs solves per product, and the
-    result is 1 / sqrt(mu).  The start vector is a fixed seeded draw, so the
-    value depends on T alone.  tol=0 asks ARPACK for machine precision: no
-    residual check follows here, unlike operator_largest_singular_value, so
-    nothing would catch a looser stop.  The Ritz value approaches mu from
-    below, so the result approaches sigma_min from above: a field estimate,
-    not a certified lower bound.
+    T is factored once by LAPACK zgttrf, and operator_largest_singular_value,
+    from its fixed seeded start, gives sigma_max(T^-1) with the O(n) zgttrs
+    solves T^-1 x and T^-H y against that factor as its products.  Its value
+    approaches sigma_max(T^-1) from below, so the result approaches sigma_min
+    from above: a field estimate, not a certified lower bound.
 
     A shift that is exactly singular (a zero pivot) or singular to working
     precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises
-    :class:`NumericsError` when ARPACK does not converge.
+    :class:`NumericsError` when ARPACK fails or its Ritz pair misses the
+    driver's residual check.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -434,16 +436,13 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     if info > 0:
         return 0.0
 
-    def inverse_gram(b: np.ndarray) -> np.ndarray:
-        y, _ = zgttrs(dl, dd, du, du2, ipiv, b, trans="C")
-        x, _ = zgttrs(dl, dd, du, du2, ipiv, y)
-        return x
+    def solve(trans: str) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda b: zgttrs(dl, dd, du, du2, ipiv, b, trans=trans)[0]
 
-    mu = _arpack_largest(inverse_gram, n, "sigma_min", 0, return_eigenvectors=False)[0].real
-    sigma = 1.0 / np.sqrt(mu)
+    sigma = 1.0 / operator_largest_singular_value(solve("N"), solve("C"), n)[0]
     if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
         return 0.0
-    return float(sigma)
+    return sigma
 
 
 def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

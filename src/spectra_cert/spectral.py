@@ -23,9 +23,11 @@ symmetric tridiagonal matrix and goes to LAPACK's tridiagonal eigensolver
 LAPACK has no complex-symmetric tridiagonal eigensolver.  Pseudospectra take
 sigma_min(M - z) below n = 240 from one LAPACK band eigenvalue of the real
 pentadiagonal embedding of M - z, accurate to about eps |M| from either side,
-and from n = 240 up, where the O(n^2) band reduction loses, from a
-tridiagonal LU with ARPACK on (T^H T)^-1, whose value approaches sigma_min
-from above.
+and from n = 240 up, where the O(n^2) band reduction loses, as
+1 / sigma_max((M - z)^-1) from the package's one ARPACK driver on the solves
+of a tridiagonal LU, with the driver's stop, Ritz residual check and
+power-of-two rescaling, so no |z| that fits in a float leaves its range; that
+value approaches sigma_min from above.
 """
 
 from __future__ import annotations
@@ -73,9 +75,12 @@ _EIG_RESIDUAL_TOL = 1e-10
 # points per axis of the pseudospectrum grid
 _PSEUDO_GRID_N = 40
 # from this size up, pseudospectra take sigma_min from the tridiagonal LU and
-# ARPACK (O(n) per product); below it the band eigenvalue (O(n^2) reduction)
-# is faster.  Measured on a 2-vCPU Xeon with one BLAS thread, band vs ARPACK:
-# 1.21 vs 1.26 ms per point at n = 224, 1.49 vs 1.33 ms at n = 256.
+# the ARPACK driver (O(n) per product); below it the band eigenvalue (O(n^2)
+# reduction) is faster.  Measured on a 2-vCPU Xeon with one BLAS thread, 160
+# points of the imaginary-Hardy window, band vs ARPACK per point in three runs:
+# 0.87-0.91 vs 0.92-1.07 ms at n = 192, 1.06-1.16 vs 0.95-1.21 ms at 224,
+# 1.21-1.27 vs 0.93-1.14 ms at 240, 1.44-1.45 vs 1.05-1.17 ms at 256; the
+# crossing moves between runs within 192-240.
 _ARPACK_MIN_N = 240
 
 
@@ -319,8 +324,10 @@ def pseudospectrum(
     against a dense SVD of M - z (under 1 % of the map's time); a
     disagreement beyond 1e-10 relative plus n eps |M - z|_F raises
     :class:`NumericsError`.  From n = 240 up each point is
-    ``tridiagonal_smallest_singular_value``, whose ARPACK value approaches
-    sigma_min from above.  The map is a field estimate, not a pass verdict.
+    ``tridiagonal_smallest_singular_value``, one call of the ARPACK driver
+    on the solves of one LU of M - z, scale-free and checked by its Ritz
+    residual; its value approaches sigma_min from above.  The map is a field
+    estimate, not a pass verdict.
     """
     if re_range[0] >= re_range[1] or im_range[0] >= im_range[1]:
         raise SpectralError("pseudospectrum ranges must be increasing intervals")

@@ -732,6 +732,44 @@ class TestHSNorm:
         assert total == pytest.approx(want, rel=1e-12)
 
 
+class TestScaledRows:
+    """K_z is linear in V: a row scaled by s gives s times every norm, also
+    where the squared norms leave the float range."""
+
+    SCALES = (1e-300, 1e300)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_hs_norm_scales(self, scale):
+        grid = log_uniform_grid(0.02, 16.0, 200)
+        unit = hs_norm(gaussian(), grid, ell_max=4)
+        got = hs_norm(gaussian(scale), grid, ell_max=4)
+        assert abs(got.matrix_route - scale * unit.matrix_route) <= 1e-12 * got.matrix_route
+        assert abs(got.rel_gap - unit.rel_gap) <= 1e-12
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("z", [0.0, -1.0, 1j])
+    @pytest.mark.parametrize("potential", [gaussian, hardy], ids=["gaussian", "hardy"])
+    def test_assemble_bs_scales(self, potential, z, scale):
+        grid = default_bs_grid(40)
+        unit = assemble_bs(potential(1.0), z, grid, ell_max=2)
+        got = assemble_bs(potential(scale), z, grid, ell_max=2)
+        want = scale * np.array(
+            [*unit.per_ell_norms, *unit.per_ell_frobenius, unit.hs_estimate()]
+        )
+        have = np.array([*got.per_ell_norms, *got.per_ell_frobenius, got.hs_estimate()])
+        np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
+        assert got.tail_warning == unit.tail_warning
+
+    def test_domination_keeps_the_slack_at_every_scale(self):
+        def family(norm):
+            return bs.BSMatrix(0j, (norm,), (norm,), False)
+
+        for scale in (1e-300, 1.0, 1e300):
+            base = family(scale)
+            assert family(1.02 * scale).dominated_by(base)
+            assert not family(1.0201 * scale).dominated_by(base)
+
+
 class TestPrincipleMatrixCheck:
     def test_two_by_two_by_hand(self):
         # H0 = [[0,1],[1,0]], V = -3 I: eigenpairs of H0 + V are

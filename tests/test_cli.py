@@ -595,7 +595,7 @@ class TestMainExitCodes:
 
     def test_bs_norm_exceeding_base_is_1(self, tmp_path, capsys, monkeypatch):
         # a negative slack makes any nonzero norm exceed the z = 0 norm
-        monkeypatch.setattr("spectra_cert.cli._BS_NORM_SLACK", -0.9)
+        monkeypatch.setattr("spectra_cert.birman_schwinger._BS_NORM_SLACK", -0.9)
         path = self.write(
             tmp_path,
             make("bs-norm", grid_n=120, ell_max=1, output={"path": str(tmp_path / "x")}),

@@ -326,7 +326,20 @@ class TestOperatorLargestSingularValue:
         with pytest.raises(nx.NumericsError, match="ARPACK sigma_max"):
             nx.operator_largest_singular_value(*products(np.eye(5)), 5)
 
-    def test_wrong_ritz_value_fails_the_residual_check(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("n", [2, 60])
+    def test_scale_past_the_squared_range(self, scale, n):
+        # sigma^2 leaves the float range past about 1e154 and below 1e-154;
+        # the driver runs on M / 2^j, which leaves the value and v as they are
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want, v_want = nx.operator_largest_singular_value(*products(m), n)
+        got, v = nx.operator_largest_singular_value(*products(scale * m), n)
+        assert abs(got - scale * want) <= 1e-12 * scale * want
+        assert abs(abs(np.vdot(v, v_want)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("route", ["sigma_max", "sigma_min"])
+    def test_wrong_ritz_value_fails_the_residual_check(self, monkeypatch, route):
         import scipy.sparse.linalg
 
         exact = scipy.sparse.linalg.eigs
@@ -336,9 +349,24 @@ class TestOperatorLargestSingularValue:
             return thetas * (1 + 1e-8), vectors
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", planted)
-        m = np.diag(np.arange(1.0, 6.0))
+        d = np.arange(1.0, 6.0)
         with pytest.raises(nx.NumericsError, match="Ritz residual"):
-            nx.operator_largest_singular_value(*products(m), 5)
+            if route == "sigma_max":
+                nx.operator_largest_singular_value(*products(np.diag(d)), 5)
+            else:
+                nx.tridiagonal_smallest_singular_value(d + 0.5j, np.full(4, 0.25))
+
+    def test_sigma_min_is_one_driver_call(self, monkeypatch):
+        calls = []
+        driver = nx.operator_largest_singular_value
+
+        def counted(*args):
+            calls.append(args[2])
+            return driver(*args)
+
+        monkeypatch.setattr(nx, "operator_largest_singular_value", counted)
+        nx.tridiagonal_smallest_singular_value(np.arange(1.0, 41.0) + 0.5j, np.full(39, 0.25))
+        assert calls == [40]
 
 
 class TestFindRootIncreasing:

@@ -14,6 +14,10 @@ dataclasses: some call in those sources must pass each one, or it is a
 constant in disguise and belongs in the module as one.
 
 The package's relative imports, lazy ones included, must form no cycle.
+
+Every iterative singular value goes through one ARPACK driver: scipy's
+``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are called from
+``numerics.operator_largest_singular_value`` and from no other function.
 """
 
 import ast
@@ -244,3 +248,32 @@ def test_package_imports_form_no_cycle():
         if module not in state:
             visit(module, [module])
     assert cycles == []
+
+
+ITERATIVE_SOLVERS = {"eigs", "eigsh", "svds", "lobpcg"}
+
+
+def iterative_solver_callers() -> dict[str, set[str]]:
+    """Solver name -> the package scopes that call it: ``module.function``
+    or ``module.Class.method`` with their nested functions, and
+    ``module.<module>`` for statements outside every def."""
+    callers: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            in_class = isinstance(stmt, ast.ClassDef)
+            for scope in stmt.body if in_class else [stmt]:
+                prefix = f"{path.stem}.{stmt.name}" if in_class else path.stem
+                owner = f"{prefix}.{getattr(scope, 'name', '<module>')}"
+                for node in ast.walk(scope):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called in ITERATIVE_SOLVERS:
+                        callers.setdefault(called, set()).add(owner)
+    return callers
+
+
+def test_one_arpack_driver():
+    callers = iterative_solver_callers()
+    assert callers == {"eigs": {"numerics.operator_largest_singular_value"}}

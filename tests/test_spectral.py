@@ -335,6 +335,16 @@ class TestArpackSigmaMin:
             for solver in self.SOLVERS:
                 assert solver(op.diag - lam, off) == 0.0, solver
 
+    @pytest.mark.parametrize("z", [1e154 + 1j, 1e200 + 1j, 1e300 + 1j])
+    def test_far_shift_keeps_its_distance(self, z):
+        # the free operator is normal with an O(1) spectrum, so sigma_min is
+        # |z| to about 1e-150 relative; theta = sigma_max(T^-1)^2 = |z|^-2
+        # underflows from |z| ~ 1e154 unless the ARPACK driver rescales T^-1
+        op = discretize_radial(None, 0, 40.0, 256)
+        off = np.full(255, -1.0 / op.h**2)
+        for solver in self.SOLVERS:
+            assert abs(solver(op.diag - z, off) - abs(z)) <= 1e-12 * abs(z), solver
+
     @staticmethod
     def pseudo_config(tmp_path, n):
         config = {
