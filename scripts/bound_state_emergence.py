@@ -22,8 +22,8 @@ import argparse
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
-from spectra_cert.numerics import find_root_increasing
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import discretize_radial, spectrum
 
@@ -32,8 +32,8 @@ def matching_ground_state(v0: float, r0: float = 1.0) -> float:
     """Ground-state energy from the log-derivative matching condition."""
     if v0 * r0**2 <= math.pi**2 / 4.0:
         raise ValueError("well too shallow to bind")
-    k = find_root_increasing(
-        lambda kk: -(kk / math.tan(kk * r0) + math.sqrt(v0 - kk * kk)),
+    k = brentq(
+        lambda kk: kk / math.tan(kk * r0) + math.sqrt(v0 - kk * kk),
         math.pi / (2 * r0) + 1e-9,
         min(math.pi / r0, math.sqrt(v0)) - 1e-9,
     )

@@ -5,8 +5,7 @@ The package is organised around small, independently testable pieces:
 
 ``numerics``
     quadrature grids, dense complex eigen and SVD, LAPACK tridiagonal
-    and band sigma routines, ARPACK sigma_min for large tridiagonals,
-    root finding.
+    and band sigma routines, ARPACK sigma_min for large tridiagonals.
 ``potentials``
     the catalogs as rows of closed-form families: radial potentials
     V(r) = amp r^-s exp(-mu r - gamma r^2) 1{r < r0} and magnetic

@@ -80,7 +80,6 @@ from .numerics import (
     operator_largest_singular_value,
     panel_gauss,
     smallest_singular_value,
-    solve_linear,
     spd_tridiagonal_inverse_norm,
 )
 from .potentials import Potential, complex_sign
@@ -790,8 +789,13 @@ def bs_principle_matrix_check(
 
     For an eigenpair (H0 + diag(v)) psi = lam psi with lam off the spectrum
     of H0, phi = |v|^(1/2) psi satisfies K_lam phi = -phi exactly, where
-    K_lam = |v|^(1/2) (H0 - lam)^(-1) v_(1/2) as matrices.
+    K_lam = |v|^(1/2) (H0 - lam)^(-1) v_(1/2) as matrices.  The resolvent
+    acts by one LAPACK solve; a lam within 1e-8 of the spectrum of H0 (by
+    sigma_min), a singular solve or a non-finite solution raises
+    :class:`BSError`.
     """
+    from scipy.linalg import LinAlgError, solve
+
     h0 = np.asarray(h0, dtype=np.complex128)
     v = np.asarray(v_diag, dtype=np.complex128).ravel()
     psi = np.asarray(psi, dtype=np.complex128).ravel()
@@ -809,7 +813,12 @@ def bs_principle_matrix_check(
     nphi = np.linalg.norm(phi)
     if nphi == 0.0:
         raise BSError("phi = |v|^(1/2) psi vanishes; potential support misses psi")
-    x = solve_linear(shifted, complex_sign(v) * half * phi)
+    try:
+        x = solve(shifted, complex_sign(v) * half * phi, check_finite=False)
+    except LinAlgError as exc:
+        raise BSError(f"resolvent solve at lam={lam}: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise BSError(f"resolvent solve at lam={lam}: non-finite solution")
     return float(np.linalg.norm(half * x + phi) / nphi)
 
 

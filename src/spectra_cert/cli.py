@@ -310,17 +310,17 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"{experiment} needs {key}")
 
-    dimension = _want_dimension(raw.get("dimension", 3))
+    dimension = _want_dimension(raw.get("dimension", ExperimentConfig.dimension))
     if dimension != 3 and experiment != "check-conditions":
         raise ConfigError(f"{experiment} requires dimension 3")
 
-    grid_n = _want_int(raw.get("grid_n", 256), "grid_n")
+    grid_n = _want_int(raw.get("grid_n", ExperimentConfig.grid_n), "grid_n")
     if not 8 <= grid_n <= _MAX_GRID_N:
         raise ConfigError(f"grid_n must be an integer in [8, {_MAX_GRID_N}]")
-    r_max = _want_number(raw.get("r_max", 40.0), "r_max")
+    r_max = _want_number(raw.get("r_max", ExperimentConfig.r_max), "r_max")
     if not r_max > 0:
         raise ConfigError("r_max must be positive")
-    ell_max = _want_int(raw.get("ell_max", 32), "ell_max")
+    ell_max = _want_int(raw.get("ell_max", ExperimentConfig.ell_max), "ell_max")
     if ell_max < 0:
         raise ConfigError("ell_max must be a nonnegative integer")
     if experiment in _BS_GRIDS:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import find_root_increasing, gauss_legendre, panel_gauss
+from .numerics import gauss_legendre, panel_gauss
 from .potentials import Potential
 
 __all__ = [
@@ -312,17 +312,24 @@ def thresholds(d: int) -> ThresholdTable:
     """Threshold constants at dimension d.
 
     thm12_b_max = (d-2)/(5d-8); lambda_star solves
-    2(2d-3)/(d-2) L + sqrt(2/(d-2)) L^{3/2} = 1; sqrt_b3_max is the root of
-    the quadratic-in-sqrt(b3) bound 8 / [ (2/(d-2))^{3/2}
-    + sqrt((2/(d-2))^3 + 128) ].
+    c1 L + c2 L^{3/2} = 1 with c1 = 2(2d-3)/(d-2) and c2 = sqrt(2/(d-2));
+    sqrt_b3_max is the root of the quadratic-in-sqrt(b3) bound
+    8 / [ (2/(d-2))^{3/2} + sqrt((2/(d-2))^3 + 128) ].
+
+    With s = L^{-1/2} the lambda_star equation is the depressed cubic
+    s^3 - c1 s - c2 = 0.  As c1 > 4 and c2^2 <= 2, 4 c1^3 > 27 c2^2: it has
+    three real roots, and the largest, the only positive one, is
+    s = 2 sqrt(c1/3) cos(arccos((3 c2 / (2 c1)) sqrt(3/c1)) / 3), so
+    lambda_star = 1 / s^2 in closed form.
     """
     if d < 3:
         raise ConditionError(f"dimension must be >= 3, got {d}")
     c1 = 2.0 * (2 * d - 3) / (d - 2)
     c2 = math.sqrt(2.0 / (d - 2))
-    lambda_star = find_root_increasing(
-        lambda lam: c1 * lam + c2 * lam**1.5 - 1.0, 0.0, 1.0
+    s = 2.0 * math.sqrt(c1 / 3.0) * math.cos(
+        math.acos(1.5 * c2 / c1 * math.sqrt(3.0 / c1)) / 3.0
     )
+    lambda_star = 1.0 / (s * s)
     q = 2.0 / (d - 2)
     sqrt_b3_max = 8.0 / (q**1.5 + math.sqrt(q**3 + 128.0))
     return ThresholdTable(

@@ -1,11 +1,12 @@
-"""Shared numerical substrate: quadrature grids, dense and tridiagonal
-linear algebra, and scalar root finding.
+"""Shared numerical substrate: quadrature grids and dense and tridiagonal
+linear algebra.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
 provides Gauss-Legendre rules, plain and composite over panels, and the
 :class:`RadialGrid` container for radial rules on (0, r_max].  The linear
 algebra side wraps the dense complex
-eigendecomposition (its callers check the residuals) and reads either
+eigendecomposition, returned as LAPACK's sorted value and vector arrays
+(its callers check the residuals), and reads either
 extremal singular value off one dense LAPACK SVD.  Every iterative one
 goes through one ARPACK driver: an operator known only by its products with
 M and M^H gets sigma_max from ARPACK on M^H M at any scale of M, stopped at
@@ -19,15 +20,16 @@ tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
 of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
 eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
 large n, 1 / sigma_max(T^-1) from the ARPACK driver on the O(n) solves of
-one LAPACK zgttrf factorization.  Root finding is plain bisection for
-strictly increasing scalar functions.
+one LAPACK zgttrf factorization (the dense SVD for n <= 2).  No routine
+here iterates by hand: each factorization, eigenvalue and singular value
+comes from LAPACK or ARPACK.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,13 +48,10 @@ __all__ = [
     "spd_tridiagonal_inverse_norm",
     "band_smallest_singular_value",
     "tridiagonal_smallest_singular_value",
-    "solve_linear",
-    "find_root_increasing",
     "aitken_extrapolate",
     "fit_loglog_slope",
 ]
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Arnoldi basis size and start-vector seed of the ARPACK driver
 _ARPACK_NCV = 8
 _ARPACK_START_SEED = 0
@@ -66,10 +65,7 @@ class EigenvalueError(NumericsError):
     """Raised when the dense eigensolver fails or an eigenpair misses its residual bound."""
 
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+_gl_nodes = cache(leggauss)
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +160,7 @@ def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
+def eig_complex(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense complex eigendecomposition by LAPACK zgeev.
 
     Uses the Hessenberg + shifted-QR driver.  If the driver fails to
@@ -173,8 +169,9 @@ def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
     structure of M (a banded operator, say) check |M v - lam v| themselves
     at O(n) per pair instead of one dense O(n^3) product.
 
-    Returns a list of (eigenvalue, unit eigenvector) pairs sorted by real
-    part, then imaginary part (a fixed, reproducible order).
+    Returns LAPACK's arrays (values, vectors): the eigenvalues sorted by
+    real part, then imaginary part (a fixed, reproducible order), and the
+    unit eigenvectors as the matching columns of ``vectors``.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -189,11 +186,8 @@ def eig_complex(m: np.ndarray) -> list[tuple[complex, np.ndarray]]:
         raise EigenvalueError(
             f"QR iteration failed to converge; eigenvalues 0..{info - 1} unresolved"
         )
-    vec_norms = np.linalg.norm(vr, axis=0)
-    return [
-        (complex(w[idx]), vr[:, idx] / vec_norms[idx])
-        for idx in np.lexsort((w.imag, w.real))
-    ]
+    order = np.lexsort((w.imag, w.real))
+    return w[order], vr[:, order] / np.linalg.norm(vr, axis=0)[order]
 
 
 def largest_singular_value(m: np.ndarray) -> float:
@@ -406,7 +400,7 @@ def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
     """
     from scipy.linalg.blas import dznrm2
 
-    off = dznrm2(e)
+    off = dznrm2(e) if e.size else 0.0  # fblas refuses the empty vector
     return math.hypot(dznrm2(d), off, off)
 
 
@@ -418,7 +412,8 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     from its fixed seeded start, gives sigma_max(T^-1) with the O(n) zgttrs
     solves T^-1 x and T^-H y against that factor as its products.  Its value
     approaches sigma_max(T^-1) from below, so the result approaches sigma_min
-    from above: a field estimate, not a certified lower bound.
+    from above: a field estimate, not a certified lower bound.  Orders
+    n <= 2, which scipy's zgttrf wrapper rejects, take the dense SVD.
 
     A shift that is exactly singular (a zero pivot) or singular to working
     precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises
@@ -432,81 +427,20 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     n = d.shape[0]
     if e.shape != (n - 1,):
         raise ValueError(f"off-diagonal needs shape ({n - 1},), got {e.shape}")
-    dl, dd, du, du2, ipiv, info = zgttrf(e, d, e)
-    if info > 0:
-        return 0.0
+    if n <= 2:
+        sigma = smallest_singular_value(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    else:
+        dl, dd, du, du2, ipiv, info = zgttrf(e, d, e)
+        if info > 0:
+            return 0.0
 
-    def solve(trans: str) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda b: zgttrs(dl, dd, du, du2, ipiv, b, trans=trans)[0]
+        def solve(trans: str) -> Callable[[np.ndarray], np.ndarray]:
+            return lambda b: zgttrs(dl, dd, du, du2, ipiv, b, trans=trans)[0]
 
-    sigma = 1.0 / operator_largest_singular_value(solve("N"), solve("C"), n)[0]
+        sigma = 1.0 / operator_largest_singular_value(solve("N"), solve("C"), n)[0]
     if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
         return 0.0
     return sigma
-
-
-def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = b for dense complex M by LU with partial pivoting.
-
-    Raises :class:`NumericsError` when M is singular to working precision.
-    """
-    from scipy.linalg import lu_factor, lu_solve
-
-    a = _as_complex_matrix(m)
-    b = np.asarray(rhs, dtype=np.complex128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if a.shape[0] and diag.min() == 0.0:
-        raise NumericsError("linear solve: matrix is singular to working precision")
-    x = lu_solve((lu, piv), b, check_finite=False)
-    if not np.all(np.isfinite(x)):
-        raise NumericsError("linear solve: non-finite solution (matrix near-singular)")
-    return x
-
-
-_ROOT_F_TOL = 1e-12
-
-
-def find_root_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection root of a strictly increasing scalar function.
-
-    Requires f(lo) < 0 < f(hi); returns x with |f(x)| <= 1e-12 (or the best
-    midpoint once the bracket has collapsed to machine width, if roundoff in
-    f prevents reaching that tolerance).
-    """
-    f_tol = _ROOT_F_TOL
-    flo, fhi = f(lo), f(hi)
-    if abs(flo) <= f_tol:
-        return lo
-    if abs(fhi) <= f_tol:
-        return hi
-    if flo > 0 or fhi < 0:
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
-        )
-    a, b = float(lo), float(hi)
-    best_x, best_f = a, abs(flo)
-    for _ in range(400):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm) < best_f:
-            best_x, best_f = mid, abs(fm)
-        if abs(fm) <= f_tol:
-            return mid
-        if fm < 0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= np.finfo(float).eps * max(1.0, abs(a), abs(b)):
-            break
-    if best_f <= f_tol:
-        return best_x
-    raise NumericsError(
-        f"bisection stalled at |f|={best_f:.3e} > f_tol={f_tol:.0e} "
-        "(function too noisy at the root?)"
-    )
 
 
 def aitken_extrapolate(values: Sequence[float]) -> float:

@@ -234,8 +234,9 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     """Full spectrum with outlier classification.
 
     A real diagonal takes its eigenpairs from ``eigh_tridiagonal``, a
-    complex one from the dense zgeev (``eig_complex``).  Either way each
-    eigenpair's residual is taken from an O(n) banded product and must
+    complex one from the dense zgeev (``eig_complex``); both hand back the
+    eigenvalue array and the matching columns of unit eigenvectors, which
+    are used as they come.  Either way each eigenpair's residual is taken from an O(n) banded product and must
     stay within 1e-10 |M|_F, otherwise :class:`EigenvalueError` is raised.
     ``outlier_tol`` defaults to 10x the finite-size gap of the free
     operator at the same resolution: genuine continuum approximants hug
@@ -250,9 +251,7 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     # |M|_F from the bands: the diagonal and 2 (n - 1) off-diagonal entries
     norm = float(np.sqrt(np.sum(np.abs(op.diag) ** 2) + 2 * (op.n - 1) * off**2))
     if op.diag.imag.any():
-        pairs = eig_complex(op.matrix)
-        vals = np.array([lam for lam, _ in pairs])
-        vecs = np.stack([vec for _, vec in pairs], axis=1)
+        vals, vecs = eig_complex(op.matrix)
         diag = op.diag
     else:
         from scipy.linalg import eigh_tridiagonal

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spectra_cert.birman_schwinger import (
     assemble_bs,
@@ -36,11 +37,7 @@ from spectra_cert.multipliers import (
     multiplier_catalog,
     residual_refinement_order,
 )
-from spectra_cert.numerics import (
-    aitken_extrapolate,
-    find_root_increasing,
-    fit_loglog_slope,
-)
+from spectra_cert.numerics import aitken_extrapolate, fit_loglog_slope
 from spectra_cert.potentials import b_tau, catalog, magnetic_catalog
 from spectra_cert.spectral import discretize_radial, singular_sequence_decay, spectrum
 
@@ -128,7 +125,7 @@ class Test04ThresholdConstants:
 
     def test_lambda_star_substitutes_back(self):
         lam = thresholds(3).lambda_star
-        # the bisected root must satisfy 6 L + sqrt(2) L^(3/2) = 1
+        # the closed-form root must satisfy 6 L + sqrt(2) L^(3/2) = 1
         lhs = 6.0 * lam + math.sqrt(2.0) * lam**1.5
         assert abs(lhs - 1.0) <= 1e-10
 
@@ -222,8 +219,8 @@ class Test07SpectralAbsenceAndEmergence:
         v0 = 5.0 * math.pi**2 / 4.0
         # transcendental matching: k cot k = -sqrt(v0 - k^2) on (pi/2, pi),
         # solved independently of any discretization
-        k_star = find_root_increasing(
-            lambda k: -(k / math.tan(k) + math.sqrt(v0 - k * k)),
+        k_star = brentq(
+            lambda k: k / math.tan(k) + math.sqrt(v0 - k * k),
             math.pi / 2 + 1e-9,
             math.pi - 1e-9,
         )

@@ -808,6 +808,23 @@ class TestPrincipleMatrixCheck:
         with pytest.raises(BSError, match="spectrum"):
             bs_principle_matrix_check(h0, np.array([-1.0, 0.0]), 1.0 + 1e-12, np.array([1.0, 0.0]))
 
+    def test_singular_solve_rejected(self, monkeypatch):
+        # past the sigma_min guard, an exactly singular H0 - lam still
+        # raises BSError, not scipy's LinAlgError
+        monkeypatch.setattr(bs, "smallest_singular_value", lambda m: 1.0)
+        h0 = np.diag([1.0, 2.0])
+        with pytest.raises(BSError, match="resolvent solve at lam=1.0"):
+            bs_principle_matrix_check(h0, np.array([-1.0, -1.0]), 1.0, np.array([1.0, 1.0]))
+
+    def test_non_finite_solution_rejected(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "solve", lambda a, b, **kw: np.full(b.shape, np.nan))
+        with pytest.raises(BSError, match="non-finite solution"):
+            bs_principle_matrix_check(
+                np.diag([1.0, 2.0]), np.array([-3.0, 0.0]), -2.0, np.array([1.0, 0.0])
+            )
+
     def test_vanishing_phi_rejected(self):
         h0 = np.diag([1.0, 2.0])
         with pytest.raises(BSError, match="vanishes"):

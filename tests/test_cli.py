@@ -507,6 +507,27 @@ class TestRunExperiments:
         assert (tmp_path / f"{config_path.stem}.manifest.json").exists()
 
 
+CATALOG_DIM3 = """\
+potential catalog (dimension 3)
+  hardy(a)                  attractive inverse-square, strength a relative to the sharp constant
+  coulomb_repulsive(c)      repulsive real tail +c/|x|
+  imaginary_hardy(beta)     purely imaginary inverse-square i*beta/|x|^2
+  gaussian(v0[, c_im])      (-v0 + i*c_im) exp(-|x|^2)
+  yukawa(g, mu)             -g exp(-mu|x|)/|x|
+  square_well(v0, r0)       -v0 on |x| < r0, zero outside
+
+magnetic catalog (magnetic-smoke)
+  azimuthal_inverse_square  A = (-x2, x1, 0)/|x|^2, tangential trace B_tau identically zero
+  uniform_z(b)              uniform field of strength b along the third axis
+  zero                      A = 0
+
+thresholds (dimension 3)
+  subordination b max   0.142857142857
+  lambda star           0.152614097641
+  sqrt(b3) max          0.552092291559
+"""
+
+
 class TestMainExitCodes:
     def write(self, tmp_path, text):
         p = tmp_path / "config.json"
@@ -845,6 +866,11 @@ class TestMainExitCodes:
         assert "tangential trace B_tau identically zero" in out
         assert "uniform_z" in out
         assert "lambda star" in out
+
+    def test_catalog_dim3_output_is_pinned(self, capsys):
+        # byte for byte: the rows, their order and every printed threshold digit
+        assert main(["catalog", "--dim", "3"]) == 0
+        assert capsys.readouterr().out == CATALOG_DIM3
 
     def test_catalog_rejects_low_dimension(self, capsys):
         assert main(["catalog", "--dim", "2"]) == 2

@@ -389,12 +389,20 @@ class TestThresholds:
         table = thresholds(3)
         assert table.thm12_b_max == 1.0 / 7.0
         assert abs(table.lambda_star - 0.1525) <= 5e-4
-        residual = 6.0 * table.lambda_star + math.sqrt(2.0) * table.lambda_star**1.5 - 1.0
-        assert abs(residual) <= 1e-10
         closed = 8.0 / (2.0 * math.sqrt(2.0) + math.sqrt(136.0))
         assert table.sqrt_b3_max == pytest.approx(closed, rel=1e-12)
         assert abs(table.sqrt_b3_max - 0.55209) <= 1e-4
         assert table.sqrt_b3_max**2 == pytest.approx(0.30480, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "d", [3, 4, 6, 7, 16, pytest.param(10**6, id="1e6"), pytest.param(10**150, id="1e150")]
+    )
+    def test_lambda_star_solves_its_equation(self, d):
+        # the closed-form root of the cubic substitutes back to a few ulps
+        lam = thresholds(d).lambda_star
+        c1 = 2.0 * (2 * d - 3) / (d - 2)
+        c2 = math.sqrt(2.0 / (d - 2))
+        assert abs(c1 * lam + c2 * lam**1.5 - 1.0) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("d", range(3, 11))
     def test_lambda_star_below_quarter(self, d):

