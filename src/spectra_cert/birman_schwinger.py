@@ -36,9 +36,9 @@ under eps^2 / n of every |M_l|_F^2, which moves each sigma_max by at most
 eps sigma_max (Weyl), downward.  A contiguous block of a single-pair kernel
 is single-pair again.  At real z <= 0 its Nystroem matrix has a tridiagonal
 inverse (Gantmacher-Krein), which is symmetric positive definite for real
-kappa.  Each sector's sigma_max is 1 / lambda_min of that inverse, built in
-O(n) and bisected on its bidiagonal factor
-(``numerics.spd_tridiagonal_inverse_norm``).  At complex z a product with
+kappa, and whose bidiagonal factor is closed-form in the steps below.  Each
+sector's sigma_max is 1 / lambda_min of that inverse, bisected on the
+factor in O(n) (``numerics.bidiagonal_gram_inverse_norm``).  At complex z a product with
 the sector matrix is two bidiagonal solves, O(n), and ARPACK on M^H M gives
 sigma_max (``numerics.operator_largest_singular_value``), an estimate that
 approaches it from below; each sector starts from the Ritz vector of the
@@ -52,13 +52,17 @@ Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 
 and the truncated sum is completed by a tail estimate from the asymptotic
 law term_l ~ c / ((2l+1)(2l+3)), whose exact tail sum is c / (2(2L+3)).
-The Frobenius norms need no matrix either: |g_l^z|^2 is rank one on each
-triangle r < r' at every z, so every Frobenius sum here is a diagonal sum
-plus running sums over the grid nodes, O(n) per sector instead of O(n^2):
-one when rows and columns carry the same weight, as in K_z, and two for
-the cutoff chi_Omega |V|^(1/2) G_z, whose rows stop at Omega.  The same
-pass gives each node's share, from which the sector norms drop their
-negligible end nodes.
+The Frobenius norms need no matrix either.  Each sector kernel is
+single-pair, so |g_ij|^2 = |g_ii| |g_jj| prod_(i <= k < j) q_k for i <= j,
+and _sector_steps forms the diagonal and the neighbour gaps -log q_k once
+per sector from the node steps, never from kappa r or r^l.  A Frobenius sum
+is then running sums over the grid nodes, O(n) per sector: one when rows
+and columns carry the same weight, as in K_z, and two for the cutoff
+chi_Omega |V|^(1/2) G_z, whose rows stop at Omega.  Each is a doubling scan
+of products and sums of nonnegative numbers, accurate to a few log2(n) eps
+relative at any kappa r (within 1e-15 of the dense sums on the test grids,
+up to kappa = 1e8).  The same pass gives each node's share, from which the
+sector norms drop their negligible end nodes.
 """
 
 from __future__ import annotations
@@ -75,12 +79,12 @@ from .numerics import (
     NumericsError,
     RadialGrid,
     _scale_exponent,
+    bidiagonal_gram_inverse_norm,
     fit_loglog_slope,
     largest_singular_value,
     operator_largest_singular_value,
     panel_gauss,
     smallest_singular_value,
-    spd_tridiagonal_inverse_norm,
 )
 from .potentials import Potential, complex_sign
 
@@ -264,50 +268,72 @@ def sector_matrices(
         yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
 
 
-def _node_masses(
-    r: np.ndarray,
-    ell_max: int,
-    row: np.ndarray,
-    col: Optional[np.ndarray] = None,
-    kappa: float = 0.0,
-    log_a: np.ndarray | float = 0.0,
-    log_b: np.ndarray | float = 0.0,
+def _sector_steps(
+    z: complex, r: np.ndarray, ell_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node masses of |M_ij|^2 = row_i col_j |g_l^z(r_i, r_j)|^2, l =
-    0..ell_max, without forming M_l.
+    """(a, b, g_diag, gap) of the sectors l = 0..ell_max at z on the
+    increasing nodes r: A_l(kappa r) and B_l(kappa r) (real at real z, ones
+    at z = 0, where no Bessel factor is formed), the diagonal
+    |g_l^z(r_i, r_i)| = |A_l B_l| / ((2l+1) r_i) and the neighbour gaps
 
-    |g_l^z|^2 is rank one on each triangle at every z: on the increasing
-    nodes r, with kappa = Re sqrt(-z) >= 0 and the log moduli ``log_a``,
-    ``log_b`` of A_l(sqrt(-z) r), B_l(sqrt(-z) r) ((ell_max+1, n) arrays; 0
-    at z = 0, the defaults, where every extra term is an exact no-op), it is
-    exp(low_i + up_j) for i <= j, with
+        gap_i = (2l+1) log1p(dr_i / r_i) + Delta log|A_l| - Delta log|B_l| + 2 Re kappa dr_i,
 
-        low_i = 2l log r_i + 2 log|A_i| + 2 kappa r_i,
-        up_j = 2 log|B_j| - (2l+2) log r_j - 2 kappa r_j - 2 log(2l+1).
-
-    Returns (log row + low, log col + up, mass, fro_sq): mass_k is the mass
-    of the entries with max(i, j) = k, one forward logaddexp.accumulate per
-    side of the diagonal, and one in all when ``col`` is None (the columns
-    carry ``row`` too); fro_sq = sum_k mass_k = |M_l|_F^2.  log 0 = -inf
-    where a weight vanishes, and nothing over- or underflows on geometric
-    grids down to r ~ 1e-79 or at large kappa r.
+    dr_i = r_(i+1) - r_i.  So q_i = e^(-gap_i) = |g_(i,i+1)|^2 / (|g_ii|
+    |g_(i+1,i+1)|), and |g_ij|^2 = |g_ii| |g_jj| prod_(i <= k < j) q_k for
+    i <= j.  No kappa r or r^l is formed: nothing cancels at large kappa r,
+    and nothing underflows on geometric grids down to r ~ 1e-79.
     """
-    ells = np.arange(ell_max + 1)[:, np.newaxis]
-    log_r = np.log(r)
-    with np.errstate(divide="ignore"):
-        log_row = np.log(row)
-        log_col = log_row if col is None else np.log(col)
-    low = 2.0 * ells * log_r + 2.0 * (log_a + kappa * r)
-    up = 2.0 * (log_b - (ells + 1.0) * log_r - kappa * r - np.log(2.0 * ells + 1.0))
-    sides = [(log_row + low, log_col + up)]
-    if col is not None:
-        sides.append((log_col + low, log_row + up))
-    mass = np.exp(sides[0][0] + sides[0][1])
-    for lo, hi in sides:
-        acc = np.logaddexp.accumulate(lo, axis=1)
-        mass[:, 1:] += 2.0 / len(sides) * np.exp(acc[:, :-1] + hi[:, 1:])
+    kappa = green_params(z).kappa
+    c = 2.0 * np.arange(ell_max + 1)[:, np.newaxis] + 1.0
+    dr = np.diff(r)
+    gap = c * np.log1p(dr / r[:-1]) + 2.0 * kappa.real * dr
+    a = b = np.ones((ell_max + 1, r.size))
+    if kappa != 0.0 and r.size:
+        a, b = _scaled_bessel_factors(kappa * r, ell_max)
+        if z.imag == 0.0:
+            a, b = a.real, b.real
+        gap += np.diff(np.log(np.abs(a)), axis=1) - np.diff(np.log(np.abs(b)), axis=1)
+    return a, b, np.abs(a) * np.abs(b) / (c * r), gap
+
+
+def _running_sums(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """S_j = q_(j-1) S_(j-1) + x_j, S_0 = x_0, along the last axis, by a
+    doubling scan: pass k adds to S_j the partial sum that ends 2^k nodes
+    before it, weighted by the product of the q between.  So each term of
+    S_j takes about 3 log2(n) roundings, relative, and nothing cancels."""
+    s = np.array(x, dtype=float)
+    weight = np.zeros_like(s)  # q_(j-1), and 0 at j = 0
+    weight[..., 1:] = q
+    shift = 1
+    while shift < s.shape[-1]:
+        s[..., shift:] += weight[..., shift:] * s[..., :-shift]
+        weight[..., shift:] *= weight[..., :-shift]
+        shift *= 2
+    return s
+
+
+def _node_masses(
+    x: np.ndarray, gap: np.ndarray, y: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, fro_sq) of |M_ij|^2 = x_i y_j prod_(min <= k < max) q_k, q =
+    e^(-gap), without forming M_l: x = row g_diag and y = col g_diag for
+    the weights of M_l and its _sector_steps, y None when the columns carry
+    the rows' weight.  lower_k, the mass of the entries with max(i, j) = k,
+
+        lower_k = y_k S(x)_k + x_k S(y)_k - x_k y_k    ((2 S_k - x_k) x_k if y is x),
+
+    with S from _running_sums.  The x_k y_k taken off is at most half of the
+    sum, so each mass is accurate to a few log2(n) eps relative.  fro_sq =
+    sum_k lower_k = |M_l|_F^2.
+    """
+    q = np.exp(-gap)
+    s_x = _running_sums(x, q)
+    if y is None:
+        lower = (2.0 * s_x - x) * x
+    else:
+        lower = y * s_x + x * _running_sums(y, q) - x * y
     # the row sums as one BLAS product, the rounding the reports carry
-    return *sides[0], mass, mass @ np.ones(r.size)
+    return lower, lower @ np.ones(x.shape[-1])
 
 
 def _completed_hs_norm(fro_sq: Sequence[float]) -> float:
@@ -403,9 +429,9 @@ class _SectorFamily(NamedTuple):
 
     ``r``, ``w``, ``abs_v`` and ``sign`` are the kept nodes (see _kept_span),
     ``a`` and ``b`` the (ell_max+1, n) arrays A_l(kappa r), B_l(kappa r) on
-    them (real at real z, ones at z = 0), ``log_a`` and ``log_b`` the logs of
-    their moduli (0 at z = 0) and ``fro_sq`` the |M_l|_F^2 over the whole
-    support.
+    them (real at real z, ones at z = 0), ``x`` = alpha g_diag and ``gap``
+    the _sector_steps gaps between them (alpha = |V| r^2 w), and ``fro_sq``
+    the |M_l|_F^2 over the whole support.
     """
 
     r: np.ndarray
@@ -415,33 +441,28 @@ class _SectorFamily(NamedTuple):
     kappa: complex
     a: np.ndarray
     b: np.ndarray
-    log_a: np.ndarray
-    log_b: np.ndarray
+    x: np.ndarray
+    gap: np.ndarray
     fro_sq: np.ndarray
 
 
-def _kept_span(
-    low: np.ndarray, up: np.ndarray, lower: np.ndarray, fro_sq: np.ndarray
-) -> slice:
+def _kept_span(x: np.ndarray, gap: np.ndarray, lower: np.ndarray, fro_sq: np.ndarray) -> slice:
     """The support nodes left once the negligible leading and trailing ones go.
 
-    ``low``, ``up``, ``lower`` and ``fro_sq`` are _node_masses's at the row
-    and column weight alpha = |V| r^2 w, so |M_ij|^2 = exp(low_i + up_j) for
-    i <= j and lower_k is the mass of the entries with max(i, j) = k.  Those
-    with min(i, j) = k carry upper_k = e^(low_k + up_k) + 2 sum_(j > k)
-    e^(low_k + up_j), one reversed logaddexp.accumulate.  The first h nodes
-    go while the sum of their upper_k stays within eps^2 |M_l|_F^2 / (2n),
-    the last t while the sum of their lower_k does, for every l.  The
-    entries of M_l so dropped, E = M_l - P M_l P, then have
+    ``x`` and ``gap`` are the sectors' steps at the row and column weight
+    alpha = |V| r^2 w, and ``lower`` and ``fro_sq`` their _node_masses, so
+    lower_k is the mass of the entries with max(i, j) = k.  Those with
+    min(i, j) = k carry upper_k, the lower mass of node k with the node
+    order reversed: one backward scan.  The first h nodes go while the sum
+    of their upper_k stays within eps^2 |M_l|_F^2 / (2n), the last t while
+    the sum of their lower_k does, for every l.  The entries of M_l so
+    dropped, E = M_l - P M_l P, then have
     |E| <= |E|_F <= eps |M_l|_F / sqrt(n) <= eps sigma_max(M_l), and P M_l P
     is a compression of M_l, so by Weyl's inequality each sigma_max moves by
     at most eps sigma_max, and only downward.
     """
-    n = low.shape[1]
-    upper = np.exp(low + up)
-    upper[:, :-1] += 2.0 * np.exp(
-        low[:, :-1] + np.logaddexp.accumulate(up[:, ::-1], axis=1)[:, -2::-1]
-    )
+    n = x.shape[1]
+    upper = _node_masses(x[:, ::-1], gap[:, ::-1])[0][:, ::-1]
     budget = 0.5 * np.finfo(float).eps ** 2 / n * fro_sq[:, np.newaxis]
     # cumulative masses are nondecreasing, so each mask is a prefix
     head = int(np.all(np.cumsum(upper, axis=1) <= budget, axis=0).sum())
@@ -452,38 +473,29 @@ def _kept_span(
 def _sector_family(
     potential: Potential, z: complex, grid: RadialGrid, ell_max: int
 ) -> _SectorFamily:
-    """Support filter, Bessel factors, Frobenius norms and kept nodes of the
-    sectors at z.
+    """Support filter, single-pair steps, Frobenius norms and kept nodes of
+    the sectors at z.
 
     Nodes where V vanishes carry zero rows and columns of M_l and are
-    dropped.  |g_l^z|^2 = |u(r_<) v(r_>)|^2 is rank one on each triangle at
-    every z, so _node_masses gives each node's share of |M_l|_F^2 from
-    Re kappa and the logs of |A_l| and |B_l|, and |M_l|_F^2 is their sum
-    over the whole support.  The leading and trailing nodes whose rows and
-    columns carry less than eps^2 / n of it are dropped too (_kept_span):
-    every sigma_max then moves by at most eps sigma_max.
+    dropped.  On the rest, _sector_steps gives each sector's diagonal
+    |g_ii| and neighbour gaps once, and _node_masses reads them for each
+    node's share of |M_l|_F^2, whose sum over the whole support is
+    |M_l|_F^2.  The leading and trailing nodes whose rows and columns carry
+    less than eps^2 / n of it are dropped too (_kept_span): every sigma_max
+    then moves by at most eps sigma_max.
     """
     abs_v = potential.abs_radial(grid.nodes)
     support = abs_v > 0.0
     r, w, abs_v = grid.nodes[support], grid.weights[support], abs_v[support]
-    kappa = green_params(z).kappa
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kappa != 0.0 and r.size:
-            a, b = _scaled_bessel_factors(kappa * r, ell_max)
-            if z.imag == 0.0:
-                a, b = a.real, b.real
-            log_a, log_b = np.log(np.abs(a)), np.log(np.abs(b))
-        else:
-            a = b = np.ones((ell_max + 1, r.size))
-            log_a = log_b = np.zeros((ell_max + 1, r.size))
-        low, up, mass, fro_sq = _node_masses(
-            r, ell_max, abs_v * r**2 * w, kappa=kappa.real, log_a=log_a, log_b=log_b
-        )
-        keep = _kept_span(low, up, mass, fro_sq)
+        a, b, g_diag, gap = _sector_steps(z, r, ell_max)
+        x = abs_v * r**2 * w * g_diag
+        lower, fro_sq = _node_masses(x, gap)
+        keep = _kept_span(x, gap, lower, fro_sq)
     r, w, abs_v = r[keep], w[keep], abs_v[keep]
-    a, b, log_a, log_b = a[:, keep], b[:, keep], log_a[:, keep], log_b[:, keep]
+    a, b, x, gap = a[:, keep], b[:, keep], x[:, keep], gap[:, keep.start : keep.stop - 1]
     sign = potential.sign_radial(r)
-    return _SectorFamily(r, w, abs_v, sign, kappa, a, b, log_a, log_b, fro_sq)
+    return _SectorFamily(r, w, abs_v, sign, green_params(z).kappa, a, b, x, gap, fro_sq)
 
 
 def _raise_on_overflow(z: complex, finite: np.ndarray) -> None:
@@ -495,49 +507,33 @@ def _real_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     """sigma_max of the sectors at real z <= 0, l = 0..ell_max, with no n x n
     matrix.
 
-    With kappa = sqrt(-z) >= 0 the sector kernel is g_l(r, s) = u(r_<) v(r_>),
+    On the kept nodes, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S
+    with the single-pair G_ij = g_l(r_i, r_j) and the unitary S = diag(sign V),
+    so sigma_max(M_l) = 1 / lambda_min(T), T = L^-1 G^-1 L^-1.  G is
+    symmetric positive definite with a tridiagonal inverse (Gantmacher-Krein).
+    In the family's steps x_i = L_i^2 G_ii and q_i = e^(-gap_i) < 1, with
+    omega_i = 1 - q_i = -expm1(-gap_i), q_(-1) = 0 and omega_(n-1) = 1,
 
-        u = r^l A_l(kappa r) e^(kappa r),   v = r^(-l-1) B_l(kappa r) e^(-kappa r) / (2l+1).
+        d_i = (1 / omega_i + q_(i-1) / omega_(i-1)) / x_i,
+        e_i = -sqrt(q_i) / (omega_i sqrt(x_i) sqrt(x_(i+1))),
 
-    On the kept nodes, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S with
-    the single-pair G_ij = g_l(r_i, r_j) and the unitary S = diag(sign V), so
-    sigma_max(M_l) = 1 / lambda_min(T) with T = L^-1 G^-1 L^-1.  G is
-    symmetric positive definite and G^-1 is tridiagonal (Gantmacher-Krein):
-    with q_i = u_i v_(i+1) / (u_(i+1) v_i) < 1 and omega_i = 1 - q_i,
-
-        off_i = -1 / (u_(i+1) v_i omega_i L_i L_(i+1)),
-        d_i = (1 / omega_i + q_(i-1) / omega_(i-1)) / (u_i v_i L_i^2),
-
-    where q_(-1) = 0 and omega_(n-1) = 1 close the ends; d_i is a sum of
-    two positive terms and does not cancel.  Everything is in log form,
-    -log q_i = log(u_(i+1) / u_i) + log(v_i / v_(i+1)) feeds expm1, so no
-    r^l or e^(kappa r) is formed.  At z = 0 the Bessel factors are skipped
-    (log A = log B = 0).  A sector whose T or Frobenius sum is not finite
-    (A_l underflowing or B_l overflowing at large kappa r and l) raises.
+    and T = B^T B with the upper bidiagonal b_i = (omega_i x_i)^(-1/2),
+    f_i = -sqrt(q_i / (omega_i x_(i+1))).  sigma_max(M_l) = 1 / sigma_min(B)^2
+    is bisected on B (numerics.bidiagonal_gram_inverse_norm; the sign of f
+    changes no singular value), whose entries are products of positive
+    numbers: no factorization of T cancels.  A sector whose B or Frobenius
+    sum is not finite (A_l underflowing or B_l overflowing at large kappa r
+    and l) raises.
     """
-    r, w, abs_v, log_a, log_b = family.r, family.w, family.abs_v, family.log_a, family.log_b
-    ells = np.arange(log_a.shape[0])[:, np.newaxis]
-    c = 2.0 * ells + 1.0
-    step = np.diff(np.log(r))
-    kappa_h = family.kappa.real * np.diff(r)
-    root = np.sqrt(abs_v * w)
+    x, gap = family.x, family.gap
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_u_step = ells * step + np.diff(log_a, axis=1) + kappa_h
-        log_v_step = (ells + 1) * step - np.diff(log_b, axis=1) + kappa_h
-        gap = log_u_step + log_v_step  # -log q_i
         inv_omega = np.pad(-1.0 / np.expm1(-gap), ((0, 0), (0, 1)), constant_values=1.0)
-        q_over_omega = np.pad(1.0 / np.expm1(gap), ((0, 0), (1, 0)))
-        diag = c * (inv_omega + q_over_omega) / (np.exp(log_a + log_b) * abs_v * r * w)
-        off = (
-            -c
-            * np.exp(-ells * step - kappa_h - log_a[:, 1:] - log_b[:, :-1])
-            * inv_omega[:, :-1]
-            / (r[1:] * root[:-1] * root[1:])
-        )
+        diag = np.sqrt(inv_omega / x)
+        off = np.exp(-0.5 * gap) * np.sqrt(inv_omega[:, :-1] / x[:, 1:])
     _raise_on_overflow(
         z, np.isfinite(diag).all(axis=1) & np.isfinite(off).all(axis=1) & np.isfinite(family.fro_sq)
     )
-    return [spd_tridiagonal_inverse_norm(d, e) for d, e in zip(diag, off)]
+    return [bidiagonal_gram_inverse_norm(b, f) for b, f in zip(diag, off)]
 
 
 def _single_pair_products(
@@ -753,7 +749,7 @@ def hs_norm(
 
     Route (i) sums (2l+1) |M_l|_F^2 over the z = 0 sectors l <= ell_max and
     completes the truncation with the asymptotic tail.  The Frobenius norms
-    come from running sums over the rank-one triangles of g_l^0 (see
+    come from running sums over the neighbour steps of g_l^0 (see
     _node_masses): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
     Rollnik norm computed by the condition checkers.  Route (i) runs on the
@@ -771,8 +767,9 @@ def hs_norm(
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
     unit, j = _unit_row(potential)
-    alpha = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights
-    direct = math.ldexp(_completed_hs_norm(_node_masses(grid.nodes, ell_max, alpha)[3]), j)
+    g_diag, gap = _sector_steps(0j, grid.nodes, ell_max)[2:]
+    x = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights * g_diag
+    direct = math.ldexp(_completed_hs_norm(_node_masses(x, gap)[1]), j)
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0
@@ -895,8 +892,8 @@ def m_eps_hs_check(
     Gauss nodes per panel inside, panels split at the jumps of V, sectors
     l <= 24).  No sector matrix is formed: the rows carry |V| r^2 w 1{r <=
     omega_radius} and the columns r^2 w, so each |M_l|_F^2 is two running
-    sums over the rank-one triangles of |g_l^z|^2 (_node_masses), and a sum
-    that is not finite raises.  Also enforces that eps * hs_formula -> 0 at
+    sums over the neighbour steps of g_l^z (_node_masses), and a sum that
+    is not finite raises.  Also enforces that eps * hs_formula -> 0 at
     the regime rate 1 - exponent/2 (slope checked within 0.05).
     """
     if omega_radius <= 0:
@@ -922,9 +919,8 @@ def m_eps_hs_check(
         col = r**2 * w
         row = potential.abs_radial(r) * col * (r <= omega_radius)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a, b = _scaled_bessel_factors(green_params(z).kappa * r, _MEPS_ELL_MAX)
-            log_a, log_b = np.log(np.abs(a)), np.log(np.abs(b))
-            fro_sq = _node_masses(r, _MEPS_ELL_MAX, row, col, kappa, log_a, log_b)[3]
+            _, _, g_diag, gap = _sector_steps(z, r, _MEPS_ELL_MAX)
+            fro_sq = _node_masses(row * g_diag, gap, col * g_diag)[1]
         _raise_on_overflow(z, np.isfinite(fro_sq))
         hs_direct = _completed_hs_norm(fro_sq)
         gap = abs(hs_direct - hs_formula) / hs_formula

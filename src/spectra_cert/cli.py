@@ -607,14 +607,11 @@ def _run_identity_check(config, pot, stages):
 def _run_singular_sequence(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _SEQUENCE_SUPPORT)
     k = (math.sqrt(config.lam.real), 0.0, 0.0)
-    with warnings.catch_warnings():
-        # the fixed probe is deliberately unnormalized; the report rescales
-        warnings.filterwarnings("ignore", message="probe is not L")
-        report = _stage(
-            stages,
-            "spectral.singular_sequence_decay",
-            lambda: singular_sequence_decay(probe, k, config.n_list),
-        )
+    report = _stage(
+        stages,
+        "spectral.singular_sequence_decay",
+        lambda: singular_sequence_decay(probe, k, config.n_list),
+    )
     payload = {
         "lambda": config.lam.real,
         "n_values": list(report.n_values),

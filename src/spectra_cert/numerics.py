@@ -13,9 +13,9 @@ M and M^H gets sigma_max from ARPACK on M^H M at any scale of M, stopped at
 a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair and
 returned with its Ritz vector, which can start the next operator of a
 family.  A real symmetric positive definite
-tridiagonal T gets |T^-1| = 1 / lambda_min(T) from one LAPACK dpttrf
-factorization and one bisection for sigma_min of the bidiagonal factor, with
-no n x n matrix and to high relative accuracy.  A complex-symmetric
+tridiagonal T given by its bidiagonal factor, T = B^T B, gets
+|T^-1| = 1 / sigma_min(B)^2 from one bisection, with no n x n matrix and to
+high relative accuracy.  A complex-symmetric
 tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
 of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
 eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
@@ -45,7 +45,7 @@ __all__ = [
     "largest_singular_value",
     "operator_largest_singular_value",
     "smallest_singular_value",
-    "spd_tridiagonal_inverse_norm",
+    "bidiagonal_gram_inverse_norm",
     "band_smallest_singular_value",
     "tridiagonal_smallest_singular_value",
     "aitken_extrapolate",
@@ -297,57 +297,51 @@ def smallest_singular_value(m: np.ndarray) -> float:
     return float(s[-1])
 
 
-def spd_tridiagonal_inverse_norm(diag: np.ndarray, off: np.ndarray) -> float:
-    """|T^-1| = 1 / lambda_min(T) of a real symmetric positive definite
-    tridiagonal matrix, by one factorization and one bisection.
+def bidiagonal_gram_inverse_norm(diag: np.ndarray, off: np.ndarray) -> float:
+    """|T^-1| = 1 / sigma_min(B)^2 of the Gram matrix T = B^T B of an upper
+    bidiagonal B, by one bisection.
 
-    T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
-    LAPACK dpttrf factors T = U^T D U with U unit upper bidiagonal, so
-    B = D^(1/2) U is upper bidiagonal with T = B^T B and
-    lambda_min(T) = sigma_min(B)^2.  The 2n x 2n Golub-Kahan tridiagonal with
-    zero diagonal and off-diagonal (b_0, f_0, b_1, ..., f_(n-2), b_(n-1)),
-    the diagonal b and superdiagonal f of B interleaved, has the eigenvalues
-    +-sigma_k(B).  LAPACK dstebz bisects for eigenvalue n + 1 alone, which is
-    sigma_min(B), with absolute tolerance 2 * tiny: the bidiagonal fixes its
-    singular values to high relative accuracy and bisection on that form
-    attains it (Demmel and Kahan, 1990), also on strongly graded T where
-    bisecting T itself fails.
+    B has diagonal ``diag`` (n,) and superdiagonal ``off`` (n - 1,), so T is
+    a real symmetric tridiagonal, positive definite when B is nonsingular;
+    every such T is B^T B for its Cholesky factor.  A caller that has the
+    factor in closed form passes it, and no factorization cancels before the
+    bisection.  The 2n x 2n Golub-Kahan tridiagonal with zero diagonal and
+    off-diagonal (b_0, f_0, b_1, ..., f_(n-2), b_(n-1)), the diagonal b and
+    superdiagonal f of B interleaved, has the eigenvalues +-sigma_k(B).
+    LAPACK dstebz bisects for eigenvalue n + 1 alone, which is sigma_min(B),
+    with absolute tolerance 2 * tiny: the bidiagonal fixes its singular
+    values to high relative accuracy and bisection on that form attains it
+    (Demmel and Kahan, 1990), also on strongly graded T where bisecting T
+    itself fails.
 
     The empty matrix yields 0.0.  Raises :class:`NumericsError` on a
-    non-finite entry, when dpttrf finds T not positive definite, when the
-    bisection fails or when 1 / sigma_min^2 is not a finite positive number.
+    non-finite entry, when the bisection fails or when 1 / sigma_min^2 is
+    not a finite positive number (B singular).
     """
-    from scipy.linalg.lapack import dpttrf, dstebz
+    from scipy.linalg.lapack import dstebz
 
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
-    n = d.shape[0]
-    if e.shape != (max(n - 1, 0),):
-        raise ValueError(f"off-diagonal needs shape ({n - 1},), got {e.shape}")
+    b = np.asarray(diag, dtype=float)
+    f = np.asarray(off, dtype=float)
+    n = b.shape[0]
+    if f.shape != (max(n - 1, 0),):
+        raise ValueError(f"superdiagonal needs shape ({n - 1},), got {f.shape}")
     if n == 0:
         return 0.0
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise NumericsError("SPD tridiagonal: non-finite entry")
-    if n == 1:  # scipy's dpttrf wrapper rejects the empty off-diagonal
-        pivots, upper, info = d, e, int(d[0] <= 0.0)
-    else:
-        pivots, upper, info = dpttrf(d, e)
-    if info != 0:
-        raise NumericsError(f"SPD tridiagonal: LAPACK dpttrf info={info}, not positive definite")
-    b = np.sqrt(pivots)
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(f))):
+        raise NumericsError("bidiagonal factor: non-finite entry")
     golub_kahan = np.empty(2 * n - 1)
     golub_kahan[0::2] = b
-    golub_kahan[1::2] = b[:-1] * upper
+    golub_kahan[1::2] = f
     tol = 2.0 * np.finfo(float).tiny
     # range 2 selects eigenvalues il..iu by their 1-based index
     m, w, _, _, info = dstebz(np.zeros(2 * n), golub_kahan, 2, 0.0, 0.0, n + 1, n + 1, tol, "E")
     if info != 0 or m != 1:
-        raise NumericsError(f"SPD tridiagonal: LAPACK dstebz info={info}, {m} eigenvalues")
+        raise NumericsError(f"bidiagonal factor: LAPACK dstebz info={info}, {m} eigenvalues")
     sigma = w[0]
     with np.errstate(divide="ignore", over="ignore"):
         norm = np.reciprocal(sigma) ** 2
     if not (sigma > 0.0 and np.isfinite(norm)):
-        raise NumericsError(f"SPD tridiagonal: factor sigma_min {sigma!r} has no finite inverse")
+        raise NumericsError(f"bidiagonal factor: sigma_min {sigma!r} has no finite inverse")
     return float(norm)
 
 

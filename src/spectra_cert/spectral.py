@@ -33,9 +33,7 @@ value approaches sigma_min from above.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,7 +163,6 @@ def discretize_radial(
     return DiscretizedOperator(diag=diag, h=radius / n, domain_radius=radius, ell=ell)
 
 
-@lru_cache(maxsize=64)
 def _radial_free_floor(ell: int, radius: float, n: int) -> float:
     """Smallest eigenvalue of the free sector operator (real symmetric)."""
     h = radius / n
@@ -384,8 +381,7 @@ def singular_sequence_decay(
     ``phi1`` is a probe exposing ``radial_terms`` and
     ``angular_weight`` (a multiplier-lab test function); its norms scale
     exactly under dilation, so the table is analytic in n given three
-    quadratures of phi1.  If phi1 is not L^2-normalized it is rescaled
-    with a warning.
+    quadratures of phi1.  If phi1 is not L^2-normalized it is rescaled.
     """
     if len(n_list) < 2:
         raise SpectralError("need at least two scales to fit a decay slope")
@@ -401,10 +397,6 @@ def singular_sequence_decay(
     grad_sq = p.integral(p.grad_density).real
     lap_sq = p.integral(np.abs(p.f) ** 2).real
     if abs(norm_sq - 1.0) > 1e-12:
-        warnings.warn(
-            "probe is not L^2-normalized; rescaling before building the sequence",
-            stacklevel=2,
-        )
         grad_sq /= norm_sq
         lap_sq /= norm_sq
 

@@ -216,8 +216,8 @@ class TestSingularValues:
         assert abs(nx.smallest_singular_value(m) - 0.5) < 1e-14
 
 
-class TestSPDTridiagonalInverseNorm:
-    """|T^-1| = 1 / lambda_min(T) against dense eigenvalues of T."""
+class TestBidiagonalGramInverseNorm:
+    """|T^-1| = 1 / sigma_min(B)^2 of T = B^T B against dense eigenvalues of T."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -227,45 +227,44 @@ class TestSPDTridiagonalInverseNorm:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
         b = np.diag(rng.uniform(0.5, 2.0, n)) + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
-        t = b.T @ b
-        want = 1.0 / np.linalg.eigvalsh(t)[0]
-        got = nx.spd_tridiagonal_inverse_norm(np.diag(t), np.diag(t, 1))
+        want = 1.0 / np.linalg.eigvalsh(b.T @ b)[0]
+        got = nx.bidiagonal_gram_inverse_norm(np.diag(b), np.diag(b, 1))
         assert abs(got - want) <= 1e-12 * want
 
     def test_graded_matrix_keeps_relative_accuracy(self):
         # T = S A S with the diagonal scaling S = diag(10^(-3k)) grades T over
         # 10^48 to 10^-48; its inverse is S^-1 A^-1 S^-1 and A = 1D Laplacian
         # + 2 I, so lambda_min(T) sits at the small end of the grading where
-        # an absolute eigenvalue error eps |T| would swamp it
+        # an absolute eigenvalue error eps |T| would swamp it.  B = C^T S with
+        # the lower Cholesky factor C of A.
         n = 33
         scale = 10.0 ** (-3.0 * (np.arange(n) - n // 2))
         a = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        t = scale[:, None] * a * scale[None, :]
-        got = nx.spd_tridiagonal_inverse_norm(np.diag(t), np.diag(t, 1))
+        b = np.linalg.cholesky(a).T * scale[None, :]
+        got = nx.bidiagonal_gram_inverse_norm(np.diag(b), np.diag(b, 1))
         inv = np.linalg.inv(a) / np.outer(scale, scale)
         want = np.linalg.eigvalsh(inv / np.max(inv))[-1] * np.max(inv)
         assert abs(got - want) <= 1e-12 * want
 
     def test_small_cases(self):
-        assert nx.spd_tridiagonal_inverse_norm(np.zeros(0), np.zeros(0)) == 0.0
+        assert nx.bidiagonal_gram_inverse_norm(np.zeros(0), np.zeros(0)) == 0.0
         # bisection converges to sigma_min = 2 within an ulp
-        got = nx.spd_tridiagonal_inverse_norm(np.array([4.0]), np.zeros(0))
+        got = nx.bidiagonal_gram_inverse_norm(np.array([2.0]), np.zeros(0))
         assert abs(got - 0.25) <= 1e-15
-        # eigenvalues 2 -+ 1, so |T^-1| = 1
-        got = nx.spd_tridiagonal_inverse_norm(np.array([2.0, 2.0]), np.array([1.0]))
-        assert abs(got - 1.0) <= 1e-15
+        # B = [[1, 1], [0, 1]]: T = [[1, 1], [1, 2]] has lambda_min (3 - sqrt 5) / 2
+        got = nx.bidiagonal_gram_inverse_norm(np.array([1.0, 1.0]), np.array([1.0]))
+        assert abs(got - 2.0 / (3.0 - math.sqrt(5.0))) <= 1e-15 * got
 
-    def test_not_positive_definite_raises(self):
-        # eigenvalues 1 -+ 2: dpttrf stops at a nonpositive pivot
-        with pytest.raises(nx.NumericsError, match="dpttrf"):
-            nx.spd_tridiagonal_inverse_norm(np.array([1.0, 1.0]), np.array([2.0]))
-        with pytest.raises(nx.NumericsError, match="dpttrf"):
-            nx.spd_tridiagonal_inverse_norm(np.array([1.0, -1.0, 3.0]), np.array([0.1, 0.1]))
+    def test_singular_factor_raises(self):
+        # a zero diagonal entry makes B, and so T, singular
+        for b, f in (([1.0, 0.0], [2.0]), ([0.0, -1.0, 3.0], [0.1, 0.1])):
+            with pytest.raises(nx.NumericsError, match="no finite inverse"):
+                nx.bidiagonal_gram_inverse_norm(np.array(b), np.array(f))
 
     def test_non_finite_entry_raises(self):
-        for d, e in (([1.0, np.inf], [0.1]), ([1.0, 1.0], [np.nan])):
+        for b, f in (([1.0, np.inf], [0.1]), ([1.0, 1.0], [np.nan])):
             with pytest.raises(nx.NumericsError, match="non-finite"):
-                nx.spd_tridiagonal_inverse_norm(np.array(d), np.array(e))
+                nx.bidiagonal_gram_inverse_norm(np.array(b), np.array(f))
 
     def test_failed_bisection_raises(self, monkeypatch):
         import scipy.linalg.lapack as lapack
@@ -275,11 +274,11 @@ class TestSPDTridiagonalInverseNorm:
 
         monkeypatch.setattr(lapack, "dstebz", failing)
         with pytest.raises(nx.NumericsError, match="dstebz info=4"):
-            nx.spd_tridiagonal_inverse_norm(np.array([2.0, 2.0]), np.array([1.0]))
+            nx.bidiagonal_gram_inverse_norm(np.array([2.0, 2.0]), np.array([1.0]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            nx.spd_tridiagonal_inverse_norm(np.ones(3), np.ones(3))
+            nx.bidiagonal_gram_inverse_norm(np.ones(3), np.ones(3))
 
 
 def products(m):

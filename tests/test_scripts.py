@@ -7,6 +7,8 @@ small grid and must exit 0.  The import check pins that loading the CLI
 does not pull in ``scipy.linalg`` or ``scipy.sparse.linalg``: experiments
 that never call LAPACK (identity-check, magnetic-smoke, singular-sequence)
 should not pay for it, and only pseudospectra from n = 240 up call ARPACK.
+The experiments that need no scipy at all run the shipped configs and must
+leave every scipy module unloaded.
 """
 
 import os
@@ -58,3 +60,31 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+def test_scipy_free_runs_load_no_scipy(tmp_path):
+    # closed-form sums, quadratures and probe tables only: a stray scipy
+    # import would cost each of these runs tens of MB of peak RSS
+    names = (
+        "hs_identity_gaussian",
+        "check_conditions_hardy",
+        "identity_check_gaussian",
+        "magnetic_smoke_uniform",
+        "singular_sequence",
+    )
+    runs = [
+        f"assert main(['run', {str(ROOT / 'scripts' / 'configs' / f'{name}.json')!r},"
+        f" '--set', {f'output.path={tmp_path / name}'!r}]) == 0"
+        for name in names
+    ]
+    code = "\n".join(
+        [
+            "import sys",
+            "from spectra_cert.cli import main",
+            *runs,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

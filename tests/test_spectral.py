@@ -23,6 +23,7 @@ from scipy.linalg import svdvals
 from spectra_cert import spectral
 from spectra_cert.cli import main
 from spectra_cert.multipliers import TestFunction as Probe
+from spectra_cert.multipliers import _probe_on
 from spectra_cert.numerics import (
     EigenvalueError,
     NumericsError,
@@ -423,25 +424,43 @@ class TestArpackSigmaMin:
         assert calls == expect
 
 
+def normalized(probe):
+    """The probe divided by its L^2 norm on singular_sequence_decay's rule."""
+    norm = math.sqrt(_probe_on(probe, 0.0, 480, "gauss").norm_sq)
+
+    class Normalized(Probe):
+        def radial_terms(self, r):
+            return tuple(t / norm for t in super().radial_terms(r))
+
+    return Normalized(probe.family, probe.support_radius, probe.chirp)
+
+
 class TestSingularSequence:
     PHI = Probe("radial-gaussian-bump", 1.0)
     NS = (2, 4, 8, 16, 32, 64)
 
+    def decay(self, k):
+        # PHI is not L^2-normalized: its rescaled table must be the one the
+        # normalized probe builds
+        assert abs(_probe_on(self.PHI, 0.0, 480, "gauss").norm_sq - 1.0) > 1e-3
+        rep = singular_sequence_decay(self.PHI, k, self.NS)
+        want = singular_sequence_decay(normalized(self.PHI), k, self.NS)
+        np.testing.assert_allclose(rep.equation_residuals, want.equation_residuals, rtol=1e-13)
+        np.testing.assert_allclose(rep.form_terms, want.form_terms, rtol=1e-13)
+        return rep
+
     def test_zero_momentum_decays_second_order(self):
-        with pytest.warns(UserWarning, match="normalized"):
-            rep = singular_sequence_decay(self.PHI, (0, 0, 0), self.NS)
+        rep = self.decay((0, 0, 0))
         assert rep.residual_slope == pytest.approx(-2.0, abs=1e-9)
         assert rep.form_slope == pytest.approx(-2.0, abs=1e-9)
 
     def test_transport_term_dominates_at_large_momentum(self):
-        with pytest.warns(UserWarning, match="normalized"):
-            rep = singular_sequence_decay(self.PHI, (100.0, 0, 0), self.NS)
+        rep = self.decay((100.0, 0, 0))
         assert -1.01 <= rep.residual_slope <= -0.99
         assert rep.form_slope == pytest.approx(-2.0, abs=1e-9)
 
     def test_residuals_decrease_monotonically(self):
-        with pytest.warns(UserWarning, match="normalized"):
-            rep = singular_sequence_decay(self.PHI, (1.0, 2.0, 2.0), self.NS)
+        rep = self.decay((1.0, 2.0, 2.0))
         assert all(a > b for a, b in zip(rep.equation_residuals, rep.equation_residuals[1:]))
         rows = rep.to_rows()
         assert set(rows[0]) == {"n", "equation_residual", "form_term"}
