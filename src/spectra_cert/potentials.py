@@ -136,7 +136,7 @@ class Potential:
         return self._shape(self.amp.real * bracket, r)
 
     def abs_radial(self, r: np.ndarray) -> np.ndarray:
-        return np.abs(self.radial_profile(r))
+        return self._shape(abs(self.amp), np.asarray(r, float))
 
     def sign_radial(self, r: np.ndarray) -> np.ndarray:
         return complex_sign(self.radial_profile(r))

@@ -36,7 +36,7 @@ from spectra_cert.conditions import (
     thresholds,
 )
 from spectra_cert.numerics import panel_gauss
-from spectra_cert.potentials import catalog
+from spectra_cert.potentials import Potential, catalog
 
 # Anchor for the gaussian(v0=1) Rollnik norm: adaptive dblquad of the radial
 # log-kernel reduction, est. error 5e-11, truncated at r = 12 (e^{-144} tail).
@@ -91,37 +91,6 @@ def rollnik_partial_wave_oracle(abs_profile, r_max, ell_terms=120):
         )
     )
     return math.sqrt(sum(terms) + c_fit / (2.0 * (2 * big_l + 3)))
-
-
-def rollnik_per_node_oracle(potential):
-    """|V|_R^2 by one dyadic inner rule per outer node, summed node by node.
-
-    The straightforward loop form of ``conditions._rollnik_radial``: the same
-    nodes and weights, built one outer node at a time, so the vectorised
-    module version may differ from it only in the order of summation.
-    """
-    r_max = cond._truncation_radius(potential, cond._ROLLNIK_LENGTHS)
-    outer = {0.0, r_max} | {r_max * 2.0 ** (-k) for k in range(1, 17)}
-    for jump in potential.jumps:
-        outer |= cond._dyadic_edges(jump, 12)
-    outer_edges = sorted(e for e in outer if 0.0 <= e <= r_max)
-    outer_nodes, outer_weights = panel_gauss(
-        outer_edges, max(8, cond._ROLLNIK_N_OUTER // (len(outer_edges) - 1))
-    )
-    total = 0.0
-    for r, wr in zip(outer_nodes, outer_weights):
-        edges = sorted(
-            e for e in set(outer_edges) | cond._dyadic_edges(r, 28) if 0.0 <= e <= r_max
-        )
-        rho, w = panel_gauss(edges, 10)
-        keep = rho != r
-        rho, w = rho[keep], w[keep]
-        integrand = (
-            potential.abs_radial(rho) * rho * np.log((r + rho) / np.abs(r - rho))
-        )
-        inner = float(np.dot(w, integrand))
-        total += wr * float(potential.abs_radial(np.array([r]))[0]) * r * inner
-    return 8.0 * np.pi**2 * total
 
 
 class TestHardyConstant:
@@ -259,32 +228,58 @@ class TestRollnik:
         with pytest.raises(ConditionError):
             rollnik_norm(catalog("hardy", a=0.5, dimension=4))
 
+    def test_inner_rule_moments(self):
+        # int_0^1 t K(t) dt = 1 and int_0^1 t^3 K(t) dt = 2/3, K(t) = 2 artanh t
+        t, w = cond._rollnik_inner_rule()
+        assert abs(w.sum() - 1.0) <= 2e-12
+        assert abs(np.dot(w, t * t) - 2.0 / 3.0) <= 2e-12
+
+    @pytest.mark.parametrize(
+        "name, params, want",
+        [
+            ("gaussian", {"v0": 1.0}, math.pi**1.5),
+            ("gaussian", {"v0": 2.3, "c_im": 1.7}, math.pi**1.5 * abs(complex(2.3, 1.7))),
+            ("yukawa", {"g": 1.3, "mu": 0.7}, 2.0 * math.sqrt(2.0) * math.pi * 1.3 / 0.7),
+            ("square_well", {"v0": 2.0, "r0": 0.5}, 2.0 * math.pi * 2.0 * 0.5**2),
+            ("square_well", {"v0": 2.0, "r0": 1.3}, 2.0 * math.pi * 2.0 * 1.3**2),
+            # r0 = 23.5 and 30 on either side of 24, the R of a unit decay length; R = r0 here
+            ("square_well", {"v0": 2.0, "r0": 23.5}, 2.0 * math.pi * 2.0 * 23.5**2),
+            ("square_well", {"v0": 2.0, "r0": 30.0}, 2.0 * math.pi * 2.0 * 30.0**2),
+            # R = 24 / mu = 480
+            ("yukawa", {"g": 1.0, "mu": 0.05}, 2.0 * math.sqrt(2.0) * math.pi / 0.05),
+        ],
+        ids=[
+            "gaussian", "gaussian-complex", "yukawa", "well-0.5", "well-1.3", "well-23.5",
+            "well-30", "yukawa-long",
+        ],
+    )
+    def test_rows_match_closed_forms(self, name, params, want):
+        assert rollnik_norm(catalog(name, **params)) == pytest.approx(want, rel=1e-11, abs=0.0)
+
     @pytest.mark.parametrize(
         "name, params",
         [
             ("gaussian", {"v0": 1.0}),
-            ("gaussian", {"v0": 2.3, "c_im": 1.7}),
-            ("yukawa", {"g": 1.3, "mu": 0.7}),
-            ("square_well", {"v0": 2.0, "r0": 0.5}),
-            ("square_well", {"v0": 2.0, "r0": 1.3}),
-            # r_max = r0: the jump's dyadic outer edges past it are dropped,
-            # and V is nonzero up to r_max, where the inner edges of the
-            # outermost nodes are clipped
-            ("square_well", {"v0": 2.0, "r0": 23.5}),
-            ("square_well", {"v0": 2.0, "r0": 30.0}),
-            # r_max = 24 / mu = 480
-            ("yukawa", {"g": 1.0, "mu": 0.05}),
+            ("yukawa", {"g": 1.0, "mu": 2.0}),
+            ("square_well", {"v0": 1.0, "r0": 1.0}),
         ],
     )
-    def test_panel_blocks_match_per_node_loop(self, name, params):
-        potential = catalog(name, **params)
-        assert cond._rollnik_radial(potential) == pytest.approx(
-            rollnik_per_node_oracle(potential), rel=1e-12
-        )
+    def test_evaluates_fewer_than_100k_points(self, name, params, monkeypatch):
+        # one fixed inner rule per outer node: 187 x (448 + 1) = 83 963 points
+        evaluated = []
+        abs_radial = Potential.abs_radial
+
+        def counting(self, r):
+            evaluated.append(np.size(r))
+            return abs_radial(self, r)
+
+        monkeypatch.setattr(Potential, "abs_radial", counting)
+        rollnik_norm(catalog(name, **params))
+        assert 0 < sum(evaluated) < 100_000
 
     def test_memory_stays_per_outer_panel(self):
-        # one (panel nodes x inner nodes) block at a time: 0.44 MiB measured,
-        # against 15 MiB for one block over every outer node
+        # one (panel nodes x inner nodes) block at a time: 0.13 MiB measured,
+        # against 1.4 MiB for one block over every outer node
         well = catalog("square_well", v0=3.0, r0=1.3)
         rollnik_norm(well)
         tracemalloc.start()

@@ -132,6 +132,36 @@ class TestCatalog:
         half = np.sqrt(pot.abs_radial(r))
         np.testing.assert_allclose(half * pot.sign_radial(r) * half, v, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("hardy", {"a": 0.5}),
+            ("coulomb_repulsive", {"c": 2.0}),
+            ("gaussian", {"v0": 3.0}),
+            ("gaussian", {"v0": 0.0}),
+            ("yukawa", {"g": 1.5, "mu": 0.7}),
+            ("square_well", {"v0": 2.0, "r0": 1.3}),
+        ],
+    )
+    def test_abs_radial_is_exact_on_real_rows(self, name, params):
+        # |amp| times the real shape: the same roundings as |V| of the
+        # complex profile, so every real row reads bit for bit the same
+        pot = catalog(name, **params)
+        r = np.concatenate([np.geomspace(1e-30, 1e3, 97), [1.3, np.nextafter(1.3, 0.0)]])
+        assert np.array_equal(pot.abs_radial(r), np.abs(pot.radial_profile(r)))
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("gaussian", {"v0": 2.3, "c_im": 1.0}), ("imaginary_hardy", {"beta": 0.3})],
+    )
+    def test_abs_radial_within_two_ulps_on_complex_rows(self, name, params):
+        pot = catalog(name, **params)
+        r = np.geomspace(1e-30, 20.0, 97)
+        want = np.abs(pot.radial_profile(r))
+        got = pot.abs_radial(r)
+        assert got.dtype == float
+        assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * want)
+
 
 INF, NAN = float("inf"), float("nan")
 
