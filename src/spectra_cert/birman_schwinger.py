@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,7 +86,7 @@ from .numerics import (
     panel_gauss,
     smallest_singular_value,
 )
-from .potentials import Potential, complex_sign
+from .potentials import Potential, _scaled_row, complex_sign
 
 __all__ = [
     "BSError",
@@ -413,7 +413,7 @@ def _unit_row(potential: Potential) -> tuple[Potential, int]:
     it is, j = 0.
     """
     j = _scale_exponent(abs(potential.amp))
-    return (replace(potential, amp=potential.amp * 2.0**-j) if j else potential), j
+    return (_scaled_row(potential, j, 0) if j else potential), j
 
 
 def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import panel_gauss
-from .potentials import Potential
+from .numerics import _scale_exponent, panel_gauss
+from .potentials import Potential, _scaled_row
 
 __all__ = [
     "ConditionError",
@@ -71,6 +71,29 @@ def json_float(value):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_back(value: float, e: int) -> float:
+    """value 2^e, +inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
+
+
+def _sup_row(potential: Potential) -> tuple[Potential, int]:
+    """The row V~(t) = 2^-j V(2^k t), whose sups are 2^-(j + 2k) times V's, and j + 2k.
+
+    k and j + s k are the _scale_exponent of the length (r0, 1/mu or
+    1/sqrt(gamma); none without one) and of |amp|, so V~'s polynomial and
+    roots stay in the float range, and an ordinary row is read as it is.
+    """
+    if potential.r0 < math.inf:
+        k = _scale_exponent(potential.r0)
+    else:
+        k = -_scale_exponent(max(potential.mu, math.sqrt(potential.gamma)))
+    j = _scale_exponent(abs(potential.amp)) - int(potential.s * k)
+    return _scaled_row(potential, j, k), j + 2 * k
+
+
 def _row_sup(potential: Potential, coefficients: tuple) -> float:
     """sup over 0 < r < r0 of [p(r)]_+ r^(2-s) exp(-mu r - gamma r^2).
 
@@ -79,8 +102,8 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     f' = r^(1-s) exp(-mu r - gamma r^2) (r p' + p (2 - s - mu r - 2 gamma r^2)),
     so the sup is the largest of the limit at 0+, the value at r0-, the
     limit at infinity (no decay only) and f at the real roots of that
-    polynomial.  A limit that grows without bound makes the sup +inf, and so
-    does a value past the float range.
+    polynomial.  A limit that grows without bound makes the sup +inf.  On the
+    row of ``_sup_row`` every other candidate stays in the float range.
     """
     p = np.trim_zeros(np.asarray(coefficients, float), "b")
     if not p.any():
@@ -88,12 +111,7 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     mu, gamma, r0, k = potential.mu, potential.gamma, potential.r0, 2.0 - potential.s
 
     def f(r: float) -> float:
-        value = max(0.0, float(npoly.polyval(r, p)))
-        try:
-            return value * r**k * math.exp(-mu * r - gamma * r * r)
-        except OverflowError:  # r^k leaves the float range: f in logs
-            with np.errstate(divide="ignore", over="ignore"):
-                return float(np.exp(np.log(value) + k * math.log(r) - mu * r - gamma * r * r))
+        return max(0.0, float(npoly.polyval(r, p))) * r**k * math.exp(-mu * r - gamma * r * r)
 
     def at_infinity(c: float, power: float) -> float:
         # lim [c]_+ t^power as t -> infinity; t = 1/r turns r -> 0+ into it
@@ -129,7 +147,8 @@ def subordination_a_pointwise(potential: Potential) -> float:
     form-subordination constant; +inf when the supremum is.
     """
     cd2 = hardy_constant(potential.dimension)
-    return _row_sup(potential, (abs(potential.amp),)) / cd2
+    unit, e = _sup_row(potential)
+    return _scaled_back(_row_sup(unit, (abs(unit.amp),)) / cd2, e)
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +166,17 @@ def _in_classes(potential: Potential) -> bool:
     return potential.s < 2.0 and decays
 
 
-# truncation radii of the Rollnik and L^{3/2} quadratures in decay lengths,
+# truncation radius of the Rollnik and L^{3/2} quadratures in decay lengths,
 # and the number of outer Rollnik nodes
-_ROLLNIK_LENGTHS = 24.0
+_TRUNCATION_LENGTHS = 30.0
 _ROLLNIK_N_OUTER = 200
-_FRANK_LENGTHS = 30.0
 
 
-def _truncation_radius(potential: Potential, lengths: float) -> float:
-    """r0 when finite, else ``lengths`` times the shorter of 1/mu and 1/sqrt(gamma)."""
+def _truncation_radius(potential: Potential) -> float:
+    """r0 when finite, else _TRUNCATION_LENGTHS decay lengths 1/max(mu, sqrt(gamma))."""
     if potential.r0 < math.inf:
         return potential.r0
-    return lengths / max(potential.mu, math.sqrt(potential.gamma))
+    return _TRUNCATION_LENGTHS / max(potential.mu, math.sqrt(potential.gamma))
 
 
 def _ball_panels(
@@ -201,10 +219,10 @@ def _rollnik_radial(potential: Potential) -> float:
     the outer panels, graded dyadically toward 0, need no edge there.  Each
     outer panel is one array pass over a (panel nodes x 448) block, so
     memory is O(panel nodes x 448), not O(all nodes x 448).  On the
-    gaussian, yukawa and square-well rows the norm is within 3.3e-12 of its
+    gaussian, yukawa and square-well rows the norm is within 5.2e-13 of its
     closed form; a square well reads the inner rule's moment error alone.
     """
-    r_max = _truncation_radius(potential, _ROLLNIK_LENGTHS)
+    r_max = _truncation_radius(potential)
     outer_edges = [0.0] + [r_max * 2.0 ** (-k) for k in range(16, -1, -1)]
     per_panel = _ROLLNIK_N_OUTER // (len(outer_edges) - 1)
     outer_nodes, outer_weights = panel_gauss(outer_edges, per_panel)
@@ -223,13 +241,13 @@ def rollnik_norm(potential: Potential) -> float:
 
     The class is read off the row (``_in_classes``).  Otherwise the radial
     log-kernel reduction on the half square p < r (``_rollnik_radial``) is
-    integrated on [0, R], R = r0 when finite and else 24 decay lengths: 187
+    integrated on [0, R], R = r0 when finite and else 30 decay lengths: 187
     outer nodes on 17 panels graded dyadically toward 0, each node with the
     same 448-node inner rule in t = p/r.  R = r0 whenever V jumps, so no
     panel meets a jump, and memory stays one (11 x 448) block per outer
     panel.  The gaussian, yukawa and square-well values match their closed
-    forms pi^(3/2) |amp|, 2 sqrt(2) pi g / mu and 2 pi v0 r0^2 to 3.3e-12
-    relative.  It runs on the row V~(t) = 2^-j V(2^k t)
+    forms pi^(3/2) |amp|, 2 sqrt(2) pi g / mu and 2 pi v0 r0^2 to 5.2e-13
+    relative.  It runs on the row V~(t) = 2^-j V(2^k t) (``_scaled_row``)
     with 2^(k-1) <= R < 2^k and |amp| of order one: |V|_R = 2^(2k + j) |V~|_R
     by exact scalings, so the norm is finite wherever it fits in a float.
     """
@@ -237,17 +255,9 @@ def rollnik_norm(potential: Potential) -> float:
         raise ConditionError("the Rollnik norm is defined here for d = 3 only")
     if not _in_classes(potential):
         return math.inf
-    k = math.frexp(_truncation_radius(potential, _ROLLNIK_LENGTHS))[1]
+    k = math.frexp(_truncation_radius(potential))[1]
     j = math.frexp(abs(potential.amp))[1] - 1 - math.floor(potential.s * k)
-    unit = replace(
-        potential, amp=potential.amp / 2.0 ** (j + potential.s * k),
-        mu=math.ldexp(potential.mu, k), gamma=math.ldexp(potential.gamma, 2 * k),
-        r0=math.ldexp(potential.r0, -k),
-    )
-    try:
-        return math.ldexp(math.sqrt(_rollnik_radial(unit)), 2 * k + j)
-    except OverflowError:
-        return math.inf
+    return _scaled_back(math.sqrt(_rollnik_radial(_scaled_row(potential, j, k))), 2 * k + j)
 
 
 def frank_l32(potential: Potential) -> float:
@@ -260,7 +270,7 @@ def frank_l32(potential: Potential) -> float:
         raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")
     if not _in_classes(potential):
         return math.inf
-    nodes, weights = _ball_panels(potential, _truncation_radius(potential, _FRANK_LENGTHS), 14)
+    nodes, weights = _ball_panels(potential, _truncation_radius(potential), 14)
     # (|V|^(3/4) r)^2 meets no 0 * inf where |V| or r^2 alone leaves the
     # float range: the integral reads +inf when it overflows, 0 when it underflows
     with np.errstate(over="ignore"):
@@ -283,7 +293,8 @@ def lambda_constant(potential: Potential) -> float:
     d = potential.dimension
     if d < 3:
         raise ConditionError(f"dimension must be >= 3, got {d}")
-    return _row_sup(potential, (abs(potential.amp),)) * 2.0 / (d - 2)
+    unit, e = _sup_row(potential)
+    return _scaled_back(_row_sup(unit, (abs(unit.amp),)) * 2.0 / (d - 2), e)
 
 
 @dataclass(frozen=True)
@@ -346,11 +357,14 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     """
     d = potential.dimension
     cd2 = hardy_constant(d)
-    re, s = potential.amp.real, potential.s
-    s1 = _row_sup(potential, (-re,))
-    s2 = _row_sup(potential, (re * (1 - s), -re * potential.mu, -2.0 * re * potential.gamma))
-    s3 = _row_sup(potential, (abs(potential.amp.imag),))
-    return math.sqrt(s1 / cd2), math.sqrt(s2 / cd2), s3 * 2.0 / (d - 2)
+    unit, e = _sup_row(potential)
+    re, s = unit.amp.real, unit.s
+    s1 = _row_sup(unit, (-re,))
+    s2 = _row_sup(unit, (re * (1 - s), -re * unit.mu, -2.0 * re * unit.gamma))
+    s3 = _row_sup(unit, (abs(unit.amp.imag),))
+    half, odd = divmod(e, 2)  # sqrt(sup 2^e / cd2) with half of e outside the root
+    b1, b2 = (_scaled_back(math.sqrt(_scaled_back(x / cd2, odd)), half) for x in (s1, s2))
+    return b1, b2, _scaled_back(s3 * 2.0 / (d - 2), e)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +434,10 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
         verdicts["thm13"] = "fail"
     else:
         q = 2.0 / (d - 2)
-        cond1 = report.b1**2 < 1.0 - 2.0 * report.b3 / (d - 2)
-        cond2 = (
-            report.b2**2 + 2.0 * report.b3 + 0.25 * math.sqrt(report.b3) * q**1.5
-            < 1.0
+        # both right sides are at most 1, so b >= 1 fails before b^2 can overflow
+        cond1 = report.b1 < 1.0 and report.b1**2 < 1.0 - 2.0 * report.b3 / (d - 2)
+        cond2 = report.b2 < 1.0 and (
+            report.b2**2 + 2.0 * report.b3 + 0.25 * math.sqrt(report.b3) * q**1.5 < 1.0
         )
         verdicts["thm13"] = "pass" if (cond1 and cond2) else "inconclusive"
     return verdicts

@@ -41,7 +41,6 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .conditions import b_constants
 from .numerics import fit_loglog_slope, panel_gauss
 from .potentials import MagneticPotential, Potential, _row_params, _Row, b_tau
 
@@ -414,8 +413,8 @@ def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, fl
     return lhs, rhs
 
 
-def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, float]:
-    """(int |grad u^-|^2, lhs, rhs) of the key identity with right-hand side f.
+def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float]:
+    """(lhs, rhs) of the key identity with right-hand side f.
 
     The sides are those of ``id4`` on :func:`identity_residual`; ``f`` is
     the radial profile entering I1 + I2 + I3, Delta u + lambda u for the
@@ -427,9 +426,8 @@ def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, fl
     dq_minus = p.dq - 1j * _sgn2(lam) * root * p.q
     extra = p.ell * (p.ell + 1)
     grad_minus = np.abs(dq_minus) ** 2 + extra * np.abs(p.q) ** 2 / p.r**2
-    grad_minus_sq = p.integral(grad_minus).real
     lhs = (
-        grad_minus_sq
+        p.integral(grad_minus).real
         + ratio * p.integral(p.r * grad_minus).real
         - ratio * p.integral(np.abs(p.q) ** 2 / p.r).real
     )
@@ -438,7 +436,7 @@ def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float, fl
         - 2.0 * p.integral(p.r * f * np.conj(dq_minus)).real
         - ratio * p.integral(p.r * f * np.conj(p.q)).real
     )
-    return grad_minus_sq, lhs, rhs
+    return lhs, rhs
 
 
 def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tuple[float, float]:
@@ -457,7 +455,7 @@ _IDENTITIES = {
     "id1": ("real-part", _id1_sides),
     "id2": ("imag-part", _id2_sides),
     "id3": ("hessian", _id3_sides),
-    "id4": ("key-gauge", lambda p, lam, _: _key_sides(p, lam, p.f)[1:]),
+    "id4": ("key-gauge", lambda p, lam, _: _key_sides(p, lam, p.f)),
     "magnetic": ("magnetic", _magnetic_sides),
 }
 
@@ -474,9 +472,9 @@ def _identity_terms(
     ``g`` is the multiplier, or the field row of the magnetic identity;
     ``id4`` takes none.  Every identity runs on the same probe.  The Gauss
     rule is settled: each identity's sides at n and 2n must agree within
-    _SETTLE_TOL and the 2n values are returned.  The midpoint rule keeps
-    its O(h^2) error visible for the refinement-order studies, so it is
-    returned as is.
+    _SETTLE_TOL, which a non-finite side never does, and the 2n values are
+    returned.  The midpoint rule keeps its O(h^2) error visible for the
+    refinement-order studies, so it is returned as is.
     """
     lam = complex(lam)
     for kind, g in pairs:
@@ -496,7 +494,7 @@ def _identity_terms(
         p, fine = sides_on(2 * n)
         for (kind, _), (lhs, rhs), (lhs2, rhs2) in zip(pairs, sides, fine):
             scale = abs(lhs2) + abs(rhs2) + p.norm_sq
-            if abs(lhs2 - lhs) + abs(rhs2 - rhs) > _SETTLE_TOL * max(scale, 1e-30):
+            if not abs(lhs2 - lhs) + abs(rhs2 - rhs) <= _SETTLE_TOL * max(scale, 1e-30):
                 raise MultiplierError(
                     f"{kind} quadrature did not settle between n={n} and n={2 * n}"
                 )
@@ -624,7 +622,7 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     ``psi`` must be a NearExtremalHardyProfile, a radial profile with its
     first derivative.  It decays like e^(-2 eps r), so the quadrature
     window scales with 1/eps.  The quotients at 600 nodes must agree with
-    those at 1200.
+    those at 1200, which a non-finite quotient never does.
     """
     if d < 3:
         raise MultiplierError("Hardy quotients need d >= 3")
@@ -645,7 +643,7 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
 
     a1, a2 = ratios(_HARDY_N)
     b1, b2 = ratios(2 * _HARDY_N)
-    if abs(a1 - b1) + abs(a2 - b2) > _SETTLE_TOL:
+    if not abs(a1 - b1) + abs(a2 - b2) <= _SETTLE_TOL:
         raise MultiplierError("Hardy quotient quadrature did not settle")
     return HardyRatios(
         hardy_ratio=b1,
@@ -657,16 +655,13 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
 
 @dataclass(frozen=True)
 class RadiTerms:
-    """Named terms of the radial key identity with the estimate chain.
+    """Named terms of the radial key identity.
 
     ``i1`` includes the jump terms of d_r(r V1) described on
     :func:`radi_identity_terms`.  ``i3_defect`` plays the role of the
     paper's cutoff remainder: it is the key-identity right-hand side
     evaluated at f - V u, which vanishes when the probe is an exact
-    eigenfunction.  ``eps_defect`` is the matching
-    remainder in the L^2 bound, |Im sgn(l2) int (f - Vu) conj(u)|.
-    ``lower_bound_checked`` is None when the bound is not claimed (it needs
-    b1 <= 1 and |l2| <= l1).
+    eigenfunction.
     """
 
     i_total: float
@@ -674,14 +669,6 @@ class RadiTerms:
     i2: float
     i3_defect: float
     residual: float
-    grad_minus_sq: float
-    b1: float
-    b2: float
-    b3: float
-    eps_defect: float
-    i1_within_b2: bool
-    i2_within_b3: bool
-    lower_bound_checked: Optional[bool]
 
     def rows(self) -> list[dict]:
         terms = (
@@ -708,9 +695,7 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     the sense of distributions: where r V1 jumps by J = -r0 V1(r0-) at a
     jump r0 of V, it carries J delta(|x| - r0), which adds
     J r0^2 c_l |q(r0)|^2 to I1 (c_l the angular weight); the probe panels
-    end at r0.  The estimate chain
-    (I1 <= b2^2 ||grad u^-||^2, |I2| <= 2 b3 ||grad u^-||^2, and the lower
-    bound on I) is asserted with the pointwise b-constants.
+    end at r0.
     """
     lam = complex(lam)
     if not lam.real > 0:
@@ -727,7 +712,7 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
 
     # defect bucket: the key-identity RHS at g := f - V u
     g_vals = p.f - v_vals * p.q
-    grad_minus_sq, key_lhs, i3 = _key_sides(p, lam, g_vals)
+    key_lhs, i3 = _key_sides(p, lam, g_vals)
     i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
     i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
     for r0 in potential.jumps:
@@ -737,22 +722,7 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     i2 = 2.0 * p.integral(p.r * np.imag(v_vals) * p.q * comb).imag
     scale = abs(i_total) + abs(i1) + abs(i2) + abs(i3) + p.norm_sq
     residual = abs(i_total - (i1 + i2 + i3)) / scale
-
-    b1, b2, b3 = b_constants(potential)
-    eps_defect = abs((sig * p.integral(g_vals * np.conj(p.q))).imag)
-    slack = 1e-9 * max(grad_minus_sq, 1.0)
-    i1_ok = i1 <= b2**2 * grad_minus_sq + slack
-    i2_ok = abs(i2) <= 2.0 * b3 * grad_minus_sq + slack
-
-    lower: Optional[bool] = None
-    if b1 <= 1.0 and abs(lam.imag) <= lam.real:
-        coeff = 1.0 - 0.25 * math.sqrt(b3) * 2.0**1.5
-        correction = 0.25 * 2.0 * math.sqrt(grad_minus_sq * eps_defect)
-        lower = i_total >= coeff * grad_minus_sq - correction - slack
-    return RadiTerms(
-        i_total, i1, i2, i3, residual, grad_minus_sq,
-        b1, b2, b3, eps_defect, i1_ok, i2_ok, lower,
-    )
+    return RadiTerms(i_total, i1, i2, i3, residual)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -140,6 +140,18 @@ class Potential:
 
     def sign_radial(self, r: np.ndarray) -> np.ndarray:
         return complex_sign(self.radial_profile(r))
+
+
+def _scaled_row(potential: Potential, j: int, k: int) -> Potential:
+    """The row of V~(t) = 2^-j V(2^k t): amp 2^-(j + s k), mu 2^k, gamma 2^(2k),
+    r0 2^-k, all exact while normal (s k is an integer on every catalog row)."""
+    e = j + int(potential.s * k)
+    re, im = (math.ldexp(x, -e) for x in (potential.amp.real, potential.amp.imag))
+    return replace(
+        potential, amp=complex(re, im) if isinstance(potential.amp, complex) else re,
+        mu=math.ldexp(potential.mu, k), gamma=math.ldexp(potential.gamma, 2 * k),
+        r0=math.ldexp(potential.r0, -k),
+    )
 
 
 # a rule is (key, range, default): range "> 0", ">= 0", "finite when squared"

@@ -197,9 +197,9 @@ class SpectrumReport:
 
     ``eigenvalues`` are sorted by real then imaginary part; ``residuals``
     are |M v - lam v| per unit eigenvector, each checked against
-    1e-10 |M|_F (``matrix_norm``) when the report is built.  Outliers
-    are the eigenvalues farther from [0, inf) than ``outlier_tol``; their
-    eigenvectors ride along for downstream cross-checks.
+    1e-10 |M|_F when the report is built.  Outliers are the eigenvalues
+    farther from [0, inf) than ``outlier_tol``; their eigenvectors ride
+    along for downstream cross-checks.
     """
 
     eigenvalues: np.ndarray
@@ -207,7 +207,6 @@ class SpectrumReport:
     outlier_indices: tuple[int, ...]
     outlier_tol: float
     continuum_floor: float
-    matrix_norm: float
     outlier_vectors: np.ndarray = field(repr=False)
 
     @property
@@ -233,8 +232,9 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     A real diagonal takes its eigenpairs from ``eigh_tridiagonal``, a
     complex one from the dense zgeev (``eig_complex``); both hand back the
     eigenvalue array and the matching columns of unit eigenvectors, which
-    are used as they come.  Either way each eigenpair's residual is taken from an O(n) banded product and must
-    stay within 1e-10 |M|_F, otherwise :class:`EigenvalueError` is raised.
+    are used as they come.  Either way each eigenpair's residual is taken
+    from an O(n) banded product and must stay within 1e-10 |M|_F (BLAS nrm2
+    of the bands), otherwise :class:`EigenvalueError` is raised.
     ``outlier_tol`` defaults to 10x the finite-size gap of the free
     operator at the same resolution: genuine continuum approximants hug
     [0, inf) at that scale, discrete eigenvalues sit beyond it.
@@ -245,8 +245,8 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     if outlier_tol <= 0:
         raise SpectralError("outlier_tol must be positive")
     off = -1.0 / op.h**2
-    # |M|_F from the bands: the diagonal and 2 (n - 1) off-diagonal entries
-    norm = float(np.sqrt(np.sum(np.abs(op.diag) ** 2) + 2 * (op.n - 1) * off**2))
+    offs = np.full(op.n - 1, off)
+    norm = _tridiagonal_frobenius(op.diag, offs)
     if op.diag.imag.any():
         vals, vecs = eig_complex(op.matrix)
         diag = op.diag
@@ -255,7 +255,7 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
 
         # real symmetric tridiagonal: ascending eigenvalues are already in
         # (re, im) order, and the pairs stay real until they are reported
-        vals, vecs = eigh_tridiagonal(op.diag.real, np.full(op.n - 1, off))
+        vals, vecs = eigh_tridiagonal(op.diag.real, offs)
         diag = op.diag.real
     # banded M V - V diag(vals) for every pair at once: O(n) per pair
     res = (diag[:, np.newaxis] - vals) * vecs
@@ -279,7 +279,6 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
         outlier_indices=outlier_idx,
         outlier_tol=float(outlier_tol),
         continuum_floor=floor,
-        matrix_norm=norm,
         outlier_vectors=vecs[:, list(outlier_idx)].astype(np.complex128),
     )
 

@@ -818,6 +818,36 @@ class TestMainExitCodes:
             "tangential_residual": 1.7378526265024817e-16,
         }
 
+    def test_strongest_gaussian_gets_its_constants(self, tmp_path, capsys):
+        # the sups are read on the unit row: a = 4 v0 / e, b1 = 2 sqrt(v0 / e)
+        stem = "check_conditions_hardy"
+        args = [
+            f"output.path={tmp_path / stem}",
+            'potential={"name": "gaussian", "params": {"v0": 1e308}}',
+        ]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert doc["a"] == pytest.approx(4.0 / math.e * 1e308, rel=1e-15)
+        assert doc["b1"] == pytest.approx(2e154 / math.sqrt(math.e), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_key_identity_that_leaves_the_float_range_is_1(self, tmp_path, capsys):
+        # at lambda = 1e300 (1 + i) the key-gauge lhs is infinite on both
+        # rules and their difference NaN; the settle guard must refuse it
+        # before the JSON writer meets it
+        stem = "identity_check_gaussian"
+        args = [f"output.path={tmp_path / stem}", "lambda=[1e300,1e300]"]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "numerical check failed: multipliers.identity_term_rows: "
+            "id4 quadrature did not settle between n=320 and n=640\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("overrides", [["grid_n=3130"], ["grid_n=6000", "ell_max=1"]])
     def test_grid_where_v_leaves_the_float_range_is_2(

@@ -8,10 +8,11 @@ tests has no path from ``spectra-cert run`` and should be wired in or
 deleted.
 
 The name rule also holds for the public methods and properties of exported
-classes.  The same rule holds for defaulted parameters of exported
-functions and public methods, and for defaulted fields of exported
-dataclasses: some call in those sources must pass each one, or it is a
-constant in disguise and belongs in the module as one.
+classes, and for their annotated fields: a result field that nothing reads
+is a value computed for no one.  The same rule holds for defaulted
+parameters of exported functions and public methods, and for defaulted
+fields of exported dataclasses: some call in those sources must pass each
+one, or it is a constant in disguise and belongs in the module as one.
 
 The package's relative imports, lazy ones included, must form no cycle.
 
@@ -74,21 +75,43 @@ def exported_names() -> list[tuple[str, str]]:
     ]
 
 
-def public_members() -> list[tuple[str, str, str]]:
-    """(module, class, member) for the public methods and properties of
-    every class in a package ``__all__``."""
+def _exported_classes() -> list[tuple[str, ast.ClassDef]]:
+    """(module, class node) for every class in a package ``__all__``."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         exported = set(_all_of(tree))
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name in exported:
-                out += [
-                    (path.stem, node.name, stmt.name)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
-                ]
+        out += [
+            (path.stem, node)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in exported
+        ]
     return out
+
+
+def _fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
+    return [
+        stmt
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def public_members() -> list[tuple[str, str, str]]:
+    """(module, class, member) for the public methods and properties of
+    every class in a package ``__all__``."""
+    return [
+        (mod, cls.name, stmt.name)
+        for mod, cls in _exported_classes()
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+    ]
+
+
+def exported_fields() -> list[tuple[str, str, str]]:
+    """(module, class, field) for the annotated fields of every class in a
+    package ``__all__``."""
+    return [(mod, cls.name, stmt.target.id) for mod, cls in _exported_classes() for stmt in _fields(cls)]
 
 
 def relative_imports() -> dict[str, set[str]]:
@@ -157,13 +180,8 @@ def defaulted_knobs() -> list[tuple[str, str, str, int | None]]:
                 for param, idx in _defaulted_params(node, is_method=False):
                     out.append((path.stem, node.name, param, idx))
             elif isinstance(node, ast.ClassDef):
-                fields = [
-                    stmt
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                ]
                 if _is_dataclass(node):
-                    for idx, stmt in enumerate(fields):
+                    for idx, stmt in enumerate(_fields(node)):
                         if stmt.value is not None:
                             out.append((path.stem, node.name, stmt.target.id, idx))
                 for stmt in node.body:
@@ -229,6 +247,14 @@ def test_every_public_method_is_used_outside_the_unit_tests():
     assert len(members) > 10
     unused = [f"{mod}.{cls}.{name}" for mod, cls, name in members if name not in used]
     assert unused == []
+
+
+def test_every_exported_field_is_read_outside_the_unit_tests():
+    used = used_names(SOURCES)
+    fields = exported_fields()
+    assert len(fields) > 50
+    unread = [f"{mod}.{cls}.{name}" for mod, cls, name in fields if name not in used]
+    assert unread == []
 
 
 def test_package_imports_form_no_cycle():

@@ -27,6 +27,7 @@ from spectra_cert.multipliers import _probe_on
 from spectra_cert.numerics import (
     EigenvalueError,
     NumericsError,
+    _tridiagonal_frobenius,
     band_smallest_singular_value,
     eig_complex,
     tridiagonal_smallest_singular_value,
@@ -143,12 +144,14 @@ class TestFreeFloor:
 
 class TestSpectrum:
     def test_residuals_within_eigensolver_guarantee(self):
-        rep = spectrum(discretize_radial(IMAGH, 0, 15.0, 96))
-        assert np.max(rep.residuals) <= 1e-10 * rep.matrix_norm
+        op = discretize_radial(IMAGH, 0, 15.0, 96)
+        rep = spectrum(op)
+        assert np.max(rep.residuals) <= 1e-10 * np.linalg.norm(op.matrix)
 
     def test_banded_residuals_match_dense_products(self):
         # complex V (zgeev) and real V (eigh_tridiagonal); |M|_F comes from
-        # the bands, summed in another order than the dense norm.  The real
+        # BLAS nrm2 on the bands, summed in another order than the dense
+        # norm.  The real
         # well covers the whole domain and sinks every eigenvalue below 0,
         # so every eigenpair is an outlier.
         sunk = catalog("square_well", v0=200.0, r0=20.0)
@@ -159,12 +162,9 @@ class TestSpectrum:
             vecs = rep.outlier_vectors
             assert vecs.shape == (96, 96)
             dense = np.linalg.norm(m @ vecs - vecs * rep.eigenvalues, axis=0)
-            assert rep.matrix_norm == pytest.approx(
-                float(np.linalg.norm(m)), rel=4 * np.finfo(float).eps
-            )
-            np.testing.assert_allclose(
-                rep.residuals, dense, rtol=0, atol=1e-14 * rep.matrix_norm
-            )
+            norm = _tridiagonal_frobenius(op.diag, np.full(95, -1.0 / op.h**2))
+            assert norm == pytest.approx(float(np.linalg.norm(m)), rel=4 * np.finfo(float).eps)
+            np.testing.assert_allclose(rep.residuals, dense, rtol=0, atol=1e-14 * norm)
 
     def test_perturbed_eigenvector_is_refused(self, monkeypatch):
         # spectrum itself checks every pair against 1e-10 |M|_F; a vector
@@ -187,7 +187,7 @@ class TestSpectrum:
         dense, _ = eig_complex(op.matrix)
         assert not rep.eigenvalues.imag.any()
         np.testing.assert_allclose(
-            rep.eigenvalues, dense, rtol=0, atol=1e-12 * rep.matrix_norm
+            rep.eigenvalues, dense, rtol=0, atol=1e-12 * np.linalg.norm(op.matrix)
         )
 
     def test_real_v_never_calls_zgeev(self, monkeypatch):
