@@ -74,7 +74,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .conditions import _ball_panels, rollnik_norm
+from .conditions import _ball_panels, _scaled_back, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
@@ -86,7 +86,7 @@ from .numerics import (
     panel_gauss,
     smallest_singular_value,
 )
-from .potentials import Potential, _scaled_row, complex_sign
+from .potentials import Potential, _unit_row, complex_sign
 
 __all__ = [
     "BSError",
@@ -129,6 +129,14 @@ _BS_NORM_SLACK = 0.02
 
 class BSError(ValueError):
     """Raised on precondition violations or failed built-in assertions."""
+
+
+def _in_float_range(norm: float, j: int, what: str) -> float:
+    """norm 2^j, or :class:`BSError` where that leaves the float range."""
+    scaled = _scaled_back(norm, j)
+    if scaled == math.inf:
+        raise BSError(f"{what} {norm:.6e} * 2^{j} leaves the float range")
+    return scaled
 
 
 def _on_positive_axis(z: complex) -> bool:
@@ -378,10 +386,11 @@ class BSMatrix:
     def hs_estimate(self) -> float:
         """Multiplicity-weighted HS norm of the truncated family plus tail,
         summed on the Frobenius norms divided by a power of two 2^j near the
-        largest one, so that no square leaves the float range."""
+        largest one, so that no square leaves the float range.  Raises
+        :class:`BSError` when the estimate itself does."""
         j = _scale_exponent(max(self.per_ell_frobenius))
         fro_sq = [math.ldexp(fro, -j) ** 2 for fro in self.per_ell_frobenius]
-        return math.ldexp(_completed_hs_norm(fro_sq), j)
+        return _in_float_range(_completed_hs_norm(fro_sq), j, "HS estimate")
 
     def dominated_by(self, base: BSMatrix) -> bool:
         """Resolvent domination |K_z| <= |K_0| up to the 2 % discretization
@@ -402,18 +411,6 @@ class BSMatrix:
 def _check_radial_3d(potential: Potential) -> None:
     if potential.dimension != 3:
         raise BSError("partial-wave assembly is three-dimensional")
-
-
-def _unit_row(potential: Potential) -> tuple[Potential, int]:
-    """The row with amp divided by 2^j, and j (numerics._scale_exponent).
-
-    K_z is linear in V, so every sector norm and Frobenius norm of the row
-    is 2^j times that of the unit row, whose running sums and kernels stay
-    in the float range.  A row with 2^-256 <= |amp| <= 2^256 comes back as
-    it is, j = 0.
-    """
-    j = _scale_exponent(abs(potential.amp))
-    return (_scaled_row(potential, j, 0) if j else potential), j
 
 
 def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
@@ -671,11 +668,12 @@ def assemble_bs(
     :class:`NumericsError`.  Every other sector is checked only against its
     Ritz residual and the floor |M_l|_F / sqrt(n).  All of it, the dense
     check included, runs on the row with amp divided by a power of two 2^j
-    (_unit_row), and the norms are scaled back by 2^j.
+    (potentials._unit_row), and the norms are scaled back by 2^j (BSError
+    past the float range).
     """
     z = complex(z)
     _check_sector_args(potential, z, ell_max)
-    potential, j = _unit_row(potential)
+    potential, j = _unit_row(potential, lengths=False)
     family = _sector_family(potential, z, grid, ell_max)
     if family.r.size == 0:
         norms = [0.0] * (ell_max + 1)
@@ -687,8 +685,8 @@ def assemble_bs(
     tail_warning = len(norms) >= 2 and 0.0 < norms[-1] and norms[-1] >= norms[-2]
     return BSMatrix(
         z=z,
-        per_ell_norms=tuple(math.ldexp(norm, j) for norm in norms),
-        per_ell_frobenius=tuple(math.ldexp(fro, j) for fro in np.sqrt(family.fro_sq).tolist()),
+        per_ell_norms=tuple(_in_float_range(norm, j, "sector norm") for norm in norms),
+        per_ell_frobenius=tuple(_in_float_range(f, j, "|M_l|_F") for f in np.sqrt(family.fro_sq)),
         tail_warning=tail_warning,
     )
 
@@ -753,10 +751,10 @@ def hs_norm(
     _node_masses): O(n ell_max) work and memory, no n x n matrix, so
     fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
     Rollnik norm computed by the condition checkers.  Route (i) runs on the
-    row with amp divided by a power of two 2^j (_unit_row) and scales back
-    by 2^j, as the Rollnik norm rescales its own row, so neither route
-    leaves the float range while the norm fits in it.  A divergent Rollnik
-    norm (+inf, Hardy-type potentials) makes both routes +inf.
+    row with amp divided by 2^j (potentials._unit_row) and scales back by
+    2^j (BSError past the float range), as the Rollnik norm rescales its own
+    row, so neither route leaves the float range while the norm fits in it.
+    A divergent Rollnik norm (+inf, Hardy-type potentials) makes both +inf.
     """
     _check_radial_3d(potential)
     if ell_max < 0:
@@ -766,10 +764,10 @@ def hs_norm(
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
-    unit, j = _unit_row(potential)
+    unit, j = _unit_row(potential, lengths=False)
     g_diag, gap = _sector_steps(0j, grid.nodes, ell_max)[2:]
     x = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights * g_diag
-    direct = math.ldexp(_completed_hs_norm(_node_masses(x, gap)[1]), j)
+    direct = _in_float_range(_completed_hs_norm(_node_masses(x, gap)[1]), j, "HS norm")
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0

@@ -106,9 +106,7 @@ from .potentials import (
     _MAGNETIC,
     PotentialError,
     catalog,
-    catalog_names,
     magnetic_catalog,
-    magnetic_catalog_names,
 )
 from .spectral import (
     SpectralError,
@@ -511,10 +509,13 @@ def _run_bs_norm(config, pot, stages):
     )
     points = []
     for z in config.z_list:
-        bs = _stage(
-            stages,
-            f"birman_schwinger.assemble_bs z={z.real:g}{z.imag:+g}j",
-            lambda z=z: assemble_bs(pot, z, grid, ell_max=ell_max),
+
+        def assemble(z=z):
+            bs = assemble_bs(pot, z, grid, ell_max=ell_max)
+            return bs, bs.summary()
+
+        bs, summary = _stage(
+            stages, f"birman_schwinger.assemble_bs z={z.real:g}{z.imag:+g}j", assemble
         )
         if not bs.dominated_by(base):
             raise RunFailure(
@@ -522,7 +523,7 @@ def _run_bs_norm(config, pot, stages):
                 f" the z=0 norm {base.norm:.6g} beyond the"
                 f" {_BS_NORM_SLACK:.0%} discretization slack"
             )
-        points.append(bs.summary())
+        points.append(summary)
     return {"base_norm": base.norm, "points": points}, None
 
 
@@ -814,11 +815,11 @@ def _cmd_catalog(args) -> int:
     d = _want_dimension(args.dim)
     table = thresholds(d)
     lines = []
-    for title, names, rows in (
-        (f"potential catalog (dimension {d})", catalog_names(), _ELECTRIC),
-        ("magnetic catalog (magnetic-smoke)", magnetic_catalog_names(), _MAGNETIC),
+    for title, rows in (
+        (f"potential catalog (dimension {d})", _ELECTRIC),
+        ("magnetic catalog (magnetic-smoke)", _MAGNETIC),
     ):
-        lines += [title] + [f"  {rows[n].usage:<26}{rows[n].summary}" for n in names] + [""]
+        lines += [title] + [f"  {row.usage:<26}{row.summary}" for row in rows.values()] + [""]
     lines += [
         f"thresholds (dimension {d})",
         f"  subordination b max   {table.thm12_b_max:.12g}",

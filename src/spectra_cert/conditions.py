@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import _scale_exponent, panel_gauss
-from .potentials import Potential, _scaled_row
+from .numerics import panel_gauss
+from .potentials import Potential, _unit_row
 
 __all__ = [
     "ConditionError",
@@ -79,21 +79,6 @@ def _scaled_back(value: float, e: int) -> float:
         return math.inf
 
 
-def _sup_row(potential: Potential) -> tuple[Potential, int]:
-    """The row V~(t) = 2^-j V(2^k t), whose sups are 2^-(j + 2k) times V's, and j + 2k.
-
-    k and j + s k are the _scale_exponent of the length (r0, 1/mu or
-    1/sqrt(gamma); none without one) and of |amp|, so V~'s polynomial and
-    roots stay in the float range, and an ordinary row is read as it is.
-    """
-    if potential.r0 < math.inf:
-        k = _scale_exponent(potential.r0)
-    else:
-        k = -_scale_exponent(max(potential.mu, math.sqrt(potential.gamma)))
-    j = _scale_exponent(abs(potential.amp)) - int(potential.s * k)
-    return _scaled_row(potential, j, k), j + 2 * k
-
-
 def _row_sup(potential: Potential, coefficients: tuple) -> float:
     """sup over 0 < r < r0 of [p(r)]_+ r^(2-s) exp(-mu r - gamma r^2).
 
@@ -103,7 +88,7 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     so the sup is the largest of the limit at 0+, the value at r0-, the
     limit at infinity (no decay only) and f at the real roots of that
     polynomial.  A limit that grows without bound makes the sup +inf.  On the
-    row of ``_sup_row`` every other candidate stays in the float range.
+    row of ``potentials._unit_row`` every other candidate stays in the float range.
     """
     p = np.trim_zeros(np.asarray(coefficients, float), "b")
     if not p.any():
@@ -147,7 +132,7 @@ def subordination_a_pointwise(potential: Potential) -> float:
     form-subordination constant; +inf when the supremum is.
     """
     cd2 = hardy_constant(potential.dimension)
-    unit, e = _sup_row(potential)
+    unit, e = _unit_row(potential)
     return _scaled_back(_row_sup(unit, (abs(unit.amp),)) / cd2, e)
 
 
@@ -247,17 +232,17 @@ def rollnik_norm(potential: Potential) -> float:
     panel meets a jump, and memory stays one (11 x 448) block per outer
     panel.  The gaussian, yukawa and square-well values match their closed
     forms pi^(3/2) |amp|, 2 sqrt(2) pi g / mu and 2 pi v0 r0^2 to 5.2e-13
-    relative.  It runs on the row V~(t) = 2^-j V(2^k t) (``_scaled_row``)
-    with 2^(k-1) <= R < 2^k and |amp| of order one: |V|_R = 2^(2k + j) |V~|_R
-    by exact scalings, so the norm is finite wherever it fits in a float.
+    relative.  |V|_R^2 grows like |amp|^2 R^4, so it runs on the row V~ of
+    ``potentials._unit_row(every_row=True)``, with R and |amp| of order one
+    on every row; each quadrature step is exact under that scaling, and
+    |V|_R = 2^e |V~|_R is finite wherever it fits in a float.
     """
     if potential.dimension != 3:
         raise ConditionError("the Rollnik norm is defined here for d = 3 only")
     if not _in_classes(potential):
         return math.inf
-    k = math.frexp(_truncation_radius(potential))[1]
-    j = math.frexp(abs(potential.amp))[1] - 1 - math.floor(potential.s * k)
-    return _scaled_back(math.sqrt(_rollnik_radial(_scaled_row(potential, j, k))), 2 * k + j)
+    unit, e = _unit_row(potential, every_row=True)
+    return _scaled_back(math.sqrt(_rollnik_radial(unit)), e)
 
 
 def frank_l32(potential: Potential) -> float:
@@ -293,7 +278,7 @@ def lambda_constant(potential: Potential) -> float:
     d = potential.dimension
     if d < 3:
         raise ConditionError(f"dimension must be >= 3, got {d}")
-    unit, e = _sup_row(potential)
+    unit, e = _unit_row(potential)
     return _scaled_back(_row_sup(unit, (abs(unit.amp),)) * 2.0 / (d - 2), e)
 
 
@@ -357,7 +342,7 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     """
     d = potential.dimension
     cd2 = hardy_constant(d)
-    unit, e = _sup_row(potential)
+    unit, e = _unit_row(potential)
     re, s = unit.amp.real, unit.s
     s1 = _row_sup(unit, (-re,))
     s2 = _row_sup(unit, (re * (1 - s), -re * unit.mu, -2.0 * re * unit.gamma))

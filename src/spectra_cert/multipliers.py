@@ -489,9 +489,12 @@ def _identity_terms(
         p = _probe_on(u, lam, m, rule)
         return p, [_IDENTITIES[kind][1](p, lam, g) for kind, g in pairs]
 
-    p, sides = sides_on(n)
-    if rule == "gauss":
-        p, fine = sides_on(2 * n)
+    if rule != "gauss":
+        p, sides = sides_on(n)
+    else:
+        # a side past the float range reads inf or nan, which the guard refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            (_, sides), (p, fine) = sides_on(n), sides_on(2 * n)
         for (kind, _), (lhs, rhs), (lhs2, rhs2) in zip(pairs, sides, fine):
             scale = abs(lhs2) + abs(rhs2) + p.norm_sq
             if not abs(lhs2 - lhs) + abs(rhs2 - rhs) <= _SETTLE_TOL * max(scale, 1e-30):

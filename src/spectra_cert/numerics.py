@@ -2,7 +2,7 @@
 linear algebra.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
-provides Gauss-Legendre rules, plain and composite over panels, and the
+provides one Gauss-Legendre rule, composite over panels, and the
 :class:`RadialGrid` container for radial rules on (0, r_max].  The linear
 algebra side wraps the dense complex
 eigendecomposition, returned as LAPACK's sorted value and vector arrays
@@ -39,7 +39,6 @@ __all__ = [
     "NumericsError",
     "EigenvalueError",
     "RadialGrid",
-    "gauss_legendre",
     "panel_gauss",
     "eig_complex",
     "largest_singular_value",
@@ -68,41 +67,14 @@ class EigenvalueError(NumericsError):
 _gl_nodes = cache(leggauss)
 
 
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b].
-
-    The rule integrates polynomials of degree <= 2n - 1 exactly (up to
-    roundoff).  Nodes are strictly increasing and lie in the open interval.
-
-    Parameters
-    ----------
-    n : int
-        Number of nodes, n >= 1.
-    a, b : float
-        Interval endpoints, a < b.
-
-    Returns
-    -------
-    nodes, weights : ndarray
-        Arrays of shape (n,); ``weights.sum() == b - a`` up to roundoff.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    x, w = _gl_nodes(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def panel_gauss(
     breakpoints: Sequence[float], n_per_panel: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule over consecutive panels.
 
     ``breakpoints`` must be strictly increasing; each panel
-    ``[b_k, b_{k+1}]`` receives an ``n_per_panel``-point rule.  Useful for
+    ``[b_k, b_{k+1}]`` receives an ``n_per_panel``-point rule (n >= 1, exact
+    to degree 2n - 1), and ``[a, b]`` is the plain rule.  Useful for
     integrands with known kinks or endpoint singularities: placing panel
     edges at the bad points restores fast convergence.
     """
@@ -111,7 +83,7 @@ def panel_gauss(
         raise ValueError("need at least two breakpoints")
     if not np.all(np.diff(bp) > 0):
         raise ValueError("breakpoints must be strictly increasing")
-    x, w = gauss_legendre(n_per_panel, -1.0, 1.0)
+    x, w = _gl_nodes(n_per_panel)
     mid = 0.5 * (bp[:-1] + bp[1:])[:, np.newaxis]
     half = 0.5 * (bp[1:] - bp[:-1])[:, np.newaxis]
     return (mid + half * x).ravel(), (half * w).ravel()

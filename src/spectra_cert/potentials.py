@@ -53,14 +53,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .numerics import _scale_exponent
+
 __all__ = [
     "PotentialError",
     "Potential",
     "MagneticPotential",
     "catalog",
-    "catalog_names",
     "magnetic_catalog",
-    "magnetic_catalog_names",
     "complex_sign",
     "b_tau",
 ]
@@ -154,6 +154,30 @@ def _scaled_row(potential: Potential, j: int, k: int) -> Potential:
     )
 
 
+def _unit_row(
+    potential: Potential, lengths: bool = True, every_row: bool = False
+) -> tuple[Potential, int]:
+    """(V~, e = j + 2k) for the row V~(t) = 2^-j V(2^k t) of ``_scaled_row``.
+
+    k and j + s k are the exponents of the length (r0, 1/mu or
+    1/sqrt(gamma); none without one, or without ``lengths``) and of |amp|:
+    ``numerics._scale_exponent``'s, so an ordinary row comes back as it is
+    (e = 0), or with ``every_row`` ``math.frexp``'s, which bring every row's
+    length and |amp| to order one, as the Rollnik norm (quadratic in V,
+    quartic in length) needs.  Sups of |x|^2 V and the Rollnik norm are 2^e
+    times V~'s, and so is anything linear in V on grids in r when k = 0.
+    """
+    exponent = (lambda x: math.frexp(x)[1]) if every_row else _scale_exponent
+    if not lengths:
+        k = 0
+    elif potential.r0 < math.inf:
+        k = exponent(potential.r0)
+    else:
+        k = -exponent(max(potential.mu, math.sqrt(potential.gamma)))
+    j = exponent(abs(potential.amp)) - int(potential.s * k)
+    return (_scaled_row(potential, j, k) if j or k else potential), j + 2 * k
+
+
 # a rule is (key, range, default): range "> 0", ">= 0", "finite when squared"
 # or None for any finite value; a default of None makes the parameter required
 _IN_RANGE = {
@@ -242,20 +266,20 @@ _ELECTRIC = {
 }
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_ELECTRIC)
-
-
 def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
     """Construct a catalog potential by name.
 
     Raises :class:`PotentialError` for unsupported dimensions (d < 3), for
-    unknown names and for parameters the entry's row refuses.
+    unknown names and for parameters the entry's row refuses, the
+    amplitude they give included: |amp| must be finite.
     """
     if dimension < 3:
         raise PotentialError(f"dimension must be >= 3, got {dimension}")
     row, values = _row_params(PotentialError, "potential", _ELECTRIC, name, params)
     family = dict(s=0.0, mu=0.0, gamma=0.0, r0=math.inf) | row.family(values, dimension)
+    amp = family["amp"]
+    if not math.hypot(amp.real, amp.imag) < math.inf:
+        raise PotentialError(f"{name}: amplitude {amp} leaves the float range")
     return Potential(name, values, dimension, **family)
 
 
@@ -357,10 +381,6 @@ _MAGNETIC = {
     ),
     "zero": _Row((), lambda v: (0.0, 0.0), "zero", "A = 0"),
 }
-
-
-def magnetic_catalog_names() -> tuple[str, ...]:
-    return tuple(_MAGNETIC)
 
 
 def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> MagneticPotential:

@@ -163,26 +163,21 @@ def discretize_radial(
     return DiscretizedOperator(diag=diag, h=radius / n, domain_radius=radius, ell=ell)
 
 
-def _radial_free_floor(ell: int, radius: float, n: int) -> float:
-    """Smallest eigenvalue of the free sector operator (real symmetric)."""
-    h = radius / n
-    if ell == 0:
+def free_floor(op: DiscretizedOperator) -> float:
+    """Finite-size gap: smallest eigenvalue of the free operator on
+    the same grid (real symmetric).  Everything below ~this scale is size
+    effect, not spectrum."""
+    h, radius = op.h, op.domain_radius
+    if op.ell == 0:
         # exact discrete law: modes sin(p pi r / R)
         return (2.0 - 2.0 * math.cos(math.pi * h / radius)) / h**2
     from scipy.linalg import eigvalsh_tridiagonal
 
-    off = np.full(n - 1, -1.0 / h**2)
+    off = np.full(op.n - 1, -1.0 / h**2)
     vals = eigvalsh_tridiagonal(
-        _sector_diagonal(ell, radius, n), off, select="i", select_range=(0, 0)
+        _sector_diagonal(op.ell, radius, op.n), off, select="i", select_range=(0, 0)
     )
     return float(vals[0])
-
-
-def free_floor(op: DiscretizedOperator) -> float:
-    """Finite-size gap: smallest eigenvalue of the free operator on
-    the same grid.  Everything below ~this scale is size effect, not
-    spectrum."""
-    return _radial_free_floor(op.ell, op.domain_radius, op.n)
 
 
 def _half_axis_distance(lam: complex) -> float:

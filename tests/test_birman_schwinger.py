@@ -59,7 +59,7 @@ from spectra_cert.birman_schwinger import (
 from spectra_cert.cli import main
 from spectra_cert.numerics import (
     NumericsError,
-    gauss_legendre,
+    RadialGrid,
     largest_singular_value,
     panel_gauss,
 )
@@ -163,7 +163,7 @@ def angular_sector_kernels(z, r, ell_max, n_ang=512):
     t = 1 - 2 v^2 gives s = sqrt((r - r')^2 + 4 r r' v^2) and weight 4 v dv.
     """
     kappa = green_params(z).kappa
-    v, wv = gauss_legendre(n_ang, 0.0, 1.0)
+    v, wv = panel_gauss([0.0, 1.0], n_ang)
     weighted_p = legvander(1.0 - 2.0 * v**2, ell_max).T * (4.0 * v * wv)
     out = np.empty((ell_max + 1, r.size, r.size), dtype=np.complex128)
     for lo in range(0, r.size, 16):
@@ -258,7 +258,7 @@ class TestBoxOracle:
 
     def box_direct(self, ell, z, r0, n=64, half=7.0):
         # tensor Gauss grid on [-half, half]^3; even n keeps nodes off the origin
-        nodes, weights = gauss_legendre(n, -half, half)
+        nodes, weights = panel_gauss([-half, half], n)
         pts = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 3)
         wts = np.multiply.outer(np.multiply.outer(weights, weights), weights).ravel()
         x0 = np.array([0.0, 0.0, r0])
@@ -291,7 +291,7 @@ class TestBoxOracle:
         # gradient part integrates to zero by symmetry; the value part is
         # F0 int_0^inf s exp(-kappa s - s^2) ds (box tails beyond s = 12 are
         # below 1e-60)
-        sq, wq = gauss_legendre(200, 0.0, 12.0)
+        sq, wq = panel_gauss([0.0, 12.0], 200)
         val = F0 * np.dot(wq, sq * np.exp(-kappa * sq - sq**2))
         return complex(main + val)
 
@@ -816,6 +816,25 @@ class TestScaledRows:
             base = family(scale)
             assert family(1.02 * scale).dominated_by(base)
             assert not family(1.0201 * scale).dominated_by(base)
+
+    def test_norms_past_the_float_range_raise(self):
+        # |amp| = 1e308 and a decay length of 1e6 put sigma_max and |M_0|_F
+        # near 6e310: a BSError, not an OverflowError from math.ldexp
+        with pytest.raises(BSError, match="leaves the float range"):
+            assemble_bs(catalog("yukawa", g=1e308, mu=1e-6), 0.0, default_bs_grid(20, 1e4), ell_max=0)
+
+    def test_hs_estimate_past_the_float_range_raises(self):
+        # each |M_l|_F fits, their multiplicity-weighted sum does not
+        with pytest.raises(BSError, match="HS estimate"):
+            bs.BSMatrix(0j, (1e308,) * 3, (1e308,) * 3, False).hs_estimate()
+
+    def test_direct_hs_route_past_the_float_range_raises(self):
+        # weights 1e4 times too large lift the sector sum past 1.8e308, while
+        # the Rollnik route, 7.1e305, fits
+        grid = log_uniform_grid(1e-3, 1.0, 40)
+        heavy = RadialGrid(grid.nodes, 1e4 * grid.weights, 1.0)
+        with pytest.raises(BSError, match="HS norm"):
+            hs_norm(catalog("yukawa", g=1e306, mu=1.0), heavy, ell_max=2)
 
 
 class TestPrincipleMatrixCheck:

@@ -33,7 +33,7 @@ from spectra_cert.cli import (
 )
 from spectra_cert.multipliers import MultiplierError
 from spectra_cert.numerics import EigenvalueError
-from spectra_cert.potentials import catalog_names, magnetic_catalog_names
+from spectra_cert.potentials import _ELECTRIC, _MAGNETIC
 
 SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
@@ -832,11 +832,10 @@ class TestMainExitCodes:
         assert doc["a"] == pytest.approx(4.0 / math.e * 1e308, rel=1e-15)
         assert doc["b1"] == pytest.approx(2e154 / math.sqrt(math.e), rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_key_identity_that_leaves_the_float_range_is_1(self, tmp_path, capsys):
         # at lambda = 1e300 (1 + i) the key-gauge lhs is infinite on both
         # rules and their difference NaN; the settle guard must refuse it
-        # before the JSON writer meets it
+        # before the JSON writer meets it, and no numpy warning reaches stderr
         stem = "identity_check_gaussian"
         args = [f"output.path={tmp_path / stem}", "lambda=[1e300,1e300]"]
         code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
@@ -846,6 +845,53 @@ class TestMainExitCodes:
             "numerical check failed: multipliers.identity_term_rows: "
             "id4 quadrature did not settle between n=320 and n=640\n"
         )
+        assert not list(tmp_path.iterdir())
+
+    def test_amplitude_past_the_float_range_is_2(self, tmp_path, capsys):
+        # hardy(a = 1e308) at d = 7 has amp = -a (5/2)^2 = -6.25e308: a
+        # config error before any constant is read off the row
+        stem = "check_conditions_hardy"
+        args = [
+            f"output.path={tmp_path / stem}",
+            'potential={"name": "hardy", "params": {"a": 1e308}}',
+            "dimension=7",
+        ]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "config error: potential 'hardy': hardy: amplitude -inf leaves the float range\n"
+        )
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "g, overrides, stage",
+        [
+            # sigma_max of sector 0 at z = 0 is near 6e310
+            ("1e308", [], "birman_schwinger.assemble_bs z=0: sector norm"),
+            # at z = -1e-20 every |M_l|_F fits (|M_0|_F = 1.7e308), the HS
+            # estimate 1.9e308 does not
+            ("2.5e304", ["z_list=[[-1e-20, 0]]"], "birman_schwinger.assemble_bs z=-1e-20+0j: HS"),
+        ],
+        ids=["assemble_bs", "hs_estimate"],
+    )
+    def test_bs_norms_past_the_float_range_are_1(self, tmp_path, capsys, g, overrides, stage):
+        stem = "bs_norm_hardy"
+        args = [
+            f"output.path={tmp_path / stem}",
+            f'potential={{"name": "yukawa", "params": {{"g": {g}, "mu": 1e-6}}}}',
+            "grid_n=20",
+            "r_max=1e4",
+            *overrides,
+        ]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"numerical check failed: {stage}")
+        assert captured.err.endswith("leaves the float range\n")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -887,7 +933,7 @@ class TestMainExitCodes:
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
         # every row, in row order, electric before magnetic
-        names = catalog_names() + magnetic_catalog_names()
+        names = tuple(_ELECTRIC) + tuple(_MAGNETIC)
         at = [out.find(f"\n  {name}") for name in names]
         assert min(at) > 0 and at == sorted(at), dict(zip(names, at))
         assert "hardy(a)" in out

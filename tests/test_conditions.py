@@ -218,11 +218,12 @@ class TestRollnik:
     def test_zero_potential(self):
         assert rollnik_norm(catalog("gaussian", v0=0.0)) == 0.0
 
-    @pytest.mark.parametrize("v0, r0", SQUARE_WELLS)
+    @pytest.mark.parametrize("v0, r0", SQUARE_WELLS + [(1e70, 1e70), (1e-70, 1e-70)])
     def test_square_well_closed_form(self, v0, r0):
-        # the ball of radius R has int int |x-y|^-2 = 4 pi^2 R^4
+        # the ball of radius R has int int |x-y|^-2 = 4 pi^2 R^4; at 1e+-70
+        # v0^2 r0^4 leaves the float range where |V|_R does not
         value = rollnik_norm(catalog("square_well", v0=v0, r0=r0))
-        assert value == pytest.approx(2.0 * math.pi * v0 * r0**2, rel=1e-10)
+        assert value == pytest.approx(2.0 * math.pi * v0 * r0**2, rel=1e-10, abs=0.0)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ConditionError):

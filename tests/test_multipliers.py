@@ -217,7 +217,6 @@ class TestIdentityResiduals:
         g = multiplier_catalog("abs")
         assert identity_residual("id2", u, lam, g) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_sides_do_not_settle(self):
         # both rules give an infinite key-gauge lhs, so the n-versus-2n
         # difference is NaN, which no tolerance admits

@@ -24,23 +24,23 @@ from spectra_cert.potentials import catalog
 
 class TestGaussLegendre:
     def test_two_point_rule_matches_hand_derivation(self):
-        nodes, weights = nx.gauss_legendre(2, -1.0, 1.0)
+        nodes, weights = nx.panel_gauss([-1.0, 1.0], 2)
         npt.assert_allclose(nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
         npt.assert_allclose(weights, [1.0, 1.0], atol=1e-15)
 
     def test_cubic_exact_with_two_nodes(self):
-        nodes, weights = nx.gauss_legendre(2, 0.0, 1.0)
+        nodes, weights = nx.panel_gauss([0.0, 1.0], 2)
         assert abs(np.sum(weights * nodes**3) - 0.25) < 1e-15
 
     def test_weights_sum_to_interval_length(self):
-        _, weights = nx.gauss_legendre(37, -2.0, 5.0)
+        _, weights = nx.panel_gauss([-2.0, 5.0], 37)
         assert abs(weights.sum() - 7.0) < 1e-12
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            nx.gauss_legendre(0, 0.0, 1.0)
+            nx.panel_gauss([0.0, 1.0], 0)
         with pytest.raises(ValueError):
-            nx.gauss_legendre(4, 1.0, 1.0)
+            nx.panel_gauss([1.0, 1.0], 4)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -52,7 +52,7 @@ class TestGaussLegendre:
     def test_polynomial_exactness_up_to_degree_2n_minus_1(self, n, coeffs):
         deg = min(len(coeffs) - 1, 2 * n - 1)
         c = np.asarray(coeffs[: deg + 1])
-        nodes, weights = nx.gauss_legendre(n, 0.0, 2.0)
+        nodes, weights = nx.panel_gauss([0.0, 2.0], n)
         quad = float(np.sum(weights * np.polyval(c[::-1], nodes)))
         exact = float(sum(ck * 2.0 ** (k + 1) / (k + 1) for k, ck in enumerate(c)))
         assert abs(quad - exact) <= 1e-12 * (1.0 + abs(exact) + np.abs(c).sum() * 10)
@@ -60,7 +60,7 @@ class TestGaussLegendre:
 
 class TestPanelGauss:
     def test_matches_single_panel_on_smooth_integrand(self):
-        x1, w1 = nx.gauss_legendre(40, 0.0, 2.0)
+        x1, w1 = nx.panel_gauss([0.0, 2.0], 40)
         x2, w2 = nx.panel_gauss([0.0, 0.7, 1.3, 2.0], 24)
         f = lambda x: np.exp(-(x**2)) * np.cos(x)
         assert abs(np.sum(w1 * f(x1)) - np.sum(w2 * f(x2))) < 1e-13
@@ -76,7 +76,7 @@ class TestPanelGauss:
     def test_matches_per_panel_rule_exactly(self):
         edges = [0.0, 0.1, 0.7, 1.3, 5.0]
         x, w = nx.panel_gauss(edges, 6)
-        parts = [nx.gauss_legendre(6, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        parts = [nx.panel_gauss([lo, hi], 6) for lo, hi in zip(edges[:-1], edges[1:])]
         npt.assert_array_equal(x, np.concatenate([p[0] for p in parts]))
         npt.assert_array_equal(w, np.concatenate([p[1] for p in parts]))
 
@@ -115,7 +115,7 @@ class TestRadialGrid:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             default_bs_grid(16, -1.0)
-        nodes, weights = nx.gauss_legendre(4, 0.0, 1.0)
+        nodes, weights = nx.panel_gauss([0.0, 1.0], 4)
         with pytest.raises(ValueError, match="increasing"):
             nx.RadialGrid(nodes[::-1], weights, 1.0)
         with pytest.raises(ValueError, match="r_max"):

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from spectra_cert.multipliers import MultiplierError, multiplier_catalog
 from spectra_cert.potentials import (
+    _ELECTRIC,
+    _MAGNETIC,
     PotentialError,
     b_tau,
     catalog,
-    catalog_names,
     complex_sign,
     magnetic_catalog,
-    magnetic_catalog_names,
 )
 
 # name, params, sympy Re V(r) for d = 3
@@ -42,7 +42,7 @@ class TestCatalog:
             "yukawa": {"g": 1.0, "mu": 1.0},
             "square_well": {"v0": 1.0, "r0": 1.0},
         }
-        for name in catalog_names():
+        for name in _ELECTRIC:
             pot = catalog(name, dimension=3, **defaults[name])
             assert pot.name == name
             assert pot.dimension == 3
@@ -66,6 +66,19 @@ class TestCatalog:
     def test_extra_parameters_rejected(self):
         with pytest.raises(PotentialError, match="unexpected"):
             catalog("hardy", a=0.5, mu=1.0)
+
+    @pytest.mark.parametrize(
+        "name, dimension, params",
+        [
+            # amp = -a ((d-2)/2)^2 = -6.25e308
+            ("hardy", 7, {"a": 1e308}),
+            # both parts fit, the modulus 2.1e308 does not
+            ("gaussian", 3, {"v0": 1.5e308, "c_im": 1.5e308}),
+        ],
+    )
+    def test_amplitude_past_the_float_range_rejected(self, name, dimension, params):
+        with pytest.raises(PotentialError, match="amplitude .* leaves the float range"):
+            catalog(name, dimension, **params)
 
     def test_hardy_values(self):
         # d = 3: V(r) = -a/4 r^-2.
@@ -231,7 +244,7 @@ class TestComplexSign:
 
 class TestMagnetic:
     def test_names_all_constructible(self):
-        for name in magnetic_catalog_names():
+        for name in _MAGNETIC:
             mag = magnetic_catalog(name)
             assert mag.name == name
 
@@ -263,7 +276,7 @@ class TestMagnetic:
                 mag.field(x), mag.field(x, force_fd=True), atol=1e-8, rtol=1e-7
             )
 
-    @pytest.mark.parametrize("name", magnetic_catalog_names())
+    @pytest.mark.parametrize("name", tuple(_MAGNETIC))
     def test_b_tau_closed_form(self, name):
         # B_tau = -k (2 - p) |x|^(-p-1) (-x2, x1, 0) for A = k |x|^-p (-x2, x1, 0):
         # zero for the azimuthal field, -b (-x2, x1, 0)/|x| for uniform_z(b)
@@ -332,14 +345,14 @@ class TestMagnetic:
         r = np.linalg.norm(x, axis=1, keepdims=True)
         x = np.where(r < 0.5, x * (0.5 / r), x)
         h = 1e-5
-        for name in magnetic_catalog_names():
+        for name in _MAGNETIC:
             a = magnetic_catalog(name).vector_potential
             div = sum(
                 (a(x + e)[:, j] - a(x - e)[:, j]) / (2 * h) for j, e in enumerate(h * np.eye(3))
             )
             assert np.max(np.abs(div)) <= 1e-6, name
 
-    @pytest.mark.parametrize("name", magnetic_catalog_names())
+    @pytest.mark.parametrize("name", tuple(_MAGNETIC))
     def test_point_arrays_match_row_by_row(self, name):
         # the (..., d) contract: an array of points gives the stacked
         # single-point values, with the batch shape kept in front

@@ -20,6 +20,9 @@ Every iterative singular value goes through one ARPACK driver: scipy's
 ``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are called from
 ``numerics.operator_largest_singular_value`` and from no other function.
 
+One Gauss-Legendre rule and one rescaled catalog row: only ``numerics``
+names numpy's ``leggauss``, and only ``potentials`` names ``_scaled_row``.
+
 No package module imports ``scipy.optimize`` or ``scipy.integrate``, at
 module top or lazily inside a function.
 """
@@ -306,6 +309,19 @@ def iterative_solver_callers() -> dict[str, set[str]]:
 def test_one_arpack_driver():
     callers = iterative_solver_callers()
     assert callers == {"eigs": {"numerics.operator_largest_singular_value"}}
+
+
+# name -> the one package module that may name it: numpy's Gauss-Legendre
+# nodes behind numerics.panel_gauss, and the rescaled catalog row behind
+# potentials._unit_row
+SINGLE_SOURCES = {"leggauss": "numerics", "_scaled_row": "potentials"}
+
+
+def test_one_gauss_rule_and_one_row_scaling():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {
+        name: {p.stem for p in modules if name in used_names([p])} for name in SINGLE_SOURCES
+    } == {name: {home} for name, home in SINGLE_SOURCES.items()}
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate")
