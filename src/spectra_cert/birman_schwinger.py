@@ -74,7 +74,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .conditions import _ball_panels, _scaled_back, rollnik_norm
+from .conditions import _ball_panels, _in_classes, _scaled_back, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
@@ -754,13 +754,16 @@ def hs_norm(
     row with amp divided by 2^j (potentials._unit_row) and scales back by
     2^j (BSError past the float range), as the Rollnik norm rescales its own
     row, so neither route leaves the float range while the norm fits in it.
-    A divergent Rollnik norm (+inf, Hardy-type potentials) makes both +inf.
+    A divergent Rollnik norm (+inf, Hardy-type potentials) makes both +inf;
+    a +inf norm of a row in the class left the float range (BSError).
     """
     _check_radial_3d(potential)
     if ell_max < 0:
         raise BSError("ell_max must be >= 0")
     rollnik = rollnik_norm(potential)
     if math.isinf(rollnik):
+        if _in_classes(potential):
+            raise BSError("Rollnik norm leaves the float range")
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)

@@ -28,8 +28,8 @@ Experiment notes:
   * ``identity-check`` runs the pairing identities on a fixed chirped bump
     probe with the canonical multiplier triple; the key identity joins
     only when Re lambda > 0 (elsewhere it is not defined), and a potential
-    block additionally requests the radial-key term table, which needs
-    Re lambda > 0 as well.
+    block adds the four radial-key rows from their own settled probe,
+    which needs Re lambda > 0 as well.
   * only ``check-conditions`` runs at a dimension other than 3.
   * ``singular-sequence`` reads ``lambda`` as the real spectral point
     |k|^2 >= 0 being witnessed, and no potential: its form term is the
@@ -274,7 +274,7 @@ def _build_potential(spec: Optional[PotentialSpec], dimension: int, experiment: 
     if spec is None:
         return None
     if experiment == "magnetic-smoke":
-        return magnetic_catalog(spec.name, dimension=dimension, **spec.params)
+        return magnetic_catalog(spec.name, **spec.params)
     return catalog(spec.name, dimension=dimension, **spec.params)
 
 
@@ -592,12 +592,11 @@ def _run_identity_check(config, pot, stages):
         lambda: identity_term_rows(probe, config.lam),
     )
     if pot is not None:
-        terms = _stage(
+        rows = rows + _stage(
             stages,
             "multipliers.radi_identity_terms",
             lambda: radi_identity_terms(probe, config.lam, pot),
         )
-        rows = rows + terms.rows()
     payload = {
         "lambda": [config.lam.real, config.lam.imag],
         "rows": rows,

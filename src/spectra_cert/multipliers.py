@@ -19,6 +19,12 @@ A is orthogonal to x and e3, so A . grad u = 0, |grad_A u|^2 = |grad u|^2
 + |A|^2 |u|^2 and Delta_A u = Delta u - |A|^2 u: each side is its A = 0
 form minus int |A|^2 |u|^2.
 
+Each identity is one row of a table: its CSV id, its term names and the
+function forming the terms on one probe, the first term the left side and the
+others summing to the right.  The radial key identity with a potential is one
+more row.  Every probe quadrature settles through one guard, ``_settle``: the
+values at n Gauss nodes must agree with those at 2n, which are returned.
+
 The radial multipliers are rows of one family, g(r) = p(r) exp(-w r^2) with
 a polynomial p.  Their derivatives are q_k(r) exp(-w r^2), with q_0 = p and
 q_(k+1) = q_k' - 2 w r q_k:
@@ -57,7 +63,6 @@ __all__ = [
     "hardy_check",
     "HardyRatios",
     "radi_identity_terms",
-    "RadiTerms",
     "magnetic_identity_smoke",
     "MagneticSmokeReport",
 ]
@@ -67,8 +72,8 @@ class MultiplierError(ValueError):
     """Bad probe, multiplier, or spectral parameter for an identity check."""
 
 
-# Gauss nodes of the identity quadratures (settled against twice as many)
-# and of the Hardy quotients; read at call time, so a test can coarsen them
+# Gauss nodes of the identity quadratures and of the Hardy quotients (each
+# settled against twice as many); read at call time, so a test can coarsen them
 _DEFAULT_N = 320
 _HARDY_N = 600
 _SETTLE_TOL = 1e-6
@@ -342,42 +347,52 @@ class MultiplierTriple:
 
 @dataclass
 class _Probe:
-    """Radial data of one probe on one quadrature grid."""
+    """Radial data of the probe ``u`` on one quadrature grid."""
 
+    u: TestFunction
     r: np.ndarray
     w: np.ndarray
     q: np.ndarray
     dq: np.ndarray
     f: np.ndarray  # radial profile of Delta u + lambda u
-    c_ang: float
-    ell: int
     norm_sq: float
 
     def integral(self, density: np.ndarray) -> complex:
-        """c_ang * int density(r) r^2 dr."""
-        return self.c_ang * complex(np.dot(self.w, density * self.r**2))
+        """int_{S^2} P_l^2 * int density(r) r^2 dr."""
+        return self.u.angular_weight * complex(np.dot(self.w, density * self.r**2))
 
-    @property
-    def grad_density(self) -> np.ndarray:
-        """|grad u|^2 per solid angle: |q'|^2 + l(l+1) |q|^2 / r^2."""
-        extra = self.ell * (self.ell + 1)
-        return np.abs(self.dq) ** 2 + extra * np.abs(self.q) ** 2 / self.r**2
+    def grad_density(self, dq: np.ndarray) -> np.ndarray:
+        """|dq|^2 + l(l+1) |q|^2 / r^2: |grad u|^2 per solid angle at dq = q'."""
+        extra = self.u.ell * (self.u.ell + 1)
+        return np.abs(dq) ** 2 + extra * np.abs(self.q) ** 2 / self.r**2
 
 
 def _probe_on(u: TestFunction, lam: complex, n: int, rule: str, breaks=()) -> _Probe:
     r, w = _radial_nodes(u.support_radius, n, rule, breaks)
     q, dq, lap = u.radial_terms(r)
-    f = lap + complex(lam) * q
-    c = u.angular_weight
-    norm_sq = c * float(np.dot(w, np.abs(q) ** 2 * r**2))
-    return _Probe(r, w, q, dq, f, c, u.ell, norm_sq)
+    norm_sq = u.angular_weight * float(np.dot(w, np.abs(q) ** 2 * r**2))
+    return _Probe(u, r, w, q, dq, lap + complex(lam) * q, norm_sq)
+
+
+def _settle(coarse: Sequence[float], fine: Sequence[float], scale: float, what: str, n: int):
+    """``fine`` (values at 2n nodes) once it agrees with ``coarse`` (at n) within
+    _SETTLE_TOL * scale; a non-finite difference never settles."""
+    diff = sum(abs(b - a) for a, b in zip(coarse, fine))
+    if not diff <= _SETTLE_TOL * max(scale, 1e-30):
+        raise MultiplierError(f"{what} quadrature did not settle between n={n} and n={2 * n}")
+    return fine
+
+
+def _dq_minus(p: _Probe, lam: complex) -> np.ndarray:
+    """q' - i sgn(l2) sqrt(l1) q, the radial derivative of u^- without its phase."""
+    return p.dq - 1j * _sgn2(lam) * math.sqrt(lam.real) * p.q
 
 
 def _id1_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, float]:
     g_r = g.g(p.r)
     lhs = (
         lam.real * p.integral(g_r * np.abs(p.q) ** 2).real
-        - p.integral(g_r * p.grad_density).real
+        - p.integral(g_r * p.grad_density(p.dq)).real
         + 0.5 * p.integral(g.laplacian(p.r) * np.abs(p.q) ** 2).real
     )
     rhs = p.integral(p.f * g_r * np.conj(p.q)).real
@@ -397,7 +412,7 @@ def _id2_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, fl
 def _id3_sides(p: _Probe, lam: complex, g: MultiplierProfile) -> tuple[float, float]:
     # Hessian of a radial G contracts gradients as
     # g'' |d_r u|^2 + (g'/r) |grad_tau u|^2
-    extra = p.ell * (p.ell + 1)
+    extra = p.u.ell * (p.u.ell + 1)
     hess = g.d2g(p.r) * np.abs(p.dq) ** 2 + g.dg(p.r) / p.r * extra * np.abs(
         p.q
     ) ** 2 / p.r**2
@@ -420,12 +435,9 @@ def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float]:
     the radial profile entering I1 + I2 + I3, Delta u + lambda u for the
     manufactured identity and f - V u for the radial defect bucket.
     """
-    lam = complex(lam)
-    root = math.sqrt(lam.real)
-    ratio = abs(lam.imag) / root
-    dq_minus = p.dq - 1j * _sgn2(lam) * root * p.q
-    extra = p.ell * (p.ell + 1)
-    grad_minus = np.abs(dq_minus) ** 2 + extra * np.abs(p.q) ** 2 / p.r**2
+    ratio = abs(lam.imag) / math.sqrt(lam.real)
+    dq_minus = _dq_minus(p, lam)
+    grad_minus = p.grad_density(dq_minus)
     lhs = (
         p.integral(grad_minus).real
         + ratio * p.integral(p.r * grad_minus).real
@@ -443,84 +455,97 @@ def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tupl
     # each side loses int |A|^2 |u|^2 (module docstring); |A|^2 = k^2 r^(2-2p)
     # sin^2(theta), and sin^2(theta) averages to m_l = 2 (l^2 + l - 1) /
     # ((2l - 1)(2l + 3)) against P_l^2: 2/3 at l = 0, 2/5 at l = 1
-    m_l = 2.0 * (p.ell**2 + p.ell - 1) / ((2 * p.ell - 1) * (2 * p.ell + 3))
+    m_l = 2.0 * (p.u.ell**2 + p.u.ell - 1) / ((2 * p.u.ell - 1) * (2 * p.u.ell + 3))
     mass = a_field.k**2 * m_l * p.integral(p.r ** (2 - 2 * a_field.p) * np.abs(p.q) ** 2).real
-    lhs = lam.real * p.norm_sq - p.integral(p.grad_density).real - mass
+    lhs = lam.real * p.norm_sq - p.integral(p.grad_density(p.dq)).real - mass
     rhs = p.integral(p.f * np.conj(p.q)).real - mass
     return lhs, rhs
 
 
-# kind -> (CSV identity_id, sides on one probe)
+def _radial_key_terms(p: _Probe, lam: complex, potential: Potential) -> tuple[float, ...]:
+    """(I, I1, I2, I3_defect) of :func:`radi_identity_terms`; a jump r0 of V
+    adds its delta term at q(r0) to I1, and the probe panels end there."""
+    ratio = abs(lam.imag) / math.sqrt(lam.real)
+    v_vals = potential.radial_profile(p.r)
+    qq = np.abs(p.q) ** 2
+    # defect bucket: the key-identity RHS at g := f - V u
+    key_lhs, i3 = _key_sides(p, lam, p.f - v_vals * p.q)
+    i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
+    i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
+    for r0 in potential.jumps:
+        jump = -r0 * potential.radial_profile(np.nextafter(r0, 0.0)).real
+        i1 += p.u.angular_weight * jump * r0**2 * abs(p.u.profile(np.array([r0]))[0][0]) ** 2
+    i2 = 2.0 * p.integral(p.r * np.imag(v_vals) * p.q * np.conj(_dq_minus(p, lam))).imag
+    return i_total, i1, i2, i3
+
+
+# kind -> (CSV identity_id, term names, terms on one probe); the first term
+# is the left side and the others sum to the right side
 _IDENTITIES = {
-    "id1": ("real-part", _id1_sides),
-    "id2": ("imag-part", _id2_sides),
-    "id3": ("hessian", _id3_sides),
-    "id4": ("key-gauge", lambda p, lam, _: _key_sides(p, lam, p.f)),
-    "magnetic": ("magnetic", _magnetic_sides),
+    "id1": ("real-part", ("lhs", "rhs"), _id1_sides),
+    "id2": ("imag-part", ("lhs", "rhs"), _id2_sides),
+    "id3": ("hessian", ("lhs", "rhs"), _id3_sides),
+    "id4": ("key-gauge", ("lhs", "rhs"), lambda p, lam, _: _key_sides(p, lam, p.f)),
+    "magnetic": ("magnetic", ("lhs", "rhs"), _magnetic_sides),
+    "radial-key": ("radial-key", ("I", "I1", "I2", "I3_defect"), _radial_key_terms),
 }
 
 
-def _identity_terms(
-    pairs: Sequence[tuple[str, Optional[MultiplierProfile | MagneticPotential]]],
-    u: TestFunction,
-    lam: complex,
-    n: int,
-    rule: str,
-) -> list[tuple[float, float, float]]:
-    """(lhs, rhs, norm_sq) of each (kind, g) identity on one probe.
+def _identity_terms(pairs: Sequence, u: TestFunction, lam: complex, n: int, rule: str) -> list:
+    """(terms, norm_sq) of each (kind, g) identity on one probe.
 
-    ``g`` is the multiplier, or the field row of the magnetic identity;
-    ``id4`` takes none.  Every identity runs on the same probe.  The Gauss
-    rule is settled: each identity's sides at n and 2n must agree within
-    _SETTLE_TOL, which a non-finite side never does, and the 2n values are
-    returned.  The midpoint rule keeps its O(h^2) error visible for the
-    refinement-order studies, so it is returned as is.
+    ``g`` is the multiplier, the field row of the magnetic identity or the
+    potential of the radial key; ``id4`` takes none.  Every identity runs on
+    the same probe, whose Gauss panels end at the jumps of every potential
+    among the pairs.  The Gauss rule is settled (_settle): each identity's
+    terms at n and 2n must agree within _SETTLE_TOL of the residual scale,
+    and the 2n values are returned.  The midpoint rule keeps its O(h^2)
+    error visible for the refinement-order studies, so it is returned as is.
     """
     lam = complex(lam)
     for kind, g in pairs:
         if kind not in _IDENTITIES:
             raise MultiplierError(f"unknown identity {kind!r}")
         if kind != "id4" and g is None:
-            raise MultiplierError(f"{kind} needs a multiplier profile or field row")
-        if kind == "id4" and not lam.real > 0:
-            raise MultiplierError("the key identity needs Re lambda > 0")
+            raise MultiplierError(f"{kind} needs a multiplier profile, field row or potential")
+        if kind in ("id4", "radial-key") and not lam.real > 0:
+            raise MultiplierError(f"{kind} needs Re lambda > 0")
+        if kind == "radial-key" and g.dimension != 3:
+            raise MultiplierError("radial-key needs a d=3 potential")
+    breaks = [r0 for _, g in pairs if isinstance(g, Potential) for r0 in g.jumps]
 
-    def sides_on(m: int) -> tuple[_Probe, list[tuple[float, float]]]:
-        p = _probe_on(u, lam, m, rule)
-        return p, [_IDENTITIES[kind][1](p, lam, g) for kind, g in pairs]
+    def terms_on(m: int) -> tuple[_Probe, list[tuple[float, ...]]]:
+        p = _probe_on(u, lam, m, rule, breaks)
+        return p, [_IDENTITIES[kind][2](p, lam, g) for kind, g in pairs]
 
     if rule != "gauss":
-        p, sides = sides_on(n)
+        p, terms = terms_on(n)
     else:
-        # a side past the float range reads inf or nan, which the guard refuses
+        # a term past the float range reads inf or nan, which never settles
         with np.errstate(over="ignore", invalid="ignore"):
-            (_, sides), (p, fine) = sides_on(n), sides_on(2 * n)
-        for (kind, _), (lhs, rhs), (lhs2, rhs2) in zip(pairs, sides, fine):
-            scale = abs(lhs2) + abs(rhs2) + p.norm_sq
-            if not abs(lhs2 - lhs) + abs(rhs2 - rhs) <= _SETTLE_TOL * max(scale, 1e-30):
-                raise MultiplierError(
-                    f"{kind} quadrature did not settle between n={n} and n={2 * n}"
-                )
-        sides = fine
-    return [(lhs, rhs, p.norm_sq) for lhs, rhs in sides]
+            (_, coarse), (p, terms) = terms_on(n), terms_on(2 * n)
+        for (kind, _), a, b in zip(pairs, coarse, terms):
+            _settle(a, b, sum(map(abs, b)) + p.norm_sq, kind, n)
+    return [(t, p.norm_sq) for t in terms]
 
 
-def _relative_residual(lhs: float, rhs: float, norm_sq: float) -> float:
-    """Relative residual |lhs - rhs| / (|lhs| + |rhs| + |u|^2) of one identity."""
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + norm_sq)
+def _relative_residual(terms: Sequence[float], norm_sq: float) -> float:
+    """|t0 - (t1 + ...)| / (|t0| + |t1| + ... + |u|^2) of one identity's terms."""
+    return abs(terms[0] - sum(terms[1:])) / (sum(map(abs, terms)) + norm_sq)
 
 
 def identity_residual(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile | MagneticPotential] = None,
+    g: Optional[MultiplierProfile | MagneticPotential | Potential] = None,
 ) -> float:
     """Relative residual |lhs - rhs| / (|lhs| + |rhs| + ||u||^2) of one identity.
 
     The sides are settled on the radial Gauss rule (_DEFAULT_N nodes against
     twice as many).  f := Delta u + lambda u is manufactured, lambda = l1 + i l2, and ``g``
-    is the multiplier G of the identity (the field row for ``magnetic``):
+    is the multiplier G of the identity (the field row for ``magnetic``, the
+    potential for ``radial-key``):
 
     - ``id1``, real part: LHS = l1 int G |u|^2 - int G |grad u|^2
       + (1/2) int Delta(G) |u|^2, RHS = Re int f G conj(u).
@@ -541,26 +566,39 @@ def identity_residual(
     - ``magnetic``, the G1 = 1 identity for -Delta_A with the row's A:
       l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u), f := Delta_A u
       + lambda u, radial by the module docstring.
+    - ``radial-key``, the key identity with a d = 3 potential V = V1 + i V2
+      (:func:`radi_identity_terms`), I = I1 + I2 + I3_defect; the residual
+      sums the moduli of all four terms.
     """
     terms = _identity_terms([(kind, g)], u, lam, _DEFAULT_N, "gauss")
     return _relative_residual(*terms[0])
 
 
-def _term_rows(identity_id: str, terms: Sequence, residual: float) -> list[dict]:
-    """Rows of the shared CSV schema, one per (term_name, value) in ``terms``.
+def _identity_rows(pairs: Sequence, u: TestFunction, lam: complex) -> list[dict]:
+    """Rows of the shared CSV schema, one per term of each (kind, g) identity.
 
-    Every term is real by construction, so value_im is always 0.
+    The identities run on one settled probe (_identity_terms); a row carries
+    (identity_id, term_name, value_re, value_im, residual), the relative
+    residual is shared within an identity, and every term is real by
+    construction, so value_im is always 0.
     """
-    return [
-        {
-            "identity_id": identity_id,
-            "term_name": name,
-            "value_re": float(value),
-            "value_im": 0.0,
-            "residual": float(residual),
-        }
-        for name, value in terms
-    ]
+    rows: list[dict] = []
+    for (kind, _), (terms, norm_sq) in zip(
+        pairs, _identity_terms(pairs, u, lam, _DEFAULT_N, "gauss")
+    ):
+        identity_id, names, _ = _IDENTITIES[kind]
+        residual = _relative_residual(terms, norm_sq)
+        rows += [
+            {
+                "identity_id": identity_id,
+                "term_name": name,
+                "value_re": float(value),
+                "value_im": 0.0,
+                "residual": float(residual),
+            }
+            for name, value in zip(names, terms)
+        ]
+    return rows
 
 
 def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
@@ -569,29 +607,20 @@ def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
     Evaluates the real-part, imaginary-part and Hessian identities with
     the multipliers of the canonical triple and, when Re lambda > 0, the
     summed key identity as well, all on one settled probe.  Each identity
-    contributes a lhs and a rhs row carrying (identity_id, term_name,
-    value_re, value_im, residual); the relative residual is shared within
-    an identity.
+    contributes a lhs and a rhs row (_identity_rows).
     """
-    lam = complex(lam)
     triple = MultiplierTriple.canonical_triple()
     pairs = [("id1", triple.g1), ("id2", triple.g2), ("id3", triple.g3)]
-    if lam.real > 0:
+    if complex(lam).real > 0:
         pairs.append(("id4", None))
-    rows: list[dict] = []
-    for (kind, _), (lhs, rhs, norm_sq) in zip(
-        pairs, _identity_terms(pairs, u, lam, _DEFAULT_N, "gauss")
-    ):
-        residual = _relative_residual(lhs, rhs, norm_sq)
-        rows += _term_rows(_IDENTITIES[kind][0], (("lhs", lhs), ("rhs", rhs)), residual)
-    return rows
+    return _identity_rows(pairs, u, lam)
 
 
 def residual_refinement_order(
     kind: str,
     u: TestFunction,
     lam: complex,
-    g: Optional[MultiplierProfile | MagneticPotential] = None,
+    g: Optional[MultiplierProfile | MagneticPotential | Potential] = None,
     n_list: Sequence[int] = (20, 40, 80, 160),
 ) -> float:
     """Observed convergence order of a residual under midpoint refinement.
@@ -625,7 +654,8 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     ``psi`` must be a NearExtremalHardyProfile, a radial profile with its
     first derivative.  It decays like e^(-2 eps r), so the quadrature
     window scales with 1/eps.  The quotients at 600 nodes must agree with
-    those at 1200, which a non-finite quotient never does.
+    those at 1200 within _SETTLE_TOL absolutely (_settle), which a
+    non-finite quotient never does.
     """
     if d < 3:
         raise MultiplierError("Hardy quotients need d >= 3")
@@ -644,10 +674,7 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
         den2 = float(np.dot(meas, r * grad))
         return num1 / den1, num2 / den2
 
-    a1, a2 = ratios(_HARDY_N)
-    b1, b2 = ratios(2 * _HARDY_N)
-    if not abs(a1 - b1) + abs(a2 - b2) <= _SETTLE_TOL:
-        raise MultiplierError("Hardy quotient quadrature did not settle")
+    b1, b2 = _settle(ratios(_HARDY_N), ratios(2 * _HARDY_N), 1.0, "Hardy quotient", _HARDY_N)
     return HardyRatios(
         hardy_ratio=b1,
         hardy_bound=4.0 / (d - 2) ** 2,
@@ -656,35 +683,8 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     )
 
 
-@dataclass(frozen=True)
-class RadiTerms:
-    """Named terms of the radial key identity.
-
-    ``i1`` includes the jump terms of d_r(r V1) described on
-    :func:`radi_identity_terms`.  ``i3_defect`` plays the role of the
-    paper's cutoff remainder: it is the key-identity right-hand side
-    evaluated at f - V u, which vanishes when the probe is an exact
-    eigenfunction.
-    """
-
-    i_total: float
-    i1: float
-    i2: float
-    i3_defect: float
-    residual: float
-
-    def rows(self) -> list[dict]:
-        terms = (
-            ("I", self.i_total),
-            ("I1", self.i1),
-            ("I2", self.i2),
-            ("I3_defect", self.i3_defect),
-        )
-        return _term_rows("radial-key", terms, self.residual)
-
-
-def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> RadiTerms:
-    """Evaluate the radial key identity term by term for f := Delta u + lam u.
+def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> list[dict]:
+    """Rows of the radial key identity, term by term, for f := Delta u + lam u.
 
     The identity reads I = I1 + I2 + I3 with
 
@@ -694,38 +694,18 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
         I1 = int |u|^2 d_r(r V1),
         I2 = 2 Im int |x| V2 u (d_r conj(u) + i sgn(l2) sqrt(l1) conj(u)),
 
-    and I3 the defect bucket described on RadiTerms.  d_r(r V1) is taken in
-    the sense of distributions: where r V1 jumps by J = -r0 V1(r0-) at a
-    jump r0 of V, it carries J delta(|x| - r0), which adds
-    J r0^2 c_l |q(r0)|^2 to I1 (c_l the angular weight); the probe panels
-    end at r0.
+    and I3 the defect bucket, which plays the role of the paper's cutoff
+    remainder: the key-identity right-hand side at f - V u, which vanishes
+    when the probe is an exact eigenfunction.  d_r(r V1) is taken in the
+    sense of distributions: where r V1 jumps by J = -r0 V1(r0-) at a jump
+    r0 of V, it carries J delta(|x| - r0), which adds J r0^2 c_l |q(r0)|^2
+    to I1 (c_l the angular weight); the probe panels end at r0.
+
+    It is the ``radial-key`` row of the identity table, settled like the
+    others; the four rows (I, I1, I2, I3_defect) share its relative residual
+    |I - I1 - I2 - I3| / (|I| + |I1| + |I2| + |I3| + ||u||^2).
     """
-    lam = complex(lam)
-    if not lam.real > 0:
-        raise MultiplierError("radial identity needs Re lambda > 0")
-    if potential.dimension != 3:
-        raise MultiplierError("radial identity needs a d=3 potential")
-    sig = _sgn2(lam)
-    root = math.sqrt(lam.real)
-    ratio = abs(lam.imag) / root
-
-    p = _probe_on(u, lam, _DEFAULT_N, "gauss", potential.jumps)
-    v_vals = potential.radial_profile(p.r)
-    qq = np.abs(p.q) ** 2
-
-    # defect bucket: the key-identity RHS at g := f - V u
-    g_vals = p.f - v_vals * p.q
-    key_lhs, i3 = _key_sides(p, lam, g_vals)
-    i_total = key_lhs + ratio * p.integral(p.r * np.real(v_vals) * qq).real
-    i1 = p.integral(potential.d_r_rReV(p.r) * qq).real
-    for r0 in potential.jumps:
-        jump = -r0 * potential.radial_profile(np.nextafter(r0, 0.0)).real
-        i1 += p.c_ang * jump * r0**2 * abs(u.profile(np.array([r0]))[0][0]) ** 2
-    comb = np.conj(p.dq) + 1j * sig * root * np.conj(p.q)
-    i2 = 2.0 * p.integral(p.r * np.imag(v_vals) * p.q * comb).imag
-    scale = abs(i_total) + abs(i1) + abs(i2) + abs(i3) + p.norm_sq
-    residual = abs(i_total - (i1 + i2 + i3)) / scale
-    return RadiTerms(i_total, i1, i2, i3, residual)
+    return _identity_rows([("radial-key", potential)], u, lam)
 
 
 @dataclass(frozen=True)
@@ -759,8 +739,6 @@ def magnetic_identity_smoke(
     lam = complex(lam)
     if not lam.real > 0:
         raise MultiplierError("magnetic smoke check needs Re lambda > 0")
-    if a_field.dimension != 3:
-        raise MultiplierError("magnetic smoke check is three-dimensional")
     radius = u.support_radius
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)

@@ -39,8 +39,8 @@ B_tau(x) = -k (2 - p) |x|^(-p-1) (-x2, x1, 0):
     zero                        0       0
 
 The magnetic side works on point arrays: A, B and B_tau take points of
-shape (..., d), a single point (d,) included, and return shapes (..., d),
-(..., d, d) and (..., d).
+shape (..., 3), a single point (3,) included, and return shapes (..., 3),
+(..., 3, 3) and (..., 3).
 """
 
 from __future__ import annotations
@@ -308,15 +308,14 @@ class MagneticPotential:
     """
 
     name: str
-    dimension: int
     k: float
     p: float
 
     def _rotated(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, R x, |x|^2) at points (..., 3)."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise PotentialError(f"expected points of shape (..., {self.dimension})")
+        if x.shape[-1:] != (3,):
+            raise PotentialError("expected points of shape (..., 3)")
         rho2 = np.sum(np.square(x), axis=-1)
         if self.p and np.any(rho2 == 0.0):
             raise PotentialError(f"{self.name} is singular at the origin")
@@ -337,7 +336,7 @@ class MagneticPotential:
     def field(self, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
         """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i.
 
-        ``x`` has shape (..., d); the result has shape (..., d, d).  With
+        ``x`` has shape (..., 3); the result has shape (..., 3, 3).  With
         ``force_fd``, B comes from centred differences of A (step 1e-5,
         O(h^2) accurate): the cross-check of ``field_tensor``.
         """
@@ -348,7 +347,7 @@ class MagneticPotential:
         jac = np.stack(
             [
                 (self.vector_potential(x + e) - self.vector_potential(x - e)) / (2.0 * _FD_STEP)
-                for e in _FD_STEP * np.eye(self.dimension)
+                for e in _FD_STEP * np.eye(3)
             ],
             axis=-1,
         )
@@ -356,7 +355,7 @@ class MagneticPotential:
 
 
 def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
-    """Tangential field trace B_tau(x) = (x/|x|) . B(x) at points (..., d).
+    """Tangential field trace B_tau(x) = (x/|x|) . B(x) at points (..., 3).
 
     Row-vector/matrix contraction: component j is sum_i (x_i/|x|) B_ij(x).
     Antisymmetry of B makes B_tau(x) . x = 0 identically.  Raises if any
@@ -383,9 +382,7 @@ _MAGNETIC = {
 }
 
 
-def magnetic_catalog(name: str, dimension: int = 3, **params: float) -> MagneticPotential:
+def magnetic_catalog(name: str, **params: float) -> MagneticPotential:
     """Construct a magnetic catalog entry; every row is three-dimensional."""
     row, values = _row_params(PotentialError, "magnetic potential", _MAGNETIC, name, params)
-    if dimension != 3:
-        raise PotentialError(f"magnetic catalog entry {name!r} is three-dimensional")
-    return MagneticPotential(name, 3, *row.family(values))
+    return MagneticPotential(name, *row.family(values))

@@ -372,10 +372,10 @@ def singular_sequence_decay(
 ) -> DecayReport:
     """Decay of the Weyl sequence built from a probe profile.
 
-    ``phi1`` is a probe exposing ``radial_terms`` and
-    ``angular_weight`` (a multiplier-lab test function); its norms scale
-    exactly under dilation, so the table is analytic in n given three
-    quadratures of phi1.  If phi1 is not L^2-normalized it is rescaled.
+    ``phi1`` is a multiplier-lab test function; its norms scale exactly
+    under dilation, so the table is analytic in n given three quadratures
+    of phi1, at 480 nodes settled against 240 (multipliers._settle).  If
+    phi1 is not L^2-normalized it is rescaled.
     """
     if len(n_list) < 2:
         raise SpectralError("need at least two scales to fit a decay slope")
@@ -383,13 +383,16 @@ def singular_sequence_decay(
         raise SpectralError("scales must be positive integers")
     k_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(k, dtype=float))))
 
-    from .multipliers import _probe_on  # shared probe quadrature
+    from .multipliers import _probe_on, _settle  # shared probe quadrature
 
-    # at lambda = 0 the probe's f is the Laplacian profile itself
-    p = _probe_on(phi1, 0.0, 480, "gauss")
-    norm_sq = p.norm_sq
-    grad_sq = p.integral(p.grad_density).real
-    lap_sq = p.integral(np.abs(p.f) ** 2).real
+    def norms(n: int) -> tuple[float, float, float]:
+        # at lambda = 0 the probe's f is the Laplacian profile itself
+        p = _probe_on(phi1, 0.0, n, "gauss")
+        grad_sq = p.integral(p.grad_density(p.dq)).real
+        return p.norm_sq, grad_sq, p.integral(np.abs(p.f) ** 2).real
+
+    fine = norms(480)
+    norm_sq, grad_sq, lap_sq = _settle(norms(240), fine, sum(fine), "Weyl-sequence probe", 240)
     if abs(norm_sq - 1.0) > 1e-12:
         grad_sq /= norm_sq
         lap_sq /= norm_sq

@@ -836,6 +836,12 @@ class TestScaledRows:
         with pytest.raises(BSError, match="HS norm"):
             hs_norm(catalog("yukawa", g=1e306, mu=1.0), heavy, ell_max=2)
 
+    def test_rollnik_norm_past_the_float_range_raises(self):
+        # yukawa is Rollnik: a +inf norm left the float range, it did not
+        # diverge
+        with pytest.raises(BSError, match="Rollnik norm leaves the float range"):
+            hs_norm(catalog("yukawa", g=1e305, mu=1e-6), log_uniform_grid(0.02, 16.0, 200), ell_max=4)
+
 
 class TestPrincipleMatrixCheck:
     def test_two_by_two_by_hand(self):

@@ -894,6 +894,25 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    def test_hs_norm_past_the_float_range_is_1(self, tmp_path, capsys):
+        # the Rollnik norm of this yukawa row reads +inf; the report said
+        # "diverged": true and exited 0
+        stem = "hs_identity_gaussian"
+        args = [
+            f"output.path={tmp_path / stem}",
+            'potential={"name": "yukawa", "params": {"g": 1e305, "mu": 1e-6}}',
+            "grid_n=200",
+            "ell_max=4",
+        ]
+        code = main(["run", *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "numerical check failed: birman_schwinger.hs_norm: Rollnik norm leaves the float range\n"
+        )
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("overrides", [["grid_n=3130"], ["grid_n=6000", "ell_max=1"]])
     def test_grid_where_v_leaves_the_float_range_is_2(

@@ -342,24 +342,30 @@ class TestHardyQuotients:
 class TestRadialIdentity:
     IMAGH = catalog("imaginary_hardy", beta=0.05)
 
+    @staticmethod
+    def terms(u, lam, potential):
+        """{term_name: value_re} of the radial-key rows and their shared residual."""
+        rows = radi_identity_terms(u, lam, potential)
+        (residual,) = {row["residual"] for row in rows}
+        return {row["term_name"]: row["value_re"] for row in rows}, residual
+
     @pytest.mark.parametrize("lam", [1.0 + 0.5j, 1.0 - 0.5j, 2.0 + 0j], ids=str)
     @pytest.mark.parametrize("u", PROBES, ids=lambda u: u.family + str(u.chirp))
     def test_defect_bucket_closes_identity(self, u, lam):
-        terms = radi_identity_terms(u, lam, self.IMAGH)
-        assert terms.residual < 1e-10
+        assert self.terms(u, lam, self.IMAGH)[1] < 1e-14
 
     def test_coulomb_first_term_vanishes(self):
         # r * Re V is constant for the Coulomb potential
-        terms = radi_identity_terms(BUMP, 1.5 + 0.2j, catalog("coulomb_repulsive", c=1.0))
-        assert terms.i1 == 0.0
-        assert terms.residual < 1e-10
+        terms, residual = self.terms(BUMP, 1.5 + 0.2j, catalog("coulomb_repulsive", c=1.0))
+        assert terms["I1"] == 0.0
+        assert residual < 1e-14
 
     def test_real_potential_kills_i2(self):
-        terms = radi_identity_terms(CHIRPED, 1.0 + 0.5j, catalog("hardy", a=0.3))
-        assert terms.i2 == 0.0
+        terms, _ = self.terms(CHIRPED, 1.0 + 0.5j, catalog("hardy", a=0.3))
+        assert terms["I2"] == 0.0
 
     def test_rows_schema(self):
-        rows = radi_identity_terms(BUMP, 1.0 + 0.5j, self.IMAGH).rows()
+        rows = radi_identity_terms(BUMP, 1.0 + 0.5j, self.IMAGH)
         assert [row["term_name"] for row in rows] == ["I", "I1", "I2", "I3_defect"]
         assert all(row["identity_id"] == "radial-key" for row in rows)
         assert all(
@@ -374,12 +380,36 @@ class TestRadialIdentity:
         # r Re V jumps by v0 r0 at r0, which adds a delta term to I1; without
         # it the residual reads 0.36, 0.31 and 0.05
         u = Probe("radial-gaussian-bump", 2.5, chirp=0.4)
-        terms = radi_identity_terms(u, lam, catalog("square_well", v0=v0, r0=r0))
-        assert terms.residual < 1e-10
+        assert self.terms(u, lam, catalog("square_well", v0=v0, r0=r0))[1] < 1e-14
+
+    def test_square_well_builds_one_probe_pair_with_an_edge_at_the_jump(self, monkeypatch):
+        builds, edges = [], []
+        probe_on, panel_gauss = multipliers._probe_on, multipliers.panel_gauss
+
+        def counted(*args, **kwargs):
+            builds.append(args[2])
+            return probe_on(*args, **kwargs)
+
+        def recorded(panel_edges, n):
+            edges.append(panel_edges)
+            return panel_gauss(panel_edges, n)
+
+        monkeypatch.setattr(multipliers, "_probe_on", counted)
+        monkeypatch.setattr(multipliers, "panel_gauss", recorded)
+        self.terms(BUMP, 1.0 + 0.5j, catalog("square_well", v0=2.0, r0=1.3))
+        assert builds == [multipliers._DEFAULT_N, 2 * multipliers._DEFAULT_N]
+        assert len(edges) == 2 and all(1.3 in e for e in edges)
+
+    def test_coarse_quadrature_refuses_to_answer(self, monkeypatch):
+        monkeypatch.setattr(multipliers, "_DEFAULT_N", 16)
+        with pytest.raises(MultiplierError, match="radial-key quadrature did not settle"):
+            radi_identity_terms(BUMP, 1.0 + 0.5j, self.IMAGH)
 
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
             radi_identity_terms(BUMP, -1.0 + 0.5j, self.IMAGH)
+        with pytest.raises(MultiplierError, match="d=3"):
+            radi_identity_terms(BUMP, 1.0 + 0.5j, catalog("gaussian", dimension=4, v0=1.0))
 
 
 class TestMagneticChecks:

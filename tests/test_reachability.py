@@ -17,8 +17,11 @@ one, or it is a constant in disguise and belongs in the module as one.
 The package's relative imports, lazy ones included, must form no cycle.
 
 Every iterative singular value goes through one ARPACK driver: scipy's
-``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are called from
-``numerics.operator_largest_singular_value`` and from no other function.
+``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are read in
+``numerics.operator_largest_singular_value`` and in no other function.
+
+Every probe quadrature settles through one guard: only
+``multipliers._settle`` reads ``_SETTLE_TOL``.
 
 One Gauss-Legendre rule and one rescaled catalog row: only ``numerics``
 names numpy's ``leggauss``, and only ``potentials`` names ``_scaled_row``.
@@ -285,11 +288,11 @@ def test_package_imports_form_no_cycle():
 ITERATIVE_SOLVERS = {"eigs", "eigsh", "svds", "lobpcg"}
 
 
-def iterative_solver_callers() -> dict[str, set[str]]:
-    """Solver name -> the package scopes that call it: ``module.function``
-    or ``module.Class.method`` with their nested functions, and
-    ``module.<module>`` for statements outside every def."""
-    callers: dict[str, set[str]] = {}
+def scope_readers(names: set[str]) -> dict[str, set[str]]:
+    """Name -> the package scopes that read it, as a name or an attribute:
+    ``module.function`` or ``module.Class.method`` with their nested
+    functions, and ``module.<module>`` for statements outside every def."""
+    readers: dict[str, set[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             in_class = isinstance(stmt, ast.ClassDef)
@@ -297,18 +300,26 @@ def iterative_solver_callers() -> dict[str, set[str]]:
                 prefix = f"{path.stem}.{stmt.name}" if in_class else path.stem
                 owner = f"{prefix}.{getattr(scope, 'name', '<module>')}"
                 for node in ast.walk(scope):
-                    if not isinstance(node, ast.Call):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        read = node.id
+                    elif isinstance(node, ast.Attribute):
+                        read = node.attr
+                    else:
                         continue
-                    func = node.func
-                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                    if called in ITERATIVE_SOLVERS:
-                        callers.setdefault(called, set()).add(owner)
-    return callers
+                    if read in names:
+                        readers.setdefault(read, set()).add(owner)
+    return readers
 
 
 def test_one_arpack_driver():
-    callers = iterative_solver_callers()
-    assert callers == {"eigs": {"numerics.operator_largest_singular_value"}}
+    readers = scope_readers(ITERATIVE_SOLVERS)
+    assert readers == {"eigs": {"numerics.operator_largest_singular_value"}}
+
+
+def test_one_settle_guard():
+    # the identities, the radial key, the Hardy quotients and the
+    # Weyl-sequence norms all settle through multipliers._settle
+    assert scope_readers({"_SETTLE_TOL"}) == {"_SETTLE_TOL": {"multipliers._settle"}}
 
 
 # name -> the one package module that may name it: numpy's Gauss-Legendre

@@ -23,7 +23,7 @@ from scipy.linalg import svdvals
 from spectra_cert import spectral
 from spectra_cert.cli import main
 from spectra_cert.multipliers import TestFunction as Probe
-from spectra_cert.multipliers import _probe_on
+from spectra_cert.multipliers import MultiplierError, _probe_on
 from spectra_cert.numerics import (
     EigenvalueError,
     NumericsError,
@@ -464,6 +464,14 @@ class TestSingularSequence:
         assert all(a > b for a, b in zip(rep.equation_residuals, rep.equation_residuals[1:]))
         rows = rep.to_rows()
         assert set(rows[0]) == {"n", "equation_residual", "form_term"}
+
+    def test_non_finite_probe_does_not_settle(self, monkeypatch):
+        def nan_profile(self, r):
+            return (np.full_like(r, np.nan),) * 3
+
+        monkeypatch.setattr(Probe, "profile", nan_profile)
+        with pytest.raises(MultiplierError, match="did not settle"):
+            singular_sequence_decay(self.PHI, (0, 0, 0), self.NS)
 
     def test_validation(self):
         with pytest.raises(SpectralError, match="two scales"):
