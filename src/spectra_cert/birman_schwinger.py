@@ -139,9 +139,9 @@ def _in_float_range(norm: float, j: int, what: str) -> float:
     return scaled
 
 
-def _on_positive_axis(z: complex) -> bool:
-    z = complex(z)
-    return z.imag == 0.0 and z.real > 0.0
+def _check_off_positive_axis(z: complex) -> None:
+    if z.imag == 0.0 and z.real > 0.0:
+        raise BSError("z on the open positive axis is outside the resolvent set")
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def pointwise_bound_check(z: complex, samples: Sequence[float]) -> bool:
     The bound is equivalent to Re sqrt(-z) >= 0, which the principal branch
     guarantees for every z off the open positive axis.
     """
-    if _on_positive_axis(z):
-        raise BSError("pointwise bound is only claimed off the positive half axis")
+    _check_off_positive_axis(z)
     s = np.asarray(samples, dtype=float)
     gz = np.abs(green_function(z, s))
     g0 = np.abs(green_function(0.0, s))
@@ -197,12 +196,10 @@ def _scaled_bessel_factors(x: np.ndarray, ell_max: int) -> tuple[np.ndarray, np.
     x -> 0.  A_l is its power series for |x| < 1 and scipy's exponentially
     scaled ive beyond.  B_l is a polynomial of degree l, built from B_0 = 1,
     B_1 = 1 + x by the forward recurrence of k_l,
-    B_(l+1) = B_l + x^2 B_(l-1) / (4l^2 - 1).  l is capped at _BESSEL_ELL_MAX.
+    B_(l+1) = B_l + x^2 B_(l-1) / (4l^2 - 1).  _check_sector_args caps l at _BESSEL_ELL_MAX.
     """
     from scipy.special import ive
 
-    if ell_max > _BESSEL_ELL_MAX:
-        raise BSError(f"ell_max {ell_max} exceeds {_BESSEL_ELL_MAX} at z != 0")
     small = np.abs(x) < 1.0
     half_x2 = 0.5 * x[small] ** 2
     e_small = np.exp(-x[small])
@@ -408,17 +405,14 @@ class BSMatrix:
         }
 
 
-def _check_radial_3d(potential: Potential) -> None:
+def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
     if potential.dimension != 3:
         raise BSError("partial-wave assembly is three-dimensional")
-
-
-def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
-    _check_radial_3d(potential)
-    if _on_positive_axis(z):
-        raise BSError("z on the open positive axis is outside the resolvent set")
+    _check_off_positive_axis(z)
     if ell_max < 0:
         raise BSError("ell_max must be >= 0")
+    if ell_max > _BESSEL_ELL_MAX and z != 0:
+        raise BSError(f"ell_max {ell_max} exceeds {_BESSEL_ELL_MAX} at z != 0")
 
 
 class _SectorFamily(NamedTuple):
@@ -755,11 +749,10 @@ def hs_norm(
     2^j (BSError past the float range), as the Rollnik norm rescales its own
     row, so neither route leaves the float range while the norm fits in it.
     A divergent Rollnik norm (+inf, Hardy-type potentials) makes both +inf;
-    a +inf norm of a row in the class left the float range (BSError).
+    a +inf norm of a row in the class left the float range (BSError).  The
+    arguments pass _check_sector_args at z = 0, as hs-identity configs do.
     """
-    _check_radial_3d(potential)
-    if ell_max < 0:
-        raise BSError("ell_max must be >= 0")
+    _check_sector_args(potential, 0j, ell_max)
     rollnik = rollnik_norm(potential)
     if math.isinf(rollnik):
         if _in_classes(potential):

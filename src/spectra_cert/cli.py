@@ -22,6 +22,8 @@ Experiment notes:
     it reads besides ``experiment``, ``dimension`` and ``output``, the keys
     among those it needs, and its CSV columns.  Any other key is a config
     error, and only the keys an experiment reads are echoed.
+  * a rule that a library entry enforces is refused by that entry's own
+    argument check, which ``parse_config`` runs through ``_library_check``.
   * ``spectrum`` scans the radial sectors ell = 0 .. ell_max on one grid
     and concatenates their rows in the CSV output.
   * ``pseudospectrum`` resolves the ell = 0 sector operator.
@@ -85,18 +87,20 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .birman_schwinger import (
-    _BESSEL_ELL_MAX,
     _BS_NORM_SLACK,
     _HS_GRID_R_MIN,
     BSError,
+    _check_sector_args,
     assemble_bs,
     default_bs_grid,
     hs_norm,
     log_uniform_grid,
 )
-from .conditions import build_report, hardy_constant, json_float, thresholds
+from .conditions import ConditionError, build_report, hardy_constant, json_float, thresholds
 from .multipliers import (
+    MultiplierError,
     TestFunction,
+    _check_re_lambda,
     identity_term_rows,
     magnetic_identity_smoke,
     radi_identity_terms,
@@ -110,6 +114,9 @@ from .potentials import (
 )
 from .spectral import (
     SpectralError,
+    _check_outlier_tol,
+    _check_scales,
+    _check_window,
     discretize_radial,
     pseudospectrum,
     singular_sequence_decay,
@@ -223,6 +230,17 @@ def _want_int(value, field: str) -> int:
     return value
 
 
+def _library_check(key: str, check: Callable, *args):
+    """check(*args), a library argument check or dry run, with its refusal as a
+    ConfigError on ``key``; the same error classes report numerical failures."""
+    try:
+        return check(*args)
+    except (BSError, ConditionError, MultiplierError, SpectralError) as exc:
+        raise ConfigError(f"{key} is invalid: {exc}") from exc
+    except MemoryError as exc:  # only the dry runs' grids of grid_n nodes allocate
+        raise ConfigError(f"grid_n does not fit in memory: {exc}") from exc
+
+
 def _want_dimension(value) -> int:
     """An integer d >= 3 whose Hardy constant and thresholds are finite floats.
 
@@ -230,10 +248,8 @@ def _want_dimension(value) -> int:
     d overflow only past d ~ 1.8e308.
     """
     d = _want_int(value, "dimension")
-    if d < 3:
-        raise ConfigError("dimension must be an integer >= 3")
     try:
-        hardy_constant(d)
+        _library_check("dimension", hardy_constant, d)
     except OverflowError as exc:
         raise ConfigError("dimension is too large: ((d-2)/2)^2 overflows a float") from exc
     return d
@@ -319,28 +335,25 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     if not r_max > 0:
         raise ConfigError("r_max must be positive")
     ell_max = _want_int(raw.get("ell_max", ExperimentConfig.ell_max), "ell_max")
-    if ell_max < 0:
-        raise ConfigError("ell_max must be a nonnegative integer")
     if experiment in _BS_GRIDS:
         # build the grid once now so its bounds fail validation, not the run
-        try:
-            bs_grid = _BS_GRIDS[experiment](grid_n, r_max)
-        except BSError as exc:
-            hs_low = experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN
-            key = "r_max" if hs_low else "grid_n"
-            raise ConfigError(f"{key} does not fit the {experiment} grid: {exc}") from exc
-        except MemoryError as exc:
-            raise ConfigError(f"grid_n {grid_n} does not fit in memory: {exc}") from exc
+        key = "r_max" if experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN else "grid_n"
+        bs_grid = _library_check(key, _BS_GRIDS[experiment], grid_n, r_max)
 
     outlier_tol = None
     if "outlier_tol" in raw:
         outlier_tol = _want_number(raw["outlier_tol"], "outlier_tol")
-        if not outlier_tol > 0:
-            raise ConfigError("outlier_tol must be positive")
+        _library_check("outlier_tol", _check_outlier_tol, outlier_tol)
 
     potential = pot = None
     if "potential" in raw:
         potential, pot = _parse_potential(raw["potential"], dimension, experiment)
+    z_list = None
+    if "z_list" in raw:
+        entries = raw["z_list"]
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("z_list must be a nonempty list")
+        z_list = tuple(_parse_complex(v, "z_list") for v in entries)
     if experiment in _BS_GRIDS:
         # deep geometric panels reach r where |V| ~ r^-s leaves the float range
         with warnings.catch_warnings():
@@ -351,32 +364,16 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
                 f"grid_n {grid_n} puts nodes down to r = {bs_grid.nodes[0]:.3g},"
                 " where |V| is not finite"
             )
+        # assemble_bs's sector check at each z (hs_norm's at z = 0), once per key
+        for z in z_list or (0j,):
+            _library_check("z_list", _check_sector_args, pot, z, 0)
+            _library_check("ell_max", _check_sector_args, pot, z, ell_max)
     if experiment in ("spectrum", "pseudospectrum"):
         # build the sectors with the smallest and the largest diagonal now,
         # so a grid too fine for double precision fails validation, not the run
-        try:
-            for ell in {0, ell_max if experiment == "spectrum" else 0}:
-                discretize_radial(pot, ell, r_max, grid_n)
-        except SpectralError as exc:
-            raise ConfigError(f"r_max does not fit a grid of {grid_n} cells: {exc}") from exc
-        except MemoryError as exc:
-            raise ConfigError(f"grid_n {grid_n} does not fit in memory: {exc}") from exc
-
-    z_list = None
-    if "z_list" in raw:
-        entries = raw["z_list"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("z_list must be a nonempty list")
-        z_list = tuple(_parse_complex(v, "z_list") for v in entries)
-        for z in z_list:
-            if z.imag == 0.0 and z.real > 0.0:
-                raise ConfigError(
-                    "z_list contains a point on the open positive real axis"
-                )
-        if ell_max > _BESSEL_ELL_MAX and any(z != 0 for z in z_list):
-            raise ConfigError(
-                f"ell_max must be <= {_BESSEL_ELL_MAX} when z_list holds a z != 0"
-            )
+        _library_check("r_max", discretize_radial, pot, 0, r_max, grid_n)
+        if experiment == "spectrum":
+            _library_check("ell_max", discretize_radial, pot, ell_max, r_max, grid_n)
 
     z_window = None
     if "z_window" in raw:
@@ -384,8 +381,7 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if not isinstance(win, list) or len(win) != 4:
             raise ConfigError("z_window must be [re_min, re_max, im_min, im_max]")
         z_window = tuple(_want_number(v, "z_window") for v in win)
-        if z_window[0] >= z_window[1] or z_window[2] >= z_window[3]:
-            raise ConfigError("z_window intervals must be increasing")
+        _library_check("z_window", _check_window, z_window[:2], z_window[2:])
 
     # every experiment that reads lambda needs it
     lam = None
@@ -396,25 +392,17 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
                 "singular-sequence needs a real lambda >= 0 (the witnessed"
                 " spectral point |k|^2)"
             )
-        if experiment == "magnetic-smoke" and not lam.real > 0:
-            raise ConfigError("magnetic-smoke needs Re lambda > 0")
-        if experiment == "identity-check" and potential is not None and not lam.real > 0:
-            raise ConfigError(
-                "identity-check with a potential needs Re lambda > 0 (the radial-key"
-                " table is not defined elsewhere)"
-            )
+        # magnetic-smoke and the radial-key rows of a potential need Re lambda > 0
+        if experiment == "magnetic-smoke" or experiment == "identity-check" and potential:
+            _library_check("lambda", _check_re_lambda, lam)
 
     n_list = None
     if "n_list" in raw:
         entries = raw["n_list"]
-        if not isinstance(entries, list) or len(entries) < 2:
-            raise ConfigError("n_list must be a list of at least two scales")
+        if not isinstance(entries, list):
+            raise ConfigError("n_list must be a list of scales")
         n_list = tuple(_want_int(v, "n_list") for v in entries)
-        # singular_sequence_decay divides floats by n^2
-        if any(not (n >= 1 and n * n <= sys.float_info.max) for n in n_list):
-            raise ConfigError("n_list scales must be positive integers with n^2 a finite float")
-        if any(a >= b for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("n_list scales must be strictly increasing")
+        _library_check("n_list", _check_scales, n_list)
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):

@@ -491,6 +491,11 @@ _IDENTITIES = {
 }
 
 
+def _check_re_lambda(lam: complex) -> None:
+    if not complex(lam).real > 0:
+        raise MultiplierError("the gauge e^(-i sgn(l2) sqrt(l1) |x|) of u^- needs Re lambda > 0")
+
+
 def _identity_terms(pairs: Sequence, u: TestFunction, lam: complex, n: int, rule: str) -> list:
     """(terms, norm_sq) of each (kind, g) identity on one probe.
 
@@ -508,8 +513,8 @@ def _identity_terms(pairs: Sequence, u: TestFunction, lam: complex, n: int, rule
             raise MultiplierError(f"unknown identity {kind!r}")
         if kind != "id4" and g is None:
             raise MultiplierError(f"{kind} needs a multiplier profile, field row or potential")
-        if kind in ("id4", "radial-key") and not lam.real > 0:
-            raise MultiplierError(f"{kind} needs Re lambda > 0")
+        if kind in ("id4", "radial-key"):
+            _check_re_lambda(lam)
         if kind == "radial-key" and g.dimension != 3:
             raise MultiplierError("radial-key needs a d=3 potential")
     breaks = [r0 for _, g in pairs if isinstance(g, Potential) for r0 in g.jumps]
@@ -736,9 +741,8 @@ def magnetic_identity_smoke(
     (module docstring).  It runs on the radial Gauss rule of the other
     identities and must settle between _DEFAULT_N and twice as many nodes.
     """
+    _check_re_lambda(lam)
     lam = complex(lam)
-    if not lam.real > 0:
-        raise MultiplierError("magnetic smoke check needs Re lambda > 0")
     radius = u.support_radius
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)

@@ -33,6 +33,7 @@ value approaches sigma_min from above.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -150,8 +151,8 @@ def discretize_radial(
         raise SpectralError("radial grids need n >= 8 to resolve anything")
     if ell < 0:
         raise SpectralError("ell must be a nonnegative integer")
-    if not radius > 0:
-        raise SpectralError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise SpectralError("radius must be positive and finite")
     if potential is not None and potential.dimension != 3:
         raise SpectralError("radial sectors need a d=3 potential")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -221,6 +222,11 @@ class SpectrumReport:
         ]
 
 
+def _check_outlier_tol(outlier_tol: Optional[float]) -> None:
+    if outlier_tol is not None and not outlier_tol > 0:
+        raise SpectralError("outlier_tol must be positive")
+
+
 def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> SpectrumReport:
     """Full spectrum with outlier classification.
 
@@ -234,11 +240,10 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     operator at the same resolution: genuine continuum approximants hug
     [0, inf) at that scale, discrete eigenvalues sit beyond it.
     """
+    _check_outlier_tol(outlier_tol)
     floor = free_floor(op)
     if outlier_tol is None:
         outlier_tol = 10.0 * floor
-    if outlier_tol <= 0:
-        raise SpectralError("outlier_tol must be positive")
     off = -1.0 / op.h**2
     offs = np.full(op.n - 1, off)
     norm = _tridiagonal_frobenius(op.diag, offs)
@@ -300,6 +305,12 @@ class PseudospectrumField:
         return out
 
 
+def _check_window(re_range: tuple[float, float], im_range: tuple[float, float]) -> None:
+    # a NaN end fails lo < hi; an infinite end or width fails the second test
+    if not all(lo < hi and hi - lo < math.inf for lo, hi in (re_range, im_range)):
+        raise SpectralError("pseudospectrum ranges must be finite increasing intervals")
+
+
 def pseudospectrum(
     op: DiscretizedOperator,
     re_range: tuple[float, float],
@@ -319,8 +330,7 @@ def pseudospectrum(
     residual; its value approaches sigma_min from above.  The map is a field
     estimate, not a pass verdict.
     """
-    if re_range[0] >= re_range[1] or im_range[0] >= im_range[1]:
-        raise SpectralError("pseudospectrum ranges must be increasing intervals")
+    _check_window(re_range, im_range)
     res = np.linspace(re_range[0], re_range[1], _PSEUDO_GRID_N)
     ims = np.linspace(im_range[0], im_range[1], _PSEUDO_GRID_N)
     off = np.full(op.n - 1, -1.0 / op.h**2)
@@ -365,6 +375,14 @@ class DecayReport:
         ]
 
 
+def _check_scales(n_list: Sequence[int]) -> None:
+    if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise SpectralError("a decay slope needs two scales or more, strictly increasing")
+    # the table divides floats by n^2; increasing scales bound it at both ends
+    if not (n_list[0] >= 1 and n_list[-1] * n_list[-1] <= sys.float_info.max):
+        raise SpectralError("scales must be positive integers with n^2 a finite float")
+
+
 def singular_sequence_decay(
     phi1,
     k: Sequence[float],
@@ -377,10 +395,7 @@ def singular_sequence_decay(
     of phi1, at 480 nodes settled against 240 (multipliers._settle).  If
     phi1 is not L^2-normalized it is rescaled.
     """
-    if len(n_list) < 2:
-        raise SpectralError("need at least two scales to fit a decay slope")
-    if any(n <= 0 for n in n_list):
-        raise SpectralError("scales must be positive integers")
+    _check_scales(n_list)
     k_norm = float(np.linalg.norm(np.atleast_1d(np.asarray(k, dtype=float))))
 
     from .multipliers import _probe_on, _settle  # shared probe quadrature

@@ -228,9 +228,10 @@ class TestClosedFormKernels:
             np.testing.assert_allclose(a, np.exp(-x) * total, rtol=1e-12, atol=0)
 
     def test_out_of_range_kernels_raise(self):
-        r = default_bs_grid(n=64).nodes
+        grid = default_bs_grid(n=64)
+        r = grid.nodes
         with pytest.raises(BSError, match="exceeds"):
-            list(_sector_kernels(1j, r, 129))
+            list(sector_matrices(gaussian(), 1j, grid, 129))
         # kappa r ~ 4e5: B_l overflows near the diagonal long before l = 128
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BSError, match="overflows"):

@@ -17,6 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectra_cert import spectral
+from spectra_cert.birman_schwinger import (
+    BSError,
+    assemble_bs,
+    default_bs_grid,
+    hs_norm,
+    log_uniform_grid,
+)
 from spectra_cert.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -31,9 +39,29 @@ from spectra_cert.cli import (
     run,
     serialize_config,
 )
-from spectra_cert.multipliers import MultiplierError
+from spectra_cert.multipliers import TestFunction as Probe
+from spectra_cert.multipliers import (
+    MultiplierError,
+    identity_term_rows,
+    magnetic_identity_smoke,
+    radi_identity_terms,
+)
+from spectra_cert.conditions import ConditionError, build_report
 from spectra_cert.numerics import EigenvalueError
-from spectra_cert.potentials import _ELECTRIC, _MAGNETIC
+from spectra_cert.potentials import (
+    _ELECTRIC,
+    _MAGNETIC,
+    PotentialError,
+    catalog,
+    magnetic_catalog,
+)
+from spectra_cert.spectral import (
+    SpectralError,
+    discretize_radial,
+    pseudospectrum,
+    singular_sequence_decay,
+    spectrum,
+)
 
 SAMPLE_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.json"))
 
@@ -197,7 +225,7 @@ class TestParseConfig:
             }))
         with pytest.raises(ConfigError, match="nonempty"):
             parse_config(make("bs-norm", z_list=[]))
-        with pytest.raises(ConfigError, match="positive real axis"):
+        with pytest.raises(ConfigError, match="^z_list .*positive axis"):
             parse_config(make("bs-norm", z_list=[[1.0, 0.0]]))
         cfg = parse_config(make("bs-norm", z_list=[-2.0, [0.0, 1.0]]))
         assert cfg.z_list == (complex(-2.0, 0.0), complex(0.0, 1.0))
@@ -289,6 +317,145 @@ class TestParseConfig:
         )
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+GAUSSIAN = catalog("gaussian", v0=1.0)
+# the probes of the CLI runners
+BUMP = Probe("radial-gaussian-bump", 2.5, chirp=0.4)
+SEQUENCE_BUMP = Probe("radial-gaussian-bump", 1.0)
+
+
+def _complex(v) -> complex:
+    return complex(*v) if isinstance(v, list) else complex(v)
+
+
+def _bs_norm(z_list: list, ell_max: int) -> None:
+    grid = default_bs_grid(64, 40.0)
+    for z in (0.0, *map(_complex, z_list)):
+        assemble_bs(GAUSSIAN, z, grid, ell_max=ell_max)
+
+
+# (experiment, config besides the key, key, the library entry that reads the
+# key, run on its value, and values on both sides of the entry's rules); the
+# values are finite, since parse_config refuses any other number first
+AGREEMENT = [
+    (
+        "check-conditions",
+        {},
+        "dimension",
+        lambda v: build_report(catalog("gaussian", dimension=v, v0=1.0)),
+        [2, 0, 3, 5],
+    ),
+    (
+        "bs-norm",
+        {"grid_n": 64, "ell_max": 2},
+        "z_list",
+        lambda v: _bs_norm(v, 2),
+        [[[-1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [0], [[-1.0, 0.0], [2.5, -0.0]]],
+    ),
+    (
+        "bs-norm",
+        {"grid_n": 64, "z_list": [[-1.0, 0.0]]},
+        "ell_max",
+        lambda v: _bs_norm([-1.0], v),
+        [-1, 0, 128, 129],
+    ),
+    # at z = 0 no Bessel factor is formed, so the cap does not apply
+    ("bs-norm", {"grid_n": 64, "z_list": [0]}, "ell_max", lambda v: _bs_norm([0], v), [-1, 129]),
+    (
+        "hs-identity",
+        {"grid_n": 64},
+        "ell_max",
+        lambda v: hs_norm(GAUSSIAN, log_uniform_grid(0.02, 40.0, 64), ell_max=v),
+        [-1, 0, 129],
+    ),
+    # the run builds sectors 0..ell_max; validation builds the largest one
+    (
+        "spectrum",
+        {"grid_n": 64},
+        "ell_max",
+        lambda v: discretize_radial(GAUSSIAN, v, 40.0, 64),
+        [-1, 0, 2],
+    ),
+    (
+        "spectrum",
+        {"grid_n": 64},
+        "outlier_tol",
+        lambda v: spectrum(discretize_radial(GAUSSIAN, 0, 40.0, 64), outlier_tol=v),
+        [0.5, 1e-12, 0.0, -1.0],
+    ),
+    (
+        "pseudospectrum",
+        {"grid_n": 16},
+        "z_window",
+        lambda v: pseudospectrum(discretize_radial(None, 0, 40.0, 16), v[:2], v[2:]),
+        [
+            [-1.0, 1.0, -0.5, 0.5],
+            [1.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0, 1.0],
+            [0, 1, 0, -1],
+            [-1.0, 1.0, -1e308, 1e308],
+        ],
+    ),
+    (
+        "singular-sequence",
+        {},
+        "n_list",
+        lambda v: singular_sequence_decay(SEQUENCE_BUMP, (1.0, 0.0, 0.0), v),
+        [[2, 4], [], [4], [4, 4], [8, 4], [0, 4], [-2, 4], [1, 2**511], [1, 2**512], [2, 10**200]],
+    ),
+    (
+        "magnetic-smoke",
+        {},
+        "lambda",
+        lambda v: magnetic_identity_smoke(BUMP, _complex(v), magnetic_catalog("zero")),
+        [[1.0, 0.0], [0.5, -2.0], [0.0, 1.0], [-1.0, 2.0]],
+    ),
+    (
+        "identity-check",
+        {"potential": {"name": "gaussian", "params": {"v0": 1.0}}},
+        "lambda",
+        lambda v: radi_identity_terms(BUMP, _complex(v), GAUSSIAN),
+        [[1.0, 0.5], [0.0, 1.0], [-1.0, 0.5]],
+    ),
+    # without a potential every lambda has its rows (the key identity drops out)
+    (
+        "identity-check",
+        {},
+        "lambda",
+        lambda v: identity_term_rows(BUMP, _complex(v)),
+        [[-1.0, 0.5], [0.0, 0.0]],
+    ),
+]
+
+
+class TestValidateAgreesWithTheLibrary:
+    """parse_config refuses a value exactly when the library entry that reads
+    it, run on the same value, raises its argument check's error, and names
+    the key first and the library's reason after it."""
+
+    @pytest.mark.parametrize(
+        "experiment, extra, key, entry, value",
+        [
+            pytest.param(exp, extra, key, entry, value, id=f"{exp}-{key}={value}"[:48])
+            for exp, extra, key, entry, values in AGREEMENT
+            for value in values
+        ],
+    )
+    def test_refusals_agree(self, monkeypatch, experiment, extra, key, entry, value):
+        monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 4)
+        try:
+            entry(value)
+            refusal = None
+        except (BSError, ConditionError, MultiplierError, PotentialError, SpectralError) as exc:
+            refusal = str(exc)
+        if refusal is None:
+            parse_config(make(experiment, **extra, **{key: value}))
+        else:
+            with pytest.raises(ConfigError) as info:
+                parse_config(make(experiment, **extra, **{key: value}))
+            assert str(info.value).startswith(f"{key} ")
+            assert str(info.value).endswith(refusal)
 
 
 class TestRunExperiments:
@@ -708,7 +875,7 @@ class TestMainExitCodes:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert f"{key} does not fit the hs-identity grid" in captured.err
+        assert captured.err.startswith(f"config error: {key} is invalid: need ")
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 

@@ -322,6 +322,13 @@ def test_one_settle_guard():
     assert scope_readers({"_SETTLE_TOL"}) == {"_SETTLE_TOL": {"multipliers._settle"}}
 
 
+def test_one_bessel_cap():
+    # the sector entries and the CLI's validation all refuse l past the cap
+    # through birman_schwinger._check_sector_args
+    readers = scope_readers({"_BESSEL_ELL_MAX"})
+    assert readers == {"_BESSEL_ELL_MAX": {"birman_schwinger._check_sector_args"}}
+
+
 # name -> the one package module that may name it: numpy's Gauss-Legendre
 # nodes behind numerics.panel_gauss, and the rescaled catalog row behind
 # potentials._unit_row

@@ -113,6 +113,9 @@ class TestDiscretizeRadial:
             discretize_radial(None, -1, 10.0, 16)
         with pytest.raises(SpectralError, match="radius"):
             discretize_radial(None, 0, -1.0, 16)
+        # an infinite radius read h = inf and an all-zero spectrum
+        with pytest.raises(SpectralError, match="finite"):
+            discretize_radial(HARDY, 0, math.inf, 8)
         with pytest.raises(SpectralError, match="d=3"):
             discretize_radial(catalog("hardy", a=0.5, dimension=4), 0, 10.0, 16)
 
@@ -242,8 +245,9 @@ class TestSpectrum:
         rep = spectrum(op, outlier_tol=1e-12)
         # even roundoff imaginary parts now count
         assert rep.outlier_tol == 1e-12
-        with pytest.raises(SpectralError, match="outlier_tol"):
-            spectrum(op, outlier_tol=-1.0)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(SpectralError, match="outlier_tol"):
+                spectrum(op, outlier_tol=tol)
 
     def test_rows_and_csv(self):
         rep = spectrum(discretize_radial(IMAGH, 0, 10.0, 16))
@@ -294,6 +298,15 @@ class TestPseudospectrum:
         op = discretize_radial(None, 0, 8.0, 16)
         with pytest.raises(SpectralError, match="increasing"):
             pseudospectrum(op, (1, 0), (0, 1))
+        # a NaN end passed the ordering test and failed inside LAPACK, and so
+        # did a width past the float range, whose grid reads NaN
+        for end in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SpectralError, match="finite increasing"):
+                pseudospectrum(op, (-1.0, 1.0), (0.0, end))
+            with pytest.raises(SpectralError, match="finite increasing"):
+                pseudospectrum(op, (end, 1.0), (0.0, 1.0))
+        with pytest.raises(SpectralError, match="finite increasing"):
+            pseudospectrum(op, (-1e308, 1e308), (0.0, 1.0))
 
 
 class TestArpackSigmaMin:
@@ -478,3 +491,17 @@ class TestSingularSequence:
             singular_sequence_decay(self.PHI, (0, 0, 0), (4,))
         with pytest.raises(SpectralError, match="positive"):
             singular_sequence_decay(self.PHI, (0, 0, 0), (0, 4))
+
+    @pytest.mark.parametrize(
+        "n_list, match",
+        [
+            # a repeated or decreasing scale fitted a slope of no meaning
+            ([4, 4], "strictly increasing"),
+            ([8, 4], "strictly increasing"),
+            # n^2 past the float range raised OverflowError
+            ([2, 10**200], "finite float"),
+        ],
+    )
+    def test_scales_the_table_cannot_use(self, n_list, match):
+        with pytest.raises(SpectralError, match=match):
+            singular_sequence_decay(self.PHI, (1.0, 0, 0), n_list)
