@@ -86,7 +86,7 @@ from .numerics import (
     panel_gauss,
     smallest_singular_value,
 )
-from .potentials import Potential, _unit_row, complex_sign
+from .potentials import Potential, _check_dimension, _unit_row, complex_sign
 
 __all__ = [
     "BSError",
@@ -406,8 +406,7 @@ class BSMatrix:
 
 
 def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
-    if potential.dimension != 3:
-        raise BSError("partial-wave assembly is three-dimensional")
+    _check_dimension(potential.dimension, BSError, 3)
     _check_off_positive_axis(z)
     if ell_max < 0:
         raise BSError("ell_max must be >= 0")
@@ -890,6 +889,7 @@ def m_eps_hs_check(
     is not finite raises.  Also enforces that eps * hs_formula -> 0 at
     the regime rate 1 - exponent/2 (slope checked within 0.05).
     """
+    _check_dimension(potential.dimension, BSError, 3)
     if omega_radius <= 0:
         raise BSError("omega_radius must be positive")
     integral = _ball_integral_abs(potential, omega_radius)

@@ -32,7 +32,8 @@ Experiment notes:
     only when Re lambda > 0 (elsewhere it is not defined), and a potential
     block adds the four radial-key rows from their own settled probe,
     which needs Re lambda > 0 as well.
-  * only ``check-conditions`` runs at a dimension other than 3.
+  * only ``check-conditions`` runs at a dimension other than 3
+    (``potentials._check_dimension`` holds both dimension rules).
   * ``singular-sequence`` reads ``lambda`` as the real spectral point
     |k|^2 >= 0 being witnessed, and no potential: its form term is the
     subordination bound itself.
@@ -96,7 +97,7 @@ from .birman_schwinger import (
     hs_norm,
     log_uniform_grid,
 )
-from .conditions import ConditionError, build_report, hardy_constant, json_float, thresholds
+from .conditions import ConditionError, build_report, json_float, thresholds
 from .multipliers import (
     MultiplierError,
     TestFunction,
@@ -109,6 +110,7 @@ from .potentials import (
     _ELECTRIC,
     _MAGNETIC,
     PotentialError,
+    _check_dimension,
     catalog,
     magnetic_catalog,
 )
@@ -235,24 +237,10 @@ def _library_check(key: str, check: Callable, *args):
     ConfigError on ``key``; the same error classes report numerical failures."""
     try:
         return check(*args)
-    except (BSError, ConditionError, MultiplierError, SpectralError) as exc:
+    except (BSError, ConditionError, MultiplierError, PotentialError, SpectralError) as exc:
         raise ConfigError(f"{key} is invalid: {exc}") from exc
     except MemoryError as exc:  # only the dry runs' grids of grid_n nodes allocate
         raise ConfigError(f"grid_n does not fit in memory: {exc}") from exc
-
-
-def _want_dimension(value) -> int:
-    """An integer d >= 3 whose Hardy constant and thresholds are finite floats.
-
-    The thresholds stay finite as long as ((d-2)/2)^2 does: their floats of
-    d overflow only past d ~ 1.8e308.
-    """
-    d = _want_int(value, "dimension")
-    try:
-        _library_check("dimension", hardy_constant, d)
-    except OverflowError as exc:
-        raise ConfigError("dimension is too large: ((d-2)/2)^2 overflows a float") from exc
-    return d
 
 
 def _parse_complex(value, field: str) -> complex:
@@ -324,9 +312,10 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"{experiment} needs {key}")
 
-    dimension = _want_dimension(raw.get("dimension", ExperimentConfig.dimension))
-    if dimension != 3 and experiment != "check-conditions":
-        raise ConfigError(f"{experiment} requires dimension 3")
+    dimension = _want_int(raw.get("dimension", ExperimentConfig.dimension), "dimension")
+    _library_check("dimension", _check_dimension, dimension)
+    if experiment != "check-conditions":
+        _library_check("dimension", _check_dimension, dimension, PotentialError, 3)
 
     grid_n = _want_int(raw.get("grid_n", ExperimentConfig.grid_n), "grid_n")
     if not 8 <= grid_n <= _MAX_GRID_N:
@@ -799,21 +788,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    d = _want_dimension(args.dim)
-    table = thresholds(d)
+    table = _library_check("dimension", thresholds, args.dim)
     lines = []
     for title, rows in (
-        (f"potential catalog (dimension {d})", _ELECTRIC),
+        (f"potential catalog (dimension {table.d})", _ELECTRIC),
         ("magnetic catalog (magnetic-smoke)", _MAGNETIC),
     ):
         lines += [title] + [f"  {row.usage:<26}{row.summary}" for row in rows.values()] + [""]
     lines += [
-        f"thresholds (dimension {d})",
+        f"thresholds (dimension {table.d})",
         f"  subordination b max   {table.thm12_b_max:.12g}",
         f"  lambda star           {table.lambda_star:.12g}",
         f"  sqrt(b3) max          {table.sqrt_b3_max:.12g}",
     ]
-    if d != 3:
+    if table.d != 3:
         lines.append("  (integral norms: Rollnik and L^(3/2) checks run at dimension 3 only)")
     print("\n".join(lines))
     return 0

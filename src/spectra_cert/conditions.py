@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .numerics import panel_gauss
-from .potentials import Potential, _unit_row
+from .potentials import Potential, _check_dimension, _unit_row
 
 __all__ = [
     "ConditionError",
@@ -119,9 +119,8 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
 
 
 def hardy_constant(d: int) -> float:
-    """The constant ((d-2)/2)^2 of the Hardy inequality, d >= 3 only."""
-    if d < 3:
-        raise ConditionError(f"dimension must be >= 3, got {d}")
+    """The Hardy constant ((d-2)/2)^2 at every d that ``_check_dimension`` admits."""
+    _check_dimension(d, ConditionError)
     return ((d - 2) / 2.0) ** 2
 
 
@@ -237,8 +236,7 @@ def rollnik_norm(potential: Potential) -> float:
     on every row; each quadrature step is exact under that scaling, and
     |V|_R = 2^e |V~|_R is finite wherever it fits in a float.
     """
-    if potential.dimension != 3:
-        raise ConditionError("the Rollnik norm is defined here for d = 3 only")
+    _check_dimension(potential.dimension, ConditionError, 3)
     if not _in_classes(potential):
         return math.inf
     unit, e = _unit_row(potential, every_row=True)
@@ -251,8 +249,7 @@ def frank_l32(potential: Potential) -> float:
     The L^{3/2} condition compares it with 3^{3/2} / (4 pi^2); no verdict
     does, the report carries the value itself.
     """
-    if potential.dimension != 3:
-        raise ConditionError("the L^{3/2} condition is evaluated for d = 3 only")
+    _check_dimension(potential.dimension, ConditionError, 3)
     if not _in_classes(potential):
         return math.inf
     nodes, weights = _ball_panels(potential, _truncation_radius(potential), 14)
@@ -276,8 +273,7 @@ def sobolev_chain_a(l32: float) -> float:
 def lambda_constant(potential: Potential) -> float:
     """Lambda = sup |x|^2 |V(x)| * 2 / (d-2), +inf when the sup diverges."""
     d = potential.dimension
-    if d < 3:
-        raise ConditionError(f"dimension must be >= 3, got {d}")
+    _check_dimension(d, ConditionError)
     unit, e = _unit_row(potential)
     return _scaled_back(_row_sup(unit, (abs(unit.amp),)) * 2.0 / (d - 2), e)
 
@@ -306,8 +302,7 @@ def thresholds(d: int) -> ThresholdTable:
     s = 2 sqrt(c1/3) cos(arccos((3 c2 / (2 c1)) sqrt(3/c1)) / 3), so
     lambda_star = 1 / s^2 in closed form.
     """
-    if d < 3:
-        raise ConditionError(f"dimension must be >= 3, got {d}")
+    _check_dimension(d, ConditionError)
     c1 = 2.0 * (2 * d - 3) / (d - 2)
     c2 = math.sqrt(2.0 / (d - 2))
     s = 2.0 * math.sqrt(c1 / 3.0) * math.cos(

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .numerics import fit_loglog_slope, panel_gauss
-from .potentials import MagneticPotential, Potential, _row_params, _Row, b_tau
+from .potentials import MagneticPotential, Potential, _check_dimension, _row_params, _Row, b_tau
 
 __all__ = [
     "MultiplierError",
@@ -515,8 +515,8 @@ def _identity_terms(pairs: Sequence, u: TestFunction, lam: complex, n: int, rule
             raise MultiplierError(f"{kind} needs a multiplier profile, field row or potential")
         if kind in ("id4", "radial-key"):
             _check_re_lambda(lam)
-        if kind == "radial-key" and g.dimension != 3:
-            raise MultiplierError("radial-key needs a d=3 potential")
+        if kind == "radial-key":
+            _check_dimension(g.dimension, MultiplierError, 3)
     breaks = [r0 for _, g in pairs if isinstance(g, Potential) for r0 in g.jumps]
 
     def terms_on(m: int) -> tuple[_Probe, list[tuple[float, ...]]]:
@@ -652,9 +652,9 @@ class HardyRatios:
     weighted_bound: float
 
 
-def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
-    """Hardy quotients int |u|^2/|x|^2 / int |grad u|^2 (bound 4/(d-2)^2)
-    and int |u|^2/|x| / int |x| |grad u|^2 (bound 4/(d-1)^2).
+def hardy_check(psi: NearExtremalHardyProfile) -> HardyRatios:
+    """Hardy quotients int |u|^2/|x|^2 / int |grad u|^2 (bound 4/(d-2)^2 = 4)
+    and int |u|^2/|x| / int |x| |grad u|^2 (bound 4/(d-1)^2 = 1) in d = 3.
 
     ``psi`` must be a NearExtremalHardyProfile, a radial profile with its
     first derivative.  It decays like e^(-2 eps r), so the quadrature
@@ -662,15 +662,13 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     those at 1200 within _SETTLE_TOL absolutely (_settle), which a
     non-finite quotient never does.
     """
-    if d < 3:
-        raise MultiplierError("Hardy quotients need d >= 3")
     if not isinstance(psi, NearExtremalHardyProfile):
         raise MultiplierError("psi must be a NearExtremalHardyProfile")
 
     def ratios(n_nodes: int) -> tuple[float, float]:
         r, w = _hardy_log_nodes(psi.eps, n_nodes)
         q, dq = psi.profile(r)
-        meas = w * r ** (d - 1)
+        meas = w * r**2
         qq = np.abs(q) ** 2
         grad = np.abs(dq) ** 2
         num1 = float(np.dot(meas, qq / r**2))
@@ -682,9 +680,9 @@ def hardy_check(psi: NearExtremalHardyProfile, d: int = 3) -> HardyRatios:
     b1, b2 = _settle(ratios(_HARDY_N), ratios(2 * _HARDY_N), 1.0, "Hardy quotient", _HARDY_N)
     return HardyRatios(
         hardy_ratio=b1,
-        hardy_bound=4.0 / (d - 2) ** 2,
+        hardy_bound=4.0,
         weighted_ratio=b2,
-        weighted_bound=4.0 / (d - 1) ** 2,
+        weighted_bound=1.0,
     )
 
 

@@ -226,6 +226,24 @@ def _row_params(error: type, kind: str, rows: dict, name: str, given: dict) -> t
     return row, values
 
 
+# the largest d with a finite ((d-2)/2)^2: d - 2 must round to at most
+# E = 2 sqrt(max float), as the integers below E + ulp(E)/2 do
+_EDGE = 2.0 * math.sqrt(sys.float_info.max)
+_MAX_DIMENSION = 1 + int(_EDGE) + int(math.ulp(_EDGE)) // 2
+
+
+def _check_dimension(d, error: type = PotentialError, exactly=None) -> None:
+    """Raise ``error`` unless d is an integer >= 3 with a finite ((d-2)/2)^2
+    (the thresholds are finite then too) or, given ``exactly``, unless d ==
+    exactly: d >= 3 for the multiplier results, d = 3 for Theorem 1.1 and the
+    partial waves.  d is compared as an integer, so no float of it overflows."""
+    if exactly is not None:
+        if d != exactly:
+            raise error(f"dimension must be {exactly}")
+    elif not (isinstance(d, numbers.Integral) and 3 <= d <= _MAX_DIMENSION):
+        raise error("dimension must be an integer >= 3 whose ((d-2)/2)^2 is a finite float")
+
+
 def _poly(coefficients: tuple, r: np.ndarray):
     """sum_k c_k r^k over the nonzero c_k, lowest power first; None if all vanish."""
     total = None
@@ -269,12 +287,11 @@ _ELECTRIC = {
 def catalog(name: str, dimension: int = 3, **params: float) -> Potential:
     """Construct a catalog potential by name.
 
-    Raises :class:`PotentialError` for unsupported dimensions (d < 3), for
-    unknown names and for parameters the entry's row refuses, the
-    amplitude they give included: |amp| must be finite.
+    Raises :class:`PotentialError` for dimensions ``_check_dimension``
+    refuses, for unknown names and for parameters the entry's row refuses,
+    the amplitude they give included: |amp| must be finite.
     """
-    if dimension < 3:
-        raise PotentialError(f"dimension must be >= 3, got {dimension}")
+    _check_dimension(dimension)
     row, values = _row_params(PotentialError, "potential", _ELECTRIC, name, params)
     family = dict(s=0.0, mu=0.0, gamma=0.0, r0=math.inf) | row.family(values, dimension)
     amp = family["amp"]

@@ -49,7 +49,7 @@ from .numerics import (
     smallest_singular_value,
     tridiagonal_smallest_singular_value,
 )
-from .potentials import Potential
+from .potentials import Potential, _check_dimension
 
 __all__ = [
     "SpectralError",
@@ -142,9 +142,9 @@ def discretize_radial(
 
     ``potential=None`` builds the free operator.  Grid nodes are the cell
     centers r_j = (j + 1/2) h, j = 0 .. n-1, with h = radius / n, so the
-    centrifugal and potential diagonals never see r = 0.  A radius too
-    small for n cells raises: one where the diagonal is not finite, or
-    where |M|_F, which scales the checks of ``spectrum`` and
+    centrifugal and potential diagonals never see r = 0.  A grid past the
+    float range raises: one where h^2 or l(l+1) overflows, the diagonal is
+    not finite, or |M|_F, which scales the checks of ``spectrum`` and
     ``pseudospectrum``, overflows.
     """
     if n < 8:
@@ -153,11 +153,13 @@ def discretize_radial(
         raise SpectralError("ell must be a nonnegative integer")
     if not 0 < radius < math.inf:
         raise SpectralError("radius must be positive and finite")
-    if potential is not None and potential.dimension != 3:
-        raise SpectralError("radial sectors need a d=3 potential")
+    if potential is not None:
+        _check_dimension(potential.dimension, SpectralError, 3)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # numpy scalars overflow to inf where Python floats raise, and ints never do
+        if not (np.float64(radius / n) ** 2 < np.inf and ell * (ell + 1) <= sys.float_info.max):
+            raise SpectralError("h^2 or l(l+1) overflows a float")
         diag = _sector_diagonal(ell, radius, n, potential).astype(np.complex128)
-        # a numpy scalar overflows to inf where a Python float would raise
         frobenius_sq = np.sum(np.abs(diag) ** 2) + 2 * (n - 1) * np.float64(radius / n) ** -4
     if not np.isfinite(frobenius_sq):
         raise SpectralError(f"the sector operator overflows at radius {radius:g} on {n} cells")

@@ -183,12 +183,12 @@ class Test05MultiplierIdentities:
 class Test06HardySharpness:
     def test_near_extremal_family(self):
         with Budget(10.0):
-            ratios = hardy_check(NearExtremalHardyProfile(eps=0.05), d=3)
+            ratios = hardy_check(NearExtremalHardyProfile(eps=0.05))
             # 4/(1 + 2 eps) at eps = 0.05 sits above ninety percent of the
             # sharp constant 4/(d-2)^2 = 4
             assert ratios.hardy_ratio >= 0.90 * ratios.hardy_bound
             for eps in (0.05, 0.1, 0.2, 0.3, 0.45):
-                r = hardy_check(NearExtremalHardyProfile(eps=eps), d=3)
+                r = hardy_check(NearExtremalHardyProfile(eps=eps))
                 assert r.weighted_ratio <= r.weighted_bound * (1 + 1e-9)
                 assert r.hardy_ratio <= r.hardy_bound * (1 + 1e-9)
 

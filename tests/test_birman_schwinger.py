@@ -432,7 +432,7 @@ class TestInverseTridiagonalSectors:
             assemble_bs(gaussian(), 2.0, grid, ell_max=1)
         with pytest.raises(BSError, match="ell_max"):
             assemble_bs(gaussian(), -1.0, grid, ell_max=-1)
-        with pytest.raises(BSError, match="three-dimensional"):
+        with pytest.raises(BSError, match="dimension must be 3"):
             assemble_bs(catalog("gaussian", v0=1.0, dimension=4), 0.0, grid, ell_max=1)
 
     def test_forms_no_sector_matrix(self, monkeypatch):
@@ -964,6 +964,11 @@ class TestMepsHSCheck:
         drift = abs(r1.hs_formula - r2.hs_formula) / r1.hs_formula
         assert drift <= 5e-3
         assert r1.rel_gap <= 2.5e-2 and r2.rel_gap <= 2.5e-2
+
+    def test_rejects_other_dimensions(self):
+        # the closed form and the partial waves are three-dimensional
+        with pytest.raises(BSError, match="dimension must be 3"):
+            m_eps_hs_check(catalog("gaussian", dimension=5, v0=1.0), 2.0, 0.0, [0.4, 0.2])
 
     def test_hardy_cutoff_is_hs(self):
         # chi_Omega |V|^(1/2) G_z is Hilbert-Schmidt even for the borderline

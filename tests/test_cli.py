@@ -197,7 +197,7 @@ class TestParseConfig:
                 capsys.readouterr()
                 continue
             assert main(["run", str(path)]) == 2, exp
-            assert f"{exp} requires dimension 3" in capsys.readouterr().err
+            assert "dimension is invalid: dimension must be 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.manifest.json"))
 
     def test_low_dimension_rejected(self):
@@ -329,10 +329,12 @@ def _complex(v) -> complex:
     return complex(*v) if isinstance(v, list) else complex(v)
 
 
+_BS_GRID = default_bs_grid(64, 40.0)
+
+
 def _bs_norm(z_list: list, ell_max: int) -> None:
-    grid = default_bs_grid(64, 40.0)
     for z in (0.0, *map(_complex, z_list)):
-        assemble_bs(GAUSSIAN, z, grid, ell_max=ell_max)
+        assemble_bs(GAUSSIAN, z, _BS_GRID, ell_max=ell_max)
 
 
 # (experiment, config besides the key, key, the library entry that reads the
@@ -344,7 +346,15 @@ AGREEMENT = [
         {},
         "dimension",
         lambda v: build_report(catalog("gaussian", dimension=v, v0=1.0)),
-        [2, 0, 3, 5],
+        [2, 0, 3, 4, 5, 10**200],
+    ),
+    # every other experiment needs d = 3 on top of d >= 3
+    (
+        "bs-norm",
+        {"grid_n": 64, "ell_max": 2},
+        "dimension",
+        lambda v: assemble_bs(catalog("gaussian", dimension=v, v0=1.0), -1, _BS_GRID, ell_max=2),
+        [2, 3, 4, 10**200],
     ),
     (
         "bs-norm",
@@ -376,6 +386,21 @@ AGREEMENT = [
         "ell_max",
         lambda v: discretize_radial(GAUSSIAN, v, 40.0, 64),
         [-1, 0, 2],
+    ),
+    # h^2 past the float range
+    (
+        "spectrum",
+        {"grid_n": 64},
+        "r_max",
+        lambda v: discretize_radial(None, 0, v, 64),
+        [40.0, 1e300],
+    ),
+    (
+        "pseudospectrum",
+        {"grid_n": 16},
+        "r_max",
+        lambda v: discretize_radial(None, 0, v, 16),
+        [40.0, 1e300],
     ),
     (
         "spectrum",
@@ -747,7 +772,7 @@ class TestMainExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         path = self.write(tmp_path, make("bs-norm", dimension=4))
         assert main(["run", path]) == 2
-        assert "bs-norm requires dimension 3" in capsys.readouterr().err
+        assert "config error: dimension is invalid: dimension must be 3" in capsys.readouterr().err
 
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
@@ -886,6 +911,14 @@ class TestMainExitCodes:
             ("spectrum_square_well", "r_max", "1e-300"),
             ("spectrum_square_well", "r_max", "1e-80"),
             ("pseudospectrum_imaginary_hardy", "r_max", "1e-300"),
+            ("spectrum_square_well", "r_max", "1e300"),
+            ("pseudospectrum_imaginary_hardy", "r_max", "1e300"),
+            pytest.param(
+                "spectrum_square_well",
+                "ell_max",
+                str(10**200),
+                id="spectrum_square_well-ell_max-1e200",
+            ),
             ("bs_norm_hardy", "ell_max", "200"),
             *(
                 pytest.param(stem, "grid_n", str(10**30), id=f"{stem}-grid_n-1e30")

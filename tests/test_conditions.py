@@ -12,6 +12,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestHardyConstant:
     def test_low_dimension_rejected(self):
         with pytest.raises(ConditionError):
             hardy_constant(2)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            hardy_constant,
+            thresholds,
+            lambda d: lambda_constant(replace(catalog("gaussian", v0=1.0), dimension=d)),
+        ],
+        ids=["hardy_constant", "thresholds", "lambda_constant"],
+    )
+    def test_dimension_past_the_float_range_rejected(self, check):
+        # ((d-2)/2)^2 and 2/(d-2) raised a bare OverflowError here
+        with pytest.raises(ConditionError, match="dimension must be an integer >= 3"):
+            check(10**400)
 
 
 class TestSubordinationPointwise:

@@ -408,7 +408,7 @@ class TestRadialIdentity:
     def test_validation(self):
         with pytest.raises(MultiplierError, match="Re lambda"):
             radi_identity_terms(BUMP, -1.0 + 0.5j, self.IMAGH)
-        with pytest.raises(MultiplierError, match="d=3"):
+        with pytest.raises(MultiplierError, match="dimension must be 3"):
             radi_identity_terms(BUMP, 1.0 + 0.5j, catalog("gaussian", dimension=4, v0=1.0))
 
 

@@ -5,6 +5,8 @@ against symbolic differentiation; field tensors against centred finite
 differences of the vector potential.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_cert.multipliers import MultiplierError, multiplier_catalog
+from spectra_cert import potentials
 from spectra_cert.potentials import (
     _ELECTRIC,
     _MAGNETIC,
@@ -54,6 +57,31 @@ class TestCatalog:
     def test_low_dimension_rejected(self):
         with pytest.raises(PotentialError, match="dimension"):
             catalog("hardy", dimension=2, a=0.5)
+
+    @pytest.mark.parametrize(
+        "name, params, dimension",
+        [
+            ("gaussian", {"v0": 1.0}, 10**400),
+            ("hardy", {"a": 1.0}, 10**400),
+            ("gaussian", {"v0": 1.0}, 3.5),
+        ],
+        ids=["gaussian-1e400", "hardy-1e400", "gaussian-3.5"],
+    )
+    def test_dimension_outside_the_rule_rejected(self, name, params, dimension):
+        # the gaussian row forms no ((d-2)/2)^2 and took any d; the hardy row
+        # raised a bare OverflowError at d = 1e400
+        with pytest.raises(PotentialError, match="dimension must be an integer >= 3"):
+            catalog(name, dimension=dimension, **params)
+
+    def test_largest_dimension_keeps_the_hardy_constant_finite(self):
+        # the integer edge is where the float ((d-2)/2.0)**2 overflows
+        edge = potentials._MAX_DIMENSION
+        assert ((edge - 2) / 2.0) ** 2 < math.inf
+        with pytest.raises(OverflowError):
+            ((edge - 1) / 2.0) ** 2
+        assert catalog("hardy", dimension=edge, a=1.0).amp > -math.inf
+        with pytest.raises(PotentialError, match="dimension"):
+            catalog("hardy", dimension=edge + 1, a=1.0)
 
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(PotentialError):

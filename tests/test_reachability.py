@@ -23,6 +23,10 @@ Every iterative singular value goes through one ARPACK driver: scipy's
 Every probe quadrature settles through one guard: only
 ``multipliers._settle`` reads ``_SETTLE_TOL``.
 
+Both dimension rules, d >= 3 and d = 3, raise in
+``potentials._check_dimension`` only: no other scope holds an ``if`` on a
+dimension that raises.
+
 One Gauss-Legendre rule and one rescaled catalog row: only ``numerics``
 names numpy's ``leggauss``, and only ``potentials`` names ``_scaled_row``.
 
@@ -288,26 +292,31 @@ def test_package_imports_form_no_cycle():
 ITERATIVE_SOLVERS = {"eigs", "eigsh", "svds", "lobpcg"}
 
 
-def scope_readers(names: set[str]) -> dict[str, set[str]]:
-    """Name -> the package scopes that read it, as a name or an attribute:
-    ``module.function`` or ``module.Class.method`` with their nested
-    functions, and ``module.<module>`` for statements outside every def."""
-    readers: dict[str, set[str]] = {}
+def package_scopes():
+    """(owner, node) for every package scope: ``module.function`` or
+    ``module.Class.method`` with their nested functions, and
+    ``module.<module>`` for statements outside every def."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             in_class = isinstance(stmt, ast.ClassDef)
             for scope in stmt.body if in_class else [stmt]:
                 prefix = f"{path.stem}.{stmt.name}" if in_class else path.stem
-                owner = f"{prefix}.{getattr(scope, 'name', '<module>')}"
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        read = node.id
-                    elif isinstance(node, ast.Attribute):
-                        read = node.attr
-                    else:
-                        continue
-                    if read in names:
-                        readers.setdefault(read, set()).add(owner)
+                yield f"{prefix}.{getattr(scope, 'name', '<module>')}", scope
+
+
+def scope_readers(names: set[str]) -> dict[str, set[str]]:
+    """Name -> the package scopes that read it, as a name or an attribute."""
+    readers: dict[str, set[str]] = {}
+    for owner, scope in package_scopes():
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read = node.id
+            elif isinstance(node, ast.Attribute):
+                read = node.attr
+            else:
+                continue
+            if read in names:
+                readers.setdefault(read, set()).add(owner)
     return readers
 
 
@@ -327,6 +336,34 @@ def test_one_bessel_cap():
     # through birman_schwinger._check_sector_args
     readers = scope_readers({"_BESSEL_ELL_MAX"})
     assert readers == {"_BESSEL_ELL_MAX": {"birman_schwinger._check_sector_args"}}
+
+
+def dimension_raisers() -> set[str]:
+    """The package scopes holding an ``if`` whose test reads a ``dimension``
+    attribute or a ``d`` or ``dimension`` name and whose body raises."""
+
+    def reads_dimension(test: ast.expr) -> bool:
+        return any(
+            isinstance(node, ast.Attribute) and node.attr == "dimension"
+            or isinstance(node, ast.Name) and node.id in ("d", "dimension")
+            for node in ast.walk(test)
+        )
+
+    return {
+        owner
+        for owner, scope in package_scopes()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.If)
+        and reads_dimension(node.test)
+        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    }
+
+
+def test_one_dimension_rule():
+    # d >= 3 and d = 3 are refused in one place; the catalog, the condition
+    # constants, the sector builders, the radial key and the CLI call it with
+    # their own error classes
+    assert dimension_raisers() == {"potentials._check_dimension"}
 
 
 # name -> the one package module that may name it: numpy's Gauss-Legendre

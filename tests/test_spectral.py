@@ -116,15 +116,20 @@ class TestDiscretizeRadial:
         # an infinite radius read h = inf and an all-zero spectrum
         with pytest.raises(SpectralError, match="finite"):
             discretize_radial(HARDY, 0, math.inf, 8)
-        with pytest.raises(SpectralError, match="d=3"):
+        with pytest.raises(SpectralError, match="dimension must be 3"):
             discretize_radial(catalog("hardy", a=0.5, dimension=4), 0, 10.0, 16)
 
-    @pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e-80])
-    def test_grid_past_double_range_raises(self, radius):
+    @pytest.mark.parametrize(
+        "radius, ell",
+        [(1e-300, 1), (1e-160, 1), (1e-80, 1), (1e300, 1), (10.0, 10**200)],
+        ids=["1e-300", "1e-160", "1e-80", "1e+300", "ell=1e200"],
+    )
+    def test_grid_past_double_range_raises(self, radius, ell):
         # 1e-300: h^2 underflows to 0; 1e-160: 2/h^2 is inf; 1e-80: the
-        # diagonal is finite but |M|_F^2 ~ n / h^4 overflows
+        # diagonal is finite but |M|_F^2 ~ n / h^4 overflows; 1e300: h^2
+        # overflows (1/h^2 underflows); l = 1e200: l(l+1) overflows
         with pytest.raises(SpectralError, match="overflows"):
-            discretize_radial(HARDY, 1, radius, 96)
+            discretize_radial(HARDY, ell, radius, 96)
         assert np.isfinite(discretize_radial(HARDY, 1, 1e-70, 96).diag).all()
 
 
