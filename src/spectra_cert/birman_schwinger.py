@@ -394,16 +394,6 @@ class BSMatrix:
         slack, with ``base`` the family at z = 0."""
         return self.norm <= base.norm * (1.0 + _BS_NORM_SLACK)
 
-    def summary(self) -> dict:
-        return {
-            "z_re": float(self.z.real),
-            "z_im": float(self.z.imag),
-            "norm": self.norm,
-            "hs_norm": self.hs_estimate(),
-            "per_ell_norms": list(self.per_ell_norms),
-            "tail_warning": self.tail_warning,
-        }
-
 
 def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
     _check_dimension(potential.dimension, BSError, 3)

@@ -22,6 +22,9 @@ Experiment notes:
     it reads besides ``experiment``, ``dimension`` and ``output``, the keys
     among those it needs, and its CSV columns.  Any other key is a config
     error, and only the keys an experiment reads are echoed.
+  * the report format lives here alone: each runner reads the fields of
+    its library result by name into the JSON payload and, through
+    ``_rows``, into CSV rows under its ``csv_columns``.
   * a rule that a library entry enforces is refused by that entry's own
     argument check, which ``parse_config`` runs through ``_library_check``.
   * ``spectrum`` scans the radial sectors ell = 0 .. ell_max on one grid
@@ -97,7 +100,7 @@ from .birman_schwinger import (
     hs_norm,
     log_uniform_grid,
 )
-from .conditions import ConditionError, build_report, json_float, thresholds
+from .conditions import ConditionError, build_report, thresholds
 from .multipliers import (
     MultiplierError,
     TestFunction,
@@ -359,8 +362,11 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
             _library_check("ell_max", _check_sector_args, pot, z, ell_max)
     if experiment in ("spectrum", "pseudospectrum"):
         # build the sectors with the smallest and the largest diagonal now,
-        # so a grid too fine for double precision fails validation, not the run
-        _library_check("r_max", discretize_radial, pot, 0, r_max, grid_n)
+        # so a grid too fine for double precision fails validation, not the
+        # run; the free sector first, so an overflowing V is blamed on itself
+        _library_check("r_max", discretize_radial, None, 0, r_max, grid_n)
+        if pot is not None:
+            _library_check("potential", discretize_radial, pot, 0, r_max, grid_n)
         if experiment == "spectrum":
             _library_check("ell_max", discretize_radial, pot, ell_max, r_max, grid_n)
 
@@ -471,9 +477,35 @@ def _stage(stages: list, name: str, fn: Callable):
     return result
 
 
+def json_float(value):
+    """inf and nan are not JSON numbers; write them as "inf" and "nan"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+def _rows(columns: Sequence[str], *values) -> list[dict]:
+    """The CSV rows of a table: one value column per name in ``columns``."""
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def _run_check_conditions(config, pot, stages):
     report = _stage(stages, "conditions.build_report", lambda: build_report(pot))
-    return report.to_json_dict(), None
+    payload = {
+        "a": json_float(report.a),
+        "a_method": "pointwise-hardy",
+        "rollnik": json_float(report.rollnik),
+        "frank_l32": json_float(report.frank_l32),
+        "sobolev_chain_a": json_float(report.sobolev_chain_a),
+        "Λ": json_float(report.lambda_),
+        "b1": json_float(report.b1),
+        "b2": json_float(report.b2),
+        "b3": json_float(report.b3),
+        "verdicts": dict(report.verdicts),
+    }
+    return payload, None
 
 
 def _run_bs_norm(config, pot, stages):
@@ -489,9 +521,16 @@ def _run_bs_norm(config, pot, stages):
 
         def assemble(z=z):
             bs = assemble_bs(pot, z, grid, ell_max=ell_max)
-            return bs, bs.summary()
+            return bs, {
+                "z_re": float(bs.z.real),
+                "z_im": float(bs.z.imag),
+                "norm": bs.norm,
+                "hs_norm": bs.hs_estimate(),
+                "per_ell_norms": list(bs.per_ell_norms),
+                "tail_warning": bs.tail_warning,
+            }
 
-        bs, summary = _stage(
+        bs, point = _stage(
             stages, f"birman_schwinger.assemble_bs z={z.real:g}{z.imag:+g}j", assemble
         )
         if not bs.dominated_by(base):
@@ -500,7 +539,7 @@ def _run_bs_norm(config, pot, stages):
                 f" the z=0 norm {base.norm:.6g} beyond the"
                 f" {_BS_NORM_SLACK:.0%} discretization slack"
             )
-        points.append(summary)
+        points.append(point)
     return {"base_norm": base.norm, "points": points}, None
 
 
@@ -521,6 +560,7 @@ def _run_hs_identity(config, pot, stages):
 
 
 def _run_spectrum(config, pot, stages):
+    columns = _EXPERIMENTS[config.experiment].csv_columns
     sectors = []
     all_rows = []
     for ell in range(config.ell_max + 1):
@@ -530,7 +570,14 @@ def _run_spectrum(config, pot, stages):
             f"spectral.spectrum ell={ell}",
             lambda op=op: spectrum(op, outlier_tol=config.outlier_tol),
         )
-        rows = report.to_rows()
+        flagged = set(report.outlier_indices)
+        rows = _rows(
+            columns,
+            report.eigenvalues.real.tolist(),
+            report.eigenvalues.imag.tolist(),
+            report.residuals.tolist(),
+            [i in flagged for i in range(len(report.residuals))],
+        )
         sectors.append(
             {
                 "ell": ell,
@@ -541,8 +588,7 @@ def _run_spectrum(config, pot, stages):
             }
         )
         all_rows.extend(rows)
-    payload = {"sectors": sectors}
-    return payload, all_rows
+    return {"sectors": sectors}, all_rows
 
 
 def _run_pseudospectrum(config, pot, stages):
@@ -553,12 +599,15 @@ def _run_pseudospectrum(config, pot, stages):
         "spectral.pseudospectrum",
         lambda: pseudospectrum(op, (win[0], win[1]), (win[2], win[3])),
     )
-    payload = {
-        "re_values": [float(v) for v in field.re_values],
-        "im_values": [float(v) for v in field.im_values],
-        "sigma_min": [[float(v) for v in row] for row in field.sigma_min],
-    }
-    return payload, field.to_rows()
+    re_values, im_values = field.re_values.tolist(), field.im_values.tolist()
+    sigma_min = field.sigma_min.tolist()  # one list per im value
+    payload = {"re_values": re_values, "im_values": im_values, "sigma_min": sigma_min}
+    return payload, _rows(
+        _EXPERIMENTS[config.experiment].csv_columns,
+        re_values * len(im_values),
+        [zi for zi in im_values for _ in re_values],
+        [s for row in sigma_min for s in row],
+    )
 
 
 def _run_identity_check(config, pot, stages):
@@ -574,11 +623,11 @@ def _run_identity_check(config, pot, stages):
             "multipliers.radi_identity_terms",
             lambda: radi_identity_terms(probe, config.lam, pot),
         )
-    payload = {
-        "lambda": [config.lam.real, config.lam.imag],
-        "rows": rows,
-    }
-    return payload, rows
+    # every term is real: value_im is the constant 0.0 column
+    ids, names, values, residuals = zip(*rows)
+    columns = _EXPERIMENTS[config.experiment].csv_columns
+    rows = _rows(columns, ids, names, values, [0.0] * len(values), residuals)
+    return {"lambda": [config.lam.real, config.lam.imag], "rows": rows}, rows
 
 
 def _run_singular_sequence(config, pot, stages):
@@ -597,7 +646,8 @@ def _run_singular_sequence(config, pot, stages):
         "residual_slope": report.residual_slope,
         "form_slope": report.form_slope,
     }
-    return payload, report.to_rows()
+    columns = _EXPERIMENTS[config.experiment].csv_columns
+    return payload, _rows(columns, report.n_values, report.equation_residuals, report.form_terms)
 
 
 def _run_magnetic_smoke(config, pot, stages):

@@ -57,15 +57,6 @@ class ConditionError(ValueError):
     """Raised for unsupported inputs (wrong dimension, non-radial V, ...)."""
 
 
-def json_float(value):
-    """inf and nan are not JSON numbers; write them as "inf" and "nan"."""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return value
-
-
 # ---------------------------------------------------------------------------
 # radial suprema, exact from the catalog row
 # ---------------------------------------------------------------------------
@@ -369,20 +360,6 @@ class ConditionReport:
         for name in ("a", "rollnik", "frank_l32", "sobolev_chain_a", "lambda_", "b1", "b2", "b3"):
             if getattr(self, name) < 0:
                 raise ConditionError(f"constant {name} must be nonnegative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": json_float(self.a),
-            "a_method": "pointwise-hardy",
-            "rollnik": json_float(self.rollnik),
-            "frank_l32": json_float(self.frank_l32),
-            "sobolev_chain_a": json_float(self.sobolev_chain_a),
-            "Λ": json_float(self.lambda_),
-            "b1": json_float(self.b1),
-            "b2": json_float(self.b2),
-            "b3": json_float(self.b3),
-            "verdicts": dict(self.verdicts),
-        }
 
 
 def evaluate_theorems(report: ConditionReport, d: int) -> dict:

@@ -19,7 +19,7 @@ A is orthogonal to x and e3, so A . grad u = 0, |grad_A u|^2 = |grad u|^2
 + |A|^2 |u|^2 and Delta_A u = Delta u - |A|^2 u: each side is its A = 0
 form minus int |A|^2 |u|^2.
 
-Each identity is one row of a table: its CSV id, its term names and the
+Each identity is one row of a table: its identity_id, its term names and the
 function forming the terms on one probe, the first term the left side and the
 others summing to the right.  The radial key identity with a potential is one
 more row.  Every probe quadrature settles through one guard, ``_settle``: the
@@ -479,7 +479,7 @@ def _radial_key_terms(p: _Probe, lam: complex, potential: Potential) -> tuple[fl
     return i_total, i1, i2, i3
 
 
-# kind -> (CSV identity_id, term names, terms on one probe); the first term
+# kind -> (identity_id, term names, terms on one probe); the first term
 # is the left side and the others sum to the right side
 _IDENTITIES = {
     "id1": ("real-part", ("lhs", "rhs"), _id1_sides),
@@ -579,35 +579,24 @@ def identity_residual(
     return _relative_residual(*terms[0])
 
 
-def _identity_rows(pairs: Sequence, u: TestFunction, lam: complex) -> list[dict]:
-    """Rows of the shared CSV schema, one per term of each (kind, g) identity.
+def _identity_rows(pairs: Sequence, u: TestFunction, lam: complex) -> list[tuple]:
+    """(identity_id, term_name, value, residual) per term of each (kind, g) identity.
 
-    The identities run on one settled probe (_identity_terms); a row carries
-    (identity_id, term_name, value_re, value_im, residual), the relative
-    residual is shared within an identity, and every term is real by
-    construction, so value_im is always 0.
+    The identities run on one settled probe (_identity_terms); the relative
+    residual is shared within an identity, and every term is real by construction.
     """
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for (kind, _), (terms, norm_sq) in zip(
         pairs, _identity_terms(pairs, u, lam, _DEFAULT_N, "gauss")
     ):
         identity_id, names, _ = _IDENTITIES[kind]
-        residual = _relative_residual(terms, norm_sq)
-        rows += [
-            {
-                "identity_id": identity_id,
-                "term_name": name,
-                "value_re": float(value),
-                "value_im": 0.0,
-                "residual": float(residual),
-            }
-            for name, value in zip(names, terms)
-        ]
+        residual = float(_relative_residual(terms, norm_sq))
+        rows += [(identity_id, name, float(value), residual) for name, value in zip(names, terms)]
     return rows
 
 
-def identity_term_rows(u: TestFunction, lam: complex) -> list[dict]:
-    """Term table of the pairing identities in the shared CSV row schema.
+def identity_term_rows(u: TestFunction, lam: complex) -> list[tuple]:
+    """Rows (identity_id, term_name, value, residual) of the pairing identities.
 
     Evaluates the real-part, imaginary-part and Hessian identities with
     the multipliers of the canonical triple and, when Re lambda > 0, the
@@ -686,7 +675,7 @@ def hardy_check(psi: NearExtremalHardyProfile) -> HardyRatios:
     )
 
 
-def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> list[dict]:
+def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> list[tuple]:
     """Rows of the radial key identity, term by term, for f := Delta u + lam u.
 
     The identity reads I = I1 + I2 + I3 with
@@ -705,7 +694,8 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     to I1 (c_l the angular weight); the probe panels end at r0.
 
     It is the ``radial-key`` row of the identity table, settled like the
-    others; the four rows (I, I1, I2, I3_defect) share its relative residual
+    others; its rows ("radial-key", term_name, value, residual) for I, I1, I2
+    and I3_defect share its relative residual
     |I - I1 - I2 - I3| / (|I| + |I1| + |I2| + |I3| + ||u||^2).
     """
     return _identity_rows([("radial-key", potential)], u, lam)

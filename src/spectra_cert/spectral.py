@@ -126,7 +126,8 @@ def _sector_diagonal(
     second = np.full(n, 2.0)
     second[0] = second[-1] = 3.0
     second /= h**2
-    local = ell * (ell + 1) / r**2
+    with np.errstate(over="ignore"):  # r^2 past the float range: l(l+1)/inf = 0
+        local = ell * (ell + 1) / r**2
     if potential is not None:
         local = local + potential.radial_profile(r)
     return second + local
@@ -211,18 +212,6 @@ class SpectrumReport:
     def outliers(self) -> np.ndarray:
         return self.eigenvalues[list(self.outlier_indices)]
 
-    def to_rows(self) -> list[dict]:
-        flagged = set(self.outlier_indices)
-        return [
-            {
-                "re": float(lam.real),
-                "im": float(lam.imag),
-                "residual": float(res),
-                "is_outlier": i in flagged,
-            }
-            for i, (lam, res) in enumerate(zip(self.eigenvalues, self.residuals))
-        ]
-
 
 def _check_outlier_tol(outlier_tol: Optional[float]) -> None:
     if outlier_tol is not None and not outlier_tol > 0:
@@ -293,19 +282,6 @@ class PseudospectrumField:
     im_values: np.ndarray
     sigma_min: np.ndarray  # shape (n_im, n_re)
 
-    def to_rows(self) -> list[dict]:
-        out = []
-        for i, zi in enumerate(self.im_values):
-            for j, zr in enumerate(self.re_values):
-                out.append(
-                    {
-                        "z_re": float(zr),
-                        "z_im": float(zi),
-                        "sigma_min": float(self.sigma_min[i, j]),
-                    }
-                )
-        return out
-
 
 def _check_window(re_range: tuple[float, float], im_range: tuple[float, float]) -> None:
     # a NaN end fails lo < hi; an infinite end or width fails the second test
@@ -369,12 +345,6 @@ class DecayReport:
     form_terms: tuple[float, ...]
     residual_slope: float
     form_slope: float
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"n": n, "equation_residual": r, "form_term": p}
-            for n, r, p in zip(self.n_values, self.equation_residuals, self.form_terms)
-        ]
 
 
 def _check_scales(n_list: Sequence[int]) -> None:

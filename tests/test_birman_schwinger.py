@@ -23,7 +23,6 @@ pins the Bessel kernels entrywise.
 """
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -335,21 +334,6 @@ class TestAssemble:
         bm = assemble_bs(gaussian(0.0), 0.0, default_bs_grid(n=80), ell_max=2)
         assert bm.norm == 0.0
         assert bm.per_ell_norms == bm.per_ell_frobenius == (0.0, 0.0, 0.0)
-
-    def test_summary_is_json_ready(self):
-        bm = assemble_bs(gaussian(), 1j, default_bs_grid(n=80), ell_max=2)
-        s = bm.summary()
-        assert list(s) == [
-            "z_re",
-            "z_im",
-            "norm",
-            "hs_norm",
-            "per_ell_norms",
-            "tail_warning",
-        ]
-        json.dumps(s)
-        assert s["z_im"] == 1.0
-        assert s["hs_norm"] >= s["norm"]
 
     def test_hs_estimate_dominates_norm(self):
         # HS norm of the full family dominates the operator norm

@@ -34,6 +34,7 @@ from spectra_cert.cli import (
     RunFailure,
     _apply_thread_cap,
     _atomic_write,
+    _run_bs_norm,
     main,
     parse_config,
     run,
@@ -402,6 +403,18 @@ AGREEMENT = [
         lambda v: discretize_radial(None, 0, v, 16),
         [40.0, 1e300],
     ),
+    # a potential that overflows the sector is refused on its own key, not on r_max
+    (
+        "spectrum",
+        {"grid_n": 64},
+        "potential",
+        lambda v: discretize_radial(catalog(v["name"], **v["params"]), 0, 40.0, 64),
+        [
+            {"name": "gaussian", "params": {"v0": 1.0}},
+            {"name": "square_well", "params": {"v0": 1e300, "r0": 1.0}},
+            {"name": "imaginary_hardy", "params": {"beta": 1e300}},
+        ],
+    ),
     (
         "spectrum",
         {"grid_n": 64},
@@ -626,7 +639,9 @@ class TestRunExperiments:
         doc = json.loads((tmp_path / "seq.json").read_text())
         assert doc["residual_slope"] == pytest.approx(-2.0, abs=1e-6)
         with open(tmp_path / "seq.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 4
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["n", "equation_residual", "form_term"]
+            assert len(list(reader)) == 4
 
     def test_bs_norm_summaries(self, tmp_path):
         cfg = parse_config(
@@ -651,6 +666,23 @@ class TestRunExperiments:
         }
         for point in doc["points"]:
             assert point["norm"] <= doc["base_norm"] * 1.02 + 1e-15
+
+    def test_bs_norm_point_is_json_ready(self):
+        # the point of one z as the runner builds it, keys in writing order
+        cfg = parse_config(make("bs-norm", grid_n=80, ell_max=2, z_list=[[0.0, 1.0]]))
+        payload, _ = _run_bs_norm(cfg, GAUSSIAN, [])
+        (s,) = payload["points"]
+        assert list(s) == [
+            "z_re",
+            "z_im",
+            "norm",
+            "hs_norm",
+            "per_ell_norms",
+            "tail_warning",
+        ]
+        json.dumps(s)
+        assert s["z_im"] == 1.0
+        assert s["hs_norm"] >= s["norm"]
 
     def test_hs_identity_routes_agree(self, tmp_path):
         cfg = parse_config(
@@ -968,6 +1000,24 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == 2
         assert f"config error: {key} " in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "stem, param", [("spectrum_square_well", "v0"), ("pseudospectrum_imaginary_hardy", "beta")]
+    )
+    def test_potential_that_overflows_the_sector_is_2(
+        self, tmp_path, capsys, command, stem, param
+    ):
+        # the free sector builds at this r_max, so the refusal names the potential
+        args = [f"output.path={tmp_path / stem}", f"potential.params.{param}=1e300"]
+        code = main([command, *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "config error: potential is invalid: the sector operator overflows"
+        )
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import spectra_cert.conditions as cond
 from spectra_cert.birman_schwinger import BSError, assemble_bs, default_bs_grid
+from spectra_cert.cli import _run_check_conditions
 from spectra_cert.conditions import (
     ConditionError,
     ConditionReport,
@@ -561,10 +562,15 @@ class TestOrderingChain:
         assert a_var <= subordination_a_pointwise(g) + 1e-12
 
 
+def check_conditions_payload(potential: Potential) -> dict:
+    """The JSON payload that ``spectra-cert run`` writes for check-conditions."""
+    payload, _ = _run_check_conditions(None, potential, [])
+    return payload
+
+
 class TestReportAndVerdicts:
     def test_hardy_report(self):
-        report = build_report(catalog("hardy", a=0.5))
-        payload = report.to_json_dict()
+        payload = check_conditions_payload(catalog("hardy", a=0.5))
         assert list(payload.keys()) == [
             "a",
             "a_method",
@@ -682,7 +688,7 @@ class TestReportAndVerdicts:
     @pytest.mark.parametrize("case", list(EXTREME_ROWS))
     def test_extreme_rows_report_no_nan(self, case):
         (name, params), want = self.EXTREME_ROWS[case]
-        payload = build_report(catalog(name, **params)).to_json_dict()
+        payload = check_conditions_payload(catalog(name, **params))
         assert "nan" not in json.dumps(payload)
         assert {key: payload[key] for key in want} == want
 

@@ -344,10 +344,10 @@ class TestRadialIdentity:
 
     @staticmethod
     def terms(u, lam, potential):
-        """{term_name: value_re} of the radial-key rows and their shared residual."""
+        """{term_name: value} of the radial-key rows and their shared residual."""
         rows = radi_identity_terms(u, lam, potential)
-        (residual,) = {row["residual"] for row in rows}
-        return {row["term_name"]: row["value_re"] for row in rows}, residual
+        (residual,) = {residual for _, _, _, residual in rows}
+        return {name: value for _, name, value, _ in rows}, residual
 
     @pytest.mark.parametrize("lam", [1.0 + 0.5j, 1.0 - 0.5j, 2.0 + 0j], ids=str)
     @pytest.mark.parametrize("u", PROBES, ids=lambda u: u.family + str(u.chirp))
@@ -365,13 +365,11 @@ class TestRadialIdentity:
         assert terms["I2"] == 0.0
 
     def test_rows_schema(self):
+        # (identity_id, term_name, value, residual); the CLI adds value_im
         rows = radi_identity_terms(BUMP, 1.0 + 0.5j, self.IMAGH)
-        assert [row["term_name"] for row in rows] == ["I", "I1", "I2", "I3_defect"]
-        assert all(row["identity_id"] == "radial-key" for row in rows)
-        assert all(
-            set(row) == {"identity_id", "term_name", "value_re", "value_im", "residual"}
-            for row in rows
-        )
+        assert [name for _, name, _, _ in rows] == ["I", "I1", "I2", "I3_defect"]
+        assert all(identity_id == "radial-key" for identity_id, _, _, _ in rows)
+        assert all(isinstance(value, float) for _, _, value, _ in rows)
 
     @pytest.mark.parametrize(
         "lam, v0, r0", [(1.0 + 0.5j, 2.0, 1.3), (1.0 + 0.1j, 5.0, 0.7), (2.0 - 1.0j, 2.0, 1.0)]

@@ -30,12 +30,18 @@ dimension that raises.
 One Gauss-Legendre rule and one rescaled catalog row: only ``numerics``
 names numpy's ``leggauss``, and only ``potentials`` names ``_scaled_row``.
 
+One owner of the report format: only ``cli`` names ``json_float`` or holds a
+string equal to a CSV column of its experiments; the library's result
+classes are plain data.
+
 No package module imports ``scipy.optimize`` or ``scipy.integrate``, at
 module top or lazily inside a function.
 """
 
 import ast
 from pathlib import Path
+
+from spectra_cert.cli import _EXPERIMENTS
 
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "spectra_cert"
@@ -367,9 +373,9 @@ def test_one_dimension_rule():
 
 
 # name -> the one package module that may name it: numpy's Gauss-Legendre
-# nodes behind numerics.panel_gauss, and the rescaled catalog row behind
-# potentials._unit_row
-SINGLE_SOURCES = {"leggauss": "numerics", "_scaled_row": "potentials"}
+# nodes behind numerics.panel_gauss, the rescaled catalog row behind
+# potentials._unit_row, and the JSON spelling of inf and nan
+SINGLE_SOURCES = {"leggauss": "numerics", "_scaled_row": "potentials", "json_float": "cli"}
 
 
 def test_one_gauss_rule_and_one_row_scaling():
@@ -377,6 +383,28 @@ def test_one_gauss_rule_and_one_row_scaling():
     assert {
         name: {p.stem for p in modules if name in used_names([p])} for name in SINGLE_SOURCES
     } == {name: {home} for name, home in SINGLE_SOURCES.items()}
+
+
+def report_spellers() -> dict[str, set[str]]:
+    """Package module -> the CSV columns of ``cli._EXPERIMENTS`` it holds as
+    string constants."""
+    columns = {name for exp in _EXPERIMENTS.values() for name in exp.csv_columns or ()}
+    out: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        held = {
+            node.value
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in columns
+        }
+        if held:
+            out[path.stem] = held
+    return out
+
+
+def test_only_the_cli_spells_a_report():
+    # the runners read the result fields by name into payloads and rows
+    assert set(report_spellers()) == {"cli"}
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate")

@@ -150,6 +150,13 @@ class TestFreeFloor:
         assert free_floor(op) == pytest.approx(expect, rel=1e-12)
 
 
+    def test_floor_where_r_squared_overflows(self):
+        # the outer nodes of R = 1e155 have r^2 past the float range, where
+        # l(l+1)/r^2 takes its limit 0 without an overflow warning
+        floor = free_floor(discretize_radial(None, 1, 1e155, 64))
+        assert free_floor(discretize_radial(None, 0, 1e155, 64)) <= floor < math.inf
+
+
 class TestSpectrum:
     def test_residuals_within_eigensolver_guarantee(self):
         op = discretize_radial(IMAGH, 0, 15.0, 96)
@@ -254,11 +261,9 @@ class TestSpectrum:
             with pytest.raises(SpectralError, match="outlier_tol"):
                 spectrum(op, outlier_tol=tol)
 
-    def test_rows_and_csv(self):
+    def test_one_residual_per_eigenvalue(self):
         rep = spectrum(discretize_radial(IMAGH, 0, 10.0, 16))
-        rows = rep.to_rows()
-        assert len(rows) == 16
-        assert set(rows[0]) == {"re", "im", "residual", "is_outlier"}
+        assert rep.eigenvalues.shape == rep.residuals.shape == (16,)
 
 
 class TestPseudospectrum:
@@ -267,21 +272,21 @@ class TestPseudospectrum:
         op = discretize_radial(None, 0, 10.0, 32)
         vals = spectrum(op).eigenvalues
         field = pseudospectrum(op, (-2.0, 2.0), (-1.0, 1.0))
-        for row in field.to_rows():
-            z = row["z_re"] + 1j * row["z_im"]
+        for (i, j), sigma in np.ndenumerate(field.sigma_min):
+            z = field.re_values[j] + 1j * field.im_values[i]
             dist = np.min(np.abs(vals - z))
             # normal matrix: sigma_min(M - z) is the distance to the spectrum
-            assert row["sigma_min"] == pytest.approx(dist, rel=1e-5, abs=1e-10)
+            assert sigma == pytest.approx(dist, rel=1e-5, abs=1e-10)
 
     def test_sigma_min_never_exceeds_distance(self, monkeypatch):
         monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 4)
         op = discretize_radial(IMAGH, 0, 10.0, 32)
         vals = spectrum(op).eigenvalues
         field = pseudospectrum(op, (0.0, 3.0), (-1.0, 0.5))
-        for row in field.to_rows():
-            z = row["z_re"] + 1j * row["z_im"]
+        for (i, j), sigma in np.ndenumerate(field.sigma_min):
+            z = field.re_values[j] + 1j * field.im_values[i]
             dist = np.min(np.abs(vals - z))
-            assert row["sigma_min"] <= dist * (1 + 1e-5) + 1e-12
+            assert sigma <= dist * (1 + 1e-5) + 1e-12
 
     def test_far_window_keeps_its_distance(self):
         # at |z| ~ 1e154, n |z|^2 overflows: the working-precision threshold
@@ -292,11 +297,11 @@ class TestPseudospectrum:
         z = field.re_values[None, :] + 1j * field.im_values[:, None]
         np.testing.assert_allclose(field.sigma_min, np.abs(z), rtol=1e-12, atol=0.0)
 
-    def test_grid_shape_and_csv(self):
+    def test_grid_shape(self):
         op = discretize_radial(None, 0, 8.0, 16)
         field = pseudospectrum(op, (-1.0, 1.0), (-1.0, 2.0))
         assert field.sigma_min.shape == (40, 40)
-        assert len(field.to_rows()) == 1600
+        assert field.re_values.shape == field.im_values.shape == (40,)
         assert field.im_values[-1] == 2.0
 
     def test_validation(self):
@@ -480,8 +485,7 @@ class TestSingularSequence:
     def test_residuals_decrease_monotonically(self):
         rep = self.decay((1.0, 2.0, 2.0))
         assert all(a > b for a, b in zip(rep.equation_residuals, rep.equation_residuals[1:]))
-        rows = rep.to_rows()
-        assert set(rows[0]) == {"n", "equation_residual", "form_term"}
+        assert len(rep.n_values) == len(rep.equation_residuals) == len(rep.form_terms)
 
     def test_non_finite_probe_does_not_settle(self, monkeypatch):
         def nan_profile(self, r):
