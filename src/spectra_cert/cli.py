@@ -2,12 +2,18 @@
 
 One process runs one experiment.  A config names the experiment, the
 potential (by catalog name plus parameter map), the dimension and the
-numeric knobs; ``run`` dispatches to the library, writes every requested
-format atomically (temp file + rename) and finishes with a manifest that
-echoes the config, the toolkit version, per-stage wall times and content
-hashes of every written file.  Reports themselves contain no
-wall-clock data, so identical configs produce byte-identical JSON and CSV
-outputs; timing lives only in the manifest.
+numeric knobs.  ``parse_config`` validates it and returns its canonical
+form, a JSON-ready dict: the experiment, dimension and output, the keys
+the experiment reads with the grid defaults of ``_DEFAULTS`` filled in,
+numbers as ints or floats, complex numbers as ``[re, im]`` and potential
+params sorted by name.  ``serialize_config`` and ``spectra-cert validate``
+print that dict, and the runners read it by key.  ``run`` dispatches to the
+library, writes every requested format atomically (temp file + rename) and
+returns the manifest it writes: the config, the toolkit version, the
+thread cap, per-stage wall times and content hashes of every written file.
+Neither function mutates the config it is given.  Reports themselves
+contain no wall-clock data, so identical configs produce byte-identical
+JSON and CSV outputs; timing lives only in the manifest.
 
 Exit codes: 0 success, 1 a numerical check failed while running (an
 invariant raised in a library module), 2 the config did not validate.
@@ -132,10 +138,6 @@ from .spectral import (
 __all__ = [
     "ConfigError",
     "RunFailure",
-    "PotentialSpec",
-    "OutputSpec",
-    "ExperimentConfig",
-    "RunManifest",
     "parse_config",
     "serialize_config",
     "run",
@@ -144,6 +146,8 @@ __all__ = [
 
 # the keys every experiment reads; _EXPERIMENTS lists the rest per experiment
 _COMMON_KEYS = frozenset({"experiment", "dimension", "output"})
+# the value a config that omits one of these keys reads
+_DEFAULTS = {"dimension": 3, "grid_n": 256, "r_max": 40.0, "ell_max": 32}
 
 # probes used by the probe-based experiments; fixed so runs are reproducible
 _PROBE_SUPPORT = 2.5
@@ -164,61 +168,6 @@ class ConfigError(ValueError):
 
 class RunFailure(Exception):
     """A library invariant failed while running a valid config."""
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Catalog name plus parameter map, as written in the config."""
-
-    name: str
-    params: dict
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Output base path (format extensions are appended) and format list."""
-
-    path: str
-    formats: tuple[str, ...] = ("json",)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    output: OutputSpec
-    potential: Optional[PotentialSpec] = None
-    dimension: int = 3
-    grid_n: int = 256
-    r_max: float = 40.0
-    ell_max: int = 32
-    outlier_tol: Optional[float] = None
-    z_list: Optional[tuple[complex, ...]] = None
-    z_window: Optional[tuple[float, float, float, float]] = None
-    lam: Optional[complex] = None
-    n_list: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run produced: config echo, version, timings, file hashes.
-
-    The JSON form also records the SPECTRA_CERT_THREADS cap this process
-    applied at import (``thread_cap``, null when none did).
-    """
-
-    config: ExperimentConfig
-    version: str
-    stages: tuple[tuple[str, float], ...]
-    outputs: tuple[tuple[str, str], ...]  # (path, sha256)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": _config_to_dict(self.config),
-            "version": self.version,
-            "thread_cap": _THREAD_CAP,
-            "stages": [{"name": n, "seconds": s} for n, s in self.stages],
-            "outputs": [{"path": p, "sha256": h} for p, h in self.outputs],
-        }
 
 
 def _want_number(value, field: str) -> float:
@@ -247,15 +196,16 @@ def _library_check(key: str, check: Callable, *args):
         raise ConfigError(f"grid_n does not fit in memory: {exc}") from exc
 
 
-def _parse_complex(value, field: str) -> complex:
+def _parse_complex(value, field: str) -> list[float]:
+    """A number or an [re, im] pair, as the [re, im] pair of floats."""
     pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
         raise ConfigError(f"{field} entries must be numbers or [re, im] pairs")
-    return complex(_want_number(pair[0], field), _want_number(pair[1], field))
+    return [_want_number(v, field) for v in pair]
 
 
 def _parse_potential(raw, dimension: int, experiment: str):
-    """The spec a config's potential object names and the catalog entry it builds."""
+    """The canonical potential block of a config and the catalog entry it builds."""
     if not isinstance(raw, dict):
         raise ConfigError("potential must be an object with name and params")
     unknown = set(raw) - {"name", "params"}
@@ -263,27 +213,27 @@ def _parse_potential(raw, dimension: int, experiment: str):
         raise ConfigError(f"unknown potential field {sorted(unknown)[0]!r}")
     if "name" not in raw:
         raise ConfigError("potential needs a name")
-    name = raw["name"]
+    name = str(raw["name"])
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("potential params must be an object")
-    spec = PotentialSpec(name=str(name), params=dict(params))
     # construct once now so bad names/params fail validation, not the run;
     # the catalog rows check every parameter, and a TypeError is a param
     # named like a keyword of the catalog call (dimension)
     try:
-        return spec, _build_potential(spec, dimension, experiment)
+        pot = _build_potential({"name": name, "params": params}, dimension, experiment)
     except (PotentialError, TypeError) as exc:
-        raise ConfigError(f"potential {spec.name!r}: {exc}") from exc
+        raise ConfigError(f"potential {name!r}: {exc}") from exc
+    return {"name": name, "params": {k: params[k] for k in sorted(params)}}, pot
 
 
-def _build_potential(spec: Optional[PotentialSpec], dimension: int, experiment: str):
-    """The catalog entry a config names; None when it names none."""
-    if spec is None:
+def _build_potential(potential: Optional[dict], dimension: int, experiment: str):
+    """The catalog entry a potential block names; None when there is none."""
+    if potential is None:
         return None
     if experiment == "magnetic-smoke":
-        return magnetic_catalog(spec.name, **spec.params)
-    return catalog(spec.name, dimension=dimension, **spec.params)
+        return magnetic_catalog(potential["name"], **potential["params"])
+    return catalog(potential["name"], dimension=dimension, **potential["params"])
 
 
 def _decode(text: str) -> dict:
@@ -296,11 +246,13 @@ def _decode(text: str) -> dict:
     return raw
 
 
-def parse_config(doc: str | dict) -> ExperimentConfig:
-    """Validate a config document and fill defaults.
+def parse_config(doc: str | dict) -> dict:
+    """Validate a config document and return its canonical dict.
 
-    ``doc`` is the JSON text or the object it decodes to.  Every error
-    message names the offending field.
+    ``doc`` is the JSON text or the object it decodes to, which is left
+    unchanged.  Every error message names the offending field.  The result
+    holds only JSON types, ``serialize_config`` prints it, and
+    ``parse_config`` returns it as it is.
     """
     raw = _decode(doc) if isinstance(doc, str) else doc
     experiment = raw.get("experiment")
@@ -316,37 +268,38 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"{experiment} needs {key}")
 
-    dimension = _want_int(raw.get("dimension", ExperimentConfig.dimension), "dimension")
+    dimension = _want_int(raw.get("dimension", _DEFAULTS["dimension"]), "dimension")
     _library_check("dimension", _check_dimension, dimension)
     if experiment != "check-conditions":
         _library_check("dimension", _check_dimension, dimension, PotentialError, 3)
 
-    grid_n = _want_int(raw.get("grid_n", ExperimentConfig.grid_n), "grid_n")
+    grid_n = _want_int(raw.get("grid_n", _DEFAULTS["grid_n"]), "grid_n")
     if not 8 <= grid_n <= _MAX_GRID_N:
         raise ConfigError(f"grid_n must be an integer in [8, {_MAX_GRID_N}]")
-    r_max = _want_number(raw.get("r_max", ExperimentConfig.r_max), "r_max")
+    r_max = _want_number(raw.get("r_max", _DEFAULTS["r_max"]), "r_max")
     if not r_max > 0:
         raise ConfigError("r_max must be positive")
-    ell_max = _want_int(raw.get("ell_max", ExperimentConfig.ell_max), "ell_max")
+    ell_max = _want_int(raw.get("ell_max", _DEFAULTS["ell_max"]), "ell_max")
+    config = {"experiment": experiment, "dimension": dimension}
+    grid = {"grid_n": grid_n, "r_max": r_max, "ell_max": ell_max}
+    config.update((key, value) for key, value in grid.items() if key in schema.reads)
     if experiment in _BS_GRIDS:
         # build the grid once now so its bounds fail validation, not the run
         key = "r_max" if experiment == "hs-identity" and not r_max > _HS_GRID_R_MIN else "grid_n"
         bs_grid = _library_check(key, _BS_GRIDS[experiment], grid_n, r_max)
 
-    outlier_tol = None
     if "outlier_tol" in raw:
-        outlier_tol = _want_number(raw["outlier_tol"], "outlier_tol")
-        _library_check("outlier_tol", _check_outlier_tol, outlier_tol)
+        config["outlier_tol"] = _want_number(raw["outlier_tol"], "outlier_tol")
+        _library_check("outlier_tol", _check_outlier_tol, config["outlier_tol"])
 
-    potential = pot = None
+    pot = None
     if "potential" in raw:
-        potential, pot = _parse_potential(raw["potential"], dimension, experiment)
-    z_list = None
+        config["potential"], pot = _parse_potential(raw["potential"], dimension, experiment)
     if "z_list" in raw:
         entries = raw["z_list"]
         if not isinstance(entries, list) or not entries:
             raise ConfigError("z_list must be a nonempty list")
-        z_list = tuple(_parse_complex(v, "z_list") for v in entries)
+        config["z_list"] = [_parse_complex(v, "z_list") for v in entries]
     if experiment in _BS_GRIDS:
         # deep geometric panels reach r where |V| ~ r^-s leaves the float range
         with warnings.catch_warnings():
@@ -358,9 +311,9 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
                 " where |V| is not finite"
             )
         # assemble_bs's sector check at each z (hs_norm's at z = 0), once per key
-        for z in z_list or (0j,):
-            _library_check("z_list", _check_sector_args, pot, z, 0)
-            _library_check("ell_max", _check_sector_args, pot, z, ell_max)
+        for z in config.get("z_list", [[0.0, 0.0]]):
+            _library_check("z_list", _check_sector_args, pot, complex(*z), 0)
+            _library_check("ell_max", _check_sector_args, pot, complex(*z), ell_max)
     if experiment in ("spectrum", "pseudospectrum"):
         # build the sectors with the smallest and the largest diagonal now,
         # so a grid too fine for double precision fails validation, not the
@@ -371,34 +324,31 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
         if experiment == "spectrum":
             _library_check("ell_max", discretize_radial, pot, ell_max, r_max, grid_n)
 
-    z_window = None
     if "z_window" in raw:
         win = raw["z_window"]
         if not isinstance(win, list) or len(win) != 4:
             raise ConfigError("z_window must be [re_min, re_max, im_min, im_max]")
-        z_window = tuple(_want_number(v, "z_window") for v in win)
-        _library_check("z_window", _check_window, z_window[:2], z_window[2:])
+        win = config["z_window"] = [_want_number(v, "z_window") for v in win]
+        _library_check("z_window", _check_window, win[:2], win[2:])
 
     # every experiment that reads lambda needs it
-    lam = None
     if "lambda" in raw:
-        lam = _parse_complex(raw["lambda"], "lambda")
-        if experiment == "singular-sequence" and (lam.imag != 0.0 or lam.real < 0.0):
+        lam = config["lambda"] = _parse_complex(raw["lambda"], "lambda")
+        if experiment == "singular-sequence" and (lam[1] != 0.0 or lam[0] < 0.0):
             raise ConfigError(
                 "singular-sequence needs a real lambda >= 0 (the witnessed"
                 " spectral point |k|^2)"
             )
         # magnetic-smoke and the radial-key rows of a potential need Re lambda > 0
-        if experiment == "magnetic-smoke" or experiment == "identity-check" and potential:
-            _library_check("lambda", _check_re_lambda, lam)
+        if experiment == "magnetic-smoke" or experiment == "identity-check" and pot is not None:
+            _library_check("lambda", _check_re_lambda, complex(*lam))
 
-    n_list = None
     if "n_list" in raw:
         entries = raw["n_list"]
         if not isinstance(entries, list):
             raise ConfigError("n_list must be a list of scales")
-        n_list = tuple(_want_int(v, "n_list") for v in entries)
-        _library_check("n_list", _check_scales, n_list)
+        config["n_list"] = [_want_int(v, "n_list") for v in entries]
+        _library_check("n_list", _check_scales, config["n_list"])
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -421,51 +371,13 @@ def parse_config(doc: str | dict) -> ExperimentConfig:
     if "csv" in formats and schema.csv_columns is None:
         raise ConfigError(f"{experiment} writes json only (csv requested)")
 
-    return ExperimentConfig(
-        experiment=experiment,
-        output=OutputSpec(path=path, formats=tuple(formats)),
-        potential=potential,
-        dimension=dimension,
-        grid_n=grid_n,
-        r_max=r_max,
-        ell_max=ell_max,
-        outlier_tol=outlier_tol,
-        z_list=z_list,
-        z_window=z_window,
-        lam=lam,
-        n_list=n_list,
-    )
+    config["output"] = {"path": path, "formats": formats}
+    return config
 
 
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    doc: dict = {
-        "experiment": config.experiment,
-        "dimension": config.dimension,
-        "output": {
-            "path": config.output.path,
-            "formats": list(config.output.formats),
-        },
-    }
-    for key in _EXPERIMENTS[config.experiment].reads:
-        value = getattr(config, "lam" if key == "lambda" else key)
-        if value is None:
-            continue
-        if key == "potential":
-            params = {k: value.params[k] for k in sorted(value.params)}
-            value = {"name": value.name, "params": params}
-        elif key == "z_list":
-            value = [[z.real, z.imag] for z in value]
-        elif key == "lambda":
-            value = [value.real, value.imag]
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[key] = value
-    return doc
-
-
-def serialize_config(config: ExperimentConfig) -> str:
+def serialize_config(config: dict) -> str:
     """Canonical JSON form; parse_config inverts it exactly."""
-    return json.dumps(_config_to_dict(config), sort_keys=True, indent=2) + "\n"
+    return json.dumps(config, sort_keys=True, indent=2) + "\n"
 
 
 def _stage(stages: list, name: str, fn: Callable):
@@ -474,7 +386,7 @@ def _stage(stages: list, name: str, fn: Callable):
         result = fn()
     except (ValueError, MemoryError) as exc:
         raise RunFailure(f"{name}: {exc}") from exc
-    stages.append((name, time.perf_counter() - start))
+    stages.append({"name": name, "seconds": time.perf_counter() - start})
     return result
 
 
@@ -510,15 +422,15 @@ def _run_check_conditions(config, pot, stages):
 
 
 def _run_bs_norm(config, pot, stages):
-    grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
-    ell_max = config.ell_max
+    grid = _BS_GRIDS[config["experiment"]](config["grid_n"], config["r_max"])
+    ell_max = config["ell_max"]
     base = _stage(
         stages,
         "birman_schwinger.assemble_bs z=0",
         lambda: assemble_bs(pot, 0.0, grid, ell_max=ell_max),
     )
     points = []
-    for z in config.z_list:
+    for z in (complex(*pair) for pair in config["z_list"]):
 
         def assemble(z=z):
             bs = assemble_bs(pot, z, grid, ell_max=ell_max)
@@ -545,11 +457,11 @@ def _run_bs_norm(config, pot, stages):
 
 
 def _run_hs_identity(config, pot, stages):
-    grid = _BS_GRIDS[config.experiment](config.grid_n, config.r_max)
+    grid = _BS_GRIDS[config["experiment"]](config["grid_n"], config["r_max"])
     result = _stage(
         stages,
         "birman_schwinger.hs_norm",
-        lambda: hs_norm(pot, grid, ell_max=config.ell_max),
+        lambda: hs_norm(pot, grid, ell_max=config["ell_max"]),
     )
     payload = {
         "matrix_route": json_float(result.matrix_route),
@@ -561,15 +473,16 @@ def _run_hs_identity(config, pot, stages):
 
 
 def _run_spectrum(config, pot, stages):
-    columns = _EXPERIMENTS[config.experiment].csv_columns
+    columns = _EXPERIMENTS[config["experiment"]].csv_columns
+    outlier_tol = config.get("outlier_tol")
     sectors = []
     all_rows = []
-    for ell in range(config.ell_max + 1):
-        op = discretize_radial(pot, ell, config.r_max, config.grid_n)
+    for ell in range(config["ell_max"] + 1):
+        op = discretize_radial(pot, ell, config["r_max"], config["grid_n"])
         report = _stage(
             stages,
             f"spectral.spectrum ell={ell}",
-            lambda op=op: spectrum(op, outlier_tol=config.outlier_tol),
+            lambda op=op: spectrum(op, outlier_tol=outlier_tol),
         )
         flagged = set(report.outlier_indices)
         rows = _rows(
@@ -593,8 +506,8 @@ def _run_spectrum(config, pot, stages):
 
 
 def _run_pseudospectrum(config, pot, stages):
-    op = discretize_radial(pot, 0, config.r_max, config.grid_n)
-    win = config.z_window
+    op = discretize_radial(pot, 0, config["r_max"], config["grid_n"])
+    win = config["z_window"]
     field = _stage(
         stages,
         "spectral.pseudospectrum",
@@ -604,7 +517,7 @@ def _run_pseudospectrum(config, pot, stages):
     sigma_min = field.sigma_min.tolist()  # one list per im value
     payload = {"re_values": re_values, "im_values": im_values, "sigma_min": sigma_min}
     return payload, _rows(
-        _EXPERIMENTS[config.experiment].csv_columns,
+        _EXPERIMENTS[config["experiment"]].csv_columns,
         re_values * len(im_values),
         [zi for zi in im_values for _ in re_values],
         [s for row in sigma_min for s in row],
@@ -613,54 +526,56 @@ def _run_pseudospectrum(config, pot, stages):
 
 def _run_identity_check(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
+    lam = complex(*config["lambda"])
     rows = _stage(
         stages,
         "multipliers.identity_term_rows",
-        lambda: identity_term_rows(probe, config.lam),
+        lambda: identity_term_rows(probe, lam),
     )
     if pot is not None:
         rows = rows + _stage(
             stages,
             "multipliers.radi_identity_terms",
-            lambda: radi_identity_terms(probe, config.lam, pot),
+            lambda: radi_identity_terms(probe, lam, pot),
         )
     # every term is real: value_im is the constant 0.0 column
     ids, names, values, residuals = zip(*rows)
-    columns = _EXPERIMENTS[config.experiment].csv_columns
+    columns = _EXPERIMENTS[config["experiment"]].csv_columns
     rows = _rows(columns, ids, names, values, [0.0] * len(values), residuals)
-    return {"lambda": [config.lam.real, config.lam.imag], "rows": rows}, rows
+    return {"lambda": [lam.real, lam.imag], "rows": rows}, rows
 
 
 def _run_singular_sequence(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _SEQUENCE_SUPPORT)
-    k = (math.sqrt(config.lam.real), 0.0, 0.0)
+    lam = config["lambda"][0]
     report = _stage(
         stages,
         "spectral.singular_sequence_decay",
-        lambda: singular_sequence_decay(probe, k, config.n_list),
+        lambda: singular_sequence_decay(probe, (math.sqrt(lam), 0.0, 0.0), config["n_list"]),
     )
     payload = {
-        "lambda": config.lam.real,
+        "lambda": lam,
         "n_values": list(report.n_values),
         "equation_residuals": list(report.equation_residuals),
         "form_terms": list(report.form_terms),
         "residual_slope": report.residual_slope,
         "form_slope": report.form_slope,
     }
-    columns = _EXPERIMENTS[config.experiment].csv_columns
+    columns = _EXPERIMENTS[config["experiment"]].csv_columns
     return payload, _rows(columns, report.n_values, report.equation_residuals, report.form_terms)
 
 
 def _run_magnetic_smoke(config, pot, stages):
     probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
+    lam = complex(*config["lambda"])
     report = _stage(
         stages,
         "multipliers.magnetic_identity_smoke",
-        lambda: magnetic_identity_smoke(probe, config.lam, pot),
+        lambda: magnetic_identity_smoke(probe, lam, pot),
     )
     payload = {
-        "field": config.potential.name,
-        "lambda": [config.lam.real, config.lam.imag],
+        "field": config["potential"]["name"],
+        "lambda": [lam.real, lam.imag],
         "b_tau_sup": report.b_tau_sup,
         "b_tau_dot_x_sup": report.b_tau_dot_x_sup,
         "tangential_residual": report.tangential_residual,
@@ -753,45 +668,44 @@ def _atomic_write(path: Path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(config: ExperimentConfig) -> RunManifest:
-    """Dispatch one experiment, write its outputs and the manifest."""
-    schema = _EXPERIMENTS[config.experiment]
-    if "csv" in config.output.formats and schema.csv_columns is None:
-        raise RunFailure(f"{config.experiment} has no csv table")
-    stages: list[tuple[str, float]] = []
-    pot = _build_potential(config.potential, config.dimension, config.experiment)
+def run(config: dict) -> dict:
+    """Dispatch one canonical config, write its outputs and return the manifest
+    it writes."""
+    experiment = config["experiment"]
+    schema = _EXPERIMENTS[experiment]
+    formats = config["output"]["formats"]
+    if "csv" in formats and schema.csv_columns is None:
+        raise RunFailure(f"{experiment} has no csv table")
+    stages: list[dict] = []
+    pot = _build_potential(config.get("potential"), config["dimension"], experiment)
     payload, rows = schema.runner(config, pot, stages)
 
-    outputs: list[tuple[str, str]] = []
-    base = config.output.path
+    outputs: list[dict] = []
+    base = config["output"]["path"]
     try:
-        for fmt in config.output.formats:
+        for fmt in formats:
             target = Path(f"{base}.{fmt}")
             if fmt == "json":
                 data = _json_bytes(payload)
             else:
                 data = _csv_bytes(schema.csv_columns, rows)
-            digest = _atomic_write(target, data)
-            outputs.append((str(target), digest))
+            outputs.append({"path": str(target), "sha256": _atomic_write(target, data)})
     except (ValueError, OSError) as exc:
         raise RunFailure(f"writing outputs: {exc}") from exc
 
     # manifest invariant: every listed file exists and hash-matches
-    for path_str, digest in outputs:
-        on_disk = hashlib.sha256(Path(path_str).read_bytes()).hexdigest()
-        if on_disk != digest:
-            raise RunFailure(f"output {path_str} hash mismatch after write")
+    for out in outputs:
+        if hashlib.sha256(Path(out["path"]).read_bytes()).hexdigest() != out["sha256"]:
+            raise RunFailure(f"output {out['path']} hash mismatch after write")
 
-    manifest = RunManifest(
-        config=config,
-        version=__version__,
-        stages=tuple(stages),
-        outputs=tuple(outputs),
-    )
-    _atomic_write(
-        Path(f"{base}.manifest.json"),
-        _json_bytes(manifest.to_json_dict()),
-    )
+    manifest = {
+        "config": config,
+        "version": __version__,
+        "thread_cap": _THREAD_CAP,
+        "stages": stages,
+        "outputs": outputs,
+    }
+    _atomic_write(Path(f"{base}.manifest.json"), _json_bytes(manifest))
     return manifest
 
 
@@ -814,7 +728,7 @@ def _apply_override(raw: dict, item: str) -> None:
     node[parts[-1]] = parsed
 
 
-def _read_config(path: str, overrides: Sequence[str]) -> ExperimentConfig:
+def _read_config(path: str, overrides: Sequence[str]) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -826,15 +740,13 @@ def _read_config(path: str, overrides: Sequence[str]) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _read_config(args.config, args.set or [])
-    manifest = run(config)
-    print(json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2))
+    manifest = run(_read_config(args.config, args.set or []))
+    print(json.dumps(manifest, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_validate(args) -> int:
-    config = _read_config(args.config, args.set or [])
-    sys.stdout.write(serialize_config(config))
+    sys.stdout.write(serialize_config(_read_config(args.config, args.set or [])))
     return 0
 
 
@@ -865,18 +777,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment from a JSON config")
-    p_run.add_argument("config", help="path to the config document")
-    p_run.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config field (dotted paths, JSON values)",
-    )
-
-    p_val = sub.add_parser("validate", help="validate a config and print its canonical form")
-    p_val.add_argument("config", help="path to the config document")
-    p_val.add_argument("--set", action="append", metavar="KEY=VALUE")
+    for name, help in (
+        ("run", "run one experiment from a JSON config"),
+        ("validate", "validate a config and print its canonical form"),
+    ):
+        p_cfg = sub.add_parser(name, help=help)
+        p_cfg.add_argument("config", help="path to the config document")
+        # no default=[]: append would grow that one list across main calls
+        p_cfg.add_argument(
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a config field (dotted paths, JSON values)",
+        )
 
     p_cat = sub.add_parser("catalog", help="list potentials and thresholds")
     p_cat.add_argument("--dim", type=int, default=3, help="dimension (default 3)")
@@ -887,7 +800,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "validate": _cmd_validate, "catalog": _cmd_catalog}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # a reader that closed the pipe surfaces here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nobody reads the rest; keep the exit flush from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

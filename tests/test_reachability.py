@@ -22,6 +22,11 @@ may be that class's, so the field needs an entry in ``FIELD_READERS``
 naming the scope that reads it for its own class, and that scope must load
 ``.field``.
 
+Every config key that an experiment reads is read by string constant,
+``config["key"]`` or ``config.get("key")``, in that experiment's runner or
+in ``cli.run``: a key that validates but that nothing reads is a knob that
+does nothing.
+
 The package's relative imports, lazy ones included, must form no cycle.
 
 Every iterative singular value goes through one ARPACK driver: scipy's
@@ -49,7 +54,7 @@ module top or lazily inside a function.
 import ast
 from pathlib import Path
 
-from spectra_cert.cli import _EXPERIMENTS
+from spectra_cert.cli import _COMMON_KEYS, _EXPERIMENTS
 
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "spectra_cert"
@@ -252,7 +257,7 @@ def test_every_export_is_used_outside_the_unit_tests():
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     keywords, positional, replaced = passed_arguments(SOURCES)
     knobs = defaulted_knobs()
-    assert len(knobs) > 20
+    assert len(knobs) >= 18
     unpassed = [
         f"{mod}.{callee}({param})"
         for mod, callee, param, idx in knobs
@@ -281,11 +286,6 @@ FIELD_READERS = {
     "birman_schwinger.GreenParams.kappa": "birman_schwinger.green_function",
     "birman_schwinger.HSNormResult.rel_gap": "cli._run_hs_identity",
     "birman_schwinger.MepsRecord.eps": "birman_schwinger.m_eps_hs_check",
-    "cli.ExperimentConfig.dimension": "cli.run",
-    "cli.ExperimentConfig.outlier_tol": "cli._run_spectrum",
-    "cli.ExperimentConfig.r_max": "cli._run_bs_norm",
-    "cli.PotentialSpec.name": "cli._build_potential",
-    "cli.PotentialSpec.params": "cli._build_potential",
     "conditions.ConditionReport.a": "cli._run_check_conditions",
     "multipliers.NearExtremalHardyProfile.eps": "multipliers.NearExtremalHardyProfile.profile",
     "multipliers.TestFunction.family": "multipliers.TestFunction.ell",
@@ -351,6 +351,34 @@ def test_field_readers_name_exported_fields():
     # an entry whose field is gone is stale
     fields = {f"{mod}.{cls}.{name}" for mod, cls, name in exported_fields()}
     assert set(FIELD_READERS) <= fields
+
+
+def config_key_reads() -> dict[str, set[str]]:
+    """cli scope -> the keys it reads as ``config["key"]`` or
+    ``config.get("key")``."""
+    reads: dict[str, set[str]] = {}
+    for owner, scope in scopes([PACKAGE / "cli.py"]):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Subscript):
+                target, key = node.value, node.slice
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+                target, key = node.func.value, node.args[0] if node.args else None
+            else:
+                continue
+            if getattr(target, "id", None) == "config" and isinstance(key, ast.Constant):
+                reads.setdefault(owner, set()).add(key.value)
+    return reads
+
+
+def test_every_config_key_has_a_reader():
+    reads = config_key_reads()
+    unread = {
+        name: (_COMMON_KEYS | set(exp.reads))
+        - reads.get(f"cli.{exp.runner.__name__}", set())
+        - reads.get("cli.run", set())
+        for name, exp in _EXPERIMENTS.items()
+    }
+    assert {name: sorted(keys) for name, keys in unread.items() if keys} == {}
 
 
 def test_package_imports_form_no_cycle():
