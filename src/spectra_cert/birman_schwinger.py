@@ -72,7 +72,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .conditions import _ball_panels, _in_classes, _scaled_back, rollnik_norm
+from .conditions import _ball_integral, _in_classes, _scaled_back, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
@@ -104,7 +104,6 @@ __all__ = [
     "m_eps_hs_check",
 ]
 
-_DEFAULT_ELL_MAX = 32
 _A_SERIES_TERMS = 12
 # Past l ~ 147 the factor (2l+1)!! x^(-l) overflows at |x| = 1 while ive
 # underflows, so the |x| >= 1 branch of A_l would silently read 0.
@@ -254,7 +253,7 @@ def sector_matrices(
     potential: Potential,
     z: complex,
     grid: RadialGrid,
-    ell_max: int = _DEFAULT_ELL_MAX,
+    ell_max: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
     _check_sector_args(potential, z, ell_max)
@@ -613,7 +612,7 @@ def assemble_bs(
     potential: Potential,
     z: complex,
     grid: RadialGrid,
-    ell_max: int = _DEFAULT_ELL_MAX,
+    ell_max: int,
 ) -> BSMatrix:
     """Per-sector norms of the partial-wave Nystroem matrices of K_z.
 
@@ -845,15 +844,6 @@ class MepsRecord:
     hs_formula: float
 
 
-def _ball_integral_abs(potential: Potential, radius: float) -> float:
-    """int_{|x| < radius} |V| = 4 pi int_0^radius |V(r)| r^2 dr."""
-    if potential.s >= 3.0:
-        raise BSError("|V| is not integrable on the ball")
-    nodes, weights = _ball_panels(potential, radius, 16)
-    vals = potential.abs_radial(nodes) * nodes**2
-    return 4.0 * np.pi * float(np.dot(weights, vals))
-
-
 def m_eps_hs_check(
     potential: Potential,
     omega_radius: float,
@@ -867,7 +857,8 @@ def m_eps_hs_check(
         |M_eps|_HS^2 = (1 / (8 pi kappa)) int_Omega |V|,
 
     with kappa = Re sqrt(-(lam + i eps)) and int_Omega |V| one radial
-    quadrature whose panels end at the jumps of V.  Enforces that
+    quadrature whose panels end at the jumps of V, on the row with amp divided
+    by 2^j (potentials._unit_row; BSError past the float range).  Enforces that
     eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
     within 0.05).  Raises :class:`BSError` for d != 3, for a non-finite lam,
     eps or omega_radius, for eps = 0, omega_radius <= 0, a kappa that
@@ -878,13 +869,18 @@ def m_eps_hs_check(
     if not 0.0 < omega_radius < math.inf:
         raise BSError(f"omega_radius must be positive and finite, got {omega_radius}")
     eps = _checked_eps(lam, eps_list)
-    integral = _ball_integral_abs(potential, omega_radius)
+    if potential.s >= 3.0:
+        raise BSError("|V| is not integrable on the ball")
+    unit, j = _unit_row(potential, lengths=False)
+    integral = _ball_integral(unit, omega_radius, 1.0, 16)
+    half, odd = divmod(j, 2)  # sqrt(2^j x) with half of j outside the root
     records = []
     for e in eps:
         kappa = green_params(complex(lam) + 1j * e).kappa.real
         if kappa == 0.0:
             raise BSError(f"kappa = Re sqrt(-(lam + i eps)) underflows at eps = {e}")
-        records.append(MepsRecord(e, math.sqrt(integral / (8.0 * np.pi * kappa))))
+        hs = math.sqrt(_scaled_back(integral / (8.0 * np.pi * kappa), odd))
+        records.append(MepsRecord(e, _in_float_range(hs, half, "HS formula")))
     if len(records) >= 2:
         decay = [abs(rec.eps) * rec.hs_formula for rec in records]
         _check_slope("eps * hs_formula", eps, decay, 1.0 - _REGIME_EXPONENT[_regime_of(lam)] / 2.0)

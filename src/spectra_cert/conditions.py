@@ -167,6 +167,16 @@ def _ball_panels(
     return panel_gauss(sorted(edges), per_panel)
 
 
+def _ball_integral(potential: Potential, radius: float, power: float, per_panel: int) -> float:
+    """int_{|x| < radius} |V|^power = 4 pi int (|V|^(power/2) r)^2 dr on ``_ball_panels``,
+    a form with no 0 * inf where |V| or r^2 alone leaves the float range: the
+    integral reads +inf when it overflows, 0 when it underflows."""
+    nodes, weights = _ball_panels(potential, radius, per_panel)
+    with np.errstate(over="ignore"):
+        integrand = (potential.abs_radial(nodes) ** (0.5 * power) * nodes) ** 2
+        return 4.0 * np.pi * float(np.dot(weights, integrand))
+
+
 def _rollnik_inner_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_k and weights w_k t_k K(t_k) on (0, 1), K(t) = log((1+t)/(1-t)).
 
@@ -243,12 +253,7 @@ def frank_l32(potential: Potential) -> float:
     _check_dimension(potential.dimension, ConditionError, 3)
     if not _in_classes(potential):
         return math.inf
-    nodes, weights = _ball_panels(potential, _truncation_radius(potential), 14)
-    # (|V|^(3/4) r)^2 meets no 0 * inf where |V| or r^2 alone leaves the
-    # float range: the integral reads +inf when it overflows, 0 when it underflows
-    with np.errstate(over="ignore"):
-        integrand = (potential.abs_radial(nodes) ** 0.75 * nodes) ** 2
-        return 4.0 * np.pi * float(np.dot(weights, integrand))
+    return _ball_integral(potential, _truncation_radius(potential), 1.5, 14)
 
 
 def sobolev_chain_a(l32: float) -> float:
@@ -401,13 +406,20 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
 
 
 def build_report(potential: Potential) -> ConditionReport:
-    """Compute every constant for one potential and attach verdicts."""
+    """Compute every constant for one potential and attach verdicts.
+
+    int |V|^{3/2} is integrated once, on the row V~ of ``potentials._unit_row``,
+    and scales back by 2^(3e/2), its Sobolev chain by 2^e: the chain is finite
+    and nonzero wherever its value is."""
     d = potential.dimension
     a = subordination_a_pointwise(potential)
     if d == 3:
         rollnik = rollnik_norm(potential)
-        frank = frank_l32(potential)
-        chain = sobolev_chain_a(frank)
+        unit, e = _unit_row(potential)
+        frank = frank_l32(unit)
+        chain = _scaled_back(sobolev_chain_a(frank), e)
+        half, odd = divmod(e, 2)
+        frank = _scaled_back(frank * 2.0 ** (1.5 * odd), 3 * half)
     else:
         rollnik = frank = chain = math.inf
     lam = lambda_constant(potential)

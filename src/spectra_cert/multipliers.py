@@ -325,7 +325,8 @@ class MultiplierTriple:
     G3 = |x|^2, for which g3'' - 2 g1 and g3'/r - g3''/2 vanish identically
     (the cancellations that collapse the tangential and radial gradient
     terms into |grad u|^2).  g2 is stored without the sgn(l2) factor, which
-    depends on the spectral point and is applied where the identity is used.
+    depends on the spectral point.  Nothing applies it: id2 is linear in G,
+    so the factor scales both of its sides and its residual cannot see it.
     """
 
     g1: MultiplierProfile

@@ -117,10 +117,6 @@ class RadialGrid:
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
 
 def _as_complex_matrix(m: np.ndarray) -> np.ndarray:
     """Validate and return a square complex128 matrix (row-major copy if needed)."""

@@ -82,6 +82,9 @@ _PSEUDO_GRID_N = 40
 # 1.21-1.27 vs 0.93-1.14 ms at 240, 1.44-1.45 vs 1.05-1.17 ms at 256; the
 # crossing moves between runs within 192-240.
 _ARPACK_MIN_N = 240
+# the largest sector l of a discretization, as for the Birman-Schwinger
+# Bessel factors: the spectrum experiment scans every sector l = 0 .. ell_max
+_ELL_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class DiscretizedOperator:
     diag: np.ndarray
     h: float
     domain_radius: float
-    ell: int = 0
+    ell: int
 
     @property
     def n(self) -> int:
@@ -144,23 +147,23 @@ def discretize_radial(
 
     ``potential=None`` builds the free operator.  Grid nodes are the cell
     centers r_j = (j + 1/2) h, j = 0 .. n-1, with h = radius / n, so the
-    centrifugal and potential diagonals never see r = 0.  A grid past the
-    float range raises: one where h^2 or l(l+1) overflows, the diagonal is
-    not finite, or |M|_F, which scales the checks of ``spectrum`` and
-    ``pseudospectrum``, overflows.
+    centrifugal and potential diagonals never see r = 0.  l runs from 0 to
+    128 (``_ELL_MAX``).  A grid past the float range raises: one where h^2
+    overflows, the diagonal is not finite, or |M|_F, which scales the
+    checks of ``spectrum`` and ``pseudospectrum``, overflows.
     """
     if n < 8:
         raise SpectralError("radial grids need n >= 8 to resolve anything")
-    if ell < 0:
-        raise SpectralError("ell must be a nonnegative integer")
+    if not 0 <= ell <= _ELL_MAX:
+        raise SpectralError(f"ell must be an integer in [0, {_ELL_MAX}]")
     if not 0 < radius < math.inf:
         raise SpectralError("radius must be positive and finite")
     if potential is not None:
         _check_dimension(potential.dimension, SpectralError, 3)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # numpy scalars overflow to inf where Python floats raise, and ints never do
-        if not (np.float64(radius / n) ** 2 < np.inf and ell * (ell + 1) <= sys.float_info.max):
-            raise SpectralError("h^2 or l(l+1) overflows a float")
+        # numpy scalars overflow to inf where Python floats raise
+        if not np.float64(radius / n) ** 2 < np.inf:
+            raise SpectralError("h^2 overflows a float")
         diag = _sector_diagonal(ell, radius, n, potential).astype(np.complex128)
         frobenius_sq = np.sum(np.abs(diag) ** 2) + 2 * (n - 1) * np.float64(radius / n) ** -4
     if not np.isfinite(frobenius_sq):

@@ -56,6 +56,7 @@ from spectra_cert.birman_schwinger import (
     sector_matrices,
 )
 from spectra_cert.cli import main
+from spectra_cert.conditions import _ball_integral
 from spectra_cert.numerics import (
     NumericsError,
     RadialGrid,
@@ -90,6 +91,11 @@ class TestGreenFunction:
         assert green_function(-2.0 + 1j, s) * 4 * math.pi * s == pytest.approx(
             1.0, rel=1e-6
         )
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, [1.0, 0.0]])
+    def test_nonpositive_separation_rejected(self, s):
+        with pytest.raises(BSError, match="positive separation"):
+            green_function(-1.0, s)
 
     def test_kappa_values(self):
         assert green_params(-1.0).kappa == pytest.approx(1.0)
@@ -707,7 +713,7 @@ class TestHSNorm:
         grid = default_bs_grid(200)
         with np.errstate(all="raise"):
             g_diag, gap = _sector_steps(0j, grid.nodes, 8)[2:]
-            fro_sq = _node_masses(np.zeros(grid.n) * g_diag, gap)[1]
+            fro_sq = _node_masses(np.zeros(grid.nodes.size) * g_diag, gap)[1]
         assert fro_sq.tolist() == [0.0] * 9
 
     @pytest.mark.parametrize(
@@ -956,6 +962,20 @@ class TestMepsHSCheck:
             want = math.sqrt(gaussian_ball(2.0) / (8.0 * math.pi * math.sqrt(r.eps / 2.0)))
             assert r.hs_formula == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("v0", [1e308, 1e-300])
+    def test_extreme_amplitudes_read_the_closed_form(self, v0):
+        # int_Omega |V| runs on the row with amp divided by 2^j; at v0 = 1e308
+        # it overflowed, and fit_loglog_slope raised a bare ValueError
+        recs = m_eps_hs_check(gaussian(v0), 2.0, 0.0, [0.4, 0.2, 0.1])
+        for r in recs:
+            want = math.sqrt(gaussian_ball(2.0) / (8.0 * math.pi * math.sqrt(r.eps / 2.0)))
+            assert r.hs_formula == pytest.approx(math.sqrt(v0) * want, rel=1e-12)
+
+    def test_norm_past_the_float_range_raises(self):
+        # int_Omega |V| = 2 pi c R^2 = 6.3e200 over kappa = sqrt(eps / 2) = 1e-150
+        with pytest.raises(BSError, match="leaves the float range"):
+            m_eps_hs_check(catalog("coulomb_repulsive", c=1.0), 1e100, 0.0, [2e-300, 1e-300])
+
     def test_constant_regime_formula_stable(self):
         # kappa freezes at 1 for lam = -1, so halving eps moves the closed
         # form by O(eps^2) only
@@ -982,7 +1002,7 @@ class TestMepsHSCheck:
     )
     def test_square_well_ball_integral_closed_form(self, v0, r0, radius):
         # panels that straddled the jump at r0 missed this by 1-9 %
-        value = bs._ball_integral_abs(catalog("square_well", v0=v0, r0=r0), radius)
+        value = _ball_integral(catalog("square_well", v0=v0, r0=r0), radius, 1.0, 16)
         assert value == pytest.approx(
             4.0 * math.pi * v0 * min(r0, radius) ** 3 / 3.0, rel=1e-12
         )
@@ -1002,7 +1022,7 @@ class TestMepsHSCheck:
     )
     def test_ball_integral_closed_forms(self, name, params, want):
         # measured: within 2.3e-16 relative
-        value = bs._ball_integral_abs(catalog(name, **params), 2.0)
+        value = _ball_integral(catalog(name, **params), 2.0, 1.0, 16)
         assert value == pytest.approx(want, rel=1e-13)
 
     def test_forms_no_sector_matrix(self, monkeypatch):

@@ -403,7 +403,7 @@ AGREEMENT = [
         {"grid_n": 64},
         "ell_max",
         lambda v: discretize_radial(GAUSSIAN, v, 40.0, 64),
-        [-1, 0, 2],
+        [-1, 0, 2, spectral._ELL_MAX + 1, 10**15],
     ),
     # h^2 past the float range
     (
@@ -893,6 +893,45 @@ class TestMainExitCodes:
         assert main(["run", path]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, extra, message",
+        [
+            ("check-conditions", {"potential": [1]}, "potential must be an object with name and params"),
+            (
+                "check-conditions",
+                {"potential": {"name": "gaussian", "params": {"v0": 1.0}, "kind": "x"}},
+                "unknown potential field 'kind'",
+            ),
+            ("check-conditions", {"potential": {"params": {"v0": 1.0}}}, "potential needs a name"),
+            (
+                "check-conditions",
+                {"potential": {"name": "gaussian", "params": [1.0]}},
+                "potential params must be an object",
+            ),
+            ("spectrum", {"r_max": "40"}, "r_max must be a number"),
+            ("bs-norm", {"z_list": [[-1.0, 0.0], "i"]}, "z_list entries must be numbers or [re, im] pairs"),
+            ("singular-sequence", {"n_list": 4}, "n_list must be a list of scales"),
+            ("spectrum", {"output": "out"}, "output must be an object with path and formats"),
+            ("spectrum", {"output": {"formats": []}}, "output formats must be a nonempty list"),
+        ],
+        ids=[
+            "potential-list", "potential-field", "potential-name", "params-list", "r_max-string",
+            "z_list-string", "n_list-int", "output-string", "formats-empty",
+        ],
+    )
+    def test_malformed_block_is_2_and_named(self, tmp_path, capsys, experiment, extra, message):
+        path = self.write(tmp_path, make(experiment, **extra))
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_set_creates_a_missing_params_block(self, tmp_path, capsys):
+        path = self.write(tmp_path, make("check-conditions", potential={"name": "gaussian"}))
+        assert main(["validate", path]) == 2
+        assert "missing required parameter 'v0'" in capsys.readouterr().err
+        assert main(["validate", path, "--set", "potential.params.v0=2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["potential"] == {"name": "gaussian", "params": {"v0": 2}}
+
     def test_set_overrides(self, tmp_path, capsys):
         path = self.write(tmp_path, make("bs-norm"))
         assert (
@@ -1261,6 +1300,14 @@ class TestMainExitCodes:
         # byte for byte: the rows, their order and every printed threshold digit
         assert main(["catalog", "--dim", "3"]) == 0
         assert capsys.readouterr().out == CATALOG_DIM3
+
+    def test_catalog_off_dimension_3_notes_the_integral_norms(self, capsys):
+        assert main(["catalog", "--dim", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("potential catalog (dimension 5)\n")
+        assert out.endswith(
+            "  (integral norms: Rollnik and L^(3/2) checks run at dimension 3 only)\n"
+        )
 
     def test_catalog_rejects_low_dimension(self, capsys):
         assert main(["catalog", "--dim", "2"]) == 2

@@ -562,6 +562,11 @@ class TestOrderingChain:
         assert a_var <= subordination_a_pointwise(g) + 1e-12
 
 
+def yukawa_chain(mu: float) -> float:
+    """Sobolev chain of yukawa(g=1, mu): (int |V|^(3/2))^(2/3) = 2^(2/3) pi / (1.5 mu)."""
+    return 2.0 ** (2.0 / 3.0) * math.pi / (1.5 * mu) * SOBOLEV_CHAIN_CONSTANT
+
+
 def check_conditions_payload(potential: Potential) -> dict:
     """The JSON payload that ``spectra-cert run`` writes for check-conditions."""
     payload, _ = _run_check_conditions(None, potential, [])
@@ -627,6 +632,14 @@ class TestReportAndVerdicts:
         assert report.a >= 1.0
         assert report.verdicts["thm11"] != "pass"
 
+    @pytest.mark.parametrize("slot", ["b1", "b2", "b3"])
+    def test_infinite_b_fails_thm13(self, slot):
+        report = ConditionReport(
+            a=0.1, rollnik=1.0, frank_l32=1.0, sobolev_chain_a=1.0, lambda_=0.1,
+            b1=0.0, b2=0.0, b3=0.0,
+        )
+        assert evaluate_theorems(replace(report, **{slot: math.inf}), 3)["thm13"] == "fail"
+
     def test_pointwise_a_above_one_is_inconclusive(self):
         report = ConditionReport(
             a=1.2,
@@ -667,8 +680,9 @@ class TestReportAndVerdicts:
             )
 
     # rows at the ends of the float range: sup |V| r^2 = v0 r0^2 overflows
-    # for the first, int |V|^(3/2) overflows for the second and underflows
-    # for the third
+    # for the first; int |V|^(3/2) overflows or underflows for the others,
+    # while its Sobolev chain, read on the unit row, stays in range (the
+    # chain read 0.0 or "inf" when the integral ran on the row itself)
     EXTREME_ROWS = {
         "square_well-r0=1e200": (
             ("square_well", {"v0": 1.0, "r0": 1e200}),
@@ -677,11 +691,24 @@ class TestReportAndVerdicts:
         ),
         "yukawa-mu=1e-300": (
             ("yukawa", {"g": 1.0, "mu": 1e-300}),
-            {"frank_l32": "inf", "sobolev_chain_a": "inf"},
+            {"frank_l32": "inf", "sobolev_chain_a": pytest.approx(yukawa_chain(1e-300), rel=1e-12)},
         ),
         "yukawa-mu=1e300": (
             ("yukawa", {"g": 1.0, "mu": 1e300}),
-            {"frank_l32": 0.0, "sobolev_chain_a": 0.0},
+            {"frank_l32": 0.0, "sobolev_chain_a": pytest.approx(yukawa_chain(1e300), rel=1e-12)},
+        ),
+        # (int |V|^(3/2))^(2/3) = v0 pi / 1.5
+        "gaussian-v0=1e-300": (
+            ("gaussian", {"v0": 1e-300}),
+            {"frank_l32": 0.0, "sobolev_chain_a": pytest.approx(
+                1e-300 * math.pi / 1.5 * SOBOLEV_CHAIN_CONSTANT, rel=1e-12
+            )},
+        ),
+        "gaussian-v0=1e300": (
+            ("gaussian", {"v0": 1e300}),
+            {"frank_l32": "inf", "sobolev_chain_a": pytest.approx(
+                1e300 * math.pi / 1.5 * SOBOLEV_CHAIN_CONSTANT, rel=1e-12
+            )},
         ),
     }
 

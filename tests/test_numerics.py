@@ -103,7 +103,7 @@ class TestRadialGrid:
         # K = 10 panels shrinking by sqrt(10): the deepest one starts at 1e-5
         g = default_bs_grid(100, 1.0)
         assert 1e-5 < g.nodes[0] < 1e-5 * 10.0**0.5
-        assert g.n == 100
+        assert g.nodes.size == 100
 
     def test_graded_integrates_inverse_sqrt(self):
         # each panel is the same rescaled Gauss rule, so a power law carries
@@ -358,6 +358,14 @@ class TestOperatorLargestSingularValue:
             else:
                 nx.tridiagonal_smallest_singular_value(d + 0.5j, np.full(4, 0.25))
 
+    def test_exactly_singular_shift_is_zero_without_the_driver(self, monkeypatch):
+        # rows [1, 1, 0], [1, 1, 0], [0, 0, 0]: zgttrf meets a zero pivot
+        monkeypatch.setattr(
+            nx, "operator_largest_singular_value", lambda *a: pytest.fail("driver reached")
+        )
+        d = np.array([1.0, 1.0, 0.0], dtype=complex)
+        assert nx.tridiagonal_smallest_singular_value(d, np.array([1.0, 0.0])) == 0.0
+
     def test_sigma_min_is_one_driver_call(self, monkeypatch):
         calls = []
         driver = nx.operator_largest_singular_value
@@ -376,6 +384,10 @@ class TestExtrapolationAndFits:
         limit, c, q = 0.5, 0.1, 0.3
         vals = [limit - c * q**k for k in range(3)]
         assert abs(nx.aitken_extrapolate(vals) - limit) < 1e-12
+
+    def test_aitken_with_zero_second_difference_returns_the_last_value(self):
+        # an arithmetic sequence has no geometric error to extrapolate
+        assert nx.aitken_extrapolate([1.0, 2.0, 3.0]) == 3.0
 
     def test_loglog_slope_pure_power(self):
         xs = [2.0, 4.0, 8.0, 16.0]

@@ -408,6 +408,17 @@ class TestMagnetic:
         # the other rows alone are fine
         assert b_tau(mag, pts[[0, 2]]).shape == (2, 3)
 
+    def test_singular_row_rejects_the_origin(self):
+        # A = |x|^-2 (-x2, x1, 0) has p = 2 > 0: neither A nor B exists at 0
+        mag = magnetic_catalog("azimuthal_inverse_square")
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(PotentialError, match="singular at the origin"):
+            mag.vector_potential(pts)
+        with pytest.raises(PotentialError, match="singular at the origin"):
+            mag.field_tensor(pts)
+        # p = 0 rows are smooth there
+        assert magnetic_catalog("uniform_z").vector_potential(pts).shape == (2, 3)
+
     def test_field_rejects_wrong_trailing_dimension(self):
         mag = magnetic_catalog("uniform_z")
         with pytest.raises(PotentialError, match="shape"):

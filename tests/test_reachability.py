@@ -7,20 +7,22 @@ count, and neither do the unit tests: a witness reached only by its own unit
 tests has no path from ``spectra-cert run`` and should be wired in or
 deleted.
 
-The name rule also holds for the public methods and properties of exported
-classes.  The same rule holds for defaulted parameters of exported
-functions and public methods, and for defaulted fields of exported
-dataclasses: some call in those sources must pass each one, or it is a
-constant in disguise and belongs in the module as one.
+Every defaulted parameter of an exported function or public method, and
+every defaulted field of an exported dataclass, is a knob: some call in
+those sources must pass it, or it is a constant in disguise and belongs in
+the module as one, and some call must omit it, or its default is a value
+that no caller reads.  A dataclass ``field(...)`` without a default or a
+default factory is no knob.
 
-Every annotated field of an exported class has a reader in those sources:
-a result field that nothing reads is a value computed for no one.  Only an
-attribute load ``.field`` reads a field; a local or an import of the same
-name, ``getattr`` and ``dataclasses.asdict`` do not.  Where another package
-class, private ones included, also defines the name, a load of ``.field``
-may be that class's, so the field needs an entry in ``FIELD_READERS``
-naming the scope that reads it for its own class, and that scope must load
-``.field``.
+Every public method and property and every annotated field of an exported
+class has a reader in those sources: a result field that nothing reads is
+a value computed for no one.  Only an attribute load ``.name`` reads one; a
+local or an import of the same name, ``getattr`` and
+``dataclasses.asdict`` do not.  Where another package class, private ones
+included, also defines the name, a load of ``.name`` may be that class's,
+so the member needs an entry in ``MEMBER_READERS`` or the field one in
+``FIELD_READERS`` naming the scope that reads it for its own class, and
+that scope must load ``.name``.
 
 Every config key that an experiment reads is read by string constant,
 ``config["key"]`` or ``config.get("key")``, in that experiment's runner or
@@ -40,8 +42,12 @@ Both dimension rules, d >= 3 and d = 3, raise in
 ``potentials._check_dimension`` only: no other scope holds an ``if`` on a
 dimension that raises.
 
-One Gauss-Legendre rule and one rescaled catalog row: only ``numerics``
-names numpy's ``leggauss``, and only ``potentials`` names ``_scaled_row``.
+One Gauss-Legendre rule, one rescaled catalog row and one ball
+quadrature: only ``numerics`` names numpy's ``leggauss``, only
+``potentials`` names ``_scaled_row`` and only ``conditions`` names
+``_ball_panels``.  Every constant of a catalog row that reads the row
+rescaled reads it from ``potentials._unit_row``, in the scopes that
+``test_one_row_scaling_rule`` lists.
 
 One owner of the report format: only ``cli`` names ``json_float`` or holds a
 string equal to a CSV column of its experiments; the library's result
@@ -53,6 +59,7 @@ module top or lazily inside a function.
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 from spectra_cert.cli import _COMMON_KEYS, _EXPERIMENTS
 
@@ -191,6 +198,15 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _has_default(stmt: ast.AnnAssign) -> bool:
+    """Does a dataclass field have a default?  ``field(...)`` has one only
+    when it passes ``default`` or ``default_factory``."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return value is not None
+
+
 def defaulted_knobs() -> list[tuple[str, str, str, int | None]]:
     """(module, callee, parameter, positional index) for every public knob.
 
@@ -211,7 +227,7 @@ def defaulted_knobs() -> list[tuple[str, str, str, int | None]]:
             elif isinstance(node, ast.ClassDef):
                 if _is_dataclass(node):
                     for idx, stmt in enumerate(_fields(node)):
-                        if stmt.value is not None:
+                        if _has_default(stmt):
                             out.append((path.stem, node.name, stmt.target.id, idx))
                 for stmt in node.body:
                     if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
@@ -220,16 +236,15 @@ def defaulted_knobs() -> list[tuple[str, str, str, int | None]]:
     return out
 
 
-def passed_arguments(paths: list[Path]) -> tuple[dict[str, set[str]], dict[str, int], set[str]]:
-    """What the calls in the files pass, keyed by callee name.
+class _Call(NamedTuple):
+    positional: int  # the number of positional arguments
+    keywords: set[str]
+    splat: bool  # a *args or **kwargs argument, which may pass anything
 
-    Returns the keyword names passed to each callee, the largest number of
-    positional arguments any call passes it, and the keyword names passed
-    to ``dataclasses.replace``.
-    """
-    keywords: dict[str, set[str]] = {}
-    positional: dict[str, int] = {}
-    replaced: set[str] = set()
+
+def call_arguments(paths: list[Path]) -> dict[str, list[_Call]]:
+    """Callee name -> what each call of that name in the files passes."""
+    calls: dict[str, list[_Call]] = {}
     for tree in _trees(paths):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -238,12 +253,33 @@ def passed_arguments(paths: list[Path]) -> tuple[dict[str, set[str]], dict[str, 
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name is None:
                 continue
+            splat = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            )
             kws = {kw.arg for kw in node.keywords if kw.arg is not None}
-            if name == "replace":
-                replaced |= kws
-            keywords.setdefault(name, set()).update(kws)
-            positional[name] = max(positional.get(name, 0), len(node.args))
-    return keywords, positional, replaced
+            calls.setdefault(name, []).append(_Call(len(node.args), kws, splat))
+    return calls
+
+
+def _passes(call: _Call, param: str, idx: int | None) -> bool:
+    return param in call.keywords or (idx is not None and call.positional > idx)
+
+
+def knob_uses() -> tuple[list[str], list[str]]:
+    """(unpassed, unomitted): the knobs that no call of the sources passes,
+    ``dataclasses.replace`` included, and those that no call omits, a call
+    with a splat excluded."""
+    calls = call_arguments(SOURCES)
+    replaced = set().union(*(call.keywords for call in calls.get("replace", [])))
+    unpassed, unomitted = [], []
+    for mod, callee, param, idx in defaulted_knobs():
+        knob = f"{mod}.{callee}({param})"
+        mine = calls.get(callee, [])
+        if param not in replaced and not any(_passes(call, param, idx) for call in mine):
+            unpassed.append(knob)
+        if not any(not call.splat and not _passes(call, param, idx) for call in mine):
+            unomitted.append(knob)
+    return unpassed, unomitted
 
 
 def test_every_export_is_used_outside_the_unit_tests():
@@ -255,32 +291,33 @@ def test_every_export_is_used_outside_the_unit_tests():
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
-    keywords, positional, replaced = passed_arguments(SOURCES)
-    knobs = defaulted_knobs()
-    assert len(knobs) >= 18
-    unpassed = [
-        f"{mod}.{callee}({param})"
-        for mod, callee, param, idx in knobs
-        if param not in keywords.get(callee, set())
-        and param not in replaced
-        and (idx is None or positional.get(callee, 0) <= idx)
-    ]
+    assert len(defaulted_knobs()) >= 14
+    unpassed = knob_uses()[0]
     assert sorted(set(unpassed) - KNOB_EXEMPTIONS) == []
     # an exemption that a caller now passes, or whose knob is gone, is stale
     assert KNOB_EXEMPTIONS <= set(unpassed)
 
 
+def test_every_default_is_used_outside_the_unit_tests():
+    # a default that every caller passes is a value no caller reads
+    assert knob_uses()[1] == []
+
+
 def test_every_public_method_is_used_outside_the_unit_tests():
-    used = used_names(SOURCES)
-    members = public_members()
-    assert len(members) > 10
-    unused = [f"{mod}.{cls}.{name}" for mod, cls, name in members if name not in used]
-    assert unused == []
+    assert len(public_members()) > 10
+    assert unread(public_members(), MEMBER_READERS) == []
 
 
-# module.Class.field -> the scope that reads the field for its own class.
-# Every exported field whose name another package class also defines needs
-# an entry, and every entry's scope must load .field.
+# module.Class.member -> the scope that reads the member for its own class.
+# Every public method or property whose name another package class also
+# defines needs an entry, and every entry's scope must load .member.
+MEMBER_READERS = {
+    "multipliers.NearExtremalHardyProfile.profile": "multipliers.hardy_check",
+    "multipliers.TestFunction.ell": "multipliers.TestFunction.angular_weight",
+    "multipliers.TestFunction.profile": "multipliers.TestFunction.radial_terms",
+}
+
+# the same for the annotated fields of exported classes
 FIELD_READERS = {
     "birman_schwinger.BSMatrix.z": "cli._run_bs_norm",
     "birman_schwinger.GreenParams.kappa": "birman_schwinger.green_function",
@@ -325,32 +362,38 @@ def class_definers() -> dict[str, set[str]]:
     return definers
 
 
-def unread_fields() -> list[str]:
-    """The exported fields with no reader: a unique name that no source
-    loads, or a shared one whose FIELD_READERS scope is missing or does not
-    load it."""
+def unread(entries: list[tuple[str, str, str]], readers: dict[str, str]) -> list[str]:
+    """The (module, class, name) entries with no reader: a unique name that
+    no source loads, or a shared one whose ``readers`` scope is missing or
+    does not load it."""
     loads, definers = attribute_loads(SOURCES), class_definers()
-    unread = []
-    for mod, cls, name in exported_fields():
+    out = []
+    for mod, cls, name in entries:
         key = f"{mod}.{cls}.{name}"
         shared = definers[name] - {f"{mod}.{cls}"}
-        if key in FIELD_READERS or shared:
-            if FIELD_READERS.get(key) not in loads.get(name, set()):
-                unread.append(key)
+        if key in readers or shared:
+            if readers.get(key) not in loads.get(name, set()):
+                out.append(key)
         elif name not in loads:
-            unread.append(key)
-    return unread
+            out.append(key)
+    return out
 
 
 def test_every_exported_field_is_read_outside_the_unit_tests():
     assert len(exported_fields()) > 50
-    assert unread_fields() == []
+    assert unread(exported_fields(), FIELD_READERS) == []
 
 
 def test_field_readers_name_exported_fields():
     # an entry whose field is gone is stale
     fields = {f"{mod}.{cls}.{name}" for mod, cls, name in exported_fields()}
     assert set(FIELD_READERS) <= fields
+
+
+def test_member_readers_name_public_members():
+    # an entry whose member is gone is stale
+    members = {f"{mod}.{cls}.{name}" for mod, cls, name in public_members()}
+    assert set(MEMBER_READERS) <= members
 
 
 def config_key_reads() -> dict[str, set[str]]:
@@ -456,6 +499,24 @@ def test_one_bessel_cap():
     assert readers == {"_BESSEL_ELL_MAX": {"birman_schwinger._check_sector_args"}}
 
 
+def test_one_row_scaling_rule():
+    # each constant of a catalog row is read on its unit row and scaled back
+    # by a power of two: the pointwise sups, the Rollnik norm, int |V|^(3/2)
+    # and its chain, the sector norms, the HS norm and int_Omega |V|
+    assert scope_readers({"_unit_row"}) == {
+        "_unit_row": {
+            "conditions.subordination_a_pointwise",
+            "conditions.lambda_constant",
+            "conditions.b_constants",
+            "conditions.rollnik_norm",
+            "conditions.build_report",
+            "birman_schwinger.assemble_bs",
+            "birman_schwinger.hs_norm",
+            "birman_schwinger.m_eps_hs_check",
+        }
+    }
+
+
 def dimension_raisers() -> set[str]:
     """The package scopes holding an ``if`` whose test reads a ``dimension``
     attribute or a ``d`` or ``dimension`` name and whose body raises."""
@@ -486,8 +547,14 @@ def test_one_dimension_rule():
 
 # name -> the one package module that may name it: numpy's Gauss-Legendre
 # nodes behind numerics.panel_gauss, the rescaled catalog row behind
-# potentials._unit_row, and the JSON spelling of inf and nan
-SINGLE_SOURCES = {"leggauss": "numerics", "_scaled_row": "potentials", "json_float": "cli"}
+# potentials._unit_row, the JSON spelling of inf and nan, and the ball
+# panels behind conditions._ball_integral
+SINGLE_SOURCES = {
+    "leggauss": "numerics",
+    "_scaled_row": "potentials",
+    "json_float": "cli",
+    "_ball_panels": "conditions",
+}
 
 
 def test_one_gauss_rule_and_one_row_scaling():

@@ -121,16 +121,26 @@ class TestDiscretizeRadial:
 
     @pytest.mark.parametrize(
         "radius, ell",
-        [(1e-300, 1), (1e-160, 1), (1e-80, 1), (1e300, 1), (10.0, 10**200)],
-        ids=["1e-300", "1e-160", "1e-80", "1e+300", "ell=1e200"],
+        [(1e-300, 1), (1e-160, 1), (1e-80, 1), (1e300, 1)],
+        ids=["1e-300", "1e-160", "1e-80", "1e+300"],
     )
     def test_grid_past_double_range_raises(self, radius, ell):
         # 1e-300: h^2 underflows to 0; 1e-160: 2/h^2 is inf; 1e-80: the
         # diagonal is finite but |M|_F^2 ~ n / h^4 overflows; 1e300: h^2
-        # overflows (1/h^2 underflows); l = 1e200: l(l+1) overflows
+        # overflows (1/h^2 underflows)
         with pytest.raises(SpectralError, match="overflows"):
             discretize_radial(HARDY, ell, radius, 96)
         assert np.isfinite(discretize_radial(HARDY, 1, 1e-70, 96).diag).all()
+
+    @pytest.mark.parametrize(
+        "ell", [-1, spectral._ELL_MAX + 1, 10**15, 10**200], ids=["-1", "cap+1", "1e15", "1e200"]
+    )
+    def test_ell_past_the_cap_raises(self, ell):
+        # a spectrum run scans l = 0 .. ell_max, so ell_max = 1e15 would
+        # never end; l = 1e200 is the l(l+1) overflow that the cap now refuses
+        with pytest.raises(SpectralError, match=r"ell must be an integer in \[0, 128\]"):
+            discretize_radial(HARDY, ell, 10.0, 96)
+        assert discretize_radial(HARDY, spectral._ELL_MAX, 10.0, 96).ell == 128
 
 
 class TestFreeFloor:
