@@ -44,7 +44,10 @@ sigma_max (``numerics.operator_largest_singular_value``), an estimate that
 approaches it from below; each sector starts from the Ritz vector of the
 one before.  The sector that attains the norm is then rebuilt on the kept
 nodes once per z and checked against a dense SVD and the running-sum
-Frobenius norm.
+Frobenius norm.  That check is the one O(n^2) step at complex z: each sector
+matrix is one complex n x n array built in place, beside the decay
+exp(-kappa |r_i - r_j|) and the power r_<^l / r_>^(l+1), about three such
+arrays at its peak.
 
 Hilbert-Schmidt norms sum over sectors with multiplicity 2l+1,
 
@@ -72,11 +75,12 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .conditions import _ball_integral, _in_classes, _scaled_back, rollnik_norm
+from .conditions import _ball_integral, _in_classes, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
     _scale_exponent,
+    _scaled_back,
     bidiagonal_gram_inverse_norm,
     fit_loglog_slope,
     largest_singular_value,
@@ -88,11 +92,9 @@ from .potentials import Potential, _check_dimension, _unit_row, complex_sign
 
 __all__ = [
     "BSError",
-    "GreenParams",
     "BSMatrix",
     "HSNormResult",
     "MepsRecord",
-    "green_params",
     "green_function",
     "pointwise_bound_check",
     "sector_matrices",
@@ -137,19 +139,9 @@ def _check_off_positive_axis(z: complex) -> None:
         raise BSError("z on the open positive axis is outside the resolvent set")
 
 
-@dataclass(frozen=True)
-class GreenParams:
-    """The principal-branch kappa = sqrt(-z) of a spectral parameter z."""
-
-    kappa: complex
-
-    def __post_init__(self) -> None:
-        if self.kappa.real < 0.0:
-            raise BSError("kappa left the principal branch (Re kappa < 0)")
-
-
-def green_params(z: complex) -> GreenParams:
-    return GreenParams(kappa=cmath.sqrt(-complex(z)))
+def _kappa(z: complex) -> complex:
+    """The principal-branch kappa = sqrt(-z), Re kappa >= 0 for every z."""
+    return cmath.sqrt(-complex(z))
 
 
 def green_function(z: complex, s) -> np.ndarray:
@@ -157,7 +149,7 @@ def green_function(z: complex, s) -> np.ndarray:
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise BSError("green_function needs positive separation s")
-    kappa = green_params(z).kappa
+    kappa = _kappa(z)
     out = np.exp(-kappa * s_arr) / (4.0 * np.pi * s_arr)
     if np.isscalar(s):
         return complex(out)
@@ -228,25 +220,39 @@ def _sector_kernels(
     Off z = 0, l is capped at _BESSEL_ELL_MAX, and a kernel that still
     overflows (A_l underflowing against a B_l ~ (kappa r)^l near the
     diagonal, at |kappa| r in the thousands and l near the cap) raises.
+
+    Each kernel is a fresh complex n x n array, built in place: across l only
+    the decay and the power r_<^l / r_>^(l+1) persist, and the ratio
+    r_< / r_> from l = 1 on, so a sector costs about three n x n complex
+    arrays at its peak (3.1 at l = 0, 3.6 from l = 1 on).
     """
-    r_lo = np.minimum.outer(r, r)
-    r_hi = np.maximum.outer(r, r)
-    ratio = r_lo / r_hi
-    power = 1.0 / r_hi
-    kappa = green_params(z).kappa
+    kappa = _kappa(z)
     if kappa != 0.0:
         a, b = _scaled_bessel_factors(kappa * r, ell_max)
         r_i_lower = r[:, np.newaxis] <= r[np.newaxis, :]
-        decay = np.exp(-kappa * (r_hi - r_lo))
+        # |r_i - r_j| is r_> - r_< bit for bit
+        decay = -kappa * np.abs(np.subtract.outer(r, r))
+        np.exp(decay, out=decay)
+    power = np.maximum.outer(r, r)
+    np.divide(1.0, power, out=power)
     for ell in range(ell_max + 1):
-        g = power / (2 * ell + 1)
-        if kappa != 0.0:
-            pair = np.where(r_i_lower, np.outer(a[ell], b[ell]), np.outer(b[ell], a[ell]))
-            g = g * pair * decay
+        if ell == 1:
+            ratio = np.minimum.outer(r, r)
+            np.divide(ratio, np.maximum.outer(r, r), out=ratio)
+        if ell:
+            np.multiply(power, ratio, out=power)
+        g = np.empty((r.size, r.size), dtype=np.complex128)
+        if kappa == 0.0:
+            np.divide(power, 2 * ell + 1, out=g)
+        else:
+            # the Bessel pair A_l(kappa r_<) B_l(kappa r_>), one triangle each
+            np.multiply(a[ell, :, np.newaxis], b[ell], out=g, where=r_i_lower)
+            np.multiply(b[ell, :, np.newaxis], a[ell], out=g, where=~r_i_lower)
+            np.multiply(power / (2 * ell + 1), g, out=g)
+            np.multiply(g, decay, out=g)
             if not np.all(np.isfinite(g)):
                 raise BSError(f"sector kernel l={ell} overflows at z={z}")
         yield ell, g
-        power = power * ratio
 
 
 def sector_matrices(
@@ -255,14 +261,17 @@ def sector_matrices(
     grid: RadialGrid,
     ell_max: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j)."""
+    """Yield (l, M_l) with M_ij = |V_i|^(1/2) g_l^z(r_i,r_j) V_(1/2,j) r_i r_j sqrt(w_i w_j),
+    each the complex kernel array of _sector_kernels, scaled in place."""
     _check_sector_args(potential, z, ell_max)
     r = grid.nodes
     sqw = np.sqrt(grid.weights)
     left = np.sqrt(potential.abs_radial(r)) * r * sqw
     right = potential.sign_radial(r) * np.sqrt(potential.abs_radial(r)) * r * sqw
     for ell, g in _sector_kernels(z, r, ell_max):
-        yield ell, left[:, np.newaxis] * g * right[np.newaxis, :]
+        np.multiply(left[:, np.newaxis], g, out=g)
+        np.multiply(g, right, out=g)
+        yield ell, g
 
 
 def _sector_steps(
@@ -280,7 +289,7 @@ def _sector_steps(
     i <= j.  No kappa r or r^l is formed: nothing cancels at large kappa r,
     and nothing underflows on geometric grids down to r ~ 1e-79.
     """
-    kappa = green_params(z).kappa
+    kappa = _kappa(z)
     c = 2.0 * np.arange(ell_max + 1)[:, np.newaxis] + 1.0
     dr = np.diff(r)
     gap = c * np.log1p(dr / r[:-1]) + 2.0 * kappa.real * dr
@@ -461,7 +470,7 @@ def _sector_family(
     r, w, abs_v = r[keep], w[keep], abs_v[keep]
     a, b, x, gap = a[:, keep], b[:, keep], x[:, keep], gap[:, keep.start : keep.stop - 1]
     sign = potential.sign_radial(r)
-    return _SectorFamily(r, w, abs_v, sign, green_params(z).kappa, a, b, x, gap, fro_sq)
+    return _SectorFamily(r, w, abs_v, sign, _kappa(z), a, b, x, gap, fro_sq)
 
 
 def _raise_on_overflow(z: complex, finite: np.ndarray) -> None:
@@ -642,7 +651,7 @@ def assemble_bs(
     """
     z = complex(z)
     _check_sector_args(potential, z, ell_max)
-    potential, j = _unit_row(potential, lengths=False)
+    potential, j = _unit_row(potential, length=1.0)
     family = _sector_family(potential, z, grid, ell_max)
     if family.r.size == 0:
         norms = [0.0] * (ell_max + 1)
@@ -735,7 +744,7 @@ def hs_norm(
         return HSNormResult(math.inf, math.inf, math.nan, True)
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
-    unit, j = _unit_row(potential, lengths=False)
+    unit, j = _unit_row(potential, length=1.0)
     g_diag, gap = _sector_steps(0j, grid.nodes, ell_max)[2:]
     x = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights * g_diag
     direct = _in_float_range(_completed_hs_norm(_node_masses(x, gap)[1]), j, "HS norm")
@@ -832,7 +841,7 @@ def kappa_scaling(lam: complex, eps_list: Sequence[float]) -> list[tuple[float, 
     """
     eps = _checked_eps(lam, eps_list)
     regime = _regime_of(lam)
-    kappas = [green_params(complex(lam) + 1j * e).kappa.real for e in eps]
+    kappas = [_kappa(complex(lam) + 1j * e).real for e in eps]
     if len(eps) >= 2:
         _check_slope("kappa(eps)", eps, kappas, _REGIME_EXPONENT[regime])
     return [(e, k, regime) for e, k in zip(eps, kappas)]
@@ -857,8 +866,10 @@ def m_eps_hs_check(
         |M_eps|_HS^2 = (1 / (8 pi kappa)) int_Omega |V|,
 
     with kappa = Re sqrt(-(lam + i eps)) and int_Omega |V| one radial
-    quadrature whose panels end at the jumps of V, on the row with amp divided
-    by 2^j (potentials._unit_row; BSError past the float range).  Enforces that
+    quadrature whose panels end at the jumps of V, on the row of
+    potentials._unit_row that brings |amp| and the ball's radius to order one,
+    scaled back by a power of two (BSError where the closed form leaves the
+    float range, at either end).  Enforces that
     eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
     within 0.05).  Raises :class:`BSError` for d != 3, for a non-finite lam,
     eps or omega_radius, for eps = 0, omega_radius <= 0, a kappa that
@@ -871,16 +882,21 @@ def m_eps_hs_check(
     eps = _checked_eps(lam, eps_list)
     if potential.s >= 3.0:
         raise BSError("|V| is not integrable on the ball")
-    unit, j = _unit_row(potential, lengths=False)
-    integral = _ball_integral(unit, omega_radius, 1.0, 16)
-    half, odd = divmod(j, 2)  # sqrt(2^j x) with half of j outside the root
+    unit, j = _unit_row(potential, length=omega_radius)
+    k = _scale_exponent(omega_radius)
+    # int_Omega |V| = 2^(j + k) times V~'s over the ball of radius R 2^-k
+    integral = _ball_integral(unit, math.ldexp(omega_radius, -k), 1.0, 16)
+    half, odd = divmod(j + k, 2)  # sqrt(2^(j + k) x) with half of it outside the root
     records = []
     for e in eps:
-        kappa = green_params(complex(lam) + 1j * e).kappa.real
+        kappa = _kappa(complex(lam) + 1j * e).real
         if kappa == 0.0:
             raise BSError(f"kappa = Re sqrt(-(lam + i eps)) underflows at eps = {e}")
-        hs = math.sqrt(_scaled_back(integral / (8.0 * np.pi * kappa), odd))
-        records.append(MepsRecord(e, _in_float_range(hs, half, "HS formula")))
+        unit_hs = math.sqrt(_scaled_back(integral / (8.0 * np.pi * kappa), odd))
+        hs = _in_float_range(unit_hs, half, "HS formula")
+        if hs == 0.0 < unit_hs:
+            raise BSError(f"HS formula {unit_hs:.6e} * 2^{half} leaves the float range")
+        records.append(MepsRecord(e, hs))
     if len(records) >= 2:
         decay = [abs(rec.eps) * rec.hs_formula for rec in records]
         _check_slope("eps * hs_formula", eps, decay, 1.0 - _REGIME_EXPONENT[_regime_of(lam)] / 2.0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import panel_gauss
+from .numerics import _scaled_back, panel_gauss
 from .potentials import Potential, _check_dimension, _unit_row
 
 __all__ = [
@@ -60,14 +60,6 @@ class ConditionError(ValueError):
 # ---------------------------------------------------------------------------
 # radial suprema, exact from the catalog row
 # ---------------------------------------------------------------------------
-
-
-def _scaled_back(value: float, e: int) -> float:
-    """value 2^e, +inf past the float range."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        return math.inf
 
 
 def _row_sup(potential: Potential, coefficients: tuple) -> float:
@@ -244,26 +236,36 @@ def rollnik_norm(potential: Potential) -> float:
     return _scaled_back(math.sqrt(_rollnik_radial(unit)), e)
 
 
+def _l32_and_chain(potential: Potential) -> tuple[float, float]:
+    """(int |V|^{3/2}, its Sobolev chain) from one integral on the row V~ of
+    ``potentials._unit_row``: 2^(3e/2) and 2^e times V~'s (half of e outside
+    the power 3/2), so the chain is finite and nonzero wherever its value is,
+    even where the integral itself leaves the float range."""
+    _check_dimension(potential.dimension, ConditionError, 3)
+    if not _in_classes(potential):
+        return math.inf, math.inf
+    unit, e = _unit_row(potential)
+    l32 = _ball_integral(unit, _truncation_radius(unit), 1.5, 14)
+    half, odd = divmod(e, 2)
+    return (
+        _scaled_back(l32 * 2.0 ** (1.5 * odd), 3 * half),
+        _scaled_back(l32 ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT, e),
+    )
+
+
 def frank_l32(potential: Potential) -> float:
     """int |V|^{3/2} (d = 3), +inf when |V|^{3/2} is not integrable.
 
     The L^{3/2} condition compares it with 3^{3/2} / (4 pi^2); no verdict
     does, the report carries the value itself.
     """
-    _check_dimension(potential.dimension, ConditionError, 3)
-    if not _in_classes(potential):
-        return math.inf
-    return _ball_integral(potential, _truncation_radius(potential), 1.5, 14)
+    return _l32_and_chain(potential)[0]
 
 
-def sobolev_chain_a(l32: float) -> float:
-    """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound.
-
-    ``l32`` is the integral itself, as ``frank_l32`` returns it.
-    """
-    if math.isinf(l32):
-        return math.inf
-    return l32 ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
+def sobolev_chain_a(potential: Potential) -> float:
+    """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound
+    (d = 3), +inf when |V|^{3/2} is not integrable."""
+    return _l32_and_chain(potential)[1]
 
 
 def lambda_constant(potential: Potential) -> float:
@@ -408,18 +410,12 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
 def build_report(potential: Potential) -> ConditionReport:
     """Compute every constant for one potential and attach verdicts.
 
-    int |V|^{3/2} is integrated once, on the row V~ of ``potentials._unit_row``,
-    and scales back by 2^(3e/2), its Sobolev chain by 2^e: the chain is finite
-    and nonzero wherever its value is."""
+    int |V|^{3/2} and its Sobolev chain come from one integral."""
     d = potential.dimension
     a = subordination_a_pointwise(potential)
     if d == 3:
         rollnik = rollnik_norm(potential)
-        unit, e = _unit_row(potential)
-        frank = frank_l32(unit)
-        chain = _scaled_back(sobolev_chain_a(frank), e)
-        half, odd = divmod(e, 2)
-        frank = _scaled_back(frank * 2.0 ** (1.5 * odd), 3 * half)
+        frank, chain = _l32_and_chain(potential)
     else:
         rollnik = frank = chain = math.inf
     lam = lambda_constant(potential)

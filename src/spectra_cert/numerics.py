@@ -246,6 +246,14 @@ def _scale_exponent(x: float) -> int:
     return min(max(math.frexp(x)[1], -1000), 1000)
 
 
+def _scaled_back(value: float, e: int) -> float:
+    """value 2^e, +inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
+
+
 def smallest_singular_value(m: np.ndarray) -> float:
     """Smallest singular value from a dense LAPACK SVD.
 

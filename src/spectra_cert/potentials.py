@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import _scale_exponent
+from .numerics import _scale_exponent, _scaled_back
 
 __all__ = [
     "PotentialError",
@@ -142,32 +142,36 @@ class Potential:
 
 def _scaled_row(potential: Potential, j: int, k: int) -> Potential:
     """The row of V~(t) = 2^-j V(2^k t): amp 2^-(j + s k), mu 2^k, gamma 2^(2k),
-    r0 2^-k, all exact while normal (s k is an integer on every catalog row)."""
+    r0 2^-k, all exact while normal (s k is an integer on every catalog row);
+    a rescaled mu, gamma or r0 past the float range reads inf rather than raise."""
     e = j + int(potential.s * k)
     re, im = (math.ldexp(x, -e) for x in (potential.amp.real, potential.amp.imag))
     return replace(
         potential, amp=complex(re, im) if isinstance(potential.amp, complex) else re,
-        mu=math.ldexp(potential.mu, k), gamma=math.ldexp(potential.gamma, 2 * k),
-        r0=math.ldexp(potential.r0, -k),
+        mu=_scaled_back(potential.mu, k), gamma=_scaled_back(potential.gamma, 2 * k),
+        r0=_scaled_back(potential.r0, -k),
     )
 
 
 def _unit_row(
-    potential: Potential, lengths: bool = True, every_row: bool = False
+    potential: Potential, length: float | None = None, every_row: bool = False
 ) -> tuple[Potential, int]:
     """(V~, e = j + 2k) for the row V~(t) = 2^-j V(2^k t) of ``_scaled_row``.
 
-    k and j + s k are the exponents of the length (r0, 1/mu or
-    1/sqrt(gamma); none without one, or without ``lengths``) and of |amp|:
-    ``numerics._scale_exponent``'s, so an ordinary row comes back as it is
-    (e = 0), or with ``every_row`` ``math.frexp``'s, which bring every row's
-    length and |amp| to order one, as the Rollnik norm (quadratic in V,
-    quartic in length) needs.  Sups of |x|^2 V and the Rollnik norm are 2^e
-    times V~'s, and so is anything linear in V on grids in r when k = 0.
+    k and j + s k are the exponents of a length and of |amp|: of ``length``
+    when given (1.0 keeps r as it is, as grids in r need; a ball radius
+    brings the ball to order one), else of the row's own (r0, 1/mu or
+    1/sqrt(gamma); none without one).  They are ``numerics._scale_exponent``'s,
+    so an ordinary row comes back as it is (e = 0), or with ``every_row``
+    ``math.frexp``'s, which bring every row's length and |amp| to order one,
+    as the Rollnik norm (quadratic in V, quartic in length) needs.  Sups of
+    |x|^2 V and the Rollnik norm are 2^e times V~'s, an integral of |V| over
+    the ball of radius R is 2^(e + k) times V~'s over radius R 2^-k, and
+    anything linear in V on grids in r is 2^e times V~'s when k = 0.
     """
     exponent = (lambda x: math.frexp(x)[1]) if every_row else _scale_exponent
-    if not lengths:
-        k = 0
+    if length is not None:
+        k = exponent(length)
     elif potential.r0 < math.inf:
         k = exponent(potential.r0)
     else:
@@ -348,28 +352,23 @@ class MagneticPotential:
             b = b - self.p * (m - np.swapaxes(m, -1, -2)) / rho2[..., None, None]
         return (self.k / rho2 ** (self.p / 2))[..., None, None] * b
 
-    def field(self, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
-        """Field tensor B(x) = grad A - (grad A)^T, B_ij = dA_i/dx_j - dA_j/dx_i.
 
-        ``x`` has shape (..., 3); the result has shape (..., 3, 3).  With
-        ``force_fd``, B comes from centred differences of A (step 1e-5,
-        O(h^2) accurate): the cross-check of ``field_tensor``.
-        """
-        if not force_fd:
-            return self.field_tensor(x)
-        x = np.asarray(x, dtype=float)
-        # jac[..., i, j] = dA_i/dx_j
-        jac = np.stack(
-            [
-                (self.vector_potential(x + e) - self.vector_potential(x - e)) / (2.0 * _FD_STEP)
-                for e in _FD_STEP * np.eye(3)
-            ],
-            axis=-1,
-        )
-        return jac - np.swapaxes(jac, -1, -2)
+def _centred_difference_tensor(mag: MagneticPotential, x: np.ndarray) -> np.ndarray:
+    """B(x) from centred differences of A (step 1e-5, O(h^2) accurate), at
+    points (..., 3): the reference that ``field_tensor`` is checked against."""
+    x = np.asarray(x, dtype=float)
+    # jac[..., i, j] = dA_i/dx_j
+    jac = np.stack(
+        [
+            (mag.vector_potential(x + e) - mag.vector_potential(x - e)) / (2.0 * _FD_STEP)
+            for e in _FD_STEP * np.eye(3)
+        ],
+        axis=-1,
+    )
+    return jac - np.swapaxes(jac, -1, -2)
 
 
-def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.ndarray:
+def b_tau(mag: MagneticPotential, x: np.ndarray) -> np.ndarray:
     """Tangential field trace B_tau(x) = (x/|x|) . B(x) at points (..., 3).
 
     Row-vector/matrix contraction: component j is sum_i (x_i/|x|) B_ij(x).
@@ -380,7 +379,7 @@ def b_tau(mag: MagneticPotential, x: np.ndarray, force_fd: bool = False) -> np.n
     r = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(r == 0.0):
         raise PotentialError("B_tau is undefined at the origin")
-    return np.einsum("...i,...ij->...j", x / r, mag.field(x, force_fd=force_fd))
+    return np.einsum("...i,...ij->...j", x / r, mag.field_tensor(x))
 
 
 # params -> (k, p) of A(x) = k |x|^-p (-x2, x1, 0)

@@ -24,6 +24,7 @@ pins the Bessel kernels entrywise.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from scipy.linalg import svdvals
 import spectra_cert.birman_schwinger as bs
 from spectra_cert.birman_schwinger import (
     BSError,
+    _kappa,
     _node_masses,
     _running_sums,
     _scaled_bessel_factors,
@@ -47,7 +49,6 @@ from spectra_cert.birman_schwinger import (
     bs_principle_matrix_check,
     default_bs_grid,
     green_function,
-    green_params,
     hs_norm,
     kappa_scaling,
     log_uniform_grid,
@@ -98,14 +99,14 @@ class TestGreenFunction:
             green_function(-1.0, s)
 
     def test_kappa_values(self):
-        assert green_params(-1.0).kappa == pytest.approx(1.0)
+        assert _kappa(-1.0) == pytest.approx(1.0)
         # principal branch: sqrt(-i) has real part cos(pi/4)
-        assert green_params(1j).kappa.real == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert _kappa(1j).real == pytest.approx(math.sqrt(0.5), rel=1e-12)
         # on the open positive axis kappa is purely imaginary
-        assert green_params(2.0).kappa.real == 0.0
+        assert _kappa(2.0).real == 0.0
 
     def test_upper_lip_continuity(self):
-        k = green_params(1.0 + 1e-9j).kappa
+        k = _kappa(1.0 + 1e-9j)
         assert 0.0 < k.real < 1e-8
         assert k.imag == pytest.approx(-1.0, rel=1e-9)
 
@@ -152,6 +153,22 @@ class TestSectorMatrices:
             gap = np.max(np.abs(exact[ell] - near[ell])) / np.max(np.abs(exact[ell]))
             assert gap <= (1e-4 if ell == 0 else 1e-8)
 
+    def test_one_complex_sector_peaks_under_four_matrices(self):
+        # the kernel is built in place in the array that becomes M_0, beside
+        # the decay, the power 1 / r_> and one real temporary: measured 3.1
+        # complex n x n arrays at the peak
+        grid = default_bs_grid(400)
+        n = grid.nodes.size
+        list(sector_matrices(hardy(), -1 + 1j, default_bs_grid(40), ell_max=0))  # warm up
+        tracemalloc.start()
+        try:
+            for _, m in sector_matrices(hardy(), -1 + 1j, grid, ell_max=0):
+                assert m.shape == (n, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * n**2
+
     def test_real_signed_potential_symmetric(self):
         # For real V the symmetrized kernel sqrt|V| g_l V_(1/2) picks up a
         # global sign but stays symmetric.
@@ -167,7 +184,7 @@ def angular_sector_kernels(z, r, ell_max, n_ang=512):
     part is the classical r_<^l / ((2l+1) r_>^(l+1)).  The substitution
     t = 1 - 2 v^2 gives s = sqrt((r - r')^2 + 4 r r' v^2) and weight 4 v dv.
     """
-    kappa = green_params(z).kappa
+    kappa = _kappa(z)
     v, wv = panel_gauss([0.0, 1.0], n_ang)
     weighted_p = legvander(1.0 - 2.0 * v**2, ell_max).T * (4.0 * v * wv)
     out = np.empty((ell_max + 1, r.size, r.size), dtype=np.complex128)
@@ -280,7 +297,7 @@ class TestBoxOracle:
         F = f_val(pts)
         diff = pts - x0
         s = np.linalg.norm(diff, axis=1)
-        kappa = green_params(z).kappa
+        kappa = _kappa(z)
         G = np.where(s > 0, np.exp(-kappa * s) / (4 * np.pi * np.maximum(s, 1e-300)), 0.0)
 
         # remove the value-plus-gradient probe; what is left is C^1 at x0
@@ -917,7 +934,7 @@ class TestKappaScaling:
     def test_constant_regime(self):
         for lam in (-1.0, 0.5 + 2j, -1.0 + 1j):
             out = kappa_scaling(lam, [1e-3, 1e-4])
-            kref = green_params(lam).kappa.real
+            kref = _kappa(lam).real
             for _, kap, regime in out:
                 assert regime == "constant"
                 assert kap == pytest.approx(kref, rel=1e-3)
@@ -971,10 +988,40 @@ class TestMepsHSCheck:
             want = math.sqrt(gaussian_ball(2.0) / (8.0 * math.pi * math.sqrt(r.eps / 2.0)))
             assert r.hs_formula == pytest.approx(math.sqrt(v0) * want, rel=1e-12)
 
-    def test_norm_past_the_float_range_raises(self):
-        # int_Omega |V| = 2 pi c R^2 = 6.3e200 over kappa = sqrt(eps / 2) = 1e-150
+    @pytest.mark.parametrize(
+        "name, params, radius, eps, c, p",
+        [
+            # |V| = a / (4 r^2) underflowed at r ~ 1e300 before r^2 multiplied it
+            # back, and fit_loglog_slope raised a bare ValueError; int = pi a R
+            ("hardy", {"a": 0.5}, 1e300, [0.2, 0.1], 0.5 * math.pi, 1),
+            ("hardy", {"a": 0.5}, 1e-300, [0.2, 0.1], 0.5 * math.pi, 1),
+            # int = 2 pi c R^2 = 6.3e200 over kappa = 1e-150: |M_eps|_HS^2 =
+            # 2.5e349 leaves the float range, |M_eps|_HS = 5.0e174 does not
+            ("coulomb_repulsive", {"c": 1.0}, 1e100, [2e-300, 1e-300], 2.0 * math.pi, 2),
+            # the ball lies inside the well: int = 4 pi R^3 / 3 = 4.2e-600
+            ("square_well", {"v0": 1.0, "r0": 1e200}, 1e-200, [0.2, 0.1], 4.0 * math.pi / 3.0, 3),
+        ],
+    )
+    def test_balls_far_from_unit_size_read_the_closed_form(self, name, params, radius, eps, c, p):
+        # int_Omega |V| = c R^p runs on the row whose ball has radius R 2^-k
+        recs = m_eps_hs_check(catalog(name, **params), radius, 0.0, eps)
+        for r in recs:
+            want = math.sqrt(c / (8.0 * math.pi * math.sqrt(r.eps / 2.0))) * radius ** (p / 2)
+            assert r.hs_formula == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "potential, radius",
+        [
+            # int_Omega |V| = 2 pi c R^2 = 6.3e900: |M_eps|_HS ~ 1e450
+            (catalog("coulomb_repulsive", c=1e300), 1e300),
+            # int_Omega |V| = 4 pi v0 R^3 / 3 = 4.2e-1200: |M_eps|_HS ~ 1e-600
+            (catalog("gaussian", v0=1e-300), 1e-300),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_norm_past_the_float_range_raises(self, potential, radius):
         with pytest.raises(BSError, match="leaves the float range"):
-            m_eps_hs_check(catalog("coulomb_repulsive", c=1.0), 1e100, 0.0, [2e-300, 1e-300])
+            m_eps_hs_check(potential, radius, 0.0, [0.2, 0.1])
 
     def test_constant_regime_formula_stable(self):
         # kappa freezes at 1 for lam = -1, so halving eps moves the closed

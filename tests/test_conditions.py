@@ -344,14 +344,14 @@ class TestFrank:
 
 class TestSobolevChain:
     def test_zero(self):
-        assert sobolev_chain_a(frank_l32(catalog("gaussian", v0=0.0))) == 0.0
+        assert sobolev_chain_a(catalog("gaussian", v0=0.0)) == 0.0
 
     def test_threshold_composition(self):
         # a potential sitting exactly at the L^{3/2} threshold would chain to
         # this constant; compose the two module constants directly
         composed = FRANK_THRESHOLD ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT
         v0 = (FRANK_THRESHOLD / (2.0 * math.pi / 3.0) ** 1.5) ** (2.0 / 3.0)
-        value = sobolev_chain_a(frank_l32(catalog("gaussian", v0=v0)))
+        value = sobolev_chain_a(catalog("gaussian", v0=v0))
         assert value == pytest.approx(composed, rel=1e-6)
 
     def test_chain_constant(self):
@@ -359,10 +359,10 @@ class TestSobolevChain:
 
     def test_gaussian_above_variational(self):
         g = catalog("gaussian", v0=1.0)
-        assert sobolev_chain_a(frank_l32(g)) >= variational_a(g)
+        assert sobolev_chain_a(g) >= variational_a(g)
 
     def test_hardy_inf(self):
-        assert math.isinf(sobolev_chain_a(frank_l32(catalog("hardy", a=0.3))))
+        assert math.isinf(sobolev_chain_a(catalog("hardy", a=0.3)))
 
 
 class TestLambdaConstant:
@@ -722,14 +722,31 @@ class TestReportAndVerdicts:
     def test_d3_report_integrates_l32_once(self, monkeypatch):
         calls = []
 
-        def counted(potential):
-            calls.append(potential)
-            return frank_l32(potential)
+        def counted(potential, radius, power, per_panel):
+            calls.append(power)
+            return ball_integral(potential, radius, power, per_panel)
 
-        monkeypatch.setattr(cond, "frank_l32", counted)
+        ball_integral = cond._ball_integral
+        monkeypatch.setattr(cond, "_ball_integral", counted)
         report = build_report(catalog("gaussian", v0=1.0))
-        assert len(calls) == 1
-        assert report.sobolev_chain_a == sobolev_chain_a(report.frank_l32)
+        assert calls == [1.5]
+        assert report.frank_l32 == frank_l32(catalog("gaussian", v0=1.0))
+        assert report.sobolev_chain_a == sobolev_chain_a(catalog("gaussian", v0=1.0))
+
+    # the exported pair reads the report's values at the ends of the float
+    # range: int |V|^(3/2) underflows to 0, its Sobolev chain does not
+    @pytest.mark.parametrize(
+        "name,params,chain",
+        [
+            ("yukawa", {"g": 1.0, "mu": 1e300}, yukawa_chain(1e300)),
+            ("gaussian", {"v0": 1e-300}, 1e-300 * math.pi / 1.5 * SOBOLEV_CHAIN_CONSTANT),
+        ],
+    )
+    def test_exported_chain_reads_the_row(self, name, params, chain):
+        row = catalog(name, **params)
+        assert frank_l32(row) == 0.0
+        assert sobolev_chain_a(row) == pytest.approx(chain, rel=1e-12)
+        assert sobolev_chain_a(row) == build_report(row).sobolev_chain_a
 
     def test_pointwise_dominates_variational_when_both_computed(self):
         g = catalog("gaussian", v0=1.0)

@@ -19,6 +19,7 @@ from spectra_cert.potentials import (
     _ELECTRIC,
     _MAGNETIC,
     PotentialError,
+    _centred_difference_tensor,
     b_tau,
     catalog,
     complex_sign,
@@ -241,7 +242,7 @@ def test_each_catalog_raises_its_own_error_for_bad_parameters(case):
 def test_optional_parameters_keep_their_defaults():
     assert catalog("gaussian", v0=1.0).amp == complex(-1.0, 0.0)
     assert catalog("gaussian", v0=0.0, c_im=-2).amp == complex(0.0, -2.0)
-    assert magnetic_catalog("uniform_z").field(np.ones(3))[0, 1] == -1.0
+    assert magnetic_catalog("uniform_z").field_tensor(np.ones(3))[0, 1] == -1.0
     assert multiplier_catalog("windowed-square").window == 0.1
 
 
@@ -283,7 +284,7 @@ class TestMagnetic:
         mag = magnetic_catalog("azimuthal_inverse_square")
         x = np.array([1.0, 2.0, 3.0])
         rho4 = float(np.dot(x, x)) ** 2
-        b = mag.field(x)
+        b = mag.field_tensor(x)
         assert b[0, 1] == pytest.approx(-2.0 * x[2] ** 2 / rho4)
         assert b[0, 2] == pytest.approx(2.0 * x[1] * x[2] / rho4)
         assert b[1, 2] == pytest.approx(-2.0 * x[0] * x[2] / rho4)
@@ -300,7 +301,7 @@ class TestMagnetic:
             if np.linalg.norm(x) < 0.3:
                 continue
             np.testing.assert_allclose(
-                mag.field(x), mag.field(x, force_fd=True), atol=1e-8, rtol=1e-7
+                mag.field_tensor(x), _centred_difference_tensor(mag, x), atol=1e-8, rtol=1e-7
             )
 
     @pytest.mark.parametrize("name", tuple(_MAGNETIC))
@@ -322,7 +323,7 @@ class TestMagnetic:
     def test_field_antisymmetric(self):
         mag = magnetic_catalog("azimuthal_inverse_square")
         x = np.array([0.4, -1.1, 0.7])
-        b = mag.field(x)
+        b = mag.field_tensor(x)
         np.testing.assert_allclose(b + b.T, 0.0, atol=1e-15)
 
     def test_uniform_z_cross_product_convention(self):
@@ -330,7 +331,7 @@ class TestMagnetic:
         mag = magnetic_catalog("uniform_z", b=2.0)
         v = np.array([0.3, -0.4, 0.9])
         expected = np.cross(np.array([0.0, 0.0, 2.0]), v)
-        np.testing.assert_allclose(mag.field(np.ones(3)) @ v, expected, atol=1e-14)
+        np.testing.assert_allclose(mag.field_tensor(np.ones(3)) @ v, expected, atol=1e-14)
 
     def test_azimuthal_b_tau_vanishes(self):
         mag = magnetic_catalog("azimuthal_inverse_square")
@@ -388,10 +389,9 @@ class TestMagnetic:
         rows = pts.reshape(-1, 3)
         for fn, tail in (
             (mag.vector_potential, (3,)),
-            (mag.field, (3, 3)),
-            (lambda x: mag.field(x, force_fd=True), (3, 3)),
+            (mag.field_tensor, (3, 3)),
+            (lambda x: _centred_difference_tensor(mag, x), (3, 3)),
             (lambda x: b_tau(mag, x), (3,)),
-            (lambda x: b_tau(mag, x, force_fd=True), (3,)),
         ):
             batch = np.asarray(fn(pts))
             assert batch.shape == (4, 5) + tail
@@ -422,4 +422,4 @@ class TestMagnetic:
     def test_field_rejects_wrong_trailing_dimension(self):
         mag = magnetic_catalog("uniform_z")
         with pytest.raises(PotentialError, match="shape"):
-            mag.field(np.ones((4, 2)))
+            mag.field_tensor(np.ones((4, 2)))

@@ -291,7 +291,7 @@ def test_every_export_is_used_outside_the_unit_tests():
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
-    assert len(defaulted_knobs()) >= 14
+    assert len(defaulted_knobs()) >= 12
     unpassed = knob_uses()[0]
     assert sorted(set(unpassed) - KNOB_EXEMPTIONS) == []
     # an exemption that a caller now passes, or whose knob is gone, is stale
@@ -320,7 +320,6 @@ MEMBER_READERS = {
 # the same for the annotated fields of exported classes
 FIELD_READERS = {
     "birman_schwinger.BSMatrix.z": "cli._run_bs_norm",
-    "birman_schwinger.GreenParams.kappa": "birman_schwinger.green_function",
     "birman_schwinger.HSNormResult.rel_gap": "cli._run_hs_identity",
     "birman_schwinger.MepsRecord.eps": "birman_schwinger.m_eps_hs_check",
     "conditions.ConditionReport.a": "cli._run_check_conditions",
@@ -509,7 +508,7 @@ def test_one_row_scaling_rule():
             "conditions.lambda_constant",
             "conditions.b_constants",
             "conditions.rollnik_norm",
-            "conditions.build_report",
+            "conditions._l32_and_chain",
             "birman_schwinger.assemble_bs",
             "birman_schwinger.hs_norm",
             "birman_schwinger.m_eps_hs_check",
