@@ -75,12 +75,14 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .conditions import _ball_integral, _in_classes, rollnik_norm
+from .conditions import _ball_integral, _in_classes, _truncation_radius, rollnik_norm
 from .numerics import (
     NumericsError,
     RadialGrid,
+    _check_against_svd,
     _scale_exponent,
     _scaled_back,
+    _scaled_sqrt,
     bidiagonal_gram_inverse_norm,
     fit_loglog_slope,
     largest_singular_value,
@@ -413,7 +415,6 @@ class _SectorFamily(NamedTuple):
     w: np.ndarray
     abs_v: np.ndarray
     sign: np.ndarray
-    kappa: complex
     a: np.ndarray
     b: np.ndarray
     x: np.ndarray
@@ -470,7 +471,7 @@ def _sector_family(
     r, w, abs_v = r[keep], w[keep], abs_v[keep]
     a, b, x, gap = a[:, keep], b[:, keep], x[:, keep], gap[:, keep.start : keep.stop - 1]
     sign = potential.sign_radial(r)
-    return _SectorFamily(r, w, abs_v, sign, _kappa(z), a, b, x, gap, fro_sq)
+    return _SectorFamily(r, w, abs_v, sign, a, b, x, gap, fro_sq)
 
 
 def _raise_on_overflow(z: complex, finite: np.ndarray) -> None:
@@ -576,9 +577,10 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     left = np.sqrt(family.abs_v * family.w) * r
     right = family.sign * left
     step, dr = np.diff(np.log(r)), np.diff(r)
+    kappa = _kappa(z)
     norms, start = [], None
     for ell, (a, b) in enumerate(zip(family.a, family.b)):
-        rho = np.exp(-ell * step - family.kappa * dr)
+        rho = np.exp(-ell * step - kappa * dr)
         matvec, rmatvec = _single_pair_products(rho, a, b / ((2 * ell + 1) * r), left, right)
         norm, start = operator_largest_singular_value(matvec, rmatvec, r.size, start)
         floor = math.sqrt(family.fro_sq[ell] / r.size)
@@ -597,9 +599,10 @@ def _check_against_dense(
     """Rebuild the sector that attains the norm on the kept nodes and check it
     densely: its |M_l|_F^2 against the running sum over the whole support
     (1e-10 relative), and its sigma_max against a dense SVD (1e-10 relative
-    plus n eps |M_l|_F).  A miss raises :class:`NumericsError`."""
+    plus n eps |M_l|_F, numerics._check_against_svd).  A miss raises
+    :class:`NumericsError`."""
     ell = int(np.argmax(norms))
-    kept = RadialGrid(family.r, family.w, float(family.r[-1]))
+    kept = RadialGrid(family.r, family.w)
     for _, m in sector_matrices(potential, z, kept, ell_max=ell):
         pass  # keep the last sector, one matrix at a time
     fro = float(np.linalg.norm(m))
@@ -608,13 +611,8 @@ def _check_against_dense(
             f"dense |M|_F^2 {fro**2:.6e} of sector l={ell} at z={z} misses the"
             f" running sum {family.fro_sq[ell]:.6e}"
         )
-    dense = largest_singular_value(m)
-    tol = 1e-10 * dense + m.shape[0] * np.finfo(float).eps * fro
-    if abs(norms[ell] - dense) > tol:
-        raise NumericsError(
-            f"ARPACK sigma_max {norms[ell]:.6e} of sector l={ell} at z={z} "
-            f"misses the dense SVD {dense:.6e}"
-        )
+    what = f"ARPACK sigma_max {norms[ell]:.6e} of sector l={ell} at z={z}"
+    _check_against_svd(norms[ell], largest_singular_value(m), m.shape[0], fro, what)
 
 
 def assemble_bs(
@@ -685,7 +683,7 @@ def default_bs_grid(n: int = 256, r_max: float = 40.0) -> RadialGrid:
         raise BSError(f"{panels} panels of ratio sqrt(10) below r_max = {r_max:g} reach r = 0")
     edges = [r_max * _GRID_PANEL_RATIO ** (k - panels) for k in range(panels + 1)]
     nodes, weights = panel_gauss(edges, _GRID_PANEL_NODES)
-    return RadialGrid(nodes, weights, float(r_max))
+    return RadialGrid(nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -713,7 +711,7 @@ def log_uniform_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
         raise BSError(f"need at least {2 * _GRID_PANEL_NODES} nodes, got {n}")
     edges = np.geomspace(r_min, r_max, max(2, n // _GRID_PANEL_NODES) + 1)
     nodes, weights = panel_gauss(list(edges), _GRID_PANEL_NODES)
-    return RadialGrid(nodes, weights, float(r_max))
+    return RadialGrid(nodes, weights)
 
 
 def hs_norm(
@@ -866,15 +864,19 @@ def m_eps_hs_check(
         |M_eps|_HS^2 = (1 / (8 pi kappa)) int_Omega |V|,
 
     with kappa = Re sqrt(-(lam + i eps)) and int_Omega |V| one radial
-    quadrature whose panels end at the jumps of V, on the row of
-    potentials._unit_row that brings |amp| and the ball's radius to order one,
-    scaled back by a power of two (BSError where the closed form leaves the
-    float range, at either end).  Enforces that
+    quadrature whose panels end at the jumps of V.  A row that decays is
+    integrated only out to its truncation radius (conditions._truncation_radius,
+    r0 or 30 decay lengths, as for its Rollnik and L^{3/2} integrals) when the
+    ball reaches past it; the quadrature runs on the row of
+    potentials._unit_row that brings |amp| and that radius to order one, and
+    the norm is scaled back by a power of two (BSError where the closed form
+    leaves the float range, at either end).  Enforces that
     eps * hs_formula -> 0 at the regime rate 1 - exponent/2 (slope checked
     within 0.05).  Raises :class:`BSError` for d != 3, for a non-finite lam,
     eps or omega_radius, for eps = 0, omega_radius <= 0, a kappa that
-    underflows to 0 and for |V| ~ r^-s with s >= 3, which is not integrable
-    on the ball.
+    underflows to 0, for |V| ~ r^-s with s >= 3, which is not integrable
+    on the ball, and for int_Omega |V| = 0 (V = 0), where M_eps vanishes and
+    no slope can be read.
     """
     _check_dimension(potential.dimension, BSError, 3)
     if not 0.0 < omega_radius < math.inf:
@@ -882,20 +884,22 @@ def m_eps_hs_check(
     eps = _checked_eps(lam, eps_list)
     if potential.s >= 3.0:
         raise BSError("|V| is not integrable on the ball")
-    unit, j = _unit_row(potential, length=omega_radius)
-    k = _scale_exponent(omega_radius)
+    radius = min(omega_radius, _truncation_radius(potential))
+    unit, j = _unit_row(potential, length=radius)
+    k = _scale_exponent(radius)
     # int_Omega |V| = 2^(j + k) times V~'s over the ball of radius R 2^-k
-    integral = _ball_integral(unit, math.ldexp(omega_radius, -k), 1.0, 16)
-    half, odd = divmod(j + k, 2)  # sqrt(2^(j + k) x) with half of it outside the root
+    integral = _ball_integral(unit, math.ldexp(radius, -k), 1.0, 16)
+    if integral == 0.0:
+        raise BSError("int_Omega |V| = 0: M_eps vanishes and eps * hs_formula has no slope")
     records = []
     for e in eps:
         kappa = _kappa(complex(lam) + 1j * e).real
         if kappa == 0.0:
             raise BSError(f"kappa = Re sqrt(-(lam + i eps)) underflows at eps = {e}")
-        unit_hs = math.sqrt(_scaled_back(integral / (8.0 * np.pi * kappa), odd))
-        hs = _in_float_range(unit_hs, half, "HS formula")
-        if hs == 0.0 < unit_hs:
-            raise BSError(f"HS formula {unit_hs:.6e} * 2^{half} leaves the float range")
+        square = integral / (8.0 * np.pi * kappa)
+        hs = _scaled_sqrt(square, j + k)
+        if not 0.0 < hs < math.inf:
+            raise BSError(f"HS formula sqrt({square:.6e} * 2^{j + k}) leaves the float range")
         records.append(MepsRecord(e, hs))
     if len(records) >= 2:
         decay = [abs(rec.eps) * rec.hs_formula for rec in records]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import _scaled_back, panel_gauss
+from .numerics import _scaled_back, _scaled_sqrt, panel_gauss
 from .potentials import Potential, _check_dimension, _unit_row
 
 __all__ = [
@@ -140,10 +140,12 @@ _ROLLNIK_N_OUTER = 200
 
 
 def _truncation_radius(potential: Potential) -> float:
-    """r0 when finite, else _TRUNCATION_LENGTHS decay lengths 1/max(mu, sqrt(gamma))."""
+    """r0 when finite, else _TRUNCATION_LENGTHS decay lengths 1/max(mu, sqrt(gamma)),
+    and +inf for a row that does not decay."""
     if potential.r0 < math.inf:
         return potential.r0
-    return _TRUNCATION_LENGTHS / max(potential.mu, math.sqrt(potential.gamma))
+    rate = max(potential.mu, math.sqrt(potential.gamma))
+    return _TRUNCATION_LENGTHS / rate if rate > 0.0 else math.inf
 
 
 def _ball_panels(
@@ -233,7 +235,7 @@ def rollnik_norm(potential: Potential) -> float:
     if not _in_classes(potential):
         return math.inf
     unit, e = _unit_row(potential, every_row=True)
-    return _scaled_back(math.sqrt(_rollnik_radial(unit)), e)
+    return _scaled_sqrt(_rollnik_radial(unit), 2 * e)
 
 
 def _l32_and_chain(potential: Potential) -> tuple[float, float]:
@@ -340,8 +342,7 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     s1 = _row_sup(unit, (-re,))
     s2 = _row_sup(unit, (re * (1 - s), -re * unit.mu, -2.0 * re * unit.gamma))
     s3 = _row_sup(unit, (abs(unit.amp.imag),))
-    half, odd = divmod(e, 2)  # sqrt(sup 2^e / cd2) with half of e outside the root
-    b1, b2 = (_scaled_back(math.sqrt(_scaled_back(x / cd2, odd)), half) for x in (s1, s2))
+    b1, b2 = (_scaled_sqrt(x / cd2, e) for x in (s1, s2))
     return b1, b2, _scaled_back(s3 * 2.0 / (d - 2), e)
 
 

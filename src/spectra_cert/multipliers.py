@@ -16,8 +16,8 @@ and second derivatives; an optional quadratic chirp exp(i alpha r^2) makes
 the probes genuinely complex so the imaginary-part identities have content.
 The G1 = 1 identity for -Delta_A, A = k |x|^-p (-x2, x1, 0), is radial too:
 A is orthogonal to x and e3, so A . grad u = 0, |grad_A u|^2 = |grad u|^2
-+ |A|^2 |u|^2 and Delta_A u = Delta u - |A|^2 u: each side is its A = 0
-form minus int |A|^2 |u|^2.
++ |A|^2 |u|^2 and Delta_A u = Delta u - |A|^2 u: the magnetic row is id1 at
+G = 1, each side less the mass int |A|^2 |u|^2.
 
 Each identity is one row of a table: its identity_id, its term names and the
 function forming the terms on one probe, the first term the left side and the
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import cached_property, partialmethod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -263,12 +263,14 @@ class MultiplierProfile:
     coefficients: tuple[float, ...]
     window: float = 0.0
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _stack(self) -> tuple[np.ndarray, ...]:
+        """q_0 = p .. q_4, the polynomial factors of g .. d4g."""
         stack = [np.asarray(self.coefficients, dtype=float)]
         for _ in range(4):
             q = stack[-1]
             stack.append(P.polysub(P.polyder(q), 2.0 * self.window * P.polymulx(q)))
-        object.__setattr__(self, "_stack", tuple(stack))
+        return tuple(stack)
 
     def _derivative(self, k: int, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -317,6 +319,10 @@ def multiplier_catalog(name: str, **params: float) -> MultiplierProfile:
     return MultiplierProfile(coefficients, window=window)
 
 
+# G = 1: g1 of the canonical triple and the multiplier of the magnetic row's id1
+_UNIT_MULTIPLIER = multiplier_catalog("constant", value=1.0)
+
+
 @dataclass(frozen=True)
 class MultiplierTriple:
     """The (G1, G2, G3) combination entering the summed identity.
@@ -336,7 +342,7 @@ class MultiplierTriple:
     @classmethod
     def canonical_triple(cls) -> "MultiplierTriple":
         return cls(
-            g1=multiplier_catalog("constant", value=1.0),
+            g1=_UNIT_MULTIPLIER,
             g2=MultiplierProfile((0.0, 2.0)),
             g3=multiplier_catalog("square"),
         )
@@ -449,14 +455,14 @@ def _key_sides(p: _Probe, lam: complex, f: np.ndarray) -> tuple[float, float]:
 
 
 def _magnetic_sides(p: _Probe, lam: complex, a_field: MagneticPotential) -> tuple[float, float]:
-    # each side loses int |A|^2 |u|^2 (module docstring); |A|^2 = k^2 r^(2-2p)
-    # sin^2(theta), and sin^2(theta) averages to m_l = 2 (l^2 + l - 1) /
-    # ((2l - 1)(2l + 3)) against P_l^2: 2/3 at l = 0, 2/5 at l = 1
+    # id1 at G = 1 with int |A|^2 |u|^2 taken off each side (module
+    # docstring); |A|^2 = k^2 r^(2-2p) sin^2(theta), and sin^2(theta) averages
+    # to m_l = 2 (l^2 + l - 1) / ((2l - 1)(2l + 3)) against P_l^2: 2/3 at
+    # l = 0, 2/5 at l = 1
     m_l = 2.0 * (p.u.ell**2 + p.u.ell - 1) / ((2 * p.u.ell - 1) * (2 * p.u.ell + 3))
     mass = a_field.k**2 * m_l * p.integral(p.r ** (2 - 2 * a_field.p) * np.abs(p.q) ** 2).real
-    lhs = lam.real * p.norm_sq - p.integral(p.grad_density(p.dq)).real - mass
-    rhs = p.integral(p.f * np.conj(p.q)).real - mass
-    return lhs, rhs
+    lhs, rhs = _id1_sides(p, lam, _UNIT_MULTIPLIER)
+    return lhs - mass, rhs - mass
 
 
 def _radial_key_terms(p: _Probe, lam: complex, potential: Potential) -> tuple[float, ...]:

@@ -3,11 +3,13 @@ linear algebra.
 
 Everything in this module is physics-agnostic plumbing.  The quadrature side
 provides one Gauss-Legendre rule, composite over panels, and the
-:class:`RadialGrid` container for radial rules on (0, r_max].  The linear
+:class:`RadialGrid` container for radial rules.  The linear
 algebra side wraps the dense complex
 eigendecomposition, returned as LAPACK's sorted value and vector arrays
 (its callers check the residuals), and reads either
-extremal singular value off one dense LAPACK SVD.  Every iterative one
+extremal singular value off one dense LAPACK SVD.  A fast route is checked
+against that SVD by one rule, ``_check_against_svd``: the value may miss
+sigma_dense by at most 1e-10 sigma_dense + n eps |M|_F.  Every iterative one
 goes through one ARPACK driver: an operator known only by its products with
 M and M^H gets sigma_max from ARPACK on M^H M at any scale of M, stopped at
 a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair and
@@ -91,9 +93,9 @@ def panel_gauss(
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Quadrature grid for integrals over (0, r_max].
+    """Quadrature grid for radial integrals.
 
-    ``nodes`` are strictly increasing and never touch 0; ``weights`` are the
+    ``nodes`` are positive and strictly increasing; ``weights`` are the
     matching quadrature weights for ``dr`` (no Jacobian factors baked in).
     The grids in use are composite Gauss rules over geometric panels:
     ``default_bs_grid`` shrinks them toward the origin at a fixed ratio and
@@ -105,15 +107,14 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    r_max: float
 
     def __post_init__(self) -> None:
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.nodes[0] <= 0 or self.nodes[-1] > self.r_max:
-            raise ValueError("nodes must lie in (0, r_max]")
+        if self.nodes[0] <= 0:
+            raise ValueError("nodes must be positive")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
 
@@ -252,6 +253,22 @@ def _scaled_back(value: float, e: int) -> float:
         return math.ldexp(value, e)
     except OverflowError:
         return math.inf
+
+
+def _scaled_sqrt(value: float, e: int) -> float:
+    """sqrt(value 2^e) with floor(e/2) of the exponent outside the root: exact
+    in 2^e, +inf past the float range."""
+    half, odd = divmod(e, 2)
+    return _scaled_back(math.sqrt(_scaled_back(value, odd)), half)
+
+
+def _check_against_svd(value: float, dense: float, n: int, fro: float, what: str) -> None:
+    """The dense cross-check of a fast singular value: :class:`NumericsError`
+    unless ``value`` is within 1e-10 dense + n eps |M|_F of ``dense``, the
+    dense SVD's value of the n x n matrix M with Frobenius norm ``fro``.
+    The message opens with ``what``, the caller's name for the value."""
+    if abs(value - dense) > 1e-10 * dense + n * np.finfo(float).eps * fro:
+        raise NumericsError(f"{what} misses the dense SVD {dense:.6e}")
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .numerics import (
     EigenvalueError,
-    NumericsError,
+    _check_against_svd,
     _scale_exponent,
     _tridiagonal_frobenius,
     band_smallest_singular_value,
@@ -307,8 +307,9 @@ def pseudospectrum(
     Below n = 240 each point is ``band_smallest_singular_value``, accurate to
     about eps |M - z| from either side, and the map's lowest point is checked
     against a dense SVD of M - z (under 1 % of the map's time); a
-    disagreement beyond 1e-10 relative plus n eps |M - z|_F raises
-    :class:`NumericsError`.  From n = 240 up each point is
+    disagreement beyond 1e-10 relative plus n eps |M - z|_F
+    (numerics._check_against_svd) raises :class:`NumericsError`.  From
+    n = 240 up each point is
     ``tridiagonal_smallest_singular_value``, one call of the ARPACK driver
     on the solves of one LU of M - z, scale-free and checked by its Ritz
     residual; its value approaches sigma_min from above.  The map is a field
@@ -326,12 +327,8 @@ def pseudospectrum(
         z = res[j] + 1j * ims[i]
         dense = smallest_singular_value(op.matrix - z * np.eye(op.n))
         fro = _tridiagonal_frobenius(op.diag - z, off)
-        tol = 1e-10 * dense + op.n * np.finfo(float).eps * fro
-        if abs(sig[i, j] - dense) > tol:
-            raise NumericsError(
-                f"band sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j "
-                f"misses the dense SVD {dense:.6e}"
-            )
+        what = f"band sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j"
+        _check_against_svd(sig[i, j], dense, op.n, fro, what)
     return PseudospectrumField(res, ims, sig)
 
 

@@ -840,7 +840,7 @@ class TestScaledRows:
         # weights 1e4 times too large lift the sector sum past 1.8e308, while
         # the Rollnik route, 7.1e305, fits
         grid = log_uniform_grid(1e-3, 1.0, 40)
-        heavy = RadialGrid(grid.nodes, 1e4 * grid.weights, 1.0)
+        heavy = RadialGrid(grid.nodes, 1e4 * grid.weights)
         with pytest.raises(BSError, match="HS norm"):
             hs_norm(catalog("yukawa", g=1e306, mu=1.0), heavy, ell_max=2)
 
@@ -1119,3 +1119,34 @@ class TestMepsHSCheck:
         too_singular = dataclasses.replace(hardy(), s=3.0)
         with pytest.raises(BSError, match="integrable"):
             m_eps_hs_check(too_singular, 1.0, 0.0, [0.1])
+
+    def test_zero_potential_rejected(self):
+        # int_Omega |V| = 0 makes every hs_formula 0, where fit_loglog_slope
+        # raised a bare ValueError
+        with pytest.raises(BSError, match=r"int_Omega \|V\| = 0"):
+            m_eps_hs_check(catalog("gaussian", v0=0.0), 1.0, 0.0, [0.2, 0.1])
+
+    @pytest.mark.parametrize("radius", [1e10, 1e100, 1e300])
+    @pytest.mark.parametrize(
+        "name, params, total, rel",
+        [
+            # int |V| over R^3: |amp| pi^(3/2), 4 pi g / mu^2 less its e^-30
+            # tail past 30 decay lengths, and 4 pi v0 r0^3 / 3
+            ("gaussian", {"v0": 1.0}, math.pi**1.5, 1.2e-16),
+            ("gaussian", {"v0": 2.5, "c_im": 1.0}, math.hypot(2.5, 1.0) * math.pi**1.5, 1.2e-16),
+            ("yukawa", {"g": 1.0, "mu": 1.0}, 4.0 * math.pi, 1.5e-12),
+            ("yukawa", {"g": 0.7, "mu": 2.3}, 4.0 * math.pi * 0.7 / 2.3**2, 1.5e-12),
+            ("square_well", {"v0": 2.0, "r0": 1.3}, 4.0 * math.pi * 2.0 * 1.3**3 / 3.0, 0.0),
+        ],
+        ids=["gaussian", "gaussian-complex", "yukawa", "yukawa-short", "square_well"],
+    )
+    def test_balls_past_the_truncation_radius_read_the_closed_form(
+        self, name, params, total, rel, radius
+    ):
+        # the ball is cut at r0 or 30 decay lengths; the 24 dyadic ball
+        # panels of radius 1e10 never reached the row's own length, and
+        # gaussian(1) read 0.0770 against 0.837
+        recs = m_eps_hs_check(catalog(name, **params), radius, 0.0, [0.2, 0.1])
+        for r in recs:
+            want = math.sqrt(total / (8.0 * math.pi * math.sqrt(r.eps / 2.0)))
+            assert r.hs_formula == pytest.approx(want, rel=rel, abs=0.0)

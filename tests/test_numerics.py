@@ -117,11 +117,11 @@ class TestRadialGrid:
             default_bs_grid(16, -1.0)
         nodes, weights = nx.panel_gauss([0.0, 1.0], 4)
         with pytest.raises(ValueError, match="increasing"):
-            nx.RadialGrid(nodes[::-1], weights, 1.0)
-        with pytest.raises(ValueError, match="r_max"):
-            nx.RadialGrid(nodes, weights, 0.5)
-        with pytest.raises(ValueError, match="positive"):
-            nx.RadialGrid(nodes, -weights, 1.0)
+            nx.RadialGrid(nodes[::-1], weights)
+        with pytest.raises(ValueError, match="nodes must be positive"):
+            nx.RadialGrid(nodes - nodes[0], weights)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            nx.RadialGrid(nodes, -weights)
 
 
 class TestEigComplex:

@@ -17,8 +17,8 @@ default factory is no knob.
 Every public method and property and every annotated field of an exported
 class has a reader in those sources: a result field that nothing reads is
 a value computed for no one.  Only an attribute load ``.name`` reads one; a
-local or an import of the same name, ``getattr`` and
-``dataclasses.asdict`` do not.  Where another package class, private ones
+local or an import of the same name, ``getattr``,
+``dataclasses.asdict`` and the class's own ``__post_init__`` do not.  Where another package class, private ones
 included, also defines the name, a load of ``.name`` may be that class's,
 so the member needs an entry in ``MEMBER_READERS`` or the field one in
 ``FIELD_READERS`` naming the scope that reads it for its own class, and
@@ -55,6 +55,13 @@ classes are plain data.
 
 No package module imports ``scipy.optimize`` or ``scipy.integrate``, at
 module top or lazily inside a function.
+
+One dense cross-check, one scaled square root and one magnetic identity: the
+rule 1e-10 sigma_dense + n eps |M|_F is written only in
+``numerics._check_against_svd``, ``divmod`` splits a scale exponent only in
+``numerics._scaled_sqrt`` and in the 3/2 power of
+``conditions._l32_and_chain``, and ``multipliers._magnetic_sides`` takes
+its sides from ``_id1_sides`` without forming a term of its own.
 """
 
 import ast
@@ -325,7 +332,6 @@ FIELD_READERS = {
     "conditions.ConditionReport.a": "cli._run_check_conditions",
     "multipliers.NearExtremalHardyProfile.eps": "multipliers.NearExtremalHardyProfile.profile",
     "multipliers.TestFunction.family": "multipliers.TestFunction.ell",
-    "numerics.RadialGrid.r_max": "numerics.RadialGrid.__post_init__",
     "potentials.MagneticPotential.name": "potentials.MagneticPotential._rotated",
     "potentials.Potential.dimension": "conditions.rollnik_norm",
     "spectral.DiscretizedOperator.ell": "spectral.free_floor",
@@ -364,16 +370,18 @@ def class_definers() -> dict[str, set[str]]:
 def unread(entries: list[tuple[str, str, str]], readers: dict[str, str]) -> list[str]:
     """The (module, class, name) entries with no reader: a unique name that
     no source loads, or a shared one whose ``readers`` scope is missing or
-    does not load it."""
+    does not load it.  The class's own ``__post_init__``, which only checks
+    what it is given, reads nothing for anyone."""
     loads, definers = attribute_loads(SOURCES), class_definers()
     out = []
     for mod, cls, name in entries:
         key = f"{mod}.{cls}.{name}"
         shared = definers[name] - {f"{mod}.{cls}"}
+        scopes_reading = loads.get(name, set()) - {f"{mod}.{cls}.__post_init__"}
         if key in readers or shared:
-            if readers.get(key) not in loads.get(name, set()):
+            if readers.get(key) not in scopes_reading:
                 out.append(key)
-        elif name not in loads:
+        elif not scopes_reading:
             out.append(key)
     return out
 
@@ -616,3 +624,52 @@ def test_no_scipy_optimize_or_integrate():
     82.2 MB: both load ``scipy.sparse``.  Scripts and tests may pay that.
     """
     assert heavy_scipy_imports() == []
+
+
+def dense_check_rules() -> set[str]:
+    """The package scopes holding a sum of a 1e-10 product and a product that
+    reads an ``eps``: the tolerance of a dense SVD cross-check."""
+
+    def products(node: ast.expr) -> list[ast.expr]:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return products(node.left) + products(node.right)
+        return [node]
+
+    def relative(term: ast.expr) -> bool:
+        return any(isinstance(n, ast.Constant) and n.value == 1e-10 for n in ast.walk(term))
+
+    def absolute(term: ast.expr) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "eps" for n in ast.walk(term))
+
+    return {
+        owner
+        for owner, scope in package_scopes()
+        for node in ast.walk(scope)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and any(map(relative, products(node))) and any(map(absolute, products(node)))
+    }
+
+
+def test_one_dense_cross_check():
+    # the sector norms at complex z and the banded pseudospectrum each pass
+    # their own dense SVD value to the one rule
+    assert dense_check_rules() == {"numerics._check_against_svd"}
+    assert scope_readers({"_check_against_svd"}) == {
+        "_check_against_svd": {"birman_schwinger._check_against_dense", "spectral.pseudospectrum"}
+    }
+
+
+def test_one_scaled_square_root():
+    # b1, b2, the Rollnik norm and the M_eps closed form take
+    # sqrt(x 2^e) from numerics._scaled_sqrt; int |V|^(3/2) splits its own
+    assert scope_readers({"divmod"}) == {
+        "divmod": {"numerics._scaled_sqrt", "conditions._l32_and_chain"}
+    }
+
+
+def test_magnetic_identity_reads_id1():
+    # the magnetic row is id1 at G = 1 less the field's mass: it forms no
+    # side term of its own
+    readers = scope_readers({"_id1_sides", "grad_density", "norm_sq"})
+    assert "multipliers._magnetic_sides" in readers["_id1_sides"]
+    assert "multipliers._magnetic_sides" not in readers["grad_density"] | readers["norm_sq"]
