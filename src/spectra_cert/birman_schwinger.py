@@ -38,13 +38,18 @@ is single-pair again.  At real z <= 0 its Nystroem matrix has a tridiagonal
 inverse (Gantmacher-Krein), which is symmetric positive definite for real
 kappa, and whose bidiagonal factor is closed-form in the steps below.  Each
 sector's sigma_max is 1 / lambda_min of that inverse, bisected on the
-factor in O(n) (``numerics.bidiagonal_gram_inverse_norm``).  At complex z a product with
-the sector matrix is two bidiagonal solves, O(n), and ARPACK on M^H M gives
+factor in O(n) (``numerics.bidiagonal_gram_inverse_norm``).  The sector
+matrix is M_l = L G L S with the real diagonal L = diag(|V|^(1/2) r w^(1/2)),
+the complex symmetric kernel matrix G and the unitary S = diag(sgn V), so
+sigma(M_l) = sigma(L G L): no singular value reads the sign of V.  At
+complex z a product with L G L is two bidiagonal solves, O(n), and the
+package's ARPACK driver on that one complex symmetric product gives
 sigma_max (``numerics.operator_largest_singular_value``), an estimate that
 approaches it from below; each sector starts from the Ritz vector of the
-one before.  The sector that attains the norm is then rebuilt on the kept
-nodes once per z and checked against a dense SVD and the running-sum
-Frobenius norm.  That check is the one O(n^2) step at complex z: each sector
+one before.  The sector that attains the norm is then rebuilt, sign
+included, on the kept nodes once per z and checked against a dense SVD and
+the running-sum Frobenius norm.  That check is the one O(n^2) step at
+complex z: each sector
 matrix is one complex n x n array built in place, beside the decay
 exp(-kappa |r_i - r_j|) and the power r_<^l / r_>^(l+1), about three such
 arrays at its peak.
@@ -404,7 +409,7 @@ def _check_sector_args(potential: Potential, z: complex, ell_max: int) -> None:
 class _SectorFamily(NamedTuple):
     """The partial-wave sectors of K_z on the nodes that carry them.
 
-    ``r``, ``w``, ``abs_v`` and ``sign`` are the kept nodes (see _kept_span),
+    ``r``, ``w`` and ``abs_v`` are the kept nodes (see _kept_span),
     ``a`` and ``b`` the (ell_max+1, n) arrays A_l(kappa r), B_l(kappa r) on
     them (real at real z, ones at z = 0), ``x`` = alpha g_diag and ``gap``
     the _sector_steps gaps between them (alpha = |V| r^2 w), and ``fro_sq``
@@ -414,7 +419,6 @@ class _SectorFamily(NamedTuple):
     r: np.ndarray
     w: np.ndarray
     abs_v: np.ndarray
-    sign: np.ndarray
     a: np.ndarray
     b: np.ndarray
     x: np.ndarray
@@ -470,8 +474,7 @@ def _sector_family(
         keep = _kept_span(x, gap, lower, fro_sq)
     r, w, abs_v = r[keep], w[keep], abs_v[keep]
     a, b, x, gap = a[:, keep], b[:, keep], x[:, keep], gap[:, keep.start : keep.stop - 1]
-    sign = potential.sign_radial(r)
-    return _SectorFamily(r, w, abs_v, sign, a, b, x, gap, fro_sq)
+    return _SectorFamily(r, w, abs_v, a, b, x, gap, fro_sq)
 
 
 def _raise_on_overflow(z: complex, finite: np.ndarray) -> None:
@@ -485,7 +488,8 @@ def _real_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
 
     On the kept nodes, L_i = |V_i|^(1/2) r_i w_i^(1/2) > 0 and M_l = L G L S
     with the single-pair G_ij = g_l(r_i, r_j) and the unitary S = diag(sign V),
-    so sigma_max(M_l) = 1 / lambda_min(T), T = L^-1 G^-1 L^-1.  G is
+    so sigma_max(M_l) = sigma_max(L G L) = 1 / lambda_min(T), with
+    T = L^-1 G^-1 L^-1 and no sign read.  G is
     symmetric positive definite with a tridiagonal inverse (Gantmacher-Krein).
     In the family's steps x_i = L_i^2 G_ii and q_i = e^(-gap_i) < 1, with
     omega_i = 1 - q_i = -expm1(-gap_i), q_(-1) = 0 and omega_(n-1) = 1,
@@ -512,10 +516,10 @@ def _real_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     return [bidiagonal_gram_inverse_norm(b, f) for b, f in zip(diag, off)]
 
 
-def _single_pair_products(
-    rho: np.ndarray, a: np.ndarray, b: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """(x -> M x, y -> M^H y) for M = diag(left) G diag(right), O(n) each.
+def _single_pair_product(
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray, scale: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> L G L x for L = diag(scale), O(n).
 
     G_ij = a_min(i,j) b_max(i,j) prod_(min < k <= max) rho_k is the
     single-pair kernel, so y = G x is two unit-bidiagonal solves (LAPACK
@@ -524,29 +528,23 @@ def _single_pair_products(
         s_j = rho_j s_(j-1) + a_j x_j,   t_j = b_j x_j + rho_(j+1) t_(j+1),
         y_j = b_j s_j + a_j rho_(j+1) t_(j+1).
 
-    G is symmetric, so M^H = diag(conj right) conj(G) diag(left), and conj(G)
-    is the single-pair kernel of conj(rho, a, b).
+    G is symmetric, and so is L G L.
     """
     from scipy.linalg.lapack import ztbtrs
 
-    def product(rho, lower_in, lower_out, upper_in, upper_out):
-        band = np.zeros((2, rho.size + 1), dtype=np.complex128)
-        band[1, :-1] = -rho
-        shifted_out = upper_out[:-1] * rho
+    band = np.zeros((2, rho.size + 1), dtype=np.complex128)
+    band[1, :-1] = -rho
+    scaled_a, scaled_b = scale * a, scale * b
+    shifted_a = scaled_a[:-1] * rho
 
-        def apply(x: np.ndarray) -> np.ndarray:
-            s, _ = ztbtrs(band, (lower_in * x)[:, np.newaxis], uplo="L", diag="U")
-            t, _ = ztbtrs(band, (upper_in * x)[:, np.newaxis], uplo="L", trans="T", diag="U")
-            y = lower_out * s[:, 0]
-            y[:-1] += shifted_out * t[1:, 0]
-            return y
+    def product(x: np.ndarray) -> np.ndarray:
+        s, _ = ztbtrs(band, (scaled_a * x)[:, np.newaxis], uplo="L", diag="U")
+        t, _ = ztbtrs(band, (scaled_b * x)[:, np.newaxis], uplo="L", trans="T", diag="U")
+        y = scaled_b * s[:, 0]
+        y[:-1] += shifted_a * t[1:, 0]
+        return y
 
-        return apply
-
-    return (
-        product(rho, right * a, left * b, right * b, left * a),
-        product(rho.conj(), left * a.conj(), (right * b).conj(), left * b.conj(), (right * a).conj()),
-    )
+    return product
 
 
 def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
@@ -556,10 +554,12 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
     The kernel is single-pair at every z, g_l(r_i, r_j) = u(r_<) v(r_>), with
     the steps rho_j = (r_(j-1) / r_j)^l e^(-kappa (r_j - r_(j-1))) of modulus
     <= 1 between neighbouring nodes, a = A_l(kappa r) and
-    b = B_l(kappa r) / ((2l+1) r).  So a product with M_l = L G L S is O(n)
-    (_single_pair_products) and forms no r^l or e^(kappa r).  ARPACK on
-    M_l^H M_l (numerics.operator_largest_singular_value) gives sigma_max; its
-    value approaches sigma_max from below, so it is an estimate.  Sector l
+    b = B_l(kappa r) / ((2l+1) r).  M_l = L G L S has the singular values of
+    the complex symmetric L G L (S = diag(sign V) is unitary), whose product
+    is O(n) (_single_pair_product) and forms no r^l or e^(kappa r).  The
+    ARPACK driver on that one product (numerics.operator_largest_singular_value)
+    gives sigma_max; its value approaches sigma_max from below, so it is an
+    estimate.  Sector l
     starts from the Ritz vector of sector l - 1, whose right singular vector
     on the same nodes and dressing is close to its own.  The Ritz
     residual check there only shows that it is some singular value, so a
@@ -574,15 +574,14 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
         & np.isfinite(family.b).all(axis=1)
         & np.isfinite(family.fro_sq),
     )
-    left = np.sqrt(family.abs_v * family.w) * r
-    right = family.sign * left
+    scale = np.sqrt(family.abs_v * family.w) * r
     step, dr = np.diff(np.log(r)), np.diff(r)
     kappa = _kappa(z)
     norms, start = [], None
     for ell, (a, b) in enumerate(zip(family.a, family.b)):
         rho = np.exp(-ell * step - kappa * dr)
-        matvec, rmatvec = _single_pair_products(rho, a, b / ((2 * ell + 1) * r), left, right)
-        norm, start = operator_largest_singular_value(matvec, rmatvec, r.size, start)
+        product = _single_pair_product(rho, a, b / ((2 * ell + 1) * r), scale)
+        norm, start = operator_largest_singular_value(product, r.size, start)
         floor = math.sqrt(family.fro_sq[ell] / r.size)
         if norm < (1.0 - 1e-10) * floor:
             raise NumericsError(
@@ -596,8 +595,9 @@ def _complex_z_sector_norms(z: complex, family: _SectorFamily) -> list[float]:
 def _check_against_dense(
     potential: Potential, z: complex, family: _SectorFamily, norms: list[float]
 ) -> None:
-    """Rebuild the sector that attains the norm on the kept nodes and check it
-    densely: its |M_l|_F^2 against the running sum over the whole support
+    """Rebuild the sector M_l that attains the norm on the kept nodes, sign of
+    V included, and check the sign-free value against it densely: its
+    |M_l|_F^2 against the running sum over the whole support
     (1e-10 relative), and its sigma_max against a dense SVD (1e-10 relative
     plus n eps |M_l|_F, numerics._check_against_svd).  A miss raises
     :class:`NumericsError`."""

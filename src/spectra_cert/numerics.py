@@ -10,9 +10,10 @@ eigendecomposition, returned as LAPACK's sorted value and vector arrays
 extremal singular value off one dense LAPACK SVD.  A fast route is checked
 against that SVD by one rule, ``_check_against_svd``: the value may miss
 sigma_dense by at most 1e-10 sigma_dense + n eps |M|_F.  Every iterative one
-goes through one ARPACK driver: an operator known only by its products with
-M and M^H gets sigma_max from ARPACK on M^H M at any scale of M, stopped at
-a Ritz estimate of 1e-12 theta, checked by the residual of its Ritz pair and
+goes through one ARPACK driver: a complex symmetric operator known only by
+its products x -> M x gets sigma_max from ARPACK on M^H M, whose product is
+conj(M conj(M x)) since M^H = conj(M), at any scale of M, stopped at a Ritz
+estimate of 1e-12 theta, checked by the residual of its Ritz pair and
 returned with its Ritz vector, which can start the next operator of a
 family.  A real symmetric positive definite
 tridiagonal T given by its bidiagonal factor, T = B^T B, gets
@@ -21,7 +22,7 @@ high relative accuracy.  A complex-symmetric
 tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
 of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
 eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
-large n, 1 / sigma_max(T^-1) from the ARPACK driver on the O(n) solves of
+large n, 1 / sigma_max(T^-1) from the ARPACK driver on the O(n) solve of
 one LAPACK zgttrf factorization (the dense SVD for n <= 2).  No routine
 here iterates by hand: each factorization, eigenvalue and singular value
 comes from LAPACK or ARPACK.
@@ -175,28 +176,31 @@ def largest_singular_value(m: np.ndarray) -> float:
 
 def operator_largest_singular_value(
     matvec: Callable[[np.ndarray], np.ndarray],
-    rmatvec: Callable[[np.ndarray], np.ndarray],
     n: int,
     start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Largest singular value of an n x n complex operator M given by its
-    products x -> M x (``matvec``) and y -> M^H y (``rmatvec``), with its
-    right singular vector.  This is the package's one ARPACK driver.
+    """Largest singular value of an n x n complex symmetric operator M
+    (M^T = M) given by its product x -> M x, with its right singular vector.
+    This is the package's one ARPACK driver.
 
     ARPACK (scipy's eigs, k = 1, ncv = min(n, _ARPACK_NCV)) finds the
-    largest eigenvalue theta of the Hermitian M^H M, one matvec and one
-    rmatvec per product, from ``start`` or, without one, from a fixed seeded
-    vector, so the value depends on M and the start alone.  theta squares
-    the scale of M, so the first product reads 2^j ~ max|M x| / max|x| and
-    every product runs on 2^-j M, an exact rescaling (j = 0 while
-    |j| <= 256, where every bit is kept); the result is (2^j sqrt(theta), v)
-    with v the unit Ritz vector, which a caller with a family of similar
-    operators passes as the next start.  tol=1e-12 stops ARPACK once the
-    Ritz estimate is below 1e-12 theta, a hundred times inside the residual
-    check below; by Kato-Temple the error of theta is then at most
-    residual^2 / gap.  The Ritz value approaches theta from below, so the
-    result approaches sigma_max from below: an estimate, not a certified
-    upper bound.  For n <= 2, where ARPACK's complex solver needs
+    largest eigenvalue theta of the Hermitian M^H M, whose product
+    conj(M conj(M x)) is two matvecs since M^H = conj(M), from ``start`` or,
+    without one, from a fixed seeded vector, so the value depends on M and
+    the start alone.  theta squares the scale of M, so the first product
+    reads 2^j ~ max|M x| / max|x| and every product runs on 2^-j M, an exact
+    rescaling (j = 0 for ratios in [2^-16 sqrt(n), 2^256], where every bit
+    is kept).  So theta stays in the float range at every scale of M, and
+    above ARPACK's floor eps^(2/3) ~ 2^-34.7, below which its stop test is
+    absolute: the ratio is at most sigma sqrt(n), so an unscaled theta is at
+    least 2^-32.  The result is (2^j sqrt(theta), v) with v the unit Ritz
+    vector, which a caller with a family of similar operators passes as the
+    next start.  tol=1e-12 stops ARPACK once the Ritz estimate is below
+    1e-12 theta, a hundred times inside the residual check below; by
+    Kato-Temple the error of theta is then at most residual^2 / gap.  The
+    Ritz value approaches theta from below, so the result approaches
+    sigma_max from below: an estimate, not a certified upper bound.  For
+    n <= 2, where ARPACK's complex solver needs
     k < n - 1, theta is read off the Gram matrix built from n products.
 
     The empty operator yields (0.0, empty v).  Raises
@@ -212,9 +216,13 @@ def operator_largest_singular_value(
         y = matvec(x)
         if j is None:
             # max moduli, not 2-norms: a sum of squares over- and underflows too
-            j = _scale_exponent(np.abs(y).max() / np.abs(x).max())
+            ratio = np.abs(y).max() / np.abs(x).max()
+            # an unscaled theta >= ratio^2 / n must stay above ARPACK's floor
+            small = ratio < 2.0**-16 * math.sqrt(n)
+            j = max(math.frexp(ratio)[1], -1000) if small else _scale_exponent(ratio)
         scale = 2.0**-j
-        return rmatvec(y * scale) * scale if j else rmatvec(y)
+        # M^H y = conj(M conj(y)) for the complex symmetric M
+        return matvec((y * scale).conj()).conj() * scale if j else matvec(y.conj()).conj()
 
     if n == 0:
         return 0.0, np.zeros(0, dtype=np.complex128)
@@ -397,10 +405,11 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
     T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
     T is factored once by LAPACK zgttrf, and operator_largest_singular_value,
     from its fixed seeded start, gives sigma_max(T^-1) with the O(n) zgttrs
-    solves T^-1 x and T^-H y against that factor as its products.  Its value
-    approaches sigma_max(T^-1) from below, so the result approaches sigma_min
-    from above: a field estimate, not a certified lower bound.  Orders
-    n <= 2, which scipy's zgttrf wrapper rejects, take the dense SVD.
+    solve x -> T^-1 x against that factor, complex symmetric as T is, as
+    its product.  Its value approaches sigma_max(T^-1) from below, so the
+    result approaches sigma_min from above: a field estimate, not a
+    certified lower bound.  Orders n <= 2, which scipy's zgttrf wrapper
+    rejects, take the dense SVD.
 
     A shift that is exactly singular (a zero pivot) or singular to working
     precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises
@@ -421,10 +430,10 @@ def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> fl
         if info > 0:
             return 0.0
 
-        def solve(trans: str) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda b: zgttrs(dl, dd, du, du2, ipiv, b, trans=trans)[0]
+        def solve(b: np.ndarray) -> np.ndarray:
+            return zgttrs(dl, dd, du, du2, ipiv, b)[0]
 
-        sigma = 1.0 / operator_largest_singular_value(solve("N"), solve("C"), n)[0]
+        sigma = 1.0 / operator_largest_singular_value(solve, n)[0]
     if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
         return 0.0
     return sigma

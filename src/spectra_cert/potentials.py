@@ -76,14 +76,18 @@ def complex_sign(v: np.ndarray) -> np.ndarray:
     out = np.zeros_like(v)
     nz = v != 0
     w = v[nz]
-    # numpy's complex division overflows or loses bits on denormal inputs
-    # (far tails of decaying potentials); rescaling by an exact power of
-    # two moves them into the normal range without changing the quotient
+    # |w| loses bits on denormal inputs (far tails of decaying potentials);
+    # rescaling by an exact power of two moves them into the normal range
+    # without changing the quotient
     tiny = np.abs(w) < 2.0**-500
     if np.any(tiny):
         w = w.copy()
         w[tiny] *= 2.0**600
-    out[nz] = w / np.abs(w)
+    # each part divided as a real array, so a real entry gives exactly +-1,
+    # where numpy's complex division is off by an ulp
+    modulus = np.abs(w)
+    out.real[nz] = w.real / modulus
+    out.imag[nz] = w.imag / modulus
     return out
 
 

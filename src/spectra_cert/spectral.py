@@ -24,10 +24,11 @@ LAPACK has no complex-symmetric tridiagonal eigensolver.  Pseudospectra take
 sigma_min(M - z) below n = 240 from one LAPACK band eigenvalue of the real
 pentadiagonal embedding of M - z, accurate to about eps |M| from either side,
 and from n = 240 up, where the O(n^2) band reduction loses, as
-1 / sigma_max((M - z)^-1) from the package's one ARPACK driver on the solves
-of a tridiagonal LU, with the driver's stop, Ritz residual check and
-power-of-two rescaling, so no |z| that fits in a float leaves its range; that
-value approaches sigma_min from above.
+1 / sigma_max((M - z)^-1) from the package's one ARPACK driver.  M - z is
+complex symmetric, and so is its inverse, so the driver's one product is one
+solve against a tridiagonal LU.  The driver's stop, Ritz residual check and
+power-of-two rescaling apply, so no |z| that fits in a float leaves its
+range; that value approaches sigma_min from above.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ class DiscretizedOperator:
     """-u'' + [l(l+1)/r^2 + V(r)] u on (0, R), stored as its bands.
 
     ``diag`` is the complex diagonal on the cell centers r_j = (j + 1/2) h,
-    j = 0 .. n-1, with ``h = domain_radius / n``; the off-diagonal is the
-    constant -1/h^2.  ``matrix`` builds the dense n x n matrix on each
-    access for the dense LAPACK routines.
+    j = 0 .. n-1, with ``h = domain_radius / n``; ``off`` is the constant
+    off-diagonal -1/h^2 on both sides.  ``matrix`` builds the dense n x n
+    matrix on each access for the dense LAPACK routines.
     """
 
     diag: np.ndarray
-    h: float
     domain_radius: float
     ell: int
 
@@ -107,12 +107,21 @@ class DiscretizedOperator:
         return self.diag.shape[0]
 
     @property
+    def h(self) -> float:
+        return self.domain_radius / self.n
+
+    @property
+    def off(self) -> np.ndarray:
+        """The off-diagonal band, n - 1 entries -1/h^2 (a fresh array)."""
+        return np.full(self.n - 1, -1.0 / self.h**2)
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense complex tridiagonal matrix (a fresh array on every call)."""
         i = np.arange(self.n)
         m = np.zeros((self.n, self.n), dtype=np.complex128)
         m[i, i] = self.diag
-        m[i[:-1], i[1:]] = m[i[1:], i[:-1]] = -1.0 / self.h**2
+        m[i[:-1], i[1:]] = m[i[1:], i[:-1]] = self.off
         return m
 
 
@@ -168,7 +177,7 @@ def discretize_radial(
         frobenius_sq = np.sum(np.abs(diag) ** 2) + 2 * (n - 1) * np.float64(radius / n) ** -4
     if not np.isfinite(frobenius_sq):
         raise SpectralError(f"the sector operator overflows at radius {radius:g} on {n} cells")
-    return DiscretizedOperator(diag=diag, h=radius / n, domain_radius=radius, ell=ell)
+    return DiscretizedOperator(diag=diag, domain_radius=radius, ell=ell)
 
 
 def free_floor(op: DiscretizedOperator) -> float:
@@ -185,8 +194,7 @@ def free_floor(op: DiscretizedOperator) -> float:
 
     j = _scale_exponent(h**-2)
     diag = np.ldexp(_sector_diagonal(op.ell, radius, op.n), -j)
-    off = np.full(op.n - 1, math.ldexp(-1.0 / h**2, -j))
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vals = eigvalsh_tridiagonal(diag, np.ldexp(op.off, -j), select="i", select_range=(0, 0))
     return math.ldexp(float(vals[0]), j)
 
 
@@ -241,9 +249,8 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     floor = free_floor(op)
     if outlier_tol is None:
         outlier_tol = 10.0 * floor
-    off = -1.0 / op.h**2
-    offs = np.full(op.n - 1, off)
-    norm = _tridiagonal_frobenius(op.diag, offs)
+    off = op.off
+    norm = _tridiagonal_frobenius(op.diag, off)
     if op.diag.imag.any():
         vals, vecs = eig_complex(op.matrix)
         diag = op.diag
@@ -252,12 +259,12 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
 
         # real symmetric tridiagonal: ascending eigenvalues are already in
         # (re, im) order, and the pairs stay real until they are reported
-        vals, vecs = eigh_tridiagonal(op.diag.real, offs)
+        vals, vecs = eigh_tridiagonal(op.diag.real, off)
         diag = op.diag.real
     # banded M V - V diag(vals) for every pair at once: O(n) per pair
     res = (diag[:, np.newaxis] - vals) * vecs
-    res[:-1] += off * vecs[1:]
-    res[1:] += off * vecs[:-1]
+    res[:-1] += off[:, np.newaxis] * vecs[1:]
+    res[1:] += off[:, np.newaxis] * vecs[:-1]
     residuals = np.linalg.norm(res, axis=0)
     missed = np.flatnonzero(residuals > _EIG_RESIDUAL_TOL * norm)
     if missed.size:
@@ -318,7 +325,7 @@ def pseudospectrum(
     _check_window(re_range, im_range)
     res = np.linspace(re_range[0], re_range[1], _PSEUDO_GRID_N)
     ims = np.linspace(im_range[0], im_range[1], _PSEUDO_GRID_N)
-    off = np.full(op.n - 1, -1.0 / op.h**2)
+    off = op.off
     banded = op.n < _ARPACK_MIN_N
     sigma_min = band_smallest_singular_value if banded else tridiagonal_smallest_singular_value
     sig = np.array([[sigma_min(op.diag - (zr + 1j * zi), off) for zr in res] for zi in ims])

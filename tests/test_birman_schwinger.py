@@ -515,6 +515,17 @@ class TestSemiseparableSectors:
                 assert abs(sigma - sigma_dense) <= 1e-10 * sigma_dense, (z, sigma, sigma_dense)
                 assert abs(fro**2 - fro_sq_dense) <= 1e-13 * fro_sq_dense, (z, fro, fro_sq_dense)
 
+    @pytest.mark.parametrize("z", [1j, -1 + 1j, 5 - 0.01j])
+    def test_small_sector_norms_match_dense_svd(self, z):
+        # sigma_max ~ 5e-8 at l = 8: theta = sigma^2 fell below ARPACK's floor
+        # eps^(2/3), the stop test turned absolute and the Ritz pair missed the
+        # residual check (measured: 1.6e-15)
+        potential, grid = catalog("yukawa", g=1.0, mu=1e5), default_bs_grid(256)
+        bm = assemble_bs(potential, z, grid, ell_max=8)
+        dense = dense_sector_norms(potential, z, grid, 8)
+        for sigma, (sigma_dense, _) in zip(bm.per_ell_norms, dense):
+            assert abs(sigma - sigma_dense) <= 1e-13 * sigma_dense, (sigma, sigma_dense)
+
     def test_overflow_raises(self):
         with pytest.raises(BSError, match="overflows"):
             assemble_bs(gaussian(), -1e8 + 1j, default_bs_grid(n=64), ell_max=100)

@@ -1137,6 +1137,22 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("mu", ["1e5", "1e7"])
+    def test_small_bs_norms_run_as_they_validate(self, tmp_path, capsys, command, mu):
+        # sector norms near 1e-7 put theta = sigma^2 below ARPACK's floor
+        # eps^(2/3): the run exited 1 on its Ritz residual check
+        stem = "bs_norm_hardy"
+        args = [
+            f"output.path={tmp_path / stem}",
+            f'potential={{"name": "yukawa", "params": {{"g": 1.0, "mu": {mu}}}}}',
+            "grid_n=256",
+            "ell_max=8",
+        ]
+        code = main([command, *sample_args(stem), *(a for item in args for a in ("--set", item))])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_strongest_uniform_field_runs_clean(self, tmp_path, capsys):
         stem = "magnetic_smoke_uniform"
         args = [f"output.path={tmp_path / stem}", "potential.params.b=1e154"]

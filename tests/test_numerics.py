@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectra_cert import birman_schwinger as bs
 from spectra_cert import numerics as nx
+from spectra_cert import spectral
 from spectra_cert.birman_schwinger import default_bs_grid, log_uniform_grid, sector_matrices
 from spectra_cert.potentials import catalog
 
@@ -281,20 +283,27 @@ class TestBidiagonalGramInverseNorm:
             nx.bidiagonal_gram_inverse_norm(np.ones(3), np.ones(3))
 
 
-def products(m):
-    """(x -> M x, y -> M^H y) of a dense matrix."""
-    return (lambda x: m @ x), (lambda y: m.conj().T @ y)
+def complex_symmetric(n, seed):
+    """A seeded n x n complex symmetric matrix, M^T = M."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return m + m.T
+
+
+def product(m):
+    """x -> M x of a dense matrix."""
+    return lambda x: m @ x
 
 
 class TestOperatorLargestSingularValue:
-    """sigma_max from ARPACK on M^H M against a dense SVD."""
+    """sigma_max from ARPACK on M^H M = conj(M) M of a complex symmetric M
+    against a dense SVD."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 60])
     def test_matches_dense_svd(self, n):
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = complex_symmetric(n, n)
         want = np.linalg.svd(m, compute_uv=False)[0]
-        got, v = nx.operator_largest_singular_value(*products(m), n)
+        got, v = nx.operator_largest_singular_value(product(m), n)
         assert abs(got - want) <= 1e-12 * want
         # v is a unit right singular vector: M^H M v = sigma^2 v
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
@@ -304,19 +313,18 @@ class TestOperatorLargestSingularValue:
     def test_warm_start_agrees_with_the_cold_start(self, n):
         # start from the Ritz vector of a nearby operator, as neighbouring
         # sectors do
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        near = m + 0.1 * rng.standard_normal((n, n))
-        cold, _ = nx.operator_largest_singular_value(*products(m), n)
-        _, start = nx.operator_largest_singular_value(*products(near), n)
-        warm, _ = nx.operator_largest_singular_value(*products(m), n, start)
+        m = complex_symmetric(n, n)
+        near = m + 0.1 * complex_symmetric(n, n + 100)
+        cold, _ = nx.operator_largest_singular_value(product(m), n)
+        _, start = nx.operator_largest_singular_value(product(near), n)
+        warm, _ = nx.operator_largest_singular_value(product(m), n, start)
         assert abs(warm - cold) <= 1e-13 * cold
 
     def test_empty_and_zero_operators(self):
-        sigma, v = nx.operator_largest_singular_value(*products(np.zeros((0, 0))), 0)
+        sigma, v = nx.operator_largest_singular_value(product(np.zeros((0, 0))), 0)
         assert sigma == 0.0 and v.shape == (0,)
         for n in (1, 2):
-            assert nx.operator_largest_singular_value(*products(np.zeros((n, n))), n)[0] == 0.0
+            assert nx.operator_largest_singular_value(product(np.zeros((n, n))), n)[0] == 0.0
 
     def test_arpack_failure_raises(self, monkeypatch):
         import scipy.sparse.linalg
@@ -326,19 +334,28 @@ class TestOperatorLargestSingularValue:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", failed)
         with pytest.raises(nx.NumericsError, match="ARPACK sigma_max"):
-            nx.operator_largest_singular_value(*products(np.eye(5)), 5)
+            nx.operator_largest_singular_value(product(np.eye(5)), 5)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
     @pytest.mark.parametrize("n", [2, 60])
     def test_scale_past_the_squared_range(self, scale, n):
         # sigma^2 leaves the float range past about 1e154 and below 1e-154;
         # the driver runs on M / 2^j, which leaves the value and v as they are
-        rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        want, v_want = nx.operator_largest_singular_value(*products(m), n)
-        got, v = nx.operator_largest_singular_value(*products(scale * m), n)
+        m = complex_symmetric(n, n)
+        want, v_want = nx.operator_largest_singular_value(product(m), n)
+        got, v = nx.operator_largest_singular_value(product(scale * m), n)
         assert abs(got - scale * want) <= 1e-12 * scale * want
         assert abs(abs(np.vdot(v, v_want)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-20, 1e-70])
+    def test_small_norm_stays_above_the_arpack_floor(self, scale):
+        # theta = sigma^2 < eps^(2/3) ~ 3.7e-11 turns ARPACK's stop test
+        # absolute, and the Ritz pair then missed the residual check; the
+        # driver rescales a first ratio below 2^-16 sqrt(n) (measured: 1.8e-15)
+        m = scale * complex_symmetric(60, 60)
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        got, _ = nx.operator_largest_singular_value(product(m), 60)
+        assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("route", ["sigma_max", "sigma_min"])
     def test_wrong_ritz_value_fails_the_residual_check(self, monkeypatch, route):
@@ -354,7 +371,7 @@ class TestOperatorLargestSingularValue:
         d = np.arange(1.0, 6.0)
         with pytest.raises(nx.NumericsError, match="Ritz residual"):
             if route == "sigma_max":
-                nx.operator_largest_singular_value(*products(np.diag(d)), 5)
+                nx.operator_largest_singular_value(product(np.diag(d)), 5)
             else:
                 nx.tridiagonal_smallest_singular_value(d + 0.5j, np.full(4, 0.25))
 
@@ -371,12 +388,87 @@ class TestOperatorLargestSingularValue:
         driver = nx.operator_largest_singular_value
 
         def counted(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return driver(*args)
 
         monkeypatch.setattr(nx, "operator_largest_singular_value", counted)
         nx.tridiagonal_smallest_singular_value(np.arange(1.0, 41.0) + 0.5j, np.full(39, 0.25))
         assert calls == [40]
+
+
+def symmetry_defect(matvec, n):
+    """|x^T M y - y^T M x| / max(|x| |M y|, |y| |M x|) on seeded complex x, y:
+    0 up to rounding exactly when M is complex symmetric."""
+    rng = np.random.default_rng(n)
+    x, y = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    mx, my = matvec(x), matvec(y)
+    scale = max(np.linalg.norm(x) * np.linalg.norm(my), np.linalg.norm(y) * np.linalg.norm(mx))
+    return abs(x @ my - y @ mx) / scale
+
+
+class TestDriverProductsAreComplexSymmetric:
+    """The ARPACK driver forms M^H x as conj(M conj(x)), which holds only for
+    M^T = M: every product a caller hands it must be complex symmetric."""
+
+    SECTOR_POTENTIALS = {
+        "hardy": catalog("hardy", a=0.5),
+        "gaussian": catalog("gaussian", v0=1.5, c_im=1.2),
+        "imaginary-hardy": catalog("imaginary_hardy", beta=0.3),
+        "yukawa": catalog("yukawa", g=1.0, mu=1.0),
+    }
+
+    @staticmethod
+    def recorded(monkeypatch, module):
+        """The (matvec, n) of each driver call made through ``module``."""
+        calls = []
+        driver = nx.operator_largest_singular_value
+
+        def recording(matvec, n, *args):
+            calls.append((matvec, n))
+            return driver(matvec, n, *args)
+
+        monkeypatch.setattr(module, "operator_largest_singular_value", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", list(SECTOR_POTENTIALS))
+    def test_sector_products(self, monkeypatch, name):
+        # measured: at most 5.3e-17
+        calls = self.recorded(monkeypatch, bs)
+        for z in (1j, -1 + 1j, 5 - 0.01j):
+            bs.assemble_bs(self.SECTOR_POTENTIALS[name], z, default_bs_grid(128), 4)
+        assert len(calls) == 3 * 5
+        for matvec, n in calls:
+            assert symmetry_defect(matvec, n) <= 1e-13
+
+    def test_sector_product_that_keeps_a_changing_sign_fails(self, monkeypatch):
+        # every catalog row has one sign, so L G L S = s L G L is symmetric
+        # too; the plant keeps the sign of a V that changes sign mid-grid
+        exact = bs._single_pair_product
+
+        def signed(rho, a, b, scale):
+            sign = np.where(np.arange(scale.size) < scale.size // 2, 1.0, -1.0)
+            matvec = exact(rho, a, b, scale)
+            return lambda x: matvec(sign * x)
+
+        calls = self.recorded(monkeypatch, bs)
+        monkeypatch.setattr(bs, "_single_pair_product", signed)
+        # the value is not sigma_max of the true sector, which the dense check sees too
+        with pytest.raises(nx.NumericsError, match="misses the dense SVD"):
+            bs.assemble_bs(self.SECTOR_POTENTIALS["hardy"], 1j, default_bs_grid(128), 0)
+        [(matvec, n)] = calls
+        assert symmetry_defect(matvec, n) > 1e-3
+
+    def test_pseudospectrum_inverse(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 3)
+        calls = self.recorded(monkeypatch, nx)
+        op = spectral.discretize_radial(
+            catalog("imaginary_hardy", beta=0.3), 0, 14.0, spectral._ARPACK_MIN_N
+        )
+        spectral.pseudospectrum(op, (-2.0, 6.0), (-2.0, 2.0))
+        assert len(calls) == 9
+        # measured: at most 3.5e-16
+        for matvec, n in calls:
+            assert symmetry_defect(matvec, n) <= 1e-13
 
 
 class TestExtrapolationAndFits:

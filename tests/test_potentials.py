@@ -13,6 +13,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectra_cert.birman_schwinger import default_bs_grid
 from spectra_cert.multipliers import MultiplierError, multiplier_catalog
 from spectra_cert import potentials
 from spectra_cert.potentials import (
@@ -264,10 +265,25 @@ class TestComplexSign:
         # numpy's complex division overflows on denormal inputs; the far
         # tail of a decaying potential must still get sign -1, not nan
         v = np.array([-1e-310 + 0j, -5e-324 + 0j, 1e-320j])
+        assert complex_sign(v).tolist() == [-1.0, -1.0, 1j]
+
+    def test_real_entries_are_exactly_one_in_modulus(self):
+        # numpy's vectorised complex division read -0x1.fffffffffffffp-1 on
+        # 8 of these 120 Hardy nodes
+        hardy_nodes = catalog("hardy", a=0.5).radial_profile(default_bs_grid(128).nodes)
+        assert np.all(complex_sign(hardy_nodes) == -1.0)
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(1000) * 10.0 ** rng.uniform(-300, 300, 1000)
+        v = np.concatenate([v, [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308]])
         s = complex_sign(v)
-        assert np.all(np.isfinite(s))
-        # one ulp of slack: complex division rounds even on normal inputs
-        assert np.allclose(s, [-1.0, -1.0, 1j], rtol=0, atol=5e-16)
+        assert np.array_equal(s, np.sign(v)) and not s.imag.any()
+
+    def test_complex_entries_have_unit_modulus_within_two_ulp(self):
+        rng = np.random.default_rng(11)
+        v = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000)) * 10.0 ** rng.uniform(
+            -320, 300, 1000
+        )
+        assert np.max(np.abs(np.abs(complex_sign(v)) - 1.0)) <= 2 * np.finfo(float).eps
 
 
 class TestMagnetic:
