@@ -297,16 +297,24 @@ def _sector_steps(
     and nothing underflows on geometric grids down to r ~ 1e-79.
     """
     kappa = _kappa(z)
-    c = 2.0 * np.arange(ell_max + 1)[:, np.newaxis] + 1.0
-    dr = np.diff(r)
-    gap = c * np.log1p(dr / r[:-1]) + 2.0 * kappa.real * dr
+    c_r, gap = _free_steps(np.arange(ell_max + 1)[:, np.newaxis], r)
     a = b = np.ones((ell_max + 1, r.size))
     if kappa != 0.0 and r.size:
+        gap += 2.0 * kappa.real * np.diff(r)
         a, b = _scaled_bessel_factors(kappa * r, ell_max)
         if z.imag == 0.0:
             a, b = a.real, b.real
         gap += np.diff(np.log(np.abs(a)), axis=1) - np.diff(np.log(np.abs(b)), axis=1)
-    return a, b, np.abs(a) * np.abs(b) / (c * r), gap
+    return a, b, np.abs(a) * np.abs(b) / c_r, gap
+
+
+def _free_steps(ell, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """((2l+1) r, (2l+1) log1p(dr_i / r_i)) on the increasing nodes r, for
+    an int l or a column of them: the z = 0 diagonal 1 / |g_l^0(r_i, r_i)|
+    and neighbour gaps of _sector_steps, which adds the Bessel and decay
+    terms at z != 0 to these."""
+    c = 2.0 * ell + 1.0
+    return c * r, c * np.log1p(np.diff(r) / r[:-1])
 
 
 def _running_sums(x: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -317,10 +325,11 @@ def _running_sums(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     s = np.array(x, dtype=float)
     weight = np.zeros_like(s)  # q_(j-1), and 0 at j = 0
     weight[..., 1:] = q
-    shift = 1
-    while shift < s.shape[-1]:
+    shift, n = 1, s.shape[-1]
+    while shift < n:
         s[..., shift:] += weight[..., shift:] * s[..., :-shift]
-        weight[..., shift:] *= weight[..., :-shift]
+        if 2 * shift < n:  # the last pass's weights would go unread
+            weight[..., shift:] *= weight[..., :-shift]
         shift *= 2
     return s
 
@@ -724,12 +733,14 @@ def hs_norm(
     Route (i) sums (2l+1) |M_l|_F^2 over the z = 0 sectors l <= ell_max and
     completes the truncation with the asymptotic tail.  The Frobenius norms
     come from running sums over the neighbour steps of g_l^0 (see
-    _node_masses): O(n ell_max) work and memory, no n x n matrix, so
-    fine reference grids stay cheap.  Route (ii) is |V|_R / (4 pi) with the
-    Rollnik norm computed by the condition checkers.  Route (i) runs on the
-    row with amp divided by 2^j (potentials._unit_row) and scales back by
-    2^j (BSError past the float range), as the Rollnik norm rescales its own
-    row, so neither route leaves the float range while the norm fits in it.
+    _node_masses), one sector at a time: O(n ell_max) work, and O(n)
+    working memory besides the (ell_max+1) x n node masses, no n x n
+    matrix, so fine reference grids stay cheap.  Route (ii) is
+    |V|_R / (4 pi) with the Rollnik norm computed by the condition
+    checkers.  Route (i) runs on the row with amp divided by 2^j
+    (potentials._unit_row) and scales back by 2^j (BSError past the float
+    range), as the Rollnik norm rescales its own row, so neither route
+    leaves the float range while the norm fits in it.
     A divergent Rollnik norm (+inf, Hardy-type potentials) makes both +inf;
     a +inf norm of a row in the class left the float range (BSError).  The
     arguments pass _check_sector_args at z = 0, as hs-identity configs do.
@@ -743,9 +754,15 @@ def hs_norm(
     if grid is None:
         grid = log_uniform_grid(_HS_GRID_R_MIN, 16.0, 1600)
     unit, j = _unit_row(potential, length=1.0)
-    g_diag, gap = _sector_steps(0j, grid.nodes, ell_max)[2:]
-    x = unit.abs_radial(grid.nodes) * grid.nodes**2 * grid.weights * g_diag
-    direct = _in_float_range(_completed_hs_norm(_node_masses(x, gap)[1]), j, "HS norm")
+    r = grid.nodes
+    alpha = unit.abs_radial(r) * r**2 * grid.weights
+    # one sector at a time, the lower masses stacked for one row-sum product
+    lower = np.empty((ell_max + 1, r.size))
+    for ell in range(ell_max + 1):
+        c_r, gap = _free_steps(ell, r)
+        # alpha times g_diag = 1 / c_r, rounded as _sector_steps rounds it
+        lower[ell] = _node_masses(alpha * (1.0 / c_r), gap)[0]
+    direct = _in_float_range(_completed_hs_norm(lower @ np.ones(r.size)), j, "HS norm")
     via_rollnik = rollnik / (4.0 * np.pi)
     ref = max(direct, via_rollnik)
     gap = abs(direct - via_rollnik) / ref if ref > 0 else 0.0

@@ -89,7 +89,6 @@ import hashlib
 import io
 import json
 import math
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -652,9 +651,12 @@ def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
 
 
 def _atomic_write(path: Path, data: bytes) -> str:
-    """Write via temp file + rename; returns the content sha256."""
+    """Write via temp file + rename; returns the content sha256.  The file
+    gets mode 0o666 less the umask, as a plain open would give it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    # a 64-bit random name, and O_EXCL refuses any file already there
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

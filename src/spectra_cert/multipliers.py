@@ -78,9 +78,8 @@ _DEFAULT_N = 320
 _HARDY_N = 600
 _SETTLE_TOL = 1e-6
 
-# the magnetic smoke check's tangential sample points and their seed
+# the magnetic smoke check's tangential sample points (_magnetic_points)
 _MAGNETIC_SAMPLES = 100
-_MAGNETIC_SEED = 0
 
 
 def _sgn2(lam: complex) -> float:
@@ -209,9 +208,10 @@ def _radial_nodes(
     """Quadrature on (0, r_max]: uniform Gauss panels, which also end at the
     ``breaks`` (jumps of V) inside (0, r_max), or uniform midpoints.
 
-    Probe densities are smooth up to the support edge, where the bump is
-    C-infinity but not analytic; uniform panels resolve that edge, and the
-    per-panel Gauss rule converges superalgebraically under refinement.  The
+    A break that falls on a uniform edge adds no panel.  Probe densities
+    are smooth up to the support edge, where the bump is C-infinity but not
+    analytic; uniform panels resolve that edge, and the per-panel Gauss
+    rule converges superalgebraically under refinement.  The
     midpoint rule exists for the refinement-order studies: its O(h^2) error
     is visible across a refinement sweep, where the Gauss panels would sit
     at roundoff from the first grid on.
@@ -221,7 +221,8 @@ def _radial_nodes(
         # see a finer grid
         panels = max(1, n // 8)
         inside = [b for b in breaks if 0.0 < b < r_max]
-        return panel_gauss(np.union1d(np.linspace(0.0, r_max, panels + 1), inside), 8)
+        # a set merge: np.union1d would load numpy.ma into scipy-free runs
+        return panel_gauss(sorted({*np.linspace(0.0, r_max, panels + 1).tolist(), *inside}), 8)
     if rule == "midpoint":
         h = r_max / n
         nodes = h * (np.arange(n) + 0.5)
@@ -704,6 +705,23 @@ def radi_identity_terms(u: TestFunction, lam: complex, potential: Potential) -> 
     return _identity_rows([("radial-key", potential)], u, lam)
 
 
+def _magnetic_points(radius: float) -> np.ndarray:
+    """_MAGNETIC_SAMPLES points in the shell 0.2 R <= |x| <= 0.95 R, R = radius.
+
+    The directions form a golden-angle spiral, evenly spaced in cos(theta)
+    and turning by pi (3 - sqrt 5) from one point to the next.  The radius
+    of point k is 0.2 R + 0.75 R frac((k + 1) (sqrt 5 - 1) / 2), so the
+    radii fill the shell without rising with latitude.
+    """
+    k = np.arange(_MAGNETIC_SAMPLES)
+    cos_t = 1.0 - (2.0 * k + 1.0) / _MAGNETIC_SAMPLES
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    r = radius * (0.2 + 0.75 * ((k + 1) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0))
+    directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
+    return r[:, np.newaxis] * directions
+
+
 @dataclass(frozen=True)
 class MagneticSmokeReport:
     b_tau_sup: float
@@ -723,9 +741,10 @@ def magnetic_identity_smoke(
     factor adds nothing to B_tau . grad_A u; the report carries the sup of
     |B_tau|, of |B_tau . x/|x||, and of the phase-matched difference
     B_tau . grad_A u^- - e^(-i sgn(l2) sqrt(l1) |x|) B_tau . grad_A u over
-    100 seeded sample points (seed 0) in the shell 0.2 R <= |x| <= 0.95 R
-    of the probe support.  The field is evaluated on the whole sample array
-    at once, through the (..., d) contract of :class:`MagneticPotential`.
+    the 100 fixed points of _magnetic_points, a golden-angle spiral in the
+    shell 0.2 R <= |x| <= 0.95 R of the probe support.  The field is
+    evaluated on the whole sample array at once, through the (..., d)
+    contract of :class:`MagneticPotential`.
 
     The G1 = 1 identity l1 ||u||^2 - int |grad_A u|^2 = Re int f conj(u),
     f := Delta_A u + lam u, reduces to a radial one since A . grad u = 0
@@ -738,12 +757,7 @@ def magnetic_identity_smoke(
     sig = _sgn2(lam)
     root = math.sqrt(lam.real)
 
-    # sample points, pulled into the shell along their rays where needed
-    rng = np.random.default_rng(_MAGNETIC_SEED)
-    x = rng.uniform(-radius, radius, size=(_MAGNETIC_SAMPLES, 3))
-    r = np.linalg.norm(x, axis=1)
-    outside = ~((0.2 * radius <= r) & (r <= 0.95 * radius))
-    x[outside] *= ((0.6 * radius) / np.maximum(r[outside], 1e-12))[:, None]
+    x = _magnetic_points(radius)
     r = np.linalg.norm(x, axis=1)
     bt = b_tau(a_field, x)
     bt_norm = np.linalg.norm(bt, axis=1)

@@ -1160,12 +1160,12 @@ class TestMainExitCodes:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert json.loads((tmp_path / f"{stem}.json").read_text()) == {
-            "b_tau_dot_x_sup": 9.923771382382684e137,
-            "b_tau_sup": 9.999999741807682e153,
+            "b_tau_dot_x_sup": 1.4425865552057938e138,
+            "b_tau_sup": 9.999499987499377e153,
             "field": "uniform_z",
             "identity_residual": 0.0,
             "lambda": [1.0, 0.5],
-            "tangential_residual": 1.7378526265024817e-16,
+            "tangential_residual": 1.7457838052471984e-16,
         }
 
     def test_strongest_gaussian_gets_its_constants(self, tmp_path, capsys):
@@ -1355,6 +1355,27 @@ class TestPlumbing:
         assert target.read_bytes() == b"{}\n"
         assert digest == hashlib.sha256(b"{}\n").hexdigest()
         assert [p.name for p in target.parent.iterdir()] == ["file.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_reports_and_manifest_follow_the_umask(self, tmp_path, capsys, umask, mode):
+        stem = "singular_sequence"
+        old = os.umask(umask)
+        try:
+            code = main(["run", *sample_args(stem), "--set", f"output.path={tmp_path / stem}"])
+        finally:
+            os.umask(old)
+        assert code == 0
+        written = sorted(tmp_path.iterdir())
+        assert [p.name for p in written] == [f"{stem}.{ext}" for ext in ("csv", "json", "manifest.json")]
+        assert [p.stat().st_mode & 0o777 for p in written] == [mode] * 3
+
+    def test_failed_atomic_write_leaves_no_temp_files(self, tmp_path):
+        # the rename onto a non-empty directory fails once the temp file is written
+        target = tmp_path / "taken"
+        (target / "inside").mkdir(parents=True)
+        with pytest.raises(OSError):
+            _atomic_write(target, b"{}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_csv_from_an_experiment_without_columns_fails(self, tmp_path):
         # parse_config refuses this; a hand-built config reaches run

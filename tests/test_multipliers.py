@@ -502,6 +502,19 @@ class TestMagneticChecks:
         with pytest.raises(MultiplierError, match="Re lambda"):
             magnetic_identity_smoke(BUMP, -1.0, self.UNIFORM)
 
+    def test_sample_points_are_one_fixed_spiral_in_the_shell(self, monkeypatch):
+        # no random number generator: with numpy.random out of reach the
+        # smoke check still runs, and every call reads the same 100 points
+        monkeypatch.setattr(np, "random", None, raising=False)
+        radius = CHIRPED.support_radius
+        x = multipliers._magnetic_points(radius)
+        r = np.linalg.norm(x, axis=1)
+        assert x.shape == (100, 3)
+        assert np.all((0.2 * radius <= r) & (r <= 0.95 * radius))
+        assert np.array_equal(multipliers._magnetic_points(radius), x)
+        rep = magnetic_identity_smoke(CHIRPED, 1.0 + 1.0j, self.UNIFORM)
+        assert rep.tangential_residual < 1e-12
+
     @pytest.mark.parametrize("samples", [7, 100])
     def test_field_calls_do_not_scale_with_points(self, monkeypatch, samples):
         # the field is evaluated on the whole sample array: one A call and
