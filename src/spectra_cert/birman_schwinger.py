@@ -102,11 +102,11 @@ __all__ = [
     "BSMatrix",
     "HSNormResult",
     "MepsRecord",
-    "green_function",
     "pointwise_bound_check",
     "sector_matrices",
     "assemble_bs",
     "hs_norm",
+    "default_bs_grid",
     "log_uniform_grid",
     "bs_principle_matrix_check",
     "kappa_scaling",
@@ -151,11 +151,11 @@ def _kappa(z: complex) -> complex:
     return cmath.sqrt(-complex(z))
 
 
-def green_function(z: complex, s) -> np.ndarray:
+def _green_function(z: complex, s) -> np.ndarray:
     """Free resolvent kernel at separation s: exp(-kappa s) / (4 pi s)."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
-        raise BSError("green_function needs positive separation s")
+        raise BSError("the Green function needs positive separation s")
     kappa = _kappa(z)
     out = np.exp(-kappa * s_arr) / (4.0 * np.pi * s_arr)
     if np.isscalar(s):
@@ -171,8 +171,8 @@ def pointwise_bound_check(z: complex, samples: Sequence[float]) -> bool:
     """
     _check_off_positive_axis(z)
     s = np.asarray(samples, dtype=float)
-    gz = np.abs(green_function(z, s))
-    g0 = np.abs(green_function(0.0, s))
+    gz = np.abs(_green_function(z, s))
+    g0 = np.abs(_green_function(0.0, s))
     return bool(np.all(gz <= g0))
 
 
@@ -676,8 +676,8 @@ def assemble_bs(
     )
 
 
-def default_bs_grid(n: int = 256, r_max: float = 40.0) -> RadialGrid:
-    """Grid used when callers do not supply one: geometric panels.
+def default_bs_grid(n: int, r_max: float = 40.0) -> RadialGrid:
+    """The bs-norm grid of about n nodes below r_max: geometric panels.
 
     Tiles [r_max * ratio^-K, r_max] with K = max(2, n // 10) panels of fixed
     ratio sqrt(10) carrying 10 Gauss nodes each (two panels per decade), so

@@ -6,14 +6,14 @@ numeric knobs.  ``parse_config`` validates it and returns its canonical
 form, a JSON-ready dict: the experiment, dimension and output, the keys
 the experiment reads with the grid defaults of ``_DEFAULTS`` filled in,
 numbers as ints or floats, complex numbers as ``[re, im]`` and potential
-params sorted by name.  ``serialize_config`` and ``spectra-cert validate``
-print that dict, and the runners read it by key.  ``run`` dispatches to the
-library, writes every requested format atomically (temp file + rename) and
-returns the manifest it writes: the config, the toolkit version, the
-thread cap, per-stage wall times and content hashes of every written file.
-Neither function mutates the config it is given.  Reports themselves
-contain no wall-clock data, so identical configs produce byte-identical
-JSON and CSV outputs; timing lives only in the manifest.
+params sorted by name.  ``spectra-cert validate`` prints that dict, and the
+runners read it by key.  ``run`` dispatches to the library, writes every
+requested format atomically (temp file + rename) and returns the manifest
+it writes: the config, the toolkit version, the thread cap, per-stage wall
+times and content hashes of every written file.  Neither function mutates
+the config it is given.  Reports themselves contain no wall-clock data,
+so identical configs produce byte-identical JSON and CSV outputs; timing
+lives only in the manifest.
 
 Exit codes: 0 success, 1 a numerical check failed while running (an
 invariant raised in a library module), 2 the config did not validate.
@@ -138,7 +138,6 @@ __all__ = [
     "ConfigError",
     "RunFailure",
     "parse_config",
-    "serialize_config",
     "run",
     "main",
 ]
@@ -149,9 +148,8 @@ _COMMON_KEYS = frozenset({"experiment", "dimension", "output"})
 _DEFAULTS = {"dimension": 3, "grid_n": 256, "r_max": 40.0, "ell_max": 32}
 
 # probes used by the probe-based experiments; fixed so runs are reproducible
-_PROBE_SUPPORT = 2.5
-_PROBE_CHIRP = 0.4
-_SEQUENCE_SUPPORT = 1.0
+_CHIRPED_PROBE = TestFunction("radial-gaussian-bump", 2.5, chirp=0.4)
+_SEQUENCE_PROBE = TestFunction("radial-gaussian-bump", 1.0)
 # numpy refuses arrays past sys.maxsize bytes: grid_n complex nodes must fit
 _MAX_GRID_N = sys.maxsize // 16
 # the radial grid of each Birman-Schwinger experiment, from (grid_n, r_max)
@@ -250,7 +248,7 @@ def parse_config(doc: str | dict) -> dict:
 
     ``doc`` is the JSON text or the object it decodes to, which is left
     unchanged.  Every error message names the offending field.  The result
-    holds only JSON types, ``serialize_config`` prints it, and
+    holds only JSON types, ``spectra-cert validate`` prints it, and
     ``parse_config`` returns it as it is.
     """
     raw = _decode(doc) if isinstance(doc, str) else doc
@@ -374,7 +372,7 @@ def parse_config(doc: str | dict) -> dict:
     return config
 
 
-def serialize_config(config: dict) -> str:
+def _serialize_config(config: dict) -> str:
     """Canonical JSON form; parse_config inverts it exactly."""
     return json.dumps(config, sort_keys=True, indent=2) + "\n"
 
@@ -524,18 +522,17 @@ def _run_pseudospectrum(config, pot, stages):
 
 
 def _run_identity_check(config, pot, stages):
-    probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
     lam = complex(*config["lambda"])
     rows = _stage(
         stages,
         "multipliers.identity_term_rows",
-        lambda: identity_term_rows(probe, lam),
+        lambda: identity_term_rows(_CHIRPED_PROBE, lam),
     )
     if pot is not None:
         rows = rows + _stage(
             stages,
             "multipliers.radi_identity_terms",
-            lambda: radi_identity_terms(probe, lam, pot),
+            lambda: radi_identity_terms(_CHIRPED_PROBE, lam, pot),
         )
     # every term is real: value_im is the constant 0.0 column
     ids, names, values, residuals = zip(*rows)
@@ -545,12 +542,13 @@ def _run_identity_check(config, pot, stages):
 
 
 def _run_singular_sequence(config, pot, stages):
-    probe = TestFunction("radial-gaussian-bump", _SEQUENCE_SUPPORT)
     lam = config["lambda"][0]
     report = _stage(
         stages,
         "spectral.singular_sequence_decay",
-        lambda: singular_sequence_decay(probe, (math.sqrt(lam), 0.0, 0.0), config["n_list"]),
+        lambda: singular_sequence_decay(
+            _SEQUENCE_PROBE, (math.sqrt(lam), 0.0, 0.0), config["n_list"]
+        ),
     )
     payload = {
         "lambda": lam,
@@ -565,12 +563,11 @@ def _run_singular_sequence(config, pot, stages):
 
 
 def _run_magnetic_smoke(config, pot, stages):
-    probe = TestFunction("radial-gaussian-bump", _PROBE_SUPPORT, chirp=_PROBE_CHIRP)
     lam = complex(*config["lambda"])
     report = _stage(
         stages,
         "multipliers.magnetic_identity_smoke",
-        lambda: magnetic_identity_smoke(probe, lam, pot),
+        lambda: magnetic_identity_smoke(_CHIRPED_PROBE, lam, pot),
     )
     payload = {
         "field": config["potential"]["name"],
@@ -748,7 +745,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    sys.stdout.write(serialize_config(_read_config(args.config, args.set or [])))
+    sys.stdout.write(_serialize_config(_read_config(args.config, args.set or [])))
     return 0
 
 

@@ -37,20 +37,16 @@ __all__ = [
     "ConditionError",
     "ConditionReport",
     "ThresholdTable",
-    "hardy_constant",
     "subordination_a_pointwise",
     "rollnik_norm",
     "frank_l32",
-    "sobolev_chain_a",
     "lambda_constant",
     "thresholds",
     "b_constants",
-    "evaluate_theorems",
     "build_report",
-    "SOBOLEV_CHAIN_CONSTANT",
 ]
 
-SOBOLEV_CHAIN_CONSTANT = 2.0 ** (4.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0))
+_SOBOLEV_CHAIN_CONSTANT = 2.0 ** (4.0 / 3.0) / (3.0 * np.pi ** (4.0 / 3.0))
 
 
 class ConditionError(ValueError):
@@ -101,7 +97,7 @@ def _row_sup(potential: Potential, coefficients: tuple) -> float:
     return float(max(candidates))
 
 
-def hardy_constant(d: int) -> float:
+def _hardy_constant(d: int) -> float:
     """The Hardy constant ((d-2)/2)^2 at every d that ``_check_dimension`` admits."""
     _check_dimension(d, ConditionError)
     return ((d - 2) / 2.0) ** 2
@@ -113,7 +109,7 @@ def subordination_a_pointwise(potential: Potential) -> float:
     The Hardy inequality turns this supremum into an upper bound for the
     form-subordination constant; +inf when the supremum is.
     """
-    cd2 = hardy_constant(potential.dimension)
+    cd2 = _hardy_constant(potential.dimension)
     unit, e = _unit_row(potential)
     return _scaled_back(_row_sup(unit, (abs(unit.amp),)) / cd2, e)
 
@@ -238,11 +234,18 @@ def rollnik_norm(potential: Potential) -> float:
     return _scaled_sqrt(_rollnik_radial(unit), 2 * e)
 
 
-def _l32_and_chain(potential: Potential) -> tuple[float, float]:
-    """(int |V|^{3/2}, its Sobolev chain) from one integral on the row V~ of
-    ``potentials._unit_row``: 2^(3e/2) and 2^e times V~'s (half of e outside
-    the power 3/2), so the chain is finite and nonzero wherever its value is,
-    even where the integral itself leaves the float range."""
+def frank_l32(potential: Potential) -> tuple[float, float]:
+    """(int |V|^{3/2}, its Sobolev chain (int |V|^{3/2})^{2/3} 2^{4/3} /
+    (3 pi^{4/3})) for d = 3, (+inf, +inf) when |V|^{3/2} is not integrable.
+
+    The L^{3/2} condition compares the integral with 3^{3/2} / (4 pi^2), and
+    the chain bounds the form-subordination constant; no verdict reads
+    either, the report carries both.  One integral on the row V~ of
+    ``potentials._unit_row`` gives both, 2^(3e/2) and 2^e times V~'s (half
+    of e outside the power 3/2).  The chain is scaled from V~'s integral,
+    not from the returned one, so it is finite and nonzero wherever it fits
+    in a float, even where the integral overflows or underflows.
+    """
     _check_dimension(potential.dimension, ConditionError, 3)
     if not _in_classes(potential):
         return math.inf, math.inf
@@ -251,23 +254,8 @@ def _l32_and_chain(potential: Potential) -> tuple[float, float]:
     half, odd = divmod(e, 2)
     return (
         _scaled_back(l32 * 2.0 ** (1.5 * odd), 3 * half),
-        _scaled_back(l32 ** (2.0 / 3.0) * SOBOLEV_CHAIN_CONSTANT, e),
+        _scaled_back(l32 ** (2.0 / 3.0) * _SOBOLEV_CHAIN_CONSTANT, e),
     )
-
-
-def frank_l32(potential: Potential) -> float:
-    """int |V|^{3/2} (d = 3), +inf when |V|^{3/2} is not integrable.
-
-    The L^{3/2} condition compares it with 3^{3/2} / (4 pi^2); no verdict
-    does, the report carries the value itself.
-    """
-    return _l32_and_chain(potential)[0]
-
-
-def sobolev_chain_a(potential: Potential) -> float:
-    """(int |V|^{3/2})^{2/3} * 2^{4/3} / (3 pi^{4/3}), the chained bound
-    (d = 3), +inf when |V|^{3/2} is not integrable."""
-    return _l32_and_chain(potential)[1]
 
 
 def lambda_constant(potential: Potential) -> float:
@@ -336,7 +324,7 @@ def b_constants(potential: Potential) -> tuple[float, float, float]:
     decides before b1 does, may be optimistic.
     """
     d = potential.dimension
-    cd2 = hardy_constant(d)
+    cd2 = _hardy_constant(d)
     unit, e = _unit_row(potential)
     re, s = unit.amp.real, unit.s
     s1 = _row_sup(unit, (-re,))
@@ -370,7 +358,7 @@ class ConditionReport:
                 raise ConditionError(f"constant {name} must be nonnegative")
 
 
-def evaluate_theorems(report: ConditionReport, d: int) -> dict:
+def _evaluate_theorems(report: ConditionReport, d: int) -> dict:
     """Verdicts {pass, fail, inconclusive} for the four checked statements.
 
     Pointwise certificates are sufficient-only: a finite certificate above
@@ -411,12 +399,14 @@ def evaluate_theorems(report: ConditionReport, d: int) -> dict:
 def build_report(potential: Potential) -> ConditionReport:
     """Compute every constant for one potential and attach verdicts.
 
-    int |V|^{3/2} and its Sobolev chain come from one integral."""
+    At d = 3 the integral-class slots come from ``rollnik_norm`` and from
+    one ``frank_l32`` call, which gives int |V|^{3/2} and its Sobolev chain
+    from one quadrature; at d > 3 they read +inf."""
     d = potential.dimension
     a = subordination_a_pointwise(potential)
     if d == 3:
         rollnik = rollnik_norm(potential)
-        frank, chain = _l32_and_chain(potential)
+        frank, chain = frank_l32(potential)
     else:
         rollnik = frank = chain = math.inf
     lam = lambda_constant(potential)
@@ -431,4 +421,4 @@ def build_report(potential: Potential) -> ConditionReport:
         b2=b2,
         b3=b3,
     )
-    return replace(report, verdicts=evaluate_theorems(report, d))
+    return replace(report, verdicts=_evaluate_theorems(report, d))

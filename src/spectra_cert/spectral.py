@@ -57,7 +57,6 @@ __all__ = [
     "SpectralError",
     "DiscretizedOperator",
     "discretize_radial",
-    "free_floor",
     "SpectrumReport",
     "spectrum",
     "PseudospectrumField",
@@ -180,7 +179,7 @@ def discretize_radial(
     return DiscretizedOperator(diag=diag, domain_radius=radius, ell=ell)
 
 
-def free_floor(op: DiscretizedOperator) -> float:
+def _free_floor(op: DiscretizedOperator) -> float:
     """Finite-size gap: smallest eigenvalue of the free operator on
     the same grid (real symmetric).  Everything below ~this scale is size
     effect, not spectrum.  For l >= 1 LAPACK, whose stopping tolerance is
@@ -246,7 +245,7 @@ def spectrum(op: DiscretizedOperator, outlier_tol: Optional[float] = None) -> Sp
     [0, inf) at that scale, discrete eigenvalues sit beyond it.
     """
     _check_outlier_tol(outlier_tol)
-    floor = free_floor(op)
+    floor = _free_floor(op)
     if outlier_tol is None:
         outlier_tol = 10.0 * floor
     off = op.off

@@ -39,6 +39,7 @@ from scipy.linalg import svdvals
 import spectra_cert.birman_schwinger as bs
 from spectra_cert.birman_schwinger import (
     BSError,
+    _green_function,
     _kappa,
     _node_masses,
     _running_sums,
@@ -48,7 +49,6 @@ from spectra_cert.birman_schwinger import (
     assemble_bs,
     bs_principle_matrix_check,
     default_bs_grid,
-    green_function,
     hs_norm,
     kappa_scaling,
     log_uniform_grid,
@@ -80,23 +80,23 @@ SAMPLES = np.geomspace(1e-3, 50.0, 200)
 
 class TestGreenFunction:
     def test_z0_value(self):
-        assert green_function(0.0, 1.0) == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
+        assert _green_function(0.0, 1.0) == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
 
     def test_decay_value(self):
         # kappa = 1 at z = -1
         want = math.exp(-1.0) / (4 * math.pi)
-        assert green_function(-1.0, 1.0) == pytest.approx(want, rel=1e-14)
+        assert _green_function(-1.0, 1.0) == pytest.approx(want, rel=1e-14)
 
     def test_origin_asymptotics(self):
         s = 1e-8
-        assert green_function(-2.0 + 1j, s) * 4 * math.pi * s == pytest.approx(
+        assert _green_function(-2.0 + 1j, s) * 4 * math.pi * s == pytest.approx(
             1.0, rel=1e-6
         )
 
     @pytest.mark.parametrize("s", [0.0, -1.0, [1.0, 0.0]])
     def test_nonpositive_separation_rejected(self, s):
         with pytest.raises(BSError, match="positive separation"):
-            green_function(-1.0, s)
+            _green_function(-1.0, s)
 
     def test_kappa_values(self):
         assert _kappa(-1.0) == pytest.approx(1.0)

@@ -36,10 +36,10 @@ from spectra_cert.cli import (
     _apply_thread_cap,
     _atomic_write,
     _run_bs_norm,
+    _serialize_config,
     main,
     parse_config,
     run,
-    serialize_config,
 )
 from spectra_cert.multipliers import TestFunction as Probe
 from spectra_cert.multipliers import (
@@ -150,7 +150,7 @@ class TestParseConfig:
         ]
         for text in texts:
             cfg = parse_config(text)
-            again = parse_config(serialize_config(cfg))
+            again = parse_config(_serialize_config(cfg))
             assert again == cfg
 
     def test_config_is_its_canonical_json(self, tmp_path):
@@ -163,7 +163,7 @@ class TestParseConfig:
             before = copy.deepcopy(doc)
             cfg = parse_config(doc)
             assert doc == before, name
-            assert json.loads(serialize_config(cfg)) == cfg, name
+            assert json.loads(_serialize_config(cfg)) == cfg, name
             assert parse_config(cfg) == cfg, name
             # perfbench reruns one parsed config on every pass
             before = copy.deepcopy(cfg)
@@ -334,7 +334,7 @@ class TestParseConfig:
             **{k: v for k, v in grid.items() if k in read},
         )
         cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(_serialize_config(cfg)) == cfg
 
 
 GAUSSIAN = catalog("gaussian", v0=1.0)

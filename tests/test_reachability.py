@@ -1,11 +1,20 @@
 """Every public name and every knob of the package has a caller besides its tests.
 
-A name listed in a module's ``__all__`` must be read somewhere in ``src/``,
-in a ``scripts/*.py`` study or in the acceptance suite.  Its own ``def`` or
-``class`` statement, an assignment to it and its ``__all__`` string do not
-count, and neither do the unit tests: a witness reached only by its own unit
-tests has no path from ``spectra-cert run`` and should be wired in or
-deleted.
+A module's ``__all__`` is what other code uses.  A module-level function or
+constant without a leading underscore is in its module's ``__all__``
+exactly when a user imports it, lazily too, or loads it as ``module.name``
+through an imported module.  The users are the other package modules, the
+``scripts/*.py`` studies, the acceptance suite and the ``perfbench/*.py``
+files; a target that ``perfbench/tracing.py`` traces and a
+``[project.scripts]`` entry point count as well.  A same-named attribute
+(``report.frank_l32`` reads a field), a same-named local (a script's own
+``main``) and the unit tests do not count: a witness reached only by its
+own unit tests has no path from ``spectra-cert run`` and should be wired in
+or deleted, and a name that only its own module uses is private.  An
+exported class keeps the one-sided rule, since its fields and members have
+rules of their own: its name must be read somewhere in the sources, that is
+``src/``, the studies and the acceptance suite, other than by its own
+``class`` statement and its ``__all__`` string.
 
 Every defaulted parameter of an exported function or public method, and
 every defaulted field of an exported dataclass, is a knob: some call in
@@ -60,11 +69,12 @@ One dense cross-check, one scaled square root and one magnetic identity: the
 rule 1e-10 sigma_dense + n eps |M|_F is written only in
 ``numerics._check_against_svd``, ``divmod`` splits a scale exponent only in
 ``numerics._scaled_sqrt`` and in the 3/2 power of
-``conditions._l32_and_chain``, and ``multipliers._magnetic_sides`` takes
+``conditions.frank_l32``, and ``multipliers._magnetic_sides`` takes
 its sides from ``_id1_sides`` without forming a term of its own.
 """
 
 import ast
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -78,8 +88,18 @@ SOURCES = (
     + [ROOT / "tests" / "test_acceptance.py"]
 )
 
-# cli.main(argv) is the seam the exit-code tests drive
-KNOB_EXEMPTIONS = {"cli.main(argv)"}
+# the files besides the package modules whose imports and ``module.name``
+# loads make a package name public
+EXPORT_USERS = (
+    sorted((ROOT / "scripts").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
+    + sorted((ROOT / "perfbench").glob("*.py"))
+)
+
+# cli.main(argv) is the seam the exit-code tests drive; the CLI passes
+# r_max to default_bs_grid through _BS_GRIDS["bs-norm"](grid_n, r_max), a
+# call whose callee the rule cannot name, while the studies omit it
+KNOB_EXEMPTIONS = {"cli.main(argv)", "birman_schwinger.default_bs_grid(r_max)"}
 
 
 def _trees(paths: list[Path]) -> list[ast.Module]:
@@ -289,16 +309,125 @@ def knob_uses() -> tuple[list[str], list[str]]:
     return unpassed, unomitted
 
 
-def test_every_export_is_used_outside_the_unit_tests():
+def package_reads(tree: ast.Module, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, name) for every name that a file imports from a package
+    module, lazily too, or loads as ``module.name`` through a package module
+    it imported.  ``from . import name`` and ``from spectra_cert import name``
+    import the module ``name`` when there is one and otherwise read ``name``
+    from ``__init__``."""
+    reads: set[tuple[str, str]] = set()
+    aliases: dict[str, str] = {}  # local dotted name -> package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, module = alias.name.partition(".")
+                if top == "spectra_cert" and module in modules:
+                    aliases[alias.asname or alias.name] = module
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                source = node.module
+            elif (node.module or "").split(".")[0] == "spectra_cert":
+                source = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if source is None and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add((source or "__init__", alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node.value, (ast.Name, ast.Attribute)):
+                module = aliases.get(ast.unparse(node.value))
+                if module:
+                    reads.add((module, node.attr))
+    return reads
+
+
+def traced_targets() -> set[tuple[str, str]]:
+    """(module, function) for every entry of ``perfbench/tracing.py``'s TARGETS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    value = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    return {(home, attr) for home, attr, _ in ast.literal_eval(value)}
+
+
+def entry_points() -> set[tuple[str, str]]:
+    """(module, function) for every ``[project.scripts]`` entry of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"spectra_cert\.(\w+):(\w+)"', section))
+
+
+def _package_texts() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def export_mismatches(texts: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(exported without a user, used without an export) over the module-level
+    functions and constants of the package modules, given as module -> text.
+
+    The names checked are every ``__all__`` entry that is not a class and
+    every top-level ``def`` or assigned name without a leading underscore.
+    """
+    trees = {mod: ast.parse(text) for mod, text in texts.items()}
+    users = traced_targets() | entry_points()
+    for path in EXPORT_USERS:
+        users |= package_reads(ast.parse(path.read_text()), set(trees))
+    for mod, tree in trees.items():
+        users |= {(home, name) for home, name in package_reads(tree, set(trees)) if home != mod}
+    unused, unexported = [], []
+    for mod, tree in trees.items():
+        exported = set(_all_of(tree))
+        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        defined: set[str] = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        public = {name for name in defined if not name.startswith("_")}
+        for name in sorted((exported - classes) | public):
+            if name in exported and (mod, name) not in users:
+                unused.append(f"{mod}.{name}")
+            elif name not in exported and (mod, name) in users:
+                unexported.append(f"{mod}.{name}")
+    return unused, unexported
+
+
+def test_all_lists_exactly_the_names_other_modules_use():
+    assert len(exported_names()) > 50
+    assert export_mismatches(_package_texts()) == ([], [])
+
+
+def test_a_same_named_field_is_no_user():
+    # cli reads report.sobolev_chain_a, a field, not this function
+    texts = _package_texts()
+    texts["conditions"] = texts["conditions"].replace(
+        "__all__ = [\n", '__all__ = [\n    "sobolev_chain_a",\n', 1
+    ) + "\n\ndef sobolev_chain_a(potential):\n    return frank_l32(potential)[1]\n"
+    assert export_mismatches(texts) == (["conditions.sobolev_chain_a"], [])
+
+
+def test_a_name_that_cli_imports_is_exported():
+    texts = _package_texts()
+    texts["birman_schwinger"] = texts["birman_schwinger"].replace('    "default_bs_grid",\n', "", 1)
+    assert export_mismatches(texts) == ([], ["birman_schwinger.default_bs_grid"])
+
+
+def test_every_exported_class_is_used_outside_the_unit_tests():
     used = used_names(SOURCES)
-    exports = exported_names()
-    assert len(exports) > 50
-    unused = [f"{mod}.{name}" for mod, name in exports if name not in used]
-    assert unused == []
+    classes = _exported_classes()
+    assert len(classes) > 20
+    assert [f"{mod}.{cls.name}" for mod, cls in classes if cls.name not in used] == []
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
-    assert len(defaulted_knobs()) >= 12
+    assert len(defaulted_knobs()) >= 13
     unpassed = knob_uses()[0]
     assert sorted(set(unpassed) - KNOB_EXEMPTIONS) == []
     # an exemption that a caller now passes, or whose knob is gone, is stale
@@ -334,7 +463,7 @@ FIELD_READERS = {
     "multipliers.TestFunction.family": "multipliers.TestFunction.ell",
     "potentials.MagneticPotential.name": "potentials.MagneticPotential._rotated",
     "potentials.Potential.dimension": "conditions.rollnik_norm",
-    "spectral.DiscretizedOperator.ell": "spectral.free_floor",
+    "spectral.DiscretizedOperator.ell": "spectral._free_floor",
     "spectral.SpectrumReport.outlier_tol": "cli._run_spectrum",
 }
 
@@ -516,7 +645,7 @@ def test_one_row_scaling_rule():
             "conditions.lambda_constant",
             "conditions.b_constants",
             "conditions.rollnik_norm",
-            "conditions._l32_and_chain",
+            "conditions.frank_l32",
             "birman_schwinger.assemble_bs",
             "birman_schwinger.hs_norm",
             "birman_schwinger.m_eps_hs_check",
@@ -663,7 +792,7 @@ def test_one_scaled_square_root():
     # b1, b2, the Rollnik norm and the M_eps closed form take
     # sqrt(x 2^e) from numerics._scaled_sqrt; int |V|^(3/2) splits its own
     assert scope_readers({"divmod"}) == {
-        "divmod": {"numerics._scaled_sqrt", "conditions._l32_and_chain"}
+        "divmod": {"numerics._scaled_sqrt", "conditions.frank_l32"}
     }
 
 

@@ -35,8 +35,8 @@ from spectra_cert.numerics import (
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import (
     SpectralError,
+    _free_floor,
     discretize_radial,
-    free_floor,
     pseudospectrum,
     singular_sequence_decay,
     spectrum,
@@ -146,25 +146,25 @@ class TestDiscretizeRadial:
 class TestFreeFloor:
     def test_radial_matches_law(self):
         op = discretize_radial(None, 0, 12.0, 64)
-        assert free_floor(op) == pytest.approx(radial_free_law(12.0, 64)[0])
+        assert _free_floor(op) == pytest.approx(radial_free_law(12.0, 64)[0])
 
     def test_centrifugal_raises_floor(self):
-        f0 = free_floor(discretize_radial(None, 0, 12.0, 64))
-        f2 = free_floor(discretize_radial(HARDY, 2, 12.0, 64))
+        f0 = _free_floor(discretize_radial(None, 0, 12.0, 64))
+        f2 = _free_floor(discretize_radial(HARDY, 2, 12.0, 64))
         assert f2 > f0
 
     def test_centrifugal_floor_matches_dense_free_matrix(self):
         op = discretize_radial(HARDY, 2, 12.0, 64)
         free = discretize_radial(None, 2, 12.0, 64)
         expect = float(np.linalg.eigvalsh(free.matrix.real)[0])
-        assert free_floor(op) == pytest.approx(expect, rel=1e-12)
+        assert _free_floor(op) == pytest.approx(expect, rel=1e-12)
 
 
     def test_floor_where_r_squared_overflows(self):
         # the outer nodes of R = 1e155 have r^2 past the float range, where
         # l(l+1)/r^2 takes its limit 0 without an overflow warning
-        floor = free_floor(discretize_radial(None, 1, 1e155, 64))
-        assert free_floor(discretize_radial(None, 0, 1e155, 64)) <= floor < math.inf
+        floor = _free_floor(discretize_radial(None, 1, 1e155, 64))
+        assert _free_floor(discretize_radial(None, 0, 1e155, 64)) <= floor < math.inf
 
     @pytest.mark.parametrize("radius", [1e100, 1e155])
     @pytest.mark.parametrize("ell", [1, 2])
@@ -173,7 +173,7 @@ class TestFreeFloor:
         # the safe minimum: 8.19e-197 at l = 1, R = 1e100, where dense reads 2.02e-199
         op = discretize_radial(None, ell, radius, 64)
         expect = float(np.linalg.eigvalsh(op.matrix.real)[0])
-        assert abs(free_floor(op) - expect) <= 1e-11 * expect, (free_floor(op), expect)
+        assert abs(_free_floor(op) - expect) <= 1e-11 * expect, (_free_floor(op), expect)
 
 
 class TestSpectrum:
