@@ -9,7 +9,7 @@ eigendecomposition, returned as LAPACK's sorted value and vector arrays
 (its callers check the residuals), and reads either
 extremal singular value off one dense LAPACK SVD.  A fast route is checked
 against that SVD by one rule, ``_check_against_svd``: the value may miss
-sigma_dense by at most 1e-10 sigma_dense + n eps |M|_F.  Every iterative one
+sigma_dense by at most 1e-10 sigma_dense + n eps |M|_F.  Every Krylov one
 goes through one ARPACK driver: a complex symmetric operator known only by
 its products x -> M x gets sigma_max from ARPACK on M^H M, whose product is
 conj(M conj(M x)) since M^H = conj(M), at any scale of M, stopped at a Ritz
@@ -19,13 +19,12 @@ family.  A real symmetric positive definite
 tridiagonal T given by its bidiagonal factor, T = B^T B, gets
 |T^-1| = 1 / sigma_min(B)^2 from one bisection, with no n x n matrix and to
 high relative accuracy.  A complex-symmetric
-tridiagonal T = X + iY has two sigma_min routines: one LAPACK band eigenvalue
-of the real symmetric pentadiagonal embedding [[X, Y], [Y, -X]], whose
-eigenvalues are +-sigma_k(T) (O(n^2) band reduction, no iteration), and, for
-large n, 1 / sigma_max(T^-1) from the ARPACK driver on the O(n) solve of
-one LAPACK zgttrf factorization (the dense SVD for n <= 2).  No routine
-here iterates by hand: each factorization, eigenvalue and singular value
-comes from LAPACK or ARPACK.
+tridiagonal T = X + iY gets sigma_min(T - z) at a whole grid of shifts z from
+one vectorised bisection on Sturm counts of the real block tridiagonal
+embedding [[X, Y], [Y, -X]], whose eigenvalues are +-sigma_k, in numpy
+alone.  Apart from that bisection no routine here iterates by hand: each
+other factorization, eigenvalue and singular value comes from LAPACK or
+ARPACK.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ __all__ = [
     "operator_largest_singular_value",
     "smallest_singular_value",
     "bidiagonal_gram_inverse_norm",
-    "band_smallest_singular_value",
-    "tridiagonal_smallest_singular_value",
+    "tridiagonal_smallest_singular_values",
     "aitken_extrapolate",
     "fit_loglog_slope",
 ]
@@ -57,6 +55,11 @@ __all__ = [
 # Arnoldi basis size and start-vector seed of the ARPACK driver
 _ARPACK_NCV = 8
 _ARPACK_START_SEED = 0
+# halvings of a Sturm bisection bracket: 2^-52 = eps of its top
+_STURM_SWEEPS = 52
+# each Sturm block determinant moves this far from zero, on entries rescaled
+# to at most 1: far below eps^2, and e^2 / 2^-400 keeps products in range
+_STURM_PIVMIN = 2.0**-400
 
 
 class NumericsError(ValueError):
@@ -177,7 +180,7 @@ def largest_singular_value(m: np.ndarray) -> float:
 def operator_largest_singular_value(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
-    start: np.ndarray | None = None,
+    start: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
     """Largest singular value of an n x n complex symmetric operator M
     (M^T = M) given by its product x -> M x, with its right singular vector.
@@ -186,7 +189,7 @@ def operator_largest_singular_value(
     ARPACK (scipy's eigs, k = 1, ncv = min(n, _ARPACK_NCV)) finds the
     largest eigenvalue theta of the Hermitian M^H M, whose product
     conj(M conj(M x)) is two matvecs since M^H = conj(M), from ``start`` or,
-    without one, from a fixed seeded vector, so the value depends on M and
+    when it is None, from a fixed seeded vector, so the value depends on M and
     the start alone.  theta squares the scale of M, so the first product
     reads 2^j ~ max|M x| / max|x| and every product runs on 2^-j M, an exact
     rescaling (j = 0 for ratios in [2^-16 sqrt(n), 2^256], where every bit
@@ -346,45 +349,96 @@ def bidiagonal_gram_inverse_norm(diag: np.ndarray, off: np.ndarray) -> float:
     return float(norm)
 
 
-def band_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
-    """Smallest singular value of a complex tridiagonal matrix with a real
-    off-diagonal, as one LAPACK band eigenvalue.
+def tridiagonal_smallest_singular_values(
+    diag: np.ndarray, off: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """sigma_min(T - z) of a complex tridiagonal T with a real off-diagonal,
+    for every shift z at once, by bisection on Sturm counts.
 
     T has diagonal ``diag`` (n,) and the real ``off`` (n - 1,) on both
-    off-diagonals, so T = X + iY with X real symmetric tridiagonal and Y
-    diagonal.  The real symmetric embedding [[X, Y], [Y, -X]] has the
-    eigenvalues +-sigma_k(T) (Bunse-Gerstner and Gragg, 1988); perfectly
-    shuffled, it is pentadiagonal of order 2n.  LAPACK dsbevx reduces it to
-    tridiagonal form (dsbtrd) and bisects for eigenvalue n + 1 alone, which is
-    sigma_min.  The value is accurate to about eps * |T| from either side.
+    off-diagonals, so T - z = X + iY, X real symmetric and Y diagonal.  The
+    embedding E = [[X, Y], [Y, -X]] has the eigenvalues +-sigma_k(T - z)
+    (Bunse-Gerstner and Gragg, 1988); perfectly shuffled, it is block
+    tridiagonal, with diagonal blocks [[a_k, b_k], [b_k, -a_k]],
+    a_k + i b_k = d_k - z, coupled by diag(e_k, -e_k).  The block LDL^T of
+    E - sigma I has the pivots S_k = [[p, c], [c, q]], Delta_k = pq - c^2,
+    S_(k+1) = [[a - sigma, b], [b, -a - sigma]] - f [[q, c], [c, p]] with
+    f = e_k^2 / Delta_k, and by Sylvester's law of inertia S_k holds one
+    eigenvalue of E below sigma when Delta_k < 0, two when Delta_k > 0 > p
+    and none when both are positive: more than n lie below sigma exactly
+    when sigma > sigma_min.  After a nearly singular block (the leading
+    blocks of a localized pseudomode, near sigma_min) f is large, pq and c^2
+    cancel at order f^2, and Delta is the expansion of det S_(k+1) in f,
+    with no f^2 term.  (pq - c^2 alone missed the dense SVD by 5000 eps
+    sigma_max at n = 128; the expansion alone, 70 eps sigma_max near
+    eigenvalues at n = 512.)  Each bracket [0, |T - z|_F / sqrt(n)]
+    halves 52 times, to eps times its top (sigma_min^2 is at most the mean
+    sigma_k^2): the value is accurate to about eps |T - z| from either side,
+    and no stopping test can fail.  Each shift runs on its own exact
+    rescaling 2^-j (T - z), with 2^j above |T - z|_F, so no |z| that fits in
+    a float leaves the float range, and every Delta moves 2^-400 away from
+    zero, as LAPACK's pivmin keeps a pivot off zero.  A sweep loops over k
+    with vector operations across the shifts: O(shifts) memory.
 
-    A shift singular to working precision (sigma_min <= n * eps * |T|_F)
-    yields exactly 0.0.  Raises :class:`NumericsError` when LAPACK reports a
-    failure or does not return exactly one eigenvalue.
+    A shift singular to working precision (sigma_min <= n eps |T - z|_F)
+    yields exactly 0.0.  Returns an array of the shape of ``shifts``.
     """
-    from scipy.linalg.lapack import dsbevx
-
     d = np.asarray(diag, dtype=np.complex128)
     e = np.asarray(off)
     n = d.shape[0]
     if e.shape != (n - 1,) or np.iscomplexobj(e):
         raise ValueError(f"off-diagonal must be real with shape ({n - 1},)")
-    # upper band storage, kd = 2: row 2 the diagonal, row 1 the first
-    # superdiagonal (Y couples 2k and 2k + 1), row 0 the second (X couples
-    # 2k and 2k + 2, -X couples 2k + 1 and 2k + 3)
-    ab = np.zeros((3, 2 * n), order="F")
-    ab[2, 0::2] = d.real
-    ab[2, 1::2] = -d.real
-    ab[1, 1::2] = d.imag
-    ab[0, 2::2] = e
-    ab[0, 3::2] = -e
-    w, _, m, _, info = dsbevx(ab, 0.0, 0.0, n + 1, n + 1, compute_v=0, range=2)
-    if info != 0 or m != 1:
-        raise NumericsError(f"band sigma_min: LAPACK dsbevx info={info}, {m} eigenvalues")
-    sigma = float(w[0])
-    if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
-        return 0.0
-    return sigma
+    z = np.asarray(shifts, dtype=np.complex128)
+    shape, z = z.shape, z.ravel()
+    # |T - z|_F^2 / n = spread^2 + |mean(d) - z|^2: the deviations sum to zero
+    dev = np.abs(d - d.mean())
+    big = max(dev.max(), np.abs(e).max(initial=0.0)) or 1.0
+    spread = big * math.sqrt((np.sum((dev / big) ** 2) + 2 * np.sum((e / big) ** 2)) / n)
+    top = np.hypot(spread, np.abs(d.mean() - z))
+    # 2^j >= top sqrt(n) >= |T - z|_F, within +-1000 so that 2^-j is normal
+    j = np.clip(np.frexp(top)[1] + (n.bit_length() + 1) // 2, -1000, 1000)
+    scale = np.ldexp(1.0, -j)
+    # (e_(k-1) 2^-j)^2 as e2[k] * t2, every factor in range; block 0 has none
+    g = math.frexp(np.abs(e).max(initial=0.0))[1]
+    e2, t2 = np.concatenate(([0.0], np.ldexp(e, -g) ** 2)), np.ldexp(1.0, 2 * (g - j))
+    xs, ys = z.real * scale, z.imag * scale
+    lo, hi = np.zeros(z.size), top * scale
+    huge = 4.0 * hi  # a larger q follows a nearly singular block
+    p, q, c, det, d11, d22, d12, f, fq, fc, ef, dx, large, tmp, acc = np.empty((15, z.size))
+    for _ in range(_STURM_SWEEPS):
+        mid = 0.5 * (lo + hi)
+        xp, xm = xs + mid, xs - mid
+        p[:], q[:], c[:], det[:], acc[:] = 0.0, 0.0, 0.0, 1.0, 0.0
+        for k in range(n):
+            # [[d11, d12], [d12, d22]] = [[a - sigma, b], [b, -a - sigma]] of
+            # block k, rescaled, less f [[q, c], [c, p]] of block k - 1
+            np.multiply(d[k].real, scale, out=tmp)
+            np.subtract(tmp, xp, out=d11)
+            np.subtract(xm, tmp, out=d22)
+            np.subtract(np.multiply(d[k].imag, scale, out=d12), ys, out=d12)
+            np.divide(np.multiply(e2[k], t2, out=ef), det, out=f)
+            np.multiply(f, q, out=fq)
+            np.subtract(d22, np.multiply(f, p, out=tmp), out=q)
+            np.subtract(d11, fq, out=p)
+            np.subtract(d12, np.multiply(f, c, out=fc), out=c)
+            # Delta = pq - c^2, or where q is huge its expansion in f,
+            # d11 q - d22 fq - d12 (c - fc) + f e^2
+            np.subtract(np.multiply(p, q, out=det), np.multiply(c, c, out=tmp), out=det)
+            np.subtract(np.multiply(d11, q, out=dx), np.multiply(d22, fq, out=tmp), out=dx)
+            np.subtract(dx, np.multiply(d12, np.subtract(c, fc, out=tmp), out=tmp), out=dx)
+            np.add(dx, np.multiply(f, ef, out=tmp), out=dx)
+            np.greater(np.abs(q, out=tmp), huge, out=large)
+            np.add(det, np.multiply(large, np.subtract(dx, det, out=dx), out=dx), out=det)
+            np.add(det, np.copysign(_STURM_PIVMIN, det, out=tmp), out=det)
+            # acc = n - (eigenvalues of E below mid): +1 per block with none,
+            # -1 per block with two
+            np.add(acc, np.copysign(np.greater(det, 0.0, out=tmp), p, out=tmp), out=acc)
+        below = acc < 0  # sigma_min < mid
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    sigma = np.ldexp(0.5 * (lo + hi), j)
+    sigma[sigma <= n * np.finfo(float).eps * math.sqrt(n) * top] = 0.0
+    return sigma.reshape(shape)
 
 
 def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
@@ -397,46 +451,6 @@ def _tridiagonal_frobenius(d: np.ndarray, e: np.ndarray) -> float:
 
     off = dznrm2(e) if e.size else 0.0  # fblas refuses the empty vector
     return math.hypot(dznrm2(d), off, off)
-
-
-def tridiagonal_smallest_singular_value(diag: np.ndarray, off: np.ndarray) -> float:
-    """Smallest singular value of a complex tridiagonal matrix, 1 / sigma_max(T^-1).
-
-    T has diagonal ``diag`` (n,) and ``off`` (n - 1,) on both off-diagonals.
-    T is factored once by LAPACK zgttrf, and operator_largest_singular_value,
-    from its fixed seeded start, gives sigma_max(T^-1) with the O(n) zgttrs
-    solve x -> T^-1 x against that factor, complex symmetric as T is, as
-    its product.  Its value approaches sigma_max(T^-1) from below, so the
-    result approaches sigma_min from above: a field estimate, not a
-    certified lower bound.  Orders n <= 2, which scipy's zgttrf wrapper
-    rejects, take the dense SVD.
-
-    A shift that is exactly singular (a zero pivot) or singular to working
-    precision (sigma_min <= n * eps * |T|_F) yields exactly 0.0.  Raises
-    :class:`NumericsError` when ARPACK fails or its Ritz pair misses the
-    driver's residual check.
-    """
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
-    d = np.asarray(diag, dtype=np.complex128)
-    e = np.asarray(off, dtype=np.complex128)
-    n = d.shape[0]
-    if e.shape != (n - 1,):
-        raise ValueError(f"off-diagonal needs shape ({n - 1},), got {e.shape}")
-    if n <= 2:
-        sigma = smallest_singular_value(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    else:
-        dl, dd, du, du2, ipiv, info = zgttrf(e, d, e)
-        if info > 0:
-            return 0.0
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            return zgttrs(dl, dd, du, du2, ipiv, b)[0]
-
-        sigma = 1.0 / operator_largest_singular_value(solve, n)[0]
-    if sigma <= n * np.finfo(float).eps * _tridiagonal_frobenius(d, e):
-        return 0.0
-    return sigma
 
 
 def aitken_extrapolate(values: Sequence[float]) -> float:

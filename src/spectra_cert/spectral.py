@@ -20,15 +20,11 @@ the finite-size gap of the free operator at the same resolution.
 The solvers follow the band structure.  A real diagonal (real V) is a real
 symmetric tridiagonal matrix and goes to LAPACK's tridiagonal eigensolver
 (``eigh_tridiagonal``); a complex diagonal goes to the dense zgeev, since
-LAPACK has no complex-symmetric tridiagonal eigensolver.  Pseudospectra take
-sigma_min(M - z) below n = 240 from one LAPACK band eigenvalue of the real
-pentadiagonal embedding of M - z, accurate to about eps |M| from either side,
-and from n = 240 up, where the O(n^2) band reduction loses, as
-1 / sigma_max((M - z)^-1) from the package's one ARPACK driver.  M - z is
-complex symmetric, and so is its inverse, so the driver's one product is one
-solve against a tridiagonal LU.  The driver's stop, Ritz residual check and
-power-of-two rescaling apply, so no |z| that fits in a float leaves its
-range; that value approaches sigma_min from above.
+LAPACK has no complex-symmetric tridiagonal eigensolver.  A pseudospectrum
+map takes sigma_min(M - z) at all its grid points from one vectorised
+bisection on Sturm counts of the real embedding of M - z, numpy only, each
+point rescaled on its own, every value accurate to about eps |M - z| from
+either side (``numerics.tridiagonal_smallest_singular_values``).
 """
 
 from __future__ import annotations
@@ -45,11 +41,10 @@ from .numerics import (
     _check_against_svd,
     _scale_exponent,
     _tridiagonal_frobenius,
-    band_smallest_singular_value,
     eig_complex,
     fit_loglog_slope,
     smallest_singular_value,
-    tridiagonal_smallest_singular_value,
+    tridiagonal_smallest_singular_values,
 )
 from .potentials import Potential, _check_dimension
 
@@ -74,14 +69,9 @@ class SpectralError(ValueError):
 _EIG_RESIDUAL_TOL = 1e-10
 # points per axis of the pseudospectrum grid
 _PSEUDO_GRID_N = 40
-# from this size up, pseudospectra take sigma_min from the tridiagonal LU and
-# the ARPACK driver (O(n) per product); below it the band eigenvalue (O(n^2)
-# reduction) is faster.  Measured on a 2-vCPU Xeon with one BLAS thread, 160
-# points of the imaginary-Hardy window, band vs ARPACK per point in three runs:
-# 0.87-0.91 vs 0.92-1.07 ms at n = 192, 1.06-1.16 vs 0.95-1.21 ms at 224,
-# 1.21-1.27 vs 0.93-1.14 ms at 240, 1.44-1.45 vs 1.05-1.17 ms at 256; the
-# crossing moves between runs within 192-240.
-_ARPACK_MIN_N = 240
+# below this size the lowest point of a pseudospectrum map is checked against a
+# dense SVD of M - z, whose O(n^3) cost stays under a few percent of the map's
+_DENSE_CHECK_BELOW_N = 240
 # the largest sector l of a discretization, as for the Birman-Schwinger
 # Bessel factors: the spectrum experiment scans every sector l = 0 .. ell_max
 _ELL_MAX = 128
@@ -310,30 +300,25 @@ def pseudospectrum(
 
     For a self-adjoint discretization sigma_min equals the distance to the
     spectrum; non-normal complex-potential operators can dip far below it.
-    Below n = 240 each point is ``band_smallest_singular_value``, accurate to
-    about eps |M - z| from either side, and the map's lowest point is checked
-    against a dense SVD of M - z (under 1 % of the map's time); a
-    disagreement beyond 1e-10 relative plus n eps |M - z|_F
-    (numerics._check_against_svd) raises :class:`NumericsError`.  From
-    n = 240 up each point is
-    ``tridiagonal_smallest_singular_value``, one call of the ARPACK driver
-    on the solves of one LU of M - z, scale-free and checked by its Ritz
-    residual; its value approaches sigma_min from above.  The map is a field
-    estimate, not a pass verdict.
+    The whole grid is one bisection on Sturm counts
+    (``numerics.tridiagonal_smallest_singular_values``), every value
+    accurate to about eps |M - z| from either side, with no stopping test
+    that can fail.  Below n = 240 the map's lowest point is also checked
+    against a dense SVD of M - z: a miss beyond 1e-10 relative plus
+    n eps |M - z|_F (numerics._check_against_svd) raises
+    :class:`NumericsError`.  The map is a field estimate, not a pass verdict.
     """
     _check_window(re_range, im_range)
     res = np.linspace(re_range[0], re_range[1], _PSEUDO_GRID_N)
     ims = np.linspace(im_range[0], im_range[1], _PSEUDO_GRID_N)
     off = op.off
-    banded = op.n < _ARPACK_MIN_N
-    sigma_min = band_smallest_singular_value if banded else tridiagonal_smallest_singular_value
-    sig = np.array([[sigma_min(op.diag - (zr + 1j * zi), off) for zr in res] for zi in ims])
-    if banded:
+    sig = tridiagonal_smallest_singular_values(op.diag, off, res + 1j * ims[:, np.newaxis])
+    if op.n < _DENSE_CHECK_BELOW_N:
         i, j = np.unravel_index(np.argmin(sig), sig.shape)
         z = res[j] + 1j * ims[i]
         dense = smallest_singular_value(op.matrix - z * np.eye(op.n))
         fro = _tridiagonal_frobenius(op.diag - z, off)
-        what = f"band sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j"
+        what = f"Sturm sigma_min {sig[i, j]:.6e} at z = {res[j]:g}{ims[i]:+g}j"
         _check_against_svd(sig[i, j], dense, op.n, fro, what)
     return PseudospectrumField(res, ims, sig)
 

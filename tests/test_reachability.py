@@ -40,7 +40,7 @@ does nothing.
 
 The package's relative imports, lazy ones included, must form no cycle.
 
-Every iterative singular value goes through one ARPACK driver: scipy's
+Every Krylov singular value goes through one ARPACK driver: scipy's
 ``eigs``, ``eigsh``, ``svds`` and ``lobpcg`` are read in
 ``numerics.operator_largest_singular_value`` and in no other function.
 
@@ -427,7 +427,7 @@ def test_every_exported_class_is_used_outside_the_unit_tests():
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
-    assert len(defaulted_knobs()) >= 13
+    assert len(defaulted_knobs()) >= 12
     unpassed = knob_uses()[0]
     assert sorted(set(unpassed) - KNOB_EXEMPTIONS) == []
     # an exemption that a caller now passes, or whose knob is gone, is stale

@@ -89,6 +89,11 @@ def test_scipy_free_runs_load_no_scipy(tmp_path):
         f" '--set', {f'output.path={tmp_path / name}'!r}]) == 0"
         for name in names
     ]
+    # from n = 240 up a pseudospectrum map has no dense SVD check, and the
+    # Sturm bisection is numpy alone
+    pseudo = ROOT / "scripts" / "configs" / "pseudospectrum_imaginary_hardy.json"
+    out = f"output.path={tmp_path / 'pseudospectrum'}"
+    runs.append(f"assert main(['run', {str(pseudo)!r}, '--set', 'grid_n=240', '--set', {out!r}]) == 0")
     code = "\n".join(
         [
             "import sys",

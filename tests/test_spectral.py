@@ -6,31 +6,29 @@ exactly: the modes sin(p pi r / R) give eigenvalues
 the exact-scaling Weyl sequence are the oracles; everything else is checked
 through invariants (symmetry, residual bounds, sigma_min vs eigenvalue
 distance) and against dense recomputations from ``op.matrix``: zgeev for
-the real-V ``eigh_tridiagonal`` spectra and LAPACK ``svdvals`` for the band
-and ARPACK sigma_min of the pseudospectra.
+the real-V ``eigh_tridiagonal`` spectra and LAPACK ``svdvals`` for the Sturm
+sigma_min of the pseudospectra.
 """
 
 import dataclasses
-import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.linalg import svdvals
 
 from spectra_cert import spectral
-from spectra_cert.cli import main
 from spectra_cert.multipliers import TestFunction as Probe
 from spectra_cert.multipliers import MultiplierError, _probe_on
 from spectra_cert.numerics import (
     EigenvalueError,
     NumericsError,
     _tridiagonal_frobenius,
-    band_smallest_singular_value,
     eig_complex,
-    tridiagonal_smallest_singular_value,
+    tridiagonal_smallest_singular_values,
 )
 from spectra_cert.potentials import catalog
 from spectra_cert.spectral import (
@@ -338,11 +336,8 @@ class TestPseudospectrum:
             pseudospectrum(op, (-1e308, 1e308), (0.0, 1.0))
 
 
-class TestArpackSigmaMin:
-    """The tridiagonal sigma_min routines, band eigenvalue and ARPACK, against
-    the dense SVD."""
-
-    SOLVERS = (band_smallest_singular_value, tridiagonal_smallest_singular_value)
+class TestSturmSigmaMin:
+    """The vectorised Sturm bisection for sigma_min against the dense SVD."""
 
     @staticmethod
     def shifts(op, seed):
@@ -356,114 +351,101 @@ class TestArpackSigmaMin:
         return np.concatenate([z, near])
 
     @pytest.mark.parametrize("pot", [IMAGH, GAUSS, None], ids=["imaginary_hardy", "gaussian", "free"])
-    @pytest.mark.parametrize("n", [1, 2, 16, 64, 96, 128, spectral._ARPACK_MIN_N - 1, 256])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 96, 128, 239, 240, 256, 512])
     def test_matches_dense_svd(self, pot, n):
         # n = 1 and 2 take the leading block of the n = 16 operator, at its
-        # shifts: below n = 8 there is no discretization, and scipy's
-        # zgttrf wrapper rejects these orders
+        # shifts: below n = 8 there is no discretization.  All 20 shifts go
+        # in one call.  Measured: at most 0.65 of the bound
         op = discretize_radial(pot, 0, 14.0, max(n, 16))
-        diag = op.diag[:n]
-        off = np.full(n - 1, -1.0 / op.h**2)
         m = op.matrix[:n, :n]
-        for z in self.shifts(op, n):
+        zs = self.shifts(op, n)
+        got = tridiagonal_smallest_singular_values(op.diag[:n], np.full(n - 1, -1.0 / op.h**2), zs)
+        assert got.shape == zs.shape
+        for z, sigma in zip(zs, got):
             svals = svdvals(m - z * np.eye(n))
             # 1e-10 relative, plus the eps * sigma_max the dense oracle itself
             # is accurate to, which dominates only near an eigenvalue
             floor = np.finfo(float).eps * svals[0]
-            for solver in self.SOLVERS:
-                got = solver(diag - z, off)
-                assert abs(got - svals[-1]) <= 1e-10 * svals[-1] + floor, (solver, z)
+            assert abs(sigma - svals[-1]) <= 1e-10 * svals[-1] + floor, z
+
+    def test_localized_pseudomode_matches_dense_svd(self):
+        # near sigma_min the leading blocks of these shifts' pseudomodes are
+        # nearly singular (relative determinant 2e-8 at k = 119): pq - c^2
+        # alone was 5000 eps sigma_max off at the first shift
+        op = discretize_radial(catalog("gaussian", v0=1.150849, c_im=1.325467), 0, 14.0, 128)
+        zs = np.array([3.3647974615384615 - 1.6923076923076923j, 1.9565132307692301 - 2j])
+        got = tridiagonal_smallest_singular_values(op.diag, op.off, zs)
+        for z, sigma in zip(zs, got):
+            svals = svdvals(op.matrix - z * np.eye(128))
+            assert abs(sigma - svals[-1]) <= np.finfo(float).eps * svals[0], z
 
     def test_exact_free_eigenvalue_reads_zero(self):
         op = discretize_radial(None, 0, 14.0, 96)
-        off = np.full(95, -1.0 / op.h**2)
-        for lam in radial_free_law(14.0, 96)[[0, 4, 39]]:
-            for solver in self.SOLVERS:
-                assert solver(op.diag - lam, off) == 0.0, solver
+        lam = radial_free_law(14.0, 96)[[0, 4, 39]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tridiagonal_smallest_singular_values(op.diag, op.off, lam)
+        assert got.tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("z", [1e154 + 1j, 1e200 + 1j, 1e300 + 1j])
-    def test_far_shift_keeps_its_distance(self, z):
+    def test_exactly_singular_shift_reads_zero(self):
+        # rows [1, 1, 0], [1, 1, 0], [0, 0, 0], with a zero off-diagonal entry
+        d = np.array([1.0, 1.0, 0.0], dtype=complex)
+        assert tridiagonal_smallest_singular_values(d, np.array([1.0, 0.0]), [0.0]).tolist() == [0.0]
+
+    def test_far_shift_keeps_its_distance(self):
         # the free operator is normal with an O(1) spectrum, so sigma_min is
-        # |z| to about 1e-150 relative; theta = sigma_max(T^-1)^2 = |z|^-2
-        # underflows from |z| ~ 1e154 unless the ARPACK driver rescales T^-1
+        # |z| to about 1e-150 relative at the far shifts.  Past |z| ~ 1e154
+        # a block determinant leaves the float range unless each shift runs
+        # on its own scale, and on the scale of 1e300 the shift 1 + 1j
+        # underflows: all four go in one call
         op = discretize_radial(None, 0, 40.0, 256)
-        off = np.full(255, -1.0 / op.h**2)
-        for solver in self.SOLVERS:
-            assert abs(solver(op.diag - z, off) - abs(z)) <= 1e-12 * abs(z), solver
+        zs = np.array([1e154 + 1j, 1e200 + 1j, 1e300 + 1j, 1 + 1j])
+        want = np.min(np.abs(radial_free_law(40.0, 256)[:, np.newaxis] - zs), axis=0)
+        got = tridiagonal_smallest_singular_values(op.diag, op.off, zs)
+        # eps * sigma_max(M - 1 - 1j) ~ 4e-14 bounds the last point
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
-    @staticmethod
-    def pseudo_config(tmp_path, n):
-        config = {
-            "experiment": "pseudospectrum",
-            "potential": {"name": "imaginary_hardy", "params": {"beta": 0.3}},
-            "grid_n": n,
-            "r_max": 14.0,
-            "z_window": [-2.0, 6.0, -2.0, 2.0],
-            "output": {"path": str(tmp_path / "pseudo")},
-        }
-        path = tmp_path / "pseudo.json"
-        path.write_text(json.dumps(config))
-        return str(path)
+    def test_memory_stays_per_shift(self):
+        # a sweep runs on (shifts,)-vectors: no (n, shifts) temporary, which
+        # at n = 512 would take 6.25 MiB per real array.  Measured: 0.37 MiB
+        op = discretize_radial(GAUSS, 0, 14.0, 512)
+        zs = np.linspace(-2.0, 6.0, 40) + 1j * np.linspace(-2.0, 2.0, 40)[:, np.newaxis]
+        tracemalloc.start()
+        try:
+            tridiagonal_smallest_singular_values(op.diag, op.off, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-    def test_no_convergence_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
-        def stalled(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
-        op = discretize_radial(IMAGH, 0, 14.0, 96)
-        with pytest.raises(NumericsError, match="ARPACK"):
-            tridiagonal_smallest_singular_value(op.diag - 1.0, np.full(95, -1.0 / op.h**2))
-        # the CLI map reaches ARPACK only from the crossover up
-        assert main(["run", self.pseudo_config(tmp_path, spectral._ARPACK_MIN_N)]) == 1
-        assert "ARPACK" in capsys.readouterr().err
-
-    def test_band_lapack_failure_raises_and_run_exits_1(self, tmp_path, monkeypatch, capsys):
-        def failed(ab, *args, **kwargs):
-            # dsbevx returns (w, z, m, ifail, info); info > 0: bisection failed
-            return np.zeros(ab.shape[1]), np.zeros((1, 1)), 0, np.zeros(1, np.int32), 1
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dsbevx", failed)
-        op = discretize_radial(IMAGH, 0, 14.0, 64)
-        with pytest.raises(NumericsError, match="dsbevx info=1"):
-            band_smallest_singular_value(op.diag - 1.0, np.full(63, -1.0 / op.h**2))
-        assert main(["run", self.pseudo_config(tmp_path, 64)]) == 1
-        assert "dsbevx" in capsys.readouterr().err
-
-    def test_band_value_off_the_dense_svd_is_refused(self, monkeypatch):
+    def test_value_off_the_dense_svd_is_refused(self, monkeypatch):
         # the map's lowest point is checked against the dense SVD
         monkeypatch.setattr(spectral, "_PSEUDO_GRID_N", 3)
+        exact = tridiagonal_smallest_singular_values
         monkeypatch.setattr(
-            spectral, "band_smallest_singular_value",
-            lambda d, e: (1 + 1e-8) * band_smallest_singular_value(d, e),
+            spectral, "tridiagonal_smallest_singular_values",
+            lambda d, e, z: (1 + 1e-8) * exact(d, e, z),
         )
         with pytest.raises(NumericsError, match="misses the dense SVD"):
             pseudospectrum(discretize_radial(IMAGH, 0, 14.0, 64), (-2.0, 6.0), (-2.0, 2.0))
 
-    @pytest.mark.parametrize(
-        "n, route",
-        [(64, "band"), (spectral._ARPACK_MIN_N - 1, "band"), (spectral._ARPACK_MIN_N, "arpack")],
-    )
-    def test_solver_crossover(self, monkeypatch, n, route):
-        calls = {"dense": 0, "band": 0, "arpack": 0}
+    @pytest.mark.parametrize("n", [64, spectral._DENSE_CHECK_BELOW_N - 1, spectral._DENSE_CHECK_BELOW_N])
+    def test_one_call_per_map(self, monkeypatch, n):
+        calls = {"dense": 0, "sturm": []}
 
-        def counted(name):
-            def wrapper(*args):
-                calls[name] += 1
-                return 1.0
+        def dense(m):
+            calls["dense"] += 1
+            return 1.0
 
-            return wrapper
+        def sturm(d, e, z):
+            calls["sturm"].append(z.shape)
+            return np.ones(z.shape)
 
-        for name, attr in (
-            ("dense", "smallest_singular_value"),
-            ("band", "band_smallest_singular_value"),
-            ("arpack", "tridiagonal_smallest_singular_value"),
-        ):
-            monkeypatch.setattr(spectral, attr, counted(name))
+        monkeypatch.setattr(spectral, "smallest_singular_value", dense)
+        monkeypatch.setattr(spectral, "tridiagonal_smallest_singular_values", sturm)
         pseudospectrum(discretize_radial(IMAGH, 0, 14.0, n), (-2.0, 6.0), (-2.0, 2.0))
-        # below the crossover one dense SVD checks the map's lowest point
-        expect = {"dense": int(route == "band"), "band": 0, "arpack": 0}
-        expect[route] = 1600
-        assert calls == expect
+        # below n = 240 one dense SVD checks the map's lowest point
+        assert calls == {"dense": int(n < 240), "sturm": [(40, 40)]}
 
 
 def normalized(probe):
